@@ -35,7 +35,7 @@ use crate::journal::{
     SlotHeader,
 };
 use crate::rotation::RotationScheme;
-use dcode_codec::{CacheStats, EncodeArena, ScheduleCache, Stripe};
+use dcode_codec::{CacheStats, ScheduleCache, Stripe};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use dcode_faults::{crc32, DiskBackend, DiskError};
@@ -202,9 +202,6 @@ pub struct ResilientArray<B> {
     /// every encode and degraded read replays a cached program and
     /// compiles nothing.
     schedules: ScheduleCache,
-    /// Reusable job buffers for batched multi-stripe re-encodes, so a
-    /// steady stream of spanning writes allocates no scratch vectors.
-    encode_arena: EncodeArena,
 }
 
 impl<B: DiskBackend> ResilientArray<B> {
@@ -307,7 +304,6 @@ impl<B: DiskBackend> ResilientArray<B> {
             mutation: None,
             stats: ResilientStats::default(),
             schedules: ScheduleCache::new(),
-            encode_arena: EncodeArena::new(),
         }
     }
 
@@ -860,14 +856,11 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// element `start`. Full-stripe read-modify-write: each touched
     /// stripe's data is fetched (through parity if degraded), modified,
     /// re-encoded, and written back — so writes work while degraded and
-    /// mid-rebuild. A write spanning several stripes batches the
-    /// re-encodes through [`encode_stripes_arena`] on the global worker
-    /// pool: one cached *fused* program replayed tile-major over the whole
-    /// batch, job buffers drawn from the array's own arena — which is what
-    /// lets a server batch many queued puts into one pooled encode without
-    /// steady-state allocation.
-    ///
-    /// [`encode_stripes_arena`]: dcode_codec::encode_stripes_arena
+    /// mid-rebuild. One stripe or many, the touched stripes re-encode
+    /// through one [`dcode_codec::run_batch`] call on the global worker
+    /// pool: the array's cached encode program replayed tile-major per
+    /// stripe (inline for a single stripe), which is what lets a server
+    /// batch many queued puts into one pooled encode.
     pub fn write(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         assert!(
             bytes.len() % self.block_size == 0,
@@ -897,31 +890,19 @@ impl<B: DiskBackend> ResilientArray<B> {
         // stripes, so the phases commute with the sequential order.
         let mut scratches = Vec::with_capacity(segments.len());
         for &(t, within, chunk, off) in &segments {
-            let mut scratch = self.fetch_and_patch(
+            scratches.push(self.fetch_and_patch(
                 t,
                 within,
                 chunk,
                 &bytes[off * self.block_size..(off + chunk) * self.block_size],
-            )?;
-            if segments.len() == 1 {
-                // Single stripe: encode inline, skip the batching machinery.
-                self.schedules
-                    .encode_program(&self.layout)
-                    .run(&mut scratch);
-            }
-            scratches.push(scratch);
+            )?);
         }
-        if segments.len() > 1 {
-            let program = self.schedules.encode_program(&self.layout);
-            let threads = minipool::effective_parallelism(scratches.len());
-            dcode_codec::encode_stripes_arena(
-                &program,
-                &mut scratches,
-                minipool::global(),
-                threads,
-                &mut self.encode_arena,
-            );
-        }
+        dcode_codec::run_batch(
+            &self.schedules.encode_program(&self.layout),
+            &mut scratches,
+            minipool::global(),
+            minipool::effective_parallelism(segments.len()),
+        );
         for (&(t, within, chunk, _), scratch) in segments.iter().zip(&scratches) {
             if self.journal.is_some() {
                 self.persist_segment_journaled(t, within, chunk, scratch);

@@ -1,7 +1,7 @@
 //! Criterion: full-stripe encode throughput for every code, all backends —
 //! the naive equation interpreter, the compiled `XorProgram` schedule
 //! (sequential, from the global schedule cache), the pool-parallel public
-//! path, the fused multi-stripe bulk path (`bulk_fused`, measured
+//! path, the multi-stripe bulk path (`bulk_fused`, measured
 //! steady-state in place on an 8-stripe batch), and the GF(2) bit-matrix —
 //! plus a `BENCH_encode.json` trajectory point comparing naive vs
 //! compiled.
@@ -112,10 +112,10 @@ fn bench_encode(c: &mut Criterion) {
                 );
             },
         );
-        // The fused bulk path on an 8-stripe batch, in place: encode only
+        // The bulk path on an 8-stripe batch, in place: encode only
         // overwrites parity, so re-encoding the same batch each iteration
-        // is idempotent and measures the steady-state fused replay rather
-        // than per-iteration clone eviction. Throughput is per batch
+        // is idempotent and measures the steady-state replay rather than
+        // per-iteration clone eviction. Throughput is per batch
         // (8 × the single-stripe byte count).
         const BULK: usize = 8;
         group.throughput(Throughput::Bytes((layout.data_len() * block * BULK) as u64));

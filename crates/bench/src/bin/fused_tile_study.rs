@@ -1,9 +1,12 @@
-//! Tile-size sweep for the fused bulk executor, at the same shape the
-//! `parallel` bench measures (p = 13, 64 KiB blocks, 16-stripe batches):
-//! for every registry code, time sequential per-stripe replay (the
-//! pre-fusion bulk path) and the fused tile-major replay across a sweep
-//! of tile sizes, printing GiB/s per point. This is the measurement
-//! behind the calibration probe's candidate set
+//! Tile-size sweep for the tile-major schedule executor, at the same
+//! shape the `parallel` bench measures (p = 13, 64 KiB blocks, 16-stripe
+//! batches): for every registry code, time per-stripe
+//! [`XorProgram::run_with_tile`] over the batch across a sweep of tile
+//! sizes, printing GiB/s per point. The `tile=block` column pins the tile
+//! to the block size — one iteration per stripe, which *is* the op-major
+//! order the library shipped before tile-major replay — so the slow path
+//! stays measurable here without staying in the library. This is the
+//! measurement behind the calibration probe's candidate set
 //! ([`dcode_codec::tile::TILE_CANDIDATES`]) and behind the tile the
 //! committed `BENCH_parallel.json` was generated with — rerun it when
 //! moving to a new host.
@@ -11,7 +14,6 @@
 //! Usage: `fused_tile_study [p] [block_bytes] [batch]`
 
 use dcode_baselines::registry::{build, EVALUATED_CODES};
-use dcode_codec::fused::FusedProgram;
 use dcode_codec::{Stripe, XorProgram};
 use std::time::Instant;
 
@@ -50,43 +52,34 @@ fn main() {
         .unwrap_or(64 * 1024);
     let batch: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
 
-    println!("fused tile sweep: p={p} block={block} batch={batch} reps={REPS}");
+    println!("tile sweep: p={p} block={block} batch={batch} reps={REPS}");
     println!(
         "{:<10} {:>10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "code", "unfused", "4K", "8K", "16K", "32K", "64K", "128K"
+        "code", "tile=block", "4K", "8K", "16K", "32K", "64K", "128K"
     );
     for &code in &EVALUATED_CODES {
         let layout = build(code, p).unwrap();
         let program = XorProgram::compile_encode(&layout);
         let data = payload(layout.data_len() * block);
         let stripe = Stripe::from_data(&layout, block, &data);
-        let batch_stripes: Vec<Stripe> = (0..batch).map(|_| stripe.clone()).collect();
-        let bytes = layout.data_len() * block * batch;
-
-        // Best-of-REPS sequential per-stripe replay (the pre-fusion path),
-        // in place: encode overwrites only parity, so re-running on the
+        // Encode in place: it overwrites only parity, so re-running on the
         // same batch is idempotent and measures the steady-state encode
         // rather than the cache eviction a fresh 146 MB clone causes.
-        let mut ss = batch_stripes.clone();
-        let mut unfused_ns = u128::MAX;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            for s in &mut ss {
-                program.run(s);
-            }
-            unfused_ns = unfused_ns.min(t0.elapsed().as_nanos());
-        }
+        let mut ss: Vec<Stripe> = (0..batch).map(|_| stripe.clone()).collect();
+        let bytes = layout.data_len() * block * batch;
 
-        let fused = FusedProgram::fuse(&program, batch);
-        let mut row = format!("{:<10} {:>10.3}", code.name(), gib_per_s(bytes, unfused_ns));
-        for &tile in &TILES {
+        let mut row = format!("{:<10}", code.name());
+        for (k, tile) in std::iter::once(block).chain(TILES).enumerate() {
             let mut best = u128::MAX;
             for _ in 0..REPS {
                 let t0 = Instant::now();
-                fused.run_with_tile(&mut ss, tile);
+                for s in &mut ss {
+                    program.run_with_tile(s, tile);
+                }
                 best = best.min(t0.elapsed().as_nanos());
             }
-            row.push_str(&format!(" {:>9.3}", gib_per_s(bytes, best)));
+            let width = if k == 0 { 10 } else { 9 };
+            row.push_str(&format!(" {:>width$.3}", gib_per_s(bytes, best)));
         }
         println!("{row}");
     }

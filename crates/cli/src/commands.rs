@@ -370,11 +370,9 @@ const VERIFY_PRIMES: [usize; 5] = [5, 7, 11, 13, 17];
 
 /// `verify`: statically prove the compiled schedules of one code (or the
 /// whole registry) correct — MDS by GF(2) rank, symbolic encode
-/// equivalence, hazard-free dependency levels, symbolically-correct
-/// recovery for every 2-column erasure, and fused batch programs proved
-/// stripe-confined and equal to N copies of the single-stripe generator.
-/// Any diagnostic is a hard failure, which is how the CI `verify` job
-/// uses it.
+/// equivalence, hazard-free dependency levels, and symbolically-correct
+/// recovery for every 2-column erasure. Any diagnostic is a hard
+/// failure, which is how the CI `verify` job uses it.
 pub fn verify(code: Option<CodeId>, p: Option<usize>, all: bool) -> Result<String, CliError> {
     let targets: Vec<(CodeId, usize)> = if all {
         dcode_baselines::registry::ALL_CODES
@@ -408,9 +406,7 @@ pub fn verify(code: Option<CodeId>, p: Option<usize>, all: bool) -> Result<Strin
             "{out}verification FAILED for {failing} code/prime combination(s)"
         )));
     }
-    out.push_str(
-        "all programs verified: symbolically equivalent (fused batches included), hazard-free, lint-clean",
-    );
+    out.push_str("all programs verified: symbolically equivalent, hazard-free, lint-clean");
     Ok(out)
 }
 

@@ -1,11 +1,14 @@
-//! Bulk payload encoding: split a large payload into stripes and encode
-//! them through one fused, tile-major program over the persistent worker
-//! pool.
+//! Bulk encoding and recovery: many stripes through one compiled program
+//! over the persistent worker pool.
 //!
 //! Stripes are independent, so this is embarrassingly parallel — each
-//! worker job owns a disjoint chunk of the stripe vector (data-race
-//! freedom by construction, per the Rayon-style idiom the HPC guides
-//! recommend).
+//! worker job owns a disjoint chunk of the stripe slice (data-race
+//! freedom by construction) and replays the program over each of its
+//! stripes with [`XorProgram::run`], the same tile-major loop a
+//! single-stripe [`encode`](crate::encode::encode) uses. There is no
+//! batch-level program: a batch of `B` stripes is `B` replays, and the
+//! memory-traffic win (each source block pulled from DRAM once, not once
+//! per equation reading it) lives inside `run`'s tile order.
 //!
 //! **Pitfalls (and why this module looks the way it does):**
 //!
@@ -15,65 +18,25 @@
 //!   to the parked workers of [`minipool::global`]; stripes move into
 //!   jobs by ownership (a `mem::replace` with an allocation-free
 //!   placeholder) rather than by copy.
-//! * Replaying the per-stripe program N independent times streams every
-//!   source block from DRAM once per parity equation (~2× per block),
-//!   which capped bulk encode at roughly half of single-stripe level
-//!   throughput (BENCH_parallel.json history). Uniform batches now
-//!   compile to one [`FusedProgram`] — memoized by the
-//!   [`ScheduleCache`](crate::cache::ScheduleCache) under
-//!   `(program fingerprint, batch)` — and replay tile-major, touching
-//!   each source block once per batch.
-//! * The per-call `Vec` churn of the take/restore storage dance is gone:
-//!   job buffers come from a reusable [`EncodeArena`] (thread-local for
-//!   the convenience entry points; long-lived owners like
-//!   `ResilientArray` and the server shard workers hold their own), so
-//!   steady-state bulk encode does not allocate stripe buffers.
+//! * The per-job `Vec<Stripe>` buffers stripes are moved into are
+//!   recycled through a private thread-local, so a steady stream of
+//!   batches from one thread (a shard worker, the CLI) allocates no
+//!   scratch vectors.
 
 use crate::cache;
-use crate::fused::FusedProgram;
+use crate::decode::normalize_columns;
 use crate::schedule::XorProgram;
 use crate::stripe::Stripe;
-use crate::tile::fused_tile_bytes;
 use dcode_core::decoder::Unrecoverable;
 use dcode_core::layout::CodeLayout;
 use minipool::WorkerPool;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Reusable scratch for the bulk encoder: the per-job `Vec<Stripe>`
-/// buffers stripes are moved into while worker jobs own them. Checking a
-/// buffer out pops a recycled vector (empty, capacity intact); every
-/// buffer is recycled on the way out — including across a panicking
-/// replay — so a steady-state encode loop reuses the same allocations on
-/// every wakeup. Cheap to construct; embed one per long-lived object (as
-/// `ResilientArray` and the server shard workers do) or let the
-/// convenience entry points use the thread-local instance.
-#[derive(Default)]
-pub struct EncodeArena {
-    bufs: Vec<Vec<Stripe>>,
-}
-
-impl EncodeArena {
-    /// An empty arena (no buffers until the first encode recycles some).
-    pub fn new() -> Self {
-        EncodeArena::default()
-    }
-
-    fn checkout(&mut self) -> Vec<Stripe> {
-        self.bufs.pop().unwrap_or_default()
-    }
-
-    fn recycle(&mut self, mut buf: Vec<Stripe>) {
-        buf.clear();
-        self.bufs.push(buf);
-    }
-}
-
 thread_local! {
-    /// Arena behind the signature-stable entry points; callers that want
-    /// buffer reuse across threads own an [`EncodeArena`] and call
-    /// [`encode_stripes_arena`].
-    static THREAD_ARENA: RefCell<EncodeArena> = RefCell::new(EncodeArena::new());
+    /// Recycled per-job stripe buffers (empty, capacity intact) of the
+    /// calling thread's earlier [`run_batch`] calls.
+    static JOB_BUFS: RefCell<Vec<Vec<Stripe>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Split `payload` into as many stripes as needed (tail zero-padded) and
@@ -103,167 +66,89 @@ pub fn encode_payload(
     stripes
 }
 
-/// Encode a slice of stripes in place, in parallel. The compiled
-/// programs (single and fused) come from the global schedule cache (no
-/// per-call compile) and jobs run on the global persistent pool (no
-/// per-call spawns). The requested `threads` is clamped to the host's
-/// available parallelism — see [`encode_stripes_pooled`] for the
-/// unclamped, explicit-pool form.
+/// Encode a slice of stripes in place, in parallel. The compiled program
+/// comes from the global schedule cache (no per-call compile) and jobs
+/// run on the global persistent pool (no per-call spawns). The requested
+/// `threads` is clamped to the host's available parallelism — see
+/// [`run_batch`] for the unclamped, explicit-pool form.
 pub fn encode_stripes(layout: &CodeLayout, stripes: &mut [Stripe], threads: usize) {
     let program = cache::global().encode_program(layout);
     let threads = minipool::effective_parallelism(threads);
-    encode_stripes_pooled(&program, stripes, minipool::global(), threads);
+    run_batch(&program, stripes, minipool::global(), threads);
 }
 
 /// Recover the same erased columns across a batch of stripes, in
-/// parallel, through the fused tile-major path. The compiled (and
-/// certified-optimized) column-recovery program comes from the global
-/// schedule cache, and — because [`FusedProgram`] is layout-agnostic —
-/// an N-stripe recovery batch fuses and executes exactly like a bulk
-/// encode: one stripe-major interleaved program, each surviving block
-/// streamed through cache once per batch. This is the entry point the
+/// parallel. The compiled (and certified-optimized) column-recovery
+/// program comes from the global schedule cache; `cols` may be unsorted
+/// or hold duplicates, and an out-of-range column panics, exactly as in
+/// [`crate::decode::recover_columns`]. This is the entry point the
 /// rebuild scheduler's many-stripe decode batches use.
 ///
 /// Every stripe must have storage attached with the erased columns'
 /// blocks present (their contents are ignored: recovery ops overwrite
-/// first), exactly as [`crate::decode::recover_columns`] expects.
+/// first).
 pub fn recover_stripes(
     layout: &CodeLayout,
     cols: &[usize],
     stripes: &mut [Stripe],
     threads: usize,
 ) -> Result<(), Unrecoverable> {
-    let compiled = cache::global().column_program(layout, cols)?;
+    let compiled = cache::global().column_program(layout, &normalize_columns(layout, cols))?;
     let threads = minipool::effective_parallelism(threads);
-    encode_stripes_pooled(&compiled.program, stripes, minipool::global(), threads);
+    run_batch(&compiled.program, stripes, minipool::global(), threads);
     Ok(())
 }
 
-/// [`encode_stripes_arena`] with the calling thread's thread-local arena —
-/// the signature-stable form for callers without a long-lived arena.
-pub fn encode_stripes_pooled(
+/// Replay `program` over every stripe of the batch with an explicit pool
+/// and fan-out (not clamped to host parallelism — tests drive real pool
+/// fan-out with it; callers holding their own
+/// [`ScheduleCache`](crate::cache::ScheduleCache), like `ResilientArray`,
+/// pass its program). One stripe, or `threads == 1`, runs inline;
+/// otherwise the slice is chunked across `threads` pool jobs by
+/// ownership. Byte-identical to calling [`XorProgram::run`] on each
+/// stripe in turn.
+///
+/// **Panic safety:** a panicking replay (a foreign-grid stripe, a
+/// storage-less placeholder, a corrupted schedule) is caught *inside* the
+/// job so the job still hands its chunk back; every chunk — encoded,
+/// partially encoded, or untouched — is restored into the caller's slice
+/// (and its buffer recycled) before the first panic is re-raised. Earlier
+/// revisions propagated the panic straight through the pool, leaving the
+/// whole slice holding the zero-length placeholder stripes from the
+/// ownership swap: a caller catching the unwind (a long-lived server, a
+/// test harness) would observe silent data loss. Now the slice never
+/// holds a placeholder after this returns or unwinds; stripes of the
+/// panicking chunk may be partially encoded, which the re-raised panic
+/// reports.
+pub fn run_batch(
     program: &Arc<XorProgram>,
     stripes: &mut [Stripe],
     pool: &WorkerPool,
     threads: usize,
 ) {
-    THREAD_ARENA.with(|a| {
-        encode_stripes_arena(program, stripes, pool, threads, &mut a.borrow_mut());
-    });
-}
-
-/// Encode stripes with an explicit program, pool, fan-out, and scratch
-/// arena (fan-out not clamped to host parallelism — tests drive real pool
-/// fan-out with it).
-///
-/// **Fused fast path:** when every stripe matches the program's grid with
-/// storage attached (block sizes may differ — the tile loop reads each
-/// stripe's own), the batch replays through one cached [`FusedProgram`],
-/// tile-major, so each source block streams through cache exactly once
-/// per batch. Anything else — a mixed-shape batch, a degraded placeholder
-/// — falls back to the original per-stripe replay, preserving its exact
-/// semantics (including where it panics).
-///
-/// **Panic safety:** a panicking replay (a malformed stripe, a corrupted
-/// schedule) is caught *inside* the job so the job still hands its chunk
-/// back; every chunk — encoded, partially encoded, or untouched — is
-/// restored into the caller's slice (and its buffer recycled into the
-/// arena) before the first panic is re-raised. Earlier revisions
-/// propagated the panic straight through the pool, leaving the whole
-/// slice holding the zero-length placeholder stripes from the ownership
-/// swap: a caller catching the unwind (a long-lived server, a test
-/// harness) would observe silent data loss. Now the slice never holds a
-/// placeholder after this returns or unwinds; stripes of the panicking
-/// chunk may be partially encoded, which the re-raised panic reports.
-pub fn encode_stripes_arena(
-    program: &Arc<XorProgram>,
-    stripes: &mut [Stripe],
-    pool: &WorkerPool,
-    threads: usize,
-    arena: &mut EncodeArena,
-) {
-    if stripes.is_empty() {
-        return;
-    }
-    let threads = threads.max(1);
-    let uniform = stripes
-        .iter()
-        .all(|s| s.grid() == program.grid() && s.has_storage());
-    if uniform {
-        let fused = cache::global().fused_program(program, stripes.len());
-        let tile = fused_tile_bytes();
-        if threads == 1 || stripes.len() == 1 {
-            fused.run_with_tile(stripes, tile);
-            return;
-        }
-        let workers = threads.min(stripes.len());
-        run_chunked(
-            BatchProgram::Fused(fused, tile),
-            stripes,
-            pool,
-            workers,
-            arena,
-        );
-        return;
-    }
-    if threads == 1 || stripes.len() <= 1 {
+    let workers = threads.min(stripes.len());
+    if workers <= 1 {
         for s in stripes.iter_mut() {
             program.run(s);
         }
         return;
     }
-    let workers = threads.min(stripes.len());
-    run_chunked(
-        BatchProgram::PerStripe(Arc::clone(program)),
-        stripes,
-        pool,
-        workers,
-        arena,
-    );
-}
-
-/// What a worker job replays over its owned chunk.
-#[derive(Clone)]
-enum BatchProgram {
-    /// Tile-major fused replay; the chunk is the batch range starting at
-    /// the job's first stripe index.
-    Fused(Arc<FusedProgram>, usize),
-    /// The original per-stripe replay (mixed-shape fallback).
-    PerStripe(Arc<XorProgram>),
-}
-
-/// Chunk `stripes` across `workers` pool jobs by ownership and replay
-/// `prog` over each chunk, with the panic-restore contract described on
-/// [`encode_stripes_arena`].
-fn run_chunked(
-    prog: BatchProgram,
-    stripes: &mut [Stripe],
-    pool: &WorkerPool,
-    workers: usize,
-    arena: &mut EncodeArena,
-) {
     let chunk = stripes.len().div_ceil(workers);
     let mut jobs = Vec::with_capacity(workers);
-    for (k, part) in stripes.chunks_mut(chunk).enumerate() {
+    for part in stripes.chunks_mut(chunk) {
         // Move the chunk's stripes into the job (placeholder swap: no
         // block is copied or reallocated; the Vec itself is a recycled
-        // arena buffer); the job returns them encoded.
-        let mut owned = arena.checkout();
+        // buffer); the job returns them encoded.
+        let mut owned = JOB_BUFS.with(|b| b.borrow_mut().pop()).unwrap_or_default();
         owned.extend(
             part.iter_mut()
                 .map(|s| std::mem::replace(s, Stripe::placeholder(s.grid(), s.block_size()))),
         );
-        let prog = prog.clone();
-        let first = k * chunk;
+        let program = Arc::clone(program);
         jobs.push(move || {
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &prog {
-                BatchProgram::Fused(fused, tile) => {
-                    fused.run_range_with_tile(&mut owned, first, *tile);
-                }
-                BatchProgram::PerStripe(single) => {
-                    for s in &mut owned {
-                        single.run(s);
-                    }
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for s in &mut owned {
+                    program.run(s);
                 }
             }))
             .err();
@@ -277,7 +162,7 @@ fn run_chunked(
         for encoded in chunk.drain(..) {
             *slots.next().expect("chunks cover the slice") = encoded;
         }
-        arena.recycle(chunk);
+        JOB_BUFS.with(|b| b.borrow_mut().push(chunk));
         if first_panic.is_none() {
             first_panic = panic;
         }
@@ -311,6 +196,12 @@ mod tests {
             .collect()
     }
 
+    fn stripes_of(layout: &CodeLayout, block_size: usize, data: &[u8]) -> Vec<Stripe> {
+        data.chunks(layout.data_len() * block_size)
+            .map(|c| Stripe::from_data(layout, block_size, c))
+            .collect()
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let layout = dcode(7).unwrap();
@@ -328,51 +219,38 @@ mod tests {
     #[test]
     fn pooled_fan_out_matches_sequential() {
         // Drive the pool with real multi-worker fan-out regardless of the
-        // host's core count (encode_stripes clamps; this entry point does
-        // not).
+        // host's core count (encode_stripes clamps; run_batch does not).
         let layout = dcode(7).unwrap();
         let data = payload(layout.data_len() * 32 * 7 + 5);
         let seq = encode_payload(&layout, 32, &data, 1);
         let pool = minipool::WorkerPool::with_workers(4);
         let program = Arc::new(XorProgram::compile_encode(&layout));
         for threads in [2usize, 4, 16] {
-            let mut stripes: Vec<Stripe> = data
-                .chunks(layout.data_len() * 32)
-                .map(|c| Stripe::from_data(&layout, 32, c))
-                .collect();
-            encode_stripes_pooled(&program, &mut stripes, &pool, threads);
+            let mut stripes = stripes_of(&layout, 32, &data);
+            run_batch(&program, &mut stripes, &pool, threads);
             assert_eq!(stripes, seq, "threads={threads}");
         }
     }
 
     #[test]
-    fn arena_buffers_are_recycled_across_calls() {
+    fn job_buffers_are_recycled_across_calls() {
         let layout = dcode(5).unwrap();
         let pool = minipool::WorkerPool::with_workers(4);
         let program = Arc::new(XorProgram::compile_encode(&layout));
-        let mut arena = EncodeArena::new();
-        let per = layout.data_len() * 16;
-        let data = payload(per * 8);
-        let encode_once = |arena: &mut EncodeArena| {
-            let mut stripes: Vec<Stripe> = data
-                .chunks(per)
-                .map(|c| Stripe::from_data(&layout, 16, c))
-                .collect();
-            encode_stripes_arena(&program, &mut stripes, &pool, 4, arena);
+        let data = payload(layout.data_len() * 16 * 8);
+        let encode_once = || {
+            let mut stripes = stripes_of(&layout, 16, &data);
+            run_batch(&program, &mut stripes, &pool, 4);
             assert!(stripes.iter().all(|s| verify_parities(&layout, s)));
+            JOB_BUFS.with(|b| b.borrow().iter().map(Vec::capacity).collect::<Vec<_>>())
         };
-        encode_once(&mut arena);
-        let bufs_after_first = arena.bufs.len();
-        let caps: Vec<usize> = arena.bufs.iter().map(Vec::capacity).collect();
-        assert!(bufs_after_first >= 4, "every job buffer must be recycled");
-        encode_once(&mut arena);
+        let caps = encode_once();
+        assert!(caps.len() >= 4, "every job buffer must be recycled");
         assert_eq!(
-            arena.bufs.len(),
-            bufs_after_first,
+            encode_once(),
+            caps,
             "steady state must reuse, not mint, buffers"
         );
-        let caps_again: Vec<usize> = arena.bufs.iter().map(Vec::capacity).collect();
-        assert_eq!(caps, caps_again, "buffer capacities must round-trip");
     }
 
     #[test]
@@ -389,19 +267,15 @@ mod tests {
         let pool = minipool::WorkerPool::with_workers(4);
         let per = layout.data_len() * 16;
         let data = payload(per * 8);
-        let mut stripes: Vec<Stripe> = data
-            .chunks(per)
-            .map(|c| Stripe::from_data(&layout, 16, c))
-            .collect();
-        // Poison one stripe with a smaller code's shape: the batch is no
-        // longer uniform (no fused path), and the compiled program indexes
-        // blocks past the poison stripe's grid and panics mid-chunk.
+        let mut stripes = stripes_of(&layout, 16, &data);
+        // Poison one stripe with a smaller code's shape: the program's
+        // shape check rejects it and panics mid-chunk.
         let poison = 5;
         let small = dcode(5).unwrap();
         stripes[poison] = Stripe::zeroed(&small, 16);
 
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            encode_stripes_pooled(&program, &mut stripes, &pool, 4);
+            run_batch(&program, &mut stripes, &pool, 4);
         }));
         assert!(caught.is_err(), "the poison stripe must panic the replay");
 
@@ -418,8 +292,8 @@ mod tests {
             );
             assert!(verify_parities(&layout, s), "stripe {i} not encoded");
         }
-        // The poison stripe came back too (its own shape, storage present,
-        // possibly partially encoded) — not a zero-length placeholder.
+        // The poison stripe came back too (its own shape, storage present)
+        // — not a zero-length placeholder.
         assert_eq!(stripes[poison].grid(), small.grid());
         assert_eq!(stripes[poison].block_size(), 16);
         let probe = catch_unwind(AssertUnwindSafe(|| {
@@ -428,39 +302,27 @@ mod tests {
         assert!(probe.is_ok(), "poison stripe left as a placeholder");
 
         // The pool and the healthy stripes are reusable after the unwind.
-        let mut again: Vec<Stripe> = data
-            .chunks(per)
-            .map(|c| Stripe::from_data(&layout, 16, c))
-            .collect();
-        encode_stripes_pooled(&program, &mut again, &pool, 4);
+        let mut again = stripes_of(&layout, 16, &data);
+        run_batch(&program, &mut again, &pool, 4);
         assert!(again.iter().all(|s| verify_parities(&layout, s)));
     }
 
     #[test]
-    fn mixed_shape_batch_takes_the_unfused_path_and_stays_correct() {
-        // Two codes' stripes in one slice, encoded with the program of the
-        // *shared-prime* layout they all actually match — here, a batch
-        // where one stripe's storage is detached (a degraded placeholder):
-        // the fused path must be skipped, not panic.
+    fn placeholder_in_a_batch_panics_and_healthy_stripes_come_back() {
+        // A storage-less placeholder (a degraded member) in the slice:
+        // replaying it panics, but the healthy stripes still come back
+        // encoded.
         let layout = dcode(5).unwrap();
         let pool = minipool::WorkerPool::with_workers(2);
         let program = Arc::new(XorProgram::compile_encode(&layout));
-        let per = layout.data_len() * 8;
-        let data = payload(per * 3);
-        let mut stripes: Vec<Stripe> = data
-            .chunks(per)
-            .map(|c| Stripe::from_data(&layout, 8, c))
-            .collect();
-        // Encode the healthy batch first for the expectation.
+        let mut stripes = stripes_of(&layout, 8, &payload(layout.data_len() * 8 * 3));
         let mut expect = stripes.clone();
         for s in &mut expect {
             program.run(s);
         }
-        // A placeholder in the slice forces the fallback; encoding it
-        // panics (no storage), but the healthy stripes still come back.
         stripes.push(Stripe::placeholder(layout.grid(), 8));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            encode_stripes_pooled(&program, &mut stripes, &pool, 2);
+            run_batch(&program, &mut stripes, &pool, 2);
         }));
         assert!(caught.is_err(), "placeholder replay must panic");
         assert_eq!(&stripes[..3], &expect[..], "healthy stripes lost");
@@ -476,12 +338,7 @@ mod tests {
                 if dcode_core::decoder::plan_column_recovery(&layout, &cols).is_err() {
                     continue;
                 }
-                let per = layout.data_len() * 8;
-                let data = payload(per * 6);
-                let mut stripes: Vec<Stripe> = data
-                    .chunks(per)
-                    .map(|c| Stripe::from_data(&layout, 8, c))
-                    .collect();
+                let mut stripes = stripes_of(&layout, 8, &payload(layout.data_len() * 8 * 6));
                 encode_stripes(&layout, &mut stripes, 1);
                 let golden = stripes.clone();
                 // Per-stripe oracle.
@@ -490,7 +347,6 @@ mod tests {
                     s.erase_columns(&cols);
                     recover_columns(&layout, s, &cols).unwrap();
                 }
-                // Fused batch recovery.
                 for s in &mut stripes {
                     s.erase_columns(&cols);
                 }
@@ -499,6 +355,32 @@ mod tests {
                 assert_eq!(stripes, golden, "{} p={p} full roundtrip", layout.name());
             }
         }
+    }
+
+    #[test]
+    fn recover_stripes_normalizes_columns_like_recover_columns() {
+        // Unsorted and duplicate column lists name the same erasure (they
+        // used to trip the cache's ascending-order debug assert, or mint a
+        // duplicate cache entry in release builds).
+        let layout = dcode(7).unwrap();
+        let mut golden = stripes_of(&layout, 8, &payload(layout.data_len() * 8 * 3));
+        encode_stripes(&layout, &mut golden, 1);
+        for cols in [&[3usize, 1][..], &[1, 1, 3], &[3, 3, 1, 1], &[1, 1]] {
+            let mut stripes = golden.clone();
+            for s in &mut stripes {
+                s.erase_columns(cols);
+            }
+            recover_stripes(&layout, cols, &mut stripes, 2).unwrap();
+            assert_eq!(stripes, golden, "cols={cols:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "disk 7 out of range")]
+    fn recover_stripes_rejects_out_of_range_columns() {
+        let layout = dcode(7).unwrap();
+        let mut stripes = vec![Stripe::zeroed(&layout, 8)];
+        let _ = recover_stripes(&layout, &[7, 0], &mut stripes, 1);
     }
 
     #[test]

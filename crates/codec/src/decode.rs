@@ -37,6 +37,23 @@ pub fn apply_plan_naive(stripe: &mut Stripe, plan: &RecoveryPlan) {
     }
 }
 
+/// The erased-column set the [`ScheduleCache`](crate::cache::ScheduleCache)
+/// keys recoveries by: `cols` sorted ascending with duplicates dropped.
+/// Shared by [`recover_columns`] and
+/// [`recover_stripes`](crate::bulk::recover_stripes).
+///
+/// # Panics
+/// If a column is not a disk of `layout`.
+pub(crate) fn normalize_columns(layout: &CodeLayout, cols: &[usize]) -> Vec<usize> {
+    for &col in cols {
+        assert!(col < layout.disks(), "disk {col} out of range");
+    }
+    let mut cols = cols.to_vec();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
+}
+
 /// Convenience: erase `failed_cols` in the stripe and rebuild them, using
 /// the globally cached compiled recovery program for this
 /// `(layout, column set)` — repeated recoveries off the same failure
@@ -48,13 +65,8 @@ pub fn recover_columns(
     stripe: &mut Stripe,
     failed_cols: &[usize],
 ) -> Result<RecoveryPlan, Unrecoverable> {
-    for &col in failed_cols {
-        assert!(col < layout.disks(), "disk {col} out of range");
-    }
-    let mut cols = failed_cols.to_vec();
-    cols.sort_unstable();
-    cols.dedup();
-    let compiled = cache::global().column_program(layout, &cols)?;
+    let compiled =
+        cache::global().column_program(layout, &normalize_columns(layout, failed_cols))?;
     stripe.erase_columns(failed_cols);
     compiled.program.run(stripe);
     Ok((*compiled.plan).clone())

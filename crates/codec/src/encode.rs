@@ -38,16 +38,6 @@ pub fn encode_naive(layout: &CodeLayout, stripe: &mut Stripe) {
     }
 }
 
-/// Group equation indices into dependency levels: an equation whose members
-/// include a parity of level `k` lands in level `k+1` or later.
-///
-/// Thin wrapper over [`CodeLayout::dependency_levels`], where the logic now
-/// lives (the schedule compiler in `dcode-core`-adjacent layers needs it
-/// too); kept here for API continuity.
-pub fn dependency_levels(layout: &CodeLayout) -> Vec<Vec<usize>> {
-    layout.dependency_levels()
-}
-
 /// Compute every parity block with up to `threads` worker threads by
 /// replaying the cached compiled schedule level-by-level over the
 /// process-wide persistent pool.
@@ -168,17 +158,6 @@ mod tests {
             cache::global().stats().hits >= hits_before + 3,
             "encode paths bypassed the schedule cache"
         );
-    }
-
-    #[test]
-    fn dependency_levels_respect_rdp_cascade() {
-        let rdp = dcode_baselines::rdp::rdp(7).unwrap();
-        let levels = dependency_levels(&rdp);
-        // RDP needs (at least) two levels: row parities then diagonals.
-        assert!(levels.len() >= 2);
-        // D-Code's parities are independent: single level.
-        let d = dcode(7).unwrap();
-        assert_eq!(dependency_levels(&d).len(), 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! D-Code's headline property is *static*: the registry schedules already
 //! sit at the paper's §III-D closed-form optimum for XOR count and I/O
 //! load. This module adds the machinery to *prove* that, and to keep it
-//! true as new program families (degraded-read subprograms, fused
-//! batches, rebuild schedules) flow through the compiler:
+//! true as new program families (degraded-read subprograms, rebuild
+//! schedules) flow through the compiler:
 //!
 //! * [`dataflow`] — def-use chains, reaching definitions, and liveness
 //!   over [`XorProgram`]s;
@@ -29,7 +29,6 @@
 pub mod dataflow;
 mod passes;
 
-use crate::fused::FusedProgram;
 use crate::schedule::XorProgram;
 use dcode_core::fnv::Fnv1a;
 use std::collections::BTreeSet;
@@ -176,19 +175,6 @@ impl CostSummary {
         }
     }
 
-    /// The per-stripe costs scaled to a batch of `n` stripes. Levels are
-    /// unscaled: fusing batches is exactly what keeps the barrier count
-    /// constant.
-    pub fn scaled(self, n: usize) -> Self {
-        CostSummary {
-            ops: self.ops * n,
-            xors: self.xors * n,
-            reads: self.reads * n,
-            levels: self.levels,
-            scratch_blocks: self.scratch_blocks * n,
-        }
-    }
-
     /// Whether `self` is no worse than `before` on every metric.
     pub fn no_worse_than(&self, before: &CostSummary) -> bool {
         self.ops <= before.ops
@@ -210,9 +196,9 @@ pub struct PassRun {
     pub changed: bool,
 }
 
-/// The cost-delta certificate attached to every optimized (or fused)
-/// program. [`OptCertificate::holds`] is the proof obligation: the
-/// equivalence check passed and no cost metric regressed.
+/// The cost-delta certificate attached to every optimized program.
+/// [`OptCertificate::holds`] is the proof obligation: the equivalence
+/// check passed and no cost metric regressed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct OptCertificate {
     /// Fingerprint of the program the pipeline started from.
@@ -222,13 +208,9 @@ pub struct OptCertificate {
     pub optimized_fingerprint: u64,
     /// [`OptConfig::fingerprint`] of the pipeline that ran.
     pub pipeline_fingerprint: u64,
-    /// Stripes covered: 1 for single-stripe programs, N for fused
-    /// batches (whose `before` is the single-stripe cost × N).
-    pub batch: usize,
-    /// Per-pass execution record, in order. Empty for fusion
-    /// certificates (fusion is not a rewrite pass).
+    /// Per-pass execution record, in order.
     pub passes: Vec<PassRun>,
-    /// Costs before the pipeline (for fused programs: single × batch).
+    /// Costs before the pipeline.
     pub before: CostSummary,
     /// Costs of the shipped program.
     pub after: CostSummary,
@@ -251,41 +233,6 @@ impl OptCertificate {
     /// optimum.
     pub fn zero_delta(&self) -> bool {
         self.before == self.after
-    }
-
-    /// Certificate for a fused batch built from an (already optimized)
-    /// single-stripe program: `before` is the single-stripe cost × batch,
-    /// `after` is measured on the fused program, and equivalence is
-    /// discharged structurally — the fused program must be exactly
-    /// `batch` shifted copies of `single`, level by level.
-    pub fn for_fusion(
-        single: &XorProgram,
-        fused: &FusedProgram,
-        pipeline_fingerprint: u64,
-    ) -> Self {
-        let outputs: BTreeSet<u32> = (0..single.op_count())
-            .map(|op| single.op_target(op) as u32)
-            .collect();
-        let before = CostSummary::measure(single, &outputs).scaled(fused.batch());
-        let after = CostSummary {
-            ops: fused.op_count(),
-            xors: (0..fused.op_count())
-                .map(|op| fused.op_sources(op).len().saturating_sub(1))
-                .sum(),
-            reads: fused.source_count(),
-            levels: fused.level_count(),
-            scratch_blocks: before.scratch_blocks,
-        };
-        OptCertificate {
-            original_fingerprint: single.fingerprint(),
-            optimized_fingerprint: single.fingerprint(),
-            pipeline_fingerprint,
-            batch: fused.batch(),
-            passes: Vec::new(),
-            before,
-            after,
-            equivalent: fused_matches(single, fused),
-        }
     }
 }
 
@@ -376,7 +323,6 @@ pub fn optimize(
         original_fingerprint: program.fingerprint(),
         optimized_fingerprint: shipped.fingerprint(),
         pipeline_fingerprint: config.fingerprint(),
-        batch: 1,
         passes,
         before,
         after,
@@ -429,47 +375,6 @@ fn outputs_equivalent(a: &XorProgram, b: &XorProgram, outputs: &BTreeSet<u32>) -
     let sa = final_state(a);
     let sb = final_state(b);
     outputs.iter().all(|&o| sa[o as usize] == sb[o as usize])
-}
-
-/// Structural equivalence of a fused program to `batch` shifted copies
-/// of `single`: level by level, the fused level must consist of each
-/// stripe's copy of the single level with every block index shifted by
-/// `stripe × grid.len()`.
-fn fused_matches(single: &XorProgram, fused: &FusedProgram) -> bool {
-    let batch = fused.batch();
-    let stride = single.grid().len();
-    if fused.grid() != single.grid()
-        || fused.level_count() != single.level_count()
-        || fused.op_count() != single.op_count() * batch
-    {
-        return false;
-    }
-    for lv in 0..single.level_count() {
-        let single_ops: Vec<usize> = single.level_ops(lv).collect();
-        let fused_ops: Vec<usize> = fused.level_ops(lv).collect();
-        if fused_ops.len() != single_ops.len() * batch {
-            return false;
-        }
-        for (k, &fop) in fused_ops.iter().enumerate() {
-            let stripe = k / single_ops.len();
-            let sop = single_ops[k % single_ops.len()];
-            let base = stripe * stride;
-            if fused.op_target(fop) != single.op_target(sop) + base {
-                return false;
-            }
-            let fsrc = fused.op_sources(fop);
-            let ssrc = single.op_sources(sop);
-            if fsrc.len() != ssrc.len()
-                || !fsrc
-                    .iter()
-                    .zip(ssrc)
-                    .all(|(&f, &s)| f as usize == s as usize + base)
-            {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -563,16 +468,5 @@ mod tests {
         assert_ne!(full, reversed);
         assert_ne!(full, OptConfig::empty().fingerprint());
         assert_eq!(full, OptConfig::full().fingerprint());
-    }
-
-    #[test]
-    fn fusion_certificate_checks_structure_and_costs() {
-        let layout = all_codes(5).pop().expect("registry nonempty");
-        let encode = XorProgram::compile_encode(&layout);
-        let fused = FusedProgram::fuse(&encode, 3);
-        let cert = OptCertificate::for_fusion(&encode, &fused, OptConfig::full().fingerprint());
-        assert!(cert.holds());
-        assert!(cert.zero_delta());
-        assert_eq!(cert.batch, 3);
     }
 }

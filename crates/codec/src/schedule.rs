@@ -10,14 +10,29 @@
 //! no per-equation `Vec`, and allocates nothing per operation: the target
 //! block itself is detached from the stripe (`std::mem::take` on a
 //! `Box<[u8]>` is allocation-free) and used as the accumulator, while
-//! sources are gathered straight out of the stripe through the tiled
+//! sources are gathered straight out of the stripe through the
 //! multi-source kernel in [`crate::xor`].
+//!
+//! Replay is **tile-major** ([`XorProgram::run_with_tile`]): for each
+//! tile-sized byte range of the blocks, *every* op runs over just that
+//! range before the range advances. XOR is elementwise — byte `k` of a
+//! target depends only on byte `k` of its sources — so restricting all
+//! ops to one byte range preserves the program's data dependencies
+//! exactly (a later op reads an earlier op's target only within the range
+//! that op has already written), while a tile of every block in the
+//! stripe stays cache-resident: each source byte is pulled from memory
+//! once no matter how many equations read it. A block no larger than the
+//! tile is a single iteration, i.e. plain op-major order. This is the
+//! one sequential replay loop in the codec; a recovery subprogram, a
+//! single-stripe write and a many-stripe bulk encode
+//! ([`crate::bulk`]) all go through it.
 //!
 //! Programs are pure data (`Send + Sync + Clone`), so one compiled
 //! schedule can drive any number of stripes or threads.
 
 use crate::stripe::Stripe;
-use crate::xor::xor_gather_into;
+use crate::tile::fused_tile_bytes;
+use crate::xor::{xor_gather_into, xor_tile};
 use dcode_core::decoder::RecoveryPlan;
 use dcode_core::grid::Grid;
 use dcode_core::layout::CodeLayout;
@@ -41,8 +56,8 @@ pub struct XorProgram {
     level_off: Vec<u32>,
     /// FNV-1a over the grid shape and flat arrays, computed once at
     /// construction. Deterministic in the content, so the derived equality
-    /// stays consistent; used by the fused-program cache to key batches by
-    /// program identity without holding the originating layout.
+    /// stays consistent; optimizer certificates and analysis reports name
+    /// programs by it.
     fingerprint: u64,
 }
 
@@ -98,7 +113,7 @@ impl XorProgram {
     /// re-grouped into dependency levels (a step whose sources include an
     /// earlier step's target lands one level past its deepest producer),
     /// so independent repairs replay concurrently under
-    /// [`XorProgram::run_parallel`] while sequential replay stays
+    /// [`XorProgram::run_pooled`] while sequential replay stays
     /// byte-identical to [`crate::decode::apply_plan`].
     pub fn compile_plan(grid: Grid, plan: &RecoveryPlan) -> Self {
         // Depth of the producing step for each recovered cell; surviving
@@ -146,8 +161,8 @@ impl XorProgram {
 
     /// Content fingerprint (FNV-1a over the grid shape and flat arrays),
     /// computed at construction. Equal programs have equal fingerprints;
-    /// the [`ScheduleCache`](crate::cache::ScheduleCache) keys fused batch
-    /// programs by `(fingerprint, batch)`.
+    /// [`OptCertificate`](crate::opt::OptCertificate)s tie a shipped
+    /// program to the one the pipeline started from with it.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -219,7 +234,7 @@ impl XorProgram {
     /// Debug-build guard run by the compilers: every level must be
     /// hazard-free (no op reads or writes another same-level op's target)
     /// and every index in range, i.e. exactly the property that makes
-    /// [`XorProgram::run_parallel`] safe. The full symbolic equivalence
+    /// [`XorProgram::run_pooled`] safe. The full symbolic equivalence
     /// proof lives in the `dcode-verify` crate; this cheap structural
     /// check catches level-grouping bugs at the moment a program is built.
     #[cfg(debug_assertions)]
@@ -304,28 +319,42 @@ impl XorProgram {
         self.sources.len()
     }
 
-    /// Replay the program over `stripe` sequentially.
+    /// Replay the program over `stripe` sequentially, tile-major with the
+    /// process's calibrated tile size ([`fused_tile_bytes`]).
     pub fn run(&self, stripe: &mut Stripe) {
-        self.check(stripe);
-        for op in 0..self.targets.len() {
-            self.exec_op(op, stripe);
-        }
+        self.run_with_tile(stripe, fused_tile_bytes());
     }
 
-    /// Replay the program with up to `threads` worker threads from the
-    /// process-wide [`minipool::global`] pool. Byte-identical to
-    /// [`XorProgram::run`]. Convenience wrapper over
-    /// [`XorProgram::run_pooled`] for programs not already held in an
-    /// `Arc`; it clones the program once per call, so steady-state callers
-    /// (the schedule cache, `encode_parallel`) hold `Arc<XorProgram>` and
-    /// call `run_pooled` directly.
-    pub fn run_parallel(&self, stripe: &mut Stripe, threads: usize) {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return self.run(stripe);
+    /// [`XorProgram::run`] with an explicit tile size (clamped to at least
+    /// 8 bytes): for each `tile_bytes` range of the blocks, every level's
+    /// ops in order over just that range. Byte-identical for every tile
+    /// size; `tile_bytes >= block_size` is one iteration, i.e. op-major
+    /// order. Bench sweeps and the differential tests pin the tile;
+    /// production goes through `run`.
+    pub fn run_with_tile(&self, stripe: &mut Stripe, tile_bytes: usize) {
+        self.check(stripe);
+        let len = stripe.block_size();
+        let tile = tile_bytes.max(8);
+        let mut start = 0usize;
+        loop {
+            let end = start.saturating_add(tile).min(len);
+            // Ops are stored level by level, so index order is level order.
+            for op in 0..self.targets.len() {
+                let target = self.targets[op] as usize;
+                let mut out = stripe.take_block_at(target);
+                xor_tile(
+                    &mut out[start..end],
+                    self.op_sources(op),
+                    (start, end),
+                    &|i: u32| stripe.block_at(i as usize),
+                );
+                stripe.put_block_at(target, out);
+            }
+            if end >= len {
+                break;
+            }
+            start = end;
         }
-        let this = Arc::new(self.clone());
-        Self::run_pooled(&this, stripe, minipool::global(), threads);
     }
 
     /// Replay the program with up to `threads` workers of `pool`: within
@@ -404,20 +433,8 @@ impl XorProgram {
         );
     }
 
-    fn exec_op(&self, op: usize, stripe: &mut Stripe) {
-        let target = self.targets[op] as usize;
-        let mut out = stripe.take_block_at(target);
-        self.gather(op, &mut out, stripe);
-        stripe.put_block_at(target, out);
-    }
-
-    fn gather(&self, op: usize, out: &mut [u8], stripe: &Stripe) {
-        let (lo, hi) = (self.src_off[op] as usize, self.src_off[op + 1] as usize);
-        xor_gather_into(out, &self.sources[lo..hi], |i| stripe.block_at(i as usize));
-    }
-
-    /// [`XorProgram::gather`] against a bare block vector (linear grid
-    /// index order) instead of a [`Stripe`] — the pooled executor's form.
+    /// One whole op against a bare block vector (linear grid index
+    /// order) — the pooled level executor's form.
     fn gather_in(&self, op: usize, out: &mut [u8], blocks: &[Box<[u8]>]) {
         let (lo, hi) = (self.src_off[op] as usize, self.src_off[op + 1] as usize);
         xor_gather_into(out, &self.sources[lo..hi], |i| &*blocks[i as usize]);
@@ -530,21 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_matches_sequential() {
-        for layout in all_codes(7) {
-            let data = payload(layout.data_len() * 32, 99);
-            let mut seq = Stripe::from_data(&layout, 32, &data);
-            let program = XorProgram::compile_encode(&layout);
-            program.run(&mut seq);
-            for threads in [2usize, 3, 8] {
-                let mut par = Stripe::from_data(&layout, 32, &data);
-                program.run_parallel(&mut par, threads);
-                assert_eq!(par, seq, "{} threads={threads}", layout.name());
-            }
-        }
-    }
-
-    #[test]
     fn compiled_plan_matches_naive_replay() {
         for layout in all_codes(5) {
             let data = payload(layout.data_len() * 16, 3);
@@ -553,7 +555,7 @@ mod tests {
             for c1 in 0..layout.disks() {
                 for c2 in c1 + 1..layout.disks() {
                     let plan = plan_column_recovery(&layout, &[c1, c2]).unwrap();
-                    let program = XorProgram::compile_plan(layout.grid(), &plan);
+                    let program = Arc::new(XorProgram::compile_plan(layout.grid(), &plan));
                     assert_eq!(program.op_count(), plan.steps.len());
 
                     let mut naive = golden.clone();
@@ -568,10 +570,30 @@ mod tests {
 
                     let mut par = golden.clone();
                     par.erase_columns(&[c1, c2]);
-                    program.run_parallel(&mut par, 4);
+                    XorProgram::run_pooled(&program, &mut par, minipool::global(), 4);
                     assert_eq!(par, golden, "{} cols=({c1},{c2}) parallel", layout.name());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tile_size_never_changes_bytes() {
+        // RDP's diagonal parity reads row parity (two levels): a tile-major
+        // pass must feed level 1 the level-0 bytes of the same range. Odd
+        // block size against tiles below the clamp, smaller than, equal to
+        // and larger than the block — the loop's boundary math.
+        let layout = dcode_baselines::rdp::rdp(11).unwrap();
+        let program = XorProgram::compile_encode(&layout);
+        assert!(program.level_count() >= 2);
+        let bs = 1037;
+        let base = Stripe::from_data(&layout, bs, &payload(layout.data_len() * bs, 41));
+        let mut expect = base.clone();
+        encode_naive(&layout, &mut expect);
+        for tile in [1usize, 8, 100, 1024, 1037, 4096, usize::MAX] {
+            let mut got = base.clone();
+            program.run_with_tile(&mut got, tile);
+            assert_eq!(got, expect, "tile={tile}");
         }
     }
 
@@ -595,7 +617,7 @@ mod tests {
         for layout in all_codes(5) {
             let data = payload(layout.data_len() * 16, 11);
             let mut seq = Stripe::from_data(&layout, 16, &data);
-            let program = XorProgram::compile_encode(&layout);
+            let program = Arc::new(XorProgram::compile_encode(&layout));
             program.run(&mut seq);
             let max_level_ops = (0..program.level_count())
                 .map(|lv| program.level_ops(lv).len())
@@ -603,7 +625,7 @@ mod tests {
                 .unwrap();
             for threads in [max_level_ops + 1, 64] {
                 let mut par = Stripe::from_data(&layout, 16, &data);
-                program.run_parallel(&mut par, threads);
+                XorProgram::run_pooled(&program, &mut par, minipool::global(), threads);
                 assert_eq!(par, seq, "{} threads={threads}", layout.name());
             }
         }

@@ -146,17 +146,8 @@ impl Stripe {
         self.blocks = blocks;
     }
 
-    /// Whether the stripe's block storage is attached (false for a
-    /// [`Stripe::placeholder`] or while [`Stripe::take_storage`] holds the
-    /// blocks). The bulk encoder's fused-path eligibility check uses this
-    /// instead of letting a detached stripe trip kernel length asserts
-    /// deep inside a worker job.
-    pub(crate) fn has_storage(&self) -> bool {
-        self.blocks.len() == self.grid.len()
-    }
-
     /// A shape-compatible stripe with zero-length storage — the
-    /// allocation-free placeholder `encode_stripes` swaps in while a
+    /// allocation-free placeholder `bulk::run_batch` swaps in while a
     /// stripe's real storage is owned by a worker job.
     pub(crate) fn placeholder(grid: Grid, block_size: usize) -> Self {
         Stripe {

@@ -1,17 +1,17 @@
-//! Runtime tile-size selection for the fused bulk executor.
+//! Runtime tile-size selection for the tile-major schedule executor
+//! ([`XorProgram::run`](crate::schedule::XorProgram::run)).
 //!
 //! [`TILE_BYTES`](crate::xor::TILE_BYTES) is a compile-time default tuned
-//! on one machine's L1d. The fused batch path keeps a whole stripe's
-//! working set (every block's current tile) resident at once, so its sweet
-//! spot depends on the host cache hierarchy and the stripe shape — the
+//! on one machine's L1d. Tile-major replay keeps a whole stripe's working
+//! set (every block's current tile) resident at once, so its sweet spot
+//! depends on the host cache hierarchy and the stripe shape — the
 //! `xor_kernel` bench's tile sweep (EXPERIMENTS.md) shows a flat-topped
 //! curve across 4–32 KiB with cliffs on either side. Rather than bake in
 //! one point, [`fused_tile_bytes`] runs a **one-shot calibration probe**
-//! over that sweep's candidate set the first time a fused encode happens,
-//! caches the winner for the process lifetime, and honors a
-//! `DCODE_TILE_BYTES` environment override for benchmarking and for hosts
-//! where the probe's few milliseconds matter (the override is also how the
-//! bench suite pins tile size when regenerating its sweep).
+//! over that sweep's candidate set the first time a program is replayed
+//! and caches the winner for the process lifetime. Sweeps that need a
+//! specific tile pin it per call through
+//! [`XorProgram::run_with_tile`](crate::schedule::XorProgram::run_with_tile).
 
 use crate::xor::{xor_many_into_tiled, TILE_BYTES};
 use std::sync::OnceLock;
@@ -29,24 +29,13 @@ const PROBE_SOURCES: usize = 8;
 const PROBE_BLOCK: usize = 64 * 1024;
 const PROBE_REPS: u32 = 5;
 
-/// The tile size the fused bulk executor should use, decided once per
-/// process: the `DCODE_TILE_BYTES` override if set (clamped to ≥ 8),
-/// otherwise the calibration probe's winner, otherwise the compile-time
-/// [`TILE_BYTES`] default (the probe cannot fail, but an override of `0`
-/// or garbage falls back rather than panicking a server).
+/// The tile size [`XorProgram::run`](crate::schedule::XorProgram::run)
+/// replays with, decided once per process by the calibration probe. (The
+/// name predates the one tile-major executor; it is kept because callers
+/// outside the workspace use it.)
 pub fn fused_tile_bytes() -> usize {
     static CHOSEN: OnceLock<usize> = OnceLock::new();
-    *CHOSEN.get_or_init(|| {
-        if let Ok(raw) = std::env::var("DCODE_TILE_BYTES") {
-            if let Ok(bytes) = raw.trim().parse::<usize>() {
-                if bytes >= 8 {
-                    return bytes;
-                }
-            }
-            return TILE_BYTES;
-        }
-        calibrate()
-    })
+    *CHOSEN.get_or_init(calibrate)
 }
 
 /// Time one multi-source XOR pass per candidate and return the fastest.

@@ -62,7 +62,7 @@ pub fn xor_many_into(dst: &mut [u8], sources: &[&[u8]]) {
 /// per source *group* instead of once per source. Tuned with the
 /// `xor_kernel` bench's tile sweep (see EXPERIMENTS.md); 16 KiB leaves
 /// room in a 32 KiB L1d for the destination tile plus streaming sources.
-/// The fused bulk path refines this at runtime — see [`crate::tile`].
+/// The schedule executor refines this at runtime — see [`crate::tile`].
 pub const TILE_BYTES: usize = 16 * 1024;
 
 /// Bytes per wide lane group: eight `u64` lanes, which LLVM lowers to two
@@ -146,9 +146,10 @@ fn wide_xor<const N: usize, const SET: bool>(dst: &mut [u8], srcs: [&[u8]; N]) {
 /// slice restricted to `range`. Opens with the widest applicable *set*
 /// kernel (8/4/2/copy) so the destination is never pre-zeroed or
 /// pre-copied, then folds the remaining sources eight at a time, finishing
-/// with a 4/2/1 remainder. `pub(crate)` because the fused bulk executor
-/// ([`crate::fused`]) drives tiles directly — tile-major across dependency
-/// levels — instead of through [`xor_gather_into`]'s op-major loop.
+/// with a 4/2/1 remainder. `pub(crate)` because the schedule executor
+/// ([`XorProgram::run_with_tile`](crate::schedule::XorProgram::run_with_tile))
+/// drives tiles directly — tile-major across all ops — instead of through
+/// [`xor_gather_into`]'s per-op loop.
 pub(crate) fn xor_tile<'a, I: Copy, F>(
     d: &mut [u8],
     indices: &[I],
@@ -254,8 +255,8 @@ where
 
 /// Gather-form multi-source XOR: `dst = fetch(i₀) ^ fetch(i₁) ^ …` for the
 /// given indices, resolved through `fetch` so callers never build a
-/// per-operation `Vec<&[u8]>`. This is the schedule executor's kernel:
-/// overwrite semantics (the first source group is written with a set-form
+/// per-operation `Vec<&[u8]>`. This is the level-parallel executor's
+/// per-op kernel: overwrite semantics (the first source group is written with a set-form
 /// kernel — `dst` is never pre-copied or pre-zeroed), cache-sized tiles,
 /// and up to eight sources folded per pass. With no indices, `dst` is
 /// zeroed.

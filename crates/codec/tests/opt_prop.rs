@@ -2,13 +2,13 @@
 //! went through the full pass pipeline must be *byte-identical* to the
 //! naive equation-by-equation oracles — `encode_naive` and
 //! `apply_plan_naive` — across registry codes, primes, odd block sizes,
-//! every 2-column erasure, and fused batch shapes. The symbolic
+//! and every 2-column erasure. The symbolic
 //! equivalence proofs live in `dcode-verify`; this file is the byte-level
 //! cross-check that the proofs talk about the same executor semantics.
 
 use dcode_baselines::registry::all_codes;
 use dcode_codec::opt::{optimize, OptConfig};
-use dcode_codec::{apply_plan_naive, encode_naive, FusedProgram, Stripe, XorProgram};
+use dcode_codec::{apply_plan_naive, encode_naive, Stripe, XorProgram};
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::layout::CodeLayout;
 use proptest::prelude::*;
@@ -92,34 +92,5 @@ proptest! {
                 prop_assert_eq!(&via_opt, &golden, "{} p={p} ({c1},{c2})", layout.name());
             }
         }
-    }
-
-    /// Fusing the *optimized* encode at batch shapes {1, 3, 16} stays
-    /// byte-identical to the naive oracle on every stripe of the batch.
-    #[test]
-    fn fused_optimized_encode_matches_naive_oracle(
-        p_idx in 0usize..4,
-        code_idx in 0usize..16,
-        batch_idx in 0usize..3,
-        block_size in 1usize..64,
-        seed in any::<u64>(),
-    ) {
-        let p = [5usize, 7, 11, 13][p_idx];
-        let batch = [1usize, 3, 16][batch_idx];
-        let layout = pick_layout(p, code_idx);
-        let program = XorProgram::compile_encode(&layout);
-        let opt = optimize(&program, None, &OptConfig::full());
-        let fused = FusedProgram::fuse(&opt.program, batch);
-
-        let per = layout.data_len() * block_size;
-        let mut stripes: Vec<Stripe> = (0..batch)
-            .map(|k| Stripe::from_data(&layout, block_size, &payload(per, seed ^ (k as u64) << 9)))
-            .collect();
-        let mut expect = stripes.clone();
-        for s in &mut expect {
-            encode_naive(&layout, s);
-        }
-        fused.run(&mut stripes);
-        prop_assert_eq!(&stripes, &expect, "{} p={p} batch={batch}", layout.name());
     }
 }

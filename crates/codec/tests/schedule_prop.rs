@@ -9,6 +9,7 @@ use dcode_codec::{apply_plan_naive, encode_naive, verify_parities, Stripe};
 use dcode_core::decoder::plan_column_recovery;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn payload(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed | 1;
@@ -39,14 +40,14 @@ proptest! {
             let mut naive = base.clone();
             encode_naive(&layout, &mut naive);
 
-            let program = XorProgram::compile_encode(&layout);
+            let program = Arc::new(XorProgram::compile_encode(&layout));
             let mut compiled = base.clone();
             program.run(&mut compiled);
             prop_assert_eq!(&compiled, &naive, "{} p={} block={}", layout.name(), p, block);
             prop_assert!(verify_parities(&layout, &compiled));
 
             let mut parallel = base.clone();
-            program.run_parallel(&mut parallel, threads);
+            XorProgram::run_pooled(&program, &mut parallel, minipool::global(), threads);
             prop_assert_eq!(&parallel, &naive, "{} p={} threads={}", layout.name(), p, threads);
         }
     }

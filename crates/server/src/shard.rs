@@ -25,11 +25,10 @@
 //! ack-after-durable and publish-before-reply orderings dcode-race
 //! model-checks are preserved verbatim (each ack still follows a publish
 //! that reflects its op). Large multi-stripe writes inside each PUT batch
-//! further through the fused encoder in `ResilientArray::write` (one
-//! fused tile-major program per segment batch, job buffers from the
-//! array's own arena), so a busy server keeps the worker pool warm and
-//! allocation-free without the shard layer knowing anything about
-//! stripes.
+//! further through `ResilientArray::write` (the touched stripes chunked
+//! over the worker pool, each replaying the cached encode program
+//! tile-major), so a busy server keeps the worker pool warm without the
+//! shard layer knowing anything about stripes.
 
 use crate::metrics::{json_escape, ServerMetrics};
 use crate::protocol::Response;

@@ -15,17 +15,13 @@
 //!
 //! * **Equivalence** ([`equiv`]) — replay a compiled encode or recovery
 //!   program symbolically and prove every block ends at the value the
-//!   layout's generator matrix demands. The [`fused`] pass extends this to
-//!   the bulk path's fused batch programs — encode *and* recovery: over a
-//!   batch-widened symbol space, a fused program must be stripe-confined
-//!   and equal to N independent copies of the single-stripe generator
-//!   (resp. restore every stripe's erased blocks). The [`optpair`] pass
-//!   covers the optimizer tier: an optimized program must agree with its
+//!   layout's generator matrix demands. The [`optpair`] pass covers the
+//!   optimizer tier: an optimized program must agree with its
 //!   original on every output block over a fully generic initial state,
 //!   and must not regress any cost metric.
 //! * **Static race check** ([`race`]) — prove every dependency level is
 //!   hazard-free (no op reads or writes another same-level op's target),
-//!   which makes `run_parallel` data-race-free *by construction*: workers
+//!   which makes `run_pooled` data-race-free *by construction*: workers
 //!   only ever write detached level targets and read blocks no sibling
 //!   writes.
 //! * **Schedule lints** ([`lint`]) — dead ops, duplicate / even-multiplicity
@@ -48,7 +44,6 @@
 
 pub mod diag;
 pub mod equiv;
-pub mod fused;
 pub mod lint;
 pub mod optpair;
 pub mod race;
@@ -59,9 +54,6 @@ pub mod sym;
 pub use diag::{DiagKind, Diagnostic, Severity};
 pub use equiv::{
     intended_state, run_symbolic, verify_encode_program, verify_plan_program, verify_subprogram,
-};
-pub use fused::{
-    verify_fused_encode, verify_fused_plan, verify_fused_program, verify_fused_recovery,
 };
 pub use lint::lint;
 pub use optpair::verify_optimized_pair;

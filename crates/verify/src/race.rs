@@ -1,6 +1,6 @@
 //! Static race checking for dependency levels.
 //!
-//! [`XorProgram::run_parallel`] detaches every target of a level and lets
+//! [`XorProgram::run_pooled`] detaches every target of a level and lets
 //! worker threads compute them concurrently against the rest of the stripe
 //! read-only. That is data-race-free under exactly two conditions, both
 //! decidable from the program text alone:

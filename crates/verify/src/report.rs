@@ -3,13 +3,11 @@
 
 use crate::diag::{DiagKind, Diagnostic, Severity};
 use crate::equiv::{verify_encode_program, verify_plan_program};
-use crate::fused::{verify_fused_program, verify_fused_recovery};
 use crate::lint::lint;
 use crate::optpair::verify_optimized_pair;
 use crate::race::check_levels;
 use crate::rank::verify_mds_by_rank;
 use dcode_codec::opt::{optimize, OptConfig};
-use dcode_codec::FusedProgram;
 use dcode_codec::XorProgram;
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::grid::Cell;
@@ -32,16 +30,10 @@ pub struct VerifyReport {
     pub encode_levels: usize,
     /// Two-column recovery programs verified (all `C(disks, 2)` pairs).
     pub plans_verified: usize,
-    /// Fused batch encode programs proved equivalent to N independent
-    /// copies of the single-stripe generator (one per batch shape).
-    pub fused_batches_verified: usize,
     /// Optimizer input/output pairs proved equivalent on their outputs
     /// over a generic initial state, with no cost metric regressed
     /// (the encode program plus every recovery plan program).
     pub optimized_pairs_verified: usize,
-    /// Fused batch *recovery* programs proved stripe-confined and
-    /// symbolically restoring (one per batch shape).
-    pub fused_recoveries_verified: usize,
     /// Every finding from every pass, in pass order.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -65,16 +57,14 @@ impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} p={} ({} disks): encode {} ops / {} levels, {} recovery plans, {} fused batches, {} optimized pairs, {} fused recoveries — ",
+            "{} p={} ({} disks): encode {} ops / {} levels, {} recovery plans, {} optimized pairs — ",
             self.code,
             self.p,
             self.disks,
             self.encode_ops,
             self.encode_levels,
             self.plans_verified,
-            self.fused_batches_verified,
-            self.optimized_pairs_verified,
-            self.fused_recoveries_verified
+            self.optimized_pairs_verified
         )?;
         if self.is_clean() {
             f.write_str("verified")
@@ -108,19 +98,16 @@ fn verify_program(
 ///    and symbolically equal to the layout's generator matrix;
 /// 3. **recovery programs** — for every 2-column erasure, the compiled
 ///    plan is race-free, lint-clean, and symbolically restores the stripe;
-/// 4. **fused batches** — the bulk encoder's fused batch programs are
-///    stripe-confined and symbolically equal to N independent copies of
-///    the single-stripe generator;
-/// 5. **optimized pairs** — the default optimizer pipeline's output for
+/// 4. **optimized pairs** — the default optimizer pipeline's output for
 ///    the encode program and every recovery program agrees with its
 ///    input on every output block over a fully generic initial state,
 ///    and regresses no cost metric (the independent check of the
-///    optimizer's own certificates);
-/// 6. **fused recoveries** — fused batch recovery programs restore every
-///    stripe of the batch without crossing stripe boundaries.
+///    optimizer's own certificates).
 ///
 /// A clean report is a proof (for every payload and block size) that the
-/// codec's compiled hot paths are correct and that `run_parallel` is safe.
+/// codec's compiled hot paths are correct and that `run_pooled` is safe.
+/// A many-stripe batch replays the same proved program once per stripe
+/// (`dcode_codec::bulk`), so there is no batch-level artifact to verify.
 pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
     let mut diagnostics = Vec::new();
 
@@ -182,29 +169,6 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         }
     }
 
-    // The bulk encoder's fused fast path: prove a couple of batch shapes
-    // (a trivial and a non-trivial one — the fuser is shape-uniform, and
-    // the per-prime × per-batch exhaustive grid lives in the crate's
-    // tests, where runtime is cheaper).
-    let mut fused_batches_verified = 0usize;
-    for batch in [2usize, 3] {
-        let fused = FusedProgram::fuse(&encode, batch);
-        diagnostics.extend(verify_fused_program(layout, &fused));
-        fused_batches_verified += 1;
-    }
-
-    // The bulk path's fused *recovery* programs, same sampling logic:
-    // one representative erasure, two batch shapes. Skipped when the
-    // planner (rightly) refuses the pair — the rank pass above already
-    // reported the erasure as unrecoverable.
-    let mut fused_recoveries_verified = 0usize;
-    if plan_column_recovery(layout, &[0, 1]).is_ok() {
-        for batch in [2usize, 3] {
-            diagnostics.extend(verify_fused_recovery(layout, &[0, 1], batch));
-            fused_recoveries_verified += 1;
-        }
-    }
-
     VerifyReport {
         code: layout.name().to_string(),
         p: layout.prime(),
@@ -212,9 +176,7 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         encode_ops: encode.op_count(),
         encode_levels: encode.level_count(),
         plans_verified,
-        fused_batches_verified,
         optimized_pairs_verified,
-        fused_recoveries_verified,
         diagnostics,
     }
 }
@@ -231,9 +193,7 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.diagnostics);
         assert_eq!(report.plans_verified, 21);
         assert_eq!(report.encode_ops, 14);
-        assert_eq!(report.fused_batches_verified, 2);
         assert_eq!(report.optimized_pairs_verified, 22);
-        assert_eq!(report.fused_recoveries_verified, 2);
         assert!(report.to_string().ends_with("verified"));
     }
 
