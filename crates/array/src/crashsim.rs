@@ -46,6 +46,12 @@ pub enum CrashOp {
     FullWrite,
     /// A partial write crossing a stripe boundary (two journal records).
     PartialWrite,
+    /// A one-element write: the shortest sequence the delta branch
+    /// produces (one data cell, its parities, a two-block record).
+    SmallWrite,
+    /// Eight elements at element 0 — the shape of the object store's
+    /// index rewrite, the write a put issues twice.
+    MetaWrite,
     /// A partial write while one slot is failed (redo-mode records).
     DegradedWrite,
     /// Rebuild onto a hot spare, crashed mid-copy and restarted on a
@@ -58,9 +64,11 @@ pub enum CrashOp {
 
 impl CrashOp {
     /// Every op the sweep covers.
-    pub const ALL: [CrashOp; 5] = [
+    pub const ALL: [CrashOp; 7] = [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
+        CrashOp::SmallWrite,
+        CrashOp::MetaWrite,
         CrashOp::DegradedWrite,
         CrashOp::RebuildStep,
         CrashOp::ReplayCrash,
@@ -71,6 +79,8 @@ impl CrashOp {
         match self {
             CrashOp::FullWrite => "full-write",
             CrashOp::PartialWrite => "partial-write",
+            CrashOp::SmallWrite => "small-write",
+            CrashOp::MetaWrite => "meta-write",
             CrashOp::DegradedWrite => "degraded-write",
             CrashOp::RebuildStep => "rebuild-step",
             CrashOp::ReplayCrash => "replay-crash",
@@ -275,6 +285,20 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         CrashOp::PartialWrite | CrashOp::ReplayCrash => {
             Some((k - 1, prand_bytes(cfg.seed ^ 0x0F0F, 3 * bs)))
         }
+        CrashOp::SmallWrite => {
+            // The element of stripe 1 that shares a disk with the write's
+            // own intent record (`prepare` committed one record per
+            // stripe, and record `seq` lands on disk `seq % disks`): the
+            // retire's flush destages that disk, so a retire planted
+            // before the parity writes leaves new data under old parity
+            // even though the volatile cache drops every other write.
+            let disks = cfg.layout.disks();
+            let col = RotationScheme::PerStripe.to_logical(1, cfg.stripes % disks, disks);
+            let cells = cfg.layout.data_cells();
+            let within = cells.iter().position(|c| c.col == col).unwrap_or(0);
+            Some((k + within, prand_bytes(cfg.seed ^ 0x5A11, bs)))
+        }
+        CrashOp::MetaWrite => Some((0, prand_bytes(cfg.seed ^ 0x1DE7, 8.min(k) * bs))),
         CrashOp::DegradedWrite => Some((2, prand_bytes(cfg.seed ^ 0xD00D, 3 * bs))),
         CrashOp::RebuildStep => None,
     }
@@ -310,7 +334,7 @@ fn setup(cfg: &CrashSimConfig, op: CrashOp) -> Instance {
             assert!(crashed.is_none(), "fixed first crash must fire");
             inst.handle.lock().power_cycle();
         }
-        CrashOp::FullWrite | CrashOp::PartialWrite => {}
+        CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
     }
     inst
 }
@@ -496,11 +520,22 @@ pub fn sweep(cfg: &CrashSimConfig) -> CrashSweepReport {
     report
 }
 
-/// Convenience accessor used by tests: the stats of a freshly journaled
-/// array formatted like the sweep's instances (exercises the format path
-/// without running a sweep).
+/// The counters of an array formatted like the sweep's instances after
+/// it ran every healthy write op uncrashed: which write branch served
+/// the swept sequences is read off
+/// [`delta_segments`](ResilientStats::delta_segments) and
+/// [`reconstruct_segments`](ResilientStats::reconstruct_segments).
 pub fn probe_stats(cfg: &CrashSimConfig) -> ResilientStats {
-    prepare(cfg, 0).array.stats().clone()
+    let mut inst = prepare(cfg, 0);
+    for op in [
+        CrashOp::FullWrite,
+        CrashOp::PartialWrite,
+        CrashOp::SmallWrite,
+        CrashOp::MetaWrite,
+    ] {
+        run_op(cfg, op, &mut inst);
+    }
+    inst.array.stats().clone()
 }
 
 #[cfg(test)]
@@ -561,11 +596,33 @@ mod tests {
     }
 
     #[test]
-    fn probe_stats_counts_journal_records() {
-        let cfg = CrashSimConfig::new(dcode(5).unwrap(), 5);
+    fn planted_hole_is_caught_on_the_short_write_ops() {
+        // The delta branch's sequences are the shortest the array writes;
+        // the oracle must still see a retire planted inside them.
+        for p in [5, 7] {
+            let mut cfg = CrashSimConfig::new(dcode(p).unwrap(), 6);
+            cfg.mutation = Some(JournalMutation::RetireBeforeParity);
+            for op in [CrashOp::SmallWrite, CrashOp::MetaWrite] {
+                let (swept, failures) = sweep_op(&cfg, op);
+                assert!(swept.failures > 0, "p={p} {}: hole not caught", swept.op);
+                assert!(failures.iter().all(|f| f.detail.contains("write hole")));
+            }
+        }
+    }
+
+    #[test]
+    fn probe_stats_counts_journal_records_and_write_branches() {
+        let cfg = CrashSimConfig::new(dcode(7).unwrap(), 5);
         let stats = probe_stats(&cfg);
         assert!(stats.journal_records >= cfg.stripes as u64);
         assert_eq!(stats.journal_records, stats.journal_retires);
         assert_eq!(stats.journal_skips, 0);
+        // prepare: 3 full stripes; then full, partial (1 + 2 elements),
+        // small and meta writes.
+        assert_eq!(stats.reconstruct_segments, 4);
+        assert_eq!(stats.delta_segments, 4);
+        // D-Code p=7: 1 element fetches 1 + 2, 2 continuous elements
+        // 2 + 3 (they share the horizontal parity), 8 elements 8 + 8.
+        assert_eq!(stats.write_fetch_blocks, (3 + 5) + 3 + 16);
     }
 }

@@ -1,11 +1,11 @@
 //! Write-ahead parity intent journal: the on-disk format that closes the
 //! RAID-6 write hole.
 //!
-//! A stripe update writes several blocks (data cells, then both parity
-//! cells). A crash between any two of those writes leaves the stripe's
-//! parity inconsistent with its data — the classic *write hole* — and the
-//! corruption is silent until a later degraded read reconstructs garbage
-//! through the stale parity. The journal closes the hole by making every
+//! A stripe update writes several blocks (data cells, then the parity
+//! cells they change). A crash between any two of those writes leaves the
+//! stripe's parity inconsistent with its data — the classic *write hole* —
+//! and the corruption is silent until a later degraded read reconstructs
+//! garbage through the stale parity. The journal closes the hole by making every
 //! stripe mutation re-runnable: before touching the stripe, the array
 //! appends a checksummed *intent record* to a journal region, flushes it,
 //! applies the writes, and only then retires the record. Mount-time
@@ -45,7 +45,9 @@
 //! ## Record modes
 //!
 //! * [`RecordMode::ParityIntent`] (healthy stripes): CRCs of the new data
-//!   cells plus the full new parity contents. Replay checks the on-disk
+//!   cells plus the new contents of the parities they change (their
+//!   update closure — any other parity has no changed member, so it is
+//!   right under old data, new data, or a mix). Replay checks the on-disk
 //!   data cells against the journaled CRCs: if all match, the data landed
 //!   and the journaled parity is written; otherwise the crash interrupted
 //!   the data writes, and parity is *recomputed* from whatever data is on
@@ -151,7 +153,7 @@ impl JournalSpec {
 /// How a record's stripe was protected when it was journaled.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RecordMode {
-    /// Healthy stripe: data-cell CRCs + full parity contents.
+    /// Healthy stripe: data-cell CRCs + contents of the affected parities.
     ParityIntent,
     /// Degraded stripe or active rebuild: full contents of every touched
     /// block.

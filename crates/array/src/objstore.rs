@@ -207,7 +207,13 @@ impl<D: ElementIo> ObjectStore<D> {
         padded.resize(elements * block, 0);
         self.array.write_elements(start, &padded)?;
         self.index.insert(name.to_string(), (start, bytes.len()));
-        self.persist_index()
+        // The medium keeps the old index when the rewrite fails (index at
+        // capacity, array error), so memory must too.
+        let persisted = self.persist_index();
+        if persisted.is_err() {
+            self.index.remove(name);
+        }
+        persisted
     }
 
     /// Fetch an object's bytes (works while degraded). Takes `&mut self`:
@@ -225,10 +231,14 @@ impl<D: ElementIo> ObjectStore<D> {
 
     /// Delete an object (space becomes reusable).
     pub fn delete(&mut self, name: &str) -> Result<(), StoreError> {
-        if self.index.remove(name).is_none() {
+        let Some(entry) = self.index.remove(name) else {
             return Err(StoreError::NotFound(name.to_string()));
+        };
+        let persisted = self.persist_index();
+        if persisted.is_err() {
+            self.index.insert(name.to_string(), entry);
         }
-        self.persist_index()
+        persisted
     }
 
     /// List object names and byte sizes.
@@ -300,6 +310,41 @@ mod tests {
         // A fitting object still works afterwards.
         s.put("ok", &[1, 2, 3]).unwrap();
         assert_eq!(s.get("ok").unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn failed_index_rewrite_leaves_memory_and_medium_agreeing() {
+        let mut s = new_store();
+        // Fill the 4 × 64-byte index region until a put no longer fits.
+        let mut stored = 0;
+        let refused = loop {
+            let name = format!("object-with-a-long-name-{stored:03}");
+            match s.put(&name, &[stored as u8; 10]) {
+                Ok(()) => stored += 1,
+                Err(StoreError::NoSpace { .. }) => break name,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        };
+        assert!(stored > 0);
+        assert!(!s.contains(&refused), "refused put stayed in the index");
+        assert!(matches!(s.get(&refused), Err(StoreError::NotFound(_))));
+        // The live store and a cold re-open of the same array list the
+        // same objects.
+        let live = s.list();
+        assert_eq!(live.len(), stored);
+        let mut array = Array::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe);
+        std::mem::swap(&mut array, s.array_mut());
+        assert_eq!(ObjectStore::open(array, 4).unwrap().list(), live);
+    }
+
+    #[test]
+    fn failed_delete_keeps_the_entry() {
+        let mut s = new_store();
+        s.put("kept", &[7; 100]).unwrap();
+        // The in-memory array refuses writes while degraded.
+        s.array_mut().fail_disk(0).unwrap();
+        assert!(matches!(s.delete("kept"), Err(StoreError::Array(_))));
+        assert!(s.contains("kept"), "failed delete dropped the entry");
     }
 
     #[test]

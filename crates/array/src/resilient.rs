@@ -22,9 +22,13 @@
 //!   per-block watermark, and reads are served correctly mid-rebuild:
 //!   below the watermark from the spare, above it through parity.
 //!
-//! Writes are full-stripe read-modify-write (reconstructing through
-//! failures first), so the array accepts writes while degraded — the
-//! limitation the in-memory array documents away is handled here.
+//! A write touches only what the code's update equations require: the
+//! written data cells and the parities in their update closure. A small
+//! write on a healthy stripe folds `old ⊕ new` into the old parities; a
+//! large or degraded one re-encodes from the untouched data
+//! (reconstructing through failures first), so the array accepts writes
+//! while degraded — the limitation the in-memory array documents away is
+//! handled here. See [`ResilientArray::write`].
 //!
 //! [`rebuild_step`]: ResilientArray::rebuild_step
 
@@ -35,6 +39,7 @@ use crate::journal::{
     SlotHeader,
 };
 use crate::rotation::RotationScheme;
+use dcode_codec::xor::xor_into;
 use dcode_codec::{CacheStats, ScheduleCache, Stripe};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
@@ -115,6 +120,17 @@ pub struct ResilientStats {
     pub rebuilds_completed: u64,
     /// Blocks reconstructed onto spares.
     pub rebuilt_blocks: u64,
+    /// Write segments served by the delta branch (old data and old parity
+    /// read, `old ⊕ new` folded in).
+    pub delta_segments: u64,
+    /// Write segments served by the reconstruct branch (untouched data
+    /// read, parity re-encoded); a full-stripe write is one of these with
+    /// nothing to read.
+    pub reconstruct_segments: u64,
+    /// Cells the write path asked the medium for before it could write:
+    /// old data and parity on the delta branch, untouched data on the
+    /// reconstruct branch.
+    pub write_fetch_blocks: u64,
     /// Intent records committed to the journal.
     pub journal_records: u64,
     /// Intent records retired after their writes landed.
@@ -160,6 +176,18 @@ pub struct AttachTopology {
 struct Rebuild {
     slot: usize,
     next_block: usize,
+}
+
+/// One stripe's share of a write: exactly the cells it stores and
+/// journals.
+struct Segment {
+    stripe: usize,
+    /// The written data cells, in logical order.
+    data: Vec<Cell>,
+    /// Their update closure: every parity the write changes.
+    parity: Vec<Cell>,
+    /// Delta branch only: the old contents of `data` and `parity`.
+    old: Option<Stripe>,
 }
 
 /// A RAID-6 array served from a [`DiskBackend`], with retries, checksums,
@@ -853,49 +881,58 @@ impl<B: DiskBackend> ResilientArray<B> {
     }
 
     /// Write `bytes` (a multiple of the block size) starting at logical
-    /// element `start`. Full-stripe read-modify-write: each touched
-    /// stripe's data is fetched (through parity if degraded), modified,
-    /// re-encoded, and written back — so writes work while degraded and
-    /// mid-rebuild. One stripe or many, the touched stripes re-encode
-    /// through one [`dcode_codec::run_batch`] call on the global worker
-    /// pool: the array's cached encode program replayed tile-major per
-    /// stripe (inline for a single stripe), which is what lets a server
-    /// batch many queued puts into one pooled encode.
+    /// element `start`. The range splits into per-stripe segments; each
+    /// stores its `k` written data cells and the `A` parities of their
+    /// [update closure](CodeLayout::update_closure) and nothing else. How
+    /// the new parity is obtained follows from the layout alone, with
+    /// `D` data cells per stripe:
+    ///
+    /// * **delta**, on a healthy stripe when `k + A < D − k`: fetch the
+    ///   `k` old data cells and `A` old parities, encode a stripe that is
+    ///   zero except `old ⊕ new` in the written cells — encoding is
+    ///   linear over GF(2), so its parity cells come out as the parity
+    ///   *change*, cascades (RDP, HDP) included — and fold that change
+    ///   into the old parities;
+    /// * **reconstruct** otherwise: fetch the `D − k` untouched data
+    ///   cells (through parity if degraded; nothing for a full stripe),
+    ///   patch in the new ones and re-encode. A degraded stripe or an
+    ///   active rebuild always takes this branch, so writes work while
+    ///   degraded and mid-rebuild.
+    ///
+    /// Every fetch is CRC-verified and read-repaired, so a stale old
+    /// parity is caught before a delta is folded into it. One stripe or
+    /// many, either branch, the segments encode through one
+    /// [`dcode_codec::run_batch`] call on the global worker pool: the
+    /// array's cached encode program replayed tile-major per stripe
+    /// (inline for a single stripe), which is what lets a server batch
+    /// many queued puts into one pooled encode.
     pub fn write(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+        let bs = self.block_size;
         assert!(
-            bytes.len() % self.block_size == 0,
+            bytes.len() % bs == 0,
             "write length must be a multiple of the block size"
         );
-        let count = bytes.len() / self.block_size;
+        let count = bytes.len() / bs;
         if count == 0 {
             return Ok(());
         }
         self.locate(start)?;
         self.locate(start + count - 1)?;
 
-        // Split the range into per-stripe segments.
-        let mut segments: Vec<(usize, usize, usize, usize)> = Vec::new(); // (stripe, within, chunk, offset)
-        let mut offset = 0;
-        let mut element = start;
-        while offset < count {
-            let (t, within) = self.locate(element).expect("range checked");
-            let chunk = (self.layout.data_len() - within).min(count - offset);
-            segments.push((t, within, chunk, offset));
-            offset += chunk;
-            element += chunk;
-        }
-
-        // Fetch-and-patch every touched stripe, then re-encode the whole
+        // Fetch and patch every touched stripe, then encode the whole
         // batch in one pooled call, then persist. Segments are disjoint
         // stripes, so the phases commute with the sequential order.
-        let mut scratches = Vec::with_capacity(segments.len());
-        for &(t, within, chunk, off) in &segments {
-            scratches.push(self.fetch_and_patch(
-                t,
-                within,
-                chunk,
-                &bytes[off * self.block_size..(off + chunk) * self.block_size],
-            )?);
+        let mut segments = Vec::new();
+        let mut scratches = Vec::new();
+        let mut offset = 0;
+        while offset < count {
+            let (t, within) = self.locate(start + offset).expect("range checked");
+            let chunk = (self.layout.data_len() - within).min(count - offset);
+            let new = &bytes[offset * bs..(offset + chunk) * bs];
+            let (segment, scratch) = self.fetch_segment(t, within, new)?;
+            segments.push(segment);
+            scratches.push(scratch);
+            offset += chunk;
         }
         dcode_codec::run_batch(
             &self.schedules.encode_program(&self.layout),
@@ -903,97 +940,124 @@ impl<B: DiskBackend> ResilientArray<B> {
             minipool::global(),
             minipool::effective_parallelism(segments.len()),
         );
-        for (&(t, within, chunk, _), scratch) in segments.iter().zip(&scratches) {
-            if self.journal.is_some() {
-                self.persist_segment_journaled(t, within, chunk, scratch);
-            } else {
-                self.persist_segment(t, within, chunk, scratch);
+        for (segment, scratch) in segments.iter().zip(&mut scratches) {
+            if let Some(old) = &segment.old {
+                // Every stored cell of a delta stripe holds its change.
+                for &cell in segment.data.iter().chain(&segment.parity) {
+                    xor_into(scratch.block_mut(cell), old.block(cell));
+                }
             }
+            self.persist_segment(segment, scratch);
         }
         Ok(())
     }
 
-    /// Fetch one stripe's full data (through parity if degraded) and patch
-    /// `chunk` elements starting at logical position `within`.
-    fn fetch_and_patch(
+    fn all_healthy(&self) -> bool {
+        self.state.iter().all(|&s| s == SlotState::Healthy) && self.rebuild.is_none()
+    }
+
+    /// Plan one stripe's segment of a write — `new` lands at logical
+    /// position `within` — and fetch what its branch needs. Returns the
+    /// stripe to encode: the written cells hold `old ⊕ new` and the rest
+    /// is zero on the delta branch; the untouched data as fetched and the
+    /// written cells as given on the reconstruct branch.
+    fn fetch_segment(
         &mut self,
         stripe: usize,
         within: usize,
-        chunk: usize,
-        bytes: &[u8],
-    ) -> Result<Stripe, ArrayError> {
-        let all_data: BTreeSet<Cell> = self.layout.data_cells().iter().copied().collect();
-        let mut scratch = self.fetch_cells(stripe, &all_data, true)?;
-        for i in 0..chunk {
-            let cell = self.layout.logical_to_cell(within + i);
-            scratch
-                .block_mut(cell)
-                .copy_from_slice(&bytes[i * self.block_size..(i + 1) * self.block_size]);
+        new: &[u8],
+    ) -> Result<(Segment, Stripe), ArrayError> {
+        let bs = self.block_size;
+        let cells = self.layout.data_cells();
+        let end = within + new.len() / bs;
+        let data = cells[within..end].to_vec();
+        let parity: Vec<Cell> = self.layout.update_closure(&data).into_iter().collect();
+        let untouched = cells[..within].iter().chain(&cells[end..]);
+        let delta = self.all_healthy() && data.len() + parity.len() < cells.len() - data.len();
+        let wanted: BTreeSet<Cell> = if delta {
+            data.iter().chain(&parity).copied().collect()
+        } else {
+            untouched.copied().collect()
+        };
+        let fetched = self.fetch_cells(stripe, &wanted, true)?;
+        self.stats.write_fetch_blocks += wanted.len() as u64;
+        let (mut scratch, old) = if delta {
+            self.stats.delta_segments += 1;
+            (Stripe::zeroed(&self.layout, bs), Some(fetched))
+        } else {
+            self.stats.reconstruct_segments += 1;
+            (fetched, None)
+        };
+        for (&cell, block) in data.iter().zip(new.chunks_exact(bs)) {
+            let dst = scratch.block_mut(cell);
+            dst.copy_from_slice(block);
+            if let Some(old) = &old {
+                xor_into(dst, old.block(cell));
+            }
         }
-        Ok(scratch)
+        let segment = Segment {
+            stripe,
+            data,
+            parity,
+            old,
+        };
+        Ok((segment, scratch))
     }
 
-    /// Persist a re-encoded stripe: the modified data cells plus every
-    /// (recomputed) parity cell.
-    fn persist_segment(&mut self, stripe: usize, within: usize, chunk: usize, scratch: &Stripe) {
-        let mut targets: Vec<Cell> = (within..within + chunk)
-            .map(|i| self.layout.logical_to_cell(i))
-            .collect();
-        targets.extend(self.layout.parity_cells());
-        for cell in targets {
-            let data = scratch.snapshot(cell);
-            self.store_cell(stripe, cell, &data);
-        }
-        self.stats.element_writes += chunk as u64;
-    }
-
-    /// Journaled [`persist_segment`](ResilientArray::persist_segment):
-    /// commit an intent record (payload → header → journal-disk flush),
-    /// apply the data cells, apply the parity cells, flush every touched
-    /// disk, then retire the record (tombstone → flush). The write is
-    /// only acknowledged — [`write`](ResilientArray::write) only returns —
+    /// Persist one encoded segment: its written data cells and its
+    /// affected parities, each CRC'd once. On a journaled array: commit
+    /// an intent record (payload → header → journal-disk flush), apply
+    /// the data cells, apply the parity cells, flush every touched disk,
+    /// then retire the record (tombstone → flush). The write is only
+    /// acknowledged — [`write`](ResilientArray::write) only returns —
     /// after every record of the call is retired, so an acknowledged
     /// write is durable and a crashed one is replayable.
-    fn persist_segment_journaled(
+    fn persist_segment(&mut self, segment: &Segment, scratch: &Stripe) {
+        let crcs_of = |cells: &[Cell]| -> Vec<u32> {
+            cells.iter().map(|&c| crc32(scratch.block(c))).collect()
+        };
+        let (data_crcs, parity_crcs) = (crcs_of(&segment.data), crcs_of(&segment.parity));
+        let committed = self.journal.is_some().then(|| {
+            let record = self.build_record(segment, &data_crcs, &parity_crcs, scratch);
+            (self.journal_append(&record), record.seq)
+        });
+        // Planted bug for the harness self-test: retiring between the
+        // data and parity writes re-opens the write hole.
+        let mutated = self.mutation == Some(JournalMutation::RetireBeforeParity);
+
+        let stripe = segment.stripe;
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        self.store_cells(stripe, &segment.data, &data_crcs, scratch, &mut touched);
+        if let (Some((jdisk, seq)), true) = (committed, mutated) {
+            self.journal_retire(jdisk, seq);
+        }
+        self.store_cells(stripe, &segment.parity, &parity_crcs, scratch, &mut touched);
+        if let Some((jdisk, seq)) = committed {
+            for disk in touched {
+                let _ = self.backend.flush(disk);
+            }
+            if !mutated {
+                self.journal_retire(jdisk, seq);
+            }
+        }
+        self.stats.element_writes += segment.data.len() as u64;
+    }
+
+    /// [`store_cell`](ResilientArray::store_cell) each of `cells` from
+    /// `scratch`, noting in `touched` the disks actually written.
+    fn store_cells(
         &mut self,
         stripe: usize,
-        within: usize,
-        chunk: usize,
+        cells: &[Cell],
+        crcs: &[u32],
         scratch: &Stripe,
+        touched: &mut BTreeSet<usize>,
     ) {
-        let data_targets: Vec<Cell> = (within..within + chunk)
-            .map(|i| self.layout.logical_to_cell(i))
-            .collect();
-        let parity_targets: Vec<Cell> = self.layout.parity_cells().collect();
-
-        let record = self.build_record(stripe, &data_targets, &parity_targets, scratch);
-        let seq = record.seq;
-        let jdisk = self.journal_append(&record);
-
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
-        for &cell in &data_targets {
-            if self.store_cell(stripe, cell, &scratch.snapshot(cell)) {
+        for (&cell, &crc) in cells.iter().zip(crcs) {
+            if self.store_cell(stripe, cell, scratch.block(cell), crc) {
                 touched.insert(self.slot_to_disk[self.slot_of(stripe, cell.col)]);
             }
         }
-        // Planted bug for the harness self-test: retiring here re-opens
-        // the write hole between the data and parity writes.
-        let mutated = self.mutation == Some(JournalMutation::RetireBeforeParity);
-        if mutated {
-            self.journal_retire(jdisk, seq);
-        }
-        for &cell in &parity_targets {
-            if self.store_cell(stripe, cell, &scratch.snapshot(cell)) {
-                touched.insert(self.slot_to_disk[self.slot_of(stripe, cell.col)]);
-            }
-        }
-        for disk in touched {
-            let _ = self.backend.flush(disk);
-        }
-        if !mutated {
-            self.journal_retire(jdisk, seq);
-        }
-        self.stats.element_writes += chunk as u64;
     }
 
     /// Build the intent record protecting one segment. Healthy stripes
@@ -1004,34 +1068,28 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// only re-forcing the whole intent restores consistency.
     fn build_record(
         &mut self,
-        stripe: usize,
-        data_targets: &[Cell],
-        parity_targets: &[Cell],
+        segment: &Segment,
+        data_crcs: &[u32],
+        parity_crcs: &[u32],
         scratch: &Stripe,
     ) -> IntentRecord {
-        let healthy = self.state.iter().all(|&s| s == SlotState::Healthy) && self.rebuild.is_none();
-        let mut entries = Vec::with_capacity(data_targets.len() + parity_targets.len());
-        for &cell in data_targets {
-            let content = scratch.snapshot(cell);
-            entries.push(RecordEntry {
-                cell,
-                crc: crc32(&content),
-                payload: (!healthy).then_some(content),
-            });
-        }
-        for &cell in parity_targets {
-            let content = scratch.snapshot(cell);
-            entries.push(RecordEntry {
-                cell,
-                crc: crc32(&content),
-                payload: Some(content),
-            });
-        }
+        let healthy = self.all_healthy();
+        let entry = |(&cell, &crc): (&Cell, &u32), by_value: bool| RecordEntry {
+            cell,
+            crc,
+            payload: by_value.then(|| scratch.snapshot(cell)),
+        };
+        let data = segment.data.iter().zip(data_crcs);
+        let parity = segment.parity.iter().zip(parity_crcs);
+        let entries = data
+            .map(|e| entry(e, !healthy))
+            .chain(parity.map(|e| entry(e, true)))
+            .collect();
         let seq = self.jseq;
         self.jseq += 1;
         IntentRecord {
             seq,
-            stripe,
+            stripe: segment.stripe,
             mode: if healthy {
                 RecordMode::ParityIntent
             } else {
@@ -1067,11 +1125,8 @@ impl<B: DiskBackend> ResilientArray<B> {
         spec: &JournalSpec,
         record: &IntentRecord,
     ) -> Result<(), DiskError> {
-        let payloads: Vec<Vec<u8>> = record
-            .payload_entries()
-            .map(|e| e.payload.clone().expect("payload entry"))
-            .collect();
-        for (k, content) in payloads.iter().enumerate() {
+        for (k, e) in record.payload_entries().enumerate() {
+            let content = e.payload.as_deref().expect("payload entry");
             self.raw_disk_write(disk, spec.payload_start() + k, content)?;
         }
         let header = record.encode_header(spec);
@@ -1141,17 +1196,17 @@ impl<B: DiskBackend> ResilientArray<B> {
         }
     }
 
-    /// Write one cell's content where possible and record its expected
-    /// CRC everywhere. A failed slot keeps only the CRC (the content is
+    /// Write one cell's content where possible and record `crc`, its
+    /// expected CRC, everywhere. A failed slot keeps only the CRC (the content is
     /// implied by parity and materializes at rebuild); a hard write error
     /// is recorded but not surfaced — parity still protects the data, and
     /// the stale on-medium block is caught by checksum at next read.
     /// Returns whether the medium was actually written (so the journaled
     /// path knows which disks to flush).
-    fn store_cell(&mut self, stripe: usize, cell: Cell, data: &[u8]) -> bool {
+    fn store_cell(&mut self, stripe: usize, cell: Cell, data: &[u8], crc: u32) -> bool {
         let slot = self.slot_of(stripe, cell.col);
         let block = self.block_of(stripe, cell.row);
-        self.crc[slot][block] = crc32(data);
+        self.crc[slot][block] = crc;
         let writable = match self.state[slot] {
             SlotState::Healthy => true,
             SlotState::Failed => false,
@@ -1526,7 +1581,7 @@ impl<B: DiskBackend> ResilientArray<B> {
                 let fresh = scratch.snapshot(cell);
                 if fresh != old {
                     parity_mismatches += 1;
-                    if self.store_cell(stripe, cell, &fresh) {
+                    if self.store_cell(stripe, cell, &fresh, crc32(&fresh)) {
                         parity_repairs += 1;
                     }
                 }

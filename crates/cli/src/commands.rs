@@ -7,7 +7,7 @@ use crate::diskio::{
 };
 use crate::meta::ArrayMeta;
 use dcode_array::chaos::{soak, ChaosConfig};
-use dcode_array::crashsim::{sweep, CrashSimConfig};
+use dcode_array::crashsim::{probe_stats, sweep, CrashSimConfig};
 use dcode_array::scrub::{scrub_stripe, scrub_stripe_dry, ScrubReport};
 use dcode_array::{journal_blocks_per_disk, scan_journal, JournalMutation, JournalSpec};
 use dcode_baselines::registry::CodeId;
@@ -733,6 +733,11 @@ pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<Strin
                 f.op, f.crash_at, f.seed, f.detail
             ));
         }
+        let stats = probe_stats(&cfg);
+        lines.push_str(&format!(
+            "  healthy write ops uncrashed: {} delta / {} reconstruct segment(s), {} block(s) fetched\n",
+            stats.delta_segments, stats.reconstruct_segments, stats.write_fetch_blocks
+        ));
         items.push(format!(
             "{{\"code\":\"{}\",\"p\":{p},\"report\":{}}}",
             id.name(),

@@ -8,7 +8,10 @@
 //! cascades — exactly the effect the D-Code paper's I/O-cost evaluation
 //! measures. [`write_logical`] performs the delta propagation in equation
 //! dependency order and returns which blocks were touched, so the I/O
-//! simulator's accounting can be validated against the real engine.
+//! simulator's accounting can be validated against the real engine
+//! (`crates/array/tests/partial_writes.rs` does: `ResilientArray`'s
+//! delta writes against this function byte for byte and against
+//! `iosim::write_accesses` block for block).
 
 use crate::stripe::Stripe;
 use crate::xor::{xor_gather_into, xor_into};

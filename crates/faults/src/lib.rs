@@ -16,6 +16,9 @@
 //!   seeded [`FaultPlan`]: transient errors, permanently bad sectors, torn
 //!   writes, silent bit flips, and latency spikes, plus scheduled
 //!   one-shot faults for reproducible chaos scenarios;
+//! * [`counting`] — [`CountingBackend`], a pass-through that counts
+//!   reads, writes and flushes per disk, for checking issued I/O against
+//!   a model;
 //! * [`crc`] — the CRC32 (IEEE) block checksum that converts silent
 //!   corruption into detectable erasures one layer up;
 //! * [`crash`] — deterministic crash points: [`FaultInjector::arm_crash`]
@@ -30,6 +33,7 @@
 //! a regression test forever.
 
 pub mod backend;
+pub mod counting;
 pub mod crash;
 pub mod crc;
 pub mod file;
@@ -37,6 +41,7 @@ pub mod inject;
 pub mod shared;
 
 pub use backend::{DiskBackend, DiskError, MemBackend};
+pub use counting::{CountingBackend, IoCounts};
 pub use crash::{catch_crash, silence_crash_panics, CrashPanic};
 pub use crc::crc32;
 pub use file::{disk_file_name, FileBackend};

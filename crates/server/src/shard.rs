@@ -322,6 +322,8 @@ impl ShardSnapshot {
              \"element_reads\":{},\"element_writes\":{},\"retries\":{},\
              \"degraded_reads\":{},\"checksum_catches\":{},\"read_repairs\":{},\
              \"auto_fails\":{},\"rebuilds_completed\":{},\
+             \"delta_segments\":{},\"reconstruct_segments\":{},\
+             \"write_fetch_blocks\":{},\
              \"journal_records\":{},\"journal_retires\":{},\
              \"journal_replays\":{},\"journal_last_replay\":\"{}\",\
              \"journal_last_replayed\":{},\
@@ -338,6 +340,9 @@ impl ShardSnapshot {
             self.stats.read_repairs,
             self.stats.auto_fails,
             self.stats.rebuilds_completed,
+            self.stats.delta_segments,
+            self.stats.reconstruct_segments,
+            self.stats.write_fetch_blocks,
             self.stats.journal_records,
             self.stats.journal_retires,
             self.stats.journal_replays,
@@ -750,6 +755,12 @@ mod tests {
         assert!(snap.stats.element_writes > 0);
         let json = snap.to_json(shard.queue.depth());
         assert!(json.contains("\"objects\":1"), "{json}");
+        // Which write branch served the put is a published counter.
+        let segments = snap.stats.delta_segments + snap.stats.reconstruct_segments;
+        assert!(
+            segments > 0 && json.contains("\"delta_segments\":"),
+            "{json}"
+        );
         shard.queue.shutdown();
         shard.worker.join().unwrap();
     }
