@@ -15,8 +15,10 @@
 use crate::claims::closed_forms;
 use dcode_codec::opt::{optimize, CostSummary, OptCertificate, OptConfig};
 use dcode_codec::XorProgram;
-use dcode_core::decoder::plan_column_recovery;
+use dcode_core::decoder::{plan_column_recovery, RecoveryPlan};
+use dcode_core::grid::{Cell, Grid};
 use dcode_core::layout::CodeLayout;
+use dcode_recovery::optimal_rebuild;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -45,6 +47,34 @@ impl OptEntry {
         self.equivalent
             && self.after.no_worse_than(&self.before)
             && (!self.require_zero || self.before == self.after)
+    }
+
+    /// An empty aggregate scope, named once its programs are counted.
+    fn aggregate(require_zero: bool) -> Self {
+        OptEntry {
+            scope: String::new(),
+            before: ZERO,
+            after: ZERO,
+            equivalent: true,
+            require_zero,
+        }
+    }
+
+    /// Compile `plan`, optimize it with `outputs` observable, and add its
+    /// certificate to this scope.
+    fn add_plan(
+        &mut self,
+        grid: Grid,
+        plan: &RecoveryPlan,
+        outputs: impl IntoIterator<Item = Cell>,
+        config: &OptConfig,
+    ) {
+        let outputs: BTreeSet<usize> = outputs.into_iter().map(|c| grid.index(c)).collect();
+        let prog = XorProgram::compile_plan(grid, plan);
+        let cert = optimize(&prog, Some(&outputs), config).certificate;
+        self.before = add(self.before, cert.before);
+        self.after = add(self.after, cert.after);
+        self.equivalent &= cert.equivalent;
     }
 
     fn from_certificate(scope: &str, cert: &OptCertificate, require_zero: bool) -> Self {
@@ -185,6 +215,7 @@ const ZERO: CostSummary = CostSummary {
 
 /// Build the full opt-delta table for `layout` under the default
 /// pipeline: the encode program, every 2-column recovery program
+/// (aggregated), every single-column minimum-read rebuild program
 /// (aggregated), and a sample of degraded-read subprograms (aggregated,
 /// `≤` only).
 ///
@@ -210,52 +241,40 @@ pub fn opt_delta(layout: &CodeLayout) -> OptDeltaReport {
 
     // Scope 2: every 2-column recovery program, aggregated.
     let disks = layout.disks();
-    let mut rec = OptEntry {
-        scope: String::new(),
-        before: ZERO,
-        after: ZERO,
-        equivalent: true,
-        require_zero,
-    };
+    let mut rec = OptEntry::aggregate(require_zero);
     let mut pairs = 0usize;
     for c1 in 0..disks {
         for c2 in c1 + 1..disks {
             let plan = plan_column_recovery(layout, &[c1, c2])
                 .expect("opt_delta assumes a verified-MDS layout");
-            let prog = XorProgram::compile_plan(grid, &plan);
-            let outputs: BTreeSet<usize> = plan.erased.iter().map(|&c| grid.index(c)).collect();
-            let opt = optimize(&prog, Some(&outputs), &config);
-            rec.before = add(rec.before, opt.certificate.before);
-            rec.after = add(rec.after, opt.certificate.after);
-            rec.equivalent &= opt.certificate.equivalent;
+            rec.add_plan(grid, &plan, plan.erased.iter().copied(), &config);
             pairs += 1;
         }
     }
     rec.scope = format!("recovery plans ({pairs} pairs)");
     entries.push(rec);
 
-    // Scope 3: degraded-read subprograms — one wanted column per
+    // Scope 3: every single-column minimum-read rebuild program — what an
+    // array replays to rebuild one failed slot — aggregated.
+    let mut rebuild = OptEntry::aggregate(require_zero);
+    for col in 0..disks {
+        let plan = optimal_rebuild(layout, col).recovery_plan(layout);
+        rebuild.add_plan(grid, &plan, plan.erased.iter().copied(), &config);
+    }
+    rebuild.scope = format!("min-read rebuild plans ({disks} columns)");
+    entries.push(rebuild);
+
+    // Scope 4: degraded-read subprograms — one wanted column per
     // 2-column erasure involving disk 0, aggregated. Outputs are a
     // strict subset of targets here, so the optimizer may legitimately
     // shrink them: no zero-delta demand, only monotonicity.
-    let mut sub = OptEntry {
-        scope: String::new(),
-        before: ZERO,
-        after: ZERO,
-        equivalent: true,
-        require_zero: false,
-    };
+    let mut sub = OptEntry::aggregate(false);
     let mut samples = 0usize;
     for partner in 1..disks {
         let plan = plan_column_recovery(layout, &[0, partner])
             .expect("opt_delta assumes a verified-MDS layout");
         let missing: BTreeSet<_> = grid.column(0).collect();
-        let subprog = XorProgram::compile_plan(grid, &plan.subplan_for(&missing));
-        let outputs: BTreeSet<usize> = missing.iter().map(|&c| grid.index(c)).collect();
-        let opt = optimize(&subprog, Some(&outputs), &config);
-        sub.before = add(sub.before, opt.certificate.before);
-        sub.after = add(sub.after, opt.certificate.after);
-        sub.equivalent &= opt.certificate.equivalent;
+        sub.add_plan(grid, &plan.subplan_for(&missing), missing, &config);
         samples += 1;
     }
     sub.scope = format!("degraded-read subprograms ({samples} sampled)");
@@ -284,7 +303,7 @@ mod tests {
             for layout in all_codes(p) {
                 let report = opt_delta(&layout);
                 assert!(report.is_clean(), "{} p={p}:\n{report}", layout.name());
-                assert_eq!(report.entries.len(), 3, "{} p={p}", layout.name());
+                assert_eq!(report.entries.len(), 4, "{} p={p}", layout.name());
                 for e in &report.entries {
                     assert!(e.equivalent, "{} p={p} {}", layout.name(), e.scope);
                     if e.require_zero {

@@ -5,10 +5,11 @@
 //! The soak is fully deterministic for a given seed: the fault injector
 //! and the op-mix generator are both seeded, and the headline events —
 //! a mid-write power cut with remount, silent corruption, a bad-sector
-//! shower that crosses the auto-fail threshold, a whole-disk kill — are
-//! *placed* at fixed fractions of the schedule rather than rolled, so
-//! every run exercises journal replay, checksum catches, degraded reads,
-//! auto-failure, hot-spare attach, and rebuild completion. The
+//! shower that crosses the auto-fail threshold, two whole-disk kills at
+//! once — are *placed* at fixed fractions of the schedule rather than
+//! rolled, so every run exercises journal replay, checksum catches,
+//! degraded reads, auto-failure, hot-spare attach, a joint two-slot
+//! rebuild, and rebuild completion. The
 //! probabilistic fault knobs (transient errors, torn writes, latency
 //! spikes) stay on throughout to keep the retry and backoff paths
 //! honest, and the whole run models a volatile write-back cache — an
@@ -54,7 +55,7 @@ impl ChaosConfig {
             ops,
             stripes: 12,
             block_size: 64,
-            spares: 2,
+            spares: 3,
             fail_threshold: 6,
         }
     }
@@ -99,6 +100,7 @@ impl ChaosReport {
             && self.arr.auto_fails >= 1
             && self.arr.spares_attached >= 1
             && self.arr.rebuilds_completed >= 1
+            && self.arr.joint_rebuild_stripes >= 1
             && self.arr.checksum_catches >= 1
             && self.arr.degraded_reads >= 1
             && self.crash_remounts >= 1
@@ -128,8 +130,12 @@ impl std::fmt::Display for ChaosReport {
         writeln!(f, "  spares attached      {}", self.arr.spares_attached)?;
         writeln!(
             f,
-            "  rebuilds completed   {} ({} blocks)",
-            self.arr.rebuilds_completed, self.arr.rebuilt_blocks
+            "  rebuilds completed   {} ({} blocks from {} reads; {} survivor passes, {} joint)",
+            self.arr.rebuilds_completed,
+            self.arr.rebuilt_blocks,
+            self.arr.rebuild_read_blocks,
+            self.arr.rebuild_stripes,
+            self.arr.joint_rebuild_stripes
         )?;
         writeln!(
             f,
@@ -200,8 +206,8 @@ pub fn soak(layout: CodeLayout, cfg: &ChaosConfig) -> ChaosReport {
 
     // Placed events: the power cut first (see the module doc for why it
     // must precede the corruption), corruption early, the sector shower
-    // at a third, an optional whole-disk kill at two thirds (leaving
-    // time to rebuild).
+    // at a third, two whole-disk kills at two thirds (leaving time for
+    // the joint rebuild).
     let corrupt_at = (cfg.ops / 8).max(1);
     let crash_at = (cfg.ops / 12).min(corrupt_at.saturating_sub(1));
     let shower_at = (cfg.ops / 3).max(2);
@@ -242,7 +248,7 @@ pub fn soak(layout: CodeLayout, cfg: &ChaosConfig) -> ChaosReport {
     };
 
     for op in 0..cfg.ops {
-        if op == crash_at && arr.failed_slots().is_empty() && arr.rebuild_progress().is_none() {
+        if op == crash_at && arr.failed_slots().is_empty() && arr.rebuild_progress().is_empty() {
             // The power goes out mid-write: arm a crash a few backend
             // writes into a random logical write, let it unwind, drop
             // whatever the volatile cache still held, and remount the
@@ -354,23 +360,27 @@ pub fn soak(layout: CodeLayout, cfg: &ChaosConfig) -> ChaosReport {
         }
         if op == kill_at
             && arr.failed_slots().is_empty()
-            && arr.rebuild_progress().is_none()
-            && arr.spares_remaining() > 0
+            && arr.rebuild_progress().is_empty()
+            && arr.spares_remaining() >= 2
         {
-            // Whole-device death, discovered on the next touch.
-            let victim = rng.gen_range(0..disks);
-            let disk = arr.slot_disk(victim);
-            arr.backend_mut().fail_disk(disk);
-            let elem = element_of(&arr, victim, data_blocks_of(&arr, victim)[0]);
-            checked_read(
-                &mut arr,
-                &oracle,
-                elem,
-                1,
-                &mut reads,
-                &mut data_loss,
-                &mut op_errors,
-            );
+            // Two whole-device deaths, each discovered on the next touch:
+            // both slots get a spare at stripe 0 and rebuild side by side.
+            let first = rng.gen_range(0..disks);
+            let second = (first + rng.gen_range(1..disks)) % disks;
+            for victim in [first, second] {
+                let disk = arr.slot_disk(victim);
+                arr.backend_mut().fail_disk(disk);
+                let elem = element_of(&arr, victim, data_blocks_of(&arr, victim)[0]);
+                checked_read(
+                    &mut arr,
+                    &oracle,
+                    elem,
+                    1,
+                    &mut reads,
+                    &mut data_loss,
+                    &mut op_errors,
+                );
+            }
         }
 
         // The random op mix: mostly reads, a third writes, the rest
@@ -406,7 +416,7 @@ pub fn soak(layout: CodeLayout, cfg: &ChaosConfig) -> ChaosReport {
     // Drain: finish any in-flight rebuild, then one last full patrol
     // against the oracle.
     let mut drain_budget = 4 * cfg.stripes * rows;
-    while arr.rebuild_progress().is_some() && drain_budget > 0 {
+    while !arr.rebuild_progress().is_empty() && drain_budget > 0 {
         if arr.rebuild_step(rows).is_err() {
             op_errors += 1;
             break;
@@ -426,7 +436,7 @@ pub fn soak(layout: CodeLayout, cfg: &ChaosConfig) -> ChaosReport {
         );
     }
 
-    let rebuild_done = arr.rebuild_progress().is_none()
+    let rebuild_done = arr.rebuild_progress().is_empty()
         && arr.stats().rebuilds_completed >= arr.stats().spares_attached;
     ChaosReport {
         code,

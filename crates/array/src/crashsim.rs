@@ -57,6 +57,10 @@ pub enum CrashOp {
     /// Rebuild onto a hot spare, crashed mid-copy and restarted on a
     /// fresh spare after the remount.
     RebuildStep,
+    /// Two failed slots rebuilding side by side onto two spares — one
+    /// survivor pass, two columns written per stripe — crashed at every
+    /// write and restarted on two fresh spares.
+    DualRebuild,
     /// A double crash: the mount-time *replay* of a crashed write is
     /// itself crashed at every write index, then remounted again.
     ReplayCrash,
@@ -64,13 +68,14 @@ pub enum CrashOp {
 
 impl CrashOp {
     /// Every op the sweep covers.
-    pub const ALL: [CrashOp; 7] = [
+    pub const ALL: [CrashOp; 8] = [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
         CrashOp::SmallWrite,
         CrashOp::MetaWrite,
         CrashOp::DegradedWrite,
         CrashOp::RebuildStep,
+        CrashOp::DualRebuild,
         CrashOp::ReplayCrash,
     ];
 
@@ -83,7 +88,19 @@ impl CrashOp {
             CrashOp::MetaWrite => "meta-write",
             CrashOp::DegradedWrite => "degraded-write",
             CrashOp::RebuildStep => "rebuild-step",
+            CrashOp::DualRebuild => "dual-rebuild",
             CrashOp::ReplayCrash => "replay-crash",
+        }
+    }
+
+    /// The slots the op fails and rebuilds; none for the write ops. Each
+    /// gets one spare to rebuild onto and one more for the restart after
+    /// the crash.
+    fn rebuilt_slots(self) -> &'static [usize] {
+        match self {
+            CrashOp::RebuildStep => &[2],
+            CrashOp::DualRebuild => &[1, 2],
+            _ => &[],
         }
     }
 }
@@ -300,19 +317,26 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         }
         CrashOp::MetaWrite => Some((0, prand_bytes(cfg.seed ^ 0x1DE7, 8.min(k) * bs))),
         CrashOp::DegradedWrite => Some((2, prand_bytes(cfg.seed ^ 0xD00D, 3 * bs))),
-        CrashOp::RebuildStep => None,
+        CrashOp::RebuildStep | CrashOp::DualRebuild => None,
     }
 }
 
 /// Prepare the scenario state the crash will interrupt.
 fn setup(cfg: &CrashSimConfig, op: CrashOp) -> Instance {
-    let spares = if op == CrashOp::RebuildStep { 2 } else { 0 };
-    let mut inst = prepare(cfg, spares);
+    let mut inst = prepare(cfg, 2 * op.rebuilt_slots().len());
+    begin(cfg, op, &mut inst);
+    inst
+}
+
+/// Bring a prepared instance to the point where `op` starts.
+fn begin(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
     match op {
         CrashOp::DegradedWrite => inst.array.fail_disk(1).unwrap(),
-        CrashOp::RebuildStep => {
-            // Attaches the first spare and starts the rebuild.
-            inst.array.fail_disk(2).unwrap();
+        CrashOp::RebuildStep | CrashOp::DualRebuild => {
+            // Each failure attaches a spare and starts its rebuild.
+            for &slot in op.rebuilt_slots() {
+                inst.array.fail_disk(slot).unwrap();
+            }
         }
         CrashOp::ReplayCrash => {
             // First crash: a partial write interrupted mid-flight. The
@@ -336,14 +360,13 @@ fn setup(cfg: &CrashSimConfig, op: CrashOp) -> Instance {
         }
         CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
     }
-    inst
 }
 
 /// Run the op to completion (the dry-run measuring pass, and the body the
 /// armed runs crash out of).
 fn run_op(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
     match op {
-        CrashOp::RebuildStep => {
+        CrashOp::RebuildStep | CrashOp::DualRebuild => {
             let rows = cfg.layout.rows();
             while !inst.array.rebuild_step(rows).unwrap() {}
         }
@@ -375,22 +398,23 @@ fn remount(
             failed_slots: vec![1],
             spares: Vec::new(),
         },
-        CrashOp::RebuildStep => {
-            // Slot 2 went down and was rebuilding onto the first spare
-            // (physical disk `disks`) when the power went. The half-copied
-            // spare cannot be trusted, so it comes back as the failed
-            // slot's disk and the rebuild restarts onto the second spare.
+        // Each rebuilt slot went down and was rebuilding onto its spare
+        // (physical disks `disks..`, in failure order) when the power
+        // went. A half-copied spare cannot be trusted, so it comes back
+        // as its failed slot's disk and the rebuild restarts onto a fresh
+        // spare. The write ops rebuild nothing: identity topology.
+        _ => {
+            let rebuilt = op.rebuilt_slots();
+            let mut slot_to_disk: Vec<usize> = (0..disks).collect();
+            for (i, &slot) in rebuilt.iter().enumerate() {
+                slot_to_disk[slot] = disks + i;
+            }
             AttachTopology {
-                slot_to_disk: (0..disks).map(|s| if s == 2 { disks } else { s }).collect(),
-                failed_slots: vec![2],
-                spares: vec![disks + 1],
+                slot_to_disk,
+                failed_slots: rebuilt.to_vec(),
+                spares: (disks + rebuilt.len()..disks + 2 * rebuilt.len()).collect(),
             }
         }
-        _ => AttachTopology {
-            slot_to_disk: (0..disks).collect(),
-            failed_slots: Vec::new(),
-            spares: Vec::new(),
-        },
     };
     ResilientArray::attach_journaled_as(
         layout,
@@ -471,9 +495,9 @@ fn sweep_op(cfg: &CrashSimConfig, op: CrashOp) -> (OpSweep, Vec<CrashFailure>) {
         }
         inst.handle.lock().power_cycle();
         let result = remount(cfg, op, inst.handle.clone()).and_then(|mut array| {
-            if op == CrashOp::RebuildStep {
-                // Restart the rebuild onto the fresh spare and drive it
-                // home before judging the array.
+            if !op.rebuilt_slots().is_empty() {
+                // Restart the rebuild(s) onto the fresh spare(s) and drive
+                // them home before judging the array.
                 array.try_attach_spare();
                 let rows = cfg.layout.rows();
                 while !array
@@ -521,18 +545,25 @@ pub fn sweep(cfg: &CrashSimConfig) -> CrashSweepReport {
 }
 
 /// The counters of an array formatted like the sweep's instances after
-/// it ran every healthy write op uncrashed: which write branch served
-/// the swept sequences is read off
+/// it ran every healthy write op and both rebuild ops uncrashed: which
+/// write branch served the swept sequences is read off
 /// [`delta_segments`](ResilientStats::delta_segments) and
-/// [`reconstruct_segments`](ResilientStats::reconstruct_segments).
+/// [`reconstruct_segments`](ResilientStats::reconstruct_segments), what
+/// the rebuilds read off
+/// [`rebuild_read_blocks`](ResilientStats::rebuild_read_blocks),
+/// [`rebuild_stripes`](ResilientStats::rebuild_stripes) and
+/// [`joint_rebuild_stripes`](ResilientStats::joint_rebuild_stripes).
 pub fn probe_stats(cfg: &CrashSimConfig) -> ResilientStats {
-    let mut inst = prepare(cfg, 0);
+    let mut inst = prepare(cfg, 3);
     for op in [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
         CrashOp::SmallWrite,
         CrashOp::MetaWrite,
+        CrashOp::RebuildStep,
+        CrashOp::DualRebuild,
     ] {
+        begin(cfg, op, &mut inst);
         run_op(cfg, op, &mut inst);
     }
     inst.array.stats().clone()
@@ -624,5 +655,12 @@ mod tests {
         // D-Code p=7: 1 element fetches 1 + 2, 2 continuous elements
         // 2 + 3 (they share the horizontal parity), 8 elements 8 + 8.
         assert_eq!(stats.write_fetch_blocks, (3 + 5) + 3 + 16);
+        // One slot over 3 stripes at the minimum 26 reads each, then two
+        // slots side by side from the 35 survivors of each stripe.
+        assert_eq!(stats.rebuilds_completed, 3);
+        assert_eq!(stats.rebuild_stripes, 3 + 3);
+        assert_eq!(stats.joint_rebuild_stripes, 3);
+        assert_eq!(stats.rebuild_read_blocks, 3 * 26 + 3 * 35);
+        assert_eq!(stats.rebuilt_blocks, 3 * 7 + 3 * 14);
     }
 }

@@ -738,6 +738,13 @@ pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<Strin
             "  healthy write ops uncrashed: {} delta / {} reconstruct segment(s), {} block(s) fetched\n",
             stats.delta_segments, stats.reconstruct_segments, stats.write_fetch_blocks
         ));
+        lines.push_str(&format!(
+            "  rebuild ops uncrashed: {} block(s) rebuilt from {} read(s) in {} survivor pass(es), {} of them joint\n",
+            stats.rebuilt_blocks,
+            stats.rebuild_read_blocks,
+            stats.rebuild_stripes,
+            stats.joint_rebuild_stripes
+        ));
         items.push(format!(
             "{{\"code\":\"{}\",\"p\":{p},\"report\":{}}}",
             id.name(),

@@ -9,7 +9,8 @@
 //!
 //! * the full-stripe **encode** program per layout;
 //! * the full **column-recovery** program (and its symbolic plan) per
-//!   `(layout, erased column set)`;
+//!   `(layout, erased column set)` — lowered from the peeling plan, or
+//!   from a plan the caller supplies ([`ScheduleCache::column_program_from`]);
 //! * **subprograms** per `(layout, erased column set, missing cell set)` —
 //!   the unit `ResilientArray` replays for partial degraded reads — along
 //!   with the sorted list of surviving cells each one reads.
@@ -101,9 +102,11 @@ struct SubEntry {
 struct ErasureEntry {
     /// Erased columns, ascending.
     cols: Vec<usize>,
-    /// The full column-recovery plan (all cells of all erased columns).
+    /// The peeling plan for all cells of all erased columns; subprograms
+    /// are cut from it.
     plan: Arc<RecoveryPlan>,
-    /// The full plan compiled, built on first demand.
+    /// The full program, built on first demand — from `plan`, or from the
+    /// plan its first caller supplied.
     full: Option<CompiledRecovery>,
     subs: Vec<SubEntry>,
 }
@@ -243,6 +246,22 @@ impl ScheduleCache {
         layout: &CodeLayout,
         cols: &[usize],
     ) -> Result<CompiledRecovery, Unrecoverable> {
+        self.column_program_from(layout, cols, |peeling| peeling)
+    }
+
+    /// [`column_program`](ScheduleCache::column_program) whose compile
+    /// miss lowers the plan `choose` returns instead of the peeling plan
+    /// it is handed — how an array installs the minimum-read plan for
+    /// rebuilding one whole column. The plan must reconstruct every cell
+    /// of `cols` from survivors; it goes through the same optimizer
+    /// pipeline and certificate as every other program. Subprograms of
+    /// the erasure keep the peeling plan.
+    pub fn column_program_from(
+        &self,
+        layout: &CodeLayout,
+        cols: &[usize],
+        choose: impl FnOnce(Arc<RecoveryPlan>) -> Arc<RecoveryPlan>,
+    ) -> Result<CompiledRecovery, Unrecoverable> {
         let config = self.pipeline();
         let opt_fp = config.fingerprint();
         let (fp, grid) = (layout.fingerprint(), layout.grid());
@@ -256,8 +275,13 @@ impl ScheduleCache {
                 return Ok(compiled);
             }
         }
-        let plan = self.erasure_plan(layout, cols_iter.clone(), opt_fp)?;
+        let peeling = self.erasure_plan(layout, cols_iter.clone(), opt_fp)?;
         Self::bump(&self.misses);
+        let plan = choose(peeling.clone());
+        debug_assert_eq!(
+            plan.erased, peeling.erased,
+            "the plan must cover the erasure"
+        );
         let compiled = compile_recovery(grid, &plan, None, &config);
         let mut entries = self.lock();
         let entry = find_erasure_mut(&mut entries, fp, grid, opt_fp, cols_iter)
@@ -525,6 +549,48 @@ mod tests {
             let direct_reads: Vec<Cell> = plan.surviving_reads().into_iter().collect();
             assert_eq!(*first.reads, direct_reads, "{}", layout.name());
         }
+    }
+
+    #[test]
+    fn column_program_from_compiles_the_supplied_plan_once() {
+        use dcode_core::decoder::RecoveryStep;
+        let cache = ScheduleCache::new();
+        let layout = dcode(7).unwrap();
+        // Every lost cell through the last equation it belongs to: a
+        // different read set from the peeling plan's.
+        let other = |peeling: Arc<RecoveryPlan>| {
+            let steps = peeling.erased.iter().map(|&target| {
+                let eq = layout
+                    .storing_eq(target)
+                    .unwrap_or_else(|| *layout.member_eqs(target).last().unwrap());
+                let cells = layout.equation(eq).cells();
+                RecoveryStep {
+                    target,
+                    eqs: vec![eq],
+                    sources: cells.filter(|&c| c != target).collect(),
+                }
+            });
+            Arc::new(RecoveryPlan {
+                erased: peeling.erased.clone(),
+                steps: steps.collect(),
+            })
+        };
+        let first = cache.column_program_from(&layout, &[2], other).unwrap();
+        let peeling = cache.column_plan(&layout, &[2]).unwrap();
+        assert_ne!(first.plan, peeling);
+        let reads: Vec<Cell> = first.plan.surviving_reads().into_iter().collect();
+        assert_eq!(*first.reads, reads);
+        assert!(first.certificate.holds() && first.certificate.zero_delta());
+        // The entry is the erasure's full program from now on.
+        let again = cache.column_program(&layout, &[2]).unwrap();
+        assert!(Arc::ptr_eq(&first.program, &again.program));
+        let data: Vec<u8> = (0..layout.data_len() * 8).map(|i| (i * 29) as u8).collect();
+        let mut stripe = Stripe::from_data(&layout, 8, &data);
+        encode_naive(&layout, &mut stripe);
+        let golden = stripe.clone();
+        stripe.erase_columns(&[2]);
+        first.program.run(&mut stripe);
+        assert_eq!(stripe, golden);
     }
 
     #[test]

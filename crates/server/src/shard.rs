@@ -322,6 +322,8 @@ impl ShardSnapshot {
              \"element_reads\":{},\"element_writes\":{},\"retries\":{},\
              \"degraded_reads\":{},\"checksum_catches\":{},\"read_repairs\":{},\
              \"auto_fails\":{},\"rebuilds_completed\":{},\
+             \"rebuilt_blocks\":{},\"rebuild_read_blocks\":{},\
+             \"rebuild_stripes\":{},\"joint_rebuild_stripes\":{},\
              \"delta_segments\":{},\"reconstruct_segments\":{},\
              \"write_fetch_blocks\":{},\
              \"journal_records\":{},\"journal_retires\":{},\
@@ -340,6 +342,10 @@ impl ShardSnapshot {
             self.stats.read_repairs,
             self.stats.auto_fails,
             self.stats.rebuilds_completed,
+            self.stats.rebuilt_blocks,
+            self.stats.rebuild_read_blocks,
+            self.stats.rebuild_stripes,
+            self.stats.joint_rebuild_stripes,
             self.stats.delta_segments,
             self.stats.reconstruct_segments,
             self.stats.write_fetch_blocks,

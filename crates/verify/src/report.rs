@@ -9,9 +9,10 @@ use crate::race::check_levels;
 use crate::rank::verify_mds_by_rank;
 use dcode_codec::opt::{optimize, OptConfig};
 use dcode_codec::XorProgram;
-use dcode_core::decoder::plan_column_recovery;
+use dcode_core::decoder::{plan_column_recovery, RecoveryPlan};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
+use dcode_recovery::optimal_rebuild;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -30,9 +31,12 @@ pub struct VerifyReport {
     pub encode_levels: usize,
     /// Two-column recovery programs verified (all `C(disks, 2)` pairs).
     pub plans_verified: usize,
+    /// Single-column minimum-read rebuild programs verified (one per
+    /// disk) — what an array replays to rebuild one failed slot.
+    pub rebuild_plans_verified: usize,
     /// Optimizer input/output pairs proved equivalent on their outputs
     /// over a generic initial state, with no cost metric regressed
-    /// (the encode program plus every recovery plan program).
+    /// (the encode program plus every recovery and rebuild program).
     pub optimized_pairs_verified: usize,
     /// Every finding from every pass, in pass order.
     pub diagnostics: Vec<Diagnostic>,
@@ -57,13 +61,14 @@ impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} p={} ({} disks): encode {} ops / {} levels, {} recovery plans, {} optimized pairs — ",
+            "{} p={} ({} disks): encode {} ops / {} levels, {} recovery plans, {} rebuild plans, {} optimized pairs — ",
             self.code,
             self.p,
             self.disks,
             self.encode_ops,
             self.encode_levels,
             self.plans_verified,
+            self.rebuild_plans_verified,
             self.optimized_pairs_verified
         )?;
         if self.is_clean() {
@@ -98,10 +103,13 @@ fn verify_program(
 ///    and symbolically equal to the layout's generator matrix;
 /// 3. **recovery programs** — for every 2-column erasure, the compiled
 ///    plan is race-free, lint-clean, and symbolically restores the stripe;
-/// 4. **optimized pairs** — the default optimizer pipeline's output for
-///    the encode program and every recovery program agrees with its
-///    input on every output block over a fully generic initial state,
-///    and regresses no cost metric (the independent check of the
+/// 4. **rebuild programs** — for every single column, the program
+///    compiled from the minimum-read choice of equations
+///    ([`optimal_rebuild`]) passes the same three checks;
+/// 5. **optimized pairs** — the default optimizer pipeline's output for
+///    the encode program and every recovery and rebuild program agrees
+///    with its input on every output block over a fully generic initial
+///    state, and regresses no cost metric (the independent check of the
 ///    optimizer's own certificates).
 ///
 /// A clean report is a proof (for every payload and block size) that the
@@ -126,7 +134,6 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
     );
 
     let config = OptConfig::default();
-    let mut optimized_pairs_verified = 0usize;
     let prove_optimized =
         |program: &XorProgram, outputs: &BTreeSet<usize>, diagnostics: &mut Vec<Diagnostic>| {
             let opt = optimize(program, Some(outputs), &config);
@@ -136,30 +143,29 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         .map(|op| encode.op_target(op))
         .collect();
     prove_optimized(&encode, &encode_outputs, &mut diagnostics);
-    optimized_pairs_verified += 1;
+
+    // One recovery plan: its compiled program restores the erased cells,
+    // and so does the optimizer's version of it.
+    let grid = layout.grid();
+    let prove_plan = |plan: &RecoveryPlan, diagnostics: &mut Vec<Diagnostic>| {
+        let program = XorProgram::compile_plan(grid, plan);
+        let erased: BTreeSet<Cell> = plan.erased.iter().copied().collect();
+        verify_program(
+            &program,
+            |p| verify_plan_program(layout, p, &erased),
+            diagnostics,
+        );
+        let outputs: BTreeSet<usize> = erased.iter().map(|&cell| grid.index(cell)).collect();
+        prove_optimized(&program, &outputs, diagnostics);
+    };
 
     let mut plans_verified = 0usize;
     for c1 in 0..layout.disks() {
         for c2 in c1 + 1..layout.disks() {
             match plan_column_recovery(layout, &[c1, c2]) {
                 Ok(plan) => {
-                    let program = XorProgram::compile_plan(layout.grid(), &plan);
-                    let erased: BTreeSet<Cell> = layout
-                        .grid()
-                        .column(c1)
-                        .chain(layout.grid().column(c2))
-                        .collect();
-                    verify_program(
-                        &program,
-                        |p| verify_plan_program(layout, p, &erased),
-                        &mut diagnostics,
-                    );
+                    prove_plan(&plan, &mut diagnostics);
                     plans_verified += 1;
-                    let grid = layout.grid();
-                    let outputs: BTreeSet<usize> =
-                        erased.iter().map(|&cell| grid.index(cell)).collect();
-                    prove_optimized(&program, &outputs, &mut diagnostics);
-                    optimized_pairs_verified += 1;
                 }
                 Err(e) => diagnostics.push(Diagnostic::error(DiagKind::PlanFailed {
                     failed: vec![c1, c2],
@@ -168,6 +174,12 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
             }
         }
     }
+    for col in 0..layout.disks() {
+        let plan = optimal_rebuild(layout, col).recovery_plan(layout);
+        prove_plan(&plan, &mut diagnostics);
+    }
+    let rebuild_plans_verified = layout.disks();
+    let optimized_pairs_verified = 1 + plans_verified + rebuild_plans_verified;
 
     VerifyReport {
         code: layout.name().to_string(),
@@ -176,6 +188,7 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         encode_ops: encode.op_count(),
         encode_levels: encode.level_count(),
         plans_verified,
+        rebuild_plans_verified,
         optimized_pairs_verified,
         diagnostics,
     }
@@ -193,7 +206,8 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.diagnostics);
         assert_eq!(report.plans_verified, 21);
         assert_eq!(report.encode_ops, 14);
-        assert_eq!(report.optimized_pairs_verified, 22);
+        assert_eq!(report.rebuild_plans_verified, 7);
+        assert_eq!(report.optimized_pairs_verified, 22 + 7);
         assert!(report.to_string().ends_with("verified"));
     }
 

@@ -1,6 +1,7 @@
 //! The PR's acceptance bar: every registry code at every evaluated prime
 //! proves clean — MDS by rank, encode-program equivalence, hazard-free
-//! levels, and symbolically-correct recovery for every 2-column erasure.
+//! levels, and symbolically-correct recovery for every 2-column erasure
+//! and every single-column minimum-read rebuild.
 
 use dcode_baselines::registry::{build, ALL_CODES};
 use dcode_verify::verify_layout;
@@ -22,6 +23,7 @@ fn every_registry_code_verifies_at_every_prime() {
             );
             let pairs = layout.disks() * (layout.disks() - 1) / 2;
             assert_eq!(report.plans_verified, pairs, "{} p={p}", id.name());
+            assert_eq!(report.rebuild_plans_verified, layout.disks());
             assert_eq!(report.encode_ops, layout.equations().len());
         }
     }
