@@ -248,6 +248,16 @@ impl<D: ElementIo> ObjectStore<D> {
             .map(|(n, &(_, len))| (n.clone(), len))
             .collect()
     }
+
+    /// Number of objects resident (`list().len()` without cloning a name).
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether the store holds no object.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -372,5 +382,27 @@ mod tests {
         assert_eq!(s.get("k").unwrap(), bigger);
         assert!(s.contains("k"));
         assert_eq!(s.list().len(), 1);
+    }
+
+    #[test]
+    fn len_counts_what_list_lists_at_every_step() {
+        fn agree(s: &ObjectStore, expect: usize) {
+            assert_eq!(s.len(), s.list().len());
+            assert_eq!(s.len(), expect);
+            assert_eq!(s.is_empty(), expect == 0);
+        }
+        let mut s = new_store();
+        agree(&s, 0);
+        s.put("a", &[1; 100]).unwrap();
+        agree(&s, 1);
+        s.upsert("b", &[2; 200]).unwrap();
+        agree(&s, 2);
+        s.upsert("a", &[3; 300]).unwrap(); // existing: replaced, not added
+        agree(&s, 2);
+        s.delete("b").unwrap();
+        agree(&s, 1);
+        let mut array = Array::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe);
+        std::mem::swap(&mut array, s.array_mut());
+        agree(&ObjectStore::open(array, 4).unwrap(), 1);
     }
 }

@@ -547,7 +547,7 @@ pub fn analyze(
 }
 
 /// `race`: model-check the workspace's concurrency invariants (worker
-/// pool, schedule cache, shard queue/worker) under minisim's
+/// pool, schedule cache, shard gate) under minisim's
 /// deterministic scheduler, run the mutation self-tests that prove the
 /// checker catches seeded bugs, and report the lock-order discipline
 /// observed by the registry. `all` switches to the deep exploration
@@ -794,7 +794,7 @@ pub struct ServeOpts {
     pub block: usize,
     /// Stripes per shard.
     pub stripes: usize,
-    /// Bounded queue capacity per shard.
+    /// Ops one shard admits at a time before refusing with `Busy`.
     pub queue_cap: usize,
     /// Concurrent-connection cap.
     pub conns: usize,

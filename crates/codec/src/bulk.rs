@@ -20,7 +20,7 @@
 //!   placeholder) rather than by copy.
 //! * The per-job `Vec<Stripe>` buffers stripes are moved into are
 //!   recycled through a private thread-local, so a steady stream of
-//!   batches from one thread (a shard worker, the CLI) allocates no
+//!   batches from one thread (a connection handler, the CLI) allocates no
 //!   scratch vectors.
 
 use crate::cache;

@@ -7,9 +7,9 @@
 //!
 //! Two tiers, both fully static (no wall-clock races, no stress loops):
 //!
-//! 1. **Model checking** ([`models`]): six invariants over the *real*
+//! 1. **Model checking** ([`models`]): seven invariants over the *real*
 //!    [`minipool::WorkerPool`], [`dcode_codec::cache::ScheduleCache`],
-//!    and `dcode-server` shard queue/worker state machines, executed
+//!    and `dcode-server` shard gate state machines, executed
 //!    under [`minisim::check`]'s deterministic DFS scheduler. Every
 //!    interleaving up to the preemption bound is enumerated; violations
 //!    come back with a seed that [`minisim::replay`]s the exact
@@ -111,27 +111,27 @@ pub fn invariants() -> Vec<Invariant> {
             model: models::ack_after_durable,
             mutation: Mutation {
                 name: "reply_before_publish",
-                description: "worker acks before publishing the snapshot",
+                description: "turn-holder acks before publishing the snapshot",
                 model: mutations::reply_before_publish,
             },
         },
         Invariant {
             name: "busy_not_hang",
-            description: "a full shard queue rejects with Busy(depth) instead of blocking",
+            description: "a full shard refuses with Busy(depth) instead of blocking",
             model: models::busy_not_hang,
             mutation: Mutation {
                 name: "blocking_push",
-                description: "push blocks on a full queue behind a stalled worker",
+                description: "admission to a full shard waits for room behind a stalled turn",
                 model: mutations::blocking_push,
             },
         },
         Invariant {
             name: "shutdown_joins_all",
-            description: "pool drop joins every worker and drains every accepted job",
+            description: "every handler parked for a turn at shutdown returns, none executes",
             model: models::shutdown_joins_all,
             mutation: Mutation {
                 name: "drop_without_notify",
-                description: "teardown sets shutdown without notifying parked workers",
+                description: "shutdown sets its flag without notifying parked handlers",
                 model: mutations::drop_without_notify,
             },
         },
@@ -141,7 +141,7 @@ pub fn invariants() -> Vec<Invariant> {
             model: models::stat_never_queued,
             mutation: Mutation {
                 name: "stat_through_queue",
-                description: "stat is served by queueing an op behind the stalled worker",
+                description: "stat takes a turn behind the op parked at the stalled shard",
                 model: mutations::stat_through_queue,
             },
         },
@@ -163,6 +163,16 @@ pub fn invariants() -> Vec<Invariant> {
                 name: "exit_before_drain",
                 description: "worker honors shutdown before draining accepted jobs",
                 model: mutations::exit_before_drain,
+            },
+        },
+        Invariant {
+            name: "one_turn_in_order",
+            description: "one op inside a shard's engine at a time, turns in ticket order, through a stall and an engine panic",
+            model: models::one_turn_in_order,
+            mutation: Mutation {
+                name: "barging_turn",
+                description: "woken waiters race for the engine with no arrival order",
+                model: mutations::barging_turn,
             },
         },
     ]

@@ -5,13 +5,11 @@
 //! other locks were held, and long hold times — through `dcode-verify`'s
 //! [`Diagnostic`] vocabulary.
 
-use crate::models::{job, StubEngine};
-use dcode_server::{spawn_engine_worker, ServerMetrics, ShardOp, ShardQueue, ShardSnapshot};
+use crate::models::{put, stub_shard};
+use dcode_server::Response;
 use dcode_verify::diag::{DiagKind, Diagnostic};
 use minipool::WorkerPool;
 use minisim::lockorder::{self, LockOrderReport};
-use minisim::sync::{Arc, Mutex};
-use std::sync::atomic::AtomicBool;
 use std::sync::Mutex as StdMutex;
 
 /// Hold-time budget: a named lock held longer than this (per acquisition)
@@ -29,8 +27,9 @@ fn gate() -> &'static StdMutex<()> {
 
 /// Exercise every named lock role in the workspace on the std path:
 /// minipool batch + detached submit + drop-join, schedule-cache miss and
-/// hit, and a shard worker serving ops while a STAT-style probe reads
-/// the published snapshot and queue depth.
+/// hit, and a shard gate serving two handlers — one parked for its turn
+/// behind a stall — while a STAT-style probe reads the published snapshot
+/// and the depth.
 fn workload() {
     // pool.queue / pool.available / pool.workers
     let pool = WorkerPool::with_workers(2);
@@ -46,30 +45,22 @@ fn workload() {
     let b = cache.encode_program(&layout);
     assert!(std::sync::Arc::ptr_eq(&a, &b));
 
-    // server.shard.queue / server.shard.ready / server.shard.snapshot
-    let queue = Arc::new(ShardQueue::new(4));
-    let snapshot = Arc::new(Mutex::named(
-        "server.shard.snapshot",
-        ShardSnapshot::default(),
-    ));
-    let worker = spawn_engine_worker(
-        "lockdisc-shard".to_string(),
-        StubEngine::new(Arc::new(AtomicBool::new(false))),
-        Arc::clone(&queue),
-        Arc::clone(&snapshot),
-        Arc::new(ServerMetrics::new()),
-    );
-    let (put, rx) = job(ShardOp::Put {
-        name: "k".into(),
-        value: vec![1],
+    // server.shard.gate / server.shard.turn / server.shard.snapshot
+    let (shard, _evidence) = stub_shard(4);
+    shard.set_stalled(true);
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| shard.run(&put("parked")));
+        while shard.depth() < 1 {
+            std::thread::yield_now();
+        }
+        assert_eq!(shard.snapshot().ops_done, 0);
+        shard.set_stalled(false);
+        assert_eq!(parked.join().expect("handler exits"), Response::Ok);
     });
-    queue.try_push(put).expect("below cap");
-    rx.recv().expect("worker replies");
-    let snap = snapshot.lock().expect("snapshot lock").clone();
-    assert_eq!(snap.ops_done, 1);
-    assert_eq!(queue.depth(), 0);
-    queue.shutdown();
-    worker.join().expect("worker exits");
+    assert_eq!(shard.run(&put("k")), Response::Ok);
+    assert_eq!(shard.snapshot().ops_done, 2);
+    assert_eq!(shard.depth(), 0);
+    shard.shutdown();
 }
 
 /// Run the workload under the registry and return the recorded report.

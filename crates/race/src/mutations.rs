@@ -8,166 +8,240 @@
 //!
 //! The mutants are local on purpose: the production crates stay correct,
 //! and the checker is validated against the *bug shape* (reply before
-//! publish, blocking push, lost shutdown wakeup, stat behind the queue,
-//! adopt-overwrite, exit-before-drain) rather than against a specific
-//! broken revision.
+//! publish, blocking admission, lost shutdown wakeup, stat taking a turn,
+//! barging turn, adopt-overwrite, exit-before-drain) rather than against
+//! a specific broken revision. The five shard mutants share one
+//! [`MutantGate`] — the production gate's protocol with one planted
+//! [`Bug`] — and each drives it the way its invariant's model drives the
+//! real `Shard`.
 
 use minisim::sync::{mpsc, Arc, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// M1 (vs I1 `ack_after_durable`): the worker acks *before* publishing.
-/// An observer that trusts the ack can then read a stale snapshot.
-pub fn reply_before_publish() {
-    let published = Arc::new(Mutex::new(0u64));
-    let (req_tx, req_rx) = mpsc::channel::<mpsc::Sender<()>>();
-    let p2 = Arc::clone(&published);
-    let worker = minisim::thread::spawn(move || {
-        while let Ok(reply) = req_rx.recv() {
-            // BUG: the reply races ahead of the publish.
-            let _ = reply.send(());
-            *p2.lock().expect("publish lock") += 1;
-        }
-    });
-    let (reply_tx, reply_rx) = mpsc::channel();
-    req_tx.send(reply_tx).expect("worker is alive");
-    reply_rx.recv().expect("worker acks");
-    assert!(
-        *published.lock().expect("publish lock") >= 1,
-        "acked op not yet published"
-    );
-    drop(req_tx);
-    worker.join().expect("worker exits");
+/// The one deviation a [`MutantGate`] makes from the production protocol.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Bug {
+    /// The turn-holder acks before it publishes the snapshot.
+    ReplyBeforePublish,
+    /// Admission to a full shard waits for room instead of refusing.
+    BlockingAdmission,
+    /// Shutdown sets its flag without waking the parked handlers.
+    ShutdownWithoutNotify,
+    /// The stat probe takes a turn like any other op (the gate itself is
+    /// sound; the model routes the probe through `run`).
+    StatTakesATurn,
+    /// No tickets: whichever woken waiter gets the lock first runs.
+    BargingTurn,
 }
 
-/// M2 (vs I2 `busy_not_hang`): a *blocking* push on a full queue. With
-/// the consumer stalled, the producer parks on a condvar nobody will
-/// signal — a deadlock the checker must report.
-pub fn blocking_push() {
-    struct Q {
-        jobs: usize,
-        stalled: bool,
-    }
-    let state = Arc::new((
-        Mutex::new(Q {
-            jobs: 0,
-            stalled: true,
-        }),
-        Condvar::new(), // ready: consumer waits for work / unstall
-        Condvar::new(), // not_full: producer waits for room
-    ));
-    let cap = 1usize;
-    let s2 = Arc::clone(&state);
-    let consumer = minisim::thread::spawn(move || {
-        let (lock, ready, not_full) = (&s2.0, &s2.1, &s2.2);
-        let mut g = lock.lock().expect("queue lock");
-        while g.stalled || g.jobs == 0 {
-            g = ready.wait(g).expect("queue lock");
-        }
-        g.jobs -= 1;
-        not_full.notify_all();
-    });
-    let (lock, _ready, not_full) = (&state.0, &state.1, &state.2);
-    let mut g = lock.lock().expect("queue lock");
-    g.jobs += 1; // first push fits
-                 // BUG: second push blocks until there is room instead of rejecting.
-    while g.jobs >= cap {
-        g = not_full.wait(g).expect("queue lock");
-    }
-    g.jobs += 1;
-    drop(g);
-    consumer.join().expect("consumer exits");
+#[derive(Debug, PartialEq, Eq)]
+enum Reply {
+    Done,
+    Busy(u64),
+    Terminated,
 }
 
-/// M3 (vs I3 `shutdown_joins_all`): teardown sets the shutdown flag but
-/// never notifies — a parked worker misses the wakeup and the join
-/// blocks forever (the classic lost wakeup).
-pub fn drop_without_notify() {
-    struct Q {
-        jobs: VecDeque<u32>,
-        shutdown: bool,
+#[derive(Default)]
+struct GateState {
+    next: u64,
+    /// Turns finished; `next - serving` ops are admitted and unfinished.
+    serving: u64,
+    running: bool,
+    stalled: bool,
+    shutdown: bool,
+    executed: Vec<&'static str>,
+}
+
+/// The shard gate re-implemented on facade primitives, correct except
+/// for `bug`.
+struct MutantGate {
+    bug: Bug,
+    cap: u64,
+    state: Mutex<GateState>,
+    turn: Condvar,
+    published: Mutex<u64>,
+}
+
+impl GateState {
+    fn depth(&self) -> u64 {
+        self.next - self.serving
     }
-    let state = Arc::new((
-        Mutex::new(Q {
-            jobs: VecDeque::new(),
-            shutdown: false,
-        }),
-        Condvar::new(),
-    ));
-    let s2 = Arc::clone(&state);
-    let worker = minisim::thread::spawn(move || {
-        let (lock, cv) = (&s2.0, &s2.1);
-        let mut g = lock.lock().expect("queue lock");
-        loop {
-            if g.jobs.pop_front().is_some() {
-                continue;
+}
+
+impl MutantGate {
+    fn new(bug: Bug, cap: u64, stalled: bool) -> Arc<MutantGate> {
+        Arc::new(MutantGate {
+            bug,
+            cap,
+            state: Mutex::new(GateState {
+                stalled,
+                ..GateState::default()
+            }),
+            turn: Condvar::new(),
+            published: Mutex::new(0),
+        })
+    }
+
+    /// One op, start to reply: the reply goes down `socket` the way a
+    /// handler writes it to its client.
+    fn run(&self, name: &'static str, socket: &mpsc::Sender<Reply>) {
+        let mut g = self.state.lock().expect("gate lock");
+        if g.shutdown {
+            let _ = socket.send(Reply::Terminated);
+            return;
+        }
+        if self.bug == Bug::BlockingAdmission {
+            // BUG: wait for room instead of refusing.
+            while g.depth() >= self.cap {
+                g = self.turn.wait(g).expect("gate lock");
             }
+        } else if g.depth() >= self.cap {
+            let _ = socket.send(Reply::Busy(g.depth()));
+            return;
+        }
+        let ticket = g.next;
+        g.next += 1;
+        loop {
             if g.shutdown {
+                let _ = socket.send(Reply::Terminated);
                 return;
             }
-            g = cv.wait(g).expect("queue lock");
+            let my_turn = if self.bug == Bug::BargingTurn {
+                // BUG: no arrival order — first to find the engine free.
+                !g.running
+            } else {
+                g.serving == ticket
+            };
+            if my_turn && !g.stalled {
+                break;
+            }
+            g = self.turn.wait(g).expect("gate lock");
         }
-    });
-    {
-        let mut g = state.0.lock().expect("queue lock");
-        g.shutdown = true;
-        // BUG: no notify_all() here.
+        g.running = true;
+        drop(g);
+        // "Execute", outside the lock like the real turn-holder.
+        let executed = {
+            let mut g = self.state.lock().expect("gate lock");
+            g.executed.push(name);
+            g.executed.len() as u64
+        };
+        if self.bug == Bug::ReplyBeforePublish {
+            // BUG: the reply races ahead of the publish.
+            let _ = socket.send(Reply::Done);
+        }
+        *self.published.lock().expect("publish lock") = executed;
+        let mut g = self.state.lock().expect("gate lock");
+        g.running = false;
+        g.serving += 1;
+        drop(g);
+        self.turn.notify_all();
+        if self.bug != Bug::ReplyBeforePublish {
+            let _ = socket.send(Reply::Done);
+        }
     }
-    worker.join().expect("worker observed shutdown");
+
+    fn set_stalled(&self, stalled: bool) {
+        self.state.lock().expect("gate lock").stalled = stalled;
+        self.turn.notify_all();
+    }
+
+    fn shutdown(&self) {
+        self.state.lock().expect("gate lock").shutdown = true;
+        if self.bug != Bug::ShutdownWithoutNotify {
+            self.turn.notify_all();
+        }
+        // BUG (ShutdownWithoutNotify): parked handlers never hear of it.
+    }
+
+    fn published(&self) -> u64 {
+        *self.published.lock().expect("publish lock")
+    }
 }
 
-/// M4 (vs I4 `stat_never_queued`): STAT is served by queueing an op
-/// behind the stalled worker, so observability deadlocks exactly when
-/// the shard is wedged.
-pub fn stat_through_queue() {
-    struct Q {
-        jobs: VecDeque<mpsc::Sender<u64>>,
-        stalled: bool,
-        ops_done: u64,
+fn handler(
+    gate: &Arc<MutantGate>,
+    name: &'static str,
+    socket: &mpsc::Sender<Reply>,
+) -> minisim::thread::JoinHandle<()> {
+    let (gate, socket) = (Arc::clone(gate), socket.clone());
+    minisim::thread::spawn(move || gate.run(name, &socket))
+}
+
+/// M1 (vs I1 `ack_after_durable`): the turn-holder acks *before*
+/// publishing. A client that trusts the ack can then read a stale
+/// snapshot.
+pub fn reply_before_publish() {
+    let gate = MutantGate::new(Bug::ReplyBeforePublish, 4, false);
+    let (socket, client) = mpsc::channel();
+    let writer = handler(&gate, "a", &socket);
+    assert_eq!(client.recv().expect("handler replies"), Reply::Done);
+    assert!(gate.published() >= 1, "acked op not yet published");
+    writer.join().expect("handler exits");
+}
+
+/// M2 (vs I2 `busy_not_hang`): *blocking* admission to a full shard.
+/// With the shard stalled, the second handler parks behind the first
+/// instead of being refused, the client hears nothing, and nobody is
+/// left to release the stall — a deadlock the checker must report.
+pub fn blocking_push() {
+    let gate = MutantGate::new(Bug::BlockingAdmission, 1, true);
+    let (socket, client) = mpsc::channel();
+    let handlers = [handler(&gate, "a", &socket), handler(&gate, "b", &socket)];
+    assert_eq!(client.recv().expect("refusal"), Reply::Busy(1));
+    gate.set_stalled(false);
+    assert_eq!(client.recv().expect("admitted op"), Reply::Done);
+    for handler in handlers {
+        handler.join().expect("handler exits");
     }
-    let state = Arc::new((
-        Mutex::new(Q {
-            jobs: VecDeque::new(),
-            stalled: true,
-            ops_done: 0,
-        }),
-        Condvar::new(),
-    ));
-    let s2 = Arc::clone(&state);
-    let worker = minisim::thread::spawn(move || {
-        let (lock, cv) = (&s2.0, &s2.1);
-        let mut g = lock.lock().expect("queue lock");
-        loop {
-            if !g.stalled {
-                if let Some(reply) = g.jobs.pop_front() {
-                    g.ops_done += 1;
-                    let done = g.ops_done;
-                    drop(g);
-                    let _ = reply.send(done);
-                    g = lock.lock().expect("queue lock");
-                    continue;
-                }
-                return; // empty + unstalled = this mutant's shutdown
-            }
-            g = cv.wait(g).expect("queue lock");
-        }
-    });
-    let s3 = Arc::clone(&state);
-    let stat = minisim::thread::spawn(move || {
-        // BUG: the stat probe goes through the queue and waits for the
-        // stalled worker to answer it.
-        let (tx, rx) = mpsc::channel();
-        s3.0.lock().expect("queue lock").jobs.push_back(tx);
-        s3.1.notify_all();
-        rx.recv().expect("stat answered")
-    });
+}
+
+/// M3 (vs I3 `shutdown_joins_all`): shutdown sets the flag but never
+/// notifies — a handler parked for its turn misses the wakeup and the
+/// join blocks forever (the classic lost wakeup).
+pub fn drop_without_notify() {
+    let gate = MutantGate::new(Bug::ShutdownWithoutNotify, 4, true);
+    let (socket, client) = mpsc::channel();
+    let handlers = [handler(&gate, "a", &socket), handler(&gate, "b", &socket)];
+    gate.shutdown();
+    for handler in handlers {
+        handler.join().expect("parked handler observed shutdown");
+        assert_eq!(client.recv().expect("reply"), Reply::Terminated);
+    }
+}
+
+/// M4 (vs I4 `stat_never_queued`): STAT is served by taking a turn
+/// behind the parked op, so observability deadlocks exactly when the
+/// shard is wedged.
+pub fn stat_through_queue() {
+    let gate = MutantGate::new(Bug::StatTakesATurn, 2, true);
+    let (socket, _client) = mpsc::channel();
+    let parked = handler(&gate, "k", &socket);
+    // BUG: the stat probe is an op like any other.
+    let stat = handler(&gate, "stat", &socket);
     // The invariant's shape: STAT must complete while the shard is
     // stalled — so join it before unstalling.
-    let ops = stat.join().expect("stat completes while stalled");
-    assert_eq!(ops, 1);
-    state.0.lock().expect("queue lock").stalled = false;
-    state.1.notify_all();
-    worker.join().expect("worker exits");
+    stat.join().expect("stat completes while stalled");
+    gate.set_stalled(false);
+    parked.join().expect("parked op completes");
+}
+
+/// M7 (vs I7 `one_turn_in_order`): the plain-mutex gate — woken waiters
+/// race for the engine with no arrival order, so an op admitted later
+/// can run first (the variant whose p99s measured worse than FIFO).
+pub fn barging_turn() {
+    let gate = MutantGate::new(Bug::BargingTurn, 4, true);
+    let (socket, _client) = mpsc::channel();
+    let h1 = handler(&gate, "first", &socket);
+    let first_admitted = gate.state.lock().expect("gate lock").depth() == 1;
+    let h2 = handler(&gate, "second", &socket);
+    gate.set_stalled(false);
+    h1.join().expect("handler 1 returns");
+    h2.join().expect("handler 2 returns");
+    let log = gate.state.lock().expect("gate lock").executed.clone();
+    if first_admitted {
+        assert_eq!(log[0], "first", "ticket 0 must run first: {log:?}");
+    }
 }
 
 /// M5 (vs I5 `cache_race_adopt`): the insert-race loser *overwrites* the

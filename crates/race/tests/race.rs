@@ -70,6 +70,11 @@ fn submit_vs_drop_holds() {
     check_invariant("submit_vs_drop");
 }
 
+#[test]
+fn one_turn_in_order_holds() {
+    check_invariant("one_turn_in_order");
+}
+
 fn check_mutation(name: &str, expect_kind: ViolationKind) {
     let inv = invariants()
         .into_iter()
@@ -114,6 +119,11 @@ fn mutation_adopt_overwrite_is_caught() {
 #[test]
 fn mutation_exit_before_drain_is_caught() {
     check_mutation("exit_before_drain", ViolationKind::Panic);
+}
+
+#[test]
+fn mutation_barging_turn_is_caught() {
+    check_mutation("barging_turn", ViolationKind::Panic);
 }
 
 #[test]
@@ -234,6 +244,7 @@ fn full_report_passes_and_renders() {
         "\"stat_never_queued\"",
         "\"cache_race_adopt\"",
         "\"submit_vs_drop\"",
+        "\"one_turn_in_order\"",
         "\"mutation\"",
         "\"lock_order\"",
         "\"replay_reproduced\":true",

@@ -4,12 +4,14 @@
 //! it exercises exactly the code path a real client would.
 
 use crate::protocol::{read_frame, write_frame, Request, Response};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// One connection to a dcode server.
 pub struct Client {
-    stream: TcpStream,
+    /// Reads go through the buffer (a small reply is one `read`); writes
+    /// go straight to the socket underneath it.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -17,12 +19,14 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Send one request and wait for its response.
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
-        write_frame(&mut self.stream, &request.encode())?;
+        write_frame(self.stream.get_mut(), &request.encode())?;
         let body = read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;

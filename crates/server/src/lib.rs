@@ -15,11 +15,12 @@
 //! * [`protocol`] — the wire format: `u32`-length-prefixed frames,
 //!   `PUT`/`GET`/`DELETE`/`SCRUB`/`STAT` requests, typed `BUSY`
 //!   backpressure responses;
-//! * [`shard`] — bounded per-shard queues in front of worker threads that
-//!   own the stores; `try_push` on a full queue rejects immediately;
+//! * [`shard`] — one FIFO gate per shard in front of the engine that owns
+//!   the store; a handler holding the turn runs its op to completion, and
+//!   a shard with `queue_cap` ops admitted refuses the next immediately;
 //! * [`server`] — the accept loop and connection handlers, run as
 //!   detached jobs on a [`minipool::WorkerPool`] whose size is the
-//!   connection cap;
+//!   connection cap; each request runs on its connection's thread;
 //! * [`metrics`] — lock-free log₂ latency histograms and op counters,
 //!   rendered into the `STAT` JSON document alongside per-shard
 //!   snapshots (queue depth, schedule-cache hit rate, degraded reads…);
@@ -70,6 +71,6 @@ pub use metrics::{Histogram, ServerMetrics};
 pub use protocol::{read_frame, write_frame, ProtoError, Request, Response, MAX_FRAME};
 pub use server::{Server, ServerConfig};
 pub use shard::{
-    build_store, shard_blocks, shard_of, spawn_engine_worker, ShardBackend, ShardConfig,
-    ShardEngine, ShardJob, ShardOp, ShardQueue, ShardSnapshot, ShardStore, StoreEngine,
+    build_store, shard_blocks, shard_of, Shard, ShardBackend, ShardConfig, ShardEngine, ShardOp,
+    ShardSnapshot, ShardStore, StoreEngine,
 };

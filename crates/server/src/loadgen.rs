@@ -226,7 +226,7 @@ fn send_with_retry(
             Response::Busy { .. } => {
                 busy += 1;
                 // Linear backoff, capped: the server told us the shard
-                // queue is full, so give the worker time to drain.
+                // is full, so give the admitted ops time to finish.
                 std::thread::sleep(Duration::from_micros(200 * busy.min(50)));
             }
             other => return Ok((other, busy)),

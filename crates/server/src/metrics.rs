@@ -109,7 +109,7 @@ pub struct OpCounters {
     pub stats: AtomicU64,
     /// GET/DELETE misses.
     pub not_found: AtomicU64,
-    /// Requests rejected with `Busy` by a full shard queue.
+    /// Requests rejected with `Busy` by a shard with `queue_cap` ops admitted.
     pub busy: AtomicU64,
     /// Requests that failed (store error, malformed frame…).
     pub errors: AtomicU64,
@@ -120,11 +120,11 @@ pub struct OpCounters {
 pub struct ServerMetrics {
     /// Outcome counters.
     pub ops: OpCounters,
-    /// PUT latency, enqueue → shard completion.
+    /// PUT latency, admission → shard completion (turn wait included).
     pub put_latency: Histogram,
-    /// GET latency, enqueue → shard completion.
+    /// GET latency, admission → shard completion (turn wait included).
     pub get_latency: Histogram,
-    /// DELETE latency, enqueue → shard completion.
+    /// DELETE latency, admission → shard completion (turn wait included).
     pub delete_latency: Histogram,
     /// SCRUB latency, request → all shards reported.
     pub scrub_latency: Histogram,

@@ -13,7 +13,7 @@
 //! 0x02 GET    u16 name_len · name
 //! 0x03 DELETE u16 name_len · name
 //! 0x04 SCRUB  (no payload; runs on every shard)
-//! 0x05 STAT   (no payload; served from snapshots, never queued)
+//! 0x05 STAT   (no payload; served from snapshots, never takes a turn)
 //! ```
 //!
 //! Responses:
@@ -27,10 +27,11 @@
 //! 0x05 REPORT    u32 len · UTF-8 JSON (scrub report or stat document)
 //! ```
 //!
-//! `BUSY` is the protocol's backpressure: a full shard queue rejects the
-//! request *immediately* instead of queueing it unboundedly, and tells the
-//! client which shard and how deep. Clients retry with backoff; an open
-//! loop generator counts them separately from errors.
+//! `BUSY` is the protocol's backpressure: a shard with its admission cap
+//! of ops in flight rejects the request *immediately* instead of parking
+//! it unboundedly, and tells the client which shard and how deep. Clients
+//! retry with backoff; an open loop generator counts them separately from
+//! errors.
 //!
 //! Frames are capped at [`MAX_FRAME`] so a corrupt or hostile length
 //! prefix cannot make the server allocate gigabytes.
@@ -76,7 +77,7 @@ pub enum Response {
     Value(Vec<u8>),
     /// No object of that name.
     NotFound,
-    /// The target shard's queue is full; retry later.
+    /// The target shard has `queue_cap` ops admitted; retry later.
     Busy {
         /// Shard that rejected the request.
         shard: u16,
@@ -118,18 +119,34 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Write one frame: length prefix + body.
+/// Largest body sent with its prefix in one `write`. Under `TCP_NODELAY`
+/// every `write` is a segment and a wake-up for the receiver, so a small
+/// frame must not be two; past this size one more segment beside the body
+/// is noise and the copy into a joined buffer is not.
+const COALESCE_MAX: usize = 64 * 1024;
+
+/// Write one frame: length prefix + body, as one `write` for bodies up to
+/// 64 KiB and two beyond.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     debug_assert!(body.len() <= MAX_FRAME);
     let len = u32::try_from(body.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body)?;
+    if body.len() <= COALESCE_MAX {
+        let mut frame = Vec::with_capacity(4 + body.len());
+        frame.extend_from_slice(&len.to_be_bytes());
+        frame.extend_from_slice(body);
+        w.write_all(&frame)?;
+    } else {
+        w.write_all(&len.to_be_bytes())?;
+        w.write_all(body)?;
+    }
     w.flush()
 }
 
 /// Read one frame body. Returns `Ok(None)` on end-of-stream at a frame
-/// boundary (the peer closed cleanly); an EOF mid-frame is an error.
+/// boundary (the peer closed cleanly); an EOF mid-frame is an error. Both
+/// ends of a connection call this on a `BufReader` they keep for the
+/// connection's lifetime, so the prefix and a small body cost one `read`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut prefix = [0u8; 4];
     // Distinguish clean close (0 bytes) from a torn prefix by reading the
@@ -396,9 +413,98 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocating() {
         let wire = u32::MAX.to_be_bytes();
-        let mut r = &wire[..];
+        let mut r = io::BufReader::new(&wire[..]);
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Counts `write` calls, accepting everything offered.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_small_frame_is_one_write_and_a_large_one_two() {
+        for (body_len, writes) in [
+            (0, 1),
+            (1024, 1),
+            (COALESCE_MAX, 1),
+            (COALESCE_MAX + 1, 2),
+            (256 * 1024, 2),
+        ] {
+            let body: Vec<u8> = (0..body_len).map(|i| (i * 7) as u8).collect();
+            let mut w = CountingWriter {
+                writes: 0,
+                bytes: Vec::new(),
+            };
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.writes, writes, "{body_len}-byte body");
+            // Either way the bytes on the wire are prefix + body.
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap().unwrap(), body);
+        }
+    }
+
+    /// Hands out `wire` in two `read`s, cut at `cut`.
+    struct SplitReader<'a> {
+        wire: &'a [u8],
+        cut: usize,
+        pos: usize,
+    }
+
+    impl Read for SplitReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let end = if self.pos < self.cut {
+                self.cut
+            } else {
+                self.wire.len()
+            };
+            let n = buf.len().min(end - self.pos);
+            buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn buffered_reads_keep_frame_boundaries() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"first frame").unwrap();
+        write_frame(&mut wire, &[0xAB; 300]).unwrap();
+        // Two frames delivered in one buffer: the second is not lost to
+        // the first's read-ahead, and the end is a clean EOF.
+        let mut r = io::BufReader::new(&wire[..]);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"first frame");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), [0xAB; 300]);
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        // The same stream arriving split at every byte boundary — inside
+        // a prefix, inside a body, between the frames.
+        for cut in 0..=wire.len() {
+            let mut r = io::BufReader::new(SplitReader {
+                wire: &wire,
+                cut,
+                pos: 0,
+            });
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"first frame");
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), [0xAB; 300]);
+            assert!(read_frame(&mut r).unwrap().is_none(), "cut at {cut}");
+        }
+        // A stream that ends inside a frame is still an error.
+        let mut r = io::BufReader::new(&wire[..wire.len() - 1]);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"first frame");
+        assert!(read_frame(&mut r).is_err());
     }
 
     #[test]

@@ -8,29 +8,34 @@
 //!   the pool is pre-grown to `max_conns`, so the pool size *is* the
 //!   concurrent-connection cap — excess connections are accepted but wait
 //!   in the pool's queue until a handler worker frees up;
-//! * one **worker thread per shard** owns that shard's store outright
-//!   (see [`crate::shard`]);
-//! * connection handlers do no storage work: they decode a frame, route
-//!   it by [`shard_of`], enqueue, and wait for the shard's reply. A full
-//!   shard queue is reported to the client as `Busy` without blocking.
+//! * **connection handlers run each request to completion**: a handler
+//!   decodes a frame, routes it by [`shard_of`], and calls
+//!   [`Shard::run`](crate::shard::Shard::run) on its own thread — it waits
+//!   its FIFO turn at the shard's gate, does the storage work, publishes
+//!   the snapshot, and writes the reply. There is no shard thread and no
+//!   hand-off between threads inside the server (see [`crate::shard`]). A
+//!   shard with `queue_cap` ops already admitted is reported to the client
+//!   as `Busy` without blocking.
 //!
-//! `STAT` never queues: it renders the shards' published snapshots and
-//! the shared metrics, so observability survives overload — exactly when
-//! it is needed.
+//! `STAT` never takes a turn: it renders the shards' published snapshots
+//! and the shared metrics, so observability survives overload — exactly
+//! when it is needed. `queue_depth` in that document counts the ops
+//! admitted to a shard and not yet finished (the one running plus those
+//! parked for their turn).
 //!
-//! Shutdown: the flag flips, every registered connection is
-//! `Shutdown::Both`-ed (unblocking handler reads mid-`recv` without
-//! read-timeout desync), a dummy connect unblocks `accept`, shard queues
-//! close, and every thread is joined. Dropping the [`Server`] does all of
-//! this too.
+//! Shutdown: the flag flips, a dummy connect unblocks `accept`, every
+//! registered connection is `Shutdown::Both`-ed (unblocking handler reads
+//! mid-`recv` without read-timeout desync), the shard gates close — a
+//! handler parked for a turn returns without touching the store, one
+//! mid-op finishes it — and the handler pool is joined. Dropping the
+//! [`Server`] does all of this too.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{read_frame, write_frame, ProtoError, Request, Response};
-use crate::shard::{
-    build_store, shard_of, spawn_shard, Shard, ShardBackend, ShardConfig, ShardJob, ShardOp,
-    ShardQueue, ShardSnapshot,
-};
-use minisim::sync::{mpsc, Arc, Mutex};
+use crate::shard::{build_store, shard_of, Shard, ShardBackend, ShardConfig, ShardOp, StoreEngine};
+use minisim::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::PoisonError;
@@ -46,7 +51,7 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Concurrent-connection cap (pool workers serving handlers).
     pub max_conns: usize,
-    /// Per-shard array geometry and queue bound.
+    /// Per-shard array geometry and admission bound.
     pub shard: ShardConfig,
 }
 
@@ -63,11 +68,19 @@ impl Default for ServerConfig {
 
 struct ServerInner {
     shutdown: AtomicBool,
-    queues: Vec<Arc<ShardQueue>>,
-    snapshots: Vec<Arc<Mutex<ShardSnapshot>>>,
+    shards: Vec<Shard>,
     metrics: Arc<ServerMetrics>,
-    /// One clone per accepted connection, so shutdown can unblock reads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// One clone per live connection, so shutdown can unblock its read;
+    /// the handler removes its entry when it exits.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl ServerInner {
+    fn conns(&self) -> minisim::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        // Recover poison: a panicked handler must not be able to wedge
+        // shutdown, and inserts and removes leave the map valid.
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running server; dropping it shuts everything down and joins every
@@ -76,7 +89,6 @@ pub struct Server {
     port: u16,
     inner: Arc<ServerInner>,
     accept: Option<minisim::thread::JoinHandle<()>>,
-    shards: Vec<Shard>,
     /// Dropped last: joining the pool requires the handlers to have been
     /// unblocked by the shutdown sequence.
     pool: Option<Arc<minipool::WorkerPool>>,
@@ -84,8 +96,8 @@ pub struct Server {
 
 impl Server {
     /// Bind, build one store per backend (`fresh` formats, otherwise
-    /// attaches to existing content), spawn the shard workers and the
-    /// accept loop. `backends.len()` must equal `config.shards`.
+    /// attaches to existing content) and spawn the accept loop.
+    /// `backends.len()` must equal `config.shards`.
     pub fn start(
         config: &ServerConfig,
         backends: Vec<ShardBackend>,
@@ -105,9 +117,9 @@ impl Server {
         for (id, backend) in backends.into_iter().enumerate() {
             let store = build_store(&config.shard, backend, fresh)
                 .map_err(|e| format!("shard {id}: {e}"))?;
-            shards.push(spawn_shard(
+            shards.push(Shard::new(
                 id,
-                store,
+                StoreEngine::new(id, store),
                 config.shard.queue_cap,
                 Arc::clone(&metrics),
             ));
@@ -115,10 +127,9 @@ impl Server {
 
         let inner = Arc::new(ServerInner {
             shutdown: AtomicBool::new(false),
-            queues: shards.iter().map(|s| Arc::clone(&s.queue)).collect(),
-            snapshots: shards.iter().map(|s| Arc::clone(&s.snapshot)).collect(),
+            shards,
             metrics,
-            conns: Mutex::named("server.conns", Vec::new()),
+            conns: Mutex::named("server.conns", HashMap::new()),
         });
 
         let pool = Arc::new(minipool::WorkerPool::with_workers(config.max_conns));
@@ -135,7 +146,6 @@ impl Server {
             port,
             inner,
             accept: Some(accept),
-            shards,
             pool: Some(pool),
         })
     }
@@ -150,12 +160,12 @@ impl Server {
         stat_document(&self.inner)
     }
 
-    /// Park (or release) one shard's worker — the deterministic
-    /// backpressure hook for tests and demos: a stalled shard stops
-    /// draining its queue, so `queue_cap` more requests fill it and the
+    /// Withhold (or release) one shard's turns — the deterministic
+    /// backpressure hook for tests and demos: a stalled shard grants no
+    /// turn, so `queue_cap` more requests are admitted and park, and the
     /// next one is rejected `Busy`.
     pub fn stall_shard(&self, shard: usize, stalled: bool) {
-        self.inner.queues[shard].set_stalled(stalled);
+        self.inner.shards[shard].set_stalled(stalled);
     }
 
     /// Stop accepting, unblock and join every thread. Idempotent; also
@@ -169,26 +179,16 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // Unblock handler reads. Recover poison: a panicked handler must
-        // not be able to wedge shutdown.
-        for conn in self
-            .inner
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
+        // Unblock handler reads.
+        for conn in self.inner.conns().values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        // Close shard queues and join the workers.
-        for shard in &self.shards {
-            shard.queue.shutdown();
-        }
-        for shard in std::mem::take(&mut self.shards) {
-            let _ = shard.worker.join();
+        // Close the gates: handlers parked for a turn return.
+        for shard in &self.inner.shards {
+            shard.shutdown();
         }
         // Joining the pool (drop) reaps the handler workers; their jobs
-        // exit on the closed sockets / closed reply channels.
+        // exit on the closed sockets.
         self.pool = None;
     }
 }
@@ -200,6 +200,7 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>, pool: &minipool::WorkerPool) {
+    let mut next_conn = 0u64;
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if inner.shutdown.load(Ordering::SeqCst) {
@@ -210,22 +211,26 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>, pool: &minipool
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        let conn = next_conn;
+        next_conn += 1;
         if let Ok(clone) = stream.try_clone() {
-            inner
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
+            inner.conns().insert(conn, clone);
         }
         let inner = Arc::clone(inner);
         // A rejected submission means the pool is shutting down; dropping
         // the job closes the stream, which is the right refusal.
-        let _ = pool.submit(move || handle_connection(stream, &inner));
+        let _ = pool.submit(move || {
+            handle_connection(stream, &inner);
+            inner.conns().remove(&conn);
+        });
     }
 }
 
-fn handle_connection(mut stream: TcpStream, inner: &ServerInner) {
+fn handle_connection(stream: TcpStream, inner: &ServerInner) {
     let _ = stream.set_nodelay(true);
+    // Reads go through the buffer (a small frame is one `read`); writes go
+    // straight to the socket underneath it.
+    let mut stream = BufReader::new(stream);
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -236,13 +241,13 @@ fn handle_connection(mut stream: TcpStream, inner: &ServerInner) {
             return;
         };
         let response = match Request::decode(&body) {
-            Ok(request) => dispatch(request, inner),
+            Ok(request) => dispatch(&request, inner),
             Err(e) => {
                 inner.metrics.ops.errors.fetch_add(1, Ordering::Relaxed);
                 Response::Err(protocol_error_message(&e))
             }
         };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        if write_frame(stream.get_mut(), &response.encode()).is_err() {
             return;
         }
     }
@@ -252,21 +257,14 @@ fn protocol_error_message(e: &ProtoError) -> String {
     format!("bad request: {e}")
 }
 
-/// Route one decoded request and produce its response.
-fn dispatch(request: Request, inner: &ServerInner) -> Response {
+/// Route one decoded request and run it to completion on this thread.
+fn dispatch(request: &Request, inner: &ServerInner) -> Response {
+    let keyed =
+        |name: &str, op: ShardOp<'_>| inner.shards[shard_of(name, inner.shards.len())].run(&op);
     match request {
-        Request::Put { name, value } => enqueue_keyed(
-            inner,
-            ShardOp::Put {
-                name: name.clone(),
-                value,
-            },
-            &name,
-        ),
-        Request::Get { name } => enqueue_keyed(inner, ShardOp::Get { name: name.clone() }, &name),
-        Request::Delete { name } => {
-            enqueue_keyed(inner, ShardOp::Delete { name: name.clone() }, &name)
-        }
+        Request::Put { name, value } => keyed(name, ShardOp::Put { name, value }),
+        Request::Get { name } => keyed(name, ShardOp::Get { name }),
+        Request::Delete { name } => keyed(name, ShardOp::Delete { name }),
         Request::Scrub => scrub_all(inner),
         Request::Stat => {
             inner.metrics.ops.stats.fetch_add(1, Ordering::Relaxed);
@@ -275,65 +273,17 @@ fn dispatch(request: Request, inner: &ServerInner) -> Response {
     }
 }
 
-/// Enqueue a single-shard op on the shard owning `name`; translate a full
-/// queue into `Busy` and a dead worker into an error.
-fn enqueue_keyed(inner: &ServerInner, op: ShardOp, name: &str) -> Response {
-    let shard = shard_of(name, inner.queues.len());
-    let (reply, result) = mpsc::channel();
-    let job = ShardJob {
-        op,
-        queued_at: Instant::now(),
-        reply,
-    };
-    match inner.queues[shard].try_push(job) {
-        Ok(()) => match result.recv() {
-            Ok(response) => response,
-            Err(_) => Response::Err(format!("shard {shard} terminated")),
-        },
-        Err(depth) => {
-            inner.metrics.ops.busy.fetch_add(1, Ordering::Relaxed);
-            busy(shard, depth)
-        }
-    }
-}
-
-#[allow(clippy::cast_possible_truncation)]
-fn busy(shard: usize, depth: usize) -> Response {
-    Response::Busy {
-        shard: shard.min(u16::MAX as usize) as u16,
-        depth: depth.min(u32::MAX as usize) as u32,
-    }
-}
-
-/// Fan a scrub out to every shard and merge the per-shard reports. All
-/// shards must accept the job; one full queue fails the whole scrub with
-/// `Busy` (a scrub against an overloaded array is the wrong time anyway).
+/// Scrub the shards one after another — at most one turn held at a time —
+/// and merge the per-shard reports. A shard that refuses (`Busy`,
+/// terminated) fails the whole scrub with its answer (a scrub against an
+/// overloaded array is the wrong time anyway).
 fn scrub_all(inner: &ServerInner) -> Response {
     let started = Instant::now();
-    let mut pending = Vec::with_capacity(inner.queues.len());
-    for (shard, queue) in inner.queues.iter().enumerate() {
-        let (reply, result) = mpsc::channel();
-        let job = ShardJob {
-            op: ShardOp::Scrub,
-            queued_at: Instant::now(),
-            reply,
-        };
-        match queue.try_push(job) {
-            Ok(()) => pending.push((shard, result)),
-            Err(depth) => {
-                // Shards already scrubbing just finish; their reports are
-                // dropped with the channel.
-                inner.metrics.ops.busy.fetch_add(1, Ordering::Relaxed);
-                return busy(shard, depth);
-            }
-        }
-    }
-    let mut reports = Vec::with_capacity(pending.len());
-    for (shard, result) in pending {
-        match result.recv() {
-            Ok(Response::Report(json)) => reports.push(json),
-            Ok(other) => return other,
-            Err(_) => return Response::Err(format!("shard {shard} terminated")),
+    let mut reports = Vec::with_capacity(inner.shards.len());
+    for shard in &inner.shards {
+        match shard.run(&ShardOp::Scrub) {
+            Response::Report(json) => reports.push(json),
+            other => return other,
         }
     }
     inner.metrics.ops.scrubs.fetch_add(1, Ordering::Relaxed);
@@ -344,26 +294,79 @@ fn scrub_all(inner: &ServerInner) -> Response {
 }
 
 /// Render the stat document: global counters + latency summaries + one
-/// entry per shard, with live queue depths.
+/// entry per shard, with live depths.
 fn stat_document(inner: &ServerInner) -> String {
     let per_shard: Vec<String> = inner
-        .snapshots
+        .shards
         .iter()
-        .zip(&inner.queues)
-        .map(|(snapshot, queue)| {
-            // Recover poison: STAT is the "observability survives
-            // overload" path, and a worker panic must not take it down.
-            let snap = snapshot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            snap.to_json(queue.depth())
-        })
+        .map(|shard| shard.snapshot().to_json(shard.depth()))
         .collect();
     format!(
         "{{\"shards\":{},{},\"per_shard\":[{}]}}",
-        inner.queues.len(),
+        inner.shards.len(),
         inner.metrics.core_json(),
         per_shard.join(","),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::shard::shard_blocks;
+    use dcode_faults::MemBackend;
+    use std::io::Read;
+    use std::time::Duration;
+
+    fn start() -> Server {
+        let config = ServerConfig {
+            shards: 1,
+            max_conns: 4,
+            shard: ShardConfig {
+                block_size: 64,
+                stripes: 8,
+                meta_elements: 4,
+                ..ShardConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let backend = MemBackend::new(
+            config.shard.layout.disks(),
+            shard_blocks(&config.shard),
+            config.shard.block_size,
+        );
+        Server::start(&config, vec![Box::new(backend)], true).expect("server starts")
+    }
+
+    /// Poll until the registry holds `want` connections (a handler
+    /// unregisters after it sees its client's close, not before).
+    fn await_conns(server: &Server, want: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.inner.conns().len() != want {
+            assert!(Instant::now() < deadline, "registry never reached {want}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry_and_shutdown_unblocks_a_reader() {
+        let mut server = start();
+        for i in 0..200 {
+            let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
+            if i % 50 == 0 {
+                assert_eq!(client.put("k", &[i as u8]).expect("put io"), Response::Ok);
+            }
+        }
+        await_conns(&server, 0);
+
+        // A connection whose handler is blocked mid-read: registered, and
+        // unblocked by shutdown (which would hang joining the pool
+        // otherwise).
+        let mut idle = TcpStream::connect(("127.0.0.1", server.port())).expect("connect");
+        await_conns(&server, 1);
+        server.shutdown();
+        // The client's end sees the close (EOF, or a reset if it raced).
+        assert!(matches!(idle.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+        await_conns(&server, 0);
+    }
 }

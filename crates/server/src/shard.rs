@@ -1,31 +1,45 @@
-//! One shard: a bounded work queue in front of a worker thread that owns
-//! an [`ObjectStore`] over a [`ResilientArray`].
+//! One shard: an [`ObjectStore`] over a [`ResilientArray`] behind a small
+//! FIFO gate, run by whichever connection handler holds the turn.
 //!
-//! All array state is single-threaded inside the worker — no locks on the
-//! I/O path, no sharing of the schedule cache across shards (each array
-//! embeds its own, so its hit rate measures *that shard's* steady state).
-//! Concurrency comes from sharding: requests are routed by [`shard_of`]
-//! (FNV-1a of the object name, modulo shard count), so independent
-//! objects land on independent arrays and proceed in parallel.
+//! There is no shard thread. A handler that has decoded a request calls
+//! [`Shard::run`], which runs the op **to completion on the caller's
+//! thread**: admission, a ticket, the wait for that ticket's turn, the
+//! storage work, the counters, the snapshot publish — and only then the
+//! response the handler writes. Ack-after-durable and
+//! publish-before-reply are therefore program order on one thread, and a
+//! request costs no thread hand-off beyond the two the socket imposes.
 //!
-//! The queue is **bounded**. `try_push` on a full queue fails immediately
-//! with the current depth, which the front end converts into a typed
+//! The gate is a ticket pair (`next`, `serving`), the `stalled` and
+//! `shutdown` flags and the shard's engine slot under one mutex and one
+//! condvar. The turn-holder **takes the engine out of the slot** and
+//! releases the lock before it touches storage, so the lock only ever
+//! guards bookkeeping — never I/O, never XOR — and array state stays
+//! single-threaded without a lock on the I/O path. No schedule cache is
+//! shared across shards either (each array embeds its own, so its hit
+//! rate measures *that shard's* steady state). Concurrency comes from
+//! sharding: requests are routed by [`shard_of`] (FNV-1a of the object
+//! name, modulo shard count), so independent objects land on independent
+//! arrays and proceed in parallel.
+//!
+//! Turns are granted in **arrival order**. A plain mutex would let a
+//! handler whose client has already sent its next request re-take the
+//! lock before the woken waiter runs, so a get could wait behind two puts
+//! instead of one; tickets make the wait at most the ops admitted before
+//! it.
+//!
+//! Admission is **bounded**: with `queue_cap` ops admitted and not yet
+//! finished, `run` refuses immediately with the current depth as a typed
 //! `Busy` response — backpressure the client can see and pace against,
-//! instead of an unbounded queue that converts overload into latency and
-//! then into memory exhaustion. A test hook ([`ShardQueue::set_stalled`])
-//! parks the worker without touching the store, making queue-full
-//! behaviour deterministic to test.
+//! instead of unbounded waiting that converts overload into latency and
+//! then into memory exhaustion. A test hook ([`Shard::set_stalled`])
+//! withholds turns without touching the store, making the refusal
+//! deterministic to test.
 //!
-//! The worker drains the queue in **batches** ([`ShardQueue`]'s
-//! `pop_batch`): it blocks for the first job, then greedily takes
-//! whatever else is already queued (up to a cap) without waiting. Every
-//! op in the batch executes, then ONE snapshot is published covering all
-//! of them, then the replies go out in arrival order — so a loaded shard
-//! pays one snapshot/publish per drain instead of one per op, while the
-//! ack-after-durable and publish-before-reply orderings dcode-race
-//! model-checks are preserved verbatim (each ack still follows a publish
-//! that reflects its op). Large multi-stripe writes inside each PUT batch
-//! further through `ResilientArray::write` (the touched stripes chunked
+//! An engine that panics is dropped by the unwind, so its slot stays
+//! empty: the turn still advances (a drop guard), the requester and every
+//! later request to that shard are answered `shard N terminated`, and the
+//! other shards never notice. Large multi-stripe writes inside each PUT
+//! batch through `ResilientArray::write` (the touched stripes chunked
 //! over the worker pool, each replaying the cached encode program
 //! tile-major), so a busy server keeps the worker pool warm without the
 //! shard layer knowing anything about stripes.
@@ -40,16 +54,17 @@ use dcode_codec::CacheStats;
 use dcode_core::layout::CodeLayout;
 use dcode_core::Fnv1a;
 use dcode_faults::{DiskBackend, DiskError};
-use minisim::sync::{mpsc, Arc, Condvar, Mutex};
-use std::collections::VecDeque;
+use minisim::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
 use std::time::Instant;
 
 /// The backend type shards store behind: any [`DiskBackend`] that can move
-/// to the worker thread (file-backed, in-memory, fault-injected…).
+/// between the handler threads that take turns on it (file-backed,
+/// in-memory, fault-injected…).
 pub type ShardBackend = Box<dyn DiskBackend + Send>;
 
-/// The store a shard worker owns.
+/// The store a shard's engine owns.
 pub type ShardStore = ObjectStore<ResilientArray<ShardBackend>>;
 
 /// Route an object name to a shard: FNV-1a over the name bytes, modulo
@@ -80,7 +95,8 @@ pub struct ShardConfig {
     pub policy: RetryPolicy,
     /// Hard errors on one slot before it is auto-failed.
     pub fail_threshold: usize,
-    /// Bounded queue capacity per shard.
+    /// Ops one shard admits at a time (the one running plus those parked
+    /// for a turn); the next is refused `Busy`.
     pub queue_cap: usize,
 }
 
@@ -143,143 +159,25 @@ pub fn build_store(
     }
 }
 
-/// One queued operation (`Stat` never enters a queue — it is served from
-/// published snapshots so an overloaded shard cannot block observability).
+/// One single-shard operation, borrowing its fields from the decoded
+/// request: it never leaves the handler thread that runs it. (`Stat` is
+/// not here — it is served from published snapshots and never takes a
+/// turn, so an overloaded shard cannot block observability.)
 #[allow(missing_docs)]
-pub enum ShardOp {
-    Put { name: String, value: Vec<u8> },
-    Get { name: String },
-    Delete { name: String },
+pub enum ShardOp<'a> {
+    Put { name: &'a str, value: &'a [u8] },
+    Get { name: &'a str },
+    Delete { name: &'a str },
     Scrub,
 }
 
-/// A queued operation plus its reply channel and enqueue timestamp (the
-/// latency histograms measure enqueue → completion, so queueing delay is
-/// part of the reported number — that is the latency a client feels).
-pub struct ShardJob {
-    /// The operation to run on the shard's store.
-    pub op: ShardOp,
-    /// When the job entered the queue.
-    pub queued_at: Instant,
-    /// Where the worker sends the response.
-    pub reply: mpsc::Sender<Response>,
-}
-
-struct QueueInner {
-    jobs: VecDeque<ShardJob>,
-    stalled: bool,
-    shutdown: bool,
-}
-
-/// The bounded MPSC queue between connection handlers and one shard
-/// worker.
-///
-/// Built on the `minisim` facade so `dcode-race` model-checks this exact
-/// code. The locks recover from poisoning (`PoisonError::into_inner`): a
-/// panicking worker must not take queue-depth sampling — part of the
-/// STAT observability path — down with it.
-pub struct ShardQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl ShardQueue {
-    /// A queue admitting at most `cap` jobs.
-    ///
-    /// # Panics
-    /// Panics if `cap` is zero (a queue that can never admit a job).
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0);
-        ShardQueue {
-            inner: Mutex::named(
-                "server.shard.queue",
-                QueueInner {
-                    jobs: VecDeque::new(),
-                    stalled: false,
-                    shutdown: false,
-                },
-            ),
-            ready: Condvar::named("server.shard.ready"),
-            cap,
-        }
-    }
-
-    fn lock(&self) -> minisim::sync::MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Enqueue if there is room; on a full queue return the depth at
-    /// rejection instead of blocking.
-    ///
-    /// # Errors
-    /// Returns the depth observed at rejection when the queue is full or
-    /// shutting down.
-    pub fn try_push(&self, job: ShardJob) -> Result<(), usize> {
-        let mut inner = self.lock();
-        if inner.shutdown || inner.jobs.len() >= self.cap {
-            return Err(inner.jobs.len());
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.lock().jobs.len()
-    }
-
-    /// Park (or release) the worker without touching the store — the test
-    /// hook that makes `Busy` deterministic: stall, fill the queue past
-    /// `cap`, observe the rejection, release.
-    pub fn set_stalled(&self, stalled: bool) {
-        self.lock().stalled = stalled;
-        self.ready.notify_all();
-    }
-
-    /// Wake the worker and make it exit once the flag is seen. Pending
-    /// jobs are dropped; their reply channels close, and waiting handlers
-    /// report the shutdown. Nothing already acknowledged is affected.
-    pub fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocking batch pop into `into` (which must be empty): waits for
-    /// the first job, then greedily drains up to `max` already-queued
-    /// jobs without waiting for more. Returns `false` on shutdown.
-    /// Draining in arrival order keeps replies FIFO per connection; the
-    /// caller-owned buffer means a busy worker loop never allocates a
-    /// batch vector in steady state.
-    fn pop_batch(&self, into: &mut Vec<ShardJob>, max: usize) -> bool {
-        debug_assert!(into.is_empty());
-        let mut inner = self.lock();
-        loop {
-            if inner.shutdown {
-                return false;
-            }
-            if !inner.stalled && !inner.jobs.is_empty() {
-                let take = inner.jobs.len().min(max);
-                into.extend(inner.jobs.drain(..take));
-                return true;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's observable state, refreshed by the
-/// worker after every operation and read lock-free of the store by `STAT`.
+/// A point-in-time copy of one shard's observable state, published by the
+/// turn-holder after every operation and read by `STAT` without a turn.
 #[derive(Clone, Debug)]
 pub struct ShardSnapshot {
     /// Objects resident in the store.
     pub objects: usize,
-    /// Operations the worker has completed.
+    /// Operations the shard has completed.
     pub ops_done: u64,
     /// Resilient-layer counters (retries, degraded reads, repairs…).
     pub stats: ResilientStats,
@@ -360,22 +258,14 @@ impl ShardSnapshot {
     }
 }
 
-/// A running shard: its queue, its published snapshot, and the worker's
-/// join handle.
-pub(crate) struct Shard {
-    pub queue: Arc<ShardQueue>,
-    pub snapshot: Arc<Mutex<ShardSnapshot>>,
-    pub worker: minisim::thread::JoinHandle<()>,
-}
-
-/// What a shard worker runs: the storage half of the worker loop,
-/// separated from the concurrency skeleton so the *real* loop — pop,
-/// execute, metrics, publish-before-reply, shutdown drain — is generic
-/// and model-checkable by `dcode-race` with a stub engine, while
+/// The storage half of a shard, separated from the gate so the *real*
+/// concurrency skeleton — admission, FIFO turns, metrics,
+/// publish-before-reply, shutdown, the empty slot a panic leaves — is
+/// generic and model-checkable by `dcode-race` with a stub engine, while
 /// production uses [`StoreEngine`] over a `ResilientArray`-backed store.
 pub trait ShardEngine: Send + 'static {
     /// Run one operation to completion against the shard's storage.
-    fn execute(&mut self, op: &ShardOp) -> Response;
+    fn execute(&mut self, op: &ShardOp<'_>) -> Response;
     /// A fresh observable-state snapshot after `ops_done` completed ops.
     fn snapshot(&self, ops_done: u64) -> ShardSnapshot;
 }
@@ -402,8 +292,8 @@ fn store_error_response(e: &StoreError) -> Response {
 }
 
 impl ShardEngine for StoreEngine {
-    fn execute(&mut self, op: &ShardOp) -> Response {
-        match op {
+    fn execute(&mut self, op: &ShardOp<'_>) -> Response {
+        match *op {
             ShardOp::Put { name, value } => match self.store.upsert(name, value) {
                 Ok(()) => Response::Ok,
                 Err(e) => store_error_response(&e),
@@ -445,7 +335,7 @@ impl ShardEngine for StoreEngine {
     fn snapshot(&self, ops_done: u64) -> ShardSnapshot {
         let array = self.store.array();
         ShardSnapshot {
-            objects: self.store.list().len(),
+            objects: self.store.len(),
             ops_done,
             stats: array.stats().clone(),
             cache: array.schedule_stats(),
@@ -456,61 +346,10 @@ impl ShardEngine for StoreEngine {
     }
 }
 
-/// Spawn the worker thread for one shard over the production engine.
-pub(crate) fn spawn_shard(
-    id: usize,
-    store: ShardStore,
-    queue_cap: usize,
-    metrics: Arc<ServerMetrics>,
-) -> Shard {
-    let queue = Arc::new(ShardQueue::new(queue_cap));
-    let snapshot = Arc::new(Mutex::named(
-        "server.shard.snapshot",
-        ShardSnapshot::default(),
-    ));
-    let engine = StoreEngine::new(id, store);
-    let worker = spawn_engine_worker(
-        format!("dcode-shard-{id}"),
-        engine,
-        Arc::clone(&queue),
-        Arc::clone(&snapshot),
-        metrics,
-    );
-    Shard {
-        queue,
-        snapshot,
-        worker,
-    }
-}
-
-/// Spawn a shard worker over any [`ShardEngine`]. Publishes an initial
-/// snapshot before the first pop so STAT never observes a default
-/// snapshot from a live shard.
-pub fn spawn_engine_worker<E: ShardEngine>(
-    name: String,
-    engine: E,
-    queue: Arc<ShardQueue>,
-    snapshot: Arc<Mutex<ShardSnapshot>>,
-    metrics: Arc<ServerMetrics>,
-) -> minisim::thread::JoinHandle<()> {
-    publish(&snapshot, engine.snapshot(0));
-    minisim::thread::Builder::new()
-        .name(name)
-        .spawn(move || worker_loop(engine, &queue, &snapshot, &metrics))
-        .expect("spawn shard worker")
-}
-
-fn publish(snapshot: &Mutex<ShardSnapshot>, snap: ShardSnapshot) {
-    // The engine snapshot is computed by the caller, so this lock is
-    // never held across storage code — a panicking engine cannot poison
-    // it. If something else poisoned it, recover: STAT must survive.
-    *snapshot.lock().unwrap_or_else(PoisonError::into_inner) = snap;
-}
-
 /// Update op counters from the (request, response) pair. Centralized so
 /// the stub engines used by the model checker account identically to
 /// production.
-fn record_op_metrics(metrics: &ServerMetrics, op: &ShardOp, response: &Response) {
+fn record_op_metrics(metrics: &ServerMetrics, op: &ShardOp<'_>, response: &Response) {
     use std::sync::atomic::Ordering::Relaxed;
     match (op, response) {
         (ShardOp::Put { .. }, Response::Ok) => metrics.ops.puts.fetch_add(1, Relaxed),
@@ -526,50 +365,226 @@ fn record_op_metrics(metrics: &ServerMetrics, op: &ShardOp, response: &Response)
     };
 }
 
-/// Most jobs one queue drain hands the worker. Bounds reply latency for
-/// the batch's first op while amortizing the snapshot/publish cost — a
-/// saturated queue pays one publish per `MAX_DRAIN` ops, not per op.
-const MAX_DRAIN: usize = 32;
+/// What the gate's mutex guards: bookkeeping only. The engine is *in*
+/// the slot between turns and *out* of it (owned by the turn-holder's
+/// stack) while an op runs, so this lock is never held across storage
+/// code.
+struct Gate<E> {
+    /// The next ticket to hand out.
+    next: u64,
+    /// The ticket whose turn it is; `next - serving` ops are admitted and
+    /// not yet finished.
+    serving: u64,
+    stalled: bool,
+    shutdown: bool,
+    /// Empty while a turn is running — and for good once an engine
+    /// panicked.
+    engine: Option<E>,
+    ops_done: u64,
+}
 
-fn worker_loop<E: ShardEngine>(
-    mut engine: E,
-    queue: &ShardQueue,
-    snapshot: &Mutex<ShardSnapshot>,
-    metrics: &ServerMetrics,
-) {
-    let mut ops_done = 0u64;
-    // Both buffers are reused across drains: a saturated worker allocates
-    // nothing per batch.
-    let mut batch: Vec<ShardJob> = Vec::new();
-    let mut replies: Vec<(mpsc::Sender<Response>, Response)> = Vec::new();
-    while queue.pop_batch(&mut batch, MAX_DRAIN) {
-        for job in batch.drain(..) {
-            let response = engine.execute(&job.op);
-            record_op_metrics(metrics, &job.op, &response);
-            #[allow(clippy::cast_possible_truncation)]
-            let us = job.queued_at.elapsed().as_micros() as u64;
-            match &job.op {
-                ShardOp::Put { .. } => metrics.put_latency.record(us),
-                ShardOp::Get { .. } => metrics.get_latency.record(us),
-                ShardOp::Delete { .. } => metrics.delete_latency.record(us),
-                ShardOp::Scrub => {}
-            }
-            ops_done += 1;
-            replies.push((job.reply, response));
+impl<E> Gate<E> {
+    #[allow(clippy::cast_possible_truncation)]
+    fn depth(&self) -> usize {
+        (self.next - self.serving) as usize
+    }
+}
+
+/// One shard: the FIFO gate in front of its engine, its published
+/// snapshot, and the metrics it accounts into.
+///
+/// Built on the `minisim` facade so `dcode-race` model-checks this exact
+/// code. The locks recover from poisoning (`PoisonError::into_inner`):
+/// every update under them leaves the state valid at every step, and
+/// depth sampling — part of the STAT observability path — must survive
+/// whatever happened on another thread.
+pub struct Shard<E: ShardEngine = StoreEngine> {
+    id: usize,
+    queue_cap: usize,
+    gate: Mutex<Gate<E>>,
+    turn: Condvar,
+    snapshot: Mutex<ShardSnapshot>,
+    metrics: Arc<ServerMetrics>,
+}
+
+impl<E: ShardEngine> Shard<E> {
+    /// Shard `id` over `engine`, admitting at most `queue_cap` ops at a
+    /// time. Publishes an initial snapshot, so STAT never observes a
+    /// default one from a live shard.
+    ///
+    /// # Panics
+    /// Panics if `queue_cap` is zero (a shard that can never admit an op).
+    pub fn new(id: usize, engine: E, queue_cap: usize, metrics: Arc<ServerMetrics>) -> Self {
+        assert!(queue_cap > 0);
+        Shard {
+            id,
+            queue_cap,
+            snapshot: Mutex::named("server.shard.snapshot", engine.snapshot(0)),
+            gate: Mutex::named(
+                "server.shard.gate",
+                Gate {
+                    next: 0,
+                    serving: 0,
+                    stalled: false,
+                    shutdown: false,
+                    engine: Some(engine),
+                    ops_done: 0,
+                },
+            ),
+            turn: Condvar::named("server.shard.turn"),
+            metrics,
         }
-        // Publish before replying, so anything observable after an ack
-        // (snapshot included) already reflects the acked operation; the
-        // ack itself comes after the store completed it — an acknowledged
-        // PUT is durable in the array before the client sees OK. One
-        // publish covers the whole drained batch: it runs after every op
-        // in the batch executed and before any reply goes out, so each
-        // individual ack still follows a publish reflecting its op. This
-        // ordering is the ack-after-durable invariant dcode-race
-        // model-checks.
-        publish(snapshot, engine.snapshot(ops_done));
-        for (reply, response) in replies.drain(..) {
-            let _ = reply.send(response);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Gate<E>> {
+        self.gate.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `op` to completion on the calling thread and return the
+    /// response to write — or refuse it: `Busy(depth)` at once when
+    /// `queue_cap` ops are already admitted (this never blocks on a full
+    /// shard), `shard N terminated` when the shard is shutting down or
+    /// its engine is gone.
+    ///
+    /// An admitted op takes a ticket and parks until that ticket is being
+    /// served and the shard is not stalled, so turns are granted in
+    /// arrival order. By the time this returns, the op is complete in the
+    /// store, counted, timed (admission → completion, so the wait for the
+    /// turn is part of the reported latency — that is what a client
+    /// feels), and reflected in the published snapshot: anything
+    /// observable after the ack already includes the acked operation.
+    /// This ordering is the ack-after-durable invariant `dcode-race`
+    /// model-checks.
+    pub fn run(&self, op: &ShardOp<'_>) -> Response {
+        let admitted = Instant::now();
+        let mut gate = self.lock();
+        if gate.shutdown {
+            return self.terminated();
         }
+        let depth = gate.depth();
+        if depth >= self.queue_cap {
+            drop(gate);
+            self.metrics
+                .ops
+                .busy
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            return self.busy(depth);
+        }
+        let ticket = gate.next;
+        gate.next += 1;
+        while !gate.shutdown && (gate.serving != ticket || gate.stalled) {
+            gate = self.turn.wait(gate).unwrap_or_else(PoisonError::into_inner);
+        }
+        if gate.shutdown {
+            // Parked at shutdown: leave without touching the engine.
+            return self.terminated();
+        }
+        let mut turn = Turn {
+            shard: self,
+            engine: gate.engine.take(),
+            ops_done: gate.ops_done,
+        };
+        drop(gate);
+        // The unwind of a panicking engine is stopped here, so the
+        // requester gets a typed answer and its connection — which may
+        // carry traffic for healthy shards — lives on.
+        let outcome = catch_unwind(AssertUnwindSafe(|| turn.execute(op, admitted)));
+        drop(turn);
+        outcome.unwrap_or_else(|_| self.terminated())
+    }
+
+    /// Ops admitted and not yet finished: the one running plus those
+    /// parked for their turn.
+    pub fn depth(&self) -> usize {
+        self.lock().depth()
+    }
+
+    /// The last published snapshot.
+    pub fn snapshot(&self) -> ShardSnapshot {
+        // Recover poison: STAT is the "observability survives overload"
+        // path, and a panic elsewhere must not take it down.
+        self.snapshot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Withhold (or release) turns without touching the store — the test
+    /// hook that makes `Busy` deterministic: stall, admit `queue_cap`
+    /// ops, observe the refusal, release. An op already running finishes.
+    pub fn set_stalled(&self, stalled: bool) {
+        self.lock().stalled = stalled;
+        self.turn.notify_all();
+    }
+
+    /// Refuse new ops and wake every parked handler, which returns
+    /// `terminated` without running. An op already running completes and
+    /// is acked; nothing already acknowledged is affected.
+    pub fn shutdown(&self) {
+        self.lock().shutdown = true;
+        self.turn.notify_all();
+    }
+
+    fn terminated(&self) -> Response {
+        Response::Err(format!("shard {} terminated", self.id))
+    }
+
+    #[allow(clippy::cast_possible_truncation)]
+    fn busy(&self, depth: usize) -> Response {
+        Response::Busy {
+            shard: self.id.min(u16::MAX as usize) as u16,
+            depth: depth.min(u32::MAX as usize) as u32,
+        }
+    }
+}
+
+/// One granted turn: the engine, out of the gate for as long as the op
+/// runs. Dropping it ends the turn on every path — the engine goes back
+/// (or, if it panicked and was dropped by the unwind, the slot stays
+/// empty), `serving` advances, and the next ticket is woken.
+struct Turn<'a, E: ShardEngine> {
+    shard: &'a Shard<E>,
+    engine: Option<E>,
+    ops_done: u64,
+}
+
+impl<E: ShardEngine> Turn<'_, E> {
+    fn execute(&mut self, op: &ShardOp<'_>, admitted: Instant) -> Response {
+        let shard = self.shard;
+        let Some(mut engine) = self.engine.take() else {
+            return shard.terminated();
+        };
+        let response = engine.execute(op);
+        record_op_metrics(&shard.metrics, op, &response);
+        #[allow(clippy::cast_possible_truncation)]
+        let us = admitted.elapsed().as_micros() as u64;
+        match op {
+            ShardOp::Put { .. } => shard.metrics.put_latency.record(us),
+            ShardOp::Get { .. } => shard.metrics.get_latency.record(us),
+            ShardOp::Delete { .. } => shard.metrics.delete_latency.record(us),
+            ShardOp::Scrub => {}
+        }
+        self.ops_done += 1;
+        // The snapshot is computed before the lock is taken, so the lock
+        // is never held across storage code.
+        let snap = engine.snapshot(self.ops_done);
+        *shard
+            .snapshot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = snap;
+        self.engine = Some(engine);
+        response
+    }
+}
+
+impl<E: ShardEngine> Drop for Turn<'_, E> {
+    fn drop(&mut self) {
+        let mut gate = self.shard.lock();
+        gate.engine = self.engine.take();
+        gate.ops_done = self.ops_done;
+        gate.serving += 1;
+        drop(gate);
+        self.shard.turn.notify_all();
     }
 }
 
@@ -593,6 +608,19 @@ mod tests {
         }
     }
 
+    fn mem_shard(id: usize, queue_cap: usize) -> Shard {
+        let engine = StoreEngine::new(id, mem_store(&small_cfg()));
+        Shard::new(id, engine, queue_cap, Arc::new(ServerMetrics::new()))
+    }
+
+    /// Spin until `shard` has `depth` ops admitted (the admitting threads
+    /// are parked on a stalled gate, so the depth can only grow).
+    fn await_depth<E: ShardEngine>(shard: &Shard<E>, depth: usize) {
+        while shard.depth() < depth {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn routing_is_stable_and_in_range() {
         for shards in [1usize, 2, 4, 7] {
@@ -608,158 +636,166 @@ mod tests {
     }
 
     #[test]
-    fn worker_serves_put_get_delete_and_scrub() {
-        let shard = spawn_shard(
-            0,
-            mem_store(&small_cfg()),
-            16,
-            Arc::new(ServerMetrics::new()),
-        );
-        let ask = |op: ShardOp| {
-            let (tx, rx) = mpsc::channel();
-            shard
-                .queue
-                .try_push(ShardJob {
-                    op,
-                    queued_at: Instant::now(),
-                    reply: tx,
-                })
-                .unwrap();
-            rx.recv().unwrap()
+    fn shard_serves_put_get_delete_and_scrub() {
+        let shard = mem_shard(0, 16);
+        let put = ShardOp::Put {
+            name: "k",
+            value: &[1, 2, 3],
         };
+        assert_eq!(shard.run(&put), Response::Ok);
         assert_eq!(
-            ask(ShardOp::Put {
-                name: "k".into(),
-                value: vec![1, 2, 3],
-            }),
-            Response::Ok
-        );
-        assert_eq!(
-            ask(ShardOp::Get { name: "k".into() }),
+            shard.run(&ShardOp::Get { name: "k" }),
             Response::Value(vec![1, 2, 3])
         );
-        let Response::Report(json) = ask(ShardOp::Scrub) else {
+        let Response::Report(json) = shard.run(&ShardOp::Scrub) else {
             panic!("scrub must report");
         };
         assert!(json.contains("\"shard\":0"));
-        assert_eq!(ask(ShardOp::Delete { name: "k".into() }), Response::Ok);
-        assert_eq!(ask(ShardOp::Get { name: "k".into() }), Response::NotFound);
-        shard.queue.shutdown();
-        shard.worker.join().unwrap();
+        assert_eq!(shard.run(&ShardOp::Delete { name: "k" }), Response::Ok);
+        assert_eq!(shard.run(&ShardOp::Get { name: "k" }), Response::NotFound);
+        assert_eq!(shard.depth(), 0);
     }
 
     #[test]
-    fn stalled_queue_fills_to_cap_and_rejects_with_depth() {
-        let cfg = small_cfg();
-        let shard = spawn_shard(
-            1,
-            mem_store(&cfg),
-            cfg.queue_cap,
-            Arc::new(ServerMetrics::new()),
-        );
-        shard.queue.set_stalled(true);
-        let mut receivers = Vec::new();
-        for i in 0..cfg.queue_cap {
-            let (tx, rx) = mpsc::channel();
-            shard
-                .queue
-                .try_push(ShardJob {
-                    op: ShardOp::Put {
-                        name: format!("k{i}"),
-                        value: vec![i as u8],
-                    },
-                    queued_at: Instant::now(),
-                    reply: tx,
+    fn stalled_shard_admits_to_cap_and_rejects_with_depth() {
+        let cap = small_cfg().queue_cap;
+        let shard = mem_shard(1, cap);
+        shard.set_stalled(true);
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = (0..cap)
+                .map(|i| {
+                    let shard = &shard;
+                    scope.spawn(move || {
+                        shard.run(&ShardOp::Put {
+                            name: &format!("k{i}"),
+                            value: &[i as u8],
+                        })
+                    })
                 })
-                .expect("below cap");
-            receivers.push(rx);
+                .collect();
+            await_depth(&shard, cap);
+            // Full: refused at once, with the depth, without parking.
+            assert_eq!(
+                shard.run(&ShardOp::Get { name: "k0" }),
+                Response::Busy {
+                    shard: 1,
+                    depth: cap as u32
+                }
+            );
+            // Release the turns: every admitted put completes and is acked.
+            shard.set_stalled(false);
+            for handle in parked {
+                assert_eq!(handle.join().unwrap(), Response::Ok);
+            }
+        });
+        for i in 0..cap {
+            assert_eq!(
+                shard.run(&ShardOp::Get {
+                    name: &format!("k{i}")
+                }),
+                Response::Value(vec![i as u8])
+            );
         }
-        let (tx, _rx) = mpsc::channel();
-        let depth = shard
-            .queue
-            .try_push(ShardJob {
-                op: ShardOp::Get { name: "k0".into() },
-                queued_at: Instant::now(),
-                reply: tx,
-            })
-            .expect_err("queue full");
-        assert_eq!(depth, cfg.queue_cap);
-        // Release the worker: every queued put completes and is acked.
-        shard.queue.set_stalled(false);
-        for rx in receivers {
-            assert_eq!(rx.recv().unwrap(), Response::Ok);
+        let snap = shard.snapshot();
+        assert_eq!(snap.objects, cap);
+        assert_eq!(snap.ops_done, 2 * cap as u64);
+    }
+
+    /// Records the order ops reach the engine.
+    struct OrderEngine(Arc<std::sync::Mutex<Vec<String>>>);
+
+    impl ShardEngine for OrderEngine {
+        fn execute(&mut self, op: &ShardOp<'_>) -> Response {
+            if let ShardOp::Get { name } = op {
+                self.0.lock().unwrap().push((*name).to_string());
+            }
+            Response::NotFound
         }
-        shard.queue.shutdown();
-        shard.worker.join().unwrap();
+
+        fn snapshot(&self, ops_done: u64) -> ShardSnapshot {
+            ShardSnapshot {
+                ops_done,
+                ..ShardSnapshot::default()
+            }
+        }
     }
 
     #[test]
-    fn batched_drain_acks_every_queued_put_and_publishes_once_after() {
-        // Stall the worker, queue a burst, release: the worker drains the
-        // burst as one batch — every put is acked, and the published
-        // snapshot reflects the whole batch (not just the first op) by
-        // the time the last ack is observed.
-        let cfg = small_cfg();
-        let shard = spawn_shard(
-            3,
-            mem_store(&cfg),
-            cfg.queue_cap,
+    fn turns_are_granted_in_admission_order() {
+        const N: usize = 12;
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let shard = Shard::new(
+            0,
+            OrderEngine(Arc::clone(&order)),
+            N,
             Arc::new(ServerMetrics::new()),
         );
-        shard.queue.set_stalled(true);
-        let mut receivers = Vec::new();
-        for i in 0..cfg.queue_cap {
-            let (tx, rx) = mpsc::channel();
-            shard
-                .queue
-                .try_push(ShardJob {
-                    op: ShardOp::Put {
-                        name: format!("burst{i}"),
-                        value: vec![i as u8; 100],
-                    },
-                    queued_at: Instant::now(),
-                    reply: tx,
+        shard.set_stalled(true);
+        std::thread::scope(|scope| {
+            for i in 0..N {
+                let shard = &shard;
+                scope.spawn(move || {
+                    shard.run(&ShardOp::Get {
+                        name: &format!("op{i:02}"),
+                    })
+                });
+                // Admit one at a time, so admission order is 0…N-1.
+                await_depth(shard, i + 1);
+            }
+            shard.set_stalled(false);
+        });
+        let expect: Vec<String> = (0..N).map(|i| format!("op{i:02}")).collect();
+        assert_eq!(*order.lock().unwrap(), expect);
+        assert_eq!(shard.depth(), 0);
+    }
+
+    #[test]
+    fn parked_handlers_return_terminated_at_shutdown_without_running() {
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let shard = Shard::new(
+            7,
+            OrderEngine(Arc::clone(&order)),
+            4,
+            Arc::new(ServerMetrics::new()),
+        );
+        shard.set_stalled(true);
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = (0..3)
+                .map(|_| {
+                    let shard = &shard;
+                    scope.spawn(move || shard.run(&ShardOp::Get { name: "never" }))
                 })
-                .expect("below cap");
-            receivers.push(rx);
-        }
-        shard.queue.set_stalled(false);
-        for rx in receivers {
-            assert_eq!(rx.recv().unwrap(), Response::Ok);
-        }
-        let snap = shard.snapshot.lock().unwrap().clone();
-        assert_eq!(snap.ops_done, cfg.queue_cap as u64);
-        assert_eq!(snap.objects, cfg.queue_cap);
-        shard.queue.shutdown();
-        shard.worker.join().unwrap();
+                .collect();
+            await_depth(&shard, 3);
+            shard.shutdown();
+            for handle in parked {
+                assert_eq!(
+                    handle.join().unwrap(),
+                    Response::Err("shard 7 terminated".into())
+                );
+            }
+        });
+        assert!(order.lock().unwrap().is_empty(), "no parked op may run");
+        assert_eq!(
+            shard.run(&ShardOp::Get { name: "late" }),
+            Response::Err("shard 7 terminated".into())
+        );
+        assert_eq!(shard.snapshot().ops_done, 0);
     }
 
     #[test]
     fn snapshot_tracks_store_state() {
-        let shard = spawn_shard(
-            2,
-            mem_store(&small_cfg()),
-            16,
-            Arc::new(ServerMetrics::new()),
-        );
-        let (tx, rx) = mpsc::channel();
-        shard
-            .queue
-            .try_push(ShardJob {
-                op: ShardOp::Put {
-                    name: "seen".into(),
-                    value: vec![9; 200],
-                },
-                queued_at: Instant::now(),
-                reply: tx,
-            })
-            .unwrap();
-        assert_eq!(rx.recv().unwrap(), Response::Ok);
-        let snap = shard.snapshot.lock().unwrap().clone();
+        let shard = mem_shard(2, 16);
+        let put = ShardOp::Put {
+            name: "seen",
+            value: &[9; 200],
+        };
+        assert_eq!(shard.run(&put), Response::Ok);
+        let snap = shard.snapshot();
         assert_eq!(snap.objects, 1);
         assert_eq!(snap.ops_done, 1);
         assert!(snap.stats.element_writes > 0);
-        let json = snap.to_json(shard.queue.depth());
+        let json = snap.to_json(shard.depth());
         assert!(json.contains("\"objects\":1"), "{json}");
         // Which write branch served the put is a published counter.
         let segments = snap.stats.delta_segments + snap.stats.reconstruct_segments;
@@ -767,8 +803,6 @@ mod tests {
             segments > 0 && json.contains("\"delta_segments\":"),
             "{json}"
         );
-        shard.queue.shutdown();
-        shard.worker.join().unwrap();
     }
 
     #[test]

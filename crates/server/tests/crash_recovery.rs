@@ -1,6 +1,6 @@
-//! Server crash recovery: a shard worker is killed mid-PUT by an armed
-//! crash point (panic unwinds the worker thread with the write half
-//! landed), the un-flushed volatile write cache is dropped at the power
+//! Server crash recovery: a shard's engine is killed mid-PUT by an armed
+//! crash point (the panic unwinds out of the store with the write half
+//! landed, and the shard's slot stays empty), the un-flushed volatile write cache is dropped at the power
 //! cycle, and the server restarts by *attaching* over the surviving
 //! medium — which replays the parity-intent journal before the shard
 //! accepts a single op. The invariants under test:
@@ -116,8 +116,8 @@ fn shard_killed_mid_put_recovers_every_acked_write() {
             }
         }
 
-        // Kill the worker mid-PUT: the armed crash point panics inside a
-        // backend write, unwinding the shard worker with the operation
+        // Kill the engine mid-PUT: the armed crash point panics inside a
+        // backend write, unwinding out of the store with the operation
         // half-applied. The client sees an error, never an OK — so the
         // victim write is *not* in the acked ledger.
         handle.lock().arm_crash(offset);
@@ -128,11 +128,11 @@ fn shard_killed_mid_put_recovers_every_acked_write() {
                 // durable); the crash stays armed and is cleared below.
                 acked.insert(victim, value_of(99, cycle));
             }
-            Response::Err(_) => {} // worker died mid-PUT: unacked
+            Response::Err(_) => {} // engine died mid-PUT: unacked
             other => panic!("unexpected victim response: {other:?}"),
         }
 
-        drop(server); // joins the (possibly dead) worker
+        drop(server); // the shard may be dead; its handlers are joined
         handle.lock().power_cycle(); // un-flushed writes are gone
     }
 
