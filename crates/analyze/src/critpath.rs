@@ -1,8 +1,10 @@
 //! Critical-path and level-width analysis over dependency levels.
 //!
-//! A compiled program's levels run sequentially; ops within a level run
-//! concurrently. With unlimited workers, a level finishes no sooner than
-//! its widest gather, so the schedule's wall-clock floor is the sum of
+//! A compiled program's levels depend on each other in order; ops within
+//! a level are independent. The codec replays programs sequentially, so
+//! this is a property of the schedule, not a prediction about an executor:
+//! if the ops of a level ran concurrently, with unlimited workers a level
+//! would finish no sooner than its widest gather, so the schedule's wall-clock floor is the sum of
 //! per-level maxima and the best possible parallel speedup is bounded by
 //! `total_work / critical_path_work`. Work is measured in source-block
 //! gathers (the unit the tiled XOR kernel streams), which makes the bound

@@ -18,9 +18,8 @@
 //!   numbers and the dynamic simulation are directly comparable — the
 //!   differential tests cross-check them).
 //! * **Critical path** ([`critpath`]) — level-width analysis over the
-//!   program's dependency levels, giving a static upper bound on parallel
-//!   speedup that measured thread-scaling numbers (`BENCH_parallel.json`,
-//!   parsed by [`bench`]) must respect.
+//!   program's dependency levels, giving a static upper bound on the
+//!   speedup any level-parallel replay of the program could reach.
 //! * **Peephole lints** ([`peephole`]) — self-cancelling XOR pairs,
 //!   duplicate subexpressions (CSE opportunities), dead scratch writes,
 //!   never-read outputs, and per-level working-set estimates against
@@ -42,7 +41,6 @@
 //! assert!((report.encode.xors_per_data_element - 1.6).abs() < 1e-9);
 //! ```
 
-pub mod bench;
 pub mod claims;
 pub mod cost;
 pub mod critpath;
@@ -51,9 +49,6 @@ pub mod optdelta;
 pub mod peephole;
 pub mod report;
 
-pub use bench::{
-    parse_parallel_bench, speedup_cross_check, BenchRecord, ParallelBench, SpeedupCheck,
-};
 pub use claims::{closed_forms, ClaimCheck, ClosedForms, LoadBalance};
 pub use cost::{encode_xors_per_data_element, program_xor_cost, update_parity_touches};
 pub use critpath::{critical_path, CritPath};

@@ -21,7 +21,7 @@
 //! would be ratified as expected content and read back as "clean"
 //! garbage — the harness would misattribute it as data loss.
 
-use crate::array::ArrayError;
+use crate::device::ArrayError;
 use crate::journal::journal_blocks_per_disk;
 use crate::resilient::{ResilientArray, ResilientStats, RetryPolicy, SlotState};
 use crate::rotation::RotationScheme;

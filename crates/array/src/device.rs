@@ -1,15 +1,54 @@
-//! The element-addressed block-device interface shared by the array
-//! implementations.
+//! The element-addressed block-device interface of the array, and the
+//! error type its operations return.
 //!
-//! Two arrays live in this crate: the in-memory [`Array`](crate::Array)
-//! (stripes held directly, binary disk-present/absent failure model) and
-//! the backend-driven [`ResilientArray`](crate::ResilientArray) (typed
-//! disk errors, retries, checksums, hot-spare rebuild). [`ElementIo`]
-//! abstracts over both so consumers like the object store work unchanged
-//! on either. Methods take `&mut self` even for reads: a resilient read
-//! retries, records errors, and can trigger state transitions.
+//! [`ElementIo`] is what sits between [`ResilientArray`](crate::ResilientArray)
+//! and its consumers: the object store is written against the trait, so a
+//! caller can put a wrapper around the array (the benchmark counts and
+//! times element I/O that way) and a test can substitute a fake. Methods
+//! take `&mut self` even for reads: a read retries, records errors, and
+//! can trigger state transitions.
 
-use crate::array::{Array, ArrayError};
+/// Errors from array operations.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum ArrayError {
+    /// The byte range falls outside the array.
+    OutOfRange {
+        /// First logical element requested.
+        element: usize,
+        /// Array capacity in elements.
+        capacity: usize,
+    },
+    /// More slots have failed than RAID-6 tolerates.
+    TooManyFailures {
+        /// Currently failed slots.
+        failed: Vec<usize>,
+    },
+    /// The slot asked to fail is already failed.
+    BadDiskState {
+        /// The slot in question.
+        disk: usize,
+    },
+}
+
+impl std::fmt::Display for ArrayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArrayError::OutOfRange { element, capacity } => {
+                write!(f, "element {element} outside array capacity {capacity}")
+            }
+            ArrayError::TooManyFailures { failed } => {
+                write!(
+                    f,
+                    "RAID-6 cannot serve with {} failed disks {failed:?}",
+                    failed.len()
+                )
+            }
+            ArrayError::BadDiskState { disk } => write!(f, "disk {disk} is in the wrong state"),
+        }
+    }
+}
+
+impl std::error::Error for ArrayError {}
 
 /// Logical element-granular I/O over a RAID-6 array.
 pub trait ElementIo {
@@ -21,22 +60,4 @@ pub trait ElementIo {
     fn read_elements(&mut self, start: usize, count: usize) -> Result<Vec<u8>, ArrayError>;
     /// Write `bytes` (a multiple of the element size) starting at `start`.
     fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError>;
-}
-
-impl ElementIo for Array {
-    fn capacity_elements(&self) -> usize {
-        Array::capacity_elements(self)
-    }
-
-    fn element_size(&self) -> usize {
-        self.capacity_bytes() / Array::capacity_elements(self)
-    }
-
-    fn read_elements(&mut self, start: usize, count: usize) -> Result<Vec<u8>, ArrayError> {
-        self.read(start, count)
-    }
-
-    fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
-        self.write(start, bytes)
-    }
 }

@@ -5,18 +5,17 @@
 //! elements of the address space), so a store can be re-opened from a
 //! (possibly degraded) array alone.
 //!
-//! The store is generic over [`ElementIo`], so it runs unchanged on the
-//! in-memory [`Array`] or on a backend-driven
-//! [`ResilientArray`](crate::ResilientArray) with retries, checksums, and
-//! hot-spare rebuild underneath.
+//! The store is written against [`ElementIo`]: it runs on a
+//! [`ResilientArray`](crate::ResilientArray) — retries, checksums and
+//! hot-spare rebuild underneath — or on a wrapper that counts or times
+//! the array's element I/O.
 //!
 //! Design: a fixed metadata region at the front holds a text index
 //! (`name,start,len_bytes` per line); objects are allocated first-fit on
 //! element ranges after it. Deliberately simple — no compaction, no
 //! transactions — but every byte path goes through RAID-6 encode/recover.
 
-use crate::array::{Array, ArrayError};
-use crate::device::ElementIo;
+use crate::device::{ArrayError, ElementIo};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -62,7 +61,7 @@ impl From<ArrayError> for StoreError {
 }
 
 /// An object store over any RAID-6 array implementing [`ElementIo`].
-pub struct ObjectStore<D: ElementIo = Array> {
+pub struct ObjectStore<D: ElementIo> {
     array: D,
     /// Elements reserved for the index at the front of the address space.
     meta_elements: usize,
@@ -88,11 +87,21 @@ impl<D: ElementIo> ObjectStore<D> {
     }
 
     /// Re-open a store from an existing array (reads the on-array index,
-    /// reconstructing through failures if needed).
+    /// reconstructing through failures if needed). The index is input from
+    /// the medium, so nothing in it is trusted: bytes that are not UTF-8
+    /// (NUL padding is), a line that does not parse, an extent that starts
+    /// inside the index region or ends past the array, a name listed twice
+    /// and two extents that overlap are each [`StoreError::BadIndex`].
     pub fn open(mut array: D, meta_elements: usize) -> Result<Self, StoreError> {
         let raw = array.read_elements(0, meta_elements)?;
-        let text = String::from_utf8_lossy(&raw);
-        let mut index = BTreeMap::new();
+        let text = std::str::from_utf8(&raw)
+            .map_err(|e| StoreError::BadIndex(format!("not UTF-8 at byte {}", e.valid_up_to())))?;
+        let capacity = array.capacity_elements();
+        let mut store = ObjectStore {
+            array,
+            meta_elements,
+            index: BTreeMap::new(),
+        };
         for line in text.lines() {
             let line = line.trim_end_matches('\0').trim();
             if line.is_empty() {
@@ -109,13 +118,29 @@ impl<D: ElementIo> ObjectStore<D> {
             let len: usize = len
                 .parse()
                 .map_err(|_| StoreError::BadIndex(format!("len '{len}'")))?;
-            index.insert(name.to_string(), (start, len));
+            let end = start.checked_add(store.elements_for(len));
+            if start < meta_elements || !end.is_some_and(|end| end <= capacity) {
+                return Err(StoreError::BadIndex(format!(
+                    "extent of '{name}' outside elements [{meta_elements}, {capacity})"
+                )));
+            }
+            if store.index.insert(name.to_string(), (start, len)).is_some() {
+                return Err(StoreError::BadIndex(format!("name '{name}' listed twice")));
+            }
         }
-        Ok(ObjectStore {
-            array,
-            meta_elements,
-            index,
-        })
+        let mut extents: Vec<(usize, usize)> = store
+            .index
+            .values()
+            .map(|&(start, len)| (start, start + store.elements_for(len)))
+            .collect();
+        extents.sort_unstable();
+        if let Some(pair) = extents.windows(2).find(|pair| pair[1].0 < pair[0].1) {
+            return Err(StoreError::BadIndex(format!(
+                "extents at elements {} and {} overlap",
+                pair[0].0, pair[1].0
+            )));
+        }
+        Ok(store)
     }
 
     /// The underlying array (for failure injection in tests/demos).
@@ -263,12 +288,26 @@ impl<D: ElementIo> ObjectStore<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilient::ResilientArray;
     use crate::rotation::RotationScheme;
     use dcode_core::dcode::dcode;
+    use dcode_faults::MemBackend;
 
-    fn new_store() -> ObjectStore {
-        let array = Array::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe);
-        ObjectStore::format(array, 4).unwrap()
+    type MemArray = ResilientArray<MemBackend>;
+    type MemStore = ObjectStore<MemArray>;
+
+    fn new_array() -> MemArray {
+        ResilientArray::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe)
+    }
+
+    fn new_store() -> MemStore {
+        ObjectStore::format(new_array(), 4).unwrap()
+    }
+
+    /// Take the array out from under a live store and open it cold.
+    fn reopen(mut s: MemStore) -> Result<MemStore, StoreError> {
+        let array = std::mem::replace(s.array_mut(), new_array());
+        ObjectStore::open(array, 4)
     }
 
     #[test]
@@ -302,9 +341,7 @@ mod tests {
 
         // A brand-new store instance can re-open from the degraded array
         // alone (the index lives in the array).
-        let mut array = Array::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe);
-        std::mem::swap(&mut array, s.array_mut());
-        let mut reopened = ObjectStore::open(array, 4).unwrap();
+        let mut reopened = reopen(s).unwrap();
         assert_eq!(reopened.get("precious").unwrap(), payload);
     }
 
@@ -342,17 +379,18 @@ mod tests {
         // same objects.
         let live = s.list();
         assert_eq!(live.len(), stored);
-        let mut array = Array::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe);
-        std::mem::swap(&mut array, s.array_mut());
-        assert_eq!(ObjectStore::open(array, 4).unwrap().list(), live);
+        assert_eq!(reopen(s).unwrap().list(), live);
     }
 
     #[test]
     fn failed_delete_keeps_the_entry() {
         let mut s = new_store();
         s.put("kept", &[7; 100]).unwrap();
-        // The in-memory array refuses writes while degraded.
-        s.array_mut().fail_disk(0).unwrap();
+        // Three lost columns are beyond RAID-6: the index rewrite cannot
+        // reconstruct the stripe it lands in.
+        for slot in 0..3 {
+            s.array_mut().fail_disk(slot).unwrap();
+        }
         assert!(matches!(s.delete("kept"), Err(StoreError::Array(_))));
         assert!(s.contains("kept"), "failed delete dropped the entry");
     }
@@ -386,7 +424,7 @@ mod tests {
 
     #[test]
     fn len_counts_what_list_lists_at_every_step() {
-        fn agree(s: &ObjectStore, expect: usize) {
+        fn agree(s: &MemStore, expect: usize) {
             assert_eq!(s.len(), s.list().len());
             assert_eq!(s.len(), expect);
             assert_eq!(s.is_empty(), expect == 0);
@@ -401,8 +439,44 @@ mod tests {
         agree(&s, 2);
         s.delete("b").unwrap();
         agree(&s, 1);
-        let mut array = Array::new(dcode(7).unwrap(), 64, 8, RotationScheme::PerStripe);
-        std::mem::swap(&mut array, s.array_mut());
-        agree(&ObjectStore::open(array, 4).unwrap(), 1);
+        agree(&reopen(s).unwrap(), 1);
+    }
+
+    #[test]
+    fn open_rejects_an_index_the_writer_never_wrote() {
+        // What a torn write, bit rot past the checksums or a hostile medium
+        // can leave in the index region. 4 index elements of 64 bytes; an
+        // object's extent must lie inside elements [4, capacity).
+        let capacity = new_array().capacity_elements();
+        let past_end = format!("a,{},65\n", capacity - 1);
+        let malformed: [(&str, &[u8]); 8] = [
+            ("not UTF-8", b"a,4,10\n\xff\xfe,6,10\n"),
+            ("UTF-8 cut mid-character", b"a,4,10\n\xe2\x82,6,10\n"),
+            ("starts inside the index region", b"a,3,10\n"),
+            ("ends past capacity", past_end.as_bytes()),
+            ("end overflows", b"a,18446744073709551615,10\n"),
+            ("length overflows", b"a,4,18446744073709551615\n"),
+            ("duplicate name", b"a,4,10\nb,5,10\na,6,10\n"),
+            ("overlapping extents", b"a,4,100\nb,5,10\n"),
+        ];
+        for (what, index) in malformed {
+            let mut s = new_store();
+            let mut region = index.to_vec();
+            region.resize(4 * 64, 0);
+            s.array_mut().write(0, &region).unwrap();
+            match reopen(s) {
+                Err(StoreError::BadIndex(_)) => {}
+                Err(e) => panic!("{what}: expected BadIndex, got {e}"),
+                Ok(opened) => panic!("{what}: opened with {:?}", opened.list()),
+            }
+        }
+        // The same route with a well-formed index (NUL padding included)
+        // opens, and lists exactly what was written.
+        let mut s = new_store();
+        let mut region = b"a,4,100\nb,6,10\n".to_vec();
+        region.resize(4 * 64, 0);
+        s.array_mut().write(0, &region).unwrap();
+        let listed = reopen(s).unwrap().list();
+        assert_eq!(listed, [("a".to_string(), 100), ("b".to_string(), 10)]);
     }
 }

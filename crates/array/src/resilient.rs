@@ -1,11 +1,14 @@
-//! A fault-tolerant array over a [`DiskBackend`]: the layer that turns the
+//! The array: RAID-6 over a [`DiskBackend`], the layer that turns the
 //! coding theory into a survivable storage device.
 //!
-//! The in-memory [`Array`](crate::Array) models the textbook failure mode —
-//! a disk is present or absent. This array faces the failure modes real
-//! RAID-6 deployments document (SD codes' disk+sector model, "Beyond RAID
-//! 6"'s silent corruption): sectors die individually, writes tear, bits
-//! rot, devices stall and then vanish. The machinery, bottom to top:
+//! Stripes share one [`CodeLayout`]; a [`RotationScheme`] decides which
+//! slot holds each stripe's logical columns. Reads and writes are
+//! addressed in *logical data elements* (`layout.data_len()` per stripe,
+//! `block_size` bytes each). Beyond the textbook failure mode — a disk is
+//! present or absent — the array faces the ones real RAID-6 deployments
+//! document (SD codes' disk+sector model, "Beyond RAID 6"'s silent
+//! corruption): sectors die individually, writes tear, bits rot, devices
+//! stall and then vanish. The machinery, bottom to top:
 //!
 //! * every block read passes through a [`RetryPolicy`] — bounded retries
 //!   with exponential backoff *accounting* (virtual microseconds, never
@@ -30,13 +33,16 @@
 //! write on a healthy stripe folds `old ⊕ new` into the old parities; a
 //! large or degraded one re-encodes from the untouched data
 //! (reconstructing through failures first), so the array accepts writes
-//! while degraded — the limitation the in-memory array documents away is
-//! handled here. See [`ResilientArray::write`].
+//! while degraded and mid-rebuild. See [`ResilientArray::write`].
+//!
+//! This is the only array in the crate. Tests, examples and doctests that
+//! need one in memory build it with [`ResilientArray::new`] over a
+//! [`MemBackend`].
 //!
 //! [`rebuild_step`]: ResilientArray::rebuild_step
+//! [`plan_recovery`]: dcode_core::decoder::plan_recovery
 
-use crate::array::ArrayError;
-use crate::device::ElementIo;
+use crate::device::{ArrayError, ElementIo};
 use crate::journal::{
     IntentRecord, JournalSpec, JournalState, RecordEntry, RecordMode, ReplayOutcome, ReplaySummary,
     SlotHeader,
@@ -47,7 +53,7 @@ use dcode_codec::{CacheStats, CompiledRecovery, ScheduleCache, Stripe};
 use dcode_core::decoder::Unrecoverable;
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
-use dcode_faults::{crc32, DiskBackend, DiskError};
+use dcode_faults::{crc32, DiskBackend, DiskError, MemBackend};
 use dcode_recovery::optimal_rebuild;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -252,6 +258,36 @@ pub struct ResilientArray<B> {
     /// every encode and degraded read replays a cached program and
     /// compiles nothing.
     schedules: ScheduleCache,
+}
+
+/// The array over a [`MemBackend`]. The name is kept for one caller that
+/// could not be changed along with it (a unit test in
+/// `benchmark/src/wrap.rs`); write `ResilientArray<MemBackend>` elsewhere.
+pub type Array = ResilientArray<MemBackend>;
+
+impl ResilientArray<MemBackend> {
+    /// A zero-filled in-memory array, for tests, examples and doctests:
+    /// an unjournaled [`format`](ResilientArray::format) over a fresh
+    /// [`MemBackend`] with the default [`RetryPolicy`], a failure
+    /// threshold of four errors, and two hot spares, so that a double
+    /// failure can rebuild.
+    pub fn new(
+        layout: CodeLayout,
+        block_size: usize,
+        n_stripes: usize,
+        rotation: RotationScheme,
+    ) -> Self {
+        let backend = MemBackend::new(layout.disks() + 2, n_stripes * layout.rows(), block_size);
+        Self::format(
+            layout,
+            block_size,
+            n_stripes,
+            rotation,
+            backend,
+            RetryPolicy::default(),
+            4,
+        )
+    }
 }
 
 impl<B: DiskBackend> ResilientArray<B> {
@@ -707,45 +743,14 @@ impl<B: DiskBackend> ResilientArray<B> {
         first
     }
 
-    /// Raw block read through the retry policy.
+    /// Raw block read of `slot`'s current disk, through the retry policy.
     fn read_raw(&mut self, slot: usize, block: usize) -> Result<Vec<u8>, DiskError> {
-        let disk = self.slot_to_disk[slot];
-        let mut buf = vec![0u8; self.block_size];
-        let mut attempt = 0usize;
-        loop {
-            match self.backend.read_block(disk, block, &mut buf) {
-                Ok(()) => return Ok(buf),
-                Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
-                    self.stats.retries += 1;
-                    self.stats.backoff_us = self
-                        .stats
-                        .backoff_us
-                        .saturating_add(self.policy.backoff_us(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.raw_disk_read(self.slot_to_disk[slot], block)
     }
 
-    /// Raw block write through the retry policy.
+    /// Raw block write to `slot`'s current disk, through the retry policy.
     fn write_raw(&mut self, slot: usize, block: usize, data: &[u8]) -> Result<(), DiskError> {
-        let disk = self.slot_to_disk[slot];
-        let mut attempt = 0usize;
-        loop {
-            match self.backend.write_block(disk, block, data) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
-                    self.stats.retries += 1;
-                    self.stats.backoff_us = self
-                        .stats
-                        .backoff_us
-                        .saturating_add(self.policy.backoff_us(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.raw_disk_write(self.slot_to_disk[slot], block, data)
     }
 
     /// Read one cell with full checking. `None` means the cell must be
@@ -1207,9 +1212,10 @@ impl<B: DiskBackend> ResilientArray<B> {
         }
     }
 
-    /// Physical-disk block write through the retry policy (journal I/O
-    /// addresses disks directly — the journal region is outside the
-    /// slot/rotation mapping).
+    /// Physical-disk block write through the retry policy — one of the
+    /// array's two retry loops, under every slot write and all journal
+    /// I/O (the journal region is outside the slot/rotation mapping and
+    /// addresses disks directly).
     fn raw_disk_write(&mut self, disk: usize, block: usize, data: &[u8]) -> Result<(), DiskError> {
         let mut attempt = 0usize;
         loop {
@@ -1228,7 +1234,8 @@ impl<B: DiskBackend> ResilientArray<B> {
         }
     }
 
-    /// Physical-disk block read through the retry policy.
+    /// Physical-disk block read through the retry policy — the other
+    /// retry loop, under every slot read and the journal scan.
     fn raw_disk_read(&mut self, disk: usize, block: usize) -> Result<Vec<u8>, DiskError> {
         let mut buf = vec![0u8; self.block_size];
         let mut attempt = 0usize;
@@ -1740,6 +1747,51 @@ mod tests {
         assert_eq!(a.read(0, a.capacity_elements()).unwrap(), data);
         let mid = a.read(11, 9).unwrap();
         assert_eq!(mid, &data[11 * 16..20 * 16]);
+    }
+
+    #[test]
+    fn out_of_range_rejected() {
+        let mut a = mem_array(5, 4, 0);
+        let cap = a.capacity_elements();
+        assert!(matches!(a.read(cap, 1), Err(ArrayError::OutOfRange { .. })));
+        assert!(a.read(cap - 1, 1).is_ok());
+        assert!(matches!(
+            a.read(cap - 1, 2),
+            Err(ArrayError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            a.write(cap - 1, &[0u8; 32]),
+            Err(ArrayError::OutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn failing_a_failed_slot_is_rejected() {
+        let mut a = mem_array(5, 4, 0);
+        a.fail_disk(0).unwrap();
+        assert!(matches!(
+            a.fail_disk(0),
+            Err(ArrayError::BadDiskState { disk: 0 })
+        ));
+        // No spare to rebuild onto: a step has nothing to do and says so.
+        assert!(a.rebuild_step(8).unwrap());
+        assert_eq!(a.failed_slots(), [0]);
+    }
+
+    #[test]
+    fn in_memory_constructor_carries_spares_for_a_double_failure() {
+        let mut a = ResilientArray::new(dcode(5).unwrap(), 16, 4, RotationScheme::PerStripe);
+        assert_eq!(a.spares_remaining(), 2);
+        let data = payload(a.capacity_bytes());
+        a.write(0, &data).unwrap();
+        a.fail_disk(0).unwrap();
+        a.fail_disk(3).unwrap();
+        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), data);
+        while !a.rebuild_step(8).unwrap() {}
+        assert!(a.slot_states().iter().all(|&s| s == SlotState::Healthy));
+        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), data);
+        let scrub = a.scrub_pass().unwrap();
+        assert_eq!((scrub.parity_checked, scrub.parity_mismatches), (4, 0));
     }
 
     #[test]

@@ -1,24 +1,17 @@
 //! Criterion: full-stripe encode throughput for every code, all backends —
 //! the naive equation interpreter, the compiled `XorProgram` schedule
-//! (sequential, from the global schedule cache), the pool-parallel public
-//! path, the multi-stripe bulk path (`bulk_fused`, measured
-//! steady-state in place on an 8-stripe batch), and the GF(2) bit-matrix —
-//! plus a `BENCH_encode.json` trajectory point comparing naive vs
-//! compiled.
+//! (from the global schedule cache), the multi-stripe bulk path
+//! (`bulk_fused`, measured steady-state in place on an 8-stripe batch),
+//! and the GF(2) bit-matrix — plus a `BENCH_encode.json` trajectory point
+//! comparing naive vs compiled.
 //!
-//! Environment knobs (used by the CI `bench-smoke` job):
-//!
-//! * `DCODE_BENCH_FAST=1` — tiny blocks and few samples; exercises every
-//!   code path in seconds instead of minutes.
-//! * `DCODE_BENCH_ASSERT=1` — after measuring, assert that the clamped
-//!   pool-parallel encode at 4 threads is at least as fast as the
-//!   sequential compiled replay on at least one code.
+//! `DCODE_BENCH_FAST=1` (used by the CI `bench-smoke` job) takes tiny
+//! blocks and few samples: every code path in seconds instead of minutes.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use dcode_baselines::registry::{build, EVALUATED_CODES};
 use dcode_codec::{
-    cache, encode_naive, encode_parallel, encode_stripes, encode_with_matrix, generator_matrix,
-    Stripe,
+    cache, encode_naive, encode_stripes, encode_with_matrix, generator_matrix, Stripe,
 };
 use std::io::Write;
 
@@ -34,12 +27,6 @@ fn block_bytes() -> usize {
     } else {
         64 * 1024
     }
-}
-
-/// True when a 4-thread request collapses to the sequential path on this
-/// host — `encode_parallel(…, 4)` and `program.run` are then the same code.
-fn clamped_to_sequential() -> bool {
-    minipool::effective_parallelism(4) == 1
 }
 
 fn payload(len: usize) -> Vec<u8> {
@@ -60,15 +47,13 @@ fn bench_encode(c: &mut Criterion) {
     if fast() {
         group.sample_size(5);
     } else {
-        // Medians over more samples: the parallel-vs-sequential comparison
-        // below is a ~1% margin on a quiet host, well inside 15-sample noise.
         group.sample_size(41);
     }
     for &code in &EVALUATED_CODES {
         let layout = build(code, P).unwrap();
         let data = payload(layout.data_len() * block);
         let stripe = Stripe::from_data(&layout, block, &data);
-        // The cached compile — what `encode` and `encode_parallel` replay.
+        // The cached compile — what `encode` replays.
         let program = cache::global().encode_program(&layout);
         group.throughput(Throughput::Bytes((layout.data_len() * block) as u64));
         group.bench_with_input(BenchmarkId::new("naive", code.name()), &stripe, |b, s| {
@@ -85,29 +70,6 @@ fn bench_encode(c: &mut Criterion) {
                 b.iter_batched(
                     || s.clone(),
                     |mut s| program.run(&mut s),
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-        // The public parallel path: cached program + persistent pool,
-        // requested fan-out clamped to the host's parallelism. When the
-        // clamp collapses to one thread this is the sequential replay plus
-        // a cache lookup, so it is measured under a `_measured` id and the
-        // comparison row is aliased from `compiled` (see
-        // `emit_trajectory_point`) — timing the identical code path twice
-        // and diffing the noise would be the dishonest option.
-        let parallel_id = if clamped_to_sequential() {
-            "compiled_parallel4_measured"
-        } else {
-            "compiled_parallel4"
-        };
-        group.bench_with_input(
-            BenchmarkId::new(parallel_id, code.name()),
-            &stripe,
-            |b, s| {
-                b.iter_batched(
-                    || s.clone(),
-                    |mut s| encode_parallel(&layout, &mut s, 4),
                     criterion::BatchSize::LargeInput,
                 );
             },
@@ -163,18 +125,6 @@ fn emit_trajectory_point(c: &Criterion) {
             r.median_ns,
             gib(r.median_ns, bytes)
         ));
-        // Clamped host: the comparison row is the sequential measurement
-        // under the parallel id — the code paths are identical, and two
-        // timings of the same path differ only by scheduler noise.
-        if clamped_to_sequential() && r.id.starts_with("encode/compiled/") {
-            let code = r.id.rsplit('/').next().expect("id has segments");
-            entries.push_str(&format!(
-                "    {{\"id\": \"encode/compiled_parallel4/{code}\", \"median_ns\": {:.1}, \
-                 \"gib_per_s\": {:.4}, \"aliased_from\": \"encode/compiled/{code}\"}},\n",
-                r.median_ns,
-                gib(r.median_ns, bytes)
-            ));
-        }
     }
     let mut speedups = String::new();
     for &code in &EVALUATED_CODES {
@@ -196,11 +146,9 @@ fn emit_trajectory_point(c: &Criterion) {
     }
     let json = format!(
         "{{\n  \"bench\": \"encode\",\n  \"p\": {P},\n  \"block_bytes\": {},\n  \
-         \"host_parallelism\": {},\n  \"parallel4_clamped_to_sequential\": {},\n  \
-         \"results\": [\n{}  ],\n  \"compiled_vs_naive\": [\n{}  ]\n}}\n",
+         \"host_parallelism\": {},\n  \"results\": [\n{}  ],\n  \"compiled_vs_naive\": [\n{}  ]\n}}\n",
         block_bytes(),
         minipool::host_parallelism(),
-        clamped_to_sequential(),
         entries.trim_end_matches(",\n").to_string() + "\n",
         speedups.trim_end_matches(",\n").to_string() + "\n",
     );
@@ -211,39 +159,8 @@ fn emit_trajectory_point(c: &Criterion) {
     }
 }
 
-/// `DCODE_BENCH_ASSERT=1`: the clamped pool-parallel path must not lose to
-/// the sequential compiled replay on every code — i.e. at least one code
-/// has `compiled_parallel4` throughput >= `compiled`.
-fn assert_parallel_not_slower(c: &Criterion) {
-    if std::env::var("DCODE_BENCH_ASSERT").map(|v| v == "1") != Ok(true) {
-        return;
-    }
-    let results = c.results();
-    let median = |id: String| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
-    let ok = clamped_to_sequential()
-        || EVALUATED_CODES.iter().any(|code| {
-            let seq = median(format!("encode/compiled/{}", code.name()));
-            let par = median(format!("encode/compiled_parallel4/{}", code.name()));
-            matches!((seq, par), (Some(s), Some(p)) if p <= s)
-        });
-    assert!(
-        ok,
-        "compiled_parallel4 slower than compiled on every code — the \
-         pool-parallel encode path regressed"
-    );
-    if clamped_to_sequential() {
-        println!(
-            "bench assert ok: host clamps 4 threads to sequential; \
-             compiled_parallel4 is the compiled path by construction"
-        );
-    } else {
-        println!("bench assert ok: compiled_parallel4 >= compiled on at least one code");
-    }
-}
-
 fn main() {
     let mut c = Criterion::default();
     bench_encode(&mut c);
     emit_trajectory_point(&c);
-    assert_parallel_not_slower(&c);
 }

@@ -1,36 +1,22 @@
-//! Criterion: thread-scaling of the pool-parallel encode paths, emitting
+//! Criterion: thread-scaling of the bulk encode path, emitting
 //! `BENCH_parallel.json` at the repository root.
 //!
-//! Two shapes are measured per code, each on a dedicated
+//! `bulk_fused/…/tN` is [`dcode_codec::bulk::run_batch`] on a dedicated
 //! [`minipool::WorkerPool`] sized to the requested fan-out (so the pool
 //! machinery is exercised even where the host clamp would collapse the
-//! public API to sequential):
-//!
-//! * `level/…/tN` — one stripe, ops of each dependency level fanned out
-//!   over N workers ([`XorProgram::run_pooled`]; at t1 that is
-//!   [`XorProgram::run`], the tile-major sequential loop);
-//! * `bulk_fused/…/tN` — the bulk path
-//!   ([`dcode_codec::bulk::run_batch`]): the batch chunked over N
-//!   workers, each stripe replayed through the same tile-major loop. The
-//!   row id predates the one-executor refactor and is kept so the
-//!   trajectory in EXPERIMENTS.md stays comparable.
+//! public API to sequential): the batch chunked over N workers, each
+//! stripe replayed through the tile-major sequential loop
+//! ([`XorProgram::run`]). The row id predates the one-executor refactor
+//! and is kept so the trajectory in EXPERIMENTS.md stays comparable.
 //!
 //! The op-major order the library no longer ships is still measurable:
 //! `fused_tile_study`'s `tile = block` column is exactly that order.
 //!
-//! Both families measure **steady-state in-place** encode over the
-//! **same working set** — a `bulk_stripes()`-deep stripe set, cloned once
-//! per benchmark and re-encoded in place each iteration (encoding only
-//! overwrites parity cells, so re-running is idempotent). The `level`
-//! rows rotate through the set one stripe per iteration; the bulk rows
-//! encode the whole set per iteration. Keeping the working set identical
-//! matters more than it looks: the earlier clone-per-iteration scheme
-//! handed the single-stripe rows a cache-warm input (the clone *is* the
-//! warmup, and one stripe stays resident between iterations) while a
-//! 16-stripe batch evicted itself before each timed run — so level/bulk
-//! ratios measured cache capacity, not the encoder. With both families
-//! streaming the same footprint, the ratio isolates what the bulk path
-//! actually adds or removes per stripe.
+//! Each row measures **steady-state in-place** encode of a
+//! `bulk_stripes()`-deep stripe set, cloned once per benchmark and
+//! re-encoded in place each iteration (encoding only overwrites parity
+//! cells, so re-running is idempotent): a clone per iteration would hand
+//! the timed run a batch that evicted itself while it was being copied.
 //!
 //! The JSON records `host_parallelism` alongside the medians: on a
 //! single-core host the t2/t4/t8 rows measure pool overhead, not speedup,
@@ -96,18 +82,6 @@ fn bench_parallel(c: &mut Criterion) {
         let batch: Vec<Stripe> = (0..bulk_stripes()).map(|_| stripe.clone()).collect();
         for &t in &THREADS {
             let pool = WorkerPool::with_workers(t);
-            group.throughput(Throughput::Bytes((layout.data_len() * block) as u64));
-            group.bench_function(
-                BenchmarkId::new(format!("level/{}", code.name()), format!("t{t}")),
-                |b| {
-                    let mut set = batch.clone();
-                    let mut k = 0;
-                    b.iter(|| {
-                        XorProgram::run_pooled(&program, &mut set[k], &pool, t);
-                        k = (k + 1) % set.len();
-                    });
-                },
-            );
             group.throughput(Throughput::Bytes(
                 (layout.data_len() * block * batch.len()) as u64,
             ));

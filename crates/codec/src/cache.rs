@@ -78,8 +78,7 @@ pub struct CacheStats {
 /// surviving cells the program reads (the disk-read footprint).
 #[derive(Clone, Debug)]
 pub struct CompiledRecovery {
-    /// The lowered XOR program; replay with [`XorProgram::run`] or the
-    /// pooled executor.
+    /// The lowered XOR program; replay with [`XorProgram::run`].
     pub program: Arc<XorProgram>,
     /// The symbolic plan the program was compiled from.
     pub plan: Arc<RecoveryPlan>,

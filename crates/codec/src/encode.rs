@@ -7,15 +7,13 @@
 //! encode of a layout pays the compile; every later call is a cache hit.
 //! [`encode_naive`] keeps the original interpreter (walk `encode_order`,
 //! accumulate each equation into a fresh buffer) as the differential-test
-//! oracle: the two are byte-identical. [`encode_parallel`] replays the
-//! same cached program over the persistent worker pool, fanning each
-//! dependency level out over detached target blocks — data-race freedom
-//! by construction, no thread spawned per call.
+//! oracle: the two are byte-identical. Many stripes at once go through
+//! [`crate::bulk`], which fans whole stripes — not levels — out over the
+//! worker pool.
 
 use crate::cache;
-use crate::schedule::XorProgram;
 use crate::stripe::Stripe;
-use crate::xor::{xor_gather_into, xor_into};
+use crate::xor::{xor_gather_tiled, xor_into, TILE_BYTES};
 use dcode_core::layout::CodeLayout;
 
 /// Compute every parity block sequentially via a compiled schedule
@@ -38,27 +36,11 @@ pub fn encode_naive(layout: &CodeLayout, stripe: &mut Stripe) {
     }
 }
 
-/// Compute every parity block with up to `threads` worker threads by
-/// replaying the cached compiled schedule level-by-level over the
-/// process-wide persistent pool.
-///
-/// Produces byte-identical results to [`encode`]. The program is fetched
-/// from the global [`cache`] (compiled once per layout, ever) and the
-/// requested fan-out is clamped to the host's available parallelism —
-/// asking for 8 threads on a 2-core box runs 2 wide, and on a single-core
-/// host this takes the sequential path outright (fan-out beyond the
-/// hardware is pure synchronization overhead).
-pub fn encode_parallel(layout: &CodeLayout, stripe: &mut Stripe, threads: usize) {
-    let program = cache::global().encode_program(layout);
-    let threads = minipool::effective_parallelism(threads);
-    XorProgram::run_pooled(&program, stripe, minipool::global(), threads);
-}
-
 /// Evaluate one equation into a fresh buffer (read-only stripe access).
 fn eval_equation(layout: &CodeLayout, stripe: &Stripe, eq_idx: usize) -> Vec<u8> {
     let eq = layout.equation(eq_idx);
     let mut acc = vec![0u8; stripe.block_size()];
-    xor_gather_into(&mut acc, &eq.members, |m| stripe.block(m));
+    xor_gather_tiled(&mut acc, &eq.members, |m| stripe.block(m), TILE_BYTES);
     acc
 }
 
@@ -120,43 +102,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_matches_sequential() {
-        for p in [5usize, 7, 11] {
-            for layout in all_codes(p) {
-                let payload = pseudo_random_payload(layout.data_len() * 64, 42 + p as u64);
-                let base = Stripe::from_data(&layout, 64, &payload);
-                let mut seq = base.clone();
-                encode(&layout, &mut seq);
-                for threads in [1usize, 2, 4, 8] {
-                    let mut s = base.clone();
-                    encode_parallel(&layout, &mut s, threads);
-                    assert_eq!(s, seq, "{} threads={threads}", layout.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_encode_never_recompiles_in_steady_state() {
-        // Regression test for the per-call `compile_encode` this module
-        // used to do: after a warm-up call, repeated encodes must be pure
-        // cache hits (miss counter frozen for this thread's calls would be
-        // racy under parallel tests, so the deterministic proof is pointer
-        // identity — the cache hands back the same Arc'd program, and
-        // `encode_parallel` routes through that cache).
+    fn encode_never_recompiles_in_steady_state() {
+        // After a warm-up call, repeated encodes must be pure cache hits
+        // (a frozen miss counter would be racy under parallel tests, so
+        // the deterministic proof is pointer identity — the cache hands
+        // back the same Arc'd program, and `encode` routes through it).
         use std::sync::Arc;
         let layout = dcode(7).unwrap();
         let mut s = Stripe::zeroed(&layout, 16);
-        encode_parallel(&layout, &mut s, 4); // warm: compiles at most once
+        encode(&layout, &mut s); // warm: compiles at most once
         let a = cache::global().encode_program(&layout);
         let hits_before = cache::global().stats().hits;
-        encode_parallel(&layout, &mut s, 4);
         encode(&layout, &mut s);
         let b = cache::global().encode_program(&layout);
         assert!(Arc::ptr_eq(&a, &b), "steady-state encode recompiled");
         assert!(
-            cache::global().stats().hits >= hits_before + 3,
-            "encode paths bypassed the schedule cache"
+            cache::global().stats().hits >= hits_before + 2,
+            "encode bypassed the schedule cache"
         );
     }
 

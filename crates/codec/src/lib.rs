@@ -8,8 +8,8 @@
 //! * [`xor`] — `u64`-lane XOR kernels with set-form (overwrite) and up to
 //!   8-wide fold tiers;
 //! * [`stripe`] — in-memory stripe storage ([`Stripe`]);
-//! * [`mod@encode`] — sequential and pool-parallel full-stripe encoding,
-//!   plus the `verify_parities` consistency check;
+//! * [`mod@encode`] — full-stripe encoding, plus the `verify_parities`
+//!   consistency check;
 //! * [`schedule`] — the plan compiler and the one sequential executor:
 //!   layouts and recovery plans lower to flat [`XorProgram`]s (contiguous
 //!   index arrays, dependency levels, no per-op allocation), and
@@ -68,7 +68,7 @@ pub use bitmatrix::{encode_with_matrix, generator_matrix, BitMatrix};
 pub use bulk::{encode_payload, encode_stripes, payload_of, recover_stripes, run_batch};
 pub use cache::{schedule_stats, CacheStats, CompiledRecovery, ScheduleCache};
 pub use decode::{apply_plan, apply_plan_naive, recover_columns};
-pub use encode::{encode, encode_naive, encode_parallel, verify_parities};
+pub use encode::{encode, encode_naive, verify_parities};
 pub use opt::{optimize, CostSummary, OptCertificate, OptConfig, OptPass, Optimized, PassRun};
 pub use schedule::XorProgram;
 pub use stripe::Stripe;

@@ -15,11 +15,11 @@
 //!   designated output set at all ([`live_ops`]), the analysis behind
 //!   dead-op elimination.
 //!
-//! Levels are part of the IR's semantics (a level is a parallel-safe op
-//! group), so every analysis also records each op's level
+//! Levels are part of the IR's semantics (a level is a group of mutually
+//! independent ops), so every analysis also records each op's level
 //! ([`DefUse::level_of`]); the scratch-coloring pass reasons about value
-//! lifetimes at level granularity because that is the granularity at which
-//! the parallel executors order memory operations.
+//! lifetimes at level granularity because within a level the IR fixes no
+//! order between memory operations.
 
 use crate::schedule::XorProgram;
 use std::collections::{BTreeMap, BTreeSet};

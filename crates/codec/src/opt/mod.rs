@@ -147,7 +147,7 @@ pub struct CostSummary {
     pub xors: usize,
     /// Total block reads: Σ over ops of sources.
     pub reads: usize,
-    /// Dependency levels (barrier count for the parallel executors).
+    /// Dependency levels (the program's dependency depth).
     pub levels: usize,
     /// Distinct written blocks that are not outputs.
     pub scratch_blocks: usize,

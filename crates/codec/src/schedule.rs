@@ -32,19 +32,19 @@
 
 use crate::stripe::Stripe;
 use crate::tile::fused_tile_bytes;
-use crate::xor::{xor_gather_into, xor_tile};
+use crate::xor::xor_tile;
 use dcode_core::decoder::RecoveryPlan;
 use dcode_core::grid::Grid;
 use dcode_core::layout::CodeLayout;
 use dcode_core::Fnv1a;
-use minipool::WorkerPool;
-use std::sync::Arc;
 
 /// A compiled XOR program: `ops[k]` writes block `targets[k]` with the XOR
 /// of blocks `sources[src_off[k]..src_off[k+1]]` (all linear grid
 /// indices). Ops are grouped into dependency levels — `level_off`
 /// delimits op ranges, and every op within a level reads only blocks no
-/// op of the same level writes — so a level's ops may run concurrently.
+/// op of the same level writes. Replay is sequential; the levels are what
+/// the verifier's race check, the optimizer's repacking pass and the
+/// analyzer's critical-path bound read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XorProgram {
     grid: Grid,
@@ -111,9 +111,8 @@ impl XorProgram {
     /// Lower a symbolic recovery plan into a program: one op per
     /// [`RecoveryStep`](dcode_core::decoder::RecoveryStep). Steps are
     /// re-grouped into dependency levels (a step whose sources include an
-    /// earlier step's target lands one level past its deepest producer),
-    /// so independent repairs replay concurrently under
-    /// [`XorProgram::run_pooled`] while sequential replay stays
+    /// earlier step's target lands one level past its deepest producer):
+    /// the level count is the plan's dependency depth, and replay stays
     /// byte-identical to [`crate::decode::apply_plan`].
     pub fn compile_plan(grid: Grid, plan: &RecoveryPlan) -> Self {
         // Depth of the producing step for each recovered cell; surviving
@@ -233,8 +232,8 @@ impl XorProgram {
 
     /// Debug-build guard run by the compilers: every level must be
     /// hazard-free (no op reads or writes another same-level op's target)
-    /// and every index in range, i.e. exactly the property that makes
-    /// [`XorProgram::run_pooled`] safe. The full symbolic equivalence
+    /// and every index in range, i.e. exactly the property the level
+    /// structure claims. The full symbolic equivalence
     /// proof lives in the `dcode-verify` crate; this cheap structural
     /// check catches level-grouping bugs at the moment a program is built.
     #[cfg(debug_assertions)]
@@ -357,89 +356,6 @@ impl XorProgram {
         }
     }
 
-    /// Replay the program with up to `threads` workers of `pool`: within
-    /// each dependency level, target blocks are detached from the stripe
-    /// and ops fan out as jobs over the persistent pool, reading the
-    /// remaining blocks through a shared [`Arc`]. Byte-identical to
-    /// [`XorProgram::run`].
-    ///
-    /// No threads are spawned per call (the pool's workers are parked
-    /// between calls) and nothing per-op is allocated: the stripe's block
-    /// vector is moved — not copied — into an `Arc` for the duration of
-    /// the call, and every worker job proves it dropped its clone before
-    /// its result is received, so the storage moves back out without ever
-    /// being reallocated.
-    ///
-    /// `threads` is the requested fan-out and is honored as given (capped
-    /// at the level's op count); callers that want to avoid oversubscribing
-    /// the host clamp with [`minipool::effective_parallelism`] first, as
-    /// [`encode_parallel`](crate::encode::encode_parallel) does.
-    pub fn run_pooled(this: &Arc<Self>, stripe: &mut Stripe, pool: &WorkerPool, threads: usize) {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return this.run(stripe);
-        }
-        this.check(stripe);
-        // Move the stripe's storage into an Arc once; workers share it
-        // read-only, and between levels (all clones provably dropped)
-        // `Arc::get_mut` hands back exclusive access for detach/reattach.
-        let mut storage: Arc<Vec<Box<[u8]>>> = Arc::new(stripe.take_storage());
-        for lv in 0..this.level_count() {
-            let (lo, hi) = (this.level_off[lv] as usize, this.level_off[lv + 1] as usize);
-            let n_ops = hi - lo;
-            let blocks = Arc::get_mut(&mut storage).expect("workers dropped their storage clones");
-            if n_ops <= 1 {
-                for op in lo..hi {
-                    let target = this.targets[op] as usize;
-                    let mut out = std::mem::take(&mut blocks[target]);
-                    this.gather_in(op, &mut out, blocks);
-                    blocks[target] = out;
-                }
-                continue;
-            }
-            // Detach every target of this level, then fan chunks of
-            // (op, target block) out as owned jobs against the shared
-            // read-only storage.
-            let mut taken: Vec<(usize, Box<[u8]>)> = (lo..hi)
-                .map(|op| (op, std::mem::take(&mut blocks[this.targets[op] as usize])))
-                .collect();
-            let workers = threads.min(n_ops);
-            let chunk = n_ops.div_ceil(workers);
-            let mut jobs = Vec::with_capacity(workers);
-            while !taken.is_empty() {
-                let mut part: Vec<(usize, Box<[u8]>)> =
-                    taken.drain(..chunk.min(taken.len())).collect();
-                let prog = Arc::clone(this);
-                let store = Arc::clone(&storage);
-                jobs.push(move || {
-                    for (op, out) in &mut part {
-                        prog.gather_in(*op, out, &store);
-                    }
-                    part
-                });
-            }
-            let done = pool.run(jobs);
-            let blocks = Arc::get_mut(&mut storage).expect("workers dropped their storage clones");
-            for part in done {
-                for (op, out) in part {
-                    let target = this.targets[op] as usize;
-                    debug_assert!(blocks[target].is_empty(), "target reattached twice");
-                    blocks[target] = out;
-                }
-            }
-        }
-        stripe.restore_storage(
-            Arc::try_unwrap(storage).expect("workers dropped their storage clones"),
-        );
-    }
-
-    /// One whole op against a bare block vector (linear grid index
-    /// order) — the pooled level executor's form.
-    fn gather_in(&self, op: usize, out: &mut [u8], blocks: &[Box<[u8]>]) {
-        let (lo, hi) = (self.src_off[op] as usize, self.src_off[op + 1] as usize);
-        xor_gather_into(out, &self.sources[lo..hi], |i| &*blocks[i as usize]);
-    }
-
     fn check(&self, stripe: &Stripe) {
         assert_eq!(
             stripe.grid(),
@@ -555,7 +471,7 @@ mod tests {
             for c1 in 0..layout.disks() {
                 for c2 in c1 + 1..layout.disks() {
                     let plan = plan_column_recovery(&layout, &[c1, c2]).unwrap();
-                    let program = Arc::new(XorProgram::compile_plan(layout.grid(), &plan));
+                    let program = XorProgram::compile_plan(layout.grid(), &plan);
                     assert_eq!(program.op_count(), plan.steps.len());
 
                     let mut naive = golden.clone();
@@ -567,11 +483,6 @@ mod tests {
                     program.run(&mut compiled);
                     assert_eq!(compiled, naive, "{} cols=({c1},{c2})", layout.name());
                     assert_eq!(compiled, golden, "{} cols=({c1},{c2})", layout.name());
-
-                    let mut par = golden.clone();
-                    par.erase_columns(&[c1, c2]);
-                    XorProgram::run_pooled(&program, &mut par, minipool::global(), 4);
-                    assert_eq!(par, golden, "{} cols=({c1},{c2}) parallel", layout.name());
                 }
             }
         }
@@ -607,57 +518,6 @@ mod tests {
         // RDP's diagonal parity reads row parity: at least two levels.
         let rdp = dcode_baselines::rdp::rdp(7).unwrap();
         assert!(XorProgram::compile_encode(&rdp).level_count() >= 2);
-    }
-
-    #[test]
-    fn parallel_replay_with_more_threads_than_ops() {
-        // A level with fewer ops than worker threads must still replay
-        // correctly (each worker gets a ≥1-op chunk; the surplus threads
-        // are simply never spawned).
-        for layout in all_codes(5) {
-            let data = payload(layout.data_len() * 16, 11);
-            let mut seq = Stripe::from_data(&layout, 16, &data);
-            let program = Arc::new(XorProgram::compile_encode(&layout));
-            program.run(&mut seq);
-            let max_level_ops = (0..program.level_count())
-                .map(|lv| program.level_ops(lv).len())
-                .max()
-                .unwrap();
-            for threads in [max_level_ops + 1, 64] {
-                let mut par = Stripe::from_data(&layout, 16, &data);
-                XorProgram::run_pooled(&program, &mut par, minipool::global(), threads);
-                assert_eq!(par, seq, "{} threads={threads}", layout.name());
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_replay_matches_sequential_on_a_dedicated_pool() {
-        // Exercises the pool machinery with real fan-out regardless of the
-        // host's core count (the pool honors the explicit thread request).
-        let pool = minipool::WorkerPool::with_workers(4);
-        for layout in all_codes(7) {
-            let data = payload(layout.data_len() * 32, 123);
-            let mut seq = Stripe::from_data(&layout, 32, &data);
-            let program = Arc::new(XorProgram::compile_encode(&layout));
-            program.run(&mut seq);
-            for threads in [2usize, 4, 64] {
-                let mut par = Stripe::from_data(&layout, 32, &data);
-                XorProgram::run_pooled(&program, &mut par, &pool, threads);
-                assert_eq!(par, seq, "{} threads={threads}", layout.name());
-            }
-        }
-        // The same pool replays recovery programs too.
-        let layout = dcode_core::dcode::dcode(7).unwrap();
-        let data = payload(layout.data_len() * 32, 5);
-        let mut golden = Stripe::from_data(&layout, 32, &data);
-        encode_naive(&layout, &mut golden);
-        let plan = plan_column_recovery(&layout, &[1, 4]).unwrap();
-        let program = Arc::new(XorProgram::compile_plan(layout.grid(), &plan));
-        let mut lost = golden.clone();
-        lost.erase_columns(&[1, 4]);
-        XorProgram::run_pooled(&program, &mut lost, &pool, 3);
-        assert_eq!(lost, golden);
     }
 
     #[test]

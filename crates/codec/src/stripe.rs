@@ -129,23 +129,6 @@ impl Stripe {
         self.blocks[index] = block;
     }
 
-    /// Detach the stripe's entire block vector, leaving it empty. The pooled
-    /// executor moves the storage into an `Arc` so `'static` worker jobs can
-    /// read source blocks, then puts it back with
-    /// [`Stripe::restore_storage`] — ownership round-trips, nothing is
-    /// copied or reallocated. A stripe with detached storage trips the
-    /// length asserts in every accessor rather than reading stale data.
-    pub(crate) fn take_storage(&mut self) -> Vec<Box<[u8]>> {
-        std::mem::take(&mut self.blocks)
-    }
-
-    /// Reinstall storage detached by [`Stripe::take_storage`].
-    pub(crate) fn restore_storage(&mut self, blocks: Vec<Box<[u8]>>) {
-        debug_assert!(self.blocks.is_empty(), "storage already present");
-        debug_assert_eq!(blocks.len(), self.grid.len());
-        self.blocks = blocks;
-    }
-
     /// A shape-compatible stripe with zero-length storage — the
     /// allocation-free placeholder `bulk::run_batch` swaps in while a
     /// stripe's real storage is owned by a worker job.

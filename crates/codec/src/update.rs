@@ -14,7 +14,7 @@
 //! `iosim::write_accesses` block for block).
 
 use crate::stripe::Stripe;
-use crate::xor::{xor_gather_into, xor_into};
+use crate::xor::{xor_gather_tiled, xor_into, TILE_BYTES};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use std::collections::BTreeMap;
@@ -158,7 +158,7 @@ pub fn write_logical_reconstruct(
         }
         let parity_idx = grid.index(eq.parity);
         let mut acc = stripe.take_block_at(parity_idx);
-        xor_gather_into(&mut acc, &eq.members, |m| stripe.block(m));
+        xor_gather_tiled(&mut acc, &eq.members, |m| stripe.block(m), TILE_BYTES);
         stripe.put_block_at(parity_idx, acc);
         parities_written.push(eq.parity);
     }

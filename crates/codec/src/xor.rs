@@ -149,7 +149,7 @@ fn wide_xor<const N: usize, const SET: bool>(dst: &mut [u8], srcs: [&[u8]; N]) {
 /// with a 4/2/1 remainder. `pub(crate)` because the schedule executor
 /// ([`XorProgram::run_with_tile`](crate::schedule::XorProgram::run_with_tile))
 /// drives tiles directly — tile-major across all ops — instead of through
-/// [`xor_gather_into`]'s per-op loop.
+/// [`xor_gather_tiled`]'s per-op loop.
 pub(crate) fn xor_tile<'a, I: Copy, F>(
     d: &mut [u8],
     indices: &[I],
@@ -229,17 +229,24 @@ pub(crate) fn xor_tile<'a, I: Copy, F>(
     }
 }
 
-/// Gather-form multi-source XOR with a caller-chosen tile size: see
-/// [`xor_gather_into`]. Exposed (with `fetch` specialized to plain slices
-/// via [`xor_many_into_tiled`]) so the benchmark suite can sweep tile sizes
-/// to tune [`TILE_BYTES`].
-fn xor_gather_tiled<'a, I: Copy, F>(dst: &mut [u8], indices: &[I], fetch: F, tile_bytes: usize)
-where
+/// Gather-form multi-source XOR: `dst = fetch(i₀) ^ fetch(i₁) ^ …` for the
+/// given indices, resolved through `fetch` so callers never build a
+/// per-operation `Vec<&[u8]>`. Overwrite semantics (the first source group
+/// is written with a set-form kernel — `dst` is never pre-copied or
+/// pre-zeroed), `tile_bytes`-sized tiles (clamped to at least 8;
+/// production callers pass [`TILE_BYTES`]), and up to eight sources folded
+/// per pass. With no indices, `dst` is zeroed.
+pub(crate) fn xor_gather_tiled<'a, I: Copy, F>(
+    dst: &mut [u8],
+    indices: &[I],
+    fetch: F,
+    tile_bytes: usize,
+) where
     F: Fn(I) -> &'a [u8],
 {
     let len = dst.len();
     for &i in indices {
-        assert_eq!(fetch(i).len(), len, "xor_gather_into: length mismatch");
+        assert_eq!(fetch(i).len(), len, "xor_gather_tiled: length mismatch");
     }
     let tile = tile_bytes.max(8);
     let mut start = 0;
@@ -253,27 +260,13 @@ where
     }
 }
 
-/// Gather-form multi-source XOR: `dst = fetch(i₀) ^ fetch(i₁) ^ …` for the
-/// given indices, resolved through `fetch` so callers never build a
-/// per-operation `Vec<&[u8]>`. This is the level-parallel executor's
-/// per-op kernel: overwrite semantics (the first source group is written with a set-form
-/// kernel — `dst` is never pre-copied or pre-zeroed), cache-sized tiles,
-/// and up to eight sources folded per pass. With no indices, `dst` is
-/// zeroed.
-pub(crate) fn xor_gather_into<'a, I: Copy, F>(dst: &mut [u8], indices: &[I], fetch: F)
-where
-    F: Fn(I) -> &'a [u8],
-{
-    xor_gather_tiled(dst, indices, fetch, TILE_BYTES);
-}
-
 /// XOR all `sources` into `dst` with multi-source unrolling: up to eight
 /// sources are folded per pass in `[u64; 8]` lanes, and the block is
 /// processed in cache-sized tiles so the destination stays hot while the
 /// sources stream through. Overwrites `dst` (no pre-zeroing pass); with no
 /// sources, `dst` becomes all-zero. Byte-identical to [`xor_many_into`].
 pub fn xor_many_into_unrolled(dst: &mut [u8], sources: &[&[u8]]) {
-    xor_gather_into(dst, sources, |s| s);
+    xor_gather_tiled(dst, sources, |s| s, TILE_BYTES);
 }
 
 /// [`xor_many_into_unrolled`] with a caller-chosen tile size. Benchmark
@@ -454,7 +447,7 @@ mod tests {
     fn gather_resolves_indices() {
         let pool: Vec<Vec<u8>> = (0..4).map(|k| vec![1u8 << k; 11]).collect();
         let mut d = vec![0u8; 11];
-        xor_gather_into(&mut d, &[0usize, 2, 3], |i| pool[i].as_slice());
+        xor_gather_tiled(&mut d, &[0usize, 2, 3], |i| pool[i].as_slice(), TILE_BYTES);
         assert!(d.iter().all(|&b| b == 0b1101));
     }
 

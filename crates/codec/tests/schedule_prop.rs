@@ -9,7 +9,6 @@ use dcode_codec::{apply_plan_naive, encode_naive, verify_parities, Stripe};
 use dcode_core::decoder::plan_column_recovery;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 fn payload(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed | 1;
@@ -26,12 +25,11 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Compiled encode (sequential and parallel) equals the naive
-    /// interpreter for every code in the registry.
+    /// Compiled encode equals the naive interpreter for every code in the
+    /// registry.
     #[test]
     fn compiled_encode_matches_naive(p in prop::sample::select(vec![5usize, 7, 11, 13]),
                                      block in 1usize..40,
-                                     threads in 2usize..6,
                                      seed in any::<u64>()) {
         for layout in all_codes(p) {
             let data = payload(layout.data_len() * block, seed);
@@ -40,15 +38,11 @@ proptest! {
             let mut naive = base.clone();
             encode_naive(&layout, &mut naive);
 
-            let program = Arc::new(XorProgram::compile_encode(&layout));
+            let program = XorProgram::compile_encode(&layout);
             let mut compiled = base.clone();
             program.run(&mut compiled);
             prop_assert_eq!(&compiled, &naive, "{} p={} block={}", layout.name(), p, block);
             prop_assert!(verify_parities(&layout, &compiled));
-
-            let mut parallel = base.clone();
-            XorProgram::run_pooled(&program, &mut parallel, minipool::global(), threads);
-            prop_assert_eq!(&parallel, &naive, "{} p={} threads={}", layout.name(), p, threads);
         }
     }
 

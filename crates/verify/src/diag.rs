@@ -59,7 +59,8 @@ pub enum DiagKind {
         block: usize,
     },
     /// Race: an op reads a block that another op of the *same* level
-    /// writes, so `run_pooled`'s outcome would depend on scheduling.
+    /// writes, so the level's outcome would depend on the order its ops
+    /// run in.
     ReadWriteHazard {
         /// The dependency level.
         level: usize,

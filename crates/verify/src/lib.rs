@@ -21,9 +21,8 @@
 //!   and must not regress any cost metric.
 //! * **Static race check** ([`race`]) — prove every dependency level is
 //!   hazard-free (no op reads or writes another same-level op's target),
-//!   which makes `run_pooled` data-race-free *by construction*: workers
-//!   only ever write detached level targets and read blocks no sibling
-//!   writes.
+//!   so the ops of a level are independent, as the optimizer's repacking
+//!   pass and the analyzer's critical-path bound assume.
 //! * **Schedule lints** ([`lint`]) — dead ops, duplicate / even-multiplicity
 //!   sources, self-referencing targets (which the detach-based executor
 //!   would turn into runtime panics), and non-minimal level placement.

@@ -1,17 +1,18 @@
 //! Static race checking for dependency levels.
 //!
-//! [`XorProgram::run_pooled`] detaches every target of a level and lets
-//! worker threads compute them concurrently against the rest of the stripe
-//! read-only. That is data-race-free under exactly two conditions, both
-//! decidable from the program text alone:
+//! A dependency level claims that its ops are independent: run in any
+//! order, or concurrently against the rest of the stripe read-only, they
+//! leave the same bytes. The codec replays levels sequentially; the claim
+//! is what the optimizer's level-repacking pass rearranges under and what
+//! `dcode-analyze`'s critical-path bound counts. It holds under exactly
+//! two conditions, both decidable from the program text alone:
 //!
 //! 1. no two ops of one level write the same block (write/write), and
 //! 2. no op reads a block another op of the same level writes
-//!    (read/write — with detachment this is not just a race but a read of
-//!    an empty placeholder, which panics).
+//!    (read/write).
 //!
-//! [`check_levels`] proves both, plus index bounds, making parallel replay
-//! safe *by construction* for any program that passes.
+//! [`check_levels`] proves both, plus index bounds, so the level
+//! structure of any program that passes means what it says.
 
 use crate::diag::{DiagKind, Diagnostic};
 use dcode_codec::XorProgram;

@@ -113,7 +113,7 @@ fn verify_program(
 ///    optimizer's own certificates).
 ///
 /// A clean report is a proof (for every payload and block size) that the
-/// codec's compiled hot paths are correct and that `run_pooled` is safe.
+/// codec's compiled hot paths are correct and their levels hazard-free.
 /// A many-stripe batch replays the same proved program once per stripe
 /// (`dcode_codec::bulk`), so there is no batch-level artifact to verify.
 pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {

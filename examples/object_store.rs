@@ -7,11 +7,11 @@
 //! ```
 
 use dcode::array::objstore::ObjectStore;
-use dcode::array::{Array, RotationScheme};
+use dcode::array::{ResilientArray, RotationScheme};
 use dcode::core::dcode::dcode;
 
 fn main() {
-    let array = Array::new(dcode(7).unwrap(), 1024, 32, RotationScheme::PerStripe);
+    let array = ResilientArray::new(dcode(7).unwrap(), 1024, 32, RotationScheme::PerStripe);
     println!(
         "formatting an object store on a 7-disk D-Code array ({} KiB usable)",
         array.capacity_bytes() / 1024
@@ -30,9 +30,8 @@ fn main() {
     assert_eq!(store.get("beta.txt").unwrap(), beta);
     println!("disks 1 and 4 failed — both objects still served correctly");
 
-    store.array_mut().rebuild_disk(1).unwrap();
-    store.array_mut().rebuild_disk(4).unwrap();
-    println!("rebuilt both disks");
+    while !store.array_mut().rebuild_step(256).unwrap() {}
+    println!("rebuilt both disks onto their hot spares");
 
     store.delete("beta.txt").unwrap();
     store.put("gamma.bin", &alpha[..10_000]).unwrap();

@@ -3,7 +3,7 @@
 
 use dcode::baselines::registry::{build, ALL_CODES};
 use dcode::codec::{
-    apply_plan, encode, encode_parallel, encode_with_matrix, generator_matrix, recover_columns,
+    apply_plan, encode, encode_naive, encode_with_matrix, generator_matrix, recover_columns,
     verify_parities, write_logical, Stripe,
 };
 use dcode::core::decoder::plan_recovery;
@@ -51,12 +51,12 @@ fn three_encoder_backends_agree() {
 
             let mut seq = base.clone();
             encode(&layout, &mut seq);
-            let mut par = base.clone();
-            encode_parallel(&layout, &mut par, 3);
+            let mut naive = base.clone();
+            encode_naive(&layout, &mut naive);
             let mut mat = base.clone();
             encode_with_matrix(&layout, &generator_matrix(&layout), &mut mat);
 
-            assert_eq!(seq, par, "{} p={p}: parallel differs", id.name());
+            assert_eq!(seq, naive, "{} p={p}: interpreter differs", id.name());
             assert_eq!(seq, mat, "{} p={p}: bit-matrix differs", id.name());
         }
     }

@@ -1,36 +1,53 @@
-//! Model-based fault injection: random interleavings of writes, disk
-//! failures, rebuilds, silent corruption, scrubs, and reads against the
-//! array layer, checked against a plain in-memory shadow copy. If any
-//! interleaving the state machine permits ever returns wrong bytes, this
-//! fails with the seed that found it.
+//! Model-based fault injection: random interleavings of writes, slot
+//! failures, partial rebuilds, silent corruption, scrubs, and reads against
+//! the array, checked against a plain in-memory shadow copy. Writes and
+//! reads run whatever state the array is in — healthy, one or two slots
+//! down, mid-rebuild. If any interleaving the state machine permits ever
+//! returns wrong bytes, this fails with the seed that found it.
 
-use dcode::array::scrub::{scrub_stripe, ScrubReport};
-use dcode::array::{Array, ArrayError, RotationScheme};
+use dcode::array::{ResilientArray, RetryPolicy, RotationScheme, SlotState};
 use dcode::core::dcode::dcode;
-use dcode::core::Cell;
+use dcode::faults::MemBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 struct Harness {
-    array: Array,
+    array: ResilientArray<MemBackend>,
+    rotation: RotationScheme,
     shadow: Vec<u8>,
     block: usize,
-    /// Cells corrupted since the last scrub, per stripe (at most one per
-    /// stripe is repairable, so the injector stays within that budget).
-    dirty: Vec<Option<Cell>>,
+    /// Stripes holding a bit flipped on the medium since the last scrub
+    /// (one per stripe: together with two lost columns a second one could
+    /// exceed what RAID-6 reconstructs).
+    dirty: Vec<bool>,
 }
 
 impl Harness {
-    fn new(p: usize, stripes: usize, rotation: RotationScheme) -> Self {
+    /// `spares` bounds how many failures the run can inject: every failure
+    /// rebuilds onto a fresh disk.
+    fn new(p: usize, stripes: usize, rotation: RotationScheme, spares: usize) -> Self {
         let layout = dcode(p).unwrap();
         let block = 32;
-        let array = Array::new(layout, block, stripes, rotation);
+        let backend = MemBackend::new(layout.disks() + spares, stripes * layout.rows(), block);
+        // The injected bit flips are checksum errors against their slot;
+        // no threshold, so that only the failures this harness decides on
+        // take a slot down and the count stays within two.
+        let array = ResilientArray::format(
+            layout,
+            block,
+            stripes,
+            rotation,
+            backend,
+            RetryPolicy::default(),
+            usize::MAX,
+        );
         let shadow = vec![0u8; array.capacity_bytes()];
         Harness {
             array,
+            rotation,
             shadow,
             block,
-            dirty: vec![None; stripes],
+            dirty: vec![false; stripes],
         }
     }
 
@@ -38,114 +55,95 @@ impl Harness {
         self.array.capacity_elements()
     }
 
-    /// Scrub any stripes with outstanding injected corruption, asserting
-    /// the scrubber localizes each one exactly. Called before writes and
-    /// disk failures: unscrubbed corruption interleaved with a delta write
-    /// or a rebuild gets *entrenched* (parity pollution — delta updates and
-    /// reconstruction both trust the on-disk bytes), which is precisely why
-    /// real arrays scrub proactively.
+    fn slots_down(&self) -> usize {
+        let states = self.array.slot_states();
+        states.iter().filter(|&&s| s != SlotState::Healthy).count()
+    }
+
+    /// Scrub out the injected corruption. Called before every failure: a
+    /// rotten block beside two lost columns is a third erasure in its
+    /// stripe, which is precisely why real arrays scrub proactively. Each
+    /// flipped bit is either caught here and repaired in place, or was
+    /// already overwritten by a write or repaired by a read that met it.
     fn scrub_dirty(&mut self) {
-        assert!(self.array.failed_disks().is_empty());
-        for s in 0..self.array.stripes() {
-            if let Some(expected) = self.dirty[s].take() {
-                let layout = dcode(self.array.layout().prime()).unwrap();
-                match scrub_stripe(&layout, self.array.stripe_mut(s)) {
-                    ScrubReport::Repaired { cell } => assert_eq!(cell, expected),
-                    other => panic!("stripe {s}: expected repair, got {other:?}"),
-                }
-            }
+        let outstanding = self.dirty.iter().filter(|&&d| d).count() as u64;
+        if outstanding == 0 {
+            return;
         }
+        assert_eq!(self.slots_down(), 0, "corruption is only injected healthy");
+        let found = self.array.scrub_pass().expect("one rotten block a stripe");
+        assert!(found.checksum_catches <= outstanding, "{found:?}");
+        assert_eq!(found.read_repairs, found.checksum_catches, "{found:?}");
+        self.dirty.fill(false);
     }
 
     fn step(&mut self, rng: &mut StdRng) {
         match rng.gen_range(0..100) {
-            // Write a small random range (only when healthy).
+            // Write a small random range, in whatever state the array is.
             0..=39 => {
-                if self.array.failed_disks().is_empty() {
-                    self.scrub_dirty();
-                }
                 let start = rng.gen_range(0..self.elements());
                 let count = rng.gen_range(1..=8.min(self.elements() - start));
                 let bytes: Vec<u8> = (0..count * self.block).map(|_| rng.gen()).collect();
-                match self.array.write(start, &bytes) {
-                    Ok(()) => {
-                        let lo = start * self.block;
-                        self.shadow[lo..lo + bytes.len()].copy_from_slice(&bytes);
-                    }
-                    Err(ArrayError::TooManyFailures { .. }) => {
-                        assert!(
-                            !self.array.failed_disks().is_empty(),
-                            "write refused on a healthy array"
-                        );
-                    }
-                    Err(e) => panic!("unexpected write error: {e}"),
-                }
+                self.array
+                    .write(start, &bytes)
+                    .expect("≤2 lost columns are writable");
+                let lo = start * self.block;
+                self.shadow[lo..lo + bytes.len()].copy_from_slice(&bytes);
             }
-            // Fail a disk (after scrubbing, so rebuilds never read
-            // corrupted sources).
+            // Fail a slot (after scrubbing, so rebuilds never read
+            // corrupted sources). Failing one that is already rebuilding
+            // loses its spare too and starts over on the next.
             40..=54 => {
-                if self.array.failed_disks().is_empty() {
-                    self.scrub_dirty();
+                self.scrub_dirty();
+                let slot = rng.gen_range(0..self.array.layout().disks());
+                let healthy = self.array.slot_states()[slot] == SlotState::Healthy;
+                if healthy && self.slots_down() == 2 {
+                    return; // a third lost column is beyond RAID-6
                 }
-                let disk = rng.gen_range(0..self.array.layout().disks());
-                let failed_before = self.array.failed_disks();
-                match self.array.fail_disk(disk) {
-                    Ok(()) => assert!(failed_before.len() < 2),
-                    Err(ArrayError::BadDiskState { .. }) => {
-                        assert!(failed_before.contains(&disk));
-                    }
-                    Err(ArrayError::TooManyFailures { .. }) => {
-                        assert_eq!(failed_before.len(), 2);
-                    }
-                    Err(e) => panic!("unexpected fail error: {e}"),
-                }
+                self.array.fail_disk(slot).expect("the slot was serving");
+                assert_eq!(self.array.slot_states()[slot], SlotState::Rebuilding);
+                let restarted = (slot, 0, self.array.stripes());
+                assert!(self.array.rebuild_progress().contains(&restarted));
             }
-            // Rebuild a failed disk (if any).
+            // Advance the rebuild by a random amount, often leaving the
+            // watermark inside the array for the steps that follow.
             55..=69 => {
-                if let Some(&disk) = self.array.failed_disks().first() {
-                    self.array
-                        .rebuild_disk(disk)
-                        .expect("≤2 failures are rebuildable");
-                }
+                let all = self.array.stripes() * self.array.layout().rows();
+                self.array
+                    .rebuild_step(rng.gen_range(1..=all))
+                    .expect("≤2 failures are rebuildable");
             }
-            // Inject silent corruption (healthy stripes only, one per
-            // stripe between scrubs) and scrub it out.
+            // Flip a bit on the medium beneath the checksums (healthy
+            // array only, one per stripe between scrubs).
             70..=79 => {
-                if self.array.failed_disks().is_empty() {
-                    let s = rng.gen_range(0..self.array.stripes());
-                    if self.dirty[s].is_none() {
-                        let grid = self.array.layout().grid();
-                        let cell =
-                            Cell::new(rng.gen_range(0..grid.rows), rng.gen_range(0..grid.cols));
-                        let off = rng.gen_range(0..self.block);
-                        self.array.stripe_mut(s).block_mut(cell)[off] ^= 0x3C;
-                        self.dirty[s] = Some(cell);
-                    }
+                let s = rng.gen_range(0..self.array.stripes());
+                if self.slots_down() == 0 && !self.dirty[s] {
+                    let grid = self.array.layout().grid();
+                    let (row, col) = (rng.gen_range(0..grid.rows), rng.gen_range(0..grid.cols));
+                    let slot = self.rotation.to_physical(s, col, grid.cols);
+                    let disk = self.array.slot_disk(slot);
+                    let at = (s * grid.rows + row) * self.block + rng.gen_range(0..self.block);
+                    self.array.backend_mut().disk_bytes_mut(disk)[at] ^= 0x3C;
+                    self.dirty[s] = true;
                 }
             }
-            80..=89 => {
-                if self.array.failed_disks().is_empty() {
-                    self.scrub_dirty();
-                }
-            }
-            // Read-and-check a random range (only meaningful when no
-            // unscrubbed corruption could alias the range).
+            80..=89 => self.scrub_dirty(),
+            // Read-and-check a random range: degraded, mid-rebuild or over
+            // a rotten block, the bytes must be the shadow's.
             _ => {
-                if self.dirty.iter().all(Option::is_none) {
-                    let start = rng.gen_range(0..self.elements());
-                    let count = rng.gen_range(1..=12.min(self.elements() - start));
-                    let got = self
-                        .array
-                        .read(start, count)
-                        .expect("≤2 failures are readable");
-                    let lo = start * self.block;
-                    assert_eq!(
-                        got,
-                        &self.shadow[lo..lo + count * self.block],
-                        "read mismatch at elements [{start}, {})",
-                        start + count
-                    );
-                }
+                let start = rng.gen_range(0..self.elements());
+                let count = rng.gen_range(1..=12.min(self.elements() - start));
+                let got = self
+                    .array
+                    .read(start, count)
+                    .expect("≤2 failures are readable");
+                let lo = start * self.block;
+                assert_eq!(
+                    got,
+                    &self.shadow[lo..lo + count * self.block],
+                    "read mismatch at elements [{start}, {})",
+                    start + count
+                );
             }
         }
     }
@@ -153,18 +151,20 @@ impl Harness {
 
 fn run(seed: u64, p: usize, rotation: RotationScheme, steps: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut h = Harness::new(p, 4, rotation);
-    for step in 0..steps {
+    let mut h = Harness::new(p, 4, rotation, steps);
+    for _ in 0..steps {
         h.step(&mut rng);
-        let _ = step;
     }
-    // Drain: rebuild everything, scrub leftovers, full read-back.
-    // (Outstanding corruption implies the array is healthy — the injector
-    // only runs then and every failure path scrubs first.)
-    while let Some(&d) = h.array.failed_disks().first() {
-        h.array.rebuild_disk(d).unwrap();
-    }
+    // Drain: rebuild everything, scrub leftovers, then the medium must be
+    // clean — no block off its checksum, every stripe's parity matching
+    // its data — and the full read-back must be the shadow.
+    while !h.array.rebuild_step(64).unwrap() {}
+    assert_eq!(h.slots_down(), 0, "a slot stayed down (seed {seed})");
     h.scrub_dirty();
+    let clean = h.array.scrub_pass().unwrap();
+    assert_eq!(clean.checksum_catches, 0, "seed {seed}: {clean:?}");
+    assert_eq!(clean.parity_checked, 4, "seed {seed}: {clean:?}");
+    assert_eq!(clean.parity_mismatches, 0, "seed {seed}: {clean:?}");
     let all = h.array.read(0, h.elements()).unwrap();
     assert_eq!(all, h.shadow, "final state diverged (seed {seed})");
 }
