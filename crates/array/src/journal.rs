@@ -74,6 +74,10 @@ const ENTRY_BYTES: usize = 9;
 /// Trailing CRC32 over the whole header.
 const HEADER_CRC: usize = 4;
 
+/// Smallest block a journaled array can have: a block must hold the
+/// tombstone and mount-state records.
+pub const MIN_BLOCK_SIZE: usize = 32;
+
 /// Derived journal geometry for one array. Deterministic in
 /// `(layout, block_size)`, so [`format`] and [`attach`] agree on it
 /// without any on-disk superblock.
@@ -109,7 +113,10 @@ impl JournalSpec {
     /// Blocks must hold the tombstone and state records, hence the
     /// minimum block size.
     pub fn for_geometry(layout: &CodeLayout, block_size: usize, n_stripes: usize) -> Self {
-        assert!(block_size >= 32, "journaled arrays need blocks ≥ 32 bytes");
+        assert!(
+            block_size >= MIN_BLOCK_SIZE,
+            "journaled arrays need blocks ≥ {MIN_BLOCK_SIZE} bytes"
+        );
         let parity_count = layout.parity_cells().count();
         let max_entries = layout.data_len() + parity_count;
         let header_bytes = HEADER_FIXED + ENTRY_BYTES * max_entries + HEADER_CRC;

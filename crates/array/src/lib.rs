@@ -63,7 +63,7 @@ pub use crashsim::{sweep, CrashOp, CrashSimConfig, CrashSweepReport};
 pub use device::{ArrayError, ElementIo};
 pub use journal::{
     journal_blocks_per_disk, scan_journal, JournalScan, JournalSpec, JournalState, ReplayOutcome,
-    ReplaySummary,
+    ReplaySummary, MIN_BLOCK_SIZE,
 };
 pub use loadstudy::{lf, physical_loads, StripeSkew};
 pub use objstore::{ObjectStore, StoreError};
@@ -71,4 +71,4 @@ pub use resilient::{
     Array, JournalMutation, ResilientArray, ResilientStats, RetryPolicy, ScrubSummary, SlotState,
 };
 pub use rotation::RotationScheme;
-pub use scrub::{failing_equations, scrub_stripe, scrub_stripe_dry, ScrubReport};
+pub use scrub::{failing_equations, scrub_stripe, ScrubReport};

@@ -48,6 +48,7 @@ use crate::journal::{
     SlotHeader,
 };
 use crate::rotation::RotationScheme;
+use crate::scrub::{scrub_stripe, ScrubReport};
 use dcode_codec::xor::xor_into;
 use dcode_codec::{CacheStats, CompiledRecovery, ScheduleCache, Stripe};
 use dcode_core::decoder::Unrecoverable;
@@ -394,48 +395,16 @@ impl<B: DiskBackend> ResilientArray<B> {
         }
     }
 
-    /// Open an array over a backend that **already holds data** (a server
-    /// restart, a shard directory from an earlier run): geometry checks as
-    /// in [`ResilientArray::format`], then the per-block CRC table is
-    /// seeded by reading every block back from the medium — the content on
-    /// disk is declared the expected content. Any block that cannot be
-    /// read through the retry policy fails the attach; degraded re-opens
-    /// are handled a layer up by formatting a fresh array and rebuilding.
-    pub fn attach(
-        layout: CodeLayout,
-        block_size: usize,
-        n_stripes: usize,
-        rotation: RotationScheme,
-        backend: B,
-        policy: RetryPolicy,
-        fail_threshold: usize,
-    ) -> Result<Self, DiskError> {
-        let mut a = Self::format(
-            layout,
-            block_size,
-            n_stripes,
-            rotation,
-            backend,
-            policy,
-            fail_threshold,
-        );
-        for slot in 0..a.layout.disks() {
-            for block in 0..a.total_blocks() {
-                let buf = a.read_raw(slot, block)?;
-                a.crc[slot][block] = crc32(&buf);
-            }
-        }
-        a.stats = ResilientStats::default();
-        Ok(a)
-    }
-
-    /// [`attach`](ResilientArray::attach) for a journaled array: replay
+    /// Open a journaled array over a backend that **already holds data**
+    /// (a server restart, an array directory from an earlier run): replay
     /// the journal *before* anything else (scan every record slot,
     /// discard torn records by CRC, re-apply committed ones
-    /// idempotently, retire them), then seed the CRC table from the
-    /// now-consistent medium. The replay summary is kept on the array
-    /// ([`last_replay`](ResilientArray::last_replay)) and persisted in
-    /// the journal state block.
+    /// idempotently, retire them), then seed the CRC table by reading
+    /// every block back from the now-consistent medium — the content on
+    /// disk is declared the expected content. Any block that cannot be
+    /// read through the retry policy fails the attach. The replay summary
+    /// is kept on the array ([`last_replay`](ResilientArray::last_replay))
+    /// and persisted in the journal state block.
     pub fn attach_journaled(
         layout: CodeLayout,
         block_size: usize,
@@ -781,15 +750,30 @@ impl<B: DiskBackend> ResilientArray<B> {
     }
 
     /// Fetch `wanted` cells of one stripe into a scratch stripe, serving
-    /// unreadable cells through parity reconstruction. The scratch holds
-    /// valid bytes for every wanted cell plus whatever survivors the
-    /// recovery read along the way.
+    /// unreadable cells through parity reconstruction and rewriting them
+    /// in place where their slot is healthy (read-repair). The scratch
+    /// holds valid bytes for every wanted cell plus whatever survivors
+    /// the recovery read along the way.
     fn fetch_cells(
         &mut self,
         stripe: usize,
         wanted: &BTreeSet<Cell>,
         count_degraded: bool,
     ) -> Result<Stripe, ArrayError> {
+        let (scratch, missing) = self.fetch_unrepaired(stripe, wanted, count_degraded)?;
+        self.read_repair(stripe, &missing, &scratch);
+        Ok(scratch)
+    }
+
+    /// [`fetch_cells`](ResilientArray::fetch_cells) without the
+    /// read-repair: the scratch stripe, and the wanted cells that had to
+    /// be reconstructed. Writes nothing.
+    fn fetch_unrepaired(
+        &mut self,
+        stripe: usize,
+        wanted: &BTreeSet<Cell>,
+        count_degraded: bool,
+    ) -> Result<(Stripe, BTreeSet<Cell>), ArrayError> {
         let mut scratch = Stripe::zeroed(&self.layout, self.block_size);
         let mut missing: BTreeSet<Cell> = BTreeSet::new();
         for &cell in wanted {
@@ -801,7 +785,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
         }
         if missing.is_empty() {
-            return Ok(scratch);
+            return Ok((scratch, missing));
         }
         if count_degraded {
             self.stats.degraded_reads += 1;
@@ -855,10 +839,13 @@ impl<B: DiskBackend> ResilientArray<B> {
             compiled.program.run(&mut scratch);
             break;
         }
+        Ok((scratch, missing))
+    }
 
-        // Read-repair: a cell that failed on an otherwise healthy slot
-        // (checksum catch, bad sector) is rewritten in place with its
-        // reconstructed content — drives remap on write.
+    /// Read-repair: a cell that failed on an otherwise healthy slot
+    /// (checksum catch, bad sector) is rewritten in place with its
+    /// reconstructed content — drives remap on write.
+    fn read_repair(&mut self, stripe: usize, missing: &BTreeSet<Cell>, scratch: &Stripe) {
         let repairable: Vec<Cell> = missing
             .iter()
             .copied()
@@ -867,16 +854,14 @@ impl<B: DiskBackend> ResilientArray<B> {
         for cell in repairable {
             let slot = self.slot_of(stripe, cell.col);
             let block = self.block_of(stripe, cell.row);
-            let data = scratch.snapshot(cell);
-            match self.write_raw(slot, block, &data) {
+            match self.write_raw(slot, block, scratch.block(cell)) {
                 Ok(()) => {
-                    self.crc[slot][block] = crc32(&data);
+                    self.crc[slot][block] = crc32(scratch.block(cell));
                     self.stats.read_repairs += 1;
                 }
                 Err(e) => self.note_hard_error(slot, &e),
             }
         }
-        Ok(scratch)
     }
 
     /// The cached program reconstructing `observable` under the erasure of
@@ -1615,13 +1600,29 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// degraded reads and are repaired in place by the read-repair path.
     /// Every stripe read fully *direct* additionally gets its parity
     /// recomputed from the data and compared block for block — the check
-    /// that catches a write hole (data and parity individually valid but
-    /// mutually inconsistent), which the CRC layer alone cannot see after
-    /// an attach reseeded the CRCs from the medium. Mismatched parity is
-    /// rewritten in place. The summary reports what the pass found, as
+    /// for what the CRC layer cannot see after an attach reseeded the CRCs
+    /// from the medium: a block that rotted while the array was down, or a
+    /// write hole. A stripe that disagrees goes to [`scrub_stripe`]: the
+    /// one cell, or the unique pair in two columns, whose equations are
+    /// exactly the failing ones is recomputed from the rest and stored
+    /// back (data or parity) and its disk flushed. A syndrome that pins
+    /// nothing down is *ambiguous*: the stripe is counted and nothing is
+    /// written — rewriting parity over unlocated damage would make the
+    /// damage permanent. The summary reports what the pass found, as
     /// deltas of the array's counters. This is what a scrubbing server
     /// runs against each shard.
     pub fn scrub_pass(&mut self) -> Result<ScrubSummary, ArrayError> {
+        self.scrub(true)
+    }
+
+    /// [`scrub_pass`](ResilientArray::scrub_pass) without the repairs:
+    /// the same reads and diagnosis, but no located cell is stored and no
+    /// reconstructed cell read-repaired — the pass issues no write at all.
+    pub fn scrub_dry_run(&mut self) -> Result<ScrubSummary, ArrayError> {
+        self.scrub(false)
+    }
+
+    fn scrub(&mut self, repair: bool) -> Result<ScrubSummary, ArrayError> {
         let before = self.stats.clone();
         let all_cells: BTreeSet<Cell> = self
             .layout
@@ -1631,12 +1632,18 @@ impl<B: DiskBackend> ResilientArray<B> {
             .chain(self.layout.parity_cells())
             .collect();
         let parity_cells: Vec<Cell> = self.layout.parity_cells().collect();
-        let mut parity_checked = 0u64;
-        let mut parity_mismatches = 0u64;
-        let mut parity_repairs = 0u64;
+        let mut summary = ScrubSummary {
+            stripes: self.n_stripes,
+            ..ScrubSummary::default()
+        };
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
         for stripe in 0..self.n_stripes {
             let degraded_before = self.stats.degraded_reads;
-            let mut scratch = self.fetch_cells(stripe, &all_cells, true)?;
+            let mut scratch = if repair {
+                self.fetch_cells(stripe, &all_cells, true)?
+            } else {
+                self.fetch_unrepaired(stripe, &all_cells, true)?.0
+            };
             // Parity is only *verifiable* when every cell came straight
             // off the medium: a degraded fetch reconstructs the missing
             // cells *from* the parity, so recomputing it back would be
@@ -1646,7 +1653,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             if !direct {
                 continue;
             }
-            parity_checked += 1;
+            summary.parity_checked += 1;
             let was: Vec<(Cell, Vec<u8>)> = parity_cells
                 .iter()
                 .map(|&c| (c, scratch.snapshot(c)))
@@ -1654,25 +1661,43 @@ impl<B: DiskBackend> ResilientArray<B> {
             self.schedules
                 .encode_program(&self.layout)
                 .run(&mut scratch);
-            for (cell, old) in was {
-                let fresh = scratch.snapshot(cell);
-                if fresh != old {
-                    parity_mismatches += 1;
-                    if self.store_cell(stripe, cell, &fresh, crc32(&fresh)) {
-                        parity_repairs += 1;
-                    }
+            let differs = |(cell, old): &&(Cell, Vec<u8>)| scratch.block(*cell) != &old[..];
+            let mismatches = was.iter().filter(differs).count() as u64;
+            if mismatches == 0 {
+                continue;
+            }
+            summary.parity_mismatches += mismatches;
+            // Back to what the medium holds, for the localizer.
+            for (cell, old) in &was {
+                scratch.block_mut(*cell).copy_from_slice(old);
+            }
+            let located = match scrub_stripe(&self.layout, &mut scratch) {
+                ScrubReport::Repaired { cell } => vec![cell],
+                ScrubReport::RepairedPair { cells } => cells.to_vec(),
+                ScrubReport::Ambiguous | ScrubReport::Clean => {
+                    summary.ambiguous_stripes += 1;
+                    continue;
+                }
+            };
+            summary.located_cells += located.len() as u64;
+            if !repair {
+                continue;
+            }
+            for cell in located {
+                let fixed = scratch.block(cell);
+                if self.store_cell(stripe, cell, fixed, crc32(fixed)) {
+                    touched.insert(self.slot_to_disk[self.slot_of(stripe, cell.col)]);
+                    summary.parity_repairs += u64::from(self.layout.kind(cell).is_parity());
                 }
             }
         }
-        Ok(ScrubSummary {
-            stripes: self.n_stripes,
-            checksum_catches: self.stats.checksum_catches - before.checksum_catches,
-            degraded_reads: self.stats.degraded_reads - before.degraded_reads,
-            read_repairs: self.stats.read_repairs - before.read_repairs,
-            parity_checked,
-            parity_mismatches,
-            parity_repairs,
-        })
+        for disk in touched {
+            let _ = self.backend.flush(disk);
+        }
+        summary.checksum_catches = self.stats.checksum_catches - before.checksum_catches;
+        summary.degraded_reads = self.stats.degraded_reads - before.degraded_reads;
+        summary.read_repairs = self.stats.read_repairs - before.read_repairs;
+        Ok(summary)
     }
 }
 
@@ -1690,11 +1715,18 @@ pub struct ScrubSummary {
     /// Stripes whose parity was recomputed from data and compared (only
     /// stripes read fully direct are verifiable).
     pub parity_checked: u64,
-    /// Parity blocks inconsistent with their stripe's data — a write
-    /// hole, if nothing else already explained it.
+    /// Parity blocks inconsistent with their stripe's data — rot the CRCs
+    /// could not see, or a write hole.
     pub parity_mismatches: u64,
-    /// Mismatched parity blocks rewritten with recomputed content.
+    /// Mismatched parity blocks rewritten with recomputed content: the
+    /// located cells that were parity.
     pub parity_repairs: u64,
+    /// Cells the syndrome of an inconsistent stripe located — one, or a
+    /// unique pair in two columns — and a repairing pass stored back.
+    pub located_cells: u64,
+    /// Inconsistent stripes whose syndrome located nothing; no pass
+    /// writes to them.
+    pub ambiguous_stripes: u64,
 }
 
 impl<B: DiskBackend> ElementIo for ResilientArray<B> {
@@ -2039,38 +2071,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_reopens_an_array_with_crcs_seeded_from_the_medium() {
-        let layout = dcode(5).unwrap();
-        let mut a = ResilientArray::format(
-            layout.clone(),
-            16,
-            3,
-            RotationScheme::PerStripe,
-            MemBackend::new(layout.disks(), 3 * layout.rows(), 16),
-            RetryPolicy::default(),
-            4,
-        );
-        let data = payload(a.capacity_bytes());
-        a.write(0, &data).unwrap();
-        // Steal the medium and re-open it cold, as a restarted server
-        // shard would.
-        let backend = std::mem::replace(a.backend_mut(), MemBackend::new(7, 15, 16));
-        let mut b = ResilientArray::attach(
-            layout,
-            16,
-            3,
-            RotationScheme::PerStripe,
-            backend,
-            RetryPolicy::default(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(b.read(0, b.capacity_elements()).unwrap(), data);
-        assert_eq!(b.stats().checksum_catches, 0, "seeded CRCs must match");
-        assert_eq!(b.scrub_pass().unwrap().checksum_catches, 0);
-    }
-
-    #[test]
     fn degraded_writes_survive_double_failure() {
         let mut a = mem_array(7, 4, 0);
         let data = payload(a.capacity_bytes());
@@ -2143,44 +2143,13 @@ mod tests {
         assert_eq!(replay.replayed, 0);
         assert_eq!(replay.scanned as usize, layout.disks());
         assert_eq!(b.read(0, b.capacity_elements()).unwrap(), data);
+        assert_eq!(b.stats().checksum_catches, 0, "seeded CRCs must match");
+        assert_eq!(b.scrub_pass().unwrap().checksum_catches, 0);
         // The state block counted both mounts (format + attach).
         let spec = b.journal().unwrap().clone();
         let scan = crate::journal::scan_journal(b.backend_mut(), &spec);
         assert_eq!(scan.state.expect("state block").mounts, 2);
         assert!(scan.live.is_empty());
-    }
-
-    #[test]
-    fn scrub_detects_and_repairs_a_planted_write_hole() {
-        // Forge the hole directly: flip a data byte on the medium *and*
-        // reseed the CRC table via attach, so data and parity are each
-        // individually "valid" but mutually inconsistent — invisible to
-        // the CRC layer, visible only to the parity recompute.
-        let layout = dcode(5).unwrap();
-        let mut a = journaled_mem_array(5, 2);
-        let data = payload(a.capacity_bytes());
-        a.write(0, &data).unwrap();
-        let disk = a.slot_disk(0);
-        a.backend_mut().disk_bytes_mut(disk)[0] ^= 0x01;
-        let backend = a.into_backend();
-        let mut b = ResilientArray::attach_journaled(
-            layout,
-            32,
-            2,
-            RotationScheme::PerStripe,
-            backend,
-            RetryPolicy::default(),
-            4,
-        )
-        .unwrap();
-        let dirty = b.scrub_pass().unwrap();
-        assert_eq!(dirty.checksum_catches, 0, "the hole is CRC-invisible");
-        assert!(dirty.parity_mismatches > 0, "{dirty:?}");
-        assert_eq!(dirty.parity_mismatches, dirty.parity_repairs);
-        // The repair rewrote the parity to match the on-disk data: the
-        // array is consistent again (with the flipped byte as content).
-        let again = b.scrub_pass().unwrap();
-        assert_eq!(again.parity_mismatches, 0, "{again:?}");
     }
 
     #[test]

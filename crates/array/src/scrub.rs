@@ -10,7 +10,8 @@
 //! lost-write-detection story that motivates keeping two orthogonal parity
 //! families even where one would suffice for the failure model.
 
-use dcode_codec::{xor::xor_many_into, Stripe};
+use dcode_codec::{apply_plan, xor::xor_many_into, Stripe};
+use dcode_core::decoder::plan_recovery;
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use std::collections::BTreeSet;
@@ -33,10 +34,7 @@ pub enum ScrubReport {
     },
     /// The syndrome does not localize to one element or one unique pair;
     /// nothing was modified.
-    Ambiguous {
-        /// Indices of the failing equations.
-        failing_equations: Vec<usize>,
-    },
+    Ambiguous,
 }
 
 /// Indices of equations whose parity block does not equal the XOR of its
@@ -56,141 +54,71 @@ pub fn failing_equations(layout: &CodeLayout, stripe: &Stripe) -> Vec<usize> {
         .collect()
 }
 
-/// Scrub one stripe: verify every equation, localize a single corrupted
-/// element if possible, and repair it in place.
+/// The equations `cell` takes part in: those it is a member of and the
+/// one whose parity it stores. A corrupted cell fails all of them.
+fn involved(layout: &CodeLayout, cell: Cell) -> BTreeSet<usize> {
+    let member_of = layout.member_eqs(cell).iter().copied();
+    member_of.chain(layout.storing_eq(cell)).collect()
+}
+
+/// Scrub one stripe: verify every equation, localize the one corrupted
+/// element — or the unique corrupted pair in two columns — whose
+/// equations are exactly the failing ones, and repair it in place.
 pub fn scrub_stripe(layout: &CodeLayout, stripe: &mut Stripe) -> ScrubReport {
-    let failing = failing_equations(layout, stripe);
+    let failing: BTreeSet<usize> = failing_equations(layout, stripe).into_iter().collect();
     if failing.is_empty() {
         return ScrubReport::Clean;
     }
-
-    // Candidate culprits: cells involved in *every* failing equation and in
-    // *no* passing equation.
-    let failing_set: BTreeSet<usize> = failing.iter().copied().collect();
-    let mut candidates: Vec<Cell> = Vec::new();
-    for cell in layout.grid().cells() {
-        let mut involved: Vec<usize> = layout.member_eqs(cell).to_vec();
-        if let Some(se) = layout.storing_eq(cell) {
-            involved.push(se);
-        }
-        let involved: BTreeSet<usize> = involved.into_iter().collect();
-        if involved == failing_set {
-            candidates.push(cell);
-        }
-    }
-
-    let [culprit] = candidates.as_slice() else {
-        if candidates.is_empty() {
-            // No single cell explains the syndrome — try unique pairs: the
-            // two cells' involved-equation sets must cover the failing set
-            // exactly, with the failing set being their symmetric-ish union
-            // (equations shared by both cells cancel only if the two errors
-            // are equal, which we cannot assume, so we use plain union).
-            return try_pair_repair(layout, stripe, &failing);
-        }
-        return ScrubReport::Ambiguous {
-            failing_equations: failing,
-        };
-    };
-    let culprit = *culprit;
-
-    // Repair: recompute the culprit from one of its equations.
-    let eq = layout.equation(failing[0]);
-    let sources: Vec<Cell> = eq.cells().filter(|&c| c != culprit).collect();
-    let original = stripe.snapshot(culprit);
-    let mut fixed = vec![0u8; stripe.block_size()];
-    {
-        let blocks: Vec<&[u8]> = sources.iter().map(|&c| stripe.block(c)).collect();
-        xor_many_into(&mut fixed, &blocks);
-    }
-    stripe.block_mut(culprit).copy_from_slice(&fixed);
-
-    // The repair must leave the stripe fully consistent; if not, the
-    // localization was coincidental — undo it and report ambiguity instead
-    // of lying (an ambiguous scrub must never modify the stripe).
-    if failing_equations(layout, stripe).is_empty() {
-        ScrubReport::Repaired { cell: culprit }
-    } else {
-        stripe.block_mut(culprit).copy_from_slice(&original);
-        ScrubReport::Ambiguous {
-            failing_equations: failing,
-        }
-    }
-}
-
-/// Scrub one stripe without modifying it: report what [`scrub_stripe`]
-/// *would* do. Backs the CLI's `scrub --repair=off` dry-run mode — the
-/// operator sees the diagnosis (clean / localized / ambiguous) before
-/// authorizing writes.
-pub fn scrub_stripe_dry(layout: &CodeLayout, stripe: &Stripe) -> ScrubReport {
-    let mut copy = stripe.clone();
-    scrub_stripe(layout, &mut copy)
-}
-
-/// Attempt a unique two-element localization and repair. The pair is
-/// repaired by treating both cells as erased and running the recovery
-/// planner — valid whenever the two cells sit in different columns (a
-/// RAID-6 code recovers any two columns, a fortiori any two cells).
-fn try_pair_repair(layout: &CodeLayout, stripe: &mut Stripe, failing: &[usize]) -> ScrubReport {
-    use dcode_codec::apply_plan;
-    use dcode_core::decoder::plan_recovery;
-
-    let failing_set: BTreeSet<usize> = failing.iter().copied().collect();
-    let involved = |cell: Cell| -> BTreeSet<usize> {
-        let mut eqs: Vec<usize> = layout.member_eqs(cell).to_vec();
-        if let Some(se) = layout.storing_eq(cell) {
-            eqs.push(se);
-        }
-        eqs.into_iter().collect()
-    };
-
-    // Candidate cells: involved in ≥1 failing equation and in no passing
-    // equation (a corrupted cell fails *everything* it participates in).
-    let cells: Vec<Cell> = layout
+    // Suspects take part in failing equations only.
+    let suspects: Vec<(Cell, BTreeSet<usize>)> = layout
         .grid()
         .cells()
-        .filter(|&c| {
-            let inv = involved(c);
-            !inv.is_empty() && inv.iter().all(|e| failing_set.contains(e))
-        })
+        .map(|cell| (cell, involved(layout, cell)))
+        .filter(|(_, eqs)| !eqs.is_empty() && eqs.is_subset(&failing))
         .collect();
-
-    let mut pairs = Vec::new();
-    for (i, &a) in cells.iter().enumerate() {
-        for &b in &cells[i + 1..] {
-            let mut union = involved(a);
-            union.extend(involved(b));
-            if union == failing_set && a.col != b.col {
-                pairs.push([a, b]);
+    let mut explanations: Vec<Vec<Cell>> = suspects
+        .iter()
+        .filter(|(_, eqs)| *eqs == failing)
+        .map(|&(cell, _)| vec![cell])
+        .collect();
+    if explanations.is_empty() {
+        // No single cell explains the syndrome — try pairs in two columns
+        // whose equations together are the failing set. (An equation both
+        // share cancels only if the two errors are equal, which cannot be
+        // assumed, so it is the plain union.)
+        for (i, (a, eqs_a)) in suspects.iter().enumerate() {
+            for (b, eqs_b) in &suspects[i + 1..] {
+                if a.col != b.col && eqs_a.union(eqs_b).eq(&failing) {
+                    explanations.push(vec![*a, *b]);
+                }
             }
         }
     }
-    let [pair] = pairs.as_slice() else {
-        return ScrubReport::Ambiguous {
-            failing_equations: failing.to_vec(),
-        };
+    let [culprits] = explanations.as_slice() else {
+        return ScrubReport::Ambiguous;
     };
-    let pair = *pair;
 
-    // Repair by erasure-decoding the pair from everything else; verify, and
-    // roll back if the localization was coincidental.
-    let originals: Vec<Vec<u8>> = pair.iter().map(|&c| stripe.snapshot(c)).collect();
-    let erased: BTreeSet<Cell> = pair.iter().copied().collect();
-    let Ok(plan) = plan_recovery(layout, &erased) else {
-        return ScrubReport::Ambiguous {
-            failing_equations: failing.to_vec(),
-        };
+    // Repair by erasure-decoding the culprits from everything else — any
+    // two cells in two columns are within what a RAID-6 code recovers. The
+    // repair must leave the stripe fully consistent; if not, the
+    // localization was coincidental — undo it and report ambiguity (an
+    // ambiguous scrub must never modify the stripe).
+    let Ok(plan) = plan_recovery(layout, &culprits.iter().copied().collect()) else {
+        return ScrubReport::Ambiguous;
     };
+    let originals: Vec<Vec<u8>> = culprits.iter().map(|&c| stripe.snapshot(c)).collect();
     apply_plan(stripe, &plan);
-    if failing_equations(layout, stripe).is_empty() {
-        ScrubReport::RepairedPair { cells: pair }
-    } else {
-        for (&c, orig) in pair.iter().zip(&originals) {
-            stripe.block_mut(c).copy_from_slice(orig);
+    if !failing_equations(layout, stripe).is_empty() {
+        for (&c, original) in culprits.iter().zip(&originals) {
+            stripe.block_mut(c).copy_from_slice(original);
         }
-        ScrubReport::Ambiguous {
-            failing_equations: failing.to_vec(),
-        }
+        return ScrubReport::Ambiguous;
+    }
+    match culprits[..] {
+        [cell] => ScrubReport::Repaired { cell },
+        _ => ScrubReport::RepairedPair {
+            cells: [culprits[0], culprits[1]],
+        },
     }
 }
 
@@ -246,7 +174,7 @@ mod tests {
             }
             // The pair is not always uniquely identified — but then the
             // stripe must be untouched.
-            ScrubReport::Ambiguous { .. } => {
+            ScrubReport::Ambiguous => {
                 let mut expect = golden.clone();
                 expect.block_mut(a)[0] ^= 1;
                 expect.block_mut(b)[0] ^= 1;
@@ -277,26 +205,12 @@ mod tests {
                         assert_eq!(s, golden);
                         repaired += 1;
                     }
-                    ScrubReport::Ambiguous { .. } => {}
+                    ScrubReport::Ambiguous => {}
                     other => panic!("({a},{b}): unexpected {other:?}"),
                 }
             }
         }
         assert!(repaired > 0, "pair repair never engaged");
-    }
-
-    #[test]
-    fn dry_run_diagnoses_without_modifying() {
-        let (layout, golden) = encoded_stripe();
-        let mut s = golden.clone();
-        let cell = Cell::new(1, 1);
-        s.block_mut(cell)[0] ^= 4;
-        let before = s.clone();
-        match scrub_stripe_dry(&layout, &s) {
-            ScrubReport::Repaired { cell: found } => assert_eq!(found, cell),
-            other => panic!("expected a repair diagnosis, got {other:?}"),
-        }
-        assert_eq!(s, before, "dry run must not modify the stripe");
     }
 
     #[test]
@@ -308,7 +222,7 @@ mod tests {
         }
         let before = s.clone();
         match scrub_stripe(&layout, &mut s) {
-            ScrubReport::Ambiguous { .. } => assert_eq!(s, before),
+            ScrubReport::Ambiguous => assert_eq!(s, before),
             ScrubReport::RepairedPair { .. } | ScrubReport::Repaired { .. } => {
                 // A lucky aliasing repair must at least leave a fully
                 // consistent stripe; anything else is a bug.

@@ -1,20 +1,28 @@
 //! The CLI's operations, as library functions so they are directly
 //! testable. Each takes the array directory and returns a human-readable
 //! summary on success.
+//!
+//! The archive commands (`store`, `fetch`, `rebuild`, `scrub`) are thin
+//! drivers of one [`ResilientArray`] over a [`FileBackend`]: the array
+//! directory is mounted through the journaled attach with every unusable
+//! disk file as a failed slot, and the payload streams through it a few
+//! stripes at a time. `status` alone never mounts — it is the command
+//! that says what a mount would replay.
 
-use crate::diskio::{
-    disk_blocks, disk_path, layout_of, probe_disks, read_disks, write_disks, write_one_disk,
-};
 use crate::meta::ArrayMeta;
 use dcode_array::chaos::{soak, ChaosConfig};
 use dcode_array::crashsim::{probe_stats, sweep, CrashSimConfig};
-use dcode_array::scrub::{scrub_stripe, scrub_stripe_dry, ScrubReport};
-use dcode_array::{journal_blocks_per_disk, scan_journal, JournalMutation, JournalSpec};
+use dcode_array::resilient::AttachTopology;
+use dcode_array::{
+    journal_blocks_per_disk, scan_journal, ArrayError, JournalMutation, JournalSpec,
+    ResilientArray, RetryPolicy, RotationScheme, SlotState, MIN_BLOCK_SIZE,
+};
 use dcode_baselines::registry::CodeId;
-use dcode_codec::{apply_plan, encode_payload, verify_parities, Stripe};
-use dcode_core::decoder::plan_column_recovery;
+use dcode_codec::{verify_parities, Stripe};
 use dcode_core::layout::CodeLayout;
+use dcode_faults::{disk_file_name, DiskBackend, DiskError, DiskProbe, FileBackend};
 use std::fmt;
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// CLI operation errors.
@@ -80,7 +88,59 @@ impl From<crate::meta::MetaError> for CliError {
     }
 }
 
-/// `store`: stripe `input` across disk files in `dir` with the given code.
+impl From<ArrayError> for CliError {
+    fn from(e: ArrayError) -> Self {
+        CliError::State(e.to_string())
+    }
+}
+
+impl From<DiskError> for CliError {
+    fn from(e: DiskError) -> Self {
+        CliError::Io(std::io::Error::other(e.to_string()))
+    }
+}
+
+/// Build `code` at `p`; a parameter the code does not exist at is the
+/// user's to fix.
+fn build_code(code: CodeId, p: usize) -> Result<CodeLayout, CliError> {
+    dcode_baselines::registry::build(code, p)
+        .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", code.name())))
+}
+
+/// Every array the CLI formats is journaled, and a journal record header
+/// needs this much of a block.
+fn check_block(block: usize) -> Result<(), CliError> {
+    if block < MIN_BLOCK_SIZE {
+        return Err(CliError::Usage(format!(
+            "--block must be at least {MIN_BLOCK_SIZE} bytes (the journal's record minimum)"
+        )));
+    }
+    Ok(())
+}
+
+/// Stripes per array `write`/`read` call: what `store` and `fetch` hold in
+/// memory at a time, and the batch one pooled encode covers.
+const CHUNK_STRIPES: usize = 16;
+
+/// Errors a slot may collect before the array fails it. A disk file that
+/// returns an I/O error is a dead disk, so: none — and every command
+/// that writes checks [`ensure_healthy`] before it reports success.
+const FAIL_THRESHOLD: usize = 1;
+
+/// The array swallows write errors into slot state (parity still covers
+/// the data); a command that must leave every disk complete asks here.
+fn ensure_healthy(array: &ResilientArray<FileBackend>) -> Result<(), CliError> {
+    let down = |&s: &SlotState| s != SlotState::Healthy;
+    match array.slot_states().iter().position(down) {
+        None => Ok(()),
+        Some(slot) => Err(DiskError::Failed { disk: slot }.into()),
+    }
+}
+
+/// `store`: stripe `input` across disk files in `dir` with the given
+/// code — a freshly formatted journaled array, written a few stripes at a
+/// time as the input streams in. `meta.txt` is written last: a directory
+/// without it is not an array.
 pub fn store(
     input: &Path,
     dir: &Path,
@@ -88,98 +148,146 @@ pub fn store(
     p: usize,
     block: usize,
 ) -> Result<String, CliError> {
-    let payload = std::fs::read(input)?;
-    let layout = dcode_baselines::registry::build(code, p)
-        .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", code.name())))?;
-    if block == 0 {
-        return Err(CliError::Usage("block size must be positive".into()));
-    }
+    let layout = build_code(code, p)?;
+    check_block(block)?;
+    let mut input = std::fs::File::open(input)?;
+    let payload_len = usize::try_from(input.metadata()?.len())
+        .map_err(|_| CliError::Usage("input does not fit this host's address space".into()))?;
     let per_stripe = layout.data_len() * block;
-    let stripes_needed = payload.len().div_ceil(per_stripe).max(1);
-    std::fs::create_dir_all(dir)?;
-
     let meta = ArrayMeta {
         code,
         p,
         block,
-        stripes: stripes_needed,
-        payload_len: payload.len(),
-        // Reserve a journal region so the array's geometry matches the
-        // journaled mount path; blocks below the record-header minimum
-        // get none. The region starts zeroed (all slots empty).
-        journal: if block >= 32 {
-            journal_blocks_per_disk(&layout, block)
-        } else {
-            0
-        },
+        stripes: payload_len.div_ceil(per_stripe).max(1),
+        payload_len,
+        journal: journal_blocks_per_disk(&layout, block),
     };
-    // One cached compile + the persistent pool for the whole batch, instead
-    // of a schedule compile (or even a cache lookup) per stripe.
-    let stripes = encode_payload(&layout, block, &payload, 8);
-    write_disks(dir, &meta, &layout, &stripes)?;
+    std::fs::create_dir_all(dir)?;
+    // Storing over an older array: its metadata must not outlive its disks.
+    if dir.join("meta.txt").exists() {
+        std::fs::remove_file(dir.join("meta.txt"))?;
+    }
+    // `create` zero-fills, which is both an all-zero (parity-consistent)
+    // data region and an all-empty journal.
+    let backend = FileBackend::create(dir, layout.disks(), meta.disk_blocks(&layout), block)?;
+    let mut array = ResilientArray::format_journaled(
+        layout.clone(),
+        block,
+        meta.stripes,
+        RotationScheme::None,
+        backend,
+        RetryPolicy::default(),
+        FAIL_THRESHOLD,
+    );
+    let mut buf = vec![0u8; CHUNK_STRIPES * per_stripe];
+    let mut done = 0;
+    while done < payload_len {
+        let take = buf.len().min(payload_len - done);
+        input.read_exact(&mut buf[..take])?;
+        // Whole stripes only: the tail is zero-padded, as the stripe
+        // already is on the medium.
+        let padded = take.next_multiple_of(per_stripe);
+        buf[take..padded].fill(0);
+        array.write(done / block, &buf[..padded])?;
+        done += take;
+    }
+    ensure_healthy(&array)?;
     meta.save(dir)?;
     Ok(format!(
         "stored {} bytes as {} stripe(s) of {} over {} disks ({} + 2 parity rows each)",
-        payload.len(),
-        stripes_needed,
+        payload_len,
+        meta.stripes,
         code.name(),
         layout.disks(),
         layout.rows() - 2
     ))
 }
 
-/// Load the array, reconstructing up to two dead disks in memory.
-/// Returns `(meta, layout, stripes, alive)` with every stripe fully intact.
-fn load_recovered(
-    dir: &Path,
-) -> Result<
-    (
-        ArrayMeta,
-        dcode_core::layout::CodeLayout,
-        Vec<Stripe>,
-        Vec<bool>,
-    ),
-    CliError,
-> {
-    let meta = ArrayMeta::load(dir)?;
-    let layout = layout_of(&meta);
-    let (mut stripes, alive) = read_disks(dir, &meta, &layout)?;
-    let dead: Vec<usize> = alive
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| !a)
-        .map(|(d, _)| d)
-        .collect();
-    if dead.len() > 2 {
-        return Err(CliError::State(format!(
-            "{} disks are dead ({dead:?}); RAID-6 tolerates at most 2",
-            dead.len()
-        )));
+/// An array directory with its disk files opened: what every command
+/// but `store` starts from.
+struct Opened {
+    meta: ArrayMeta,
+    layout: CodeLayout,
+    backend: FileBackend,
+    probes: Vec<DiskProbe>,
+    /// Disks whose file is missing or the wrong size.
+    dead: Vec<usize>,
+}
+
+impl Opened {
+    fn open(dir: &Path) -> Result<Self, CliError> {
+        let (meta, layout) = ArrayMeta::load(dir)?;
+        let blocks = meta.disk_blocks(&layout);
+        let (backend, probes) =
+            FileBackend::open_degraded(dir, layout.disks(), blocks, meta.block)?;
+        let dead = (0..probes.len())
+            .filter(|&d| !probes[d].is_present())
+            .collect();
+        Ok(Opened {
+            meta,
+            layout,
+            backend,
+            probes,
+            dead,
+        })
     }
-    if !dead.is_empty() {
-        let plan = plan_column_recovery(&layout, &dead)
-            .map_err(|e| CliError::State(format!("unrecoverable: {e}")))?;
-        for s in &mut stripes {
-            apply_plan(s, &plan);
+
+    /// Mount the array: journal replay, then CRCs seeded from the medium.
+    /// Dead disks are failed slots; with `replace_dead`, each also gets a
+    /// replacement file as a hot spare for [`rebuild`].
+    fn mount(mut self, replace_dead: bool) -> Result<ResilientArray<FileBackend>, CliError> {
+        if self.dead.len() > 2 {
+            return Err(CliError::State(format!(
+                "{} disks are dead ({:?}); RAID-6 tolerates at most 2",
+                self.dead.len(),
+                self.dead
+            )));
         }
+        let mut spares = Vec::new();
+        if replace_dead {
+            for &disk in &self.dead {
+                spares.push(self.backend.add_replacement(disk)?);
+            }
+        }
+        let topology = AttachTopology {
+            slot_to_disk: (0..self.layout.disks()).collect(),
+            failed_slots: self.dead,
+            spares,
+        };
+        Ok(ResilientArray::attach_journaled_as(
+            self.layout,
+            self.meta.block,
+            self.meta.stripes,
+            RotationScheme::None,
+            self.backend,
+            RetryPolicy::default(),
+            FAIL_THRESHOLD,
+            topology,
+        )?)
     }
-    Ok((meta, layout, stripes, alive))
 }
 
 /// `fetch`: reassemble the payload (through up to two dead disks) into
-/// `output`.
+/// `output`, a few stripes at a time.
 pub fn fetch(dir: &Path, output: &Path) -> Result<String, CliError> {
-    let (meta, layout, stripes, alive) = load_recovered(dir)?;
-    let mut payload = Vec::with_capacity(meta.payload_len);
-    for s in &stripes {
-        payload.extend_from_slice(&s.data_bytes(&layout));
+    let opened = Opened::open(dir)?;
+    let dead = opened.dead.len();
+    let (block, payload_len) = (opened.meta.block, opened.meta.payload_len);
+    let chunk = CHUNK_STRIPES * opened.layout.data_len();
+    let mut array = opened.mount(false)?;
+    let mut out = std::fs::File::create(output)?;
+    let elements = payload_len.div_ceil(block);
+    let mut next = 0;
+    while next < elements {
+        let count = chunk.min(elements - next);
+        let bytes = array.read(next, count)?;
+        // The last element is padding past the payload's end.
+        let keep = bytes.len().min(payload_len - next * block);
+        out.write_all(&bytes[..keep])?;
+        next += count;
     }
-    payload.truncate(meta.payload_len);
-    std::fs::write(output, &payload)?;
-    let dead = alive.iter().filter(|&&a| !a).count();
     Ok(format!(
-        "fetched {} bytes{}",
-        payload.len(),
+        "fetched {payload_len} bytes{}",
         if dead > 0 {
             format!(" (reconstructed through {dead} dead disk(s))")
         } else {
@@ -188,55 +296,42 @@ pub fn fetch(dir: &Path, output: &Path) -> Result<String, CliError> {
     ))
 }
 
-/// `status`: health and consistency summary.
+/// `status`: health and consistency summary. Read-only: nothing is
+/// mounted, replayed or written.
 pub fn status(dir: &Path) -> Result<String, CliError> {
-    let meta = ArrayMeta::load(dir)?;
-    let layout = layout_of(&meta);
-    let probes = probe_disks(dir, &meta, &layout);
-    let (stripes, alive) = read_disks(dir, &meta, &layout)?;
-    let dead: Vec<usize> = alive
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| !a)
-        .map(|(d, _)| d)
-        .collect();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "code: {} (p={}, {} disks, {} rows)\nblock: {} bytes, stripes: {}, payload: {} bytes\n",
+    let mut opened = Opened::open(dir)?;
+    let (meta, disks) = (opened.meta.clone(), opened.layout.disks());
+    let mut out = format!(
+        "code: {} (p={}, {disks} disks, {} rows)\nblock: {} bytes, stripes: {}, payload: {} bytes\n",
         meta.code.name(),
         meta.p,
-        layout.disks(),
-        layout.rows(),
+        opened.layout.rows(),
         meta.block,
         meta.stripes,
         meta.payload_len
-    ));
-    if dead.is_empty() {
-        let consistent = stripes.iter().all(|s| verify_parities(&layout, s));
-        out.push_str(&format!(
-            "disks: all {} healthy; parity {}\n",
-            layout.disks(),
-            if consistent {
-                "consistent"
-            } else {
-                "INCONSISTENT (run scrub)"
-            }
-        ));
+    );
+    if opened.dead.is_empty() {
+        let verdict = match parity_consistent(&mut opened)? {
+            true => "consistent",
+            false => "INCONSISTENT (run scrub)",
+        };
+        out.push_str(&format!("disks: all {disks} healthy; parity {verdict}\n"));
     } else {
         out.push_str(&format!(
-            "disks: {} healthy, DEAD: {dead:?} ({})\n",
-            layout.disks() - dead.len(),
-            if dead.len() <= 2 {
+            "disks: {} healthy, DEAD: {:?} ({})\n",
+            disks - opened.dead.len(),
+            opened.dead,
+            if opened.dead.len() <= 2 {
                 "recoverable — run rebuild"
             } else {
                 "DATA LOSS"
             }
         ));
     }
-    for (d, probe) in probes.iter().enumerate() {
+    for (d, probe) in opened.probes.iter().enumerate() {
         out.push_str(&format!("  disk {d}: {probe}\n"));
     }
-    out.push_str(&journal_status(dir, &meta, &layout, &dead));
+    out.push_str(&journal_status(&mut opened));
     let cache = dcode_codec::schedule_stats();
     out.push_str(&format!(
         "schedule cache: {} hit(s) / {} miss(es) (this process)\n",
@@ -245,38 +340,42 @@ pub fn status(dir: &Path) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Whether every stripe's parity matches its data, read straight off the
+/// disk files one stripe at a time.
+fn parity_consistent(opened: &mut Opened) -> Result<bool, CliError> {
+    let layout = &opened.layout;
+    let mut stripe = Stripe::zeroed(layout, opened.meta.block);
+    for t in 0..opened.meta.stripes {
+        for cell in layout.grid().cells() {
+            let block = t * layout.rows() + cell.row;
+            let into = stripe.block_mut(cell);
+            opened.backend.read_block(cell.col, block, into)?;
+        }
+        if !verify_parities(layout, &stripe) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// The parity-intent-journal lines of `status`: region geometry, a live
 /// scan of the record slots, and the persisted mount state (mount count,
 /// last replay outcome). Read-only — the scan never modifies the medium.
-fn journal_status(dir: &Path, meta: &ArrayMeta, layout: &CodeLayout, dead: &[usize]) -> String {
-    if meta.journal == 0 {
-        return "journal: none (array predates journaling or block too small)\n".into();
-    }
+fn journal_status(opened: &mut Opened) -> String {
+    let meta = &opened.meta;
     let region_bytes = meta.journal * meta.block;
     let mut out = format!(
         "journal: {} block(s)/disk ({} bytes/disk, {} bytes total)\n",
         meta.journal,
         region_bytes,
-        region_bytes * layout.disks()
+        region_bytes * opened.layout.disks()
     );
-    if !dead.is_empty() {
+    if !opened.dead.is_empty() {
         out.push_str("  not scanned: dead disks present (rebuild first)\n");
         return out;
     }
-    let spec = JournalSpec::for_geometry(layout, meta.block, meta.stripes);
-    let mut backend = match dcode_faults::FileBackend::open(
-        dir,
-        layout.disks(),
-        disk_blocks(meta, layout),
-        meta.block,
-    ) {
-        Ok(b) => b,
-        Err(e) => {
-            out.push_str(&format!("  not scanned: {e}\n"));
-            return out;
-        }
-    };
-    let scan = scan_journal(&mut backend, &spec);
+    let spec = JournalSpec::for_geometry(&opened.layout, meta.block, meta.stripes);
+    let scan = scan_journal(&mut opened.backend, &spec);
     out.push_str(&format!(
         "  records: {} live, {} retired, {} torn, {} empty slot(s)\n",
         scan.live.len(),
@@ -305,15 +404,14 @@ fn journal_status(dir: &Path, meta: &ArrayMeta, layout: &CodeLayout, dead: &[usi
 
 /// `kill`: make a disk fail by deleting its file.
 pub fn kill(dir: &Path, disk: usize) -> Result<String, CliError> {
-    let meta = ArrayMeta::load(dir)?;
-    let layout = layout_of(&meta);
+    let (_, layout) = ArrayMeta::load(dir)?;
     if disk >= layout.disks() {
         return Err(CliError::Usage(format!(
             "disk {disk} out of range (array has {} disks)",
             layout.disks()
         )));
     }
-    let path = disk_path(dir, disk);
+    let path = dir.join(disk_file_name(disk));
     if !path.exists() {
         return Err(CliError::State(format!("disk {disk} is already dead")));
     }
@@ -321,32 +419,37 @@ pub fn kill(dir: &Path, disk: usize) -> Result<String, CliError> {
     Ok(format!("disk {disk} killed"))
 }
 
-/// `rebuild`: reconstruct every dead disk and rewrite its file.
+/// `rebuild`: reconstruct every dead disk onto a replacement file — one
+/// survivor pass per stripe, the minimum-read program for one dead disk,
+/// both columns from the same pass for two. A replacement takes its
+/// disk's name only once it is complete and flushed, so an interrupted
+/// rebuild leaves the disk dead and is simply run again.
 pub fn rebuild(dir: &Path) -> Result<String, CliError> {
-    let (meta, layout, stripes, alive) = load_recovered(dir)?;
-    let dead: Vec<usize> = alive
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| !a)
-        .map(|(d, _)| d)
-        .collect();
+    let opened = Opened::open(dir)?;
+    let dead = opened.dead.clone();
     if dead.is_empty() {
         return Ok("all disks healthy; nothing to rebuild".into());
     }
-    for &d in &dead {
-        write_one_disk(dir, &meta, &layout, &stripes, d)?;
-    }
+    let pass_blocks = CHUNK_STRIPES * opened.layout.rows();
+    let mut array = opened.mount(true)?;
+    array.try_attach_spare();
+    while !array.rebuild_step(pass_blocks)? {}
+    ensure_healthy(&array)?;
+    let stats = array.stats().clone();
+    array.into_backend().commit_replacements()?;
     Ok(format!(
-        "rebuilt disk(s) {dead:?} across {} stripe(s)",
-        meta.stripes
+        "rebuilt disk(s) {dead:?} across {} stripe(s): {:.2} block(s) read per stripe, \
+         {:.2} per rebuilt block",
+        stats.rebuild_stripes,
+        stats.rebuild_read_blocks as f64 / stats.rebuild_stripes as f64,
+        stats.rebuild_read_blocks as f64 / stats.rebuilt_blocks as f64,
     ))
 }
 
 /// `layout`: print a code's element map, complexity metrics, and textual
 /// spec (parseable back via `dcode_core::spec::parse_spec`).
 pub fn layout(code: CodeId, p: usize) -> Result<String, CliError> {
-    let l = dcode_baselines::registry::build(code, p)
-        .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", code.name())))?;
+    let l = build_code(code, p)?;
     let m = dcode_core::metrics::measure(&l);
     let mut out = dcode_core::render::render_kinds_map(&l);
     out.push_str(&format!(
@@ -389,8 +492,7 @@ pub fn verify(code: Option<CodeId>, p: Option<usize>, all: bool) -> Result<Strin
     let mut out = String::new();
     let mut failing = 0usize;
     for (id, p) in targets {
-        let layout = dcode_baselines::registry::build(id, p)
-            .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", id.name())))?;
+        let layout = build_code(id, p)?;
         let report = dcode_verify::verify_layout(&layout);
         out.push_str(&report.to_string());
         out.push('\n');
@@ -449,8 +551,7 @@ pub fn analyze(
     let mut reports = Vec::new();
     let mut deltas = Vec::new();
     for (id, p) in targets {
-        let layout = dcode_baselines::registry::build(id, p)
-            .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", id.name())))?;
+        let layout = build_code(id, p)?;
         reports.push(dcode_analyze::analyze_layout(&layout));
         if opt_delta {
             deltas.push(dcode_analyze::opt_delta(&layout));
@@ -580,57 +681,48 @@ pub fn race(all: bool, json: bool) -> Result<String, CliError> {
     )))
 }
 
-/// `scrub`: verify every stripe's parities, localizing and repairing
-/// single- and pair-element silent corruption. With `repair` off nothing
-/// is written — the diagnosis reports what a repairing scrub *would* do,
-/// and finding corruption is itself an error (exit code 5) so scripted
-/// health checks can branch on it. Unlocalizable corruption is an
+/// `scrub`: the array's own scrub pass — every stripe's parity recomputed
+/// and compared, single- and pair-element silent corruption located by
+/// its syndrome and repaired. With `repair` off nothing is stored — the
+/// diagnosis reports what a repairing scrub *would* do, and finding
+/// corruption is itself an error (exit code 5) so scripted health checks
+/// can branch on it. Unlocalizable corruption is an
 /// [`CliError::Ambiguous`] error (exit code 4) in both modes.
 pub fn scrub(dir: &Path, repair: bool) -> Result<String, CliError> {
-    let meta = ArrayMeta::load(dir)?;
-    let layout = layout_of(&meta);
-    let (mut stripes, alive) = read_disks(dir, &meta, &layout)?;
-    if alive.iter().any(|&a| !a) {
+    let opened = Opened::open(dir)?;
+    if !opened.dead.is_empty() {
         return Err(CliError::State(
             "scrub requires all disks present; rebuild first".into(),
         ));
     }
-    let mut clean = 0usize;
-    let mut repaired = Vec::new();
-    let mut ambiguous = Vec::new();
-    for (idx, s) in stripes.iter_mut().enumerate() {
-        let report = if repair {
-            scrub_stripe(&layout, s)
-        } else {
-            scrub_stripe_dry(&layout, s)
-        };
-        match report {
-            ScrubReport::Clean => clean += 1,
-            ScrubReport::Repaired { cell } => repaired.push((idx, cell)),
-            ScrubReport::RepairedPair { cells } => {
-                repaired.push((idx, cells[0]));
-                repaired.push((idx, cells[1]));
-            }
-            ScrubReport::Ambiguous { .. } => ambiguous.push(idx),
-        }
-    }
-    if repair && !repaired.is_empty() {
-        write_disks(dir, &meta, &layout, &stripes)?;
-    }
-    let mut out = format!("{clean}/{} stripes clean", meta.stripes);
-    if !repaired.is_empty() {
+    let mut array = opened.mount(false)?;
+    let found = if repair {
+        array.scrub_pass()?
+    } else {
+        array.scrub_dry_run()?
+    };
+    let n = found.stripes;
+    let mut out = match found.parity_mismatches {
+        0 => format!("{n}/{n} stripes clean"),
+        bad => format!("{n} stripes scrubbed, {bad} parity block(s) inconsistent"),
+    };
+    if found.located_cells > 0 {
         out.push_str(&if repair {
-            format!("; repaired {repaired:?}")
+            format!("; repaired {} cell(s)", found.located_cells)
         } else {
-            format!("; would repair {repaired:?} (dry run, nothing written)")
+            format!(
+                "; would repair {} cell(s) (dry run, nothing written)",
+                found.located_cells
+            )
         });
     }
-    if !ambiguous.is_empty() {
+    if found.ambiguous_stripes > 0 {
         return Err(CliError::Ambiguous(format!(
-            "{out}; stripes {ambiguous:?} have multi-element corruption"
+            "{out}; {} stripe(s) have multi-element corruption",
+            found.ambiguous_stripes
         )));
     }
-    if !repair && !repaired.is_empty() {
+    if !repair && found.located_cells > 0 {
         return Err(CliError::Corrupt(format!(
             "{out} — re-run with --repair on to fix"
         )));
@@ -661,8 +753,7 @@ pub fn chaos(seed: u64, ops: usize, target: Option<(CodeId, usize)>) -> Result<S
     let mut out = String::new();
     let mut failed = 0usize;
     for (id, p) in targets {
-        let layout = dcode_baselines::registry::build(id, p)
-            .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", id.name())))?;
+        let layout = build_code(id, p)?;
         let report = soak(layout, &ChaosConfig::new(seed, ops));
         if !report.passed() {
             failed += 1;
@@ -709,8 +800,7 @@ pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<Strin
     let mut lines = String::new();
     let mut failed = Vec::new();
     for (id, p) in targets {
-        let layout = dcode_baselines::registry::build(id, p)
-            .map_err(|e| CliError::Usage(format!("cannot build {} at p={p}: {e}", id.name())))?;
+        let layout = build_code(id, p)?;
         let mut cfg = CrashSimConfig::new(layout, seed);
         if mutate {
             cfg.mutation = Some(JournalMutation::RetireBeforeParity);
@@ -807,18 +897,13 @@ pub struct ServeOpts {
 pub fn serve(dir: &Path, opts: &ServeOpts) -> Result<String, CliError> {
     use dcode_server::{Server, ServerConfig, ShardBackend, ShardConfig};
 
-    let layout = dcode_baselines::registry::build(opts.code, opts.p).map_err(|e| {
-        CliError::Usage(format!(
-            "cannot build {} at p={}: {e}",
-            opts.code.name(),
-            opts.p
-        ))
-    })?;
-    if opts.shards == 0 || opts.block == 0 || opts.stripes == 0 {
+    let layout = build_code(opts.code, opts.p)?;
+    if opts.shards == 0 || opts.stripes == 0 {
         return Err(CliError::Usage(
-            "--shards, --block and --stripes must be positive".into(),
+            "--shards and --stripes must be positive".into(),
         ));
     }
+    check_block(opts.block)?;
     std::fs::create_dir_all(dir)?;
     let shard_cfg = ShardConfig {
         layout,
@@ -986,6 +1071,10 @@ mod tests {
         (root.clone(), input, payload)
     }
 
+    fn disk_path(dir: &Path, disk: usize) -> PathBuf {
+        dir.join(disk_file_name(disk))
+    }
+
     #[test]
     fn store_kill_two_fetch_rebuild() {
         let (root, input, payload) = setup("e2e");
@@ -1077,7 +1166,7 @@ mod tests {
         store(&input, &dir, CodeId::DCode, 5, 512).unwrap();
 
         // Flip a byte in the middle of disk 2's file (silent corruption).
-        let dpath = crate::diskio::disk_path(&dir, 2);
+        let dpath = disk_path(&dir, 2);
         let mut bytes = std::fs::read(&dpath).unwrap();
         bytes[700] ^= 0x55;
         std::fs::write(&dpath, &bytes).unwrap();
@@ -1202,10 +1291,10 @@ mod tests {
         let dir = root.join("array");
         store(&input, &dir, CodeId::DCode, 5, 512).unwrap();
         // Truncate one disk mid-file, delete another.
-        let d1 = crate::diskio::disk_path(&dir, 1);
+        let d1 = disk_path(&dir, 1);
         let bytes = std::fs::read(&d1).unwrap();
         std::fs::write(&d1, &bytes[..bytes.len() / 2]).unwrap();
-        std::fs::remove_file(crate::diskio::disk_path(&dir, 3)).unwrap();
+        std::fs::remove_file(disk_path(&dir, 3)).unwrap();
 
         let out = status(&dir).unwrap();
         assert!(out.contains("DEAD: [1, 3]"), "{out}");
@@ -1220,7 +1309,7 @@ mod tests {
         let (root, input, _) = setup("scrubdry");
         let dir = root.join("array");
         store(&input, &dir, CodeId::DCode, 5, 512).unwrap();
-        let dpath = crate::diskio::disk_path(&dir, 2);
+        let dpath = disk_path(&dir, 2);
         let mut bytes = std::fs::read(&dpath).unwrap();
         bytes[700] ^= 0x55;
         std::fs::write(&dpath, &bytes).unwrap();
@@ -1245,7 +1334,7 @@ mod tests {
         // Corrupt three cells of stripe 0 in distinct columns — beyond
         // pair localization.
         for d in [0, 2, 4] {
-            let dpath = crate::diskio::disk_path(&dir, d);
+            let dpath = disk_path(&dir, d);
             let mut bytes = std::fs::read(&dpath).unwrap();
             bytes[10 + d] ^= 0xFF;
             std::fs::write(&dpath, &bytes).unwrap();
@@ -1276,7 +1365,9 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("0 live"), "{out}");
-        assert!(out.contains("never mounted"), "{out}");
+        // The store was the first mount; status itself never mounts.
+        assert!(out.contains("mounts: 1, last replay: clean"), "{out}");
+        assert!(status(&dir).unwrap().contains("mounts: 1,"));
         // With a dead disk the scan is skipped but the region is reported.
         kill(&dir, 1).unwrap();
         let out = status(&dir).unwrap();
@@ -1284,6 +1375,233 @@ mod tests {
         // Rebuild restores the geometry, journal tail included.
         rebuild(&dir).unwrap();
         assert!(status(&dir).unwrap().contains("0 live"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The on-disk format, pinned: block `t·rows + r` of `disk_<i>.bin` is
+    /// cell `(r, i)` of stripe `t` as the codec encodes it. Arrays stored
+    /// before the CLI ran on the array engine have exactly this layout, so
+    /// this is also the check that they stay readable.
+    #[test]
+    fn stored_disk_files_hold_the_codecs_stripes_in_stripe_order() {
+        use dcode_core::grid::Cell;
+        let (root, input, payload) = setup("format");
+        for (i, (code, p, block)) in [(CodeId::DCode, 5, 512), (CodeId::Rdp, 7, 96)]
+            .into_iter()
+            .enumerate()
+        {
+            let dir = root.join(format!("array{i}"));
+            store(&input, &dir, code, p, block).unwrap();
+            let (meta, layout) = ArrayMeta::load(&dir).unwrap();
+            let rows = layout.rows();
+            let disks: Vec<Vec<u8>> = (0..layout.disks())
+                .map(|d| std::fs::read(disk_path(&dir, d)).unwrap())
+                .collect();
+            for (t, chunk) in payload.chunks(layout.data_len() * block).enumerate() {
+                let mut stripe = Stripe::from_data(&layout, block, chunk);
+                dcode_codec::encode(&layout, &mut stripe);
+                for cell in layout.grid().cells() {
+                    let at = (t * rows + cell.row) * block;
+                    assert_eq!(
+                        &disks[cell.col][at..at + block],
+                        stripe.block(Cell::new(cell.row, cell.col)),
+                        "{} stripe {t} cell {cell}",
+                        code.name()
+                    );
+                }
+            }
+            // Past the stripes: the journal tail, and nothing else.
+            let want = meta.disk_blocks(&layout) * block;
+            assert!(disks.iter().all(|d| d.len() == want));
+            assert_eq!(meta.journal, journal_blocks_per_disk(&layout, block));
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn payloads_at_element_stripe_and_chunk_edges_roundtrip() {
+        let (root, _, _) = setup("edges");
+        let (block, per_stripe) = (64, 15 * 64); // D-Code p=5: 15 data cells
+        let lens = [
+            0,
+            1,
+            block - 1,
+            block + 1,
+            per_stripe,
+            per_stripe + 1,
+            CHUNK_STRIPES * per_stripe,
+            CHUNK_STRIPES * per_stripe + block + 7,
+        ];
+        for (i, len) in lens.into_iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|b| (b * 31 % 253) as u8).collect();
+            let input = root.join("in.bin");
+            std::fs::write(&input, &payload).unwrap();
+            let dir = root.join(format!("array{i}"));
+            store(&input, &dir, CodeId::DCode, 5, block).unwrap();
+            let (meta, _) = ArrayMeta::load(&dir).unwrap();
+            assert_eq!(meta.stripes, len.div_ceil(per_stripe).max(1), "len {len}");
+            let out = root.join("out.bin");
+            fetch(&dir, &out).unwrap();
+            assert_eq!(std::fs::read(&out).unwrap(), payload, "len {len}");
+            // And through a dead disk.
+            kill(&dir, 2).unwrap();
+            fetch(&dir, &out).unwrap();
+            assert_eq!(std::fs::read(&out).unwrap(), payload, "len {len} degraded");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn interrupted_rebuild_leaves_the_disk_dead_and_reruns_identically() {
+        let (root, input, payload) = setup("rebuildcut");
+        let dir = root.join("array");
+        store(&input, &dir, CodeId::DCode, 5, 512).unwrap();
+        let golden = std::fs::read(disk_path(&dir, 3)).unwrap();
+        kill(&dir, 3).unwrap();
+
+        // One stripe in, the process dies: the array is dropped before
+        // the replacement takes the disk's name.
+        let mut array = Opened::open(&dir).unwrap().mount(true).unwrap();
+        array.try_attach_spare();
+        assert!(
+            !array.rebuild_step(1).unwrap(),
+            "more than one stripe to go"
+        );
+        drop(array);
+        let out = status(&dir).unwrap();
+        assert!(out.contains("DEAD: [3]"), "{out}");
+        assert!(out.contains("disk 3: missing"), "{out}");
+
+        // The rerun restores the data region byte for byte; the journal
+        // tail of a rebuilt disk is an empty (all-zero) record slot.
+        rebuild(&dir).unwrap();
+        let (meta, layout) = ArrayMeta::load(&dir).unwrap();
+        let data_region = meta.stripes * layout.rows() * meta.block;
+        let rebuilt = std::fs::read(disk_path(&dir, 3)).unwrap();
+        assert_eq!(rebuilt[..data_region], golden[..data_region]);
+        assert_eq!(rebuilt.len(), golden.len());
+        assert!(rebuilt[data_region..].iter().all(|&b| b == 0));
+        assert!(status(&dir).unwrap().contains("parity consistent"));
+        let fetched = root.join("out.bin");
+        fetch(&dir, &fetched).unwrap();
+        assert_eq!(std::fs::read(&fetched).unwrap(), payload);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn rebuild_reads_what_the_recovery_equations_need() {
+        let (root, input, _) = setup("rebuildreads");
+        let dir = root.join("array");
+        store(&input, &dir, CodeId::DCode, 7, 256).unwrap();
+        let (meta, layout) = ArrayMeta::load(&dir).unwrap();
+        let data_region = meta.stripes * layout.rows() * meta.block;
+        let golden = |d| std::fs::read(disk_path(&dir, d)).unwrap()[..data_region].to_vec();
+        let (g2, g5) = (golden(2), golden(5));
+        // One dead disk: the minimum-read program, 26 of the 42 surviving
+        // blocks of a stripe for its 7 lost ones.
+        kill(&dir, 2).unwrap();
+        let one = rebuild(&dir).unwrap();
+        assert!(one.contains("26.00 block(s) read per stripe"), "{one}");
+        assert!(one.contains("3.71 per rebuilt block"), "{one}");
+        // Two: both columns from one pass over the 35 survivors.
+        kill(&dir, 2).unwrap();
+        kill(&dir, 5).unwrap();
+        let two = rebuild(&dir).unwrap();
+        assert!(two.contains("35.00 block(s) read per stripe"), "{two}");
+        assert!(two.contains("2.50 per rebuilt block"), "{two}");
+        assert_eq!((golden(2), golden(5)), (g2, g5));
+        assert!(rebuild(&dir).unwrap().contains("nothing to rebuild"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn status_writes_nothing() {
+        let (root, input, _) = setup("statusro");
+        let dir = root.join("array");
+        store(&input, &dir, CodeId::DCode, 5, 512).unwrap();
+        let snapshot = || -> Vec<Vec<u8>> {
+            (0..5)
+                .map(|d| std::fs::read(disk_path(&dir, d)).unwrap())
+                .collect()
+        };
+        let before = snapshot();
+        assert!(status(&dir).unwrap().contains("parity consistent"));
+        assert_eq!(snapshot(), before);
+        // Unlike a mount, which counts itself on disk 0's state block.
+        scrub(&dir, false).unwrap();
+        assert_ne!(snapshot()[0], before[0]);
+        assert_eq!(snapshot()[1..], before[1..]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `meta.txt` is outside input: whatever it says, every command
+    /// answers with a typed metadata error — no panic, nothing sized from
+    /// an unchecked field.
+    #[test]
+    fn hostile_metadata_is_a_typed_error_from_every_command() {
+        let (root, input, _) = setup("hostile");
+        let dir = root.join("array");
+        store(&input, &dir, CodeId::DCode, 7, 4096).unwrap();
+        let good = std::fs::read_to_string(dir.join("meta.txt")).unwrap();
+        let field = |name: &str| {
+            let line = good.lines().find(|l| l.starts_with(name)).unwrap();
+            line.to_string()
+        };
+        let hostile = [
+            (field("p="), "p=9".to_string()),
+            (field("block="), "block=0".to_string()),
+            (field("stripes="), "stripes=99999999999".to_string()),
+            (field("payload_len="), format!("payload_len={}", u64::MAX)),
+            (field("payload_len="), "payload_len=99999999999".to_string()),
+            (field("journal="), "journal=1".to_string()),
+            (field("journal="), String::new()),
+        ];
+        let out = root.join("out.bin");
+        for (from, to) in hostile {
+            std::fs::write(dir.join("meta.txt"), good.replace(&from, &to)).unwrap();
+            let results = [
+                status(&dir),
+                fetch(&dir, &out),
+                rebuild(&dir),
+                scrub(&dir, true),
+                scrub(&dir, false),
+                kill(&dir, 0),
+            ];
+            for result in results {
+                let err = result.expect_err(&to);
+                assert!(matches!(err, CliError::Meta(_)), "{to}: {err}");
+                assert_eq!(err.exit_code(), 1);
+            }
+        }
+        // Nothing above touched the array.
+        std::fs::write(dir.join("meta.txt"), good).unwrap();
+        assert!(status(&dir).unwrap().contains("parity consistent"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn blocks_under_the_journal_minimum_are_usage_errors() {
+        let (root, input, _) = setup("smallblock");
+        let err = store(&input, &root.join("array"), CodeId::DCode, 5, 16).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(
+            !root.join("array").exists(),
+            "refused before anything is created"
+        );
+        // `serve --block 16` used to panic in the journal geometry.
+        let opts = ServeOpts {
+            code: CodeId::DCode,
+            p: 7,
+            shards: 1,
+            port: 0,
+            block: 16,
+            stripes: 4,
+            queue_cap: 4,
+            conns: 2,
+        };
+        let err = serve(&root.join("srv"), &opts).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(!root.join("srv").exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -20,7 +20,6 @@
 //! dry-run scrub.
 
 mod commands;
-mod diskio;
 mod meta;
 
 use commands::CliError;

@@ -1,7 +1,11 @@
 //! Array metadata: a small text file (`meta.txt`) describing how a payload
-//! was striped across the disk files.
+//! was striped across the disk files. The file is outside input:
+//! [`ArrayMeta::load`] checks it against the code and the journal geometry
+//! before anything is sized from it.
 
-use dcode_baselines::registry::CodeId;
+use dcode_array::{journal_blocks_per_disk, MIN_BLOCK_SIZE};
+use dcode_baselines::registry::{build, CodeId};
+use dcode_core::layout::CodeLayout;
 use std::fmt;
 use std::path::Path;
 
@@ -19,8 +23,7 @@ pub struct ArrayMeta {
     /// Exact byte length of the stored payload (the tail block is padded).
     pub payload_len: usize,
     /// Blocks per disk reserved past the stripes for the parity-intent
-    /// journal region (0 = none, e.g. arrays from before journaling or
-    /// blocks too small to hold a record header).
+    /// journal region.
     pub journal: usize,
 }
 
@@ -49,6 +52,10 @@ impl From<std::io::Error> for MetaError {
         MetaError::Io(e)
     }
 }
+
+/// What to do about an array without a (matching) journal region.
+const NO_JOURNAL: &str = "this array has no usable journal region (written before journaling, \
+     or with blocks too small for one): fetch it with the dcode that stored it and re-store";
 
 fn code_by_name(name: &str) -> Option<CodeId> {
     match name.to_ascii_lowercase().as_str() {
@@ -122,16 +129,65 @@ impl ArrayMeta {
             block: need(block, "block")?,
             stripes: need(stripes, "stripes")?,
             payload_len: need(payload_len, "payload_len")?,
-            // Absent in meta files written before journaling existed:
-            // those arrays simply have no journal region.
-            journal: journal.unwrap_or(0),
+            // Absent in files written before journaling existed.
+            journal: journal
+                .ok_or_else(|| MetaError::Malformed(format!("missing 'journal' — {NO_JOURNAL}")))?,
         })
     }
 
-    /// Load from `<dir>/meta.txt`.
-    pub fn load(dir: &Path) -> Result<Self, MetaError> {
+    /// Check the fields against each other and build the code they name.
+    /// After this, every size derived from the metadata — blocks and
+    /// bytes per disk file, payload capacity — is known not to overflow.
+    fn validate(&self) -> Result<CodeLayout, MetaError> {
+        let bad = |what: String| Err(MetaError::Malformed(what));
+        let layout = build(self.code, self.p).map_err(|e| {
+            MetaError::Malformed(format!("{} at p={}: {e}", self.code.name(), self.p))
+        })?;
+        if self.block < MIN_BLOCK_SIZE {
+            return bad(format!(
+                "block = {} is under the {MIN_BLOCK_SIZE}-byte journal minimum — {NO_JOURNAL}",
+                self.block
+            ));
+        }
+        let want = journal_blocks_per_disk(&layout, self.block);
+        if self.journal != want {
+            return bad(format!(
+                "journal = {}, but this geometry reserves {want} block(s) — {NO_JOURNAL}",
+                self.journal
+            ));
+        }
+        // `store` writes the fewest stripes that hold the payload (one for
+        // an empty payload); anything else was not written by it.
+        let per_stripe = layout.data_len().checked_mul(self.block);
+        let stripes = per_stripe.map(|per| self.payload_len.div_ceil(per).max(1));
+        if stripes != Some(self.stripes) {
+            return bad(format!(
+                "stripes = {} does not hold a payload of {} bytes",
+                self.stripes, self.payload_len
+            ));
+        }
+        let disk_bytes = self
+            .stripes
+            .checked_mul(layout.rows())
+            .and_then(|blocks| blocks.checked_add(self.journal))
+            .and_then(|blocks| blocks.checked_mul(self.block));
+        if disk_bytes.is_none() {
+            return bad(format!("stripes = {} overflows a disk file", self.stripes));
+        }
+        Ok(layout)
+    }
+
+    /// Blocks per disk file: the data region plus the journal tail.
+    pub fn disk_blocks(&self, layout: &CodeLayout) -> usize {
+        self.stripes * layout.rows() + self.journal
+    }
+
+    /// Load `<dir>/meta.txt`, validate it, and build its code.
+    pub fn load(dir: &Path) -> Result<(Self, CodeLayout), MetaError> {
         let text = std::fs::read_to_string(dir.join("meta.txt"))?;
-        Self::from_text(&text)
+        let meta = Self::from_text(&text)?;
+        let layout = meta.validate()?;
+        Ok((meta, layout))
     }
 
     /// Save to `<dir>/meta.txt`.
@@ -160,12 +216,77 @@ mod tests {
     }
 
     #[test]
-    fn meta_without_journal_field_defaults_to_zero() {
-        // Files written before journaling existed lack the field.
-        let parsed =
-            ArrayMeta::from_text("code=dcode\np=7\nblock=64\nstripes=2\npayload_len=100\n")
-                .unwrap();
-        assert_eq!(parsed.journal, 0);
+    fn validation_accepts_what_store_writes_and_names_each_miss() {
+        let layout = build(CodeId::DCode, 7).unwrap();
+        let good = ArrayMeta {
+            code: CodeId::DCode,
+            p: 7,
+            block: 64,
+            stripes: 3,
+            payload_len: 2 * layout.data_len() * 64 + 1,
+            journal: journal_blocks_per_disk(&layout, 64),
+        };
+        assert_eq!(good.validate().unwrap().disks(), 7);
+        let empty = ArrayMeta {
+            stripes: 1,
+            payload_len: 0,
+            ..good.clone()
+        };
+        assert!(empty.validate().is_ok());
+
+        let misses = [
+            (
+                ArrayMeta {
+                    p: 9,
+                    ..good.clone()
+                },
+                "p=9",
+            ),
+            (
+                ArrayMeta {
+                    block: 16,
+                    ..good.clone()
+                },
+                "re-store",
+            ),
+            (
+                ArrayMeta {
+                    journal: 0,
+                    ..good.clone()
+                },
+                "re-store",
+            ),
+            (
+                ArrayMeta {
+                    stripes: 4,
+                    ..good.clone()
+                },
+                "stripes = 4",
+            ),
+            (
+                ArrayMeta {
+                    stripes: 0,
+                    ..empty
+                },
+                "stripes = 0",
+            ),
+            (
+                ArrayMeta {
+                    payload_len: usize::MAX,
+                    ..good.clone()
+                },
+                "payload",
+            ),
+        ];
+        for (meta, what) in misses {
+            let err = meta.validate().unwrap_err().to_string();
+            assert!(err.contains(what), "{meta:?}: {err}");
+        }
+        // Pre-journaling files lack the field: refused, with the way out.
+        let err = ArrayMeta::from_text("code=dcode\np=7\nblock=64\nstripes=2\npayload_len=100\n")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("journal") && err.contains("re-store"), "{err}");
     }
 
     #[test]

@@ -39,33 +39,6 @@ thread_local! {
     static JOB_BUFS: RefCell<Vec<Vec<Stripe>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Split `payload` into as many stripes as needed (tail zero-padded) and
-/// encode each. `threads = 1` runs inline; more fan out over the
-/// persistent pool, clamped to the host's available parallelism.
-pub fn encode_payload(
-    layout: &CodeLayout,
-    block_size: usize,
-    payload: &[u8],
-    threads: usize,
-) -> Vec<Stripe> {
-    let per_stripe = layout.data_len() * block_size;
-    let n_stripes = payload.len().div_ceil(per_stripe).max(1);
-    let mut stripes: Vec<Stripe> = (0..n_stripes)
-        .map(|k| {
-            let lo = k * per_stripe;
-            let hi = ((k + 1) * per_stripe).min(payload.len());
-            let chunk = if lo < payload.len() {
-                &payload[lo..hi]
-            } else {
-                &[]
-            };
-            Stripe::from_data(layout, block_size, chunk)
-        })
-        .collect();
-    encode_stripes(layout, &mut stripes, threads);
-    stripes
-}
-
 /// Encode a slice of stripes in place, in parallel. The compiled program
 /// comes from the global schedule cache (no per-call compile) and jobs
 /// run on the global persistent pool (no per-call spawns). The requested
@@ -172,17 +145,6 @@ pub fn run_batch(
     }
 }
 
-/// Reassemble the payload from encoded stripes (inverse of
-/// [`encode_payload`], minus the padding).
-pub fn payload_of(layout: &CodeLayout, stripes: &[Stripe], payload_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload_len);
-    for s in stripes {
-        out.extend_from_slice(&s.data_bytes(layout));
-    }
-    out.truncate(payload_len);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,18 +164,27 @@ mod tests {
             .collect()
     }
 
+    /// `stripes_of`, encoded through [`encode_stripes`] on `threads`.
+    fn encoded(layout: &CodeLayout, block_size: usize, data: &[u8], threads: usize) -> Vec<Stripe> {
+        let mut stripes = stripes_of(layout, block_size, data);
+        encode_stripes(layout, &mut stripes, threads);
+        stripes
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let layout = dcode(7).unwrap();
         let data = payload(layout.data_len() * 64 * 5 + 123); // 5.x stripes
-        let seq = encode_payload(&layout, 64, &data, 1);
+        let seq = encoded(&layout, 64, &data, 1);
         for threads in [2usize, 4, 8] {
-            let par = encode_payload(&layout, 64, &data, threads);
+            let par = encoded(&layout, 64, &data, threads);
             assert_eq!(par, seq, "threads={threads}");
         }
         assert_eq!(seq.len(), 6);
         assert!(seq.iter().all(|s| verify_parities(&layout, s)));
-        assert_eq!(payload_of(&layout, &seq, data.len()), data);
+        let mut back: Vec<u8> = seq.iter().flat_map(|s| s.data_bytes(&layout)).collect();
+        back.truncate(data.len());
+        assert_eq!(back, data);
     }
 
     #[test]
@@ -222,7 +193,7 @@ mod tests {
         // host's core count (encode_stripes clamps; run_batch does not).
         let layout = dcode(7).unwrap();
         let data = payload(layout.data_len() * 32 * 7 + 5);
-        let seq = encode_payload(&layout, 32, &data, 1);
+        let seq = encoded(&layout, 32, &data, 1);
         let pool = minipool::WorkerPool::with_workers(4);
         let program = Arc::new(XorProgram::compile_encode(&layout));
         for threads in [2usize, 4, 16] {
@@ -388,22 +359,5 @@ mod tests {
         let layout = dcode(5).unwrap();
         let mut stripes = vec![Stripe::zeroed(&layout, 8)];
         assert!(recover_stripes(&layout, &[0, 1, 2], &mut stripes, 2).is_err());
-    }
-
-    #[test]
-    fn empty_payload_yields_one_zero_stripe() {
-        let layout = dcode(5).unwrap();
-        let stripes = encode_payload(&layout, 16, &[], 4);
-        assert_eq!(stripes.len(), 1);
-        assert!(verify_parities(&layout, &stripes[0]));
-        assert!(payload_of(&layout, &stripes, 0).is_empty());
-    }
-
-    #[test]
-    fn exact_multiple_has_no_extra_stripe() {
-        let layout = dcode(5).unwrap();
-        let per = layout.data_len() * 16;
-        let stripes = encode_payload(&layout, 16, &payload(per * 3), 2);
-        assert_eq!(stripes.len(), 3);
     }
 }

@@ -65,7 +65,7 @@ pub mod update;
 pub mod xor;
 
 pub use bitmatrix::{encode_with_matrix, generator_matrix, BitMatrix};
-pub use bulk::{encode_payload, encode_stripes, payload_of, recover_stripes, run_batch};
+pub use bulk::{encode_stripes, recover_stripes, run_batch};
 pub use cache::{schedule_stats, CacheStats, CompiledRecovery, ScheduleCache};
 pub use decode::{apply_plan, apply_plan_naive, recover_columns};
 pub use encode::{encode, encode_naive, verify_parities};

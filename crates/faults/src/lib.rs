@@ -11,7 +11,9 @@
 //! * [`backend`] — the [`DiskBackend`] trait (block read/write/flush with
 //!   typed [`DiskError`]s) and the in-memory [`MemBackend`];
 //! * [`file`] — [`FileBackend`], a file-per-disk backend doing seek-based
-//!   per-block I/O (no whole-disk buffering);
+//!   per-block I/O (no whole-disk buffering), with a degraded-tolerant
+//!   open (an unusable disk file is a dead disk) and replace-by-rename
+//!   for rebuilt disks;
 //! * [`inject`] — [`FaultInjector`], a deterministic wrapper driven by a
 //!   seeded [`FaultPlan`]: transient errors, permanently bad sectors, torn
 //!   writes, silent bit flips, and latency spikes, plus scheduled
@@ -44,6 +46,6 @@ pub use backend::{DiskBackend, DiskError, MemBackend};
 pub use counting::{CountingBackend, IoCounts};
 pub use crash::{catch_crash, silence_crash_panics, CrashPanic};
 pub use crc::crc32;
-pub use file::{disk_file_name, FileBackend};
+pub use file::{disk_file_name, DiskProbe, FileBackend};
 pub use inject::{FaultInjector, FaultKind, FaultPlan, FaultStats, ScheduledFault};
 pub use shared::SharedInjector;

@@ -313,7 +313,8 @@ impl ShardEngine for StoreEngine {
                     "{{\"shard\":{},\"stripes\":{},\"checksum_catches\":{},\
                      \"degraded_reads\":{},\"read_repairs\":{},\
                      \"parity_checked\":{},\"parity_mismatches\":{},\
-                     \"parity_repairs\":{}}}",
+                     \"parity_repairs\":{},\"located_cells\":{},\
+                     \"ambiguous_stripes\":{}}}",
                     self.id,
                     summary.stripes,
                     summary.checksum_catches,
@@ -322,6 +323,8 @@ impl ShardEngine for StoreEngine {
                     summary.parity_checked,
                     summary.parity_mismatches,
                     summary.parity_repairs,
+                    summary.located_cells,
+                    summary.ambiguous_stripes,
                 )),
                 Err(e) => Response::Err(format!(
                     "shard {} scrub: {}",

@@ -5,7 +5,7 @@
 use dcode::baselines::registry::{build, CodeId};
 use dcode::baselines::{shortened_evenodd, shortened_rdp};
 use dcode::codec::rs::{Erasure, RsRaid6};
-use dcode::codec::{encode_payload, payload_of};
+use dcode::codec::{encode_stripes, verify_parities, Stripe};
 use dcode::core::analysis::adjacent_sharing_probability;
 use dcode::core::mds::fault_tolerance;
 use dcode::core::spec::{format_spec, parse_spec};
@@ -47,8 +47,15 @@ fn shortened_codes_give_arbitrary_disk_counts() {
 fn bulk_encode_roundtrip_through_facade() {
     let layout = build(CodeId::DCode, 7).unwrap();
     let payload: Vec<u8> = (0..100_000).map(|i| (i % 241) as u8).collect();
-    let stripes = encode_payload(&layout, 1024, &payload, 4);
-    assert_eq!(payload_of(&layout, &stripes, payload.len()), payload);
+    let mut stripes: Vec<Stripe> = payload
+        .chunks(layout.data_len() * 1024)
+        .map(|chunk| Stripe::from_data(&layout, 1024, chunk))
+        .collect();
+    encode_stripes(&layout, &mut stripes, 4);
+    assert!(stripes.iter().all(|s| verify_parities(&layout, s)));
+    let mut back: Vec<u8> = stripes.iter().flat_map(|s| s.data_bytes(&layout)).collect();
+    back.truncate(payload.len());
+    assert_eq!(back, payload);
 }
 
 #[test]
