@@ -20,6 +20,15 @@
 //! * a [`scrub_pass`](crate::ResilientArray::scrub_pass) reports zero
 //!   parity mismatches (no write hole).
 //!
+//! The `store-*` ops lift the same enumeration one layer, to the layer
+//! that acknowledges a client: they drive an [`ObjectStore`] over the
+//! journaled array and crash before every backend write of a put, an
+//! overwrite, a delete and a put refused by a full index. After the
+//! remount the index must open (it parses, no two extents overlap), every
+//! object the op did not name reads its acknowledged bytes, the op's own
+//! key reads its last acknowledged state or the in-flight one and nothing
+//! else, and the scrub is clean.
+//!
 //! Each scenario is rebuilt from scratch deterministically per crash
 //! index, so any failure is replayable from `(op, crash index, seed)` —
 //! which is exactly what a [`CrashFailure`] records.
@@ -32,12 +41,14 @@
 //! [`passed`]: CrashSweepReport::passed
 
 use crate::journal::journal_blocks_per_disk;
+use crate::objstore::{ObjectStore, StoreError};
 use crate::resilient::{
     AttachTopology, JournalMutation, ResilientArray, ResilientStats, RetryPolicy,
 };
 use crate::rotation::RotationScheme;
 use dcode_core::layout::CodeLayout;
 use dcode_faults::{catch_crash, FaultInjector, FaultPlan, MemBackend, SharedInjector};
+use std::collections::BTreeMap;
 
 /// The write-path operations the sweep crashes.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -64,11 +75,23 @@ pub enum CrashOp {
     /// A double crash: the mount-time *replay* of a crashed write is
     /// itself crashed at every write index, then remounted again.
     ReplayCrash,
+    /// `ObjectStore::put` of a key the store does not hold.
+    StorePut,
+    /// `ObjectStore::upsert` of an existing key with a longer value, whose
+    /// new extent starts at a number one digit wider than the old one's
+    /// (every later index line shifts).
+    StoreUpsert,
+    /// `ObjectStore::delete` of an existing key.
+    StoreDelete,
+    /// `ObjectStore::put` into a store whose index has no room for one
+    /// more line: the value is written, the index refuses, the call
+    /// returns `NoSpace` — and nothing may have changed.
+    StorePutIndexFull,
 }
 
 impl CrashOp {
     /// Every op the sweep covers.
-    pub const ALL: [CrashOp; 8] = [
+    pub const ALL: [CrashOp; 12] = [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
         CrashOp::SmallWrite,
@@ -77,6 +100,10 @@ impl CrashOp {
         CrashOp::RebuildStep,
         CrashOp::DualRebuild,
         CrashOp::ReplayCrash,
+        CrashOp::StorePut,
+        CrashOp::StoreUpsert,
+        CrashOp::StoreDelete,
+        CrashOp::StorePutIndexFull,
     ];
 
     /// Stable name (reports, JSON).
@@ -90,6 +117,10 @@ impl CrashOp {
             CrashOp::RebuildStep => "rebuild-step",
             CrashOp::DualRebuild => "dual-rebuild",
             CrashOp::ReplayCrash => "replay-crash",
+            CrashOp::StorePut => "store-put",
+            CrashOp::StoreUpsert => "store-upsert",
+            CrashOp::StoreDelete => "store-delete",
+            CrashOp::StorePutIndexFull => "store-put-index-full",
         }
     }
 
@@ -257,6 +288,9 @@ struct Instance {
     handle: SharedInjector<MemBackend>,
     /// Full logical content before the op (all of it acknowledged).
     initial: Vec<u8>,
+    /// The objects a store scenario acknowledged before its op (empty for
+    /// the array ops).
+    acked: BTreeMap<String, Vec<u8>>,
 }
 
 /// Build a fresh journaled array over a shared injector, filled with the
@@ -288,6 +322,58 @@ fn prepare(cfg: &CrashSimConfig, spares: usize) -> Instance {
         array,
         handle,
         initial,
+        acked: BTreeMap::new(),
+    }
+}
+
+/// Elements the store ops reserve for the index.
+const STORE_META: usize = 4;
+
+/// The objects every store scenario holds before its op: two elements
+/// each, at elements 4, 6 and 8, so the next extent starts at 10 — one
+/// digit wider. One-letter names keep the index text inside its first
+/// block at the sweep's 32-byte blocks: an index that spans blocks can
+/// tear (ROADMAP item 1), and that case is an ignored test of its own
+/// (`tests/store_crash.rs`), not a failure mixed into these rows.
+const STORE_SEED_KEYS: [&str; 3] = ["a", "k", "z"];
+
+/// For an op that goes through an [`ObjectStore`]: the key it names and
+/// the value it carries (`None`: a delete). `None` for the array ops.
+fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Option<Vec<u8>>)> {
+    let bs = cfg.block_size;
+    match op {
+        CrashOp::StorePut => Some(("n", Some(prand_bytes(cfg.seed ^ 0x0B01, 2 * bs + 1)))),
+        CrashOp::StoreUpsert => Some(("k", Some(prand_bytes(cfg.seed ^ 0x0B02, 2 * bs + 5)))),
+        CrashOp::StoreDelete => Some(("k", None)),
+        CrashOp::StorePutIndexFull => Some((
+            "a-name-the-full-index-has-no-room-for",
+            Some(prand_bytes(cfg.seed ^ 0x0B03, bs)),
+        )),
+        _ => None,
+    }
+}
+
+/// Format a store on the prepared array and acknowledge the scenario's
+/// objects; for [`CrashOp::StorePutIndexFull`], then one-element fillers
+/// until the index refuses the next line.
+fn seed_store(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
+    let mut store = ObjectStore::format(&mut inst.array, STORE_META).expect("format store");
+    let mut ack = |name: String, value: Vec<u8>| -> bool {
+        let stored = store.put(&name, &value).is_ok();
+        if stored {
+            inst.acked.insert(name, value);
+        }
+        stored
+    };
+    for (i, name) in STORE_SEED_KEYS.iter().enumerate() {
+        let value = prand_bytes(cfg.seed ^ (0x0B10 + i as u64), cfg.block_size + 8);
+        assert!(ack(name.to_string(), value), "seed object '{name}' fits");
+    }
+    if op == CrashOp::StorePutIndexFull {
+        let mut i = 0u8;
+        while ack(format!("f{i}"), vec![i; 1]) {
+            i += 1;
+        }
     }
 }
 
@@ -317,7 +403,14 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         }
         CrashOp::MetaWrite => Some((0, prand_bytes(cfg.seed ^ 0x1DE7, 8.min(k) * bs))),
         CrashOp::DegradedWrite => Some((2, prand_bytes(cfg.seed ^ 0xD00D, 3 * bs))),
-        CrashOp::RebuildStep | CrashOp::DualRebuild => None,
+        // A rebuild writes no logical data; the store ops are judged by
+        // object ([`store_target`]), not by element.
+        CrashOp::RebuildStep
+        | CrashOp::DualRebuild
+        | CrashOp::StorePut
+        | CrashOp::StoreUpsert
+        | CrashOp::StoreDelete
+        | CrashOp::StorePutIndexFull => None,
     }
 }
 
@@ -358,6 +451,10 @@ fn begin(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
             assert!(crashed.is_none(), "fixed first crash must fire");
             inst.handle.lock().power_cycle();
         }
+        CrashOp::StorePut
+        | CrashOp::StoreUpsert
+        | CrashOp::StoreDelete
+        | CrashOp::StorePutIndexFull => seed_store(cfg, op, inst),
         CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
     }
 }
@@ -375,10 +472,31 @@ fn run_op(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
             let remounted = remount(cfg, op, inst.handle.clone());
             inst.array = remounted.expect("clean replay remount");
         }
-        _ => {
-            let (start, bytes) = op_write(cfg, op).expect("write op");
-            inst.array.write(start, &bytes).unwrap();
-        }
+        _ => match store_target(cfg, op) {
+            Some((key, value)) => {
+                // Opening reads the index and writes nothing, so every
+                // write the crash counter sees belongs to the op.
+                let mut store =
+                    ObjectStore::open(&mut inst.array, STORE_META).expect("seeded store opens");
+                store.set_mutation(cfg.mutation);
+                let done = match (op, value) {
+                    (CrashOp::StoreUpsert, Some(value)) => store.upsert(key, &value),
+                    (_, Some(value)) => store.put(key, &value),
+                    (_, None) => store.delete(key),
+                };
+                match (op, done) {
+                    (CrashOp::StorePutIndexFull, Err(StoreError::NoSpace { .. })) => {}
+                    (CrashOp::StorePutIndexFull, other) => {
+                        panic!("a put into a full index returned {other:?}")
+                    }
+                    (_, done) => done.expect("store op on a healthy array"),
+                }
+            }
+            None => {
+                let (start, bytes) = op_write(cfg, op).expect("write op");
+                inst.array.write(start, &bytes).unwrap();
+            }
+        },
     }
 }
 
@@ -456,6 +574,57 @@ fn verify(
             return Err(format!("element {e}: acknowledged write lost"));
         }
     }
+    scrub_clean(array)
+}
+
+/// Check a remounted store against the ledger: the index opens (it
+/// parses, every extent is inside the array, none overlap — `open`
+/// refuses anything else), every object the op did not name reads its
+/// acknowledged bytes, the op's key reads its acknowledged state or the
+/// in-flight one (absence is a state: before a put, after a delete), the
+/// index lists nothing else, and the scrub is clean.
+fn verify_store(
+    array: &mut TestArray,
+    acked: &BTreeMap<String, Vec<u8>>,
+    op: CrashOp,
+    (key, value): (&str, Option<Vec<u8>>),
+) -> Result<(), String> {
+    let mut store = ObjectStore::open(&mut *array, STORE_META)
+        .map_err(|e| format!("store does not open: {e}"))?;
+    let mut read = |name: &str| match store.get(name) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(StoreError::NotFound(_)) => Ok(None),
+        Err(e) => Err(format!("get '{name}' failed: {e}")),
+    };
+    for (name, value) in acked.iter().filter(|(name, _)| *name != key) {
+        match read(name)? {
+            Some(bytes) if bytes == *value => {}
+            Some(_) => return Err(format!("object '{name}': acknowledged bytes changed")),
+            None => return Err(format!("object '{name}': acknowledged write lost")),
+        }
+    }
+    let before = acked.get(key);
+    // A put the index refused is never in flight: nothing may change.
+    let after = value.filter(|_| op != CrashOp::StorePutIndexFull);
+    let got = read(key)?;
+    if got.as_ref() != before && got != after {
+        return Err(match (got, before) {
+            (None, Some(_)) => format!("object '{key}': acknowledged write lost"),
+            _ => format!("object '{key}': neither its acknowledged state nor the in-flight one"),
+        });
+    }
+    let others = acked.len() - usize::from(before.is_some());
+    let listed = store.len();
+    if listed != others + usize::from(got.is_some()) {
+        return Err(format!(
+            "index lists {listed} object(s) the ledger does not"
+        ));
+    }
+    scrub_clean(array)
+}
+
+/// A full scrub of the remounted array finds no parity mismatch.
+fn scrub_clean(array: &mut TestArray) -> Result<(), String> {
     let scrub = array
         .scrub_pass()
         .map_err(|e| format!("post-remount scrub failed: {e:?}"))?;
@@ -508,7 +677,10 @@ fn sweep_op(cfg: &CrashSimConfig, op: CrashOp) -> (OpSweep, Vec<CrashFailure>) {
             if array.last_replay().is_some_and(|r| r.replayed > 0) {
                 out.replays += 1;
             }
-            verify(&mut array, &inst.initial, op_write(cfg, op).as_ref())
+            match store_target(cfg, op) {
+                Some(target) => verify_store(&mut array, &inst.acked, op, target),
+                None => verify(&mut array, &inst.initial, op_write(cfg, op).as_ref()),
+            }
         });
         if let Err(detail) = result {
             out.failures += 1;
@@ -614,6 +786,61 @@ mod tests {
         let f = &report.failures[0];
         assert_eq!(f.seed, 3);
         assert!(f.detail.contains("parity") || f.detail.contains("content"));
+    }
+
+    #[test]
+    fn planted_index_before_data_is_caught_by_the_store_ops_only() {
+        for p in [5, 7] {
+            let mut cfg = CrashSimConfig::new(dcode(p).unwrap(), 7);
+            cfg.mutation = Some(JournalMutation::IndexBeforeData);
+            let report = sweep(&cfg);
+            assert!(report.passed(), "p={p}: the planted bug went unseen");
+            for op in &report.per_op {
+                // The array never sees this bug; a delete writes no data.
+                let exposed = ["store-put", "store-upsert"].contains(&op.op);
+                assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
+            }
+            // The index named the extent, the extent never got its bytes.
+            assert!(report
+                .failures
+                .iter()
+                .all(|f| f.detail.contains("neither its acknowledged state")));
+        }
+    }
+
+    #[test]
+    fn store_scenarios_have_the_shape_their_names_claim() {
+        let cfg = CrashSimConfig::new(dcode(5).unwrap(), 8);
+        let index_text = |op: CrashOp| {
+            let mut inst = setup(&cfg, op);
+            run_op(&cfg, op, &mut inst);
+            let raw = inst.array.read(0, STORE_META).unwrap();
+            String::from_utf8(raw).unwrap()
+        };
+        // The overwrite moves `k` from element 6 to element 10: its line
+        // grows a digit and the line after it shifts.
+        let upserted = index_text(CrashOp::StoreUpsert);
+        assert!(
+            upserted.starts_with("a,4,40\nk,10,69\nz,8,40\n\0"),
+            "{upserted:?}"
+        );
+        assert!(index_text(CrashOp::StorePut).contains("\nn,10,65\n"));
+        assert!(!index_text(CrashOp::StoreDelete).contains("k,"));
+        // The full index has no room for the shortest line a put could
+        // add, and the refused put still wrote its value: there are crash
+        // points, and none of them may change anything.
+        let full = index_text(CrashOp::StorePutIndexFull);
+        let used = full.trim_end_matches('\0').len();
+        assert!(
+            full.len() - used < "x,10,1\n".len(),
+            "{used} of {}",
+            full.len()
+        );
+        let (swept, failures) = sweep_op(&cfg, CrashOp::StorePutIndexFull);
+        assert!(
+            swept.crash_points > 0 && failures.is_empty(),
+            "{failures:?}"
+        );
     }
 
     #[test]

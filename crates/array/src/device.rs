@@ -61,3 +61,20 @@ pub trait ElementIo {
     /// Write `bytes` (a multiple of the element size) starting at `start`.
     fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError>;
 }
+
+/// A borrowed array is an array: a store can be opened over
+/// `&mut array`, used, and dropped, leaving the array with its owner.
+impl<D: ElementIo + ?Sized> ElementIo for &mut D {
+    fn capacity_elements(&self) -> usize {
+        (**self).capacity_elements()
+    }
+    fn element_size(&self) -> usize {
+        (**self).element_size()
+    }
+    fn read_elements(&mut self, start: usize, count: usize) -> Result<Vec<u8>, ArrayError> {
+        (**self).read_elements(start, count)
+    }
+    fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+        (**self).write_elements(start, bytes)
+    }
+}

@@ -12,10 +12,47 @@
 //!
 //! Design: a fixed metadata region at the front holds a text index
 //! (`name,start,len_bytes` per line); objects are allocated first-fit on
-//! element ranges after it. Deliberately simple — no compaction, no
-//! transactions — but every byte path goes through RAID-6 encode/recover.
+//! element ranges after it, and every byte path goes through RAID-6
+//! encode/recover. There is no compaction.
+//!
+//! # What a mutation guarantees across a crash
+//!
+//! Over an array whose `write_elements` returns only once the write is
+//! durable (a journaled [`ResilientArray`](crate::ResilientArray)), every
+//! mutation is one index rewrite, and the index on the medium never names
+//! bytes that were not written first:
+//!
+//! * [`put`](ObjectStore::put) and [`upsert`](ObjectStore::upsert) write
+//!   the value into a free extent, then rewrite the index once. A crash
+//!   before the rewrite lands leaves the previous index: a new key is
+//!   absent, an overwritten key still reads its previous value, whose
+//!   extent was never touched. After it, the key reads the new value.
+//!   There is no instant at which an acknowledged key is unnamed.
+//! * [`delete`](ObjectStore::delete) rewrites the index without the
+//!   entry: the key reads its value or is absent, never anything else.
+//! * A mutation the store or the array refuses ([`StoreError::NoSpace`]
+//!   for the value or for the index, an array beyond its fault
+//!   tolerance) leaves memory and medium agreeing on the state before it.
+//!
+//! **The space rule.** An overwrite is copy-on-write, so it needs a free
+//! extent of the new value's size *while the old value is still
+//! allocated*; a store without one returns [`StoreError::NoSpace`] and the
+//! old value stays readable. There is no in-place fallback — it would put
+//! back the window in which a crash loses an acknowledged value. The old
+//! extent is free as soon as the overwrite returns.
+//!
+//! **What is still open.** The index rewrite covers the whole region, and
+//! a crash inside it leaves each index *element* old or new (replay of a
+//! healthy stripe's intent record restores parity, not data). An index
+//! whose text spans several elements can therefore tear when a line
+//! changes width. [`open`](ObjectStore::open) refuses a tear that does
+//! not parse or validate ([`StoreError::BadIndex`]), but one that does
+//! is taken at its word — `tests/store_crash.rs` keeps the reproducer
+//! (ROADMAP item 1: block-aligned records). The guarantees above are
+//! exact while the index text fits one element.
 
 use crate::device::{ArrayError, ElementIo};
+use crate::resilient::JournalMutation;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -67,6 +104,8 @@ pub struct ObjectStore<D: ElementIo> {
     meta_elements: usize,
     /// name → (start element, byte length).
     index: BTreeMap<String, (usize, usize)>,
+    /// Planted ordering bug (crash-sweep self-test only).
+    mutation: Option<JournalMutation>,
 }
 
 impl<D: ElementIo> ObjectStore<D> {
@@ -81,6 +120,7 @@ impl<D: ElementIo> ObjectStore<D> {
             array,
             meta_elements,
             index: BTreeMap::new(),
+            mutation: None,
         };
         store.persist_index()?;
         Ok(store)
@@ -101,6 +141,7 @@ impl<D: ElementIo> ObjectStore<D> {
             array,
             meta_elements,
             index: BTreeMap::new(),
+            mutation: None,
         };
         for line in text.lines() {
             let line = line.trim_end_matches('\0').trim();
@@ -154,20 +195,16 @@ impl<D: ElementIo> ObjectStore<D> {
         &self.array
     }
 
+    /// Plant (or clear) a deliberate ordering bug. Harness self-test only:
+    /// the crash sweep runs once with [`JournalMutation::IndexBeforeData`]
+    /// and asserts that it *catches* an index entry over unwritten bytes.
+    pub fn set_mutation(&mut self, mutation: Option<JournalMutation>) {
+        self.mutation = mutation;
+    }
+
     /// Whether an object with this name exists.
     pub fn contains(&self, name: &str) -> bool {
         self.index.contains_key(name)
-    }
-
-    /// Store an object, replacing any existing object of the same name
-    /// (the server's `put` semantics — [`ObjectStore::put`] rejects
-    /// duplicates, which is right for an archive CLI but wrong for a
-    /// key-value front end).
-    pub fn upsert(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.index.contains_key(name) {
-            self.delete(name)?;
-        }
-        self.put(name, bytes)
     }
 
     fn block_size(&self) -> usize {
@@ -217,26 +254,49 @@ impl<D: ElementIo> ObjectStore<D> {
         }
     }
 
-    /// Store an object.
+    /// Store an object under a name the store does not hold yet;
+    /// [`StoreError::Exists`] otherwise (an archive's semantics — a
+    /// key-value front end wants [`upsert`](ObjectStore::upsert)).
     pub fn put(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        if name.is_empty() || name.contains(',') || name.contains('\n') {
-            return Err(StoreError::BadName(name.to_string()));
-        }
         if self.index.contains_key(name) {
             return Err(StoreError::Exists(name.to_string()));
         }
+        self.upsert(name, bytes)
+    }
+
+    /// Store an object, replacing any existing object of the same name
+    /// (the server's `put` semantics). Copy-on-write: the new extent is
+    /// allocated while the index still holds the old one — so first-fit
+    /// cannot hand the old one out — and written before the one index
+    /// rewrite that names it. The durable index therefore names the old
+    /// extent, intact, or the new one, fully written, at every instant;
+    /// an overwrite that has no room for both returns
+    /// [`StoreError::NoSpace`] and changes nothing.
+    pub fn upsert(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        if name.is_empty() || name.contains(',') || name.contains('\n') {
+            return Err(StoreError::BadName(name.to_string()));
+        }
         let elements = self.elements_for(bytes.len());
         let start = self.allocate(elements)?;
-        let block = self.block_size();
         let mut padded = bytes.to_vec();
-        padded.resize(elements * block, 0);
-        self.array.write_elements(start, &padded)?;
-        self.index.insert(name.to_string(), (start, bytes.len()));
+        padded.resize(elements * self.block_size(), 0);
+        // Planted bug for the harness self-test: the index names the new
+        // extent before its bytes are on the medium.
+        let index_first = self.mutation == Some(JournalMutation::IndexBeforeData);
+        if !index_first {
+            self.array.write_elements(start, &padded)?;
+        }
+        let previous = self.index.insert(name.to_string(), (start, bytes.len()));
         // The medium keeps the old index when the rewrite fails (index at
         // capacity, array error), so memory must too.
         let persisted = self.persist_index();
         if persisted.is_err() {
-            self.index.remove(name);
+            match previous {
+                Some(entry) => self.index.insert(name.to_string(), entry),
+                None => self.index.remove(name),
+            };
+        } else if index_first {
+            self.array.write_elements(start, &padded)?;
         }
         persisted
     }
@@ -420,6 +480,113 @@ mod tests {
         assert_eq!(s.get("k").unwrap(), bigger);
         assert!(s.contains("k"));
         assert_eq!(s.list().len(), 1);
+    }
+
+    /// `count` objects `obj0..`, each `elements` elements of its own byte.
+    fn fill(s: &mut MemStore, count: usize, elements: usize) {
+        for i in 0..count {
+            s.put(&format!("obj{i}"), &vec![i as u8; elements * 64])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn overwrite_without_room_for_both_versions_is_no_space_and_keeps_the_old_value() {
+        // 280 elements less 4 of index: six 46-element objects fill it.
+        let mut s = new_store();
+        fill(&mut s, 6, 46);
+        let newer = vec![0xEE; 46 * 64];
+        assert!(matches!(
+            s.upsert("obj0", &newer),
+            Err(StoreError::NoSpace { needed: 46 })
+        ));
+        assert_eq!(s.get("obj0").unwrap(), vec![0u8; 46 * 64]);
+        // A smaller value has no hole either: the rule is about free
+        // space, not about the old extent's size.
+        assert!(matches!(
+            s.upsert("obj0", &[1]),
+            Err(StoreError::NoSpace { needed: 1 })
+        ));
+        let live = s.list();
+        let mut reopened = reopen(s).unwrap();
+        assert_eq!(reopened.list(), live);
+        assert_eq!(reopened.get("obj0").unwrap(), vec![0u8; 46 * 64]);
+        // Deleting any object makes the room.
+        reopened.delete("obj5").unwrap();
+        reopened.upsert("obj0", &newer).unwrap();
+        assert_eq!(reopened.get("obj0").unwrap(), newer);
+    }
+
+    #[test]
+    fn overwrite_takes_the_one_free_extent_and_the_next_reuses_the_hole() {
+        let mut s = new_store();
+        fill(&mut s, 5, 46); // elements [4, 234); one 46-element extent free
+        let first = vec![0xA1; 46 * 64];
+        s.upsert("obj0", &first).unwrap();
+        assert_eq!(s.get("obj0").unwrap(), first);
+        // The new version went to the free extent, the old one stayed put
+        // until the index flipped — and is the only hole now.
+        assert_eq!(s.array_mut().read(234, 1).unwrap(), [0xA1; 64]);
+        assert_eq!(s.array_mut().read(4, 1).unwrap(), [0u8; 64]);
+        let second = vec![0xB2; 46 * 64];
+        s.upsert("obj1", &second).unwrap();
+        assert_eq!(s.array_mut().read(4, 1).unwrap(), [0xB2; 64]);
+        let mut reopened = reopen(s).unwrap();
+        assert_eq!(reopened.get("obj0").unwrap(), first);
+        assert_eq!(reopened.get("obj1").unwrap(), second);
+        assert_eq!(reopened.get("obj2").unwrap(), vec![2u8; 46 * 64]);
+    }
+
+    #[test]
+    fn failed_overwrite_puts_the_previous_entry_back() {
+        let mut s = new_store();
+        s.put("kept", &[7; 100]).unwrap();
+        // Fill the 256-byte index to the last byte.
+        let filler = "f".repeat(4 * 64 - "kept,4,100\n".len() - ",6,1\n".len());
+        s.put(&filler, &[1]).unwrap();
+        // `kept,7,1000` is one byte longer than `kept,4,100`: the new
+        // extent is written, the index rewrite refuses, and the entry
+        // that names the old extent comes back.
+        assert!(matches!(
+            s.upsert("kept", &[9; 1000]),
+            Err(StoreError::NoSpace { .. })
+        ));
+        assert_eq!(s.get("kept").unwrap(), [7; 100]);
+        let live = s.list();
+        let mut reopened = reopen(s).unwrap();
+        assert_eq!(reopened.list(), live);
+        assert_eq!(reopened.get("kept").unwrap(), [7; 100]);
+        // A same-width overwrite still fits.
+        reopened.upsert("kept", &[9; 999]).unwrap();
+        assert_eq!(reopened.get("kept").unwrap(), [9; 999]);
+    }
+
+    #[test]
+    fn index_on_the_medium_is_the_line_per_object_csv() {
+        // The format every earlier store wrote: `name,start,len\n` per
+        // object in name order, NUL-padded to the region.
+        let mut s = new_store();
+        s.put("b", &[2; 70]).unwrap();
+        s.put("a", &[1; 10]).unwrap();
+        s.upsert("b", &[3; 130]).unwrap();
+        let mut expect = b"a,6,10\nb,7,130\n".to_vec();
+        expect.resize(4 * 64, 0);
+        assert_eq!(s.array_mut().read(0, 4).unwrap(), expect);
+        // And a region holding an image written by hand in that format
+        // opens, with the extents where it says.
+        let mut s = new_store();
+        let mut image = b"first,4,64\nsecond,9,3\n".to_vec();
+        image.resize(4 * 64, 0);
+        s.array_mut().write(0, &image).unwrap();
+        s.array_mut().write(4, &[0x11; 64]).unwrap();
+        s.array_mut().write(9, &[0x22; 64]).unwrap();
+        let mut opened = reopen(s).unwrap();
+        assert_eq!(opened.get("first").unwrap(), [0x11; 64]);
+        assert_eq!(opened.get("second").unwrap(), [0x22; 3]);
+        opened.upsert("second", &[0x33; 65]).unwrap();
+        let mut expect = b"first,4,64\nsecond,5,65\n".to_vec();
+        expect.resize(4 * 64, 0);
+        assert_eq!(opened.array_mut().read(0, 4).unwrap(), expect);
     }
 
     #[test]

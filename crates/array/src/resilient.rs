@@ -176,6 +176,27 @@ pub enum JournalMutation {
     /// crash between the retire and the parity writes leaves a
     /// parity-inconsistent stripe with no record to replay.
     RetireBeforeParity,
+    /// One layer up, in [`ObjectStore::upsert`](crate::ObjectStore::upsert):
+    /// persist the index naming the new extent, *then* write the extent.
+    /// A crash between the two leaves a durable index entry over bytes
+    /// that were never written. The array itself ignores this one.
+    IndexBeforeData,
+}
+
+impl JournalMutation {
+    /// Every planted bug, in the order `dcode crash-sim --mutate` runs them.
+    pub const ALL: [JournalMutation; 2] = [
+        JournalMutation::RetireBeforeParity,
+        JournalMutation::IndexBeforeData,
+    ];
+
+    /// Stable name (reports).
+    pub fn name(self) -> &'static str {
+        match self {
+            JournalMutation::RetireBeforeParity => "retire-before-parity",
+            JournalMutation::IndexBeforeData => "index-before-data",
+        }
+    }
 }
 
 /// Disk topology for remounting an array that went down degraded or

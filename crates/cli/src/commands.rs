@@ -777,16 +777,19 @@ const CRASH_SIM_CODES: [CodeId; 3] = [CodeId::DCode, CodeId::Rdp, CodeId::EvenOd
 /// Primes the `--all` crash sweep runs each code at.
 const CRASH_SIM_PRIMES: [usize; 2] = [5, 7];
 
-/// `crash-sim`: the exhaustive write-hole crash sweep. Every write-path
-/// operation is crashed at every backend-write index, power-cycled
-/// (dropping un-flushed volatile-cache writes), remounted through the
-/// journaled attach, and verified: no acknowledged write lost, no
-/// parity-inconsistent stripe. Any failure is replayable from
-/// `(op, crash index, seed)` and exits 3. `--all` sweeps the registry
-/// codes at p ∈ {5, 7}; `--mutate` plants a retire-before-parity ordering
-/// bug and *requires* the sweep to catch it (the harness's self-test);
-/// `--json` emits the CI artifact format (printed even on failure so a
-/// piped artifact survives the failing exit).
+/// `crash-sim`: the exhaustive crash sweep. Every write-path operation
+/// of the array, and every mutation of an object store on it, is crashed
+/// at every backend-write index, power-cycled (dropping un-flushed
+/// volatile-cache writes), remounted through the journaled attach, and
+/// verified: no acknowledged write or object lost, no
+/// parity-inconsistent stripe, no index that does not open. Any failure
+/// is replayable from `(op, crash index, seed)` and exits 3. `--all`
+/// sweeps the registry codes at p ∈ {5, 7}; `--mutate` plants each
+/// [`JournalMutation`] in turn — retire-before-parity in the array,
+/// index-before-data in the store — and *requires* the sweep to catch
+/// every one (the harness's self-test); `--json` emits the CI artifact
+/// format (printed even on failure so a piped artifact survives the
+/// failing exit).
 pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<String, CliError> {
     let targets: Vec<(CodeId, usize)> = if all {
         CRASH_SIM_CODES
@@ -796,59 +799,85 @@ pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<Strin
     } else {
         vec![(CodeId::DCode, 5)]
     };
+    let mutations: Vec<Option<JournalMutation>> = if mutate {
+        JournalMutation::ALL.map(Some).to_vec()
+    } else {
+        vec![None]
+    };
     let mut items = Vec::new();
     let mut lines = String::new();
     let mut failed = Vec::new();
-    for (id, p) in targets {
-        let layout = build_code(id, p)?;
-        let mut cfg = CrashSimConfig::new(layout, seed);
-        if mutate {
-            cfg.mutation = Some(JournalMutation::RetireBeforeParity);
+    for mutation in mutations {
+        let planted = mutation.map(JournalMutation::name);
+        if let Some(name) = planted {
+            lines.push_str(&format!("planted {name}:\n"));
         }
-        let report = sweep(&cfg);
-        if !report.passed() {
-            failed.push(format!("{} p={p}", id.name()));
-        }
-        lines.push_str(&format!(
-            "{} p={p}: {} crash point(s), {} replay(s), {} failure(s) — {}\n",
-            id.name(),
-            report.crash_points,
-            report.replays,
-            report.failures.len(),
-            if report.passed() { "ok" } else { "FAILED" }
-        ));
-        for f in &report.failures {
+        for &(id, p) in &targets {
+            let layout = build_code(id, p)?;
+            let mut cfg = CrashSimConfig::new(layout, seed);
+            cfg.mutation = mutation;
+            let report = sweep(&cfg);
+            if !report.passed() {
+                failed.push(match planted {
+                    Some(name) => format!("{} p={p} ({name} not caught)", id.name()),
+                    None => format!("{} p={p}", id.name()),
+                });
+            }
             lines.push_str(&format!(
-                "  {} crashed at write {} (seed {}): {}\n",
-                f.op, f.crash_at, f.seed, f.detail
+                "{} p={p}: {} crash point(s), {} replay(s), {} failure(s) — {}\n",
+                id.name(),
+                report.crash_points,
+                report.replays,
+                report.failures.len(),
+                if report.passed() { "ok" } else { "FAILED" }
+            ));
+            let per_op: Vec<String> = report
+                .per_op
+                .iter()
+                .map(|op| format!("{} {}/{}", op.op, op.crash_points, op.replays))
+                .collect();
+            lines.push_str(&format!(
+                "  crash points/replays per op: {}\n",
+                per_op.join(", ")
+            ));
+            for f in &report.failures {
+                lines.push_str(&format!(
+                    "  {} crashed at write {} (seed {}): {}\n",
+                    f.op, f.crash_at, f.seed, f.detail
+                ));
+            }
+            let stats = probe_stats(&cfg);
+            lines.push_str(&format!(
+                "  healthy write ops uncrashed: {} delta / {} reconstruct segment(s), {} block(s) fetched\n",
+                stats.delta_segments, stats.reconstruct_segments, stats.write_fetch_blocks
+            ));
+            lines.push_str(&format!(
+                "  rebuild ops uncrashed: {} block(s) rebuilt from {} read(s) in {} survivor pass(es), {} of them joint\n",
+                stats.rebuilt_blocks,
+                stats.rebuild_read_blocks,
+                stats.rebuild_stripes,
+                stats.joint_rebuild_stripes
+            ));
+            items.push(format!(
+                "{{\"code\":\"{}\",\"p\":{p},{}\"report\":{}}}",
+                id.name(),
+                planted.map_or(String::new(), |name| format!("\"mutation\":\"{name}\",")),
+                report.to_json()
             ));
         }
-        let stats = probe_stats(&cfg);
-        lines.push_str(&format!(
-            "  healthy write ops uncrashed: {} delta / {} reconstruct segment(s), {} block(s) fetched\n",
-            stats.delta_segments, stats.reconstruct_segments, stats.write_fetch_blocks
-        ));
-        lines.push_str(&format!(
-            "  rebuild ops uncrashed: {} block(s) rebuilt from {} read(s) in {} survivor pass(es), {} of them joint\n",
-            stats.rebuilt_blocks,
-            stats.rebuild_read_blocks,
-            stats.rebuild_stripes,
-            stats.joint_rebuild_stripes
-        ));
-        items.push(format!(
-            "{{\"code\":\"{}\",\"p\":{p},\"report\":{}}}",
-            id.name(),
-            report.to_json()
-        ));
     }
     let body = if json {
         format!("[{}]", items.join(",\n "))
     } else {
         let verdict = if mutate {
-            "mutated sweep caught the planted write hole"
+            format!(
+                "mutated sweeps caught every planted bug: {}",
+                JournalMutation::ALL.map(JournalMutation::name).join(", ")
+            )
         } else {
             "crash sweep clean: every crash point remounts with zero acked-write \
-             loss and zero parity-inconsistent stripes"
+             loss, zero parity-inconsistent stripes and an object index that opens"
+                .to_string()
         };
         format!("{lines}{verdict}")
     };
@@ -1618,8 +1647,17 @@ mod tests {
     #[test]
     fn crash_sim_mutated_catches_the_planted_hole() {
         let out = crash_sim(2, false, false, true).unwrap();
-        assert!(out.contains("caught the planted write hole"), "{out}");
-        assert!(out.contains("crashed at write"), "{out}");
+        assert!(out.contains("caught every planted bug"), "{out}");
+        // One section per planted bug, each with its own counterexamples:
+        // the write hole on the array ops, the unwritten extent on the
+        // store ops.
+        let (hole, unwritten) = out
+            .split_once("planted index-before-data:")
+            .expect("second section");
+        assert!(hole.starts_with("planted retire-before-parity:"), "{out}");
+        assert!(hole.contains("meta-write crashed at write"), "{out}");
+        assert!(!unwritten.contains("-write crashed at write"), "{out}");
+        assert!(unwritten.contains("store-upsert crashed at write"), "{out}");
     }
 
     #[test]

@@ -249,3 +249,53 @@ fn full_shard_queue_returns_busy_instead_of_hanging() {
         );
     }
 }
+
+#[test]
+fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value() {
+    let cfg = test_config();
+    let server = Server::start(&cfg, backends(&cfg), true).expect("server starts");
+    let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
+
+    // One healthy shard: 16 stripes of D-Code p = 7 are 560 elements, 4
+    // of them index, so four 139-element values fill it to the last one.
+    let keys: Vec<String> = (0..1000)
+        .map(|i| format!("full-{i}"))
+        .filter(|k| shard_of(k, SHARDS) == 0)
+        .take(4)
+        .collect();
+    let value = |tag: u8| vec![tag; 139 * 64];
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(
+            client.put(key, &value(i as u8)).expect("put io"),
+            Response::Ok
+        );
+    }
+
+    // An overwrite is copy-on-write: with no free extent for the new
+    // version the store refuses it (typed `NoSpace`, an `Err` reply on the
+    // wire) rather than write over the only copy.
+    let Response::Err(why) = client.put(&keys[0], &value(0xEE)).expect("put io") else {
+        panic!("an overwrite with no room for both versions must be refused");
+    };
+    assert!(why.contains("no space for 139 elements"), "{why}");
+    assert_eq!(
+        client.get(&keys[0]).expect("get io"),
+        Response::Value(value(0))
+    );
+
+    // Room made, the same overwrite goes through and the rest is intact.
+    assert_eq!(client.delete(&keys[3]).expect("delete io"), Response::Ok);
+    assert_eq!(
+        client.put(&keys[0], &value(0xEE)).expect("put io"),
+        Response::Ok
+    );
+    assert_eq!(
+        client.get(&keys[0]).expect("get io"),
+        Response::Value(value(0xEE))
+    );
+    assert_eq!(
+        client.get(&keys[1]).expect("get io"),
+        Response::Value(value(1))
+    );
+    assert_eq!(client.get(&keys[3]).expect("get io"), Response::NotFound);
+}
