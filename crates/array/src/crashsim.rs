@@ -23,11 +23,12 @@
 //! The `store-*` ops lift the same enumeration one layer, to the layer
 //! that acknowledges a client: they drive an [`ObjectStore`] over the
 //! journaled array and crash before every backend write of a put, an
-//! overwrite, a delete and a put refused by a full index. After the
-//! remount the index must open (it parses, no two extents overlap), every
-//! object the op did not name reads its acknowledged bytes, the op's own
-//! key reads its last acknowledged state or the in-flight one and nothing
-//! else, and the scrub is clean.
+//! overwrite, a delete and a put whose record fills its index page to
+//! the last byte. After the remount the index must open (every page
+//! parses, no two extents overlap), every object the op did not name
+//! reads its acknowledged bytes, the op's own key reads its last
+//! acknowledged state or the in-flight one and nothing else, and the
+//! scrub is clean.
 //!
 //! Each scenario is rebuilt from scratch deterministically per crash
 //! index, so any failure is replayable from `(op, crash index, seed)` —
@@ -77,16 +78,16 @@ pub enum CrashOp {
     ReplayCrash,
     /// `ObjectStore::put` of a key the store does not hold.
     StorePut,
-    /// `ObjectStore::upsert` of an existing key with a longer value, whose
-    /// new extent starts at a number one digit wider than the old one's
-    /// (every later index line shifts).
+    /// `ObjectStore::upsert` of an existing key with a longer value: the
+    /// key's index page — the middle one of three that hold records —
+    /// comes to name a new extent.
     StoreUpsert,
-    /// `ObjectStore::delete` of an existing key.
+    /// `ObjectStore::delete` of an existing key: its page is left empty
+    /// between two that are not.
     StoreDelete,
-    /// `ObjectStore::put` into a store whose index has no room for one
-    /// more line: the value is written, the index refuses, the call
-    /// returns `NoSpace` — and nothing may have changed.
-    StorePutIndexFull,
+    /// `ObjectStore::put` of a key whose record opens a page no seed key
+    /// is in and ends on that page's last byte.
+    StorePutNewPage,
 }
 
 impl CrashOp {
@@ -103,7 +104,7 @@ impl CrashOp {
         CrashOp::StorePut,
         CrashOp::StoreUpsert,
         CrashOp::StoreDelete,
-        CrashOp::StorePutIndexFull,
+        CrashOp::StorePutNewPage,
     ];
 
     /// Stable name (reports, JSON).
@@ -120,7 +121,7 @@ impl CrashOp {
             CrashOp::StorePut => "store-put",
             CrashOp::StoreUpsert => "store-upsert",
             CrashOp::StoreDelete => "store-delete",
-            CrashOp::StorePutIndexFull => "store-put-index-full",
+            CrashOp::StorePutNewPage => "store-put-new-page",
         }
     }
 
@@ -330,11 +331,11 @@ fn prepare(cfg: &CrashSimConfig, spares: usize) -> Instance {
 const STORE_META: usize = 4;
 
 /// The objects every store scenario holds before its op: two elements
-/// each, at elements 4, 6 and 8, so the next extent starts at 10 — one
-/// digit wider. One-letter names keep the index text inside its first
-/// block at the sweep's 32-byte blocks: an index that spans blocks can
-/// tear (ROADMAP item 1), and that case is an ignored test of its own
-/// (`tests/store_crash.rs`), not a failure mixed into these rows.
+/// each, at elements 4, 6 and 8. At the sweep's 32-byte blocks an index
+/// page holds one record of a one-letter name (8 bytes of header, 21 of
+/// record), so the three keys sit in pages 0, 1 and 2 and every op's
+/// page has neighbours it must leave alone; page 3 is empty.
+/// `tests/store_crash.rs` sweeps pages of several records each.
 const STORE_SEED_KEYS: [&str; 3] = ["a", "k", "z"];
 
 /// For an op that goes through an [`ObjectStore`]: the key it names and
@@ -345,35 +346,20 @@ fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Opti
         CrashOp::StorePut => Some(("n", Some(prand_bytes(cfg.seed ^ 0x0B01, 2 * bs + 1)))),
         CrashOp::StoreUpsert => Some(("k", Some(prand_bytes(cfg.seed ^ 0x0B02, 2 * bs + 5)))),
         CrashOp::StoreDelete => Some(("k", None)),
-        CrashOp::StorePutIndexFull => Some((
-            "a-name-the-full-index-has-no-room-for",
-            Some(prand_bytes(cfg.seed ^ 0x0B03, bs)),
-        )),
+        // Four bytes of name: header and record are a page, to the byte.
+        CrashOp::StorePutNewPage => Some(("page", Some(prand_bytes(cfg.seed ^ 0x0B03, bs)))),
         _ => None,
     }
 }
 
 /// Format a store on the prepared array and acknowledge the scenario's
-/// objects; for [`CrashOp::StorePutIndexFull`], then one-element fillers
-/// until the index refuses the next line.
-fn seed_store(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
+/// objects.
+fn seed_store(cfg: &CrashSimConfig, inst: &mut Instance) {
     let mut store = ObjectStore::format(&mut inst.array, STORE_META).expect("format store");
-    let mut ack = |name: String, value: Vec<u8>| -> bool {
-        let stored = store.put(&name, &value).is_ok();
-        if stored {
-            inst.acked.insert(name, value);
-        }
-        stored
-    };
     for (i, name) in STORE_SEED_KEYS.iter().enumerate() {
         let value = prand_bytes(cfg.seed ^ (0x0B10 + i as u64), cfg.block_size + 8);
-        assert!(ack(name.to_string(), value), "seed object '{name}' fits");
-    }
-    if op == CrashOp::StorePutIndexFull {
-        let mut i = 0u8;
-        while ack(format!("f{i}"), vec![i; 1]) {
-            i += 1;
-        }
+        store.put(name, &value).expect("seed object fits");
+        inst.acked.insert(name.to_string(), value);
     }
 }
 
@@ -410,7 +396,7 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         | CrashOp::StorePut
         | CrashOp::StoreUpsert
         | CrashOp::StoreDelete
-        | CrashOp::StorePutIndexFull => None,
+        | CrashOp::StorePutNewPage => None,
     }
 }
 
@@ -454,7 +440,7 @@ fn begin(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
         CrashOp::StorePut
         | CrashOp::StoreUpsert
         | CrashOp::StoreDelete
-        | CrashOp::StorePutIndexFull => seed_store(cfg, op, inst),
+        | CrashOp::StorePutNewPage => seed_store(cfg, inst),
         CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
     }
 }
@@ -484,13 +470,7 @@ fn run_op(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
                     (_, Some(value)) => store.put(key, &value),
                     (_, None) => store.delete(key),
                 };
-                match (op, done) {
-                    (CrashOp::StorePutIndexFull, Err(StoreError::NoSpace { .. })) => {}
-                    (CrashOp::StorePutIndexFull, other) => {
-                        panic!("a put into a full index returned {other:?}")
-                    }
-                    (_, done) => done.expect("store op on a healthy array"),
-                }
+                done.expect("store op on a healthy array");
             }
             None => {
                 let (start, bytes) = op_write(cfg, op).expect("write op");
@@ -577,8 +557,8 @@ fn verify(
     scrub_clean(array)
 }
 
-/// Check a remounted store against the ledger: the index opens (it
-/// parses, every extent is inside the array, none overlap — `open`
+/// Check a remounted store against the ledger: the index opens (every
+/// page parses, every extent is inside the array, none overlap — `open`
 /// refuses anything else), every object the op did not name reads its
 /// acknowledged bytes, the op's key reads its acknowledged state or the
 /// in-flight one (absence is a state: before a put, after a delete), the
@@ -586,8 +566,7 @@ fn verify(
 fn verify_store(
     array: &mut TestArray,
     acked: &BTreeMap<String, Vec<u8>>,
-    op: CrashOp,
-    (key, value): (&str, Option<Vec<u8>>),
+    (key, after): (&str, Option<Vec<u8>>),
 ) -> Result<(), String> {
     let mut store = ObjectStore::open(&mut *array, STORE_META)
         .map_err(|e| format!("store does not open: {e}"))?;
@@ -604,8 +583,6 @@ fn verify_store(
         }
     }
     let before = acked.get(key);
-    // A put the index refused is never in flight: nothing may change.
-    let after = value.filter(|_| op != CrashOp::StorePutIndexFull);
     let got = read(key)?;
     if got.as_ref() != before && got != after {
         return Err(match (got, before) {
@@ -678,7 +655,7 @@ fn sweep_op(cfg: &CrashSimConfig, op: CrashOp) -> (OpSweep, Vec<CrashFailure>) {
                 out.replays += 1;
             }
             match store_target(cfg, op) {
-                Some(target) => verify_store(&mut array, &inst.acked, op, target),
+                Some(target) => verify_store(&mut array, &inst.acked, target),
                 None => verify(&mut array, &inst.initial, op_write(cfg, op).as_ref()),
             }
         });
@@ -797,7 +774,7 @@ mod tests {
             assert!(report.passed(), "p={p}: the planted bug went unseen");
             for op in &report.per_op {
                 // The array never sees this bug; a delete writes no data.
-                let exposed = ["store-put", "store-upsert"].contains(&op.op);
+                let exposed = ["store-put", "store-upsert", "store-put-new-page"].contains(&op.op);
                 assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
             }
             // The index named the extent, the extent never got its bytes.
@@ -808,38 +785,73 @@ mod tests {
         }
     }
 
+    /// The index pages of the store behind `inst`, each as its records
+    /// `(name, start, len)`, read from the medium.
+    fn index_pages(cfg: &CrashSimConfig, inst: &mut Instance) -> Vec<Vec<(String, u64, u64)>> {
+        let raw = inst.array.read(0, STORE_META).unwrap();
+        raw.chunks(cfg.block_size)
+            .map(|page| {
+                let records = crate::objstore::parse_page(page).unwrap();
+                let owned = |(name, start, len): (&str, u64, u64)| (name.to_string(), start, len);
+                records.into_iter().map(owned).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn store_scenarios_have_the_shape_their_names_claim() {
         let cfg = CrashSimConfig::new(dcode(5).unwrap(), 8);
-        let index_text = |op: CrashOp| {
-            let mut inst = setup(&cfg, op);
-            run_op(&cfg, op, &mut inst);
-            let raw = inst.array.read(0, STORE_META).unwrap();
-            String::from_utf8(raw).unwrap()
+        let pages_after = |op: Option<CrashOp>| {
+            let mut inst = setup(&cfg, CrashOp::StorePut);
+            if let Some(op) = op {
+                run_op(&cfg, op, &mut inst);
+            }
+            index_pages(&cfg, &mut inst)
         };
-        // The overwrite moves `k` from element 6 to element 10: its line
-        // grows a digit and the line after it shifts.
-        let upserted = index_text(CrashOp::StoreUpsert);
-        assert!(
-            upserted.starts_with("a,4,40\nk,10,69\nz,8,40\n\0"),
-            "{upserted:?}"
-        );
-        assert!(index_text(CrashOp::StorePut).contains("\nn,10,65\n"));
-        assert!(!index_text(CrashOp::StoreDelete).contains("k,"));
-        // The full index has no room for the shortest line a put could
-        // add, and the refused put still wrote its value: there are crash
-        // points, and none of them may change anything.
-        let full = index_text(CrashOp::StorePutIndexFull);
-        let used = full.trim_end_matches('\0').len();
-        assert!(
-            full.len() - used < "x,10,1\n".len(),
-            "{used} of {}",
-            full.len()
-        );
-        let (swept, failures) = sweep_op(&cfg, CrashOp::StorePutIndexFull);
-        assert!(
-            swept.crash_points > 0 && failures.is_empty(),
-            "{failures:?}"
+        let record = |name: &str, start, len| vec![(name.to_string(), start, len)];
+        // One seed key a page, the last page empty.
+        let seeded = pages_after(None);
+        let expect = [
+            record("a", 4, 40),
+            record("k", 6, 40),
+            record("z", 8, 40),
+            Vec::new(),
+        ];
+        assert_eq!(seeded, expect);
+        // Every op changes the one page of its key.
+        let changes = |op, page: usize, records| {
+            let mut expect = seeded.clone();
+            expect[page] = records;
+            assert_eq!(pages_after(Some(op)), expect, "{op:?}");
+        };
+        changes(CrashOp::StoreUpsert, 1, record("k", 10, 69));
+        changes(CrashOp::StoreDelete, 1, Vec::new());
+        changes(CrashOp::StorePut, 3, record("n", 10, 65));
+        changes(CrashOp::StorePutNewPage, 3, record("page", 10, 32));
+        assert_eq!(8 + 4 + "page".len() + 16, cfg.block_size);
+    }
+
+    #[test]
+    fn a_put_into_a_full_index_is_refused_before_any_write() {
+        // The sweep has no row for it: there is no write to crash at.
+        let cfg = CrashSimConfig::new(dcode(5).unwrap(), 9);
+        let mut inst = setup(&cfg, CrashOp::StorePut);
+        run_op(&cfg, CrashOp::StorePut, &mut inst); // the fourth page's record
+        let before = index_pages(&cfg, &mut inst);
+        let writes = inst.handle.lock().writes_done();
+        let mut store = ObjectStore::open(&mut inst.array, STORE_META).unwrap();
+        assert!(matches!(
+            store.put("x", &[1; 40]),
+            Err(StoreError::NoSpace { needed: 1 })
+        ));
+        assert_eq!(store.len(), 4);
+        assert_eq!(inst.handle.lock().writes_done(), writes);
+        assert_eq!(index_pages(&cfg, &mut inst), before);
+        assert_eq!(
+            ObjectStore::open(&mut inst.array, STORE_META)
+                .unwrap()
+                .len(),
+            4
         );
     }
 

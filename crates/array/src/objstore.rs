@@ -10,29 +10,51 @@
 //! hot-spare rebuild underneath — or on a wrapper that counts or times
 //! the array's element I/O.
 //!
-//! Design: a fixed metadata region at the front holds a text index
-//! (`name,start,len_bytes` per line); objects are allocated first-fit on
+//! Design: a fixed metadata region at the front holds the index, one
+//! independent **page** per element; objects are allocated first-fit on
 //! element ranges after it, and every byte path goes through RAID-6
 //! encode/recover. There is no compaction.
 //!
+//! # The index on the medium
+//!
+//! Every integer is little-endian. A page is one element:
+//!
+//! ```text
+//! "DCI" · version 0x01 · count u32 · count × record · zero padding
+//! record = name_len u32 · name (UTF-8, not empty) · start u64 · len u64
+//! ```
+//!
+//! `start` is the extent's first element, `len` the object's byte length.
+//! Both are fixed-width, so an overwrite changes a record's bytes and
+//! never its size, and a record lies whole inside the page that holds it.
+//! A key's record stays in its page for as long as the key lives; a new
+//! key goes to the first page with room for its record.
+//!
 //! # What a mutation guarantees across a crash
 //!
-//! Over an array whose `write_elements` returns only once the write is
-//! durable (a journaled [`ResilientArray`](crate::ResilientArray)), every
-//! mutation is one index rewrite, and the index on the medium never names
-//! bytes that were not written first:
+//! Every mutation rewrites **exactly one page** — one element of the
+//! array. Over an array whose one-element `write_elements` is old-or-new
+//! across a crash and returns only once it is durable (a journaled
+//! [`ResilientArray`](crate::ResilientArray); swept as `small-write` and
+//! `meta-write` by [`crashsim`](crate::crashsim)), the index is therefore
+//! the one before the mutation or the one after it, at every instant.
+//! There is no log to replay, no order among pages and nothing to tear.
+//! And the index on the medium never names bytes that were not written
+//! first:
 //!
 //! * [`put`](ObjectStore::put) and [`upsert`](ObjectStore::upsert) write
-//!   the value into a free extent, then rewrite the index once. A crash
-//!   before the rewrite lands leaves the previous index: a new key is
+//!   the value into a free extent, then rewrite the key's page. A crash
+//!   before the page lands leaves the previous index: a new key is
 //!   absent, an overwritten key still reads its previous value, whose
 //!   extent was never touched. After it, the key reads the new value.
 //!   There is no instant at which an acknowledged key is unnamed.
-//! * [`delete`](ObjectStore::delete) rewrites the index without the
-//!   entry: the key reads its value or is absent, never anything else.
+//! * [`delete`](ObjectStore::delete) rewrites the key's page without the
+//!   record: the key reads its value or is absent, never anything else.
 //! * A mutation the store or the array refuses ([`StoreError::NoSpace`]
 //!   for the value or for the index, an array beyond its fault
 //!   tolerance) leaves memory and medium agreeing on the state before it.
+//!   An index with no room for a new key's record refuses the put before
+//!   the value is written; an overwrite always has room (same record).
 //!
 //! **The space rule.** An overwrite is copy-on-write, so it needs a free
 //! extent of the new value's size *while the old value is still
@@ -40,16 +62,6 @@
 //! old value stays readable. There is no in-place fallback — it would put
 //! back the window in which a crash loses an acknowledged value. The old
 //! extent is free as soon as the overwrite returns.
-//!
-//! **What is still open.** The index rewrite covers the whole region, and
-//! a crash inside it leaves each index *element* old or new (replay of a
-//! healthy stripe's intent record restores parity, not data). An index
-//! whose text spans several elements can therefore tear when a line
-//! changes width. [`open`](ObjectStore::open) refuses a tear that does
-//! not parse or validate ([`StoreError::BadIndex`]), but one that does
-//! is taken at its word — `tests/store_crash.rs` keeps the reproducer
-//! (ROADMAP item 1: block-aligned records). The guarantees above are
-//! exact while the index text fits one element.
 
 use crate::device::{ArrayError, ElementIo};
 use crate::resilient::JournalMutation;
@@ -70,7 +82,7 @@ pub enum StoreError {
     NotFound(String),
     /// Object name already present.
     Exists(String),
-    /// Names may not contain commas or newlines (index format).
+    /// The name is empty, or its record does not fit an index page.
     BadName(String),
     /// The on-array index is malformed (corrupted or not a store).
     BadIndex(String),
@@ -97,82 +109,167 @@ impl From<ArrayError> for StoreError {
     }
 }
 
+/// What starts every index page: a tag and the format's version.
+const PAGE_MAGIC: [u8; 4] = *b"DCI\x01";
+/// The magic, then the record count.
+const PAGE_HEADER: usize = PAGE_MAGIC.len() + 4;
+/// A record's bytes beside its name: `name_len`, `start`, `len`.
+const RECORD_FIXED: usize = 4 + 8 + 8;
+
+/// What the index holds for one object.
+struct Entry {
+    /// The index page (element of the metadata region) holding the record.
+    page: usize,
+    /// First element of the extent.
+    start: usize,
+    /// Object length in bytes.
+    len: usize,
+}
+
 /// An object store over any RAID-6 array implementing [`ElementIo`].
 pub struct ObjectStore<D: ElementIo> {
     array: D,
-    /// Elements reserved for the index at the front of the address space.
+    /// Elements reserved for the index at the front of the address space:
+    /// one page each.
     meta_elements: usize,
-    /// name → (start element, byte length).
-    index: BTreeMap<String, (usize, usize)>,
+    index: BTreeMap<String, Entry>,
     /// Planted ordering bug (crash-sweep self-test only).
     mutation: Option<JournalMutation>,
 }
 
+/// Split `n` bytes off the front of `rest`, if it has that many.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if n > rest.len() {
+        return None;
+    }
+    let (head, tail) = rest.split_at(n);
+    *rest = tail;
+    Some(head)
+}
+
+fn take_array<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+    take(rest, N)?.try_into().ok()
+}
+
+/// One record off the front of `rest`: `(name bytes, start, len)`.
+fn take_record<'a>(rest: &mut &'a [u8]) -> Option<(&'a [u8], u64, u64)> {
+    let name_len = u32::from_le_bytes(take_array(rest)?);
+    let name = take(rest, usize::try_from(name_len).ok()?)?;
+    let start = u64::from_le_bytes(take_array(rest)?);
+    let len = u64::from_le_bytes(take_array(rest)?);
+    Some((name, start, len))
+}
+
+/// The `(name, start, len)` records of one index page, or what is wrong
+/// with it. The bytes come from the medium: every length is checked
+/// against what is left of the page before it is used.
+pub(crate) fn parse_page(mut rest: &[u8]) -> Result<Vec<(&str, u64, u64)>, String> {
+    if take(&mut rest, PAGE_MAGIC.len()) != Some(&PAGE_MAGIC[..]) {
+        return Err("no page magic".into());
+    }
+    let count = take_array(&mut rest).map(u32::from_le_bytes);
+    let count = count.ok_or("shorter than a page header")?;
+    let mut records = Vec::new();
+    for i in 0..count {
+        let Some((name, start, len)) = take_record(&mut rest) else {
+            return Err(format!("record {i} of {count} runs past the page"));
+        };
+        let name = std::str::from_utf8(name)
+            .map_err(|e| format!("record {i}: name not UTF-8 at byte {}", e.valid_up_to()))?;
+        if name.is_empty() {
+            return Err(format!("record {i}: empty name"));
+        }
+        records.push((name, start, len));
+    }
+    if rest.iter().any(|&byte| byte != 0) {
+        return Err(format!("bytes after the last of {count} record(s)"));
+    }
+    Ok(records)
+}
+
+/// Whether the region starts with a `name,start,len` line: the text index
+/// every `dcode` before the page format wrote.
+fn starts_with_text_index(region: &[u8]) -> bool {
+    let line = region.split(|&byte| byte == b'\n').next().unwrap_or(&[]);
+    let mut fields = line.rsplit(|&byte| byte == b',');
+    let number = |field: Option<&[u8]>| {
+        field.is_some_and(|f| !f.is_empty() && f.iter().all(u8::is_ascii_digit))
+    };
+    number(fields.next()) && number(fields.next()) && fields.next().is_some()
+}
+
 impl<D: ElementIo> ObjectStore<D> {
     /// Format a fresh store on `array`, reserving `meta_elements` elements
-    /// for the index.
+    /// for the index: one write of that many empty pages.
     pub fn format(mut array: D, meta_elements: usize) -> Result<Self, StoreError> {
         assert!(meta_elements >= 1);
         assert!(meta_elements < array.capacity_elements());
         let block = array.element_size();
-        array.write_elements(0, &vec![0u8; meta_elements * block])?;
-        let mut store = ObjectStore {
+        let mut region = vec![0u8; meta_elements * block];
+        for page in region.chunks_exact_mut(block) {
+            page[..PAGE_MAGIC.len()].copy_from_slice(&PAGE_MAGIC);
+        }
+        array.write_elements(0, &region)?;
+        Ok(ObjectStore {
             array,
             meta_elements,
             index: BTreeMap::new(),
             mutation: None,
-        };
-        store.persist_index()?;
-        Ok(store)
+        })
     }
 
     /// Re-open a store from an existing array (reads the on-array index,
     /// reconstructing through failures if needed). The index is input from
-    /// the medium, so nothing in it is trusted: bytes that are not UTF-8
-    /// (NUL padding is), a line that does not parse, an extent that starts
-    /// inside the index region or ends past the array, a name listed twice
-    /// and two extents that overlap are each [`StoreError::BadIndex`].
+    /// the medium, so nothing in it is trusted: a page without the magic, a
+    /// count or a name length that runs past the page, a name that is
+    /// empty or not UTF-8, bytes after the last record, an extent that
+    /// starts inside the index region or ends past the array, a name
+    /// listed twice (in one page or two) and two extents that overlap are
+    /// each [`StoreError::BadIndex`] — as is the text index of an earlier
+    /// `dcode`, which is refused by name and never converted.
     pub fn open(mut array: D, meta_elements: usize) -> Result<Self, StoreError> {
         let raw = array.read_elements(0, meta_elements)?;
-        let text = std::str::from_utf8(&raw)
-            .map_err(|e| StoreError::BadIndex(format!("not UTF-8 at byte {}", e.valid_up_to())))?;
+        if !raw.starts_with(&PAGE_MAGIC) && starts_with_text_index(&raw) {
+            return Err(StoreError::BadIndex(
+                "this store was written by an earlier dcode (a text index, not index pages): \
+                 fetch its objects with the dcode that stored them and re-create it"
+                    .into(),
+            ));
+        }
         let capacity = array.capacity_elements();
+        let block = array.element_size();
         let mut store = ObjectStore {
             array,
             meta_elements,
             index: BTreeMap::new(),
             mutation: None,
         };
-        for line in text.lines() {
-            let line = line.trim_end_matches('\0').trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ',');
-            let (Some(name), Some(start), Some(len)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(StoreError::BadIndex(format!("line '{line}'")));
-            };
-            let start: usize = start
-                .parse()
-                .map_err(|_| StoreError::BadIndex(format!("start '{start}'")))?;
-            let len: usize = len
-                .parse()
-                .map_err(|_| StoreError::BadIndex(format!("len '{len}'")))?;
-            let end = start.checked_add(store.elements_for(len));
-            if start < meta_elements || !end.is_some_and(|end| end <= capacity) {
-                return Err(StoreError::BadIndex(format!(
-                    "extent of '{name}' outside elements [{meta_elements}, {capacity})"
-                )));
-            }
-            if store.index.insert(name.to_string(), (start, len)).is_some() {
-                return Err(StoreError::BadIndex(format!("name '{name}' listed twice")));
+        for (page, bytes) in raw.chunks(block).enumerate() {
+            let records = parse_page(bytes)
+                .map_err(|why| StoreError::BadIndex(format!("page {page}: {why}")))?;
+            for (name, start, len) in records {
+                let extent = usize::try_from(start)
+                    .ok()
+                    .zip(usize::try_from(len).ok())
+                    .filter(|&(start, len)| {
+                        let end = start.checked_add(store.elements_for(len));
+                        start >= meta_elements && end.is_some_and(|end| end <= capacity)
+                    });
+                let Some((start, len)) = extent else {
+                    return Err(StoreError::BadIndex(format!(
+                        "extent of '{name}' outside elements [{meta_elements}, {capacity})"
+                    )));
+                };
+                let entry = Entry { page, start, len };
+                if store.index.insert(name.to_string(), entry).is_some() {
+                    return Err(StoreError::BadIndex(format!("name '{name}' listed twice")));
+                }
             }
         }
         let mut extents: Vec<(usize, usize)> = store
             .index
             .values()
-            .map(|&(start, len)| (start, start + store.elements_for(len)))
+            .map(|e| (e.start, e.start + store.elements_for(e.len)))
             .collect();
         extents.sort_unstable();
         if let Some(pair) = extents.windows(2).find(|pair| pair[1].0 < pair[0].1) {
@@ -215,20 +312,46 @@ impl<D: ElementIo> ObjectStore<D> {
         bytes.div_ceil(self.block_size()).max(1)
     }
 
-    fn persist_index(&mut self) -> Result<(), StoreError> {
-        let mut text = String::new();
-        for (name, (start, len)) in &self.index {
-            text.push_str(&format!("{name},{start},{len}\n"));
+    /// The page a new key's record goes to: the first with room for it.
+    /// [`StoreError::BadName`] for a name no page could hold,
+    /// [`StoreError::NoSpace`] (of one more index element) when every page
+    /// is too full.
+    fn page_for(&self, name: &str) -> Result<usize, StoreError> {
+        let room = self.block_size().saturating_sub(PAGE_HEADER);
+        let need = RECORD_FIXED + name.len();
+        if name.is_empty() || need > room || u32::try_from(name.len()).is_err() {
+            return Err(StoreError::BadName(name.to_string()));
         }
-        let cap = self.meta_elements * self.block_size();
-        if text.len() > cap {
-            return Err(StoreError::NoSpace {
-                needed: self.elements_for(text.len()) - self.meta_elements,
-            });
+        let mut used = vec![0usize; self.meta_elements];
+        for (name, entry) in &self.index {
+            used[entry.page] += RECORD_FIXED + name.len();
         }
-        let mut buf = text.into_bytes();
-        buf.resize(cap, 0);
-        self.array.write_elements(0, &buf)?;
+        used.iter()
+            .position(|used| used + need <= room)
+            .ok_or(StoreError::NoSpace { needed: 1 })
+    }
+
+    /// Rewrite index page `page` from the in-memory index: the one array
+    /// write, of one element, that a mutation's index change costs.
+    fn write_page(&mut self, page: usize) -> Result<(), StoreError> {
+        let mut bytes = PAGE_MAGIC.to_vec();
+        bytes.extend_from_slice(&[0; 4]);
+        let mut count = 0u32;
+        for (name, entry) in self.index.iter().filter(|(_, entry)| entry.page == page) {
+            let name_len = u32::try_from(name.len()).expect("page_for admitted the name");
+            bytes.extend_from_slice(&name_len.to_le_bytes());
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.extend_from_slice(&(entry.start as u64).to_le_bytes());
+            bytes.extend_from_slice(&(entry.len as u64).to_le_bytes());
+            count += 1;
+        }
+        bytes[PAGE_MAGIC.len()..PAGE_HEADER].copy_from_slice(&count.to_le_bytes());
+        assert!(
+            bytes.len() <= self.block_size(),
+            "page_for found room for every record of page {page}"
+        );
+        bytes.resize(self.block_size(), 0);
+        self.array.write_elements(page, &bytes)?;
         Ok(())
     }
 
@@ -237,7 +360,7 @@ impl<D: ElementIo> ObjectStore<D> {
         let mut used: Vec<(usize, usize)> = self
             .index
             .values()
-            .map(|&(start, len)| (start, self.elements_for(len)))
+            .map(|e| (e.start, self.elements_for(e.len)))
             .collect();
         used.sort_unstable();
         let mut cursor = self.meta_elements;
@@ -267,15 +390,18 @@ impl<D: ElementIo> ObjectStore<D> {
     /// Store an object, replacing any existing object of the same name
     /// (the server's `put` semantics). Copy-on-write: the new extent is
     /// allocated while the index still holds the old one — so first-fit
-    /// cannot hand the old one out — and written before the one index
+    /// cannot hand the old one out — and written before the one page
     /// rewrite that names it. The durable index therefore names the old
     /// extent, intact, or the new one, fully written, at every instant;
-    /// an overwrite that has no room for both returns
-    /// [`StoreError::NoSpace`] and changes nothing.
+    /// an overwrite that has no room for both, or a new key whose record
+    /// no page has room for, returns [`StoreError::NoSpace`] before
+    /// anything is written.
     pub fn upsert(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        if name.is_empty() || name.contains(',') || name.contains('\n') {
-            return Err(StoreError::BadName(name.to_string()));
-        }
+        // An overwrite's record keeps its page and its size.
+        let page = match self.index.get(name) {
+            Some(entry) => entry.page,
+            None => self.page_for(name)?,
+        };
         let elements = self.elements_for(bytes.len());
         let start = self.allocate(elements)?;
         let mut padded = bytes.to_vec();
@@ -286,10 +412,12 @@ impl<D: ElementIo> ObjectStore<D> {
         if !index_first {
             self.array.write_elements(start, &padded)?;
         }
-        let previous = self.index.insert(name.to_string(), (start, bytes.len()));
-        // The medium keeps the old index when the rewrite fails (index at
-        // capacity, array error), so memory must too.
-        let persisted = self.persist_index();
+        let len = bytes.len();
+        let entry = Entry { page, start, len };
+        let previous = self.index.insert(name.to_string(), entry);
+        // The medium keeps the old page when the write fails (an array
+        // error), so memory must too.
+        let persisted = self.write_page(page);
         if persisted.is_err() {
             match previous {
                 Some(entry) => self.index.insert(name.to_string(), entry),
@@ -304,7 +432,7 @@ impl<D: ElementIo> ObjectStore<D> {
     /// Fetch an object's bytes (works while degraded). Takes `&mut self`:
     /// a resilient read may retry, repair, and transition disk states.
     pub fn get(&mut self, name: &str) -> Result<Vec<u8>, StoreError> {
-        let &(start, len) = self
+        let &Entry { start, len, .. } = self
             .index
             .get(name)
             .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
@@ -319,7 +447,7 @@ impl<D: ElementIo> ObjectStore<D> {
         let Some(entry) = self.index.remove(name) else {
             return Err(StoreError::NotFound(name.to_string()));
         };
-        let persisted = self.persist_index();
+        let persisted = self.write_page(entry.page);
         if persisted.is_err() {
             self.index.insert(name.to_string(), entry);
         }
@@ -330,7 +458,7 @@ impl<D: ElementIo> ObjectStore<D> {
     pub fn list(&self) -> Vec<(String, usize)> {
         self.index
             .iter()
-            .map(|(n, &(_, len))| (n.clone(), len))
+            .map(|(name, entry)| (name.clone(), entry.len))
             .collect()
     }
 
@@ -420,26 +548,44 @@ mod tests {
     }
 
     #[test]
-    fn failed_index_rewrite_leaves_memory_and_medium_agreeing() {
+    fn put_into_a_full_index_leaves_memory_and_medium_agreeing() {
         let mut s = new_store();
-        // Fill the 4 × 64-byte index region until a put no longer fits.
+        // One 47-byte record fits a 64-byte page, two do not: four puts
+        // fill the four pages.
         let mut stored = 0;
         let refused = loop {
             let name = format!("object-with-a-long-name-{stored:03}");
             match s.put(&name, &[stored as u8; 10]) {
                 Ok(()) => stored += 1,
-                Err(StoreError::NoSpace { .. }) => break name,
+                Err(StoreError::NoSpace { needed: 1 }) => break name,
                 Err(e) => panic!("unexpected {e}"),
             }
         };
-        assert!(stored > 0);
+        assert_eq!(stored, 4);
         assert!(!s.contains(&refused), "refused put stayed in the index");
         assert!(matches!(s.get(&refused), Err(StoreError::NotFound(_))));
+        // A full index still takes an overwrite: the record keeps its page
+        // and its size.
+        s.upsert("object-with-a-long-name-002", &[0xEE; 300])
+            .unwrap();
+        // A delete makes room — in the page it emptied, and the value
+        // takes the element it freed.
+        s.delete("object-with-a-long-name-001").unwrap();
+        s.put(&refused, &[9; 10]).unwrap();
+        assert_eq!(
+            s.array_mut().read(1, 1).unwrap(),
+            page(&[(&refused, 5, 10)])
+        );
         // The live store and a cold re-open of the same array list the
         // same objects.
         let live = s.list();
         assert_eq!(live.len(), stored);
-        assert_eq!(reopen(s).unwrap().list(), live);
+        let mut reopened = reopen(s).unwrap();
+        assert_eq!(reopened.list(), live);
+        assert_eq!(
+            reopened.get("object-with-a-long-name-002").unwrap(),
+            [0xEE; 300]
+        );
     }
 
     #[test]
@@ -459,8 +605,22 @@ mod tests {
     fn bad_names_rejected() {
         let mut s = new_store();
         assert!(matches!(s.put("", &[1]), Err(StoreError::BadName(_))));
-        assert!(matches!(s.put("a,b", &[1]), Err(StoreError::BadName(_))));
-        assert!(matches!(s.put("a\nb", &[1]), Err(StoreError::BadName(_))));
+        // A 64-byte page has room for one record of a 36-byte name.
+        let longest = "n".repeat(64 - PAGE_HEADER - RECORD_FIXED);
+        let too_long = format!("{longest}n");
+        assert!(matches!(
+            s.put(&too_long, &[1]),
+            Err(StoreError::BadName(_))
+        ));
+        assert!(s.is_empty());
+        // Nothing else is refused: the record carries the name's length.
+        for name in [longest.as_str(), "a,b\nc", "4,5", "\0", "né"] {
+            s.put(name, name.as_bytes()).unwrap();
+        }
+        let mut reopened = reopen(s).unwrap();
+        for name in [longest.as_str(), "a,b\nc", "4,5", "\0", "né"] {
+            assert_eq!(reopened.get(name).unwrap(), name.as_bytes());
+        }
     }
 
     #[test]
@@ -537,56 +697,162 @@ mod tests {
         assert_eq!(reopened.get("obj2").unwrap(), vec![2u8; 46 * 64]);
     }
 
-    #[test]
-    fn failed_overwrite_puts_the_previous_entry_back() {
-        let mut s = new_store();
-        s.put("kept", &[7; 100]).unwrap();
-        // Fill the 256-byte index to the last byte.
-        let filler = "f".repeat(4 * 64 - "kept,4,100\n".len() - ",6,1\n".len());
-        s.put(&filler, &[1]).unwrap();
-        // `kept,7,1000` is one byte longer than `kept,4,100`: the new
-        // extent is written, the index rewrite refuses, and the entry
-        // that names the old extent comes back.
-        assert!(matches!(
-            s.upsert("kept", &[9; 1000]),
-            Err(StoreError::NoSpace { .. })
-        ));
-        assert_eq!(s.get("kept").unwrap(), [7; 100]);
-        let live = s.list();
-        let mut reopened = reopen(s).unwrap();
-        assert_eq!(reopened.list(), live);
-        assert_eq!(reopened.get("kept").unwrap(), [7; 100]);
-        // A same-width overwrite still fits.
-        reopened.upsert("kept", &[9; 999]).unwrap();
-        assert_eq!(reopened.get("kept").unwrap(), [9; 999]);
+    /// An array that refuses every write below element `refuse_below`.
+    struct RefusesIndexWrites {
+        inner: MemArray,
+        refuse_below: usize,
+    }
+
+    impl ElementIo for RefusesIndexWrites {
+        fn capacity_elements(&self) -> usize {
+            self.inner.capacity_elements()
+        }
+        fn element_size(&self) -> usize {
+            self.inner.element_size()
+        }
+        fn read_elements(&mut self, start: usize, count: usize) -> Result<Vec<u8>, ArrayError> {
+            self.inner.read_elements(start, count)
+        }
+        fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+            if start < self.refuse_below {
+                return Err(ArrayError::TooManyFailures { failed: Vec::new() });
+            }
+            self.inner.write_elements(start, bytes)
+        }
     }
 
     #[test]
-    fn index_on_the_medium_is_the_line_per_object_csv() {
-        // The format every earlier store wrote: `name,start,len\n` per
-        // object in name order, NUL-padded to the region.
+    fn failed_page_write_puts_the_previous_entry_back() {
+        let array = RefusesIndexWrites {
+            inner: new_array(),
+            refuse_below: 0,
+        };
+        let mut s = ObjectStore::format(array, 4).unwrap();
+        s.put("kept", &[7; 100]).unwrap();
+        s.put("gone", &[8; 10]).unwrap();
+        // The value lands in a free extent, the page write is refused:
+        // the entry naming the old extent comes back, a new key's entry
+        // goes, a deleted key's entry stays.
+        s.array_mut().refuse_below = 4;
+        assert!(matches!(
+            s.upsert("kept", &[9; 1000]),
+            Err(StoreError::Array(_))
+        ));
+        assert!(matches!(s.put("new", &[1]), Err(StoreError::Array(_))));
+        assert!(matches!(s.delete("gone"), Err(StoreError::Array(_))));
+        assert_eq!(s.get("kept").unwrap(), [7; 100]);
+        assert!(!s.contains("new") && s.contains("gone"));
+        let live = s.list();
+        let array = std::mem::replace(&mut s.array_mut().inner, new_array());
+        let mut reopened = ObjectStore::open(array, 4).unwrap();
+        assert_eq!(reopened.list(), live);
+        assert_eq!(reopened.get("kept").unwrap(), [7; 100]);
+        reopened.upsert("kept", &[9; 1000]).unwrap();
+        assert_eq!(reopened.get("kept").unwrap(), [9; 1000]);
+    }
+
+    /// A 64-byte index page holding `records`.
+    fn page(records: &[(&str, u64, u64)]) -> Vec<u8> {
+        let mut bytes = b"DCI\x01".to_vec();
+        bytes.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for (name, start, len) in records {
+            bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.extend_from_slice(&start.to_le_bytes());
+            bytes.extend_from_slice(&len.to_le_bytes());
+        }
+        assert!(bytes.len() <= 64);
+        bytes.resize(64, 0);
+        bytes
+    }
+
+    #[test]
+    fn index_on_the_medium_is_one_page_of_packed_records_per_element() {
+        // The format pin (DESIGN.md §14): magic and version, a u32 count,
+        // then `name_len u32 · name · start u64 · len u64` per record in
+        // name order, zero-padded to the element; all little-endian.
         let mut s = new_store();
         s.put("b", &[2; 70]).unwrap();
         s.put("a", &[1; 10]).unwrap();
         s.upsert("b", &[3; 130]).unwrap();
-        let mut expect = b"a,6,10\nb,7,130\n".to_vec();
-        expect.resize(4 * 64, 0);
+        let mut first = Vec::new();
+        first.extend_from_slice(b"DCI\x01\x02\0\0\0");
+        first.extend_from_slice(b"\x01\0\0\0a\x06\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0");
+        first.extend_from_slice(b"\x01\0\0\0b\x07\0\0\0\0\0\0\0\x82\0\0\0\0\0\0\0");
+        first.resize(64, 0);
+        let mut empty = b"DCI\x01\0\0\0\0".to_vec();
+        empty.resize(64, 0);
+        assert_eq!(first, page(&[("a", 6, 10), ("b", 7, 130)]));
+        let expect = [&first[..], &empty, &empty, &empty].concat();
         assert_eq!(s.array_mut().read(0, 4).unwrap(), expect);
-        // And a region holding an image written by hand in that format
-        // opens, with the extents where it says.
+        // A region written by hand in that format opens, with the extents
+        // where it says — any page may hold a record, in any order — and a
+        // mutation rewrites the one page of its key.
         let mut s = new_store();
-        let mut image = b"first,4,64\nsecond,9,3\n".to_vec();
-        image.resize(4 * 64, 0);
-        s.array_mut().write(0, &image).unwrap();
+        let pages = [
+            page(&[("second", 9, 3), ("first", 4, 64)]),
+            page(&[]),
+            page(&[("third", 5, 1)]),
+            page(&[]),
+        ];
+        s.array_mut().write(0, &pages.concat()).unwrap();
         s.array_mut().write(4, &[0x11; 64]).unwrap();
         s.array_mut().write(9, &[0x22; 64]).unwrap();
         let mut opened = reopen(s).unwrap();
         assert_eq!(opened.get("first").unwrap(), [0x11; 64]);
         assert_eq!(opened.get("second").unwrap(), [0x22; 3]);
-        opened.upsert("second", &[0x33; 65]).unwrap();
-        let mut expect = b"first,4,64\nsecond,5,65\n".to_vec();
-        expect.resize(4 * 64, 0);
-        assert_eq!(opened.array_mut().read(0, 4).unwrap(), expect);
+        opened.upsert("third", &[0x33; 65]).unwrap();
+        opened.put("fourth", &[0x44; 1]).unwrap();
+        // Page 0 has no room for a fourth record and is left as found.
+        let expect = [
+            pages[0].clone(),
+            page(&[("fourth", 5, 1)]),
+            page(&[("third", 6, 65)]),
+            page(&[]),
+        ];
+        assert_eq!(opened.array_mut().read(0, 4).unwrap(), expect.concat());
+    }
+
+    #[test]
+    fn a_text_index_is_refused_as_an_earlier_formats_store() {
+        // What every dcode before the page format left in the region:
+        // `name,start,len` lines, NUL-padded.
+        let mut s = new_store();
+        let mut image = b"first,4,64\nsecond,9,3\n".to_vec();
+        image.resize(4 * 64, 0);
+        s.array_mut().write(0, &image).unwrap();
+        let Err(StoreError::BadIndex(why)) = reopen(s) else {
+            panic!("a text index opened");
+        };
+        assert!(
+            why.contains("earlier dcode") && why.contains("re-create"),
+            "{why}"
+        );
+        // A region of anything else without the magic is just not a store.
+        let mut s = new_store();
+        s.array_mut().write(0, &[0; 4 * 64]).unwrap();
+        let Err(StoreError::BadIndex(why)) = reopen(s) else {
+            panic!("a zeroed region opened");
+        };
+        assert!(why.contains("page 0") && why.contains("magic"), "{why}");
+    }
+
+    #[test]
+    fn the_benchmarks_key_sets_fit_their_index_regions() {
+        // Eight 4 KiB pages, the shards' and the benchmark arrays' region:
+        // `array_degraded_rebuild` names 600 objects, a kv shard holds at
+        // most every connection's 64 keys.
+        let wide = || ResilientArray::new(dcode(7).unwrap(), 4096, 18, RotationScheme::PerStripe);
+        let mut s = ObjectStore::format(wide(), 8).unwrap();
+        for object in 0..600 {
+            s.put(&format!("o{object}"), &[object as u8]).unwrap();
+        }
+        let mut s = ObjectStore::format(wide(), 8).unwrap();
+        for (conn, key) in (0..2).flat_map(|conn| (0..64).map(move |key| (conn, key))) {
+            s.put(&format!("c{conn}-k{key}"), &[key as u8]).unwrap();
+        }
+        let array = std::mem::replace(s.array_mut(), new_array());
+        assert_eq!(ObjectStore::open(array, 8).unwrap().len(), 128);
     }
 
     #[test]
@@ -612,24 +878,70 @@ mod tests {
     #[test]
     fn open_rejects_an_index_the_writer_never_wrote() {
         // What a torn write, bit rot past the checksums or a hostile medium
-        // can leave in the index region. 4 index elements of 64 bytes; an
-        // object's extent must lie inside elements [4, capacity).
-        let capacity = new_array().capacity_elements();
-        let past_end = format!("a,{},65\n", capacity - 1);
-        let malformed: [(&str, &[u8]); 8] = [
-            ("not UTF-8", b"a,4,10\n\xff\xfe,6,10\n"),
-            ("UTF-8 cut mid-character", b"a,4,10\n\xe2\x82,6,10\n"),
-            ("starts inside the index region", b"a,3,10\n"),
-            ("ends past capacity", past_end.as_bytes()),
-            ("end overflows", b"a,18446744073709551615,10\n"),
-            ("length overflows", b"a,4,18446744073709551615\n"),
-            ("duplicate name", b"a,4,10\nb,5,10\na,6,10\n"),
-            ("overlapping extents", b"a,4,100\nb,5,10\n"),
+        // can leave in the index region. 4 pages of 64 bytes; an object's
+        // extent must lie inside elements [4, capacity).
+        let capacity = new_array().capacity_elements() as u64;
+        let raw = |bytes: &[u8]| {
+            let mut page = bytes.to_vec();
+            page.resize(64, 0);
+            page
+        };
+        let one = page(&[("a", 4, 10)]);
+        let mut trailing = one.clone();
+        trailing[63] = 1;
+        let mut counts_two = one.clone();
+        counts_two[4] = 2;
+        let malformed: Vec<(&str, [Vec<u8>; 2])> = vec![
+            ("no magic", [one.clone(), raw(b"")]),
+            ("another version", [raw(b"DCI\x02\0\0\0\0"), page(&[])]),
+            ("count past the records", [counts_two, page(&[])]),
+            (
+                "count past the page",
+                [raw(b"DCI\x01\xff\xff\xff\xff"), page(&[])],
+            ),
+            (
+                "name_len past the page",
+                [raw(b"DCI\x01\x01\0\0\0\x31\0\0\0a"), page(&[])],
+            ),
+            (
+                "name_len past usize",
+                [raw(b"DCI\x01\x01\0\0\0\xff\xff\xff\xffa"), page(&[])],
+            ),
+            (
+                "name cut mid-character",
+                [
+                    raw(b"DCI\x01\x01\0\0\0\x02\0\0\0\xe2\x82\x04\0\0\0\0\0\0\0\x01"),
+                    page(&[]),
+                ],
+            ),
+            ("empty name", [page(&[("", 4, 10)]), page(&[])]),
+            ("bytes after the last record", [trailing, page(&[])]),
+            (
+                "starts inside the index region",
+                [page(&[("a", 3, 10)]), page(&[])],
+            ),
+            (
+                "ends past capacity",
+                [page(&[("a", capacity - 1, 65)]), page(&[])],
+            ),
+            ("end overflows", [page(&[("a", u64::MAX, 10)]), page(&[])]),
+            ("length overflows", [page(&[("a", 4, u64::MAX)]), page(&[])]),
+            (
+                "duplicate name in one page",
+                [page(&[("a", 4, 10), ("a", 6, 10)]), page(&[])],
+            ),
+            (
+                "duplicate name across pages",
+                [one.clone(), page(&[("a", 6, 10)])],
+            ),
+            (
+                "overlapping extents",
+                [page(&[("a", 4, 100)]), page(&[("b", 5, 10)])],
+            ),
         ];
-        for (what, index) in malformed {
+        for (what, [first, last]) in malformed {
             let mut s = new_store();
-            let mut region = index.to_vec();
-            region.resize(4 * 64, 0);
+            let region = [first, page(&[]), page(&[]), last].concat();
             s.array_mut().write(0, &region).unwrap();
             match reopen(s) {
                 Err(StoreError::BadIndex(_)) => {}
@@ -637,13 +949,12 @@ mod tests {
                 Ok(opened) => panic!("{what}: opened with {:?}", opened.list()),
             }
         }
-        // The same route with a well-formed index (NUL padding included)
-        // opens, and lists exactly what was written.
+        // The same route with well-formed pages opens, and lists exactly
+        // what was written.
         let mut s = new_store();
-        let mut region = b"a,4,100\nb,6,10\n".to_vec();
-        region.resize(4 * 64, 0);
+        let region = [one, page(&[]), page(&[]), page(&[("b", 6, 10)])].concat();
         s.array_mut().write(0, &region).unwrap();
         let listed = reopen(s).unwrap().list();
-        assert_eq!(listed, [("a".to_string(), 100), ("b".to_string(), 10)]);
+        assert_eq!(listed, [("a".to_string(), 10), ("b".to_string(), 10)]);
     }
 }

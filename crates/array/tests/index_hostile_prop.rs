@@ -1,7 +1,7 @@
 //! The index region is input from the medium: whatever bytes a torn
-//! write, rot beneath the checksums or a hostile disk leaves there,
-//! `ObjectStore::open` answers `Ok` or `StoreError::BadIndex` — it never
-//! panics, and a store it did open never reads outside the array or
+//! write, rot beneath the checksums or a hostile disk leaves in its
+//! pages, `ObjectStore::open` answers `Ok` or `StoreError::BadIndex` — it
+//! never panics, and a store it did open never reads outside the array or
 //! sizes a buffer from a length it has not checked against the capacity.
 
 use dcode_array::{ObjectStore, ResilientArray, RotationScheme, StoreError};
@@ -12,6 +12,9 @@ use proptest::prelude::*;
 const BLOCK: usize = 64;
 const META: usize = 4;
 const REGION: usize = META * BLOCK;
+const MAGIC: &[u8] = b"DCI\x01";
+/// Magic and count; then `name_len u32 · name · start u64 · len u64`.
+const HEADER: usize = 8;
 
 type Store = ObjectStore<ResilientArray<MemBackend>>;
 
@@ -21,7 +24,7 @@ fn array() -> ResilientArray<MemBackend> {
 }
 
 /// Open a store over an array whose index region holds `image`, cut or
-/// NUL-padded to the region.
+/// zero-padded to the region.
 fn open_over(image: &[u8]) -> Result<Store, StoreError> {
     let mut region = image.to_vec();
     region.resize(REGION, 0);
@@ -34,135 +37,215 @@ fn open_over(image: &[u8]) -> Result<Store, StoreError> {
 /// each listed object is fetched (inside the array, exactly its listed
 /// length) and a put allocates around the extents the index named.
 fn judge(image: &[u8], outcome: Result<Store, StoreError>) {
-    let shown = String::from_utf8_lossy(image);
     match outcome {
         Err(StoreError::BadIndex(_)) => {}
-        Err(other) => panic!("{shown:?}: open failed with {other}, not BadIndex"),
+        Err(other) => panic!("{image:02x?}: open failed with {other}, not BadIndex"),
         Ok(mut store) => {
             let capacity_bytes = array().capacity_elements() * BLOCK;
             for (name, len) in store.list() {
                 assert!(
                     len <= capacity_bytes,
-                    "{shown:?}: '{name}' lists {len} bytes"
+                    "{image:02x?}: '{name}' lists {len} bytes"
                 );
                 let bytes = store
                     .get(&name)
-                    .unwrap_or_else(|e| panic!("{shown:?}: {e}"));
-                assert_eq!(bytes.len(), len, "{shown:?}: '{name}'");
+                    .unwrap_or_else(|e| panic!("{image:02x?}: {e}"));
+                assert_eq!(bytes.len(), len, "{image:02x?}: '{name}'");
             }
             match store.upsert("probe", &[0xAB; BLOCK + 1]) {
                 Ok(()) => assert_eq!(store.get("probe").unwrap(), [0xAB; BLOCK + 1]),
                 Err(StoreError::NoSpace { .. }) => {}
-                Err(other) => panic!("{shown:?}: put after open: {other}"),
+                Err(other) => panic!("{image:02x?}: put after open: {other}"),
             }
         }
     }
 }
 
-/// A well-formed index of `lines` objects laid out back to back.
-fn valid_index(lines: usize, seed: u64) -> Vec<(String, usize, usize)> {
-    let mut start = META;
-    (0..lines)
-        .map(|i| {
-            let len = 1 + (seed.rotate_left(i as u32 * 7) % 150) as usize;
-            let entry = (format!("obj{i}"), start, len);
-            start += len.div_ceil(BLOCK);
-            entry
-        })
-        .collect()
+#[derive(Clone, Debug)]
+struct Record {
+    name: Vec<u8>,
+    start: u64,
+    len: u64,
 }
 
-fn render(index: &[(String, usize, usize)]) -> Vec<u8> {
-    index
+/// A well-formed index of `objects` objects laid out back to back, two
+/// records a page (24 bytes each: a page keeps 8 bytes of padding).
+fn valid_index(objects: usize, seed: u64) -> Vec<Vec<Record>> {
+    let mut start = META as u64;
+    let records: Vec<Record> = (0..objects)
+        .map(|i| {
+            let len = 1 + seed.rotate_left(i as u32 * 7) % 150;
+            let record = Record {
+                name: format!("obj{i}").into_bytes(),
+                start,
+                len,
+            };
+            start += len.div_ceil(BLOCK as u64);
+            record
+        })
+        .collect();
+    let mut pages: Vec<Vec<Record>> = records.chunks(2).map(<[Record]>::to_vec).collect();
+    pages.resize(META, Vec::new());
+    pages
+}
+
+fn render(pages: &[Vec<Record>]) -> Vec<u8> {
+    let mut region = Vec::new();
+    for (i, records) in pages.iter().enumerate() {
+        region.extend_from_slice(MAGIC);
+        region.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for record in records {
+            region.extend_from_slice(&(record.name.len() as u32).to_le_bytes());
+            region.extend_from_slice(&record.name);
+            region.extend_from_slice(&record.start.to_le_bytes());
+            region.extend_from_slice(&record.len.to_le_bytes());
+        }
+        assert!(region.len() <= (i + 1) * BLOCK, "page {i} overflows");
+        region.resize((i + 1) * BLOCK, 0);
+    }
+    region
+}
+
+/// What a valid index lists, in the order `list` gives it.
+fn listing(pages: &[Vec<Record>]) -> Vec<(String, usize)> {
+    let mut listed: Vec<(String, usize)> = pages
         .iter()
-        .flat_map(|(name, start, len)| format!("{name},{start},{len}\n").into_bytes())
-        .collect()
+        .flatten()
+        .map(|r| (String::from_utf8(r.name.clone()).unwrap(), r.len as usize))
+        .collect();
+    listed.sort();
+    listed
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Bytes with no structure at all, bytes drawn from the index's own
-    /// alphabet (short enough that whole lines parse), and each of them
-    /// after a valid prefix, which is what a tear looks like.
+    /// Region bytes with no structure at all; pages that carry the magic
+    /// and a small count, so the record parser runs over arbitrary bytes;
+    /// and each of them after valid pages, which is what rot in one page
+    /// looks like.
     #[test]
     fn arbitrary_bytes_open_or_are_refused(
             raw in prop::collection::vec(any::<u8>(), 0..=REGION),
-            texty in prop::collection::vec(
-                prop::sample::select(b"ab,,0123456789\n\n\0 \xc3".to_vec()), 0..24),
-            prefix in 0usize..4,
+            count in 0u32..4,
+            prefix in 0usize..7,
             seed in any::<u64>()) {
-        for bytes in [raw, texty] {
+        let mut headed = raw.clone();
+        headed.resize(REGION, 0);
+        for page in headed.chunks_mut(BLOCK) {
+            page[..MAGIC.len()].copy_from_slice(MAGIC);
+            page[MAGIC.len()..HEADER].copy_from_slice(&count.to_le_bytes());
+        }
+        for bytes in [raw, headed] {
             judge(&bytes, open_over(&bytes));
-            let mut torn = render(&valid_index(prefix, seed));
-            torn.extend_from_slice(&bytes);
-            torn.truncate(REGION);
-            judge(&torn, open_over(&torn));
+            let mut rotted = render(&valid_index(prefix, seed));
+            let keep = prefix.div_ceil(2) * BLOCK;
+            rotted.truncate(keep);
+            rotted.extend_from_slice(&bytes);
+            rotted.truncate(REGION);
+            judge(&rotted, open_over(&rotted));
         }
     }
 
     /// One structural edit of a valid index. Every edit but the last two
-    /// must be refused; a missing final newline and a cut at a line
-    /// boundary are still a well-formed index.
+    /// must be refused; records in another order, another page or one
+    /// fewer are still a well-formed index.
     #[test]
     fn one_edit_of_a_valid_index_opens_or_is_refused(
-            lines in 2usize..6,
-            edit in 0usize..10,
+            objects in 3usize..8,
+            edit in 0usize..14,
             pick in any::<u64>(),
             seed in any::<u64>()) {
-        let mut index = valid_index(lines, seed);
-        let at = pick as usize % lines;
-        let capacity = array().capacity_elements();
-        let mut image = match edit {
-            // Extent inside the index region, past the array, overflowing.
-            0 => { index[at].1 = pick as usize % META; render(&index) }
-            1 => { index[at].1 = capacity - (pick as usize % 2); index[at].2 = 2 * BLOCK; render(&index) }
-            2 => { index[at].2 = usize::MAX - (pick as usize % BLOCK); render(&index) }
-            3 => { index[at].1 = usize::MAX - (pick as usize % 3); render(&index) }
+        let mut pages = valid_index(objects, seed);
+        let at = pick as usize % objects;
+        let (page, slot) = (at / 2, at % 2);
+        let capacity = array().capacity_elements() as u64;
+        let mut expect = None;
+        let image = match edit {
+            // A page without the magic (one flipped bit of it is enough).
+            0 => {
+                let mut image = render(&pages);
+                let target = pick as usize % META;
+                image[target * BLOCK + pick as usize % MAGIC.len()] ^= 1 << (pick % 8);
+                image
+            }
+            // A count larger than the records that follow.
+            1 => {
+                let mut image = render(&pages);
+                let count = [pages[page].len() as u32 + 1 + (pick % 3) as u32, u32::MAX];
+                image[page * BLOCK + MAGIC.len()..page * BLOCK + HEADER]
+                    .copy_from_slice(&count[(pick >> 8) as usize % 2].to_le_bytes());
+                image
+            }
+            // A name length that runs past the page.
+            2 => {
+                let mut image = render(&pages);
+                let name_len = [(BLOCK - HEADER) as u32 + (pick % 200) as u32, u32::MAX];
+                image[page * BLOCK + HEADER..page * BLOCK + HEADER + 4]
+                    .copy_from_slice(&name_len[(pick >> 8) as usize % 2].to_le_bytes());
+                image
+            }
+            // A name cut inside a multi-byte character; an empty name.
+            3 => { pages[page][slot].name = b"ob\xe2\x82".to_vec(); render(&pages) }
+            4 => { pages[page][slot].name.clear(); render(&pages) }
+            // Numbers no usize or no sum holds.
+            5 => { pages[page][slot].start = u64::MAX - pick % 3; render(&pages) }
+            6 => { pages[page][slot].len = u64::MAX - pick % BLOCK as u64; render(&pages) }
+            // Extent inside the index region, past the array.
+            7 => { pages[page][slot].start = pick % META as u64; render(&pages) }
+            8 => {
+                pages[page][slot].start = capacity - pick % 2;
+                pages[page][slot].len = 2 * BLOCK as u64;
+                render(&pages)
+            }
+            // One name in two pages.
+            9 => {
+                let other = (page + 1) % objects.div_ceil(2);
+                pages[other][0].name = pages[page][slot].name.clone();
+                render(&pages)
+            }
             // Two extents overlap: a later object starts inside an earlier one.
-            4 => {
-                let (first, second) = (at.min(lines - 2), at.min(lines - 2) + 1);
-                index[first].2 = 2 * BLOCK + 1;
-                index[second].1 = index[first].1 + 1;
-                render(&index)
+            10 => {
+                let (first, second) = (at.min(objects - 2), at.min(objects - 2) + 1);
+                pages[first / 2][first % 2].len = 2 * BLOCK as u64 + 1;
+                pages[second / 2][second % 2].start = pages[first / 2][first % 2].start + 1;
+                render(&pages)
             }
-            // A line twice.
-            5 => { let twice = index[at].clone(); index.push(twice); render(&index) }
-            // A comma dropped: a line of two fields.
-            6 => {
-                let mut text = render(&index);
-                let commas: Vec<usize> = (0..text.len()).filter(|&i| text[i] == b',').collect();
-                text.remove(commas[pick as usize % commas.len()]);
-                text
+            // A byte after the last record.
+            11 => {
+                let mut image = render(&pages);
+                let used = HEADER + 24 * pages[page].len();
+                image[page * BLOCK + used + pick as usize % (BLOCK - used)] = 1 + (pick >> 8) as u8 % 255;
+                image
             }
-            // A byte that is not UTF-8.
-            7 => {
-                let mut text = render(&index);
-                let i = pick as usize % text.len();
-                text[i] = 0xFF;
-                text
+            // Any page may hold any record, in any order.
+            12 => {
+                let moved = pages[page].remove(slot);
+                pages[META - 1].insert(0, moved);
+                pages[0].reverse();
+                expect = Some(listing(&pages));
+                render(&pages)
             }
-            // No trailing newline; a cut at a line boundary.
-            8 => { let mut text = render(&index); text.pop(); text }
-            _ => render(&index[..at.max(1)]),
+            // One record fewer.
+            _ => {
+                pages[page].remove(slot);
+                expect = Some(listing(&pages));
+                render(&pages)
+            }
         };
-        image.truncate(REGION);
         let outcome = open_over(&image);
-        if edit <= 7 {
-            prop_assert!(
+        match &expect {
+            None => prop_assert!(
                 matches!(outcome, Err(StoreError::BadIndex(_))),
-                "edit {edit} of {:?} was not refused",
-                String::from_utf8_lossy(&image)
-            );
-        } else {
-            let opened = outcome.as_ref().map(ObjectStore::list);
-            let kept = if edit == 8 { &index[..] } else { &index[..at.max(1)] };
-            let expect: Vec<(String, usize)> =
-                kept.iter().map(|(name, _, len)| (name.clone(), *len)).collect();
-            prop_assert!(
-                opened.as_ref().is_ok_and(|listed| *listed == expect),
-                "edit {edit}: expected {expect:?}"
-            );
+                "edit {edit} of {image:02x?} was not refused"
+            ),
+            Some(expect) => {
+                let opened = outcome.as_ref().map(ObjectStore::list);
+                prop_assert!(
+                    opened.as_ref().is_ok_and(|listed| listed == expect),
+                    "edit {edit}: expected {expect:?}"
+                );
+            }
         }
         judge(&image, outcome);
     }

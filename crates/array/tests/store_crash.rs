@@ -1,14 +1,16 @@
 //! An overwrite through `ObjectStore`, crashed before every backend write
 //! and remounted, from the public API alone: the scratch probe that
 //! convicted the delete-then-put `upsert` (at 36 of its 57 crash points
-//! a key whose value had been acknowledged answered `NotFound`), kept as
-//! a test, and the one case that is still open kept beside it.
+//! a key whose value had been acknowledged answered `NotFound`) and then
+//! the whole-region text index (13 keys over three blocks tore into an
+//! index that *parsed* at 2 of 36 points: one key read another object's
+//! bytes, one acknowledged key was `NotFound`), kept as tests.
 //!
 //! The crash sweep (`dcode crash-sim`, `crashsim::CrashOp::StoreUpsert`)
-//! enumerates the same thing for six code/prime pairs with an index that
-//! fits one block. Here the geometry is the probe's — D-Code p = 5,
-//! 64-byte blocks, four index elements — and the number of keys decides
-//! whether the index text stays inside one block or spans three.
+//! enumerates the same thing for six code/prime pairs with one record a
+//! page. Here the geometry is the probe's — D-Code p = 5, 64-byte blocks,
+//! two `keyNN` records a page — and the number of keys decides whether
+//! the index is two pages or all seven.
 
 use dcode_array::{ObjectStore, ResilientArray, RetryPolicy, RotationScheme, StoreError};
 use dcode_core::dcode::dcode;
@@ -18,7 +20,8 @@ use dcode_faults::{
 
 const BLOCK: usize = 64;
 const STRIPES: usize = 3;
-const META: usize = 4;
+/// Two 25-byte records fit a 64-byte page: seven pages hold 13 keys.
+const META: usize = 7;
 
 type Medium = SharedInjector<MemBackend>;
 type Store = ObjectStore<ResilientArray<Medium>>;
@@ -74,21 +77,28 @@ fn remount(handle: &Medium) -> Result<Store, String> {
     ObjectStore::open(array, META).map_err(|e| e.to_string())
 }
 
+/// How many index pages hold at least one record, read from the medium.
+fn pages_in_use(store: &mut Store) -> usize {
+    let region = store.array_mut().read(0, META).unwrap();
+    let counts = region.chunks(BLOCK).map(|page| &page[4..8]);
+    counts.filter(|count| *count != [0; 4]).count()
+}
+
 /// Overwrite `key02` of a `keys`-object store with a longer value — its
-/// new extent lands past the last object, at a start one digit wider when
-/// there are six or more — crashing before each backend write in turn.
-/// Returns the number of crash points and what went wrong at which.
-fn overwrite_crashed_everywhere(keys: usize, volatile_cache: bool) -> (u64, Vec<String>) {
+/// new extent lands past the last object — crashing before each backend
+/// write in turn. Returns the number of crash points, the index pages
+/// the keys span and what went wrong at which point.
+fn overwrite_crashed_everywhere(keys: usize, volatile_cache: bool) -> (u64, usize, Vec<String>) {
     silence_crash_panics();
     let victim = "key02";
     let newer = vec![0xEE; BLOCK + 6];
-    let writes = {
+    let (writes, pages) = {
         let handle = medium(volatile_cache);
         let mut store = seeded(&handle, keys);
         let before = handle.lock().writes_done();
         store.upsert(victim, &newer).unwrap();
         let total = handle.lock().writes_done();
-        total - before
+        (total - before, pages_in_use(&mut store))
     };
     let mut wrong = Vec::new();
     for n in 0..writes {
@@ -126,16 +136,21 @@ fn overwrite_crashed_everywhere(keys: usize, volatile_cache: bool) -> (u64, Vec<
             ));
         }
     }
-    (writes, wrong)
+    (writes, pages, wrong)
 }
+
+/// Backend writes of the overwrite: one journaled write of the value's
+/// two elements, one of the victim's page — whatever the number of keys.
+/// The whole-region text index took 36.
+const OVERWRITE_WRITES: u64 = 25;
 
 #[test]
 fn an_overwrite_crashed_at_any_write_keeps_an_acknowledged_value() {
-    // Four keys: the index text is 44 bytes, inside its first block.
-    // Delete-then-put took 57 writes here and lost the key at 36 of them;
-    // copy-on-write takes 36 and loses it at none.
+    // Four keys: two pages, the victim's the second. Delete-then-put took
+    // 57 writes here and lost the key at 36 of them.
     for volatile_cache in [true, false] {
-        let (writes, wrong) = overwrite_crashed_everywhere(4, volatile_cache);
+        let (writes, pages, wrong) = overwrite_crashed_everywhere(4, volatile_cache);
+        assert_eq!((writes, pages), (OVERWRITE_WRITES, 2));
         assert!(
             wrong.is_empty(),
             "volatile_cache={volatile_cache}, {writes} crash points: {wrong:#?}"
@@ -144,21 +159,19 @@ fn an_overwrite_crashed_at_any_write_keeps_an_acknowledged_value() {
 }
 
 #[test]
-#[ignore = "ROADMAP item 1: block-aligned index records"]
 fn an_index_spanning_blocks_does_not_tear() {
-    // Thirteen keys: 143 bytes of index text over three 64-byte blocks.
-    // `key02,6,64` becomes `key02,17,70`, so every later line shifts by a
-    // byte and all three blocks change. A healthy stripe's intent record
-    // carries parity, not data: replaying it after a crash among the
-    // three data-cell stores leaves each block old *or* new, and a
-    // write-through medium keeps whichever landed. At 2 of the 36 crash
-    // points the mix still parses and passes every check `open` makes:
-    // once a later key's line names its neighbour's extent (`key05` reads
-    // another object's bytes), once a line is swallowed (`key11`,
-    // acknowledged, is `NotFound`). Delete-then-put, which rewrote the
-    // index twice, was wrong at 38 of 57 (2 of them unopenable: a name
-    // listed twice, overlapping extents). One block per mutation — the
-    // fixed-size record of ROADMAP item 1 — cannot tear this way.
-    let (writes, wrong) = overwrite_crashed_everywhere(13, false);
-    assert!(wrong.is_empty(), "{writes} crash points: {wrong:#?}");
+    // Thirteen keys over all seven pages. As text, `key02,6,64` became
+    // `key02,17,70`: every later line shifted a byte, three blocks changed,
+    // and replay of a healthy stripe's intent record (parity, not data)
+    // left each of them old *or* new. As a fixed-width record the new
+    // extent changes 16 bytes of the victim's page and nothing else: the
+    // same number of writes as with four keys, and no mix to parse.
+    for volatile_cache in [true, false] {
+        let (writes, pages, wrong) = overwrite_crashed_everywhere(13, volatile_cache);
+        assert_eq!((writes, pages), (OVERWRITE_WRITES, META));
+        assert!(
+            wrong.is_empty(),
+            "volatile_cache={volatile_cache}, {writes} crash points: {wrong:#?}"
+        );
+    }
 }

@@ -1139,7 +1139,6 @@ mod tests {
             shard: ShardConfig {
                 block_size: 64,
                 stripes: 16,
-                meta_elements: 4,
                 ..ShardConfig::default()
             },
             ..ServerConfig::default()
@@ -1172,6 +1171,72 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.contains("\"verify_lost\":0"), "{json}");
         assert!(json.contains("\"server_stat\":{"), "{json}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn serve_refuses_a_shard_that_holds_a_text_index_and_leaves_it_alone() {
+        use dcode_server::ShardConfig;
+        let (root, _input, _payload) = setup("serve-text-index");
+        let opts = ServeOpts {
+            code: CodeId::DCode,
+            p: 5,
+            shards: 1,
+            port: 0,
+            block: 64,
+            stripes: 4,
+            queue_cap: 4,
+            conns: 2,
+        };
+        // A shard as a dcode before the page format left it: a journaled
+        // array whose index region holds `name,start,len` lines.
+        let cfg = ShardConfig {
+            layout: build_code(opts.code, opts.p).unwrap(),
+            block_size: opts.block,
+            stripes: opts.stripes,
+            ..ShardConfig::default()
+        };
+        let shard_dir = root.join("srv").join("shard_0");
+        std::fs::create_dir_all(&shard_dir).unwrap();
+        let blocks = dcode_server::shard_blocks(&cfg);
+        let backend =
+            FileBackend::create(&shard_dir, cfg.layout.disks(), blocks, opts.block).unwrap();
+        let mut array = ResilientArray::format_journaled(
+            cfg.layout.clone(),
+            cfg.block_size,
+            cfg.stripes,
+            cfg.rotation,
+            backend,
+            cfg.policy,
+            cfg.fail_threshold,
+        );
+        let mut region = b"c0-k0,8,100\nc1-k0,10,100\n".to_vec();
+        region.resize(cfg.meta_elements * opts.block, 0);
+        array.write(0, &region).unwrap();
+        drop(array);
+        // The stripes of every disk; past them is the journal, whose mount
+        // counter every attach advances.
+        let stripe_bytes = cfg.stripes * cfg.layout.rows() * opts.block;
+        let disks = || -> Vec<Vec<u8>> {
+            (0..cfg.layout.disks())
+                .map(|disk| {
+                    let mut file = std::fs::read(disk_path(&shard_dir, disk)).unwrap();
+                    file.truncate(stripe_bytes);
+                    file
+                })
+                .collect()
+        };
+        let before = disks();
+
+        let Err(CliError::State(why)) = serve(&root.join("srv"), &opts) else {
+            panic!("served a store this dcode cannot read");
+        };
+        assert!(
+            why.contains("shard 0") && why.contains("earlier dcode"),
+            "{why}"
+        );
+        assert!(why.contains("re-create"), "{why}");
+        assert!(disks() == before, "the refusal wrote to the stripes");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -47,7 +47,8 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 pub enum Request {
     /// Store `value` under `name`, replacing any existing object.
     Put {
-        /// Object name (no commas or newlines — the store's index format).
+        /// Object name: any non-empty UTF-8 whose index record fits a page
+        /// (a block less 28 bytes); the store answers `Err` otherwise.
         name: String,
         /// Object bytes.
         value: Vec<u8>,

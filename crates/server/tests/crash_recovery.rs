@@ -26,7 +26,7 @@ fn test_config() -> ServerConfig {
         shard: ShardConfig {
             block_size: 64,
             stripes: 16,
-            meta_elements: 4,
+            meta_elements: 12,
             queue_cap: 16,
             ..ShardConfig::default()
         },
@@ -66,10 +66,11 @@ fn shard_killed_mid_put_recovers_every_acked_write() {
     let mut replayed_mounts = 0u32;
 
     // Crash offsets in backend-write units, armed right before the victim
-    // PUT of each cycle. A PUT here costs ~80 backend writes across
-    // several journaled segments, so these land at different phases of
-    // the write (before commit, between commit and retire, mid-retire…).
-    let crash_offsets = [3u64, 18, 37, 55, 71];
+    // PUT of each cycle. A PUT here costs 31 backend writes in two
+    // journaled segments — the value, then its index page — so these land
+    // at different phases of both (before commit, between commit and
+    // retire, mid-retire…).
+    let crash_offsets = [2u64, 8, 14, 21, 28];
 
     for (cycle, &offset) in crash_offsets.iter().enumerate() {
         let fresh = cycle == 0;

@@ -4,7 +4,9 @@
 //! and the invariant the whole stack exists to keep — **every
 //! acknowledged PUT reads back**, including through the degraded shard.
 
-use dcode_faults::{FaultInjector, FaultKind, FaultPlan, MemBackend, ScheduledFault};
+use dcode_faults::{
+    FaultInjector, FaultKind, FaultPlan, MemBackend, ScheduledFault, SharedInjector,
+};
 use dcode_server::{
     shard_blocks, shard_of, Client, Response, Server, ServerConfig, ShardBackend, ShardConfig,
 };
@@ -21,7 +23,8 @@ fn test_config() -> ServerConfig {
         shard: ShardConfig {
             block_size: 64,
             stripes: 16,
-            meta_elements: 4,
+            // Two `tN-kM` records fit a 64-byte index page.
+            meta_elements: 16,
             queue_cap: 4,
             ..ShardConfig::default()
         },
@@ -256,14 +259,14 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
     let server = Server::start(&cfg, backends(&cfg), true).expect("server starts");
     let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
 
-    // One healthy shard: 16 stripes of D-Code p = 7 are 560 elements, 4
-    // of them index, so four 139-element values fill it to the last one.
+    // One healthy shard: 16 stripes of D-Code p = 7 are 560 elements, 16
+    // of them index, so four 136-element values fill it to the last one.
     let keys: Vec<String> = (0..1000)
         .map(|i| format!("full-{i}"))
         .filter(|k| shard_of(k, SHARDS) == 0)
         .take(4)
         .collect();
-    let value = |tag: u8| vec![tag; 139 * 64];
+    let value = |tag: u8| vec![tag; 136 * 64];
     for (i, key) in keys.iter().enumerate() {
         assert_eq!(
             client.put(key, &value(i as u8)).expect("put io"),
@@ -277,7 +280,7 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
     let Response::Err(why) = client.put(&keys[0], &value(0xEE)).expect("put io") else {
         panic!("an overwrite with no room for both versions must be refused");
     };
-    assert!(why.contains("no space for 139 elements"), "{why}");
+    assert!(why.contains("no space for 136 elements"), "{why}");
     assert_eq!(
         client.get(&keys[0]).expect("get io"),
         Response::Value(value(0))
@@ -298,4 +301,44 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
         Response::Value(value(1))
     );
     assert_eq!(client.get(&keys[3]).expect("get io"), Response::NotFound);
+}
+
+#[test]
+fn a_name_with_a_comma_and_a_newline_round_trips_and_survives_a_reopen() {
+    // The index record carries the name's length: no byte of a name means
+    // anything to the format.
+    let cfg = ServerConfig {
+        shards: 1,
+        ..test_config()
+    };
+    let medium = SharedInjector::new(FaultInjector::new(
+        MemBackend::new(
+            cfg.shard.layout.disks(),
+            shard_blocks(&cfg.shard),
+            cfg.shard.block_size,
+        ),
+        FaultPlan::quiet(5),
+    ));
+    let name = "a,b\nc";
+    let value = b"4,5\nnot an index line\n".to_vec();
+    {
+        let server =
+            Server::start(&cfg, vec![Box::new(medium.clone())], true).expect("server starts");
+        let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
+        assert_eq!(client.put(name, &value).expect("put io"), Response::Ok);
+        assert_eq!(client.put("a", b"neighbour").expect("put io"), Response::Ok);
+        assert_eq!(
+            client.get(name).expect("get io"),
+            Response::Value(value.clone())
+        );
+    }
+    let server = Server::start(&cfg, vec![Box::new(medium)], false).expect("shard re-opens");
+    let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
+    assert_eq!(client.get(name).expect("get io"), Response::Value(value));
+    assert_eq!(
+        client.get("a").expect("get io"),
+        Response::Value(b"neighbour".to_vec())
+    );
+    assert_eq!(client.delete(name).expect("delete io"), Response::Ok);
+    assert_eq!(client.get(name).expect("get io"), Response::NotFound);
 }
