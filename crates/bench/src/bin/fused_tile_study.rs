@@ -1,15 +1,14 @@
-//! Tile-size sweep for the tile-major schedule executor, at the same
-//! shape the `parallel` bench measures (p = 13, 64 KiB blocks, 16-stripe
-//! batches): for every registry code, time per-stripe
+//! Tile-size sweep for the tile-major schedule executor (default shape
+//! p = 13, 64 KiB blocks, 16-stripe batches): for every registry code,
+//! time per-stripe
 //! [`XorProgram::run_with_tile`] over the batch across a sweep of tile
 //! sizes, printing GiB/s per point. The `tile=block` column pins the tile
 //! to the block size — one iteration per stripe, which *is* the op-major
 //! order the library shipped before tile-major replay — so the slow path
 //! stays measurable here without staying in the library. This is the
 //! measurement behind the calibration probe's candidate set
-//! ([`dcode_codec::tile::TILE_CANDIDATES`]) and behind the tile the
-//! committed `BENCH_parallel.json` was generated with — rerun it when
-//! moving to a new host.
+//! ([`dcode_codec::tile::TILE_CANDIDATES`]) — rerun it when moving to a
+//! new host.
 //!
 //! Usage: `fused_tile_study [p] [block_bytes] [batch]`
 

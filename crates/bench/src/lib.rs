@@ -1,9 +1,11 @@
 //! # dcode-bench
 //!
 //! Shared infrastructure for the figure-regeneration binaries (`fig1` …
-//! `fig7`, `features_table`, `recovery_savings`) and the Criterion
-//! micro-benchmarks. Each binary prints the corresponding paper figure's
-//! series as a table and writes CSV under `target/figures/`.
+//! `fig7`, `features_table`, `recovery_savings`) and the extension
+//! studies beside them in `src/bin`. Each binary prints the corresponding
+//! paper figure's series as a table and writes CSV under
+//! `target/figures/`. Throughput is measured by the repo's one benchmark,
+//! `benchmark/`, not here.
 
 use std::fs;
 use std::path::PathBuf;

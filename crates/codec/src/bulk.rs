@@ -14,7 +14,7 @@
 //!
 //! * Earlier revisions spawned a fresh set of scoped threads *inside every
 //!   call* — thread creation plus join cost on the order of the work
-//!   itself for small batches (see `BENCH_encode.json` history). Jobs go
+//!   itself for small batches (DESIGN.md §12 has the history). Jobs go
 //!   to the parked workers of [`minipool::global`]; stripes move into
 //!   jobs by ownership (a `mem::replace` with an allocation-free
 //!   placeholder) rather than by copy.

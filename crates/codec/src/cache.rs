@@ -37,14 +37,12 @@
 //! resulting [`OptCertificate`] — the machine-checkable proof that the
 //! shipped program is GF(2)-equivalent to the direct compile and no cost
 //! metric regressed (delta 0 for the registry codes, which are already
-//! at the paper's closed-form optimum). Cache keys include the
-//! pipeline's [`OptConfig::fingerprint`], so changing the pass pipeline
-//! via [`ScheduleCache::set_pipeline`] invalidates memoized programs:
-//! stale entries are not evicted, they simply stop matching — switching
-//! back to a previous pipeline re-hits its old entries. The pipeline
-//! config lives behind its own named mutex (`codec.cache.optcfg`) that
-//! is released before `entries` is taken, so the lock-order discipline
-//! model-checked by `dcode-race` is unchanged.
+//! at the paper's closed-form optimum). The pipeline is a constant,
+//! [`OptConfig::default`], so it is not part of the key; each certificate
+//! still records its fingerprint, which `dcode analyze` reports. The
+//! cache has one lock, `entries` (`codec.cache.entries`, the name
+//! `dcode-race`'s lock-order check sees), and never holds it across a
+//! compile.
 
 use crate::opt::{optimize, OptCertificate, OptConfig};
 use crate::schedule::XorProgram;
@@ -110,13 +108,10 @@ struct ErasureEntry {
     subs: Vec<SubEntry>,
 }
 
-/// Everything cached for one layout under one optimizer pipeline.
+/// Everything cached for one layout.
 struct LayoutEntry {
     fingerprint: u64,
     grid: Grid,
-    /// [`OptConfig::fingerprint`] of the pipeline the entry's programs
-    /// went through — part of the key, so a pipeline change invalidates.
-    opt_fp: u64,
     encode: Option<(Arc<XorProgram>, Arc<OptCertificate>)>,
     erasures: Vec<ErasureEntry>,
 }
@@ -130,10 +125,6 @@ struct LayoutEntry {
 /// compile-outside-lock race-adopt protocol on the same code.
 pub struct ScheduleCache {
     entries: Mutex<Vec<LayoutEntry>>,
-    /// The optimizer pipeline every compile miss runs. Read (and the
-    /// guard dropped) *before* `entries` is locked — the two locks never
-    /// nest, keeping the race-checked lock discipline flat.
-    opt: Mutex<Arc<OptConfig>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -149,29 +140,8 @@ impl ScheduleCache {
     pub fn new() -> Self {
         ScheduleCache {
             entries: Mutex::named("codec.cache.entries", Vec::new()),
-            opt: Mutex::named("codec.cache.optcfg", Arc::new(OptConfig::default())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The optimizer pipeline currently applied to compile misses.
-    pub fn pipeline(&self) -> Arc<OptConfig> {
-        match self.opt.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
-    }
-
-    /// Replace the optimizer pipeline. Memoized programs are keyed by the
-    /// pipeline fingerprint, so entries compiled under a different
-    /// pipeline stop matching (they are not evicted: switching back to a
-    /// previous pipeline re-hits its old entries).
-    pub fn set_pipeline(&self, config: OptConfig) {
-        let config = Arc::new(config);
-        match self.opt.lock() {
-            Ok(mut g) => *g = config,
-            Err(poisoned) => *poisoned.into_inner() = config,
         }
     }
 
@@ -205,23 +175,23 @@ impl ScheduleCache {
         &self,
         layout: &CodeLayout,
     ) -> (Arc<XorProgram>, Arc<OptCertificate>) {
-        let config = self.pipeline();
-        let opt_fp = config.fingerprint();
         let (fp, grid) = (layout.fingerprint(), layout.grid());
         {
             let entries = self.lock();
-            if let Some(pair) =
-                find_layout(&entries, fp, grid, opt_fp).and_then(|e| e.encode.clone())
-            {
+            if let Some(pair) = find_layout(&entries, fp, grid).and_then(|e| e.encode.clone()) {
                 Self::bump(&self.hits);
                 return pair;
             }
         }
         Self::bump(&self.misses);
-        let optimized = optimize(&XorProgram::compile_encode(layout), None, &config);
+        let optimized = optimize(
+            &XorProgram::compile_encode(layout),
+            None,
+            &OptConfig::default(),
+        );
         let pair = (Arc::new(optimized.program), Arc::new(optimized.certificate));
         let mut entries = self.lock();
-        let entry = find_or_insert_layout(&mut entries, fp, grid, opt_fp);
+        let entry = find_or_insert_layout(&mut entries, fp, grid);
         entry.encode.get_or_insert(pair).clone()
     }
 
@@ -232,8 +202,7 @@ impl ScheduleCache {
         layout: &CodeLayout,
         cols: &[usize],
     ) -> Result<Arc<RecoveryPlan>, Unrecoverable> {
-        let opt_fp = self.pipeline().fingerprint();
-        self.erasure_plan(layout, cols.iter().copied(), opt_fp)
+        self.erasure_plan(layout, cols.iter().copied())
     }
 
     /// The compiled full column-recovery program for erasing `cols`
@@ -261,29 +230,27 @@ impl ScheduleCache {
         cols: &[usize],
         choose: impl FnOnce(Arc<RecoveryPlan>) -> Arc<RecoveryPlan>,
     ) -> Result<CompiledRecovery, Unrecoverable> {
-        let config = self.pipeline();
-        let opt_fp = config.fingerprint();
         let (fp, grid) = (layout.fingerprint(), layout.grid());
         let cols_iter = cols.iter().copied();
         {
             let entries = self.lock();
-            if let Some(compiled) = find_erasure(&entries, fp, grid, opt_fp, cols_iter.clone())
-                .and_then(|e| e.full.clone())
+            if let Some(compiled) =
+                find_erasure(&entries, fp, grid, cols_iter.clone()).and_then(|e| e.full.clone())
             {
                 Self::bump(&self.hits);
                 return Ok(compiled);
             }
         }
-        let peeling = self.erasure_plan(layout, cols_iter.clone(), opt_fp)?;
+        let peeling = self.erasure_plan(layout, cols_iter.clone())?;
         Self::bump(&self.misses);
         let plan = choose(peeling.clone());
         debug_assert_eq!(
             plan.erased, peeling.erased,
             "the plan must cover the erasure"
         );
-        let compiled = compile_recovery(grid, &plan, None, &config);
+        let compiled = compile_recovery(grid, &plan, None);
         let mut entries = self.lock();
-        let entry = find_erasure_mut(&mut entries, fp, grid, opt_fp, cols_iter)
+        let entry = find_erasure_mut(&mut entries, fp, grid, cols_iter)
             .expect("erasure_plan inserted the entry");
         Ok(entry.full.get_or_insert(compiled).clone())
     }
@@ -302,12 +269,10 @@ impl ScheduleCache {
     where
         I: Iterator<Item = usize> + Clone,
     {
-        let config = self.pipeline();
-        let opt_fp = config.fingerprint();
         let (fp, grid) = (layout.fingerprint(), layout.grid());
         {
             let entries = self.lock();
-            if let Some(entry) = find_erasure(&entries, fp, grid, opt_fp, erased_cols.clone()) {
+            if let Some(entry) = find_erasure(&entries, fp, grid, erased_cols.clone()) {
                 if let Some(sub) = entry
                     .subs
                     .iter()
@@ -318,20 +283,15 @@ impl ScheduleCache {
                 }
             }
         }
-        let plan = self.erasure_plan(layout, erased_cols.clone(), opt_fp)?;
+        let plan = self.erasure_plan(layout, erased_cols.clone())?;
         Self::bump(&self.misses);
         // Only the wanted cells are observable outputs of a subprogram:
         // the remaining recovered intermediates are scratch the optimizer
         // may renumber or eliminate.
         let outputs: BTreeSet<usize> = missing.iter().map(|&c| grid.index(c)).collect();
-        let compiled = compile_recovery(
-            grid,
-            &Arc::new(plan.subplan_for(missing)),
-            Some(&outputs),
-            &config,
-        );
+        let compiled = compile_recovery(grid, &Arc::new(plan.subplan_for(missing)), Some(&outputs));
         let mut entries = self.lock();
-        let entry = find_erasure_mut(&mut entries, fp, grid, opt_fp, erased_cols)
+        let entry = find_erasure_mut(&mut entries, fp, grid, erased_cols)
             .expect("erasure_plan inserted the entry");
         if let Some(sub) = entry
             .subs
@@ -355,7 +315,6 @@ impl ScheduleCache {
         &self,
         layout: &CodeLayout,
         cols: I,
-        opt_fp: u64,
     ) -> Result<Arc<RecoveryPlan>, Unrecoverable>
     where
         I: Iterator<Item = usize> + Clone,
@@ -363,7 +322,7 @@ impl ScheduleCache {
         let (fp, grid) = (layout.fingerprint(), layout.grid());
         {
             let entries = self.lock();
-            if let Some(entry) = find_erasure(&entries, fp, grid, opt_fp, cols.clone()) {
+            if let Some(entry) = find_erasure(&entries, fp, grid, cols.clone()) {
                 return Ok(entry.plan.clone());
             }
         }
@@ -375,7 +334,7 @@ impl ScheduleCache {
         let erased: BTreeSet<Cell> = col_vec.iter().flat_map(|&c| grid.column(c)).collect();
         let plan = Arc::new(plan_recovery(layout, &erased)?);
         let mut entries = self.lock();
-        let entry = find_or_insert_layout(&mut entries, fp, grid, opt_fp);
+        let entry = find_or_insert_layout(&mut entries, fp, grid);
         if let Some(existing) = entry
             .erasures
             .iter()
@@ -418,45 +377,33 @@ pub fn schedule_stats() -> CacheStats {
     global().stats()
 }
 
-fn find_layout(entries: &[LayoutEntry], fp: u64, grid: Grid, opt_fp: u64) -> Option<&LayoutEntry> {
+fn find_layout(entries: &[LayoutEntry], fp: u64, grid: Grid) -> Option<&LayoutEntry> {
     entries
         .iter()
-        .find(|e| e.fingerprint == fp && e.grid == grid && e.opt_fp == opt_fp)
+        .find(|e| e.fingerprint == fp && e.grid == grid)
 }
 
-fn find_or_insert_layout(
-    entries: &mut Vec<LayoutEntry>,
-    fp: u64,
-    grid: Grid,
-    opt_fp: u64,
-) -> &mut LayoutEntry {
+fn find_or_insert_layout(entries: &mut Vec<LayoutEntry>, fp: u64, grid: Grid) -> &mut LayoutEntry {
     if let Some(i) = entries
         .iter()
-        .position(|e| e.fingerprint == fp && e.grid == grid && e.opt_fp == opt_fp)
+        .position(|e| e.fingerprint == fp && e.grid == grid)
     {
         return &mut entries[i];
     }
     entries.push(LayoutEntry {
         fingerprint: fp,
         grid,
-        opt_fp,
         encode: None,
         erasures: Vec::new(),
     });
     entries.last_mut().expect("just pushed")
 }
 
-fn find_erasure<I>(
-    entries: &[LayoutEntry],
-    fp: u64,
-    grid: Grid,
-    opt_fp: u64,
-    cols: I,
-) -> Option<&ErasureEntry>
+fn find_erasure<I>(entries: &[LayoutEntry], fp: u64, grid: Grid, cols: I) -> Option<&ErasureEntry>
 where
     I: Iterator<Item = usize> + Clone,
 {
-    find_layout(entries, fp, grid, opt_fp)?
+    find_layout(entries, fp, grid)?
         .erasures
         .iter()
         .find(|e| e.cols.iter().copied().eq(cols.clone()))
@@ -466,7 +413,6 @@ fn find_erasure_mut<I>(
     entries: &mut [LayoutEntry],
     fp: u64,
     grid: Grid,
-    opt_fp: u64,
     cols: I,
 ) -> Option<&mut ErasureEntry>
 where
@@ -474,7 +420,7 @@ where
 {
     entries
         .iter_mut()
-        .find(|e| e.fingerprint == fp && e.grid == grid && e.opt_fp == opt_fp)?
+        .find(|e| e.fingerprint == fp && e.grid == grid)?
         .erasures
         .iter_mut()
         .find(|e| e.cols.iter().copied().eq(cols.clone()))
@@ -487,9 +433,12 @@ fn compile_recovery(
     grid: Grid,
     plan: &Arc<RecoveryPlan>,
     outputs: Option<&BTreeSet<usize>>,
-    config: &OptConfig,
 ) -> CompiledRecovery {
-    let optimized = optimize(&XorProgram::compile_plan(grid, plan), outputs, config);
+    let optimized = optimize(
+        &XorProgram::compile_plan(grid, plan),
+        outputs,
+        &OptConfig::default(),
+    );
     let reads: Vec<Cell> = plan.surviving_reads().into_iter().collect();
     CompiledRecovery {
         program: Arc::new(optimized.program),
@@ -698,9 +647,11 @@ mod tests {
     #[test]
     fn every_cache_artifact_carries_a_holding_certificate() {
         let cache = ScheduleCache::new();
+        let default_fp = OptConfig::default().fingerprint();
         for layout in all_codes(7) {
             let (_, cert) = cache.encode_program_certified(&layout);
             assert!(cert.holds(), "{} encode", layout.name());
+            assert_eq!(cert.pipeline_fingerprint, default_fp, "{}", layout.name());
             assert!(
                 cert.zero_delta(),
                 "{} encode must be delta 0",
@@ -721,38 +672,6 @@ mod tests {
                 .unwrap();
             assert!(sub.certificate.holds(), "{} subprogram", layout.name());
         }
-    }
-
-    #[test]
-    fn pipeline_change_invalidates_and_switching_back_rehits() {
-        let cache = ScheduleCache::new();
-        let layout = dcode(7).unwrap();
-        let default_fp = cache.pipeline().fingerprint();
-        let (a, cert_a) = cache.encode_program_certified(&layout);
-        assert_eq!(cert_a.pipeline_fingerprint, default_fp);
-        let full_a = cache.column_program(&layout, &[0, 1]).unwrap();
-
-        // A different pipeline is a different key: both lookups recompile.
-        cache.set_pipeline(OptConfig::empty());
-        let empty_fp = cache.pipeline().fingerprint();
-        assert_ne!(default_fp, empty_fp);
-        let (b, cert_b) = cache.encode_program_certified(&layout);
-        assert!(!Arc::ptr_eq(&a, &b), "pipeline change must recompile");
-        assert_eq!(cert_b.pipeline_fingerprint, empty_fp);
-        assert!(
-            cert_b.holds(),
-            "empty pipeline is a trivially-held identity"
-        );
-        let full_b = cache.column_program(&layout, &[0, 1]).unwrap();
-        assert!(!Arc::ptr_eq(&full_a.program, &full_b.program));
-
-        // Stale entries are not evicted: switching back re-hits them.
-        cache.set_pipeline(OptConfig::full());
-        let (c, cert_c) = cache.encode_program_certified(&layout);
-        assert!(Arc::ptr_eq(&a, &c), "old pipeline entries must survive");
-        assert_eq!(cert_c.pipeline_fingerprint, default_fp);
-        let full_c = cache.column_program(&layout, &[0, 1]).unwrap();
-        assert!(Arc::ptr_eq(&full_a.program, &full_c.program));
     }
 
     #[test]

@@ -29,10 +29,7 @@
 //! * [`update`] — read-modify-write partial-stripe writes with cascading
 //!   delta propagation (the I/O behaviour Figures 4–5 measure);
 //! * [`bitmatrix`] — the Jerasure-style GF(2) generator-matrix backend,
-//!   cross-checked against the equation-driven encoder;
-//! * [`gf256`] / [`rs`] — a GF(2⁸) field and the classic Reed–Solomon P+Q
-//!   RAID-6, the Galois-field baseline the paper's XOR-only design
-//!   competes with (see the `xor_vs_rs` bench).
+//!   cross-checked against the equation-driven encoder.
 //!
 //! ## Quick example
 //!
@@ -55,9 +52,7 @@ pub mod bulk;
 pub mod cache;
 pub mod decode;
 pub mod encode;
-pub mod gf256;
 pub mod opt;
-pub mod rs;
 pub mod schedule;
 pub mod stripe;
 pub mod tile;
@@ -73,4 +68,4 @@ pub use opt::{optimize, CostSummary, OptCertificate, OptConfig, OptPass, Optimiz
 pub use schedule::XorProgram;
 pub use stripe::Stripe;
 pub use tile::fused_tile_bytes;
-pub use update::{reconstruct_write_ios, write_logical, write_logical_reconstruct, WriteReceipt};
+pub use update::{reconstruct_write_ios, write_logical, WriteReceipt};

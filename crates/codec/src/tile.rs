@@ -4,9 +4,10 @@
 //! [`TILE_BYTES`](crate::xor::TILE_BYTES) is a compile-time default tuned
 //! on one machine's L1d. Tile-major replay keeps a whole stripe's working
 //! set (every block's current tile) resident at once, so its sweet spot
-//! depends on the host cache hierarchy and the stripe shape — the
-//! `xor_kernel` bench's tile sweep (EXPERIMENTS.md) shows a flat-topped
-//! curve across 4–32 KiB with cliffs on either side. Rather than bake in
+//! depends on the host cache hierarchy and the stripe shape — the tile
+//! sweeps EXPERIMENTS.md records (`fused_tile_study` re-runs the per-code
+//! one) show a flat-topped curve across 4–32 KiB with cliffs on either
+//! side. Rather than bake in
 //! one point, [`fused_tile_bytes`] runs a **one-shot calibration probe**
 //! over that sweep's candidate set the first time a program is replayed
 //! and caches the winner for the process lifetime. Sweeps that need a
@@ -17,9 +18,9 @@ use crate::xor::{xor_many_into_tiled, TILE_BYTES};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Candidate tile sizes, from the `xor_kernel` bench's tile sweep: the
-/// measured throughput curve is flat between 4 KiB and 32 KiB and falls
-/// off outside, so the probe only has to pick within the plateau.
+/// Candidate tile sizes, from the recorded tile sweeps: the measured
+/// throughput curve is flat between 4 KiB and 32 KiB and falls off
+/// outside, so the probe only has to pick within the plateau.
 pub const TILE_CANDIDATES: [usize; 4] = [4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024];
 
 /// Shape of the calibration workload: eight source streams (a D-Code

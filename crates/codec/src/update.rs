@@ -14,7 +14,7 @@
 //! `iosim::write_accesses` block for block).
 
 use crate::stripe::Stripe;
-use crate::xor::{xor_gather_tiled, xor_into, TILE_BYTES};
+use crate::xor::xor_into;
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use std::collections::BTreeMap;
@@ -105,72 +105,12 @@ pub fn write_logical(
     }
 }
 
-/// Write `bytes` via **reconstruct-write**: overwrite the data range, then
-/// recompute every affected parity *from scratch* out of the full member
-/// sets (no old-value reads of the written data). For large writes this
-/// beats read-modify-write — the crossover is the classic small-write
-/// trade-off, measured by the `write_policy` study — and the result is
-/// byte-identical to [`write_logical`].
-///
-/// The receipt's `data_written`/`parities_written` have the same meaning,
-/// but the I/O accounting differs: reconstruct-write reads the *untouched*
-/// members of each affected parity instead of the old data and parity
-/// values. [`WriteReceipt::element_ios`] is therefore not meaningful here;
-/// use [`reconstruct_write_ios`] for the cost model.
-pub fn write_logical_reconstruct(
-    layout: &CodeLayout,
-    stripe: &mut Stripe,
-    logical_start: usize,
-    bytes: &[u8],
-) -> WriteReceipt {
-    let bs = stripe.block_size();
-    assert!(
-        bytes.len() % bs == 0,
-        "write length {} is not a multiple of the block size {bs}",
-        bytes.len()
-    );
-    let count = bytes.len() / bs;
-    assert!(
-        logical_start + count <= layout.data_len(),
-        "write [{logical_start}, {}) exceeds stripe data length {}",
-        logical_start + count,
-        layout.data_len()
-    );
-
-    let mut data_written = Vec::with_capacity(count);
-    for (i, chunk) in bytes.chunks(bs).enumerate() {
-        let cell = layout.logical_to_cell(logical_start + i);
-        stripe.block_mut(cell).copy_from_slice(chunk);
-        data_written.push(cell);
-    }
-
-    // Recompute affected parities from full member sets, in encode order so
-    // cascaded parities see fresh inputs. The parity block is detached and
-    // used as the accumulator directly (an equation never contains its own
-    // parity), so no scratch buffer is allocated.
-    let affected = layout.update_closure(&data_written);
-    let grid = stripe.grid();
-    let mut parities_written = Vec::new();
-    for &eq_idx in layout.encode_order() {
-        let eq = layout.equation(eq_idx);
-        if !affected.contains(&eq.parity) {
-            continue;
-        }
-        let parity_idx = grid.index(eq.parity);
-        let mut acc = stripe.take_block_at(parity_idx);
-        xor_gather_tiled(&mut acc, &eq.members, |m| stripe.block(m), TILE_BYTES);
-        stripe.put_block_at(parity_idx, acc);
-        parities_written.push(eq.parity);
-    }
-    WriteReceipt {
-        data_written,
-        parities_written,
-    }
-}
-
-/// Element I/Os of a reconstruct-write: the data writes, the parity writes,
-/// and one read per *unmodified* member of each recomputed parity
-/// (modified members and already-recomputed parities are in memory).
+/// Element I/Os of a **reconstruct-write** — overwrite the data range, then
+/// recompute every affected parity from its full member set (no old-value
+/// reads; `ResilientArray`'s reconstruct branch is the engine): the data
+/// writes, the parity writes, and one read per *unmodified* member of each
+/// recomputed parity (modified members and already-recomputed parities are
+/// in memory). The `write_policy` study holds the array to this count.
 pub fn reconstruct_write_ios(layout: &CodeLayout, logical_start: usize, count: usize) -> usize {
     use std::collections::BTreeSet;
     let written: BTreeSet<Cell> = (logical_start..logical_start + count)
@@ -274,34 +214,6 @@ mod tests {
             .max()
             .unwrap();
         assert!(worst >= 3, "RDP must cascade: worst={worst}");
-    }
-
-    #[test]
-    fn reconstruct_write_equals_rmw_for_every_code() {
-        for p in [5usize, 7] {
-            for layout in all_codes(p) {
-                let bs = 16;
-                let data = payload(layout.data_len() * bs, p as u64);
-                let mut rmw = Stripe::from_data(&layout, bs, &data);
-                encode(&layout, &mut rmw);
-                let mut rcw = rmw.clone();
-
-                for (start, count) in [(0usize, 1usize), (2, 4), (0, layout.data_len())] {
-                    let count = count.min(layout.data_len() - start);
-                    let bytes = payload(count * bs, 77 + start as u64);
-                    let a = write_logical(&layout, &mut rmw, start, &bytes);
-                    let b = write_logical_reconstruct(&layout, &mut rcw, start, &bytes);
-                    assert_eq!(rmw, rcw, "{} p={p} start={start}", layout.name());
-                    assert_eq!(a.data_written, b.data_written);
-                    let mut pa = a.parities_written.clone();
-                    let mut pb = b.parities_written.clone();
-                    pa.sort_unstable();
-                    pb.sort_unstable();
-                    assert_eq!(pa, pb);
-                    assert!(verify_parities(&layout, &rcw));
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Earlier revisions hand-wrote six monomorphic kernels
 //! (`xor_into2/4/8`, `xor_set2/4/8`) as towers of zipped `chunks_exact`
 //! iterators; `wide_xor::<N, SET>` generates the same machine code from
-//! thirty lines (see the `xor_kernel` bench for the before/after numbers).
+//! thirty lines.
 
 /// `dst ^= src`, element-wise. Panics if lengths differ.
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
@@ -59,8 +59,8 @@ pub fn xor_many_into(dst: &mut [u8], sources: &[&[u8]]) {
 /// Default tile size for the multi-source kernels: each destination tile
 /// stays resident in L1 while several sources stream through it, so a
 /// parity built from many members loads and stores its accumulator once
-/// per source *group* instead of once per source. Tuned with the
-/// `xor_kernel` bench's tile sweep (see EXPERIMENTS.md); 16 KiB leaves
+/// per source *group* instead of once per source. Tuned with a tile
+/// sweep (see EXPERIMENTS.md); 16 KiB leaves
 /// room in a 32 KiB L1d for the destination tile plus streaming sources.
 /// The schedule executor refines this at runtime — see [`crate::tile`].
 pub const TILE_BYTES: usize = 16 * 1024;
@@ -262,17 +262,12 @@ pub(crate) fn xor_gather_tiled<'a, I: Copy, F>(
 
 /// XOR all `sources` into `dst` with multi-source unrolling: up to eight
 /// sources are folded per pass in `[u64; 8]` lanes, and the block is
-/// processed in cache-sized tiles so the destination stays hot while the
-/// sources stream through. Overwrites `dst` (no pre-zeroing pass); with no
-/// sources, `dst` becomes all-zero. Byte-identical to [`xor_many_into`].
-pub fn xor_many_into_unrolled(dst: &mut [u8], sources: &[&[u8]]) {
-    xor_gather_tiled(dst, sources, |s| s, TILE_BYTES);
-}
-
-/// [`xor_many_into_unrolled`] with a caller-chosen tile size. Benchmark
-/// tuning hook for [`TILE_BYTES`] — production callers should use
-/// [`xor_many_into_unrolled`] (or the schedule executor), which bake in the
-/// tuned default. `tile_bytes` is clamped to at least 8.
+/// processed in `tile_bytes`-sized tiles (clamped to at least 8) so the
+/// destination stays hot while the sources stream through. Overwrites
+/// `dst` (no pre-zeroing pass); with no sources, `dst` becomes all-zero.
+/// Byte-identical to [`xor_many_into`]. The kernel the tile probe
+/// ([`crate::tile`]) times; production encodes go through the schedule
+/// executor.
 pub fn xor_many_into_tiled(dst: &mut [u8], sources: &[&[u8]], tile_bytes: usize) {
     xor_gather_tiled(dst, sources, |s| s, tile_bytes);
 }
@@ -393,7 +388,7 @@ mod tests {
                 let mut naive = vec![0xAB; len];
                 xor_many_naive(&mut naive, &refs);
                 let mut unrolled = vec![0xCD; len];
-                xor_many_into_unrolled(&mut unrolled, &refs);
+                xor_many_into_tiled(&mut unrolled, &refs, TILE_BYTES);
                 assert_eq!(naive, unrolled, "n_sources={n_sources} len={len}");
                 let mut simple = vec![0xEF; len];
                 xor_many_into(&mut simple, &refs);
@@ -416,14 +411,14 @@ mod tests {
         let mut naive = vec![0u8; len];
         xor_many_naive(&mut naive, &refs);
         let mut unrolled = vec![0u8; len];
-        xor_many_into_unrolled(&mut unrolled, &refs);
+        xor_many_into_tiled(&mut unrolled, &refs, TILE_BYTES);
         assert_eq!(naive, unrolled);
     }
 
     #[test]
     fn tiled_variant_matches_for_extreme_tile_sizes() {
         // Tiny tiles (clamped to 8), sub-block tiles, and tiles larger than
-        // the whole block must all agree — the bench sweep relies on every
+        // the whole block must all agree — the tile probe relies on every
         // tile size being correct.
         let len = 3 * 1024 + 13;
         let srcs: Vec<Vec<u8>> = (0..11)
@@ -455,6 +450,6 @@ mod tests {
     #[should_panic]
     fn unrolled_length_mismatch_panics() {
         let mut d = [0u8; 3];
-        xor_many_into_unrolled(&mut d, &[&[0u8; 3], &[0u8; 4]]);
+        xor_many_into_tiled(&mut d, &[&[0u8; 3], &[0u8; 4]], TILE_BYTES);
     }
 }

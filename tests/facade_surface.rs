@@ -1,10 +1,9 @@
 //! Facade-level smoke of the newer public surfaces: spec parsing, sharing
-//! analysis, exact fault tolerance, trace replay, bulk encoding, and the
-//! Reed–Solomon baseline — everything reachable from the `dcode` crate.
+//! analysis, shortened codes, exact fault tolerance and bulk encoding —
+//! everything reachable from the `dcode` crate.
 
 use dcode::baselines::registry::{build, CodeId};
 use dcode::baselines::{shortened_evenodd, shortened_rdp};
-use dcode::codec::rs::{Erasure, RsRaid6};
 use dcode::codec::{encode_stripes, verify_parities, Stripe};
 use dcode::core::analysis::adjacent_sharing_probability;
 use dcode::core::mds::fault_tolerance;
@@ -56,19 +55,6 @@ fn bulk_encode_roundtrip_through_facade() {
     let mut back: Vec<u8> = stripes.iter().flat_map(|s| s.data_bytes(&layout)).collect();
     back.truncate(payload.len());
     assert_eq!(back, payload);
-}
-
-#[test]
-fn rs_baseline_recovers_like_the_array_codes() {
-    let rs = RsRaid6::new(9, 512);
-    let data: Vec<Vec<u8>> = (0..9).map(|k| vec![k as u8 + 1; 512]).collect();
-    let (p, q) = rs.encode(&data);
-    let mut d = data.clone();
-    d[2].fill(0);
-    d[7].fill(0);
-    let (mut pp, mut qq) = (p.clone(), q.clone());
-    rs.decode(&mut d, &mut pp, &mut qq, Erasure::TwoData(2, 7));
-    assert_eq!(d, data);
 }
 
 #[test]
