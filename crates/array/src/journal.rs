@@ -31,7 +31,10 @@
 //! 1. payload blocks are written (cell contents being journaled),
 //! 2. the header — magic, seq, stripe, mode, per-cell CRCs, a CRC over
 //!    the payload bytes, and a trailing CRC over the header itself — is
-//!    written after the payload,
+//!    written after the payload. The payload CRC is folded from the
+//!    by-value entries' CRCs with [`Crc32Shift`] rather than hashed
+//!    again: the bytes are the same as hashing the concatenated payload,
+//!    and replay still hashes the payload it reads back,
 //! 3. the journal disk is flushed: the record is now *committed*,
 //! 4. the stripe writes are applied and their disks flushed,
 //! 5. the header's first block is overwritten with a tombstone and the
@@ -61,7 +64,7 @@
 
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
-use dcode_faults::{crc32, DiskBackend};
+use dcode_faults::{crc32, Crc32Shift, DiskBackend};
 
 const MAGIC_RECORD: &[u8; 4] = b"DJRN";
 const MAGIC_TOMBSTONE: &[u8; 4] = b"DJRT";
@@ -100,6 +103,9 @@ pub struct JournalSpec {
     /// Most cells one record can carry (a full segment: every data cell
     /// plus every parity cell).
     pub max_entries: usize,
+    /// Appends one block to a CRC: folds the payload CRC from the entry
+    /// CRCs. Built once here, never per record.
+    block_crc: Crc32Shift,
 }
 
 /// Journal blocks appended to every disk for the given code geometry —
@@ -127,6 +133,7 @@ impl JournalSpec {
             disks: layout.disks(),
             block_size,
             max_entries,
+            block_crc: Crc32Shift::new(block_size),
         }
     }
 
@@ -211,7 +218,9 @@ pub enum SlotHeader {
 
 impl IntentRecord {
     /// Serialize the header into a full header-region buffer
-    /// (`header_blocks × block_size`, zero padded).
+    /// (`header_blocks × block_size`, zero padded). Every by-value entry's
+    /// `crc` must be the CRC32 of its block-sized payload: the payload CRC
+    /// is folded from them, not hashed.
     pub fn encode_header(&self, spec: &JournalSpec) -> Vec<u8> {
         assert!(self.entries.len() <= spec.max_entries);
         let mut buf = vec![0u8; spec.header_blocks * spec.block_size];
@@ -223,7 +232,10 @@ impl IntentRecord {
             RecordMode::Redo => 1,
         };
         buf[21..23].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        buf[23..27].copy_from_slice(&self.payload_crc().to_le_bytes());
+        let payload_crc = self
+            .payload_entries()
+            .fold(0, |acc, e| spec.block_crc.combine(acc, e.crc));
+        buf[23..27].copy_from_slice(&payload_crc.to_le_bytes());
         let mut off = HEADER_FIXED;
         for e in &self.entries {
             buf[off..off + 2].copy_from_slice(&(e.cell.row as u16).to_le_bytes());
@@ -237,8 +249,11 @@ impl IntentRecord {
         buf
     }
 
-    /// CRC32 over the concatenated payload bytes, in entry order.
-    pub fn payload_crc(&self) -> u32 {
+    /// CRC32 over the concatenated payload bytes, in entry order: the
+    /// hashing formula [`encode_header`](IntentRecord::encode_header)'s
+    /// fold must reproduce.
+    #[cfg(test)]
+    fn payload_crc(&self) -> u32 {
         let mut all = Vec::new();
         for e in &self.entries {
             if let Some(p) = &e.payload {
@@ -500,6 +515,15 @@ mod tests {
         JournalSpec::for_geometry(&dcode(5).unwrap(), 32, 3)
     }
 
+    /// A by-value entry carrying `content`, with its real CRC.
+    fn by_value(cell: Cell, content: Vec<u8>) -> RecordEntry {
+        RecordEntry {
+            cell,
+            crc: crc32(&content),
+            payload: Some(content),
+        }
+    }
+
     fn sample(spec: &JournalSpec) -> IntentRecord {
         IntentRecord {
             seq: 7,
@@ -511,11 +535,7 @@ mod tests {
                     crc: 0xDEAD_BEEF,
                     payload: None,
                 },
-                RecordEntry {
-                    cell: Cell::new(3, 2),
-                    crc: 0x1234_5678,
-                    payload: Some(vec![0xAB; spec.block_size]),
-                },
+                by_value(Cell::new(3, 2), vec![0xAB; spec.block_size]),
             ],
         }
     }
@@ -538,6 +558,60 @@ mod tests {
                 assert_eq!(payload_crc, rec.payload_crc());
             }
             other => panic!("expected record, got {other:?}"),
+        }
+    }
+
+    /// The on-medium header carries the CRC of the concatenated payload.
+    /// Folding the entry CRCs must give that header byte for byte, for
+    /// records of every shape, or a journal would not replay across
+    /// versions.
+    #[test]
+    fn encode_header_is_byte_identical_to_the_hashing_formula() {
+        let layout = dcode(5).unwrap();
+        let spec = JournalSpec::for_geometry(&layout, 48, 3);
+        let cells: Vec<Cell> = layout.grid().cells().collect();
+        let mut seed = 0x5EED_u64;
+        let mut record = |mode, by_ref: usize, by_val: usize| {
+            let mut entries = Vec::new();
+            for (k, &cell) in cells[..by_ref + by_val].iter().enumerate() {
+                let content: Vec<u8> = (0..spec.block_size)
+                    .map(|_| {
+                        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        (seed >> 56) as u8
+                    })
+                    .collect();
+                let mut entry = by_value(cell, content);
+                if k < by_ref {
+                    entry.payload = None;
+                }
+                entries.push(entry);
+            }
+            IntentRecord {
+                seq: 41,
+                stripe: 1,
+                mode,
+                entries,
+            }
+        };
+        let records = [
+            record(RecordMode::ParityIntent, 1, 2),
+            record(RecordMode::ParityIntent, 5, 14),
+            record(RecordMode::Redo, 0, spec.max_entries),
+        ];
+        for rec in records {
+            let got = rec.encode_header(&spec);
+            let mut want = got.clone();
+            want[23..27].copy_from_slice(&rec.payload_crc().to_le_bytes());
+            let end = HEADER_FIXED + ENTRY_BYTES * rec.entries.len();
+            let header_crc = crc32(&want[..end]);
+            want[end..end + 4].copy_from_slice(&header_crc.to_le_bytes());
+            assert_eq!(
+                got,
+                want,
+                "{:?} with {} entries",
+                rec.mode,
+                rec.entries.len()
+            );
         }
     }
 

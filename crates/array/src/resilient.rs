@@ -255,6 +255,9 @@ pub struct ResilientArray<B> {
     /// is what a rebuild must reproduce). A real deployment would persist
     /// these in the metadata region; the simulation keeps them in memory.
     crc: Vec<Vec<u32>>,
+    /// CRC32 of an all-zero block: the constant an XOR of an even number
+    /// of blocks adds to the XOR of their CRCs.
+    zero_crc: u32,
     policy: RetryPolicy,
     fail_threshold: usize,
     /// Rebuilds in progress, at most two: a third lost column is beyond
@@ -398,6 +401,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             state: vec![SlotState::Healthy; slots],
             errors: vec![0; slots],
             crc: vec![vec![zero_crc; n_stripes * layout.rows()]; slots],
+            zero_crc,
             layout,
             rotation,
             block_size,
@@ -1068,18 +1072,31 @@ impl<B: DiskBackend> ResilientArray<B> {
     }
 
     /// Persist one encoded segment: its written data cells and its
-    /// affected parities, each CRC'd once. On a journaled array: commit
-    /// an intent record (payload → header → journal-disk flush), apply
-    /// the data cells, apply the parity cells, flush every touched disk,
-    /// then retire the record (tombstone → flush). The write is only
-    /// acknowledged — [`write`](ResilientArray::write) only returns —
-    /// after every record of the call is retired, so an acknowledged
-    /// write is durable and a crashed one is replayable.
+    /// affected parities. Only the data cells are hashed; the parity CRCs
+    /// are [derived](ResilientArray::derive_parity_crcs) from them. On a
+    /// journaled array: commit an intent record (payload → header →
+    /// journal-disk flush), apply the data cells, apply the parity cells,
+    /// flush every touched disk, then retire the record (tombstone →
+    /// flush). The write is only acknowledged —
+    /// [`write`](ResilientArray::write) only returns — after every record
+    /// of the call is retired, so an acknowledged write is durable and a
+    /// crashed one is replayable.
     fn persist_segment(&mut self, segment: &Segment, scratch: &Stripe) {
-        let crcs_of = |cells: &[Cell]| -> Vec<u32> {
-            cells.iter().map(|&c| crc32(scratch.block(c))).collect()
-        };
-        let (data_crcs, parity_crcs) = (crcs_of(&segment.data), crcs_of(&segment.parity));
+        let data_crcs: Vec<u32> = segment
+            .data
+            .iter()
+            .map(|&c| crc32(scratch.block(c)))
+            .collect();
+        let parity_crcs = self.derive_parity_crcs(segment, &data_crcs, scratch);
+        debug_assert!(
+            segment
+                .parity
+                .iter()
+                .zip(&parity_crcs)
+                .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
+            "a derived parity CRC of stripe {} differs from the hashed one",
+            segment.stripe
+        );
         let committed = self.journal.is_some().then(|| {
             let record = self.build_record(segment, &data_crcs, &parity_crcs, scratch);
             (self.journal_append(&record), record.seq)
@@ -1104,6 +1121,70 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
         }
         self.stats.element_writes += segment.data.len() as u64;
+    }
+
+    /// The new CRCs of `segment.parity`, from CRCs already known instead
+    /// of hashing the parity blocks. CRC32 is affine over GF(2): for
+    /// blocks of one length, `crc(a ⊕ b ⊕ c) = crc(a) ⊕ crc(b) ⊕ crc(c)`,
+    /// and an XOR of an even number of blocks adds one `crc(0ⁿ)`. The
+    /// walk follows the encode order, so a parity that is a member of
+    /// another (RDP, HDP) feeds its new CRC forward.
+    ///
+    /// * **Delta**: `crc(P′) = crc(P) ⊕ ⊕ (crc(m) ⊕ crc(m′))` over the
+    ///   members that changed. Every old CRC is the table entry of a cell
+    ///   the fetch just verified or read-repaired.
+    /// * **Reconstruct**: `crc(P) = ⊕ crc(m) ⊕ [even count]·crc(0ⁿ)` over
+    ///   all members. An untouched data member the fetch read from a slot
+    ///   serving the stripe takes its table entry. Any other member — a
+    ///   parity outside the closure, or a cell on a slot that does not
+    ///   serve the stripe (a slot remounted failed holds no real entries
+    ///   until its rebuild) — is hashed from `scratch`.
+    fn derive_parity_crcs(
+        &self,
+        segment: &Segment,
+        data_crcs: &[u32],
+        scratch: &Stripe,
+    ) -> Vec<u32> {
+        let (layout, stripe) = (&self.layout, segment.stripe);
+        let grid = layout.grid();
+        let table =
+            |cell: Cell| self.crc[self.slot_of(stripe, cell.col)][self.block_of(stripe, cell.row)];
+        let mut new = vec![None; grid.len()];
+        for (&cell, &crc) in segment.data.iter().zip(data_crcs) {
+            new[grid.index(cell)] = Some(crc);
+        }
+        for &eq in layout.encode_order() {
+            let eq = layout.equation(eq);
+            if segment.parity.binary_search(&eq.parity).is_err() {
+                continue;
+            }
+            let crc = if segment.old.is_some() {
+                let changed = eq
+                    .members
+                    .iter()
+                    .filter_map(|&m| new[grid.index(m)].map(|c| (m, c)));
+                changed.fold(table(eq.parity), |acc, (m, c)| acc ^ table(m) ^ c)
+            } else {
+                let known = |m: Cell| match new[grid.index(m)] {
+                    Some(c) => c,
+                    None if layout.kind(m).is_data()
+                        && self.slot_serves_stripe(self.slot_of(stripe, m.col), stripe) =>
+                    {
+                        table(m)
+                    }
+                    None => crc32(scratch.block(m)),
+                };
+                let sum = eq.members.iter().fold(0, |acc, &m| acc ^ known(m));
+                if eq.members.len() % 2 == 0 {
+                    sum ^ self.zero_crc
+                } else {
+                    sum
+                }
+            };
+            new[grid.index(eq.parity)] = Some(crc);
+        }
+        let derived = |p: &Cell| new[grid.index(*p)].expect("every closure parity has an equation");
+        segment.parity.iter().map(derived).collect()
     }
 
     /// [`store_cell`](ResilientArray::store_cell) each of `cells` from

@@ -22,7 +22,8 @@
 //!   reads, writes and flushes per disk, for checking issued I/O against
 //!   a model;
 //! * [`crc`] — the CRC32 (IEEE) block checksum that converts silent
-//!   corruption into detectable erasures one layer up;
+//!   corruption into detectable erasures one layer up, and
+//!   [`Crc32Shift`], which combines CRCs so a write need not re-hash;
 //! * [`crash`] — deterministic crash points: [`FaultInjector::arm_crash`]
 //!   unwinds the stack with a [`CrashPanic`] after exactly *n* writes,
 //!   [`catch_crash`] catches it, and the injector's volatile write-cache
@@ -45,7 +46,7 @@ pub mod shared;
 pub use backend::{DiskBackend, DiskError, MemBackend};
 pub use counting::{CountingBackend, IoCounts};
 pub use crash::{catch_crash, silence_crash_panics, CrashPanic};
-pub use crc::crc32;
+pub use crc::{crc32, Crc32Shift};
 pub use file::{disk_file_name, DiskProbe, FileBackend};
 pub use inject::{FaultInjector, FaultKind, FaultPlan, FaultStats, ScheduledFault};
 pub use shared::SharedInjector;
