@@ -56,7 +56,7 @@ use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use dcode_faults::{crc32, DiskBackend, DiskError, MemBackend};
 use dcode_recovery::optimal_rebuild;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Bounded-retry policy for transient backend errors.
@@ -142,6 +142,11 @@ pub struct ResilientStats {
     /// Of those, passes that reconstructed two slots from one read of the
     /// survivors.
     pub joint_rebuild_stripes: u64,
+    /// Blocks the array ran CRC32 over: every block it reads to verify,
+    /// the new data cells of a write, and the few blocks whose CRC cannot
+    /// be derived. Parity, rebuilt and read-repaired blocks are not hashed;
+    /// their CRCs follow from CRCs already known.
+    pub hashed_blocks: u64,
     /// Write segments served by the delta branch (old data and old parity
     /// read, `old ⊕ new` folded in).
     pub delta_segments: u64,
@@ -499,7 +504,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
             for block in 0..a.total_blocks() {
                 let buf = a.read_raw(slot, block)?;
-                a.crc[slot][block] = crc32(&buf);
+                a.crc[slot][block] = a.hash(&buf);
             }
         }
         a.stats = ResilientStats::default();
@@ -742,6 +747,13 @@ impl<B: DiskBackend> ResilientArray<B> {
         self.raw_disk_read(self.slot_to_disk[slot], block)
     }
 
+    /// CRC32 of `bytes`, a whole number of blocks, counted in
+    /// [`ResilientStats::hashed_blocks`].
+    fn hash(&mut self, bytes: &[u8]) -> u32 {
+        self.stats.hashed_blocks += (bytes.len() / self.block_size) as u64;
+        crc32(bytes)
+    }
+
     /// Raw block write to `slot`'s current disk, through the retry policy.
     fn write_raw(&mut self, slot: usize, block: usize, data: &[u8]) -> Result<(), DiskError> {
         self.raw_disk_write(self.slot_to_disk[slot], block, data)
@@ -759,7 +771,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         self.cell_reads += 1;
         match self.read_raw(slot, block) {
             Ok(buf) => {
-                if crc32(&buf) == self.crc[slot][block] {
+                if self.hash(&buf) == self.crc[slot][block] {
                     Some(buf)
                 } else {
                     self.stats.checksum_catches += 1;
@@ -792,13 +804,25 @@ impl<B: DiskBackend> ResilientArray<B> {
 
     /// [`fetch_cells`](ResilientArray::fetch_cells) without the
     /// read-repair: the scratch stripe, and the wanted cells that had to
-    /// be reconstructed. Writes nothing.
+    /// be reconstructed, each with the CRC32 of its reconstructed bytes.
+    /// Writes nothing.
+    ///
+    /// Those CRCs are derived, not hashed: the recovery program is
+    /// replayed over one CRC per block ([`XorProgram::run_crcs`]), seeded
+    /// with the table entry of every block read (which
+    /// [`read_cell`](ResilientArray::read_cell) has just verified) and
+    /// with `crc(0ⁿ)` for every other block of the zeroed scratch. No
+    /// table entry of a slot that does not serve the stripe is read: after
+    /// [`attach_journaled_as`](ResilientArray::attach_journaled_as) those
+    /// are placeholders until the rebuild.
+    ///
+    /// [`XorProgram::run_crcs`]: dcode_codec::XorProgram::run_crcs
     fn fetch_unrepaired(
         &mut self,
         stripe: usize,
         wanted: &BTreeSet<Cell>,
         count_degraded: bool,
-    ) -> Result<(Stripe, BTreeSet<Cell>), ArrayError> {
+    ) -> Result<(Stripe, BTreeMap<Cell, u32>), ArrayError> {
         let mut scratch = Stripe::zeroed(&self.layout, self.block_size);
         let mut missing: BTreeSet<Cell> = BTreeSet::new();
         for &cell in wanted {
@@ -810,7 +834,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
         }
         if missing.is_empty() {
-            return Ok((scratch, missing));
+            return Ok((scratch, BTreeMap::new()));
         }
         if count_degraded {
             self.stats.degraded_reads += 1;
@@ -862,26 +886,41 @@ impl<B: DiskBackend> ResilientArray<B> {
                 }
             }
             compiled.program.run(&mut scratch);
-            break;
+            let grid = self.layout.grid();
+            let mut crcs = vec![self.zero_crc; grid.len()];
+            for &cell in &loaded {
+                let slot = self.slot_of(stripe, cell.col);
+                crcs[grid.index(cell)] = self.crc[slot][self.block_of(stripe, cell.row)];
+            }
+            compiled.program.run_crcs(&mut crcs, self.zero_crc);
+            let derived: BTreeMap<Cell, u32> =
+                missing.iter().map(|&c| (c, crcs[grid.index(c)])).collect();
+            debug_assert!(
+                derived
+                    .iter()
+                    .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
+                "a derived CRC of reconstructed stripe {stripe} differs from the hashed one"
+            );
+            return Ok((scratch, derived));
         }
-        Ok((scratch, missing))
     }
 
     /// Read-repair: a cell that failed on an otherwise healthy slot
     /// (checksum catch, bad sector) is rewritten in place with its
-    /// reconstructed content — drives remap on write.
-    fn read_repair(&mut self, stripe: usize, missing: &BTreeSet<Cell>, scratch: &Stripe) {
-        let repairable: Vec<Cell> = missing
+    /// reconstructed content — drives remap on write — and its derived
+    /// CRC from `missing`.
+    fn read_repair(&mut self, stripe: usize, missing: &BTreeMap<Cell, u32>, scratch: &Stripe) {
+        let repairable: Vec<(Cell, u32)> = missing
             .iter()
-            .copied()
-            .filter(|c| self.state[self.slot_of(stripe, c.col)] == SlotState::Healthy)
+            .map(|(&c, &crc)| (c, crc))
+            .filter(|(c, _)| self.state[self.slot_of(stripe, c.col)] == SlotState::Healthy)
             .collect();
-        for cell in repairable {
+        for (cell, crc) in repairable {
             let slot = self.slot_of(stripe, cell.col);
             let block = self.block_of(stripe, cell.row);
             match self.write_raw(slot, block, scratch.block(cell)) {
                 Ok(()) => {
-                    self.crc[slot][block] = crc32(scratch.block(cell));
+                    self.crc[slot][block] = crc;
                     self.stats.read_repairs += 1;
                 }
                 Err(e) => self.note_hard_error(slot, &e),
@@ -1085,7 +1124,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         let data_crcs: Vec<u32> = segment
             .data
             .iter()
-            .map(|&c| crc32(scratch.block(c)))
+            .map(|&c| self.hash(scratch.block(c)))
             .collect();
         let parity_crcs = self.derive_parity_crcs(segment, &data_crcs, scratch);
         debug_assert!(
@@ -1140,7 +1179,7 @@ impl<B: DiskBackend> ResilientArray<B> {
     ///   serve the stripe (a slot remounted failed holds no real entries
     ///   until its rebuild) — is hashed from `scratch`.
     fn derive_parity_crcs(
-        &self,
+        &mut self,
         segment: &Segment,
         data_crcs: &[u32],
         scratch: &Stripe,
@@ -1150,6 +1189,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         let table =
             |cell: Cell| self.crc[self.slot_of(stripe, cell.col)][self.block_of(stripe, cell.row)];
         let mut new = vec![None; grid.len()];
+        let mut hashed = 0;
         for (&cell, &crc) in segment.data.iter().zip(data_crcs) {
             new[grid.index(cell)] = Some(crc);
         }
@@ -1165,14 +1205,17 @@ impl<B: DiskBackend> ResilientArray<B> {
                     .filter_map(|&m| new[grid.index(m)].map(|c| (m, c)));
                 changed.fold(table(eq.parity), |acc, (m, c)| acc ^ table(m) ^ c)
             } else {
-                let known = |m: Cell| match new[grid.index(m)] {
+                let mut known = |m: Cell| match new[grid.index(m)] {
                     Some(c) => c,
                     None if layout.kind(m).is_data()
                         && self.slot_serves_stripe(self.slot_of(stripe, m.col), stripe) =>
                     {
                         table(m)
                     }
-                    None => crc32(scratch.block(m)),
+                    None => {
+                        hashed += 1;
+                        crc32(scratch.block(m))
+                    }
                 };
                 let sum = eq.members.iter().fold(0, |acc, &m| acc ^ known(m));
                 if eq.members.len() % 2 == 0 {
@@ -1184,7 +1227,9 @@ impl<B: DiskBackend> ResilientArray<B> {
             new[grid.index(eq.parity)] = Some(crc);
         }
         let derived = |p: &Cell| new[grid.index(*p)].expect("every closure parity has an equation");
-        segment.parity.iter().map(derived).collect()
+        let crcs = segment.parity.iter().map(derived).collect();
+        self.stats.hashed_blocks += hashed;
+        crcs
     }
 
     /// [`store_cell`](ResilientArray::store_cell) each of `cells` from
@@ -1469,7 +1514,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
             k += 1;
         }
-        crc32(&all) == expect_crc
+        self.hash(&all) == expect_crc
     }
 
     /// Structural validation of a decoded record against this array's
@@ -1514,7 +1559,7 @@ impl<B: DiskBackend> ResilientArray<B> {
                     }
                     match self.read_raw(slot, block) {
                         Ok(buf) => {
-                            if crc32(&buf) != e.crc {
+                            if self.hash(&buf) != e.crc {
                                 all_match = false;
                             }
                         }
@@ -1554,7 +1599,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
             let block = self.block_of(rec.stripe, cell.row);
             if self.write_raw(slot, block, &content).is_ok() {
-                self.crc[slot][block] = crc32(&content);
+                self.crc[slot][block] = self.hash(&content);
                 touched.insert(self.slot_to_disk[slot]);
             } else {
                 degraded = true;
@@ -1645,8 +1690,12 @@ impl<B: DiskBackend> ResilientArray<B> {
     }
 
     /// One survivor pass: reconstruct `stripe` for every rebuild standing
-    /// at it and move their watermarks past it. Returns whether every one
-    /// of them advanced.
+    /// at it and move their watermarks past it. Only the survivors read
+    /// are hashed (to verify them); each rebuilt block's CRC is derived
+    /// from theirs by [`fetch_unrepaired`](ResilientArray::fetch_unrepaired),
+    /// so an executor that produced wrong bytes is a checksum catch on
+    /// the next read rather than a fresh hash that blesses them. Returns
+    /// whether every one of them advanced.
     fn rebuild_stripe(&mut self, stripe: usize) -> Result<bool, ArrayError> {
         let at_stripe = |r: &&Rebuild| r.next_stripe == stripe;
         let slots: Vec<usize> = self
@@ -1661,7 +1710,9 @@ impl<B: DiskBackend> ResilientArray<B> {
             .flat_map(|&s| grid.column(self.col_of(stripe, s)));
         let wanted: BTreeSet<Cell> = lost.collect();
         let reads_before = self.cell_reads;
-        let scratch = self.fetch_cells(stripe, &wanted, false)?;
+        // Every wanted cell lies on a rebuilding slot, which read-repair
+        // never writes, so the unrepaired fetch is the whole fetch.
+        let (scratch, derived) = self.fetch_unrepaired(stripe, &wanted, false)?;
         self.stats.rebuild_read_blocks += self.cell_reads - reads_before;
         self.stats.rebuild_stripes += 1;
         self.stats.joint_rebuild_stripes += u64::from(slots.len() > 1);
@@ -1672,7 +1723,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             let stored = grid.column(col).try_for_each(|cell| {
                 let block = self.block_of(stripe, cell.row);
                 self.write_raw(slot, block, scratch.block(cell))?;
-                self.crc[slot][block] = crc32(scratch.block(cell));
+                self.crc[slot][block] = derived[&cell];
                 self.stats.rebuilt_blocks += 1;
                 Ok(())
             });
@@ -1787,7 +1838,8 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
             for cell in located {
                 let fixed = scratch.block(cell);
-                if self.store_cell(stripe, cell, fixed, crc32(fixed)) {
+                let crc = self.hash(fixed);
+                if self.store_cell(stripe, cell, fixed, crc) {
                     touched.insert(self.slot_to_disk[self.slot_of(stripe, cell.col)]);
                     summary.parity_repairs += u64::from(self.layout.kind(cell).is_parity());
                 }

@@ -356,6 +356,23 @@ impl XorProgram {
         }
     }
 
+    /// Replay the program over one CRC32 per block instead of the bytes:
+    /// `crcs[i]` holds the CRC of grid block `i` before the call and of
+    /// what [`run`](XorProgram::run) leaves there after it. Op `k` assigns
+    /// `targets[k] = ⊕ sources`, and CRC32 is affine over GF(2), so for
+    /// blocks of one length the target's CRC is the XOR of its sources'
+    /// plus one `zero_crc` (the CRC of an all-zero block) when the source
+    /// count is even — zero sources zero the block, one copies it.
+    pub fn run_crcs(&self, crcs: &mut [u32], zero_crc: u32) {
+        assert_eq!(crcs.len(), self.grid.len(), "one CRC per grid block");
+        for op in 0..self.targets.len() {
+            let sources = self.op_sources(op);
+            let even = if sources.len() % 2 == 0 { zero_crc } else { 0 };
+            let crc = sources.iter().fold(even, |acc, &s| acc ^ crcs[s as usize]);
+            crcs[self.targets[op] as usize] = crc;
+        }
+    }
+
     fn check(&self, stripe: &Stripe) {
         assert_eq!(
             stripe.grid(),

@@ -17,9 +17,11 @@
 //! crc(c)` and `crc(a ⊕ b) = crc(a) ⊕ crc(b) ⊕ crc(0ⁿ)`, which gives a new
 //! parity's CRC from its members'; and [`Crc32Shift`] gives the CRC of a
 //! concatenation from the parts' CRCs, which gives the journal's payload
-//! CRC. Reads, rebuild, scrub and replay still hash every block they read.
-//! The eight-bytes-a-step kernel that would make each remaining hash
-//! cheaper is ROADMAP item 2a.
+//! CRC. Rebuild and read-repair hash what they read and derive what they
+//! write: a recovery program is a pure XOR schedule, so replaying it over
+//! the survivors' CRCs gives every reconstructed block's. Reads, scrub and
+//! replay still hash every block they read. The eight-bytes-a-step kernel
+//! that would make each remaining hash cheaper is ROADMAP item 2a.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
