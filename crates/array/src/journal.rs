@@ -29,21 +29,24 @@
 //! ## Record lifecycle
 //!
 //! 1. payload blocks are written (cell contents being journaled),
-//! 2. the header — magic, seq, stripe, mode, per-cell CRCs, a CRC over
-//!    the payload bytes, and a trailing CRC over the header itself — is
-//!    written after the payload. The payload CRC is folded from the
-//!    by-value entries' CRCs with [`Crc32Shift`] rather than hashed
-//!    again: the bytes are the same as hashing the concatenated payload,
-//!    and replay still hashes the payload it reads back,
+//! 2. the header — magic, seq, stripe, mode, one CRC per cell, and a
+//!    trailing CRC over the header itself — is written after the payload.
+//!    A by-value entry's CRC is the CRC of its payload block, so the
+//!    header CRC vouches for every payload block too; replay hashes each
+//!    block it reads back against its own entry. Header bytes 23..27 held
+//!    a CRC over the whole payload in earlier versions: they are reserved
+//!    now, written as zero and ignored on read, so the geometry is
+//!    unchanged and an old record still replays,
 //! 3. the journal disk is flushed: the record is now *committed*,
 //! 4. the stripe writes are applied and their disks flushed,
 //! 5. the header's first block is overwritten with a tombstone and the
 //!    journal disk flushed again: the record is *retired*.
 //!
-//! A crash before (3) leaves a record whose header or payload CRC cannot
-//! both validate — replay discards it (the stripe was never touched). A
-//! crash after (3) leaves a valid record — replay re-applies it. Replay
-//! is idempotent because records carry *content*, not deltas.
+//! A crash before (3) leaves a record whose header CRC or some payload
+//! block's entry CRC does not validate — replay discards it (the stripe
+//! was never touched). A crash after (3) leaves a valid record — replay
+//! re-applies it. Replay is idempotent because records carry *content*,
+//! not deltas.
 //!
 //! ## Record modes
 //!
@@ -64,16 +67,17 @@
 
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
-use dcode_faults::{crc32, Crc32Shift, DiskBackend};
+use dcode_faults::{crc32, DiskBackend};
 
 const MAGIC_RECORD: &[u8; 4] = b"DJRN";
 const MAGIC_TOMBSTONE: &[u8; 4] = b"DJRT";
 const MAGIC_STATE: &[u8; 4] = b"DJST";
 
-/// Fixed header bytes before the per-entry table.
-const HEADER_FIXED: usize = 27;
+/// Fixed header bytes before the per-entry table: magic 0..4, seq 4..12,
+/// stripe 12..20, mode 20, entry count 21..23, reserved 23..27.
+pub(crate) const HEADER_FIXED: usize = 27;
 /// Bytes per entry in the header table: row u16, col u16, crc u32, flag u8.
-const ENTRY_BYTES: usize = 9;
+pub(crate) const ENTRY_BYTES: usize = 9;
 /// Trailing CRC32 over the whole header.
 const HEADER_CRC: usize = 4;
 
@@ -103,9 +107,6 @@ pub struct JournalSpec {
     /// Most cells one record can carry (a full segment: every data cell
     /// plus every parity cell).
     pub max_entries: usize,
-    /// Appends one block to a CRC: folds the payload CRC from the entry
-    /// CRCs. Built once here, never per record.
-    block_crc: Crc32Shift,
 }
 
 /// Journal blocks appended to every disk for the given code geometry —
@@ -133,7 +134,6 @@ impl JournalSpec {
             disks: layout.disks(),
             block_size,
             max_entries,
-            block_crc: Crc32Shift::new(block_size),
         }
     }
 
@@ -208,8 +208,8 @@ pub enum SlotHeader {
     /// A retired record.
     Tombstone(u64),
     /// A structurally valid, committed record header (payload still to be
-    /// read and verified against the embedded payload CRC).
-    Record(IntentRecord, u32),
+    /// read, each block verified against its entry's CRC).
+    Record(IntentRecord),
     /// Anything else — a torn or half-overwritten header. Replay discards
     /// it: the commit flush had not completed, so the stripe was never
     /// touched.
@@ -219,8 +219,8 @@ pub enum SlotHeader {
 impl IntentRecord {
     /// Serialize the header into a full header-region buffer
     /// (`header_blocks × block_size`, zero padded). Every by-value entry's
-    /// `crc` must be the CRC32 of its block-sized payload: the payload CRC
-    /// is folded from them, not hashed.
+    /// `crc` must be the CRC32 of its block-sized payload: it is the only
+    /// check replay has on that block.
     pub fn encode_header(&self, spec: &JournalSpec) -> Vec<u8> {
         assert!(self.entries.len() <= spec.max_entries);
         let mut buf = vec![0u8; spec.header_blocks * spec.block_size];
@@ -232,10 +232,6 @@ impl IntentRecord {
             RecordMode::Redo => 1,
         };
         buf[21..23].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        let payload_crc = self
-            .payload_entries()
-            .fold(0, |acc, e| spec.block_crc.combine(acc, e.crc));
-        buf[23..27].copy_from_slice(&payload_crc.to_le_bytes());
         let mut off = HEADER_FIXED;
         for e in &self.entries {
             buf[off..off + 2].copy_from_slice(&(e.cell.row as u16).to_le_bytes());
@@ -249,28 +245,14 @@ impl IntentRecord {
         buf
     }
 
-    /// CRC32 over the concatenated payload bytes, in entry order: the
-    /// hashing formula [`encode_header`](IntentRecord::encode_header)'s
-    /// fold must reproduce.
-    #[cfg(test)]
-    fn payload_crc(&self) -> u32 {
-        let mut all = Vec::new();
-        for e in &self.entries {
-            if let Some(p) = &e.payload {
-                all.extend_from_slice(p);
-            }
-        }
-        crc32(&all)
-    }
-
     /// The by-value entries, in payload-block order.
     pub fn payload_entries(&self) -> impl Iterator<Item = &RecordEntry> {
         self.entries.iter().filter(|e| e.payload.is_some())
     }
 
     /// Parse a header region. Returns the record with payloads unset (the
-    /// flag is kept as `Some(vec![])` placeholders) plus the payload CRC
-    /// the caller must verify after reading the payload blocks.
+    /// flag is kept as `Some(vec![])` placeholders); the caller reads the
+    /// payload blocks and checks each against its entry's CRC.
     pub fn decode_header(buf: &[u8], spec: &JournalSpec) -> SlotHeader {
         if buf.iter().all(|&b| b == 0) {
             return SlotHeader::Empty;
@@ -316,16 +298,12 @@ impl IntentRecord {
             });
             off += ENTRY_BYTES;
         }
-        let payload_crc = u32::from_le_bytes(buf[23..27].try_into().expect("sized"));
-        SlotHeader::Record(
-            IntentRecord {
-                seq: u64::from_le_bytes(buf[4..12].try_into().expect("sized")),
-                stripe: u64::from_le_bytes(buf[12..20].try_into().expect("sized")) as usize,
-                mode,
-                entries,
-            },
-            payload_crc,
-        )
+        SlotHeader::Record(IntentRecord {
+            seq: u64::from_le_bytes(buf[4..12].try_into().expect("sized")),
+            stripe: u64::from_le_bytes(buf[12..20].try_into().expect("sized")) as usize,
+            mode,
+            entries,
+        })
     }
 
     /// Serialize a tombstone for `seq` into one block.
@@ -493,7 +471,7 @@ pub fn scan_journal<B: DiskBackend>(backend: &mut B, spec: &JournalSpec) -> Jour
             SlotHeader::Empty => out.empty += 1,
             SlotHeader::Tombstone(_) => out.tombstones += 1,
             SlotHeader::Torn => out.torn += 1,
-            SlotHeader::Record(rec, _) => out.live.push((disk, rec.seq, rec.stripe)),
+            SlotHeader::Record(rec) => out.live.push((disk, rec.seq, rec.stripe)),
         }
     }
     let mut state = vec![0u8; bs];
@@ -547,72 +525,42 @@ mod tests {
         let buf = rec.encode_header(&spec);
         assert_eq!(buf.len(), spec.header_blocks * spec.block_size);
         match IntentRecord::decode_header(&buf, &spec) {
-            SlotHeader::Record(got, payload_crc) => {
+            SlotHeader::Record(got) => {
                 assert_eq!(got.seq, rec.seq);
                 assert_eq!(got.stripe, rec.stripe);
                 assert_eq!(got.mode, rec.mode);
                 assert_eq!(got.entries.len(), 2);
                 assert_eq!(got.entries[0].cell, Cell::new(0, 1));
                 assert_eq!(got.entries[0].payload, None);
+                assert_eq!(got.entries[1].crc, rec.entries[1].crc);
                 assert_eq!(got.entries[1].payload, Some(Vec::new()));
-                assert_eq!(payload_crc, rec.payload_crc());
             }
             other => panic!("expected record, got {other:?}"),
         }
     }
 
-    /// The on-medium header carries the CRC of the concatenated payload.
-    /// Folding the entry CRCs must give that header byte for byte, for
-    /// records of every shape, or a journal would not replay across
-    /// versions.
+    /// Bytes 23..27 once carried a CRC over the whole payload. They are
+    /// written as zero now and ignored on read, so a header an earlier
+    /// version wrote decodes to the same record.
     #[test]
-    fn encode_header_is_byte_identical_to_the_hashing_formula() {
-        let layout = dcode(5).unwrap();
-        let spec = JournalSpec::for_geometry(&layout, 48, 3);
-        let cells: Vec<Cell> = layout.grid().cells().collect();
-        let mut seed = 0x5EED_u64;
-        let mut record = |mode, by_ref: usize, by_val: usize| {
-            let mut entries = Vec::new();
-            for (k, &cell) in cells[..by_ref + by_val].iter().enumerate() {
-                let content: Vec<u8> = (0..spec.block_size)
-                    .map(|_| {
-                        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                        (seed >> 56) as u8
-                    })
-                    .collect();
-                let mut entry = by_value(cell, content);
-                if k < by_ref {
-                    entry.payload = None;
-                }
-                entries.push(entry);
-            }
-            IntentRecord {
-                seq: 41,
-                stripe: 1,
-                mode,
-                entries,
-            }
-        };
-        let records = [
-            record(RecordMode::ParityIntent, 1, 2),
-            record(RecordMode::ParityIntent, 5, 14),
-            record(RecordMode::Redo, 0, spec.max_entries),
-        ];
-        for rec in records {
-            let got = rec.encode_header(&spec);
-            let mut want = got.clone();
-            want[23..27].copy_from_slice(&rec.payload_crc().to_le_bytes());
-            let end = HEADER_FIXED + ENTRY_BYTES * rec.entries.len();
-            let header_crc = crc32(&want[..end]);
-            want[end..end + 4].copy_from_slice(&header_crc.to_le_bytes());
-            assert_eq!(
-                got,
-                want,
-                "{:?} with {} entries",
-                rec.mode,
-                rec.entries.len()
-            );
-        }
+    fn reserved_header_bytes_are_zero_and_ignored() {
+        let spec = spec();
+        let rec = sample(&spec);
+        let buf = rec.encode_header(&spec);
+        assert_eq!(buf[23..27], [0; 4]);
+        let mut old = buf.clone();
+        old[23..27].copy_from_slice(&0x1234_5678_u32.to_le_bytes());
+        let end = HEADER_FIXED + ENTRY_BYTES * rec.entries.len();
+        let crc = crc32(&old[..end]);
+        old[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            IntentRecord::decode_header(&old, &spec),
+            IntentRecord::decode_header(&buf, &spec)
+        );
+        assert!(matches!(
+            IntentRecord::decode_header(&old, &spec),
+            SlotHeader::Record(_)
+        ));
     }
 
     #[test]

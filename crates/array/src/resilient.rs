@@ -50,7 +50,7 @@ use crate::journal::{
 use crate::rotation::RotationScheme;
 use crate::scrub::{scrub_stripe, ScrubReport};
 use dcode_codec::xor::xor_into;
-use dcode_codec::{CacheStats, CompiledRecovery, ScheduleCache, Stripe};
+use dcode_codec::{CacheStats, CompiledRecovery, ScheduleCache, Stripe, XorProgram};
 use dcode_core::decoder::Unrecoverable;
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
@@ -142,10 +142,11 @@ pub struct ResilientStats {
     /// Of those, passes that reconstructed two slots from one read of the
     /// survivors.
     pub joint_rebuild_stripes: u64,
-    /// Blocks the array ran CRC32 over: every block it reads to verify,
-    /// the new data cells of a write, and the few blocks whose CRC cannot
-    /// be derived. Parity, rebuilt and read-repaired blocks are not hashed;
-    /// their CRCs follow from CRCs already known.
+    /// Blocks the array ran CRC32 over: every block it reads (to verify
+    /// it, or at mount to seed the table), the new data cells of a write,
+    /// and the cells a scrub locates and rewrites. Parity, rebuilt and
+    /// read-repaired blocks are not hashed: replaying the program that
+    /// produced them over CRCs already known gives theirs.
     pub hashed_blocks: u64,
     /// Write segments served by the delta branch (old data and old parity
     /// read, `old ⊕ new` folded in).
@@ -236,6 +237,9 @@ struct Segment {
     data: Vec<Cell>,
     /// Their update closure: every parity the write changes.
     parity: Vec<Cell>,
+    /// The new CRCs of `data` (hashed) and of `parity` (derived).
+    data_crcs: Vec<u32>,
+    parity_crcs: Vec<u32>,
     /// Delta branch only: the old contents of `data` and `parity`.
     old: Option<Stripe>,
 }
@@ -790,16 +794,17 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// unreadable cells through parity reconstruction and rewriting them
     /// in place where their slot is healthy (read-repair). The scratch
     /// holds valid bytes for every wanted cell plus whatever survivors
-    /// the recovery read along the way.
+    /// the recovery read along the way; the map gives each reconstructed
+    /// wanted cell its derived CRC.
     fn fetch_cells(
         &mut self,
         stripe: usize,
         wanted: &BTreeSet<Cell>,
         count_degraded: bool,
-    ) -> Result<Stripe, ArrayError> {
+    ) -> Result<(Stripe, BTreeMap<Cell, u32>), ArrayError> {
         let (scratch, missing) = self.fetch_unrepaired(stripe, wanted, count_degraded)?;
         self.read_repair(stripe, &missing, &scratch);
-        Ok(scratch)
+        Ok((scratch, missing))
     }
 
     /// [`fetch_cells`](ResilientArray::fetch_cells) without the
@@ -975,7 +980,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             let wanted: BTreeSet<Cell> = (within..within + chunk)
                 .map(|i| self.layout.logical_to_cell(i))
                 .collect();
-            let scratch = self.fetch_cells(t, &wanted, true)?;
+            let (scratch, _) = self.fetch_cells(t, &wanted, true)?;
             for i in within..within + chunk {
                 out.extend_from_slice(scratch.block(self.layout.logical_to_cell(i)));
             }
@@ -1028,6 +1033,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         // Fetch and patch every touched stripe, then encode the whole
         // batch in one pooled call, then persist. Segments are disjoint
         // stripes, so the phases commute with the sequential order.
+        let program = self.schedules.encode_program(&self.layout);
         let mut segments = Vec::new();
         let mut scratches = Vec::new();
         let mut offset = 0;
@@ -1035,13 +1041,13 @@ impl<B: DiskBackend> ResilientArray<B> {
             let (t, within) = self.locate(start + offset).expect("range checked");
             let chunk = (self.layout.data_len() - within).min(count - offset);
             let new = &bytes[offset * bs..(offset + chunk) * bs];
-            let (segment, scratch) = self.fetch_segment(t, within, new)?;
+            let (segment, scratch) = self.fetch_segment(&program, t, within, new)?;
             segments.push(segment);
             scratches.push(scratch);
             offset += chunk;
         }
         dcode_codec::run_batch(
-            &self.schedules.encode_program(&self.layout),
+            &program,
             &mut scratches,
             minipool::global(),
             minipool::effective_parallelism(segments.len()),
@@ -1067,8 +1073,22 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// stripe to encode: the written cells hold `old ⊕ new` and the rest
     /// is zero on the delta branch; the untouched data as fetched and the
     /// written cells as given on the reconstruct branch.
+    ///
+    /// Only the new data cells are hashed. The parity CRCs come from
+    /// replaying `program` over one CRC per block
+    /// ([`XorProgram::run_crcs`]), seeded to mirror the stripe it will
+    /// encode. On the reconstruct branch each data cell takes the hash of
+    /// its new bytes or, untouched, the CRC the fetch verified or derived;
+    /// the replay gives every new parity's CRC. On the delta branch each
+    /// written cell takes `crc(old ⊕ new) = crc(old) ⊕ crc(new) ⊕ crc(0ⁿ)`
+    /// and every other block `crc(0ⁿ)`; the replay gives each parity's
+    /// change `Δ`, and `crc(P ⊕ Δ) = crc(P) ⊕ crc(Δ) ⊕ crc(0ⁿ)`. No table
+    /// entry of a slot that does not serve the stripe is read.
+    ///
+    /// [`XorProgram::run_crcs`]: dcode_codec::XorProgram::run_crcs
     fn fetch_segment(
         &mut self,
+        program: &XorProgram,
         stripe: usize,
         within: usize,
         new: &[u8],
@@ -1085,8 +1105,41 @@ impl<B: DiskBackend> ResilientArray<B> {
         } else {
             untouched.copied().collect()
         };
-        let fetched = self.fetch_cells(stripe, &wanted, true)?;
+        let (fetched, derived) = self.fetch_cells(stripe, &wanted, true)?;
         self.stats.write_fetch_blocks += wanted.len() as u64;
+
+        let data_crcs: Vec<u32> = new.chunks_exact(bs).map(|b| self.hash(b)).collect();
+        let (grid, zero) = (self.layout.grid(), self.zero_crc);
+        let fetched_crc = |c: Cell| match derived.get(&c) {
+            Some(&crc) => crc,
+            None => self.crc[self.slot_of(stripe, c.col)][self.block_of(stripe, c.row)],
+        };
+        // The CRC of a block of `c` XORed with `c`'s old content on the
+        // delta branch (`crc(a ⊕ b) = crc(a) ⊕ crc(b) ⊕ crc(0ⁿ)`): new
+        // data to what the delta stripe holds, a parity change to the
+        // new parity.
+        let xor_old = |c: Cell, crc: u32| {
+            if delta {
+                fetched_crc(c) ^ crc ^ zero
+            } else {
+                crc
+            }
+        };
+        let mut crcs = vec![zero; grid.len()];
+        if !delta {
+            for &c in &wanted {
+                crcs[grid.index(c)] = fetched_crc(c);
+            }
+        }
+        for (&c, &crc) in data.iter().zip(&data_crcs) {
+            crcs[grid.index(c)] = xor_old(c, crc);
+        }
+        program.run_crcs(&mut crcs, zero);
+        let parity_crcs = parity
+            .iter()
+            .map(|&p| xor_old(p, crcs[grid.index(p)]))
+            .collect();
+
         let (mut scratch, old) = if delta {
             self.stats.delta_segments += 1;
             (Stripe::zeroed(&self.layout, bs), Some(fetched))
@@ -1105,14 +1158,16 @@ impl<B: DiskBackend> ResilientArray<B> {
             stripe,
             data,
             parity,
+            data_crcs,
+            parity_crcs,
             old,
         };
         Ok((segment, scratch))
     }
 
     /// Persist one encoded segment: its written data cells and its
-    /// affected parities. Only the data cells are hashed; the parity CRCs
-    /// are [derived](ResilientArray::derive_parity_crcs) from them. On a
+    /// affected parities, under the CRCs
+    /// [`fetch_segment`](ResilientArray::fetch_segment) gave them. On a
     /// journaled array: commit an intent record (payload → header →
     /// journal-disk flush), apply the data cells, apply the parity cells,
     /// flush every touched disk, then retire the record (tombstone →
@@ -1121,23 +1176,18 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// of the call is retired, so an acknowledged write is durable and a
     /// crashed one is replayable.
     fn persist_segment(&mut self, segment: &Segment, scratch: &Stripe) {
-        let data_crcs: Vec<u32> = segment
-            .data
-            .iter()
-            .map(|&c| self.hash(scratch.block(c)))
-            .collect();
-        let parity_crcs = self.derive_parity_crcs(segment, &data_crcs, scratch);
+        let (data_crcs, parity_crcs) = (&segment.data_crcs, &segment.parity_crcs);
         debug_assert!(
             segment
                 .parity
                 .iter()
-                .zip(&parity_crcs)
+                .zip(parity_crcs)
                 .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
             "a derived parity CRC of stripe {} differs from the hashed one",
             segment.stripe
         );
         let committed = self.journal.is_some().then(|| {
-            let record = self.build_record(segment, &data_crcs, &parity_crcs, scratch);
+            let record = self.build_record(segment, scratch);
             (self.journal_append(&record), record.seq)
         });
         // Planted bug for the harness self-test: retiring between the
@@ -1146,11 +1196,11 @@ impl<B: DiskBackend> ResilientArray<B> {
 
         let stripe = segment.stripe;
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        self.store_cells(stripe, &segment.data, &data_crcs, scratch, &mut touched);
+        self.store_cells(stripe, &segment.data, data_crcs, scratch, &mut touched);
         if let (Some((jdisk, seq)), true) = (committed, mutated) {
             self.journal_retire(jdisk, seq);
         }
-        self.store_cells(stripe, &segment.parity, &parity_crcs, scratch, &mut touched);
+        self.store_cells(stripe, &segment.parity, parity_crcs, scratch, &mut touched);
         if let Some((jdisk, seq)) = committed {
             for disk in touched {
                 let _ = self.backend.flush(disk);
@@ -1160,76 +1210,6 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
         }
         self.stats.element_writes += segment.data.len() as u64;
-    }
-
-    /// The new CRCs of `segment.parity`, from CRCs already known instead
-    /// of hashing the parity blocks. CRC32 is affine over GF(2): for
-    /// blocks of one length, `crc(a ⊕ b ⊕ c) = crc(a) ⊕ crc(b) ⊕ crc(c)`,
-    /// and an XOR of an even number of blocks adds one `crc(0ⁿ)`. The
-    /// walk follows the encode order, so a parity that is a member of
-    /// another (RDP, HDP) feeds its new CRC forward.
-    ///
-    /// * **Delta**: `crc(P′) = crc(P) ⊕ ⊕ (crc(m) ⊕ crc(m′))` over the
-    ///   members that changed. Every old CRC is the table entry of a cell
-    ///   the fetch just verified or read-repaired.
-    /// * **Reconstruct**: `crc(P) = ⊕ crc(m) ⊕ [even count]·crc(0ⁿ)` over
-    ///   all members. An untouched data member the fetch read from a slot
-    ///   serving the stripe takes its table entry. Any other member — a
-    ///   parity outside the closure, or a cell on a slot that does not
-    ///   serve the stripe (a slot remounted failed holds no real entries
-    ///   until its rebuild) — is hashed from `scratch`.
-    fn derive_parity_crcs(
-        &mut self,
-        segment: &Segment,
-        data_crcs: &[u32],
-        scratch: &Stripe,
-    ) -> Vec<u32> {
-        let (layout, stripe) = (&self.layout, segment.stripe);
-        let grid = layout.grid();
-        let table =
-            |cell: Cell| self.crc[self.slot_of(stripe, cell.col)][self.block_of(stripe, cell.row)];
-        let mut new = vec![None; grid.len()];
-        let mut hashed = 0;
-        for (&cell, &crc) in segment.data.iter().zip(data_crcs) {
-            new[grid.index(cell)] = Some(crc);
-        }
-        for &eq in layout.encode_order() {
-            let eq = layout.equation(eq);
-            if segment.parity.binary_search(&eq.parity).is_err() {
-                continue;
-            }
-            let crc = if segment.old.is_some() {
-                let changed = eq
-                    .members
-                    .iter()
-                    .filter_map(|&m| new[grid.index(m)].map(|c| (m, c)));
-                changed.fold(table(eq.parity), |acc, (m, c)| acc ^ table(m) ^ c)
-            } else {
-                let mut known = |m: Cell| match new[grid.index(m)] {
-                    Some(c) => c,
-                    None if layout.kind(m).is_data()
-                        && self.slot_serves_stripe(self.slot_of(stripe, m.col), stripe) =>
-                    {
-                        table(m)
-                    }
-                    None => {
-                        hashed += 1;
-                        crc32(scratch.block(m))
-                    }
-                };
-                let sum = eq.members.iter().fold(0, |acc, &m| acc ^ known(m));
-                if eq.members.len() % 2 == 0 {
-                    sum ^ self.zero_crc
-                } else {
-                    sum
-                }
-            };
-            new[grid.index(eq.parity)] = Some(crc);
-        }
-        let derived = |p: &Cell| new[grid.index(*p)].expect("every closure parity has an equation");
-        let crcs = segment.parity.iter().map(derived).collect();
-        self.stats.hashed_blocks += hashed;
-        crcs
     }
 
     /// [`store_cell`](ResilientArray::store_cell) each of `cells` from
@@ -1255,21 +1235,15 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// [`RecordMode::Redo`] (full contents), because a partially applied
     /// degraded write changes the failed slot's parity-implied content —
     /// only re-forcing the whole intent restores consistency.
-    fn build_record(
-        &mut self,
-        segment: &Segment,
-        data_crcs: &[u32],
-        parity_crcs: &[u32],
-        scratch: &Stripe,
-    ) -> IntentRecord {
+    fn build_record(&mut self, segment: &Segment, scratch: &Stripe) -> IntentRecord {
         let healthy = self.all_healthy();
         let entry = |(&cell, &crc): (&Cell, &u32), by_value: bool| RecordEntry {
             cell,
             crc,
             payload: by_value.then(|| scratch.snapshot(cell)),
         };
-        let data = segment.data.iter().zip(data_crcs);
-        let parity = segment.parity.iter().zip(parity_crcs);
+        let data = segment.data.iter().zip(&segment.data_crcs);
+        let parity = segment.parity.iter().zip(&segment.parity_crcs);
         let entries = data
             .map(|e| entry(e, !healthy))
             .chain(parity.map(|e| entry(e, true)))
@@ -1344,36 +1318,32 @@ impl<B: DiskBackend> ResilientArray<B> {
         }
     }
 
-    /// Physical-disk block write through the retry policy — one of the
-    /// array's two retry loops, under every slot write and all journal
-    /// I/O (the journal region is outside the slot/rotation mapping and
-    /// addresses disks directly).
+    /// Physical-disk block write through the retry policy, under every
+    /// slot write and all journal I/O (the journal region is outside the
+    /// slot/rotation mapping and addresses disks directly).
     fn raw_disk_write(&mut self, disk: usize, block: usize, data: &[u8]) -> Result<(), DiskError> {
-        let mut attempt = 0usize;
-        loop {
-            match self.backend.write_block(disk, block, data) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
-                    self.stats.retries += 1;
-                    self.stats.backoff_us = self
-                        .stats
-                        .backoff_us
-                        .saturating_add(self.policy.backoff_us(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.with_retries(|backend| backend.write_block(disk, block, data))
     }
 
-    /// Physical-disk block read through the retry policy — the other
-    /// retry loop, under every slot read and the journal scan.
+    /// Physical-disk block read through the retry policy, under every
+    /// slot read and the journal scan.
     fn raw_disk_read(&mut self, disk: usize, block: usize) -> Result<Vec<u8>, DiskError> {
         let mut buf = vec![0u8; self.block_size];
+        self.with_retries(|backend| backend.read_block(disk, block, &mut buf))?;
+        Ok(buf)
+    }
+
+    /// The array's one retry loop: run `io` until it succeeds, fails
+    /// for good, or exhausts [`RetryPolicy::max_retries`], charging each
+    /// retry and its backoff to the stats.
+    fn with_retries(
+        &mut self,
+        mut io: impl FnMut(&mut B) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
         let mut attempt = 0usize;
         loop {
-            match self.backend.read_block(disk, block, &mut buf) {
-                Ok(()) => return Ok(buf),
+            match io(&mut self.backend) {
+                Ok(()) => return Ok(()),
                 Err(e) if e.is_retryable() && attempt < self.policy.max_retries => {
                     self.stats.retries += 1;
                     self.stats.backoff_us = self
@@ -1445,9 +1415,9 @@ impl<B: DiskBackend> ResilientArray<B> {
                     summary.discarded += 1;
                     self.discard_slot(disk, &spec);
                 }
-                SlotHeader::Record(mut rec, payload_crc) => {
+                SlotHeader::Record(mut rec) => {
                     self.jseq = self.jseq.max(rec.seq + 1);
-                    if self.load_record_payload(disk, &spec, &mut rec, payload_crc)
+                    if self.load_record_payload(disk, &spec, &mut rec)
                         && self.record_in_bounds(&rec)
                     {
                         live.push((disk, rec));
@@ -1491,30 +1461,23 @@ impl<B: DiskBackend> ResilientArray<B> {
     }
 
     /// Read a decoded record's payload blocks into its placeholder
-    /// entries and verify them against the header's payload CRC.
+    /// entries, each verified against the CRC its own entry carries (which
+    /// the header CRC has already vouched for). `false` if any block is
+    /// unreadable or differs.
     fn load_record_payload(
         &mut self,
         disk: usize,
         spec: &JournalSpec,
         rec: &mut IntentRecord,
-        expect_crc: u32,
     ) -> bool {
-        let mut all = Vec::new();
-        let mut k = 0;
-        for e in &mut rec.entries {
-            if e.payload.is_none() {
-                continue;
+        let by_value = rec.entries.iter_mut().filter(|e| e.payload.is_some());
+        for (block, e) in (spec.payload_start()..).zip(by_value) {
+            match self.raw_disk_read(disk, block) {
+                Ok(buf) if self.hash(&buf) == e.crc => e.payload = Some(buf),
+                _ => return false,
             }
-            match self.raw_disk_read(disk, spec.payload_start() + k) {
-                Ok(buf) => {
-                    all.extend_from_slice(&buf);
-                    e.payload = Some(buf);
-                }
-                Err(_) => return false,
-            }
-            k += 1;
         }
-        self.hash(&all) == expect_crc
+        true
     }
 
     /// Structural validation of a decoded record against this array's
@@ -1598,8 +1561,9 @@ impl<B: DiskBackend> ResilientArray<B> {
                 continue;
             }
             let block = self.block_of(rec.stripe, cell.row);
+            // No CRC is stored: the attach reseeds the table from the
+            // medium once replay is done.
             if self.write_raw(slot, block, &content).is_ok() {
-                self.crc[slot][block] = self.hash(&content);
                 touched.insert(self.slot_to_disk[slot]);
             } else {
                 degraded = true;
@@ -1792,10 +1756,10 @@ impl<B: DiskBackend> ResilientArray<B> {
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         for stripe in 0..self.n_stripes {
             let degraded_before = self.stats.degraded_reads;
-            let mut scratch = if repair {
+            let (mut scratch, _) = if repair {
                 self.fetch_cells(stripe, &all_cells, true)?
             } else {
-                self.fetch_unrepaired(stripe, &all_cells, true)?.0
+                self.fetch_unrepaired(stripe, &all_cells, true)?
             };
             // Parity is only *verifiable* when every cell came straight
             // off the medium: a degraded fetch reconstructs the missing
@@ -2304,6 +2268,110 @@ mod tests {
         let scan = crate::journal::scan_journal(b.backend_mut(), &spec);
         assert_eq!(scan.state.expect("state block").mounts, 2);
         assert!(scan.live.is_empty());
+    }
+
+    /// The medium of a three-stripe journaled array holding `payload`,
+    /// with a committed `Redo` record planted in disk 1's record slot. The
+    /// record rewrites stripe 0 with new, parity-consistent content,
+    /// returned as the stripe's data elements in logical order.
+    fn planted_redo() -> (MemBackend, JournalSpec, IntentRecord, Vec<u8>) {
+        let mut a = journaled_mem_array(5, 3);
+        a.write(0, &payload(a.capacity_bytes())).unwrap();
+        let (layout, spec) = (a.layout().clone(), a.journal().unwrap().clone());
+        let fresh: Vec<u8> = (0..layout.data_len() * 32)
+            .map(|i| (i * 7 % 253) as u8)
+            .collect();
+        let mut stripe = Stripe::zeroed(&layout, 32);
+        for (&cell, block) in layout.data_cells().iter().zip(fresh.chunks(32)) {
+            stripe.block_mut(cell).copy_from_slice(block);
+        }
+        ScheduleCache::new()
+            .encode_program(&layout)
+            .run(&mut stripe);
+        let cells = layout
+            .data_cells()
+            .iter()
+            .copied()
+            .chain(layout.parity_cells());
+        let entries = cells
+            .map(|cell| RecordEntry {
+                cell,
+                crc: crc32(stripe.block(cell)),
+                payload: Some(stripe.snapshot(cell)),
+            })
+            .collect();
+        let rec = IntentRecord {
+            seq: 99,
+            stripe: 0,
+            mode: RecordMode::Redo,
+            entries,
+        };
+        let mut medium = a.into_backend();
+        for (k, e) in rec.payload_entries().enumerate() {
+            let block = e.payload.as_deref().unwrap();
+            medium
+                .write_block(1, spec.payload_start() + k, block)
+                .unwrap();
+        }
+        plant_header(&mut medium, &spec, &rec.encode_header(&spec));
+        (medium, spec, rec, fresh)
+    }
+
+    fn plant_header(medium: &mut MemBackend, spec: &JournalSpec, header: &[u8]) {
+        for (k, chunk) in header.chunks(spec.block_size).enumerate() {
+            medium
+                .write_block(1, spec.header_start() + k, chunk)
+                .unwrap();
+        }
+    }
+
+    fn attach_planted(medium: MemBackend) -> ResilientArray<MemBackend> {
+        let layout = dcode(5).unwrap();
+        let policy = RetryPolicy::default();
+        let rotation = RotationScheme::PerStripe;
+        ResilientArray::attach_journaled(layout, 32, 3, rotation, medium, policy, 4).unwrap()
+    }
+
+    /// Replay checks every payload block against its own entry's CRC: a
+    /// record whose header is intact over one rotted payload block is
+    /// discarded, and the stripe keeps what it held.
+    #[test]
+    fn a_rotted_journal_payload_block_discards_its_record() {
+        let (mut medium, spec, _, _) = planted_redo();
+        medium.disk_bytes_mut(1)[(spec.payload_start() + 3) * 32 + 5] ^= 0x10;
+        let mut b = attach_planted(medium);
+        let replay = b.last_replay().unwrap();
+        assert_eq!((replay.replayed, replay.discarded), (0, 1), "{replay:?}");
+        let data = payload(b.capacity_bytes());
+        assert_eq!(b.read(0, b.capacity_elements()).unwrap(), data);
+        let scrub = b.scrub_pass().unwrap();
+        assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
+    }
+
+    /// Earlier versions wrote a CRC over the whole payload into header
+    /// bytes 23..27. Such a record, left live by a crash, still replays.
+    #[test]
+    fn an_old_record_with_a_whole_payload_checksum_still_replays() {
+        use crate::journal::{ENTRY_BYTES, HEADER_FIXED};
+        let (mut medium, spec, rec, fresh) = planted_redo();
+        let mut header = rec.encode_header(&spec);
+        let whole: Vec<u8> = rec
+            .payload_entries()
+            .flat_map(|e| e.payload.clone().unwrap())
+            .collect();
+        header[23..27].copy_from_slice(&crc32(&whole).to_le_bytes());
+        let end = HEADER_FIXED + ENTRY_BYTES * rec.entries.len();
+        let crc = crc32(&header[..end]);
+        header[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+        plant_header(&mut medium, &spec, &header);
+        let mut b = attach_planted(medium);
+        let replay = b.last_replay().unwrap();
+        assert_eq!((replay.replayed, replay.discarded), (1, 0), "{replay:?}");
+        let mut want = payload(b.capacity_bytes());
+        want[..fresh.len()].copy_from_slice(&fresh);
+        assert_eq!(b.read(0, b.capacity_elements()).unwrap(), want);
+        let scrub = b.scrub_pass().unwrap();
+        assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
     }
 
     #[test]

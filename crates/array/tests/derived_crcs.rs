@@ -1,8 +1,8 @@
 //! A write hashes only its new data cells; every parity CRC it stores is
-//! derived from CRCs already known (`ResilientArray::derive_parity_crcs`).
-//! A rebuild or read-repair hashes only the survivors it reads; every
-//! block it reconstructs gets the CRC the recovery program yields when
-//! replayed over theirs (`XorProgram::run_crcs`). This holds both against
+//! what the encode program yields when replayed over CRCs already known
+//! (`XorProgram::run_crcs`). A rebuild or read-repair hashes only the
+//! survivors it reads; every block it reconstructs gets the CRC the
+//! recovery program yields when replayed over theirs. This holds both against
 //! the medium for every registry code at p ∈ {5, 7}, journaled, in every
 //! state a write can meet: healthy, one failed slot, two failed slots,
 //! and mid-rebuild — of one slot, of two slots rebuilt jointly, and of a
@@ -29,7 +29,7 @@ use dcode_array::rotation::RotationScheme;
 use dcode_baselines::registry::all_codes;
 use dcode_core::dcode::dcode;
 use dcode_core::layout::CodeLayout;
-use dcode_faults::MemBackend;
+use dcode_faults::{DiskBackend, MemBackend};
 
 const BS: usize = 32;
 const STRIPES: usize = 4;
@@ -98,17 +98,20 @@ fn geometry(layout: &CodeLayout) -> usize {
     STRIPES * layout.rows() + journal_blocks_per_disk(layout, BS)
 }
 
-/// Remount `medium` with `failed` slots down and `spares` free.
+/// Remount `medium` with `failed` slots down and `spares` free, at the
+/// block size and stripe count the medium was formatted with.
 fn remount(
     layout: &CodeLayout,
     medium: MemBackend,
     failed: &[usize],
     spares: Vec<usize>,
 ) -> ResilientArray<MemBackend> {
+    let bs = medium.block_size();
+    let stripes = (medium.blocks() - journal_blocks_per_disk(layout, bs)) / layout.rows();
     ResilientArray::attach_journaled_as(
         layout.clone(),
-        BS,
-        STRIPES,
+        bs,
+        stripes,
         RotationScheme::PerStripe,
         medium,
         RetryPolicy::default(),
@@ -264,7 +267,10 @@ fn read_repair(layout: &CodeLayout, seed: &mut u64) {
 /// index elements): a 1 KiB overwrite hashes the blocks it fetches and
 /// its two new data cells, eight in all; a rebuild hashes one block per
 /// survivor it reads — 26 a stripe for one slot, 35 for two rebuilt
-/// jointly — and none of the blocks it writes.
+/// jointly — and none of the blocks it writes. A 1 KiB overwrite on an
+/// array remounted with one slot failed hashes what it reads through the
+/// failure and its new data, and derives every parity even where a
+/// member sits on the failed slot.
 #[test]
 fn hashed_blocks_at_the_shard_geometry() {
     const BLOCK: usize = 4096;
@@ -272,16 +278,18 @@ fn hashed_blocks_at_the_shard_geometry() {
     let layout = dcode(7).unwrap();
     let n = layout.disks();
     let blocks = SHARD_STRIPES * layout.rows() + journal_blocks_per_disk(&layout, BLOCK);
-    let array = ResilientArray::format_journaled(
-        layout,
-        BLOCK,
-        SHARD_STRIPES,
-        RotationScheme::PerStripe,
-        MemBackend::new(n + 3, blocks, BLOCK),
-        RetryPolicy::default(),
-        8,
-    );
-    let mut store = ObjectStore::format(array, 8).unwrap();
+    let format = || {
+        ResilientArray::format_journaled(
+            layout.clone(),
+            BLOCK,
+            SHARD_STRIPES,
+            RotationScheme::PerStripe,
+            MemBackend::new(n + 3, blocks, BLOCK),
+            RetryPolicy::default(),
+            8,
+        )
+    };
+    let mut store = ObjectStore::format(format(), 8).unwrap();
     store.put("key", &[1; 1024]).unwrap();
     let hashed =
         |store: &ObjectStore<ResilientArray<MemBackend>>| store.array().stats().hashed_blocks;
@@ -311,4 +319,26 @@ fn hashed_blocks_at_the_shard_geometry() {
         "a joint two-slot rebuild"
     );
     assert_eq!(store.get("key").unwrap(), vec![2; 1024]);
+
+    let degraded: Vec<u64> = (0..n)
+        .map(|slot| {
+            let mut array = format();
+            ObjectStore::format(&mut array, 8)
+                .unwrap()
+                .put("key", &[1; 1024])
+                .unwrap();
+            let mut array = remount(&layout, array.into_backend(), &[slot], vec![]);
+            let mut store = ObjectStore::open(&mut array, 8).unwrap();
+            let before = store.array().stats().hashed_blocks;
+            store.upsert("key", &[2; 1024]).unwrap();
+            let hashed = store.array().stats().hashed_blocks - before;
+            assert_eq!(store.get("key").unwrap(), vec![2; 1024]);
+            hashed
+        })
+        .collect();
+    assert_eq!(
+        degraded,
+        [70, 71, 70, 71, 72, 72, 71],
+        "a 1 KiB overwrite with slot 0, 1, … failed"
+    );
 }

@@ -1,5 +1,4 @@
-//! CRC32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven, plus the
-//! algebra that lets a caller derive a CRC instead of hashing again.
+//! CRC32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven.
 //!
 //! The array layer stamps every block with its CRC32 so silent corruption
 //! — bit rot, torn writes that survived their retries, firmware lying
@@ -10,18 +9,17 @@
 //!
 //! It is not free. This loop does one dependent table lookup per byte:
 //! ≈ 0.4 GB/s (≈ 10 µs a 4 KiB block) beside XOR kernels that stream
-//! several GiB/s. So a write hashes only the bytes that are new — the
-//! data cells it was handed — and every block it read back to verify.
-//! Everything else it stores follows from those CRCs: CRC32 is affine over
-//! GF(2), so for blocks of one length `crc(a ⊕ b ⊕ c) = crc(a) ⊕ crc(b) ⊕
-//! crc(c)` and `crc(a ⊕ b) = crc(a) ⊕ crc(b) ⊕ crc(0ⁿ)`, which gives a new
-//! parity's CRC from its members'; and [`Crc32Shift`] gives the CRC of a
-//! concatenation from the parts' CRCs, which gives the journal's payload
-//! CRC. Rebuild and read-repair hash what they read and derive what they
-//! write: a recovery program is a pure XOR schedule, so replaying it over
-//! the survivors' CRCs gives every reconstructed block's. Reads, scrub and
-//! replay still hash every block they read. The eight-bytes-a-step kernel
-//! that would make each remaining hash cheaper is ROADMAP item 2a.
+//! several GiB/s. So the array hashes only the blocks it reads and the
+//! new data cells a write was handed. Every block it computes — parity on
+//! a write, a reconstructed block on a rebuild or read-repair — comes out
+//! of a pure XOR schedule, and CRC32 is affine over GF(2): for blocks of
+//! one length `crc(a ⊕ b ⊕ c) = crc(a) ⊕ crc(b) ⊕ crc(c)` and
+//! `crc(a ⊕ b) = crc(a) ⊕ crc(b) ⊕ crc(0ⁿ)`. So replaying the schedule
+//! over its inputs' CRCs (`XorProgram::run_crcs` in `dcode-codec`) gives
+//! the CRC of every block it writes. The journal checks each payload
+//! block it reads against that block's own entry CRC. The
+//! eight-bytes-a-step kernel that would make each remaining hash cheaper
+//! is ROADMAP item 2a.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -57,68 +55,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLE[idx];
     }
     !crc
-}
-
-/// zlib's `crc32_combine` for one fixed length, precomputed: the linear
-/// map that advances a CRC register over `len` zero bytes, as a 32×32
-/// matrix over GF(2). Then `combine(crc32(a), crc32(b)) == crc32(a ‖ b)`
-/// for every `b` of `len` bytes, at 32 conditional XORs instead of a pass
-/// over `b`. Build it once per length and keep it.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct Crc32Shift {
-    /// Column `i` is the image of register bit `i`.
-    cols: [u32; 32],
-}
-
-impl Crc32Shift {
-    /// The operator for appending `len` bytes.
-    pub fn new(len: usize) -> Self {
-        // One zero bit: shift the register right, folding the polynomial
-        // in when a set bit leaves. Three squarings make it one zero byte.
-        let mut step: [u32; 32] = std::array::from_fn(|i| (1 << i) >> 1);
-        step[0] = POLY;
-        for _ in 0..3 {
-            step = compose(&step, &step);
-        }
-        // Square-and-multiply over the bits of `len`.
-        let mut cols: [u32; 32] = std::array::from_fn(|i| 1 << i);
-        let mut n = len;
-        while n != 0 {
-            if n & 1 != 0 {
-                cols = compose(&step, &cols);
-            }
-            step = compose(&step, &step);
-            n >>= 1;
-        }
-        Crc32Shift { cols }
-    }
-
-    /// CRC32 of `a ‖ b` from `crc_a = crc32(a)` and `crc_b = crc32(b)`,
-    /// where `b` is this operator's length. Processing `b` from a register
-    /// holding `!crc_a` instead of `!0` differs, by linearity, only in the
-    /// zero-byte advance of `crc_a`.
-    pub fn combine(&self, crc_a: u32, crc_b: u32) -> u32 {
-        apply(&self.cols, crc_a) ^ crc_b
-    }
-}
-
-/// Matrix × vector over GF(2): the XOR of the columns `v` selects.
-fn apply(cols: &[u32; 32], mut v: u32) -> u32 {
-    let mut out = 0;
-    let mut i = 0;
-    while v != 0 {
-        if v & 1 != 0 {
-            out ^= cols[i];
-        }
-        v >>= 1;
-        i += 1;
-    }
-    out
-}
-
-/// `a ∘ b`: apply `b`, then `a`.
-fn compose(a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
-    std::array::from_fn(|i| apply(a, b[i]))
 }
 
 #[cfg(test)]
@@ -165,37 +101,6 @@ mod tests {
                 corrupt[i] ^= 1 << bit;
                 assert_ne!(crc32(&corrupt), clean, "flip at byte {i} bit {bit}");
             }
-        }
-    }
-
-    #[test]
-    fn combine_is_the_crc_of_the_concatenation() {
-        let mut seed = 27;
-        let mut lens = vec![0usize, 1, 31, 4096, 4097];
-        lens.extend((0..12).map(|_| {
-            let r = prand(&mut seed, 2);
-            usize::from(u16::from_le_bytes([r[0], r[1]])) % 9000
-        }));
-        for len_b in lens {
-            let shift = Crc32Shift::new(len_b);
-            for len_a in [0usize, 1, 13, 4096] {
-                let a = prand(&mut seed, len_a);
-                let b = prand(&mut seed, len_b);
-                let whole = [a.as_slice(), &b].concat();
-                assert_eq!(
-                    shift.combine(crc32(&a), crc32(&b)),
-                    crc32(&whole),
-                    "|a| = {len_a}, |b| = {len_b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_length_shift_is_the_identity() {
-        let shift = Crc32Shift::new(0);
-        for crc in [0u32, 1, 0xDEAD_BEEF, u32::MAX] {
-            assert_eq!(shift.combine(crc, 0), crc);
         }
     }
 
