@@ -11,7 +11,7 @@
 //! — that is the static-vs-dynamic cross-check.
 
 use dcode_codec::XorProgram;
-use dcode_core::grid::Grid;
+use dcode_core::grid::{Cell, Grid};
 use dcode_core::layout::CodeLayout;
 use dcode_iosim::DiskAccesses;
 use std::collections::BTreeSet;
@@ -63,36 +63,26 @@ pub fn encode_footprint(layout: &CodeLayout, program: &XorProgram) -> StaticFoot
 
 /// Static footprint of a full-stripe **degraded read** with one failed
 /// column: every surviving data element is read directly, and the lost
-/// data elements are reconstructed through the column-recovery plan's
-/// peel chains (restricted to data cells), whose surviving sources are
-/// read unless the direct reads already fetched them. The failed column
-/// contributes zero — compare its LF over *surviving* disks.
+/// data elements are reconstructed through
+/// [`optimal_recovery`](dcode_recovery::optimal_recovery)'s minimum-read
+/// choice of equations given those direct reads — the search the array and
+/// `dcode-iosim` use. The failed column contributes zero — compare its LF
+/// over *surviving* disks.
 pub fn degraded_read_footprint(layout: &CodeLayout, failed_col: usize) -> StaticFootprint {
     let grid = layout.grid();
     let mut reads = DiskAccesses::zero(grid.cols);
-    let writes = DiskAccesses::zero(grid.cols);
-    let mut direct: BTreeSet<dcode_core::grid::Cell> = BTreeSet::new();
-    for &cell in layout.data_cells() {
-        if cell.col != failed_col {
-            direct.insert(cell);
-            reads.per_disk[cell.col] += 1;
-        }
-    }
-    let plan = dcode_core::decoder::plan_column_recovery(layout, &[failed_col])
-        .expect("single-column erasures are always recoverable for a RAID-6 code");
-    let lost_data: BTreeSet<dcode_core::grid::Cell> = layout
+    let (lost, direct): (BTreeSet<Cell>, BTreeSet<Cell>) = layout
         .data_cells()
         .iter()
-        .copied()
-        .filter(|c| c.col == failed_col)
-        .collect();
-    let sub = plan.subplan_for(&lost_data);
-    for cell in sub.surviving_reads() {
-        if direct.insert(cell) {
-            reads.per_disk[cell.col] += 1;
-        }
+        .partition(|c| c.col == failed_col);
+    let extra = dcode_recovery::optimal_recovery(layout, failed_col, &lost, &direct).reads;
+    for cell in direct.iter().chain(&extra) {
+        reads.per_disk[cell.col] += 1;
     }
-    StaticFootprint { reads, writes }
+    StaticFootprint {
+        reads,
+        writes: DiskAccesses::zero(grid.cols),
+    }
 }
 
 /// The paper's LF over the surviving disks only (the failed column's zero

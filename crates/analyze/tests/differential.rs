@@ -6,8 +6,8 @@
 //!   [`program_xor_cost`] and its bytes must equal the production
 //!   executor's, for every registry code, encode and every 2-column
 //!   erasure (property-based over code x prime x erasure pair).
-//! * The static degraded-read footprint is checked against `dcode-iosim`'s
-//!   dynamic accounting.
+//! * The static degraded-read footprint equals `dcode-iosim`'s dynamic
+//!   accounting, disk for disk.
 
 use dcode_analyze::{degraded_read_footprint, program_xor_cost};
 use dcode_baselines::registry::all_codes;
@@ -110,26 +110,21 @@ proptest! {
     }
 }
 
-/// The static degraded-read footprint against iosim's dynamic accounting.
-/// iosim picks, per lost element, whichever parity equation minimises
-/// extra reads for the request at hand; the static plan commits to the
-/// peel chains the recovery planner chose. So per disk and in total the
-/// static footprint dominates (>=), and for D-Code's horizontal-parity
-/// peels the full-stripe totals coincide exactly.
+/// The static degraded-read footprint against iosim's dynamic accounting
+/// of the same full-stripe read: disk for disk, the same reads.
 #[test]
-fn static_degraded_footprint_dominates_iosim() {
+fn static_degraded_footprint_equals_iosim() {
     for p in [5usize, 7, 11] {
         for layout in all_codes(p) {
             for failed in 0..layout.disks() {
                 let dynamic =
                     dcode_iosim::degraded_read_accesses(&layout, 0, layout.data_len(), failed);
                 let fixed = degraded_read_footprint(&layout, failed);
-                assert!(
-                    fixed.reads.total() >= dynamic.total(),
-                    "{} p={p} failed={failed}: static {} < dynamic {}",
-                    layout.name(),
-                    fixed.reads.total(),
-                    dynamic.total()
+                assert_eq!(
+                    fixed.reads,
+                    dynamic,
+                    "{} p={p} failed={failed}",
+                    layout.name()
                 );
                 assert_eq!(fixed.reads.per_disk[failed], 0);
             }

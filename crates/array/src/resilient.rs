@@ -50,14 +50,11 @@ use crate::journal::{
 use crate::rotation::RotationScheme;
 use crate::scrub::{scrub_stripe, ScrubReport};
 use dcode_codec::xor::xor_into;
-use dcode_codec::{CacheStats, CompiledRecovery, ScheduleCache, Stripe, XorProgram};
-use dcode_core::decoder::Unrecoverable;
+use dcode_codec::{CacheStats, ScheduleCache, Stripe, XorProgram};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use dcode_faults::{crc32, DiskBackend, DiskError, MemBackend};
-use dcode_recovery::optimal_rebuild;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Bounded-retry policy for transient backend errors.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -858,9 +855,12 @@ impl<B: DiskBackend> ResilientArray<B> {
 
         // Re-plan whenever reading a survivor surfaces a new failure. The
         // compiled subprogram (and its surviving-read list) comes from the
-        // schedule cache keyed on (erased columns, missing cells): a
-        // stable failure pattern — the steady state of a dead disk or a
-        // long rebuild — plans and compiles only on its first read.
+        // schedule cache keyed on (erased columns, missing cells, and under
+        // one erased column the survivors already read): a stable failure
+        // pattern — the steady state of a dead disk or a long rebuild —
+        // plans and compiles only on its first read. Under one erased
+        // column the plan is the minimum-read choice of equations given
+        // what this fetch already holds; under two, the peeling plan.
         'replan: loop {
             // Every wanted cell in an erased column is observable, not just
             // the cells that actually failed: this read returns them from
@@ -873,7 +873,13 @@ impl<B: DiskBackend> ResilientArray<B> {
                 .filter(|c| erased_cols.contains(&c.col))
                 .collect();
             let compiled = self
-                .recovery_program(&erased_cols, &observable, loaded.is_empty())
+                .schedules
+                .recovery_subprogram(
+                    &self.layout,
+                    erased_cols.iter().copied(),
+                    &observable,
+                    &loaded,
+                )
                 .map_err(|_| self.too_many())?;
             for &cell in compiled.reads.iter() {
                 if loaded.contains(&cell) {
@@ -931,34 +937,6 @@ impl<B: DiskBackend> ResilientArray<B> {
                 Err(e) => self.note_hard_error(slot, &e),
             }
         }
-    }
-
-    /// The cached program reconstructing `observable` under the erasure of
-    /// `erased_cols`. A fetch that wants every erased cell and has read
-    /// nothing yet (`from_scratch`: a rebuild pass) replays the erasure's
-    /// whole-column program — for a single column, the one compiled from
-    /// the minimum-read choice of equations. Every other fetch replays a
-    /// subprogram of the peeling plan: a degraded read already holds the
-    /// survivors it asked for, and the row-parity-first peel reads least
-    /// beside them.
-    fn recovery_program(
-        &self,
-        erased_cols: &BTreeSet<usize>,
-        observable: &BTreeSet<Cell>,
-        from_scratch: bool,
-    ) -> Result<CompiledRecovery, Unrecoverable> {
-        let layout = &self.layout;
-        let whole_erasure = observable.len() == erased_cols.len() * self.rows();
-        if !(from_scratch && whole_erasure) {
-            let cols = erased_cols.iter().copied();
-            return self.schedules.recovery_subprogram(layout, cols, observable);
-        }
-        let cols: Vec<usize> = erased_cols.iter().copied().collect();
-        self.schedules
-            .column_program_from(layout, &cols, |peeling| match cols[..] {
-                [col] => Arc::new(optimal_rebuild(layout, col).recovery_plan(layout)),
-                _ => peeling,
-            })
     }
 
     /// Read `count` logical elements starting at `start`, through retries,

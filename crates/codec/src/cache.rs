@@ -9,11 +9,13 @@
 //!
 //! * the full-stripe **encode** program per layout;
 //! * the full **column-recovery** program (and its symbolic plan) per
-//!   `(layout, erased column set)` — lowered from the peeling plan, or
-//!   from a plan the caller supplies ([`ScheduleCache::column_program_from`]);
+//!   `(layout, erased column set)`, lowered from the peeling plan;
 //! * **subprograms** per `(layout, erased column set, missing cell set)` —
-//!   the unit `ResilientArray` replays for partial degraded reads — along
-//!   with the sorted list of surviving cells each one reads.
+//!   the unit `ResilientArray` replays for every recovery it runs — along
+//!   with the sorted list of surviving cells each one reads. Under one
+//!   erased column a subprogram is [`dcode_recovery::optimal_recovery`]'s
+//!   minimum-read choice given the survivors the caller already holds, so
+//!   that set joins the key; under two it is cut from the peeling plan.
 //!
 //! Keys use [`CodeLayout::fingerprint`] (a structural hash computed once at
 //! build time), so lookups never deep-compare equation lists. Entries live
@@ -49,14 +51,16 @@ use crate::schedule::XorProgram;
 use dcode_core::decoder::{plan_recovery, RecoveryPlan, Unrecoverable};
 use dcode_core::grid::{Cell, Grid};
 use dcode_core::layout::CodeLayout;
+use dcode_recovery::optimal_recovery;
 use minisim::sync::{Mutex, MutexGuard};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Upper bound on distinct missing-cell subprograms cached per erasure
-/// pattern. Partial degraded reads generate one subprogram per distinct
-/// wanted-cell subset; a pathological access pattern could mint
+/// Upper bound on distinct subprograms cached per erasure pattern. Partial
+/// degraded reads generate one subprogram per distinct wanted-cell subset
+/// (and, under one erased column, per set of survivors already read); a
+/// pathological access pattern could mint
 /// exponentially many, so past the cap the subprogram is compiled and
 /// returned uncached (correct, just not memoized).
 pub const MAX_SUBPROGRAMS_PER_ERASURE: usize = 64;
@@ -92,6 +96,9 @@ pub struct CompiledRecovery {
 struct SubEntry {
     /// The missing cells this subprogram reconstructs, ascending.
     missing: Vec<Cell>,
+    /// The survivors its plan took as already read, ascending; empty
+    /// unless one column is erased.
+    loaded: Vec<Cell>,
     compiled: CompiledRecovery,
 }
 
@@ -102,8 +109,7 @@ struct ErasureEntry {
     /// The peeling plan for all cells of all erased columns; subprograms
     /// are cut from it.
     plan: Arc<RecoveryPlan>,
-    /// The full program, built on first demand — from `plan`, or from the
-    /// plan its first caller supplied.
+    /// The full program, built from `plan` on first demand.
     full: Option<CompiledRecovery>,
     subs: Vec<SubEntry>,
 }
@@ -214,22 +220,6 @@ impl ScheduleCache {
         layout: &CodeLayout,
         cols: &[usize],
     ) -> Result<CompiledRecovery, Unrecoverable> {
-        self.column_program_from(layout, cols, |peeling| peeling)
-    }
-
-    /// [`column_program`](ScheduleCache::column_program) whose compile
-    /// miss lowers the plan `choose` returns instead of the peeling plan
-    /// it is handed — how an array installs the minimum-read plan for
-    /// rebuilding one whole column. The plan must reconstruct every cell
-    /// of `cols` from survivors; it goes through the same optimizer
-    /// pipeline and certificate as every other program. Subprograms of
-    /// the erasure keep the peeling plan.
-    pub fn column_program_from(
-        &self,
-        layout: &CodeLayout,
-        cols: &[usize],
-        choose: impl FnOnce(Arc<RecoveryPlan>) -> Arc<RecoveryPlan>,
-    ) -> Result<CompiledRecovery, Unrecoverable> {
         let (fp, grid) = (layout.fingerprint(), layout.grid());
         let cols_iter = cols.iter().copied();
         {
@@ -241,13 +231,8 @@ impl ScheduleCache {
                 return Ok(compiled);
             }
         }
-        let peeling = self.erasure_plan(layout, cols_iter.clone())?;
+        let plan = self.erasure_plan(layout, cols_iter.clone())?;
         Self::bump(&self.misses);
-        let plan = choose(peeling.clone());
-        debug_assert_eq!(
-            plan.erased, peeling.erased,
-            "the plan must cover the erasure"
-        );
         let compiled = compile_recovery(grid, &plan, None);
         let mut entries = self.lock();
         let entry = find_erasure_mut(&mut entries, fp, grid, cols_iter)
@@ -257,27 +242,37 @@ impl ScheduleCache {
 
     /// The compiled subprogram reconstructing exactly `missing` under the
     /// erasure of `erased_cols` (an ascending iterator of column indices;
-    /// pass a slice's `iter().copied()` or iterate a `BTreeSet` directly).
-    /// `missing` must be a subset of the erased columns' cells. Steady-state
-    /// hits allocate nothing and return pointer-identical programs.
+    /// pass a slice's `iter().copied()` or iterate a `BTreeSet` directly),
+    /// when the caller already holds the survivors in `loaded`. `missing`
+    /// must be a subset of the erased columns' cells. Under one erased
+    /// column the plan is [`optimal_recovery`]'s fewest further reads;
+    /// under more it is the peeling plan cut to `missing`, and `loaded`
+    /// plays no part. Steady-state hits allocate nothing and return
+    /// pointer-identical programs.
     pub fn recovery_subprogram<I>(
         &self,
         layout: &CodeLayout,
         erased_cols: I,
         missing: &BTreeSet<Cell>,
+        loaded: &BTreeSet<Cell>,
     ) -> Result<CompiledRecovery, Unrecoverable>
     where
         I: Iterator<Item = usize> + Clone,
     {
         let (fp, grid) = (layout.fingerprint(), layout.grid());
+        let mut cols = erased_cols.clone();
+        let single = match (cols.next(), cols.next()) {
+            (Some(col), None) => Some(col),
+            _ => None,
+        };
+        let key_loaded = loaded.iter().filter(|_| single.is_some());
+        let same = |s: &&SubEntry| {
+            s.missing.iter().eq(missing.iter()) && s.loaded.iter().eq(key_loaded.clone())
+        };
         {
             let entries = self.lock();
             if let Some(entry) = find_erasure(&entries, fp, grid, erased_cols.clone()) {
-                if let Some(sub) = entry
-                    .subs
-                    .iter()
-                    .find(|s| s.missing.iter().eq(missing.iter()))
-                {
+                if let Some(sub) = entry.subs.iter().find(same) {
                     Self::bump(&self.hits);
                     return Ok(sub.compiled.clone());
                 }
@@ -285,24 +280,25 @@ impl ScheduleCache {
         }
         let plan = self.erasure_plan(layout, erased_cols.clone())?;
         Self::bump(&self.misses);
+        let plan = match single {
+            Some(col) => optimal_recovery(layout, col, missing, loaded).recovery_plan(layout),
+            None => plan.subplan_for(missing),
+        };
         // Only the wanted cells are observable outputs of a subprogram:
         // the remaining recovered intermediates are scratch the optimizer
         // may renumber or eliminate.
         let outputs: BTreeSet<usize> = missing.iter().map(|&c| grid.index(c)).collect();
-        let compiled = compile_recovery(grid, &Arc::new(plan.subplan_for(missing)), Some(&outputs));
+        let compiled = compile_recovery(grid, &Arc::new(plan), Some(&outputs));
         let mut entries = self.lock();
         let entry = find_erasure_mut(&mut entries, fp, grid, erased_cols)
             .expect("erasure_plan inserted the entry");
-        if let Some(sub) = entry
-            .subs
-            .iter()
-            .find(|s| s.missing.iter().eq(missing.iter()))
-        {
+        if let Some(sub) = entry.subs.iter().find(same) {
             return Ok(sub.compiled.clone()); // lost an insert race; adopt
         }
         if entry.subs.len() < MAX_SUBPROGRAMS_PER_ERASURE {
             entry.subs.push(SubEntry {
                 missing: missing.iter().copied().collect(),
+                loaded: key_loaded.copied().collect(),
                 compiled: compiled.clone(),
             });
         }
@@ -500,48 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn column_program_from_compiles_the_supplied_plan_once() {
-        use dcode_core::decoder::RecoveryStep;
-        let cache = ScheduleCache::new();
-        let layout = dcode(7).unwrap();
-        // Every lost cell through the last equation it belongs to: a
-        // different read set from the peeling plan's.
-        let other = |peeling: Arc<RecoveryPlan>| {
-            let steps = peeling.erased.iter().map(|&target| {
-                let eq = layout
-                    .storing_eq(target)
-                    .unwrap_or_else(|| *layout.member_eqs(target).last().unwrap());
-                let cells = layout.equation(eq).cells();
-                RecoveryStep {
-                    target,
-                    eqs: vec![eq],
-                    sources: cells.filter(|&c| c != target).collect(),
-                }
-            });
-            Arc::new(RecoveryPlan {
-                erased: peeling.erased.clone(),
-                steps: steps.collect(),
-            })
-        };
-        let first = cache.column_program_from(&layout, &[2], other).unwrap();
-        let peeling = cache.column_plan(&layout, &[2]).unwrap();
-        assert_ne!(first.plan, peeling);
-        let reads: Vec<Cell> = first.plan.surviving_reads().into_iter().collect();
-        assert_eq!(*first.reads, reads);
-        assert!(first.certificate.holds() && first.certificate.zero_delta());
-        // The entry is the erasure's full program from now on.
-        let again = cache.column_program(&layout, &[2]).unwrap();
-        assert!(Arc::ptr_eq(&first.program, &again.program));
-        let data: Vec<u8> = (0..layout.data_len() * 8).map(|i| (i * 29) as u8).collect();
-        let mut stripe = Stripe::from_data(&layout, 8, &data);
-        encode_naive(&layout, &mut stripe);
-        let golden = stripe.clone();
-        stripe.erase_columns(&[2]);
-        first.program.run(&mut stripe);
-        assert_eq!(stripe, golden);
-    }
-
-    #[test]
     fn subprogram_steady_state_is_pointer_identical() {
         let cache = ScheduleCache::new();
         let layout = dcode(7).unwrap();
@@ -549,11 +503,11 @@ mod tests {
         let missing: BTreeSet<Cell> = [grid.column(2).next().unwrap()].into_iter().collect();
         let cols = BTreeSet::from([2usize, 4]);
         let a = cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+            .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
             .unwrap();
         let hits_before = cache.stats().hits;
         let b = cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+            .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
             .unwrap();
         assert!(Arc::ptr_eq(&a.program, &b.program));
         assert!(Arc::ptr_eq(&a.reads, &b.reads));
@@ -571,6 +525,52 @@ mod tests {
     }
 
     #[test]
+    fn one_column_subprograms_are_the_minimum_read_choice() {
+        // D-Code p = 7, logical 10..15 with column 3 erased: the lost
+        // D(1,3) shares horizontal parity P(5,1) with the four survivors
+        // in hand, so that parity is the only further read.
+        let cache = ScheduleCache::new();
+        let layout = dcode(7).unwrap();
+        let requested: Vec<Cell> = (10..15).map(|i| layout.logical_to_cell(i)).collect();
+        let (missing, loaded): (BTreeSet<Cell>, BTreeSet<Cell>) =
+            requested.iter().partition(|c| c.col == 3);
+        let warm = cache
+            .recovery_subprogram(&layout, [3usize].into_iter(), &missing, &loaded)
+            .unwrap();
+        let further: Vec<Cell> = warm
+            .reads
+            .iter()
+            .filter(|c| !loaded.contains(c))
+            .copied()
+            .collect();
+        assert_eq!(further, [Cell::new(5, 1)]);
+        // Nothing in hand is another key and another plan.
+        let cold = cache
+            .recovery_subprogram(&layout, [3usize].into_iter(), &missing, &BTreeSet::new())
+            .unwrap();
+        assert!(!Arc::ptr_eq(&warm.program, &cold.program));
+        let again = cache
+            .recovery_subprogram(&layout, [3usize].into_iter(), &missing, &loaded)
+            .unwrap();
+        assert!(Arc::ptr_eq(&warm.program, &again.program));
+        // The whole column with nothing in hand reads the optimal rebuild's
+        // survivors, and the program restores the column.
+        let column: BTreeSet<Cell> = layout.grid().column(3).collect();
+        let rebuild = cache
+            .recovery_subprogram(&layout, [3usize].into_iter(), &column, &BTreeSet::new())
+            .unwrap();
+        let optimal = dcode_recovery::optimal_rebuild(&layout, 3);
+        assert!(rebuild.reads.iter().eq(&optimal.reads));
+        let data: Vec<u8> = (0..layout.data_len() * 8).map(|i| (i * 41) as u8).collect();
+        let mut stripe = Stripe::from_data(&layout, 8, &data);
+        encode_naive(&layout, &mut stripe);
+        let golden = stripe.clone();
+        stripe.erase_columns(&[3]);
+        rebuild.program.run(&mut stripe);
+        assert_eq!(stripe, golden);
+    }
+
+    #[test]
     fn distinct_missing_sets_get_distinct_subprograms() {
         let cache = ScheduleCache::new();
         let layout = dcode(7).unwrap();
@@ -580,10 +580,10 @@ mod tests {
         let m1: BTreeSet<Cell> = [col_cells.next().unwrap()].into_iter().collect();
         let m2: BTreeSet<Cell> = [col_cells.next().unwrap()].into_iter().collect();
         let a = cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &m1)
+            .recovery_subprogram(&layout, cols.iter().copied(), &m1, &BTreeSet::new())
             .unwrap();
         let b = cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &m2)
+            .recovery_subprogram(&layout, cols.iter().copied(), &m2, &BTreeSet::new())
             .unwrap();
         assert!(!Arc::ptr_eq(&a.program, &b.program));
     }
@@ -602,7 +602,7 @@ mod tests {
         for &cell in &erased {
             missing.insert(cell);
             let compiled = cache
-                .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+                .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
                 .unwrap();
             assert!(compiled.program.op_count() >= missing.len());
             minted += 1;
@@ -619,7 +619,7 @@ mod tests {
         assert!(cache.column_program(&layout, &cols).is_err());
         let missing: BTreeSet<Cell> = layout.grid().column(0).collect();
         assert!(cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+            .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
             .is_err());
     }
 
@@ -668,7 +668,12 @@ mod tests {
                 .into_iter()
                 .collect();
             let sub = cache
-                .recovery_subprogram(&layout, [0usize, 1].iter().copied(), &missing)
+                .recovery_subprogram(
+                    &layout,
+                    [0usize, 1].iter().copied(),
+                    &missing,
+                    &BTreeSet::new(),
+                )
                 .unwrap();
             assert!(sub.certificate.holds(), "{} subprogram", layout.name());
         }
@@ -685,7 +690,12 @@ mod tests {
             let grid = layout.grid();
             let missing: BTreeSet<Cell> = [grid.column(0).nth(2).unwrap()].into_iter().collect();
             let sub = cache
-                .recovery_subprogram(&layout, [0usize, 1].iter().copied(), &missing)
+                .recovery_subprogram(
+                    &layout,
+                    [0usize, 1].iter().copied(),
+                    &missing,
+                    &BTreeSet::new(),
+                )
                 .unwrap();
             assert!(sub.certificate.holds(), "{}", layout.name());
             let data: Vec<u8> = (0..layout.data_len() * 8)

@@ -3,8 +3,9 @@
 //! Covered for every registry code at p ∈ {5, 7}, at block lengths that
 //! hit a short block, a page and a page plus one byte, over every program
 //! shape the array replays: the full-stripe encode, every single-column
-//! rebuild chosen by `optimal_rebuild`, every two-column peeling program,
-//! and subprograms for random missing-cell sets. The stripes hold random
+//! rebuild and a degraded read of each column chosen by the minimum-read
+//! search, every two-column peeling program, and subprograms for random
+//! missing-cell sets. The stripes hold random
 //! bytes in every block, erased or not, so the identity is checked for any
 //! starting contents, not only for codewords.
 
@@ -13,7 +14,6 @@ use dcode_codec::{ScheduleCache, Stripe, XorProgram};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use dcode_faults::crc32;
-use dcode_recovery::optimal_rebuild;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -67,18 +67,32 @@ fn shadow_crcs_equal_the_hash_for_every_program_shape() {
             let (grid, cols) = (layout.grid(), layout.disks());
             let mut programs: Vec<(String, Arc<XorProgram>)> =
                 vec![("encode".into(), cache.encode_program(&layout))];
+            let nothing = BTreeSet::new();
             for col in 0..cols {
-                let rebuild = Arc::new(optimal_rebuild(&layout, col).recovery_plan(&layout));
+                let column: BTreeSet<Cell> = grid.column(col).collect();
                 let compiled = cache
-                    .column_program_from(&layout, &[col], |_| rebuild)
+                    .recovery_subprogram(&layout, [col].into_iter(), &column, &nothing)
                     .unwrap();
                 programs.push((format!("optimal rebuild of column {col}"), compiled.program));
+                // A degraded read of the column's first half holding the
+                // survivors of those rows.
+                let half: BTreeSet<Cell> =
+                    column.iter().take(grid.rows.div_ceil(2)).copied().collect();
+                let loaded: BTreeSet<Cell> = grid
+                    .cells()
+                    .filter(|c| c.col != col && c.row < half.len())
+                    .collect();
+                let compiled = cache
+                    .recovery_subprogram(&layout, [col].into_iter(), &half, &loaded)
+                    .unwrap();
+                programs.push((
+                    format!("minimum-read recovery in column {col}"),
+                    compiled.program,
+                ));
             }
             for a in 0..cols {
                 for b in a + 1..cols {
-                    let compiled = cache
-                        .column_program_from(&layout, &[a, b], |peeling| peeling)
-                        .unwrap();
+                    let compiled = cache.column_program(&layout, &[a, b]).unwrap();
                     programs.push((format!("peeling of columns {a}, {b}"), compiled.program));
                 }
             }
@@ -95,7 +109,7 @@ fn shadow_crcs_equal_the_hash_for_every_program_shape() {
                     continue;
                 }
                 let compiled = cache
-                    .recovery_subprogram(&layout, erased.iter().copied(), &missing)
+                    .recovery_subprogram(&layout, erased.iter().copied(), &missing, &nothing)
                     .unwrap();
                 programs.push((format!("subprogram for {missing:?}"), compiled.program));
             }

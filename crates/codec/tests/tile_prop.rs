@@ -86,7 +86,7 @@ proptest! {
         let full = XorProgram::compile_plan(layout.grid(), &plan);
         let missing: BTreeSet<Cell> = layout.grid().column(cols[0]).take(wanted).collect();
         let sub = ScheduleCache::new()
-            .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+            .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
             .expect("registry codes are MDS");
 
         let mut golden = stripes_for(&layout, block_size, 1, seed).remove(0);

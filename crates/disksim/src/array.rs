@@ -66,81 +66,71 @@ impl<'a> ArraySim<'a> {
 
     /// Per-disk work of a normal-mode read (see [`ArraySim::work_per_disk`]).
     pub fn normal_read_work(&self, start: usize, len: usize) -> Vec<f64> {
-        let data_len = self.layout.data_len();
-        let (full, segs) = segments(data_len, start, len);
-        let mut acc = vec![0.0; self.layout.disks()];
-        let mut add = |work: Vec<f64>, times: usize| {
-            for (a, w) in acc.iter_mut().zip(&work) {
-                *a += w * times as f64;
-            }
-        };
-        if full > 0 {
-            let all: Vec<Cell> = self.layout.data_cells().to_vec();
-            add(self.work_per_disk(&all), full);
-        }
-        for (s, l) in segs {
-            let cells: Vec<Cell> = (s..s + l).map(|i| self.layout.logical_to_cell(i)).collect();
-            add(self.work_per_disk(&cells), 1);
-        }
-        acc
+        self.read_work(start, len, None)
     }
 
     /// Per-disk work of a degraded-mode read with `failed_col` down.
     pub fn degraded_read_work(&self, start: usize, len: usize, failed_col: usize) -> Vec<f64> {
-        let data_len = self.layout.data_len();
-        let (full, segs) = segments(data_len, start, len);
-        let mut all_segs = segs;
-        for _ in 0..full {
-            all_segs.push((0, data_len));
-        }
-        let mut acc = vec![0.0; self.layout.disks()];
-        for (s, l) in all_segs {
-            let plan = plan_degraded_segment(self.layout, s, l, failed_col);
-            let mut cells = plan.surviving_requested.clone();
-            cells.extend(plan.extra_reads.iter().copied());
-            for (a, w) in acc.iter_mut().zip(self.work_per_disk(&cells)) {
-                *a += w;
-            }
-        }
-        acc
+        self.read_work(start, len, Some(failed_col))
     }
 
     /// Latency of a normal-mode read of `len` continuous logical elements
     /// starting at `start`. Requests longer than a stripe decompose into
     /// per-stripe sub-requests served back-to-back.
     pub fn normal_read_ms(&self, start: usize, len: usize) -> f64 {
-        let data_len = self.layout.data_len();
-        let (full, segs) = segments(data_len, start, len);
-        let mut total = 0.0;
-        if full > 0 {
-            let all: Vec<Cell> = self.layout.data_cells().to_vec();
-            total += full as f64 * self.request_ms(&all);
-        }
-        for (s, l) in segs {
-            let cells: Vec<Cell> = (s..s + l).map(|i| self.layout.logical_to_cell(i)).collect();
-            total += self.request_ms(&cells);
-        }
-        total
+        self.read_ms(start, len, None)
     }
 
     /// Latency of a degraded-mode read with `failed_col` down: surviving
     /// requested elements plus the reconstruction reads chosen by the
     /// degraded-read planner.
     pub fn degraded_read_ms(&self, start: usize, len: usize, failed_col: usize) -> f64 {
+        self.read_ms(start, len, Some(failed_col))
+    }
+
+    fn read_work(&self, start: usize, len: usize, failed_col: Option<usize>) -> Vec<f64> {
+        let mut acc = vec![0.0; self.layout.disks()];
+        for (cells, times) in self.read_pieces(start, len, failed_col) {
+            for (a, w) in acc.iter_mut().zip(self.work_per_disk(&cells)) {
+                *a += w * times as f64;
+            }
+        }
+        acc
+    }
+
+    fn read_ms(&self, start: usize, len: usize, failed_col: Option<usize>) -> f64 {
+        let pieces = self.read_pieces(start, len, failed_col);
+        pieces
+            .iter()
+            .map(|(cells, times)| *times as f64 * self.request_ms(cells))
+            .sum()
+    }
+
+    /// A read's per-stripe sub-requests, each with the cells it fetches and
+    /// how many stripes repeat it: the requested cells, plus — with
+    /// `failed_col` down — the reconstruction reads of the degraded-read
+    /// planner.
+    fn read_pieces(
+        &self,
+        start: usize,
+        len: usize,
+        failed_col: Option<usize>,
+    ) -> Vec<(Vec<Cell>, usize)> {
+        let fetch = |s: usize, l: usize| -> Vec<Cell> {
+            match failed_col {
+                None => (s..s + l).map(|i| self.layout.logical_to_cell(i)).collect(),
+                Some(col) => {
+                    let plan = plan_degraded_segment(self.layout, s, l, col);
+                    let extra = plan.extra_reads.into_iter();
+                    plan.surviving_requested.into_iter().chain(extra).collect()
+                }
+            }
+        };
         let data_len = self.layout.data_len();
         let (full, segs) = segments(data_len, start, len);
-        let mut all_segs = segs;
-        for _ in 0..full {
-            all_segs.push((0, data_len));
-        }
-        let mut total = 0.0;
-        for (s, l) in all_segs {
-            let plan = plan_degraded_segment(self.layout, s, l, failed_col);
-            let mut cells = plan.surviving_requested.clone();
-            cells.extend(plan.extra_reads.iter().copied());
-            total += self.request_ms(&cells);
-        }
-        total
+        let whole = (full > 0).then(|| (fetch(0, data_len), full));
+        let parts = segs.into_iter().map(|(s, l)| (fetch(s, l), 1));
+        whole.into_iter().chain(parts).collect()
     }
 }
 

@@ -51,8 +51,12 @@ impl Default for ExperimentParams {
     }
 }
 
-fn draw(rng: &mut StdRng, lo: usize, hi: usize) -> usize {
-    lo + (rng.next_u64() % (hi - lo + 1) as u64) as usize
+/// One request of the paper's workload: a uniform start over the stripe's
+/// `data_len` elements, then a uniform length in `len_range`.
+pub(crate) fn draw(rng: &mut StdRng, data_len: usize, len_range: (usize, usize)) -> (usize, usize) {
+    let start = (rng.next_u64() % data_len as u64) as usize;
+    let (lo, hi) = len_range;
+    (start, lo + (rng.next_u64() % (hi - lo + 1) as u64) as usize)
 }
 
 /// Normal-mode read speed (Figure 6).
@@ -70,8 +74,7 @@ pub fn normal_read_speed(layout: &CodeLayout, params: ExperimentParams, seed: u6
     let mut total_bytes = 0f64;
     let mut busy = vec![0f64; layout.disks()];
     for _ in 0..params.normal_trials {
-        let start = (rng.next_u64() % layout.data_len() as u64) as usize;
-        let len = draw(&mut rng, params.len_range.0, params.len_range.1);
+        let (start, len) = draw(&mut rng, layout.data_len(), params.len_range);
         total_bytes += (len * params.block_bytes) as f64;
         for (b, w) in busy.iter_mut().zip(sim.normal_read_work(start, len)) {
             *b += w;
@@ -105,8 +108,7 @@ pub fn degraded_read_speed(layout: &CodeLayout, params: ExperimentParams, seed: 
         let mut rng = StdRng::seed_from_u64(seed ^ (failed as u64) << 32);
         let mut busy = vec![0f64; layout.disks()];
         for _ in 0..params.degraded_trials_per_case {
-            let start = (rng.next_u64() % layout.data_len() as u64) as usize;
-            let len = draw(&mut rng, params.len_range.0, params.len_range.1);
+            let (start, len) = draw(&mut rng, layout.data_len(), params.len_range);
             total_bytes += (len * params.block_bytes) as f64;
             for (b, w) in busy
                 .iter_mut()

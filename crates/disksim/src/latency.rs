@@ -7,10 +7,10 @@
 //! latency distribution per code.
 
 use crate::array::ArraySim;
-use crate::experiment::{data_disks, ExperimentParams};
+use crate::experiment::{data_disks, draw, ExperimentParams};
 use dcode_core::layout::CodeLayout;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 /// Summary statistics of a latency sample, in milliseconds.
 #[derive(Clone, Copy, Debug)]
@@ -54,9 +54,7 @@ pub fn normal_read_latency(
     let mut rng = StdRng::seed_from_u64(seed);
     let samples: Vec<f64> = (0..params.normal_trials)
         .map(|_| {
-            let start = (rng.next_u64() % layout.data_len() as u64) as usize;
-            let len = params.len_range.0
-                + (rng.next_u64() % (params.len_range.1 - params.len_range.0 + 1) as u64) as usize;
+            let (start, len) = draw(&mut rng, layout.data_len(), params.len_range);
             sim.normal_read_ms(start, len)
         })
         .collect();
@@ -75,9 +73,7 @@ pub fn degraded_read_latency(
     for failed in data_disks(layout) {
         let mut rng = StdRng::seed_from_u64(seed ^ (failed as u64) << 24);
         for _ in 0..params.degraded_trials_per_case {
-            let start = (rng.next_u64() % layout.data_len() as u64) as usize;
-            let len = params.len_range.0
-                + (rng.next_u64() % (params.len_range.1 - params.len_range.0 + 1) as u64) as usize;
+            let (start, len) = draw(&mut rng, layout.data_len(), params.len_range);
             samples.push(sim.degraded_read_ms(start, len, failed));
         }
     }

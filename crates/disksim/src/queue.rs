@@ -13,7 +13,7 @@
 //! [`latency`]: crate::latency
 
 use crate::array::ArraySim;
-use crate::experiment::ExperimentParams;
+use crate::experiment::{draw, ExperimentParams};
 use dcode_core::layout::CodeLayout;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -59,9 +59,7 @@ pub fn simulate_load(
         let dt_ms = -unit(&mut rng).ln() / arrival_rate * 1e3;
         clock_ms += dt_ms;
 
-        let start = (rng.next_u64() % layout.data_len() as u64) as usize;
-        let len = params.len_range.0
-            + (rng.next_u64() % (params.len_range.1 - params.len_range.0 + 1) as u64) as usize;
+        let (start, len) = draw(&mut rng, layout.data_len(), params.len_range);
         let work = match failed {
             None => sim.normal_read_work(start, len),
             Some(f) => sim.degraded_read_work(start, len, f),

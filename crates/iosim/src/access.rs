@@ -7,19 +7,22 @@
 //! * a **degraded read** (one failed disk) additionally reads, for every
 //!   lost requested element, the surviving cells of one parity equation
 //!   covering it; elements already being read are free, shared sources are
-//!   read once. The equation per lost element is chosen to minimise total
-//!   extra reads — continuous runs sharing one horizontal parity are
-//!   exactly what makes D-Code cheap here (Figure 1(a) vs 1(c));
+//!   read once. The equation per lost element is
+//!   [`dcode_recovery::optimal_recovery`]'s minimum-read choice — the same
+//!   search the array replays — and continuous runs sharing one horizontal
+//!   parity are exactly what makes D-Code cheap here (Figure 1(a) vs 1(c));
 //! * a **partial-stripe write** is a read-modify-write: every written data
 //!   element and every affected parity element (including RDP/HDP-style
 //!   cascades) is read once and written once (Figure 1(b) vs 1(d)).
 //!
 //! Requests longer than one stripe wrap into the (identically laid out)
-//! next stripe: the request is decomposed into full passes plus boundary
-//! segments, and sharing is accounted per stripe instance.
+//! next stripe: the request is cut at stripe boundaries, as an array
+//! serves it — the rest of the first stripe, whole stripes, the start of
+//! the last — and sharing is accounted per stripe instance.
 
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
+use dcode_recovery::optimal_recovery;
 use std::collections::BTreeSet;
 
 /// Per-disk access counts for one operation or an accumulated workload.
@@ -56,24 +59,17 @@ impl DiskAccesses {
     }
 }
 
-/// Split a logical request `[start, start+len)` over a stripe of `data_len`
-/// elements into `(full_passes, boundary_segments)`, each segment being
-/// `(start, len)` entirely inside one stripe instance.
+/// Split a logical request `[start, start+len)` over stripes of
+/// `data_len` elements at the stripe boundaries into `(full_passes,
+/// boundary_segments)`: the whole stripes it covers, and the partial
+/// stripe instances at either end as `(start, len)` inside one stripe.
 pub fn segments(data_len: usize, start: usize, len: usize) -> (usize, Vec<(usize, usize)>) {
     assert!(data_len > 0);
     let start = start % data_len;
-    let full = len / data_len;
-    let rem = len % data_len;
-    let mut segs = Vec::new();
-    if rem > 0 {
-        if start + rem <= data_len {
-            segs.push((start, rem));
-        } else {
-            segs.push((start, data_len - start));
-            segs.push((0, start + rem - data_len));
-        }
-    }
-    (full, segs)
+    let head = ((data_len - start) % data_len).min(len);
+    let (full, tail) = ((len - head) / data_len, (len - head) % data_len);
+    let segs = [(start, head), (0, tail)];
+    (full, segs.into_iter().filter(|&(_, l)| l > 0).collect())
 }
 
 /// Accesses of a normal-mode read.
@@ -100,9 +96,11 @@ pub fn normal_read_accesses(layout: &CodeLayout, start: usize, len: usize) -> Di
 pub struct DegradedSegmentPlan {
     /// Requested cells that survive (read directly).
     pub surviving_requested: Vec<Cell>,
-    /// Requested cells on the failed disk (reconstructed).
+    /// Requested cells on the failed disk (reconstructed), in the order
+    /// they are rebuilt.
     pub lost: Vec<Cell>,
-    /// Equation chosen per lost cell (parallel to `lost`).
+    /// Equation chosen per lost cell (parallel to `lost`). It holds no
+    /// failed-disk cell but its target and lost cells rebuilt before it.
     pub chosen_eqs: Vec<usize>,
     /// Extra surviving cells read for reconstruction (beyond the requested
     /// ones), deduplicated.
@@ -117,13 +115,8 @@ impl DegradedSegmentPlan {
 }
 
 /// Plan one degraded-read segment (`len ≤ data_len`) under a single failed
-/// disk, choosing per-lost-element equations to minimise total extra reads.
-///
-/// Under a single column failure every equation covering a lost data
-/// element is usable (array-code equations touch each disk at most once),
-/// so the choice set per element is its `member_eqs`. The optimiser is
-/// exhaustive up to 4096 combinations (requests are ≤ 20 elements, so a
-/// handful of lost cells at most), falling back to a greedy pass beyond.
+/// disk: [`optimal_recovery`] of the lost requested elements, holding the
+/// surviving requested ones.
 pub fn plan_degraded_segment(
     layout: &CodeLayout,
     start: usize,
@@ -132,101 +125,20 @@ pub fn plan_degraded_segment(
 ) -> DegradedSegmentPlan {
     assert!(len <= layout.data_len());
     assert!(failed_col < layout.disks());
-    let requested: Vec<Cell> = (start..start + len)
+    let (lost, surviving_requested): (Vec<Cell>, Vec<Cell>) = (start..start + len)
         .map(|i| layout.logical_to_cell(i))
-        .collect();
-    let surviving_requested: Vec<Cell> = requested
-        .iter()
-        .copied()
-        .filter(|c| c.col != failed_col)
-        .collect();
-    let surviving_set: BTreeSet<Cell> = surviving_requested.iter().copied().collect();
-    let lost: Vec<Cell> = requested
-        .iter()
-        .copied()
-        .filter(|c| c.col == failed_col)
-        .collect();
-
-    // Candidate extra-read sets per lost element.
-    let options: Vec<Vec<(usize, BTreeSet<Cell>)>> = lost
-        .iter()
-        .map(|&e| {
-            let eqs = layout.member_eqs(e);
-            assert!(
-                !eqs.is_empty(),
-                "data cell {e} of {} is unprotected",
-                layout.name()
-            );
-            eqs.iter()
-                .map(|&eq_idx| {
-                    let extra: BTreeSet<Cell> = layout
-                        .equation(eq_idx)
-                        .cells()
-                        .filter(|&c| c != e && !surviving_set.contains(&c))
-                        .collect();
-                    (eq_idx, extra)
-                })
-                .collect()
-        })
-        .collect();
-
-    let combos: usize = options.iter().map(std::vec::Vec::len).product();
-    let (chosen_eqs, extra_reads) = if combos == 0 {
-        (Vec::new(), BTreeSet::new())
-    } else if combos <= 4096 {
-        // Exhaustive: enumerate the cartesian product.
-        let mut best: Option<(Vec<usize>, BTreeSet<Cell>)> = None;
-        let mut idx = vec![0usize; options.len()];
-        loop {
-            let mut union: BTreeSet<Cell> = BTreeSet::new();
-            let mut eqs = Vec::with_capacity(options.len());
-            for (k, &i) in idx.iter().enumerate() {
-                let (eq_idx, extra) = &options[k][i];
-                eqs.push(*eq_idx);
-                union.extend(extra.iter().copied());
-            }
-            if best.as_ref().map_or(true, |(_, b)| union.len() < b.len()) {
-                best = Some((eqs, union));
-            }
-            // Advance the mixed-radix counter.
-            let mut k = 0;
-            loop {
-                if k == idx.len() {
-                    break;
-                }
-                idx[k] += 1;
-                if idx[k] < options[k].len() {
-                    break;
-                }
-                idx[k] = 0;
-                k += 1;
-            }
-            if k == idx.len() {
-                break;
-            }
-        }
-        best.expect("at least one combination exists")
-    } else {
-        // Greedy: pick per element the equation overlapping best with what
-        // is already being read.
-        let mut union: BTreeSet<Cell> = BTreeSet::new();
-        let mut eqs = Vec::with_capacity(options.len());
-        for opts in &options {
-            let (eq_idx, extra) = opts
-                .iter()
-                .min_by_key(|(_, extra)| extra.difference(&union).count())
-                .expect("non-empty options");
-            union.extend(extra.iter().copied());
-            eqs.push(*eq_idx);
-        }
-        (eqs, union)
-    };
-
+        .partition(|c| c.col == failed_col);
+    let plan = optimal_recovery(
+        layout,
+        failed_col,
+        &lost.into_iter().collect(),
+        &surviving_requested.iter().copied().collect(),
+    );
     DegradedSegmentPlan {
         surviving_requested,
-        lost,
-        chosen_eqs,
-        extra_reads,
+        lost: plan.choices.iter().map(|&(cell, _)| cell).collect(),
+        chosen_eqs: plan.choices.iter().map(|&(_, eq)| eq).collect(),
+        extra_reads: plan.reads,
     }
 }
 
@@ -358,16 +270,8 @@ pub fn degraded_write_accesses(
     }
     for (s, l) in all_segs {
         let written: Vec<Cell> = (s..s + l).map(|i| layout.logical_to_cell(i)).collect();
-        let surviving_written: BTreeSet<Cell> = written
-            .iter()
-            .copied()
-            .filter(|c| c.col != failed_col)
-            .collect();
-        let lost_written: Vec<Cell> = written
-            .iter()
-            .copied()
-            .filter(|c| c.col == failed_col)
-            .collect();
+        let (lost_written, surviving_written): (BTreeSet<Cell>, BTreeSet<Cell>) =
+            written.iter().partition(|c| c.col == failed_col);
 
         // Surviving written elements: read old + write new.
         for &c in &surviving_written {
@@ -376,26 +280,9 @@ pub fn degraded_write_accesses(
 
         // Lost written elements: reconstruct old values. The surviving
         // written elements' old values are already read, so they are free
-        // sources; extra reconstruction reads are deduplicated via the same
-        // optimizer as degraded reads.
-        let mut extra: BTreeSet<Cell> = BTreeSet::new();
-        for &e in &lost_written {
-            let best = layout
-                .member_eqs(e)
-                .iter()
-                .map(|&eq_idx| {
-                    layout
-                        .equation(eq_idx)
-                        .cells()
-                        .filter(|&c| {
-                            c != e && !surviving_written.contains(&c) && !extra.contains(&c)
-                        })
-                        .collect::<Vec<Cell>>()
-                })
-                .min_by_key(std::vec::Vec::len)
-                .expect("every data cell has at least one equation");
-            extra.extend(best);
-        }
+        // sources; the extra reconstruction reads are the degraded-read
+        // search's.
+        let extra = optimal_recovery(layout, failed_col, &lost_written, &surviving_written).reads;
         for &c in &extra {
             acc.bump(c, 1);
         }
@@ -422,6 +309,9 @@ mod tests {
         assert_eq!(segments(10, 0, 10), (1, vec![]));
         assert_eq!(segments(10, 7, 25), (2, vec![(7, 3), (0, 2)]));
         assert_eq!(segments(10, 13, 4), (0, vec![(3, 4)]));
+        // Cut where the stripes end, not a remainder at `start` plus passes.
+        assert_eq!(segments(10, 3, 12), (0, vec![(3, 7), (0, 5)]));
+        assert_eq!(segments(10, 3, 27), (2, vec![(3, 7)]));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
 //! # dcode-recovery
 //!
-//! Single-disk failure recovery optimization (Section III-D's last claim).
+//! Minimum-read single-failure recovery (Section III-D's last claim), and
+//! the one place the workspace chooses, per lost element, which parity
+//! equation to solve.
 //!
 //! Rebuilding a failed disk conventionally recovers every lost data element
 //! through one fixed parity family, reading that equation's surviving
@@ -11,49 +13,60 @@
 //! reads by about 25% for X-Code. The D-Code paper claims the same saving
 //! carries over to D-Code by Theorem 1. This crate implements both the
 //! conventional scheme and an exact minimum-read hybrid optimizer (exhaustive
-//! over the 2^(n−2) family assignments, with a greedy + local-search
-//! fallback for large stripes) and measures the saving for every code.
+//! over the family assignments, with a greedy + local-search fallback for
+//! large stripes) and measures the saving for every code.
 //!
-//! The optimizer's choice is executable, not only countable:
+//! The optimizer answers every single-failure reader's question:
+//! [`optimal_recovery`] reconstructs some cells of one failed column when
+//! the caller already holds some survivors — a degraded read holds the
+//! surviving elements it asked for, so equations through them cost less.
+//! [`optimal_rebuild`] is the whole column with nothing in hand.
+//! `dcode-array` replays the choice (through the codec's schedule cache)
+//! for every degraded read, degraded-write fetch, scrub and rebuild under
+//! one erased column; `dcode-iosim` and `dcode-analyze` count it.
+//!
+//! The choice is executable, not only countable:
 //! [`RebuildPlan::recovery_plan`] turns it into the ordered XOR steps the
-//! schedule compiler lowers, which is what `dcode-array` replays to rebuild
-//! a failed disk. An equation that holds a second cell of the failed
-//! column (EVENODD's diagonals all hold its S-diagonal cell) may be chosen
-//! once that cell is rebuilt; choices that wait on each other in a circle
-//! are not plans and the searches skip them.
+//! schedule compiler lowers. An equation that holds a second cell of the
+//! failed column (EVENODD's diagonals all hold its S-diagonal cell) may be
+//! chosen only when that cell is a target too, and once it is rebuilt;
+//! choices that wait on each other in a circle are not plans and the
+//! searches skip them.
 
 use dcode_core::decoder::{RecoveryPlan, RecoveryStep};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
 use std::collections::BTreeSet;
 
-/// One recovery option for a lost cell.
+/// One recovery option for a target cell.
 struct EqOption {
-    /// The equation solved for the lost cell.
+    /// The equation solved for the target.
     eq: usize,
-    /// The surviving cells it reads.
+    /// The surviving cells it reads that the caller does not hold yet.
     reads: BTreeSet<Cell>,
     /// `reads` as a bitmask over grid indices — what the searches union.
     mask: Vec<u64>,
-    /// Rows of the *other* lost cells the equation holds (EVENODD's
-    /// diagonals, through the S-diagonal): they must be rebuilt first.
+    /// The other failed-column cells the equation holds (EVENODD's
+    /// diagonals, through the S-diagonal), as a mask over target indices:
+    /// they must be rebuilt first.
     needs: u64,
 }
-/// All recovery options for every lost cell of a failed column.
-type ColumnOptions = Vec<(Cell, Vec<EqOption>)>;
+/// All recovery options for every target, in ascending cell order.
+type TargetOptions = Vec<(Cell, Vec<EqOption>)>;
 
-/// The read set of one whole-disk rebuild.
+/// The read set of one single-failure recovery.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RebuildPlan {
     /// The failed disk.
     pub failed_col: usize,
-    /// Chosen equation per lost cell (parity cells always use their own
-    /// stored equation), in an order that rebuilds every lost cell before
-    /// an equation that holds it is used — row order unless a choice
-    /// forces otherwise.
+    /// Chosen equation per target (parity cells always use their own
+    /// stored equation), in an order that rebuilds every target before an
+    /// equation that holds it is used — ascending cell order unless a
+    /// choice forces otherwise.
     pub choices: Vec<(Cell, usize)>,
-    /// Surviving cells read from disk, deduplicated (a recovery engine with
-    /// a shared stripe buffer reads each element once).
+    /// Surviving cells read from disk beyond those the caller already
+    /// held, deduplicated (a recovery engine with a shared stripe buffer
+    /// reads each element once).
     pub reads: BTreeSet<Cell>,
     /// Total reads when every chosen equation streams its members
     /// independently, with no shared cache — the *conventional* scheme's
@@ -67,7 +80,7 @@ impl RebuildPlan {
         self.reads.len()
     }
 
-    /// The rebuild as ordered `target := XOR(sources)` steps, the form the
+    /// The recovery as ordered `target := XOR(sources)` steps, the form the
     /// schedule compiler lowers: one per choice, in the choices' order, so
     /// a source in the failed column is the target of an earlier step.
     pub fn recovery_plan(&self, layout: &CodeLayout) -> RecoveryPlan {
@@ -84,56 +97,71 @@ impl RebuildPlan {
                     .collect(),
             })
             .collect();
-        RecoveryPlan {
-            erased: layout.grid().column(self.failed_col).collect(),
-            steps,
-        }
+        let mut erased: Vec<Cell> = self.choices.iter().map(|&(cell, _)| cell).collect();
+        erased.sort_unstable();
+        RecoveryPlan { erased, steps }
     }
 }
 
-/// Candidate equations and their read sets for each lost cell of a column.
-fn column_options(layout: &CodeLayout, failed_col: usize) -> ColumnOptions {
+/// Candidate equations for each target, a cell of `failed_col`, and what
+/// each reads beyond `loaded`. An equation holding a failed-column cell
+/// that is not a target is no candidate.
+fn target_options(
+    layout: &CodeLayout,
+    failed_col: usize,
+    targets: &BTreeSet<Cell>,
+    loaded: &BTreeSet<Cell>,
+) -> TargetOptions {
     let grid = layout.grid();
     let words = grid.len().div_ceil(64);
-    assert!(grid.rows <= 64, "lost-cell masks are one word");
-    grid.column(failed_col)
-        .map(|cell| {
+    assert!(targets.len() <= 64, "target masks are one word");
+    let ordered: Vec<Cell> = targets.iter().copied().collect();
+    ordered
+        .iter()
+        .map(|&cell| {
+            debug_assert_eq!(cell.col, failed_col, "targets lie in the failed column");
             let eqs: Vec<usize> = match layout.storing_eq(cell) {
                 // A lost parity is recomputed from its own equation.
                 Some(eq) => vec![eq],
                 None => layout.member_eqs(cell).to_vec(),
             };
-            assert!(!eqs.is_empty(), "cell {cell} has no recovery equation");
-            let options = eqs
-                .into_iter()
-                .map(|eq| {
-                    let (lost, reads): (Vec<Cell>, Vec<Cell>) = layout
-                        .equation(eq)
-                        .cells()
-                        .filter(|&c| c != cell)
-                        .partition(|c| c.col == failed_col);
-                    let mut mask = vec![0u64; words];
-                    for &c in &reads {
-                        mask[grid.index(c) / 64] |= 1 << (grid.index(c) % 64);
+            let option = |eq: usize| {
+                let mut option = EqOption {
+                    eq,
+                    reads: BTreeSet::new(),
+                    mask: vec![0u64; words],
+                    needs: 0,
+                };
+                for c in layout.equation(eq).cells().filter(|&c| c != cell) {
+                    if c.col == failed_col {
+                        option.needs |= 1 << ordered.binary_search(&c).ok()?;
+                    } else if !loaded.contains(&c) {
+                        option.mask[grid.index(c) / 64] |= 1 << (grid.index(c) % 64);
+                        option.reads.insert(c);
                     }
-                    EqOption {
-                        eq,
-                        reads: reads.into_iter().collect(),
-                        mask,
-                        needs: lost.iter().fold(0, |needs, c| needs | 1 << c.row),
-                    }
-                })
-                .collect();
+                }
+                Some(option)
+            };
+            let options: Vec<EqOption> = eqs.into_iter().filter_map(option).collect();
+            assert!(
+                !options.is_empty(),
+                "cell {cell} has no recovery equation within the targets"
+            );
             (cell, options)
         })
         .collect()
 }
 
-/// An order of the lost cells (as indices into `options`, which are
-/// their rows) in which each one's picked equation holds no lost cell
-/// that is not yet rebuilt — lowest row first among the ready ones.
-/// `None` when the picks wait on each other in a circle.
-fn rebuild_order(options: &ColumnOptions, pick: &[usize]) -> Option<Vec<usize>> {
+/// The failed column's cells, every one a target.
+fn whole_column(layout: &CodeLayout, col: usize) -> BTreeSet<Cell> {
+    layout.grid().column(col).collect()
+}
+
+/// An order of the targets (as indices into `options`) in which each
+/// one's picked equation holds no failed-column cell that is not yet
+/// rebuilt — lowest index first among the ready ones. `None` when the
+/// picks wait on each other in a circle.
+fn rebuild_order(options: &TargetOptions, pick: &[usize]) -> Option<Vec<usize>> {
     let mut rebuilt = 0u64;
     let mut order = Vec::with_capacity(pick.len());
     while order.len() < pick.len() {
@@ -145,7 +173,7 @@ fn rebuild_order(options: &ColumnOptions, pick: &[usize]) -> Option<Vec<usize>> 
     Some(order)
 }
 
-fn assemble(failed_col: usize, options: &ColumnOptions, pick: &[usize]) -> RebuildPlan {
+fn assemble(failed_col: usize, options: &TargetOptions, pick: &[usize]) -> RebuildPlan {
     let mut reads = BTreeSet::new();
     let mut choices = Vec::with_capacity(options.len());
     let mut with_multiplicity = 0;
@@ -165,14 +193,14 @@ fn assemble(failed_col: usize, options: &ColumnOptions, pick: &[usize]) -> Rebui
 }
 
 /// Words in every option's read mask.
-fn mask_words(options: &ColumnOptions) -> usize {
+fn mask_words(options: &TargetOptions) -> usize {
     options.first().map_or(0, |(_, o)| o[0].mask.len())
 }
 
-/// Distinct cells read when lost cell `k` uses option `pick[k]`: the
+/// Distinct cells read when target `k` uses option `pick[k]`: the
 /// popcount of the options' OR, accumulated in `acc` (reused by callers
 /// so the search loops allocate nothing).
-fn union_count(options: &ColumnOptions, pick: &[usize], acc: &mut [u64]) -> usize {
+fn union_count(options: &TargetOptions, pick: &[usize], acc: &mut [u64]) -> usize {
     acc.fill(0);
     for ((_, opts), &i) in options.iter().zip(pick) {
         for (a, m) in acc.iter_mut().zip(&opts[i].mask) {
@@ -187,17 +215,43 @@ fn union_count(options: &ColumnOptions, pick: &[usize], acc: &mut [u64]) -> usiz
 /// or the diagonal family for X-Code, matching the conventional schemes in
 /// the literature).
 pub fn conventional_rebuild(layout: &CodeLayout, failed_col: usize) -> RebuildPlan {
-    let options = column_options(layout, failed_col);
+    let options = target_options(
+        layout,
+        failed_col,
+        &whole_column(layout, failed_col),
+        &BTreeSet::new(),
+    );
     assemble(failed_col, &options, &vec![0; options.len()])
 }
 
-/// Exact minimum-read hybrid rebuild.
-///
-/// Exhaustive over all family assignments when the product of choice counts
-/// is at most `2^20`; otherwise greedy seeding plus 1-flip local search
-/// (which is already optimal in practice for these codes' structure).
+/// Exact minimum-read hybrid rebuild of the whole of `failed_col`, with
+/// nothing read yet: [`optimal_recovery`] of every cell of the column.
 pub fn optimal_rebuild(layout: &CodeLayout, failed_col: usize) -> RebuildPlan {
-    let options = column_options(layout, failed_col);
+    optimal_recovery(
+        layout,
+        failed_col,
+        &whole_column(layout, failed_col),
+        &BTreeSet::new(),
+    )
+}
+
+/// The fewest further reads that reconstruct `targets` — cells of the one
+/// failed column `failed_col` — when the survivors in `loaded` are already
+/// in hand (cells of `loaded` in the failed column count as lost). The
+/// plan's `reads` are the survivors it reads beyond `loaded`.
+///
+/// Exhaustive over all equation assignments when the product of choice
+/// counts is at most `2^20`, taking the first minimum in mixed-radix order
+/// (the first target's choice varying fastest); otherwise greedy seeding
+/// plus 1-flip local search (which is already optimal in practice for
+/// these codes' structure).
+pub fn optimal_recovery(
+    layout: &CodeLayout,
+    failed_col: usize,
+    targets: &BTreeSet<Cell>,
+    loaded: &BTreeSet<Cell>,
+) -> RebuildPlan {
+    let options = target_options(layout, failed_col, targets, loaded);
     let combos: f64 = options.iter().map(|(_, o)| o.len() as f64).product();
     let pick = if combos <= (1 << 20) as f64 {
         exhaustive_pick(&options)
@@ -208,10 +262,10 @@ pub fn optimal_rebuild(layout: &CodeLayout, failed_col: usize) -> RebuildPlan {
 }
 
 /// The first rebuildable assignment, in mixed-radix order, with the fewest
-/// reads. `suffix[k]` holds the OR of the picked masks of cells `k..`, so
-/// a step of the enumeration redoes only the digits it changed — two ORs
-/// on average instead of one per cell.
-fn exhaustive_pick(options: &ColumnOptions) -> Vec<usize> {
+/// reads. `suffix[k]` holds the OR of the picked masks of targets `k..`,
+/// so a step of the enumeration redoes only the digits it changed — two
+/// ORs on average instead of one per target.
+fn exhaustive_pick(options: &TargetOptions) -> Vec<usize> {
     let n = options.len();
     let mut suffix = vec![vec![0u64; mask_words(options)]; n + 1];
     let mut idx = vec![0usize; n];
@@ -248,10 +302,10 @@ fn exhaustive_pick(options: &ColumnOptions) -> Vec<usize> {
     }
 }
 
-/// Greedy: process cells in order, picking the option that adds the fewest
-/// cells to the accumulated read set among those holding no other lost
-/// cell; then 1-flip local search over every option.
-fn local_search_pick(options: &ColumnOptions) -> Vec<usize> {
+/// Greedy: process targets in order, picking the option that adds the
+/// fewest cells to the accumulated read set among those holding no other
+/// lost cell; then 1-flip local search over every option.
+fn local_search_pick(options: &TargetOptions) -> Vec<usize> {
     let mut acc = vec![0u64; mask_words(options)];
     let mut pick = vec![0usize; options.len()];
     for (k, (_, opts)) in options.iter().enumerate() {
@@ -436,9 +490,37 @@ mod tests {
         assert!(s.reduction_pct() > 0.0);
     }
 
+    /// Every cell of `col` a target, nothing loaded: the rebuild's options.
+    fn column_options(layout: &CodeLayout, col: usize) -> TargetOptions {
+        target_options(layout, col, &whole_column(layout, col), &BTreeSet::new())
+    }
+
+    /// Some partial target sets of `col`, each with the survivors a
+    /// row-major read of the targets' rows would hold.
+    fn partial_cases(layout: &CodeLayout, col: usize) -> Vec<(BTreeSet<Cell>, BTreeSet<Cell>)> {
+        let rows = layout.rows();
+        let subsets = [
+            (0..rows).filter(|r| r % 2 == 0).collect::<Vec<_>>(),
+            (0..rows.div_ceil(2)).collect(),
+            vec![rows - 1],
+        ];
+        subsets
+            .into_iter()
+            .map(|rows| {
+                let targets = rows.iter().map(|&r| Cell::new(r, col)).collect();
+                let loaded = layout
+                    .grid()
+                    .cells()
+                    .filter(|c| c.col != col && rows.contains(&c.row))
+                    .collect();
+                (targets, loaded)
+            })
+            .collect()
+    }
+
     /// The enumeration as it ran before the bitset unions: one `BTreeSet`
     /// union per assignment, first minimum in mixed-radix order.
-    fn exhaustive_pick_by_sets(options: &ColumnOptions) -> Vec<usize> {
+    fn exhaustive_pick_by_sets(options: &TargetOptions) -> Vec<usize> {
         let mut idx = vec![0usize; options.len()];
         let mut best = (usize::MAX, idx.clone());
         loop {
@@ -472,6 +554,17 @@ mod tests {
                     let by_sets = assemble(col, &options, &exhaustive_pick_by_sets(&options));
                     let plan = optimal_rebuild(&layout, col);
                     assert_eq!(plan, by_sets, "{} p={p} col {col}", layout.name());
+                    for (targets, loaded) in partial_cases(&layout, col) {
+                        let options = target_options(&layout, col, &targets, &loaded);
+                        let by_sets = assemble(col, &options, &exhaustive_pick_by_sets(&options));
+                        let plan = optimal_recovery(&layout, col, &targets, &loaded);
+                        assert_eq!(
+                            plan,
+                            by_sets,
+                            "{} p={p} col {col} {targets:?}",
+                            layout.name()
+                        );
+                    }
                 }
             }
         }
@@ -546,6 +639,56 @@ mod tests {
         }
         // EVENODD's diagonals hold the column's S-diagonal cell as well.
         assert!(chained > 0);
+    }
+
+    #[test]
+    fn partial_recoveries_chain_only_through_their_own_targets() {
+        // A target whose equations all hold an unwanted failed-column cell
+        // would have to read the failed disk; no plan may do that, and
+        // every step's failed-column source is an earlier target.
+        use dcode_baselines::registry::all_codes;
+        for p in [5usize, 7] {
+            for layout in all_codes(p) {
+                for col in 0..layout.disks() {
+                    for (targets, loaded) in partial_cases(&layout, col) {
+                        let what = format!("{} p={p} col {col} {targets:?}", layout.name());
+                        let recovery = optimal_recovery(&layout, col, &targets, &loaded);
+                        let plan = recovery.recovery_plan(&layout);
+                        assert!(plan.erased.iter().eq(&targets), "{what}");
+                        let mut rebuilt = BTreeSet::new();
+                        for step in &plan.steps {
+                            for source in step.sources.iter().filter(|c| c.col == col) {
+                                assert!(rebuilt.contains(source), "{what}: {source}");
+                            }
+                            rebuilt.insert(step.target);
+                        }
+                        let beyond: BTreeSet<Cell> = plan
+                            .surviving_reads()
+                            .difference(&loaded)
+                            .copied()
+                            .collect();
+                        assert_eq!(recovery.reads, beyond, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loaded_survivors_cost_nothing() {
+        // D-Code n = 7, logical 10..15 with disk 3 failed: the five
+        // requested elements share horizontal parity P(5,1), so the lost
+        // D(1,3) costs that one parity read beside the four in hand.
+        let l = dcode(7).unwrap();
+        let requested: Vec<Cell> = (10..15).map(|i| l.logical_to_cell(i)).collect();
+        let (lost, loaded): (BTreeSet<Cell>, BTreeSet<Cell>) =
+            requested.iter().partition(|c| c.col == 3);
+        assert_eq!(lost, BTreeSet::from([Cell::new(1, 3)]));
+        let plan = optimal_recovery(&l, 3, &lost, &loaded);
+        assert_eq!(plan.reads, BTreeSet::from([Cell::new(5, 1)]));
+        // Nothing in hand: the same cell costs a whole equation.
+        let cold = optimal_recovery(&l, 3, &lost, &BTreeSet::new());
+        assert_eq!(cold.read_count(), 7 - 2);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Symbolic proofs for the schedule cache: the programs the cache hands
-//! out are GF(2)-equivalent to the generator matrices, and steady-state
-//! fetches are pointer-identical (no recompilation) — so the hot path's
-//! correctness rests on exactly one verified compile per key.
+//! out — the minimum-read subprograms it plans under one erased column
+//! included — are GF(2)-equivalent to the generator matrices, and
+//! steady-state fetches are pointer-identical (no recompilation) — so the
+//! hot path's correctness rests on exactly one verified compile per key.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -65,7 +66,7 @@ fn cached_subprograms_prove_equivalent_and_stable() {
         let missing: BTreeSet<Cell> = grid.column(0).collect();
         let erased: BTreeSet<Cell> = cols.iter().flat_map(|&c| grid.column(c)).collect();
         let compiled = cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+            .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
             .unwrap();
         let diags = verify_subprogram(&layout, &compiled.program, &erased, &missing);
         assert!(diags.is_empty(), "{} p=7: {diags:#?}", id.name());
@@ -75,12 +76,60 @@ fn cached_subprograms_prove_equivalent_and_stable() {
             id.name()
         );
         let again = cache
-            .recovery_subprogram(&layout, cols.iter().copied(), &missing)
+            .recovery_subprogram(&layout, cols.iter().copied(), &missing, &BTreeSet::new())
             .unwrap();
         assert!(
             Arc::ptr_eq(&compiled.program, &again.program),
             "{} subprogram recompiled",
             id.name()
         );
+    }
+}
+
+#[test]
+fn cached_minimum_read_subprograms_prove_equivalent_and_stable() {
+    // Under one erased column the cache compiles the minimum-read search's
+    // choice for the wanted cells, given the survivors already read: the
+    // whole column with nothing read (a rebuild), each single cell with
+    // nothing read, and every run of rows from the top with the survivors
+    // of those rows read (a row-major degraded read). Each must restore
+    // exactly the wanted cells and leave every survivor untouched.
+    for p in [5usize, 7] {
+        for &id in &ALL_CODES {
+            let layout = build(id, p).unwrap();
+            let grid = layout.grid();
+            let cache = ScheduleCache::new();
+            for col in 0..grid.cols {
+                let column: BTreeSet<Cell> = grid.column(col).collect();
+                let mut cases = vec![(column.clone(), BTreeSet::new())];
+                for &cell in &column {
+                    cases.push((BTreeSet::from([cell]), BTreeSet::new()));
+                    let rows = |c: &Cell| c.row <= cell.row;
+                    let loaded = grid.cells().filter(|c| c.col != col && rows(c)).collect();
+                    cases.push((column.iter().copied().filter(rows).collect(), loaded));
+                }
+                for (wanted, loaded) in &cases {
+                    let what = format!("{} p={p} col {col} wanted {wanted:?}", id.name());
+                    let cols = [col].into_iter();
+                    let compiled = cache
+                        .recovery_subprogram(&layout, cols.clone(), wanted, loaded)
+                        .unwrap();
+                    let diags = verify_subprogram(&layout, &compiled.program, &column, wanted);
+                    assert!(diags.is_empty(), "{what}: {diags:#?}");
+                    assert!(compiled.certificate.holds(), "{what}: certificate");
+                    assert!(
+                        compiled.reads.iter().all(|c| c.col != col),
+                        "{what} reads the failed disk"
+                    );
+                    let again = cache
+                        .recovery_subprogram(&layout, cols, wanted, loaded)
+                        .unwrap();
+                    assert!(
+                        Arc::ptr_eq(&compiled.program, &again.program),
+                        "{what} recompiled"
+                    );
+                }
+            }
+        }
     }
 }

@@ -2,10 +2,16 @@
 //! with what the byte engine actually does — the property that makes
 //! Figures 4–5 trustworthy.
 
+use dcode::array::{ResilientArray, RetryPolicy, RotationScheme};
 use dcode::baselines::registry::{build, ALL_CODES};
 use dcode::codec::{apply_plan, encode, write_logical, Stripe};
 use dcode::core::decoder::plan_recovery;
-use dcode::iosim::access::{plan_degraded_segment, write_accesses};
+use dcode::core::layout::CodeLayout;
+use dcode::faults::{CountingBackend, MemBackend};
+use dcode::iosim::access::{
+    degraded_read_accesses, degraded_write_accesses, double_degraded_read_accesses,
+    normal_read_accesses, plan_degraded_segment, write_accesses,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -74,7 +80,7 @@ fn degraded_read_plans_actually_serve_the_read() {
             available.extend(seg.extra_reads.iter().copied());
 
             // Check sufficiency: each lost cell's chosen equation reads only
-            // available cells.
+            // available cells, lost cells rebuilt before it included.
             for (lost, &eq_idx) in seg.lost.iter().zip(&seg.chosen_eqs) {
                 let eq = layout.equation(eq_idx);
                 for cell in eq.cells() {
@@ -86,6 +92,7 @@ fn degraded_read_plans_actually_serve_the_read() {
                         );
                     }
                 }
+                available.insert(*lost);
             }
 
             // And byte-level: rebuild those cells and compare.
@@ -105,13 +112,108 @@ fn degraded_read_plans_actually_serve_the_read() {
 
 #[test]
 fn degraded_extra_reads_never_touch_the_failed_disk() {
-    for &id in &ALL_CODES {
-        let layout = build(id, 11).unwrap();
-        for failed in 0..layout.disks() {
-            for start in [0usize, 7, 20] {
-                let seg = plan_degraded_segment(&layout, start, 9, failed);
-                assert!(seg.extra_reads.iter().all(|c| c.col != failed));
-                assert!(seg.surviving_requested.iter().all(|c| c.col != failed));
+    // EVENODD's diagonals all hold the S-diagonal cell of a column: a plan
+    // may solve one only when that cell is rebuilt first, never read it.
+    for p in [5usize, 7] {
+        for &id in &ALL_CODES {
+            let layout = build(id, p).unwrap();
+            let data_len = layout.data_len();
+            for failed in 0..layout.disks() {
+                for start in 0..data_len {
+                    for len in 1..=20 {
+                        let what = format!("{} p={p} failed={failed} {start}+{len}", id.name());
+                        let read = degraded_read_accesses(&layout, start, len, failed);
+                        assert_eq!(read.per_disk[failed], 0, "{what}");
+                        let write = degraded_write_accesses(&layout, start, len, failed);
+                        assert_eq!(write.per_disk[failed], 0, "{what}");
+                        if start + len <= data_len {
+                            let seg = plan_degraded_segment(&layout, start, len, failed);
+                            assert!(seg.extra_reads.iter().all(|c| c.col != failed), "{what}");
+                            assert!(seg.surviving_requested.iter().all(|c| c.col != failed));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Per-disk block reads `ResilientArray::read` issues for each request, on
+/// an unrotated array (slot = disk = column) of 8-byte blocks with the
+/// `failed` disks down and no spare, long enough for the longest request.
+fn engine_reads(
+    layout: &CodeLayout,
+    failed: &[usize],
+    requests: &[(usize, usize)],
+) -> Vec<Vec<u64>> {
+    const BLOCK: usize = 8;
+    let longest = requests.iter().map(|&(s, l)| s + l).max().unwrap_or(0);
+    let stripes = longest.div_ceil(layout.data_len());
+    let backend = CountingBackend::new(MemBackend::new(
+        layout.disks(),
+        stripes * layout.rows(),
+        BLOCK,
+    ));
+    let mut array = ResilientArray::format(
+        layout.clone(),
+        BLOCK,
+        stripes,
+        RotationScheme::None,
+        backend,
+        RetryPolicy::default(),
+        1,
+    );
+    let fill: Vec<u8> = (0..array.capacity_bytes())
+        .map(|i| (i * 7 + 3) as u8)
+        .collect();
+    array.write(0, &fill).unwrap();
+    for &disk in failed {
+        array.fail_disk(disk).unwrap();
+    }
+    requests
+        .iter()
+        .map(|&(start, len)| {
+            array.backend_mut().reset();
+            let bytes = array.read(start, len).unwrap();
+            assert_eq!(bytes, fill[start * BLOCK..(start + len) * BLOCK]);
+            array.backend_mut().counts().reads.clone()
+        })
+        .collect()
+}
+
+/// The paper's `<S, L, T>` read workload through the real engine: every
+/// registry code at p ∈ {5, 7}, every start, lengths up to 20 (past a
+/// stripe at p = 5), healthy, under every single failure and every failure
+/// pair. Per disk, the blocks `ResilientArray::read` fetches are the ones
+/// iosim counts.
+#[test]
+fn array_reads_equal_the_read_model() {
+    for p in [5usize, 7] {
+        for &id in &ALL_CODES {
+            let layout = build(id, p).unwrap();
+            let disks = layout.disks();
+            let requests: Vec<(usize, usize)> = (0..layout.data_len())
+                .flat_map(|start| [1usize, 2, 3, 5, 8, 13, 20].map(|len| (start, len)))
+                .collect();
+            let mut cases = vec![vec![]];
+            cases.extend((0..disks).map(|f| vec![f]));
+            cases.extend((0..disks).flat_map(|a| (a + 1..disks).map(move |b| vec![a, b])));
+            for failed in cases {
+                let measured = engine_reads(&layout, &failed, &requests);
+                for (&(start, len), reads) in requests.iter().zip(measured) {
+                    let model = match failed[..] {
+                        [] => normal_read_accesses(&layout, start, len),
+                        [f] => degraded_read_accesses(&layout, start, len, f),
+                        [a, b] => double_degraded_read_accesses(&layout, start, len, [a, b]),
+                        _ => unreachable!("at most two failures"),
+                    };
+                    assert_eq!(
+                        reads,
+                        model.per_disk,
+                        "{} p={p} failed {failed:?} start {start} len {len}",
+                        id.name()
+                    );
+                }
             }
         }
     }
