@@ -1,6 +1,6 @@
 //! Constraint search pinning the H-Code / HDP reconstructions (DESIGN.md §5).
 //!
-//! For each candidate rule this scans the exhaustive double-failure checker
+//! For each candidate rule this runs the exhaustive MDS checker
 //! over p ∈ {5, 7, 11, 13, 17} and reports which candidates yield a true
 //! RAID-6 MDS code. The winners are hard-coded as `PINNED_MAP` /
 //! `PINNED_VARIANT` in the library, and the library's tests re-verify them;
@@ -9,7 +9,7 @@
 
 use dcode_baselines::hcode::{hcode_with_map, DiagonalMap};
 use dcode_baselines::hdp::{hdp_with_variant, Coupling, HdpVariant};
-use dcode_core::mds::verify_double_fault_tolerance;
+use dcode_core::mds::verify_mds;
 use dcode_core::metrics::update_complexity;
 
 const PRIMES: [usize; 5] = [5, 7, 11, 13, 17];
@@ -28,7 +28,7 @@ fn main() {
                     break;
                 }
             };
-            match verify_double_fault_tolerance(&layout) {
+            match verify_mds(&layout) {
                 Ok(()) => per_prime.push((p, true)),
                 Err(_) => {
                     per_prime.push((p, false));
@@ -55,7 +55,7 @@ fn main() {
             for a in 1..p {
                 let v = HdpVariant { coupling, a };
                 if let Ok(layout) = hdp_with_variant(p, v) {
-                    if verify_double_fault_tolerance(&layout).is_ok() {
+                    if verify_mds(&layout).is_ok() {
                         passing.push(a);
                     }
                 }

@@ -93,15 +93,14 @@ pub fn shortened_evenodd(disks: usize) -> Result<CodeLayout, ConstructError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcode_core::mds::{verify_double_fault_tolerance, verify_single_fault_tolerance};
+    use dcode_core::mds::verify_mds;
 
     #[test]
     fn shortened_rdp_is_two_fault_tolerant_at_every_size() {
         for disks in 4..=16 {
             let l = shortened_rdp(disks).unwrap();
             assert_eq!(l.disks(), disks);
-            verify_single_fault_tolerance(&l).unwrap_or_else(|v| panic!("disks={disks}: {v}"));
-            verify_double_fault_tolerance(&l).unwrap_or_else(|v| panic!("disks={disks}: {v}"));
+            verify_mds(&l).unwrap_or_else(|v| panic!("disks={disks}: {v}"));
         }
     }
 
@@ -110,7 +109,7 @@ mod tests {
         for disks in 4..=16 {
             let l = shortened_evenodd(disks).unwrap();
             assert_eq!(l.disks(), disks);
-            verify_double_fault_tolerance(&l).unwrap_or_else(|v| panic!("disks={disks}: {v}"));
+            verify_mds(&l).unwrap_or_else(|v| panic!("disks={disks}: {v}"));
         }
     }
 

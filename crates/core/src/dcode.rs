@@ -19,7 +19,8 @@
 //! the strongest evidence available that this crate implements the paper's
 //! code exactly, and Theorem 1 + the X-Code MDS property give the
 //! fault-tolerance proof, which [`crate::mds::verify_mds`] re-checks
-//! exhaustively.
+//! exhaustively: every single and every pair of lost columns leaves a
+//! full-rank GF(2) system.
 
 use crate::equation::EquationKind;
 use crate::grid::Cell;

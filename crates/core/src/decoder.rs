@@ -7,7 +7,8 @@
 //! D-Code paper's Figure 3 walks two such chains). EVENODD additionally
 //! needs linear *combinations* of equations (its classic `S`-syndrome
 //! trick), so when peeling stalls the planner falls back to Gauss-Jordan
-//! elimination over GF(2).
+//! elimination over GF(2). That elimination is also what [`crate::mds`]
+//! runs to decide recoverability by rank.
 //!
 //! Either way the planner emits an ordered [`RecoveryPlan`] whose steps are
 //! self-contained `target := XOR(sources)` operations; the byte-level codec
@@ -206,52 +207,10 @@ pub fn plan_recovery(
 
     // --- Phase 2: Gauss-Jordan over the stalled unknowns ------------------
     let stalled: Vec<Cell> = grid.cells().filter(|&c| unknown[grid.index(c)]).collect();
-    let col_of = |cell: Cell| stalled.iter().position(|&s| s == cell);
-
-    // One row per equation that still has unknowns: (unknown bitmask,
-    // combined equation set as a bitmask over equation indices).
-    let words = stalled.len().div_ceil(64);
-    let eq_words = n_eq.div_ceil(64);
-    let mut rows: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
-    for (i, eq) in layout.equations().iter().enumerate() {
-        let mut mask = vec![0u64; words];
-        let mut any = false;
-        for c in eq.cells() {
-            if let Some(j) = col_of(c) {
-                mask[j / 64] ^= 1 << (j % 64);
-                any = true;
-            }
-        }
-        if any {
-            let mut eqmask = vec![0u64; eq_words];
-            eqmask[i / 64] |= 1 << (i % 64);
-            rows.push((mask, eqmask));
-        }
-    }
-
-    // Gauss-Jordan to reduced row-echelon form.
-    let mut pivot_row_of_col: Vec<Option<usize>> = vec![None; stalled.len()];
-    let mut r = 0usize;
-    #[allow(clippy::needless_range_loop)] // pivot sweep indexes rows and columns together
-    for c in 0..stalled.len() {
-        let Some(pivot) = (r..rows.len()).find(|&k| rows[k].0[c / 64] >> (c % 64) & 1 == 1) else {
-            continue;
-        };
-        rows.swap(r, pivot);
-        for k in 0..rows.len() {
-            if k != r && rows[k].0[c / 64] >> (c % 64) & 1 == 1 {
-                let (mask_r, eq_r) = rows[r].clone();
-                for (dst, src) in rows[k].0.iter_mut().zip(&mask_r) {
-                    *dst ^= src;
-                }
-                for (dst, src) in rows[k].1.iter_mut().zip(&eq_r) {
-                    *dst ^= src;
-                }
-            }
-        }
-        pivot_row_of_col[c] = Some(r);
-        r += 1;
-    }
+    let Reduced {
+        rows,
+        pivot_row_of_col,
+    } = gauss_jordan(layout, &stalled);
 
     // An unknown is uniquely determined iff it has a pivot row containing
     // no other (free) unknowns. With free variables present, some pivot rows
@@ -292,7 +251,7 @@ pub fn plan_recovery(
             .map(|(cell, _)| cell)
             .collect();
         debug_assert!(
-            sources.iter().all(|s| !stalled.contains(s)),
+            sources.iter().all(|&s| !unknown[grid.index(s)]),
             "Gaussian step for {target} references an unsolved unknown"
         );
         steps.push(RecoveryStep {
@@ -306,6 +265,75 @@ pub fn plan_recovery(
         erased: erased.iter().copied().collect(),
         steps,
     })
+}
+
+/// A GF(2) system in reduced row-echelon form: one row per equation that
+/// touches an unknown, each a word-packed `(unknown mask, equation mask)`
+/// pair — the unknowns the row still holds and the equations XORed into it.
+pub(crate) struct Reduced {
+    pub(crate) rows: Vec<(Vec<u64>, Vec<u64>)>,
+    /// The row holding each unknown's pivot, if it has one.
+    pub(crate) pivot_row_of_col: Vec<Option<usize>>,
+}
+
+/// Gauss-Jordan elimination over GF(2) of the layout's equations restricted
+/// to `unknowns` (bit `j` of an unknown mask is `unknowns[j]`). Column by
+/// column, the pivot is the first not-yet-pivoted row holding it. The
+/// rank is the number of pivots.
+pub(crate) fn gauss_jordan(layout: &CodeLayout, unknowns: &[Cell]) -> Reduced {
+    let grid = layout.grid();
+    let mut col_of = vec![usize::MAX; grid.len()];
+    for (j, &cell) in unknowns.iter().enumerate() {
+        col_of[grid.index(cell)] = j;
+    }
+    let words = unknowns.len().div_ceil(64);
+    let eq_words = layout.equations().len().div_ceil(64);
+    let mut rows: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
+    for (i, eq) in layout.equations().iter().enumerate() {
+        // XOR (not OR) so a cell appearing twice in one equation cancels,
+        // matching the byte-level semantics.
+        let mut mask = vec![0u64; words];
+        let mut any = false;
+        for cell in eq.cells() {
+            let j = col_of[grid.index(cell)];
+            if j != usize::MAX {
+                mask[j / 64] ^= 1 << (j % 64);
+                any = true;
+            }
+        }
+        if any {
+            let mut eqmask = vec![0u64; eq_words];
+            eqmask[i / 64] |= 1 << (i % 64);
+            rows.push((mask, eqmask));
+        }
+    }
+
+    let mut pivot_row_of_col = vec![None; unknowns.len()];
+    let mut r = 0usize;
+    for (c, pivot_row) in pivot_row_of_col.iter_mut().enumerate() {
+        let holds = |row: &(Vec<u64>, Vec<u64>)| row.0[c / 64] >> (c % 64) & 1 == 1;
+        let Some(pivot) = (r..rows.len()).find(|&k| holds(&rows[k])) else {
+            continue;
+        };
+        rows.swap(r, pivot);
+        let (mask_r, eq_r) = rows[r].clone();
+        for (k, row) in rows.iter_mut().enumerate() {
+            if k != r && holds(row) {
+                for (dst, src) in row.0.iter_mut().zip(&mask_r) {
+                    *dst ^= src;
+                }
+                for (dst, src) in row.1.iter_mut().zip(&eq_r) {
+                    *dst ^= src;
+                }
+            }
+        }
+        *pivot_row = Some(r);
+        r += 1;
+    }
+    Reduced {
+        rows,
+        pivot_row_of_col,
+    }
 }
 
 /// Plan the reconstruction of whole failed disks.

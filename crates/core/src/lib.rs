@@ -12,8 +12,9 @@
 //!   that every code in the workspace is expressed in;
 //! * the peeling erasure [`decoder`] used for both real decoding (via
 //!   `dcode-codec`) and I/O accounting (via `dcode-iosim`);
-//! * the exhaustive [`mds`] verifier and the complexity [`metrics`] of
-//!   Section III-D;
+//! * the exhaustive [`mds`] verifier — recoverability as GF(2) rank, by
+//!   the decoder's own Gauss-Jordan elimination — and the complexity
+//!   [`metrics`] of Section III-D;
 //! * the [`dcode`] module with three independent, tested-equal constructions
 //!   of D-Code (closed-form equations (1)–(2), the procedural 4-step walks,
 //!   and Theorem 1's X-Code column reordering), plus X-Code itself;
@@ -25,10 +26,11 @@
 //! ```
 //! use dcode_core::dcode::dcode;
 //! use dcode_core::decoder::plan_column_recovery;
-//! use dcode_core::mds::verify_mds;
+//! use dcode_core::mds::{columns_recoverable, verify_mds};
 //!
 //! let code = dcode(7).unwrap();           // 7-disk D-Code
 //! verify_mds(&code).unwrap();             // tolerates any 2 disk failures
+//! assert!(!columns_recoverable(&code, &[0, 1, 2])); // but not 3
 //! let plan = plan_column_recovery(&code, &[2, 3]).unwrap();
 //! assert_eq!(plan.erased.len(), 14);      // two full columns rebuilt
 //! ```

@@ -27,10 +27,9 @@
 //!   sources, self-referencing targets (which the detach-based executor
 //!   would turn into runtime panics), and non-minimal level placement.
 //!
-//! [`rank`] adds a rank-based MDS checker (recoverability as column rank
-//! over GF(2)), and [`report::verify_layout`] drives everything for one
-//! layout: MDS rank, the encode program, and all `C(disks, 2)` two-column
-//! recovery programs. `dcode-cli verify --all` runs it over the whole code
+//! [`report::verify_layout`] drives everything for one layout: MDS rank
+//! (`dcode_core::mds`), the encode program, and all `C(disks, 2)`
+//! two-column recovery programs. `dcode-cli verify --all` runs it over the whole code
 //! registry; CI fails on any diagnostic.
 //!
 //! ```
@@ -46,7 +45,6 @@ pub mod equiv;
 pub mod lint;
 pub mod optpair;
 pub mod race;
-pub mod rank;
 pub mod report;
 pub mod sym;
 
@@ -57,6 +55,5 @@ pub use equiv::{
 pub use lint::lint;
 pub use optpair::verify_optimized_pair;
 pub use race::check_levels;
-pub use rank::{columns_recoverable, rank_deficiency, verify_mds_by_rank, RankViolation};
 pub use report::{verify_layout, VerifyReport};
 pub use sym::SymVec;

@@ -6,12 +6,12 @@ use crate::equiv::{verify_encode_program, verify_plan_program};
 use crate::lint::lint;
 use crate::optpair::verify_optimized_pair;
 use crate::race::check_levels;
-use crate::rank::verify_mds_by_rank;
 use dcode_codec::opt::{optimize, OptConfig};
 use dcode_codec::XorProgram;
 use dcode_core::decoder::{plan_column_recovery, RecoveryPlan};
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
+use dcode_core::mds::verify_mds;
 use dcode_recovery::optimal_rebuild;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -98,7 +98,8 @@ fn verify_program(
 
 /// Verify one layout end to end:
 ///
-/// 1. **MDS rank** — every 1- and 2-disk erasure is solvable over GF(2);
+/// 1. **MDS rank** — every 1- and 2-disk erasure is solvable over GF(2)
+///    ([`dcode_core::mds::verify_mds`]);
 /// 2. **encode program** — the compiled encode is race-free, lint-clean,
 ///    and symbolically equal to the layout's generator matrix;
 /// 3. **recovery programs** — for every 2-column erasure, the compiled
@@ -119,7 +120,7 @@ fn verify_program(
 pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
     let mut diagnostics = Vec::new();
 
-    if let Err(v) = verify_mds_by_rank(layout) {
+    if let Err(v) = verify_mds(layout) {
         diagnostics.push(Diagnostic::error(DiagKind::Unrecoverable {
             failed: v.failed,
             deficiency: v.deficiency,

@@ -7,7 +7,7 @@
 //! ```
 
 use dcode::codec::{encode, recover_columns, Stripe};
-use dcode::core::mds::{verify_double_fault_tolerance, verify_mds};
+use dcode::core::mds::verify_mds;
 use dcode::core::spec::{format_spec, parse_spec};
 use dcode::iosim::sim::run_workload;
 use dcode::iosim::workload::{generate, WorkloadKind, WorkloadParams};
@@ -29,10 +29,8 @@ fn main() {
     let naive = parse_spec(NAIVE).expect("structurally valid");
     // …but the MDS checker exposes it: its two extra equations are not
     // independent enough to survive every pair of failures.
-    match verify_double_fault_tolerance(&naive) {
-        Ok(()) => println!("naive code unexpectedly survived — report a bug!"),
-        Err(v) => println!("naive 4-disk code rejected: {v}"),
-    }
+    let v = verify_mds(&naive).expect_err("the checker must reject the naive code");
+    println!("naive 4-disk code rejected: {v}");
 
     // D-Code itself round-trips through the same text format.
     let dcode_spec = format_spec(&dcode::core::dcode::dcode(5).unwrap());

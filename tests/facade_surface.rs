@@ -7,6 +7,7 @@ use dcode::baselines::{shortened_evenodd, shortened_rdp};
 use dcode::codec::{encode_stripes, verify_parities, Stripe};
 use dcode::core::analysis::adjacent_sharing_probability;
 use dcode::core::mds::fault_tolerance;
+use dcode::core::metrics::measure;
 use dcode::core::spec::{format_spec, parse_spec};
 
 #[test]
@@ -64,4 +65,13 @@ fn exact_tolerance_of_spec_defined_raid5_is_one() {
     )
     .unwrap();
     assert_eq!(fault_tolerance(&l), 1);
+}
+
+#[test]
+fn spec_defined_one_disk_layout_measures_without_panicking() {
+    // One disk cannot hold two parities: not storage-optimal, and losing
+    // it loses everything.
+    let l = parse_spec("rows = 2\ncols = 1\nrow (1,0) = (0,0)\n").unwrap();
+    assert!(!measure(&l).storage_optimal);
+    assert_eq!(fault_tolerance(&l), 0);
 }

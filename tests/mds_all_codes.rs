@@ -4,25 +4,28 @@
 //!
 //! The exhaustive erasure sweep is proved symbolically: a 2-column erasure
 //! is recoverable iff the parity equations restricted to the lost cells
-//! have full column rank over GF(2) (`dcode::verify::verify_mds_by_rank`),
-//! which checks all C(disks, 2) pairs without running the peeling planner
-//! or touching a single payload byte. One byte-level smoke case per code
-//! keeps the symbolic result anchored to the real codec (see
-//! EXPERIMENTS.md "Static verification" for the old-vs-new timing).
+//! have full column rank over GF(2) (`dcode::core::mds::verify_mds`), which
+//! checks all C(disks, 2) pairs without extracting a recovery plan or
+//! touching a single payload byte. A differential test holds the rank
+//! verdict to the planner's, and one byte-level smoke case per code keeps
+//! the symbolic result anchored to the real codec (see EXPERIMENTS.md
+//! "Static verification" for the timing against the planner-based sweep).
 
 use dcode::baselines::registry::{build, CodeId, ALL_CODES};
+use dcode::baselines::{shortened_evenodd, shortened_rdp};
 use dcode::codec::{encode, recover_columns, Stripe};
-use dcode::core::mds::storage_is_optimal;
+use dcode::core::decoder::plan_column_recovery;
+use dcode::core::layout::CodeLayout;
+use dcode::core::mds::{columns_recoverable, storage_is_optimal, verify_mds};
 use dcode::core::metrics::measure;
 use dcode::core::PAPER_PRIMES;
-use dcode::verify::verify_mds_by_rank;
 
 #[test]
 fn all_codes_all_paper_primes_are_mds() {
     for p in PAPER_PRIMES {
         for &id in &ALL_CODES {
             let layout = build(id, p).unwrap();
-            verify_mds_by_rank(&layout).unwrap_or_else(|v| panic!("{} p={p}: {v}", id.name()));
+            verify_mds(&layout).unwrap_or_else(|v| panic!("{} p={p}: {v}", id.name()));
         }
     }
 }
@@ -35,8 +38,49 @@ fn all_codes_are_mds_at_larger_primes() {
     for p in [17usize, 19, 23, 29, 31] {
         for &id in &ALL_CODES {
             let layout = build(id, p).unwrap();
-            verify_mds_by_rank(&layout).unwrap_or_else(|v| panic!("{} p={p}: {v}", id.name()));
+            verify_mds(&layout).unwrap_or_else(|v| panic!("{} p={p}: {v}", id.name()));
         }
+    }
+}
+
+/// Every 1-, 2- and 3-column set of `layout`: the rank verdict equals
+/// whether the peeling planner, with its Gauss-Jordan fallback, finds a
+/// plan.
+fn assert_rank_agrees_with_planner(layout: &CodeLayout, what: &str) {
+    let disks = layout.disks();
+    let mut sets: Vec<Vec<usize>> = Vec::new();
+    for c1 in 0..disks {
+        sets.push(vec![c1]);
+        for c2 in c1 + 1..disks {
+            sets.push(vec![c1, c2]);
+            sets.extend((c2 + 1..disks).map(|c3| vec![c1, c2, c3]));
+        }
+    }
+    for cols in &sets {
+        assert_eq!(
+            columns_recoverable(layout, cols),
+            plan_column_recovery(layout, cols).is_ok(),
+            "{what} cols={cols:?}"
+        );
+    }
+}
+
+#[test]
+fn rank_agrees_with_planner_for_every_code() {
+    // Includes the EVENODD pairs where peeling stalls and the planner
+    // needs its Gauss-Jordan fallback, and the triples no code survives.
+    for p in [5usize, 7] {
+        for &id in &ALL_CODES {
+            let layout = build(id, p).unwrap();
+            assert_rank_agrees_with_planner(&layout, &format!("{} p={p}", id.name()));
+        }
+    }
+    for disks in 4..=16 {
+        assert_rank_agrees_with_planner(&shortened_rdp(disks).unwrap(), &format!("RDP* {disks}"));
+        assert_rank_agrees_with_planner(
+            &shortened_evenodd(disks).unwrap(),
+            &format!("EVENODD* {disks}"),
+        );
     }
 }
 

@@ -3,10 +3,13 @@
 
 use dcode::baselines::registry::{build, CodeId, ALL_CODES};
 use dcode::codec::{encode, recover_columns, verify_parities, write_logical, Stripe};
-use dcode::core::decoder::plan_column_recovery;
+use dcode::core::decoder::{plan_column_recovery, plan_recovery};
+use dcode::core::grid::Cell;
+use dcode::core::mds::rank_deficiency;
 use dcode::iosim::access::{normal_read_accesses, segments, write_accesses};
 use dcode::iosim::metrics::load_balancing_factor;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_code() -> impl Strategy<Value = CodeId> {
     prop::sample::select(ALL_CODES.to_vec())
@@ -90,6 +93,34 @@ proptest! {
         let disks = layout.disks();
         let cols = [c % disks, (c + 1) % disks, (c + 2) % disks];
         prop_assert!(plan_column_recovery(&layout, &cols).is_err());
+    }
+
+    /// Cell-level erasures, the shape a degraded subprogram hands the
+    /// decoder: the planner finds a plan exactly when the rank check says
+    /// the erasure is recoverable, and a failed plan names stuck cells
+    /// exactly when the rank is deficient. EVENODD is among the codes, so
+    /// peeling stalls and the shared Gauss-Jordan elimination decides.
+    #[test]
+    fn rank_agrees_with_planner_on_cell_erasures(
+        id in arb_code(),
+        p in prop::sample::select(vec![5usize, 7]),
+        seed in any::<u64>(),
+        per_mille in 20u64..400,
+    ) {
+        let layout = build(id, p).unwrap();
+        let mut x = seed | 1;
+        let erased: BTreeSet<Cell> = layout.grid().cells().filter(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % 1000 < per_mille
+        }).collect();
+        let deficiency = rank_deficiency(&layout, &erased);
+        let planned = plan_recovery(&layout, &erased);
+        prop_assert_eq!(planned.is_ok(), deficiency == 0);
+        if let Err(e) = planned {
+            prop_assert_eq!(!e.remaining.is_empty(), deficiency > 0);
+        }
     }
 
     /// Read accounting: a normal read's total accesses equal its length,
