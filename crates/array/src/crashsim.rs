@@ -23,12 +23,13 @@
 //! The `store-*` ops lift the same enumeration one layer, to the layer
 //! that acknowledges a client: they drive an [`ObjectStore`] over the
 //! journaled array and crash before every backend write of a put, an
-//! overwrite, a delete and a put whose record fills its index page to
-//! the last byte. After the remount the index must open (every page
-//! parses, no two extents overlap), every object the op did not name
-//! reads its acknowledged bytes, the op's own key reads its last
-//! acknowledged state or the in-flight one and nothing else, and the
-//! scrub is clean.
+//! overwrite, a delete, a put whose record fills its index page to the
+//! last byte, and a put and an overwrite of values that fill whole
+//! stripes (written unshared, under one resync record). After the
+//! remount the index must open (every page parses, no two extents
+//! overlap), every object the op did not name reads its acknowledged
+//! bytes, the op's own key reads its last acknowledged state or the
+//! in-flight one and nothing else, and the scrub is clean.
 //!
 //! Each scenario is rebuilt from scratch deterministically per crash
 //! index, so any failure is replayable from `(op, crash index, seed)` —
@@ -88,11 +89,18 @@ pub enum CrashOp {
     /// `ObjectStore::put` of a key whose record opens a page no seed key
     /// is in and ends on that page's last byte.
     StorePutNewPage,
+    /// `ObjectStore::put` of a value one element longer than a stripe's
+    /// data: it takes the two free stripes whole, padding and all, under
+    /// one resync record.
+    StorePutLarge,
+    /// `ObjectStore::upsert` of a key that holds one stripe's data with a
+    /// value as long: copy-on-write from one whole stripe to the next.
+    StoreUpsertLarge,
 }
 
 impl CrashOp {
     /// Every op the sweep covers.
-    pub const ALL: [CrashOp; 12] = [
+    pub const ALL: [CrashOp; 14] = [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
         CrashOp::SmallWrite,
@@ -105,6 +113,8 @@ impl CrashOp {
         CrashOp::StoreUpsert,
         CrashOp::StoreDelete,
         CrashOp::StorePutNewPage,
+        CrashOp::StorePutLarge,
+        CrashOp::StoreUpsertLarge,
     ];
 
     /// Stable name (reports, JSON).
@@ -122,6 +132,8 @@ impl CrashOp {
             CrashOp::StoreUpsert => "store-upsert",
             CrashOp::StoreDelete => "store-delete",
             CrashOp::StorePutNewPage => "store-put-new-page",
+            CrashOp::StorePutLarge => "store-put-large",
+            CrashOp::StoreUpsertLarge => "store-upsert-large",
         }
     }
 
@@ -166,6 +178,18 @@ impl CrashSimConfig {
             seed,
             volatile_cache: true,
             mutation: None,
+        }
+    }
+
+    /// [`new`](Self::new) with `mutation` planted, over the cache model
+    /// that can show it: the volatile cache, except for
+    /// [`JournalMutation::UnsharedWithoutIntent`], whose torn stripes only
+    /// a write-through medium keeps (see there).
+    pub fn planted(layout: CodeLayout, seed: u64, mutation: JournalMutation) -> Self {
+        CrashSimConfig {
+            volatile_cache: mutation != JournalMutation::UnsharedWithoutIntent,
+            mutation: Some(mutation),
+            ..Self::new(layout, seed)
         }
     }
 }
@@ -334,7 +358,8 @@ const STORE_META: usize = 4;
 /// each, at elements 4, 6 and 8. At the sweep's 32-byte blocks an index
 /// page holds one record of a one-letter name (8 bytes of header, 21 of
 /// record), so the three keys sit in pages 0, 1 and 2 and every op's
-/// page has neighbours it must leave alone; page 3 is empty.
+/// page has neighbours it must leave alone; page 3 is empty. All of them
+/// lie in stripe 0, so stripes 1 and 2 are free for the large values.
 /// `tests/store_crash.rs` sweeps pages of several records each.
 const STORE_SEED_KEYS: [&str; 3] = ["a", "k", "z"];
 
@@ -348,16 +373,35 @@ fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Opti
         CrashOp::StoreDelete => Some(("k", None)),
         // Four bytes of name: header and record are a page, to the byte.
         CrashOp::StorePutNewPage => Some(("page", Some(prand_bytes(cfg.seed ^ 0x0B03, bs)))),
+        CrashOp::StorePutLarge => {
+            let len = (cfg.layout.data_len() + 1) * bs - 3;
+            Some(("L", Some(prand_bytes(cfg.seed ^ 0x0B04, len))))
+        }
+        CrashOp::StoreUpsertLarge => {
+            let len = cfg.layout.data_len() * bs - 7;
+            Some(("L", Some(prand_bytes(cfg.seed ^ 0x0B05, len))))
+        }
         _ => None,
     }
 }
 
+/// What the upsert-large scenario's key holds before its op: one
+/// stripe's data to the byte, so it owns stripe 1 and its new value
+/// takes stripe 2.
+fn large_seed_value(cfg: &CrashSimConfig) -> Vec<u8> {
+    prand_bytes(cfg.seed ^ 0x0B06, cfg.layout.data_len() * cfg.block_size)
+}
+
 /// Format a store on the prepared array and acknowledge the scenario's
-/// objects.
-fn seed_store(cfg: &CrashSimConfig, inst: &mut Instance) {
+/// objects: the seed keys, and for the upsert-large op its key too.
+fn seed_store(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
     let mut store = ObjectStore::format(&mut inst.array, STORE_META).expect("format store");
-    for (i, name) in STORE_SEED_KEYS.iter().enumerate() {
+    let seeds = STORE_SEED_KEYS.iter().enumerate().map(|(i, &name)| {
         let value = prand_bytes(cfg.seed ^ (0x0B10 + i as u64), cfg.block_size + 8);
+        (name, value)
+    });
+    let large = (op == CrashOp::StoreUpsertLarge).then(|| ("L", large_seed_value(cfg)));
+    for (name, value) in seeds.chain(large) {
         store.put(name, &value).expect("seed object fits");
         inst.acked.insert(name.to_string(), value);
     }
@@ -396,7 +440,9 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         | CrashOp::StorePut
         | CrashOp::StoreUpsert
         | CrashOp::StoreDelete
-        | CrashOp::StorePutNewPage => None,
+        | CrashOp::StorePutNewPage
+        | CrashOp::StorePutLarge
+        | CrashOp::StoreUpsertLarge => None,
     }
 }
 
@@ -440,7 +486,9 @@ fn begin(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
         CrashOp::StorePut
         | CrashOp::StoreUpsert
         | CrashOp::StoreDelete
-        | CrashOp::StorePutNewPage => seed_store(cfg, inst),
+        | CrashOp::StorePutNewPage
+        | CrashOp::StorePutLarge
+        | CrashOp::StoreUpsertLarge => seed_store(cfg, op, inst),
         CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
     }
 }
@@ -466,7 +514,9 @@ fn run_op(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
                     ObjectStore::open(&mut inst.array, STORE_META).expect("seeded store opens");
                 store.set_mutation(cfg.mutation);
                 let done = match (op, value) {
-                    (CrashOp::StoreUpsert, Some(value)) => store.upsert(key, &value),
+                    (CrashOp::StoreUpsert | CrashOp::StoreUpsertLarge, Some(value)) => {
+                        store.upsert(key, &value)
+                    }
                     (_, Some(value)) => store.put(key, &value),
                     (_, None) => store.delete(key),
                 };
@@ -774,7 +824,14 @@ mod tests {
             assert!(report.passed(), "p={p}: the planted bug went unseen");
             for op in &report.per_op {
                 // The array never sees this bug; a delete writes no data.
-                let exposed = ["store-put", "store-upsert", "store-put-new-page"].contains(&op.op);
+                let exposed = [
+                    "store-put",
+                    "store-upsert",
+                    "store-put-new-page",
+                    "store-put-large",
+                    "store-upsert-large",
+                ]
+                .contains(&op.op);
                 assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
             }
             // The index named the extent, the extent never got its bytes.
@@ -782,6 +839,37 @@ mod tests {
                 .failures
                 .iter()
                 .all(|f| f.detail.contains("neither its acknowledged state")));
+        }
+    }
+
+    #[test]
+    fn planted_unshared_without_intent_is_caught_by_the_large_store_ops_only() {
+        for p in [5, 7] {
+            let layout = dcode(p).unwrap();
+            let cfg = CrashSimConfig::planted(layout, 10, JournalMutation::UnsharedWithoutIntent);
+            assert!(!cfg.volatile_cache);
+            let report = sweep(&cfg);
+            assert!(report.passed(), "p={p}: the planted bug went unseen");
+            for op in &report.per_op {
+                // Only these write whole stripes.
+                let exposed = ["store-put-large", "store-upsert-large"].contains(&op.op);
+                assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
+            }
+            // Every key reads right: only the post-remount scrub sees it.
+            assert!(report
+                .failures
+                .iter()
+                .all(|f| f.detail.contains("write hole")));
+            // With the intent, the same medium comes back clean.
+            let clean = CrashSimConfig {
+                mutation: None,
+                ..cfg
+            };
+            for op in [CrashOp::StorePutLarge, CrashOp::StoreUpsertLarge] {
+                let (swept, failures) = sweep_op(&clean, op);
+                assert!(failures.is_empty(), "p={p} {}: {failures:?}", swept.op);
+                assert!(swept.replays > 0, "p={p} {}: no resync replayed", swept.op);
+            }
         }
     }
 
@@ -829,6 +917,18 @@ mod tests {
         changes(CrashOp::StorePut, 3, record("n", 10, 65));
         changes(CrashOp::StorePutNewPage, 3, record("page", 10, 32));
         assert_eq!(8 + 4 + "page".len() + 16, cfg.block_size);
+        // A value longer than a stripe's 15 elements starts at stripe 1
+        // and runs into stripe 2; 15 elements to the byte fill stripe 1,
+        // and their overwrite takes stripe 2.
+        changes(CrashOp::StorePutLarge, 3, record("L", 15, 16 * 32 - 3));
+        let mut inst = setup(&cfg, CrashOp::StoreUpsertLarge);
+        assert_eq!(index_pages(&cfg, &mut inst)[3], record("L", 15, 15 * 32));
+        run_op(&cfg, CrashOp::StoreUpsertLarge, &mut inst);
+        assert_eq!(
+            index_pages(&cfg, &mut inst)[3],
+            record("L", 30, 15 * 32 - 7)
+        );
+        assert_eq!(inst.array.stats().unshared_stripes, 1 + 1);
     }
 
     #[test]

@@ -64,6 +64,24 @@
 //!   write is information-destroying — the failed slot's implied content
 //!   changes with the parity — so replay must be able to force the whole
 //!   intent, not reconcile halves.
+//! * [`RecordMode::Resync`] (whole stripes that held no live data, written
+//!   by [`write_unshared`](crate::ResilientArray::write_unshared) on a
+//!   healthy array): a header with no entries that names a run of
+//!   stripes — the first in the `stripe` field, the count in header bytes
+//!   23..27 — and no payload. One record covers a whole call, however
+//!   many stripes it writes; it costs the header block(s), the commit
+//!   flush, a tombstone and the retire flush. Nothing in those stripes
+//!   needs its old content kept, so replay need not know the new content
+//!   either: it reads every data cell of each named stripe from the
+//!   medium, re-encodes, and writes every parity cell. Whatever subset of
+//!   the stripe writes landed before the crash, each stripe's parity then
+//!   matches its data again, so a later delta write into one of them folds
+//!   into a consistent parity. A stale record — one replayed over stripes
+//!   that were consistent, or that have since become live — writes the
+//!   parity they already hold and changes no byte. A stripe with a data
+//!   cell on a failed slot, or one that does not read, cannot be
+//!   re-encoded: replay leaves it as it is and reports the mount
+//!   [`Degraded`](ReplayOutcome::Degraded).
 
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;
@@ -74,7 +92,8 @@ const MAGIC_TOMBSTONE: &[u8; 4] = b"DJRT";
 const MAGIC_STATE: &[u8; 4] = b"DJST";
 
 /// Fixed header bytes before the per-entry table: magic 0..4, seq 4..12,
-/// stripe 12..20, mode 20, entry count 21..23, reserved 23..27.
+/// stripe 12..20, mode 20, entry count 21..23, then 23..27: a resync
+/// record's stripe count, reserved (zero, ignored) in the other modes.
 pub(crate) const HEADER_FIXED: usize = 27;
 /// Bytes per entry in the header table: row u16, col u16, crc u32, flag u8.
 pub(crate) const ENTRY_BYTES: usize = 9;
@@ -172,6 +191,13 @@ pub enum RecordMode {
     /// Degraded stripe or active rebuild: full contents of every touched
     /// block.
     Redo,
+    /// Whole-stripe writes into stripes that held no live data: no
+    /// entries, only the run of `stripes` stripes from the record's
+    /// `stripe`, whose parity replay re-encodes from the data on disk.
+    Resync {
+        /// Stripes in the run (at least one).
+        stripes: usize,
+    },
 }
 
 /// One journaled cell: its position, the CRC of its *new* content, and —
@@ -186,8 +212,8 @@ pub struct RecordEntry {
     pub payload: Option<Vec<u8>>,
 }
 
-/// One intent record: everything replay needs to make `stripe`
-/// consistent again.
+/// One intent record: everything replay needs to make `stripe` (a run of
+/// stripes from it, for [`RecordMode::Resync`]) consistent again.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IntentRecord {
     /// Monotonic sequence number (also selects the record slot).
@@ -230,6 +256,11 @@ impl IntentRecord {
         buf[20] = match self.mode {
             RecordMode::ParityIntent => 0,
             RecordMode::Redo => 1,
+            RecordMode::Resync { stripes } => {
+                let stripes = u32::try_from(stripes).expect("a stripe count fits u32");
+                buf[23..27].copy_from_slice(&stripes.to_le_bytes());
+                2
+            }
         };
         buf[21..23].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
         let mut off = HEADER_FIXED;
@@ -280,9 +311,15 @@ impl IntentRecord {
         if crc32(&buf[..end]) != stored {
             return SlotHeader::Torn;
         }
-        let mode = match buf[20] {
-            0 => RecordMode::ParityIntent,
-            1 => RecordMode::Redo,
+        let mode = match (buf[20], n) {
+            (0, _) => RecordMode::ParityIntent,
+            (1, _) => RecordMode::Redo,
+            (2, 0) => match u32::from_le_bytes(buf[23..27].try_into().expect("sized")) {
+                0 => return SlotHeader::Torn,
+                stripes => RecordMode::Resync {
+                    stripes: stripes as usize,
+                },
+            },
             _ => return SlotHeader::Torn,
         };
         let mut entries = Vec::with_capacity(n);
@@ -561,6 +598,42 @@ mod tests {
             IntentRecord::decode_header(&old, &spec),
             SlotHeader::Record(_)
         ));
+    }
+
+    #[test]
+    fn a_resync_header_names_a_run_of_stripes_and_carries_no_entry() {
+        let spec = spec();
+        let rec = IntentRecord {
+            seq: 11,
+            stripe: 1,
+            mode: RecordMode::Resync { stripes: 2 },
+            entries: Vec::new(),
+        };
+        let buf = rec.encode_header(&spec);
+        assert_eq!(buf[23..27], 2u32.to_le_bytes());
+        assert_eq!(
+            IntentRecord::decode_header(&buf, &spec),
+            SlotHeader::Record(rec.clone())
+        );
+        // A count of zero, or a resync with entries, is no record.
+        let reseal = |mut buf: Vec<u8>, entries: usize| {
+            let end = HEADER_FIXED + ENTRY_BYTES * entries;
+            let crc = crc32(&buf[..end]);
+            buf[end..end + 4].copy_from_slice(&crc.to_le_bytes());
+            buf
+        };
+        let mut zero = buf.clone();
+        zero[23..27].fill(0);
+        let zero = reseal(zero, 0);
+        assert_eq!(IntentRecord::decode_header(&zero, &spec), SlotHeader::Torn);
+        let mut with_entry = sample(&spec).encode_header(&spec);
+        with_entry[20] = 2;
+        with_entry[23..27].copy_from_slice(&1u32.to_le_bytes());
+        let with_entry = reseal(with_entry, 2);
+        assert_eq!(
+            IntentRecord::decode_header(&with_entry, &spec),
+            SlotHeader::Torn
+        );
     }
 
     #[test]

@@ -152,6 +152,11 @@ pub struct ResilientStats {
     /// read, parity re-encoded); a full-stripe write is one of these with
     /// nothing to read.
     pub reconstruct_segments: u64,
+    /// Stripes written whole by
+    /// [`write_unshared`](ResilientArray::write_unshared): nothing read,
+    /// and one resync record for the call instead of one intent record a
+    /// stripe.
+    pub unshared_stripes: u64,
     /// Cells the write path asked the medium for before it could write:
     /// old data and parity on the delta branch, untouched data on the
     /// reconstruct branch.
@@ -184,13 +189,22 @@ pub enum JournalMutation {
     /// A crash between the two leaves a durable index entry over bytes
     /// that were never written. The array itself ignores this one.
     IndexBeforeData,
+    /// In [`write_unshared`](ResilientArray::write_unshared): write the
+    /// stripes without committing the resync intent. A crash mid-write
+    /// leaves a stripe whose parity disagrees with its data and no record
+    /// to re-encode it. Such a tear lasts only on a medium that keeps every
+    /// write as it lands: a cache that destages a disk only when it is
+    /// flushed drops all of it, because the call flushes nothing until
+    /// every stripe is written.
+    UnsharedWithoutIntent,
 }
 
 impl JournalMutation {
     /// Every planted bug, in the order `dcode crash-sim --mutate` runs them.
-    pub const ALL: [JournalMutation; 2] = [
+    pub const ALL: [JournalMutation; 3] = [
         JournalMutation::RetireBeforeParity,
         JournalMutation::IndexBeforeData,
+        JournalMutation::UnsharedWithoutIntent,
     ];
 
     /// Stable name (reports).
@@ -198,6 +212,7 @@ impl JournalMutation {
         match self {
             JournalMutation::RetireBeforeParity => "retire-before-parity",
             JournalMutation::IndexBeforeData => "index-before-data",
+            JournalMutation::UnsharedWithoutIntent => "unshared-without-intent",
         }
     }
 }
@@ -609,7 +624,8 @@ impl<B: DiskBackend> ResilientArray<B> {
 
     /// Plant (or clear) a deliberate write-path ordering bug. Harness
     /// self-test only: the crash sweep runs once with
-    /// [`JournalMutation::RetireBeforeParity`] and asserts that it
+    /// [`JournalMutation::RetireBeforeParity`] and once with
+    /// [`JournalMutation::UnsharedWithoutIntent`], and asserts that it
     /// *catches* the resulting parity inconsistency.
     pub fn set_journal_mutation(&mut self, mutation: Option<JournalMutation>) {
         self.mutation = mutation;
@@ -644,6 +660,14 @@ impl<B: DiskBackend> ResilientArray<B> {
             element / self.layout.data_len(),
             element % self.layout.data_len(),
         ))
+    }
+
+    /// [`locate`](ResilientArray::locate) the first and the last of
+    /// `count ≥ 1` elements from `start`. A range whose end overflows is
+    /// out of range too, never a panic.
+    fn locate_range(&self, start: usize, count: usize) -> Result<(), ArrayError> {
+        self.locate(start)?;
+        self.locate(start.saturating_add(count - 1)).map(drop)
     }
 
     fn too_many(&self) -> ArrayError {
@@ -946,8 +970,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         if count == 0 {
             return Ok(Vec::new());
         }
-        self.locate(start)?;
-        self.locate(start + count - 1)?;
+        self.locate_range(start, count)?;
         let mut out = Vec::with_capacity(count * self.block_size);
         let mut element = start;
         let mut remaining = count;
@@ -1005,8 +1028,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         if count == 0 {
             return Ok(());
         }
-        self.locate(start)?;
-        self.locate(start + count - 1)?;
+        self.locate_range(start, count)?;
 
         // Fetch and patch every touched stripe, then encode the whole
         // batch in one pooled call, then persist. Segments are disjoint
@@ -1039,6 +1061,109 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
             self.persist_segment(segment, scratch);
         }
+        Ok(())
+    }
+
+    /// [`write`](ResilientArray::write) into stripes that hold no live data
+    /// outside the range: the [`ElementIo::write_unshared`] contract. On a
+    /// healthy array every stripe the range touches is written whole —
+    /// the range's cells as given, every other data cell zero, every
+    /// parity from one batch encode — and nothing is read. Only the
+    /// range's cells are hashed: a zero cell's CRC is `crc(0ⁿ)`, and
+    /// replaying the encode program over those CRCs gives the parities'.
+    ///
+    /// On a journaled array one [`RecordMode::Resync`] record naming the
+    /// stripes is committed before the first stripe write, and retired
+    /// once every disk written is flushed. A crash in between leaves each
+    /// stripe with any mix of old and new cells; replay re-encodes their
+    /// parity from the data on disk, so every stripe is consistent again
+    /// whatever landed. A failed or rebuilding slot sends the call to
+    /// `write`, whose per-stripe records keep the stripes' other cells.
+    pub fn write_unshared(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+        if !self.all_healthy() {
+            return self.write(start, bytes);
+        }
+        let bs = self.block_size;
+        assert!(
+            bytes.len() % bs == 0,
+            "write length must be a multiple of the block size"
+        );
+        let count = bytes.len() / bs;
+        if count == 0 {
+            return Ok(());
+        }
+        self.locate_range(start, count)?;
+
+        let d = self.layout.data_len();
+        let stripes = start / d..(start + count - 1) / d + 1;
+        let program = self.schedules.encode_program(&self.layout);
+        let data_cells = self.layout.data_cells().iter().copied();
+        let cells: Vec<Cell> = data_cells.chain(self.layout.parity_cells()).collect();
+        let (grid, zero) = (self.layout.grid(), self.zero_crc);
+        let mut scratches = Vec::with_capacity(stripes.len());
+        let mut crcs = Vec::with_capacity(stripes.len());
+        for stripe in stripes.clone() {
+            let mut scratch = Stripe::zeroed(&self.layout, bs);
+            let mut table = vec![zero; grid.len()];
+            for (i, &cell) in cells[..d].iter().enumerate() {
+                let element = stripe * d + i;
+                if (start..start + count).contains(&element) {
+                    let block = &bytes[(element - start) * bs..][..bs];
+                    scratch.block_mut(cell).copy_from_slice(block);
+                    table[grid.index(cell)] = self.hash(block);
+                }
+            }
+            program.run_crcs(&mut table, zero);
+            scratches.push(scratch);
+            crcs.push(
+                cells
+                    .iter()
+                    .map(|&c| table[grid.index(c)])
+                    .collect::<Vec<u32>>(),
+            );
+        }
+        dcode_codec::run_batch(
+            &program,
+            &mut scratches,
+            minipool::global(),
+            minipool::effective_parallelism(stripes.len()),
+        );
+
+        // Planted bug for the harness self-test: no intent at all.
+        let planted = self.mutation == Some(JournalMutation::UnsharedWithoutIntent);
+        let committed = (self.journal.is_some() && !planted).then(|| {
+            let record = IntentRecord {
+                seq: self.jseq,
+                stripe: stripes.start,
+                mode: RecordMode::Resync {
+                    stripes: stripes.len(),
+                },
+                entries: Vec::new(),
+            };
+            self.jseq += 1;
+            (self.journal_append(&record), record.seq)
+        });
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        for ((stripe, scratch), crcs) in stripes.clone().zip(&scratches).zip(&crcs) {
+            debug_assert!(
+                cells
+                    .iter()
+                    .zip(crcs)
+                    .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
+                "a derived CRC of unshared stripe {stripe} differs from the hashed one"
+            );
+            self.store_cells(stripe, &cells, crcs, scratch, &mut touched);
+        }
+        if self.journal.is_some() {
+            for disk in touched {
+                let _ = self.backend.flush(disk);
+            }
+            if let Some((jdisk, seq)) = committed {
+                self.journal_retire(jdisk, seq);
+            }
+        }
+        self.stats.element_writes += count as u64;
+        self.stats.unshared_stripes += stripes.len() as u64;
         Ok(())
     }
 
@@ -1462,7 +1587,13 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// geometry — a record from a mismatched mount must be discarded, not
     /// panicked on.
     fn record_in_bounds(&self, rec: &IntentRecord) -> bool {
-        rec.stripe < self.n_stripes
+        let run = match rec.mode {
+            RecordMode::Resync { stripes } => stripes,
+            RecordMode::ParityIntent | RecordMode::Redo => 1,
+        };
+        rec.stripe
+            .checked_add(run)
+            .is_some_and(|end| end <= self.n_stripes)
             && rec.entries.iter().all(|e| {
                 let payload_ok = match &e.payload {
                     Some(p) => p.len() == self.block_size,
@@ -1476,9 +1607,19 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// (or content CRCs), never deltas. Returns whether the replay had to
     /// degrade (unverifiable data cells, unwritable disks).
     fn apply_record(&mut self, rec: &IntentRecord) -> bool {
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
         let mut degraded = false;
         let to_write: Vec<(Cell, Vec<u8>)> = match rec.mode {
+            // Resync: re-encode each named stripe from the data on disk.
+            RecordMode::Resync { stripes } => {
+                let parity: Vec<Cell> = self.layout.parity_cells().collect();
+                for stripe in rec.stripe..rec.stripe + stripes {
+                    match self.recompute_parity(stripe, &parity) {
+                        Some(fresh) => degraded |= self.write_replayed(stripe, fresh),
+                        None => degraded = true,
+                    }
+                }
+                return degraded;
+            }
             // Redo: force every journaled block. Failed slots are skipped
             // (their content is implied by the parity being forced here).
             RecordMode::Redo => rec
@@ -1523,7 +1664,8 @@ impl<B: DiskBackend> ResilientArray<B> {
                     // holds a mix of old and new data — both fine, the
                     // write was never acknowledged — so make the parity
                     // match whatever is actually there.
-                    match self.recompute_parity(rec.stripe, &journaled) {
+                    let parity: Vec<Cell> = journaled.iter().map(|&(c, _)| c).collect();
+                    match self.recompute_parity(rec.stripe, &parity) {
                         Some(fresh) => fresh,
                         None => {
                             degraded = true;
@@ -1533,33 +1675,37 @@ impl<B: DiskBackend> ResilientArray<B> {
                 }
             }
         };
-        for (cell, content) in to_write {
-            let slot = self.slot_of(rec.stripe, cell.col);
+        degraded | self.write_replayed(rec.stripe, to_write)
+    }
+
+    /// Write replayed cells of `stripe` where their slot is not failed,
+    /// then flush the disks written. Returns whether a write failed.
+    fn write_replayed(&mut self, stripe: usize, cells: Vec<(Cell, Vec<u8>)>) -> bool {
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        let mut failed = false;
+        for (cell, content) in cells {
+            let slot = self.slot_of(stripe, cell.col);
             if self.state[slot] == SlotState::Failed {
                 continue;
             }
-            let block = self.block_of(rec.stripe, cell.row);
+            let block = self.block_of(stripe, cell.row);
             // No CRC is stored: the attach reseeds the table from the
             // medium once replay is done.
             if self.write_raw(slot, block, &content).is_ok() {
                 touched.insert(self.slot_to_disk[slot]);
             } else {
-                degraded = true;
+                failed = true;
             }
         }
         for disk in touched {
             let _ = self.backend.flush(disk);
         }
-        degraded
+        failed
     }
 
-    /// Recompute the parity cells named in `parity` from the data
-    /// actually on disk. `None` if any data cell cannot be read directly.
-    fn recompute_parity(
-        &mut self,
-        stripe: usize,
-        parity: &[(Cell, Vec<u8>)],
-    ) -> Option<Vec<(Cell, Vec<u8>)>> {
+    /// Recompute the cells `parity` of `stripe` from the data actually on
+    /// disk. `None` if any data cell cannot be read directly.
+    fn recompute_parity(&mut self, stripe: usize, parity: &[Cell]) -> Option<Vec<(Cell, Vec<u8>)>> {
         let mut scratch = Stripe::zeroed(&self.layout, self.block_size);
         let data_cells: Vec<Cell> = self.layout.data_cells().to_vec();
         for cell in data_cells {
@@ -1576,12 +1722,7 @@ impl<B: DiskBackend> ResilientArray<B> {
         self.schedules
             .encode_program(&self.layout)
             .run(&mut scratch);
-        Some(
-            parity
-                .iter()
-                .map(|(c, _)| (*c, scratch.snapshot(*c)))
-                .collect(),
-        )
+        Some(parity.iter().map(|&c| (c, scratch.snapshot(c))).collect())
     }
 
     /// Persist the journal's mount state (mount counter + last replay
@@ -1841,6 +1982,14 @@ impl<B: DiskBackend> ElementIo for ResilientArray<B> {
     fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         self.write(start, bytes)
     }
+
+    fn stripe_elements(&self) -> usize {
+        self.layout.data_len()
+    }
+
+    fn write_unshared(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+        ResilientArray::write_unshared(self, start, bytes)
+    }
 }
 
 #[cfg(test)]
@@ -1891,6 +2040,23 @@ mod tests {
             a.write(cap - 1, &[0u8; 32]),
             Err(ArrayError::OutOfRange { .. })
         ));
+    }
+
+    /// A range whose end overflows `usize` is out of range, in debug
+    /// builds (where the addition would panic) and in release builds
+    /// (where the wrapped end would pass the check and sizing the output
+    /// buffer would panic).
+    #[test]
+    fn an_overflowing_range_is_out_of_range() {
+        let mut a = mem_array(5, 4, 0);
+        let cap = a.capacity_elements();
+        for start in [2, cap - 1] {
+            assert!(matches!(
+                a.read_elements(start, usize::MAX),
+                Err(ArrayError::OutOfRange { .. })
+            ));
+        }
+        assert_eq!(a.read(cap - 1, 1).unwrap().len(), 16);
     }
 
     #[test]
@@ -2308,6 +2474,111 @@ mod tests {
         let policy = RetryPolicy::default();
         let rotation = RotationScheme::PerStripe;
         ResilientArray::attach_journaled(layout, 32, 3, rotation, medium, policy, 4).unwrap()
+    }
+
+    #[test]
+    fn an_unshared_write_zeroes_the_rest_of_its_stripes_and_reads_nothing() {
+        let mut a = journaled_mem_array(5, 3);
+        let data = payload(a.capacity_bytes());
+        a.write(0, &data).unwrap();
+        let before = a.stats().clone();
+        // Elements 20..37: the back of stripe 1 and the front of stripe 2.
+        let new = vec![0xC3; 17 * 32];
+        a.write_unshared(20, &new).unwrap();
+        let stats = a.stats().clone();
+        assert_eq!(stats.write_fetch_blocks, before.write_fetch_blocks);
+        assert_eq!(stats.hashed_blocks - before.hashed_blocks, 17);
+        assert_eq!(stats.unshared_stripes, 2);
+        assert_eq!(stats.journal_records - before.journal_records, 1);
+        assert_eq!(stats.journal_retires, stats.journal_records);
+        let mut want = data;
+        want[15 * 32..45 * 32].fill(0);
+        want[20 * 32..37 * 32].copy_from_slice(&new);
+        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), want);
+        let scrub = a.scrub_dry_run().unwrap();
+        assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
+        // Degraded, the call is an ordinary write: the stripe's other
+        // cells keep their bytes.
+        a.fail_disk(1).unwrap();
+        a.write_unshared(16, &[0x5A; 32]).unwrap();
+        want[16 * 32..17 * 32].fill(0x5A);
+        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), want);
+        assert_eq!(a.stats().unshared_stripes, 2);
+    }
+
+    /// Plant a committed resync record for stripes 1 and 2 in disk 1's
+    /// record slot.
+    fn plant_resync(medium: &mut MemBackend, spec: &JournalSpec) {
+        let rec = IntentRecord {
+            seq: 99,
+            stripe: 1,
+            mode: RecordMode::Resync { stripes: 2 },
+            entries: Vec::new(),
+        };
+        plant_header(medium, spec, &rec.encode_header(spec));
+    }
+
+    /// The data region of every disk of `medium`.
+    fn data_region(medium: &mut MemBackend, spec: &JournalSpec) -> Vec<Vec<u8>> {
+        let bytes = spec.data_blocks * spec.block_size;
+        let disks = medium.disks();
+        (0..disks)
+            .map(|d| medium.disk_bytes_mut(d)[..bytes].to_vec())
+            .collect()
+    }
+
+    /// A resync record left live past its write — its retire lost, the
+    /// stripes since filled with live data — re-encodes parity that
+    /// already matches the data: replay changes no byte.
+    #[test]
+    fn a_stale_resync_record_over_live_stripes_changes_no_byte() {
+        let mut a = journaled_mem_array(5, 3);
+        let data = payload(a.capacity_bytes());
+        a.write(0, &data).unwrap();
+        let spec = a.journal().unwrap().clone();
+        let mut medium = a.into_backend();
+        plant_resync(&mut medium, &spec);
+        let before = data_region(&mut medium, &spec);
+        let mut b = attach_planted(medium);
+        let replay = b.last_replay().unwrap();
+        assert_eq!(
+            (replay.replayed, replay.outcome),
+            (1, ReplayOutcome::Replayed)
+        );
+        assert_eq!(data_region(b.backend_mut(), &spec), before);
+        assert_eq!(b.read(0, b.capacity_elements()).unwrap(), data);
+    }
+
+    /// A crash inside an unshared write leaves a stripe whose data and
+    /// parity disagree; the resync record makes them agree again.
+    #[test]
+    fn a_resync_record_reencodes_a_torn_stripe() {
+        let torn = || {
+            let mut a = journaled_mem_array(5, 3);
+            a.write(0, &payload(a.capacity_bytes())).unwrap();
+            let (layout, spec) = (a.layout().clone(), a.journal().unwrap().clone());
+            let mut medium = a.into_backend();
+            // Element 33, a data cell of stripe 2, landed; its parities
+            // did not.
+            let cell = layout.data_cells()[3];
+            let slot = RotationScheme::PerStripe.to_physical(2, cell.col, layout.disks());
+            let at = (2 * layout.rows() + cell.row) * 32;
+            medium.disk_bytes_mut(slot)[at..at + 32].fill(0xEE);
+            (medium, spec)
+        };
+        let (medium, _) = torn();
+        let mut unjournaled = attach_planted(medium);
+        assert!(unjournaled.scrub_dry_run().unwrap().parity_mismatches > 0);
+
+        let (mut medium, spec) = torn();
+        plant_resync(&mut medium, &spec);
+        let mut b = attach_planted(medium);
+        assert_eq!(b.last_replay().unwrap().replayed, 1);
+        let mut want = payload(b.capacity_bytes());
+        want[33 * 32..34 * 32].fill(0xEE);
+        assert_eq!(b.read(0, b.capacity_elements()).unwrap(), want);
+        let scrub = b.scrub_dry_run().unwrap();
+        assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
     }
 
     /// Replay checks every payload block against its own entry's CRC: a

@@ -265,7 +265,9 @@ fn read_repair(layout: &CodeLayout, seed: &mut u64) {
 
 /// At the server's shard geometry (D-Code p = 7, 4 KiB blocks, eight
 /// index elements): a 1 KiB overwrite hashes the blocks it fetches and
-/// its two new data cells, eight in all; a rebuild hashes one block per
+/// its two new data cells, eight in all; a 256 KiB overwrite, written as
+/// two whole stripes, hashes its 64 data cells and the index page
+/// write's four; a rebuild hashes one block per
 /// survivor it reads — 26 a stripe for one slot, 35 for two rebuilt
 /// jointly — and none of the blocks it writes. A 1 KiB overwrite on an
 /// array remounted with one slot failed hashes what it reads through the
@@ -298,6 +300,13 @@ fn hashed_blocks_at_the_shard_geometry() {
     store.upsert("key", &[2; 1024]).unwrap();
     assert_eq!(hashed(&store) - before, 8, "a 1 KiB overwrite");
 
+    // Two whole stripes: the 64 new data cells and the page write's 4. The
+    // six zero cells that pad the second stripe take crc(0ⁿ) unhashed.
+    store.put("large", &[3; 256 * 1024]).unwrap();
+    let before = hashed(&store);
+    store.upsert("large", &[4; 256 * 1024]).unwrap();
+    assert_eq!(hashed(&store) - before, 64 + 4, "a 256 KiB overwrite");
+
     let before = hashed(&store);
     store.array_mut().fail_disk(2).unwrap();
     while !store.array_mut().rebuild_step(usize::MAX).unwrap() {}
@@ -319,6 +328,7 @@ fn hashed_blocks_at_the_shard_geometry() {
         "a joint two-slot rebuild"
     );
     assert_eq!(store.get("key").unwrap(), vec![2; 1024]);
+    assert_eq!(store.get("large").unwrap(), vec![4; 256 * 1024]);
 
     let degraded: Vec<u64> = (0..n)
         .map(|slot| {

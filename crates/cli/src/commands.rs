@@ -786,8 +786,10 @@ const CRASH_SIM_PRIMES: [usize; 2] = [5, 7];
 /// is replayable from `(op, crash index, seed)` and exits 3. `--all`
 /// sweeps the registry codes at p ∈ {5, 7}; `--mutate` plants each
 /// [`JournalMutation`] in turn — retire-before-parity in the array,
-/// index-before-data in the store — and *requires* the sweep to catch
-/// every one (the harness's self-test); `--json` emits the CI artifact
+/// index-before-data in the store, unshared-without-intent in the
+/// whole-stripe write (swept write-through: a volatile cache drops its
+/// tear) — and *requires* the sweep to catch every one (the harness's
+/// self-test); `--json` emits the CI artifact
 /// format (printed even on failure so a piped artifact survives the
 /// failing exit).
 pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<String, CliError> {
@@ -814,8 +816,10 @@ pub fn crash_sim(seed: u64, all: bool, json: bool, mutate: bool) -> Result<Strin
         }
         for &(id, p) in &targets {
             let layout = build_code(id, p)?;
-            let mut cfg = CrashSimConfig::new(layout, seed);
-            cfg.mutation = mutation;
+            let cfg = match mutation {
+                Some(mutation) => CrashSimConfig::planted(layout, seed, mutation),
+                None => CrashSimConfig::new(layout, seed),
+            };
             let report = sweep(&cfg);
             if !report.passed() {
                 failed.push(match planted {
@@ -1721,8 +1725,16 @@ mod tests {
             .expect("second section");
         assert!(hole.starts_with("planted retire-before-parity:"), "{out}");
         assert!(hole.contains("meta-write crashed at write"), "{out}");
+        let (unwritten, torn) = unwritten
+            .split_once("planted unshared-without-intent:")
+            .expect("third section");
         assert!(!unwritten.contains("-write crashed at write"), "{out}");
         assert!(unwritten.contains("store-upsert crashed at write"), "{out}");
+        // The whole-stripe writes, torn with no intent to re-encode them:
+        // only the scrub sees it.
+        assert!(torn.contains("store-put-large crashed at write"), "{out}");
+        assert!(!torn.contains("store-put crashed at write"), "{out}");
+        assert!(torn.contains("write hole"), "{out}");
     }
 
     #[test]
