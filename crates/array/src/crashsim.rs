@@ -24,8 +24,8 @@
 //! that acknowledges a client: they drive an [`ObjectStore`] over the
 //! journaled array and crash before every backend write of a put, an
 //! overwrite, a delete, a put whose record fills its index page to the
-//! last byte, and a put and an overwrite of values that fill whole
-//! stripes (written unshared, under one resync record). After the
+//! last byte, and a put and an overwrite of values that cover a stripe
+//! whole (written under one resync record). After the
 //! remount the index must open (every page parses, no two extents
 //! overlap), every object the op did not name reads its acknowledged
 //! bytes, the op's own key reads its last acknowledged state or the
@@ -89,12 +89,13 @@ pub enum CrashOp {
     /// `ObjectStore::put` of a key whose record opens a page no seed key
     /// is in and ends on that page's last byte.
     StorePutNewPage,
-    /// `ObjectStore::put` of a value one element longer than a stripe's
-    /// data: it takes the two free stripes whole, padding and all, under
-    /// one resync record.
+    /// `ObjectStore::put` of a value that runs from the seed keys to the
+    /// end of stripe 1: the back of stripe 0, journaled beside the seed
+    /// keys, and stripe 1 whole, under one resync record.
     StorePutLarge,
-    /// `ObjectStore::upsert` of a key that holds one stripe's data with a
-    /// value as long: copy-on-write from one whole stripe to the next.
+    /// `ObjectStore::upsert` of a key that fills stripe 0 to its end with
+    /// a value of one stripe's data: copy-on-write into stripe 1, written
+    /// whole under one resync record and nothing else.
     StoreUpsertLarge,
 }
 
@@ -359,7 +360,8 @@ const STORE_META: usize = 4;
 /// page holds one record of a one-letter name (8 bytes of header, 21 of
 /// record), so the three keys sit in pages 0, 1 and 2 and every op's
 /// page has neighbours it must leave alone; page 3 is empty. All of them
-/// lie in stripe 0, so stripes 1 and 2 are free for the large values.
+/// lie in stripe 0 (every swept code has more than ten data elements a
+/// stripe), so stripes 1 and 2 are free for the large values.
 /// `tests/store_crash.rs` sweeps pages of several records each.
 const STORE_SEED_KEYS: [&str; 3] = ["a", "k", "z"];
 
@@ -374,7 +376,7 @@ fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Opti
         // Four bytes of name: header and record are a page, to the byte.
         CrashOp::StorePutNewPage => Some(("page", Some(prand_bytes(cfg.seed ^ 0x0B03, bs)))),
         CrashOp::StorePutLarge => {
-            let len = (cfg.layout.data_len() + 1) * bs - 3;
+            let len = (2 * cfg.layout.data_len() - SEED_END) * bs - 3;
             Some(("L", Some(prand_bytes(cfg.seed ^ 0x0B04, len))))
         }
         CrashOp::StoreUpsertLarge => {
@@ -385,11 +387,14 @@ fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Opti
     }
 }
 
-/// What the upsert-large scenario's key holds before its op: one
-/// stripe's data to the byte, so it owns stripe 1 and its new value
-/// takes stripe 2.
+/// The first element after the seed keys.
+const SEED_END: usize = STORE_META + 2 * STORE_SEED_KEYS.len();
+
+/// What the upsert-large scenario's key holds before its op: the rest of
+/// stripe 0 to the byte, so its new value goes first-fit to stripe 1.
 fn large_seed_value(cfg: &CrashSimConfig) -> Vec<u8> {
-    prand_bytes(cfg.seed ^ 0x0B06, cfg.layout.data_len() * cfg.block_size)
+    let len = (cfg.layout.data_len() - SEED_END) * cfg.block_size;
+    prand_bytes(cfg.seed ^ 0x0B06, len)
 }
 
 /// Format a store on the prepared array and acknowledge the scenario's
@@ -851,7 +856,7 @@ mod tests {
             let report = sweep(&cfg);
             assert!(report.passed(), "p={p}: the planted bug went unseen");
             for op in &report.per_op {
-                // Only these write whole stripes.
+                // Only these cover a stripe whole.
                 let exposed = ["store-put-large", "store-upsert-large"].contains(&op.op);
                 assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
             }
@@ -917,18 +922,21 @@ mod tests {
         changes(CrashOp::StorePut, 3, record("n", 10, 65));
         changes(CrashOp::StorePutNewPage, 3, record("page", 10, 32));
         assert_eq!(8 + 4 + "page".len() + 16, cfg.block_size);
-        // A value longer than a stripe's 15 elements starts at stripe 1
-        // and runs into stripe 2; 15 elements to the byte fill stripe 1,
-        // and their overwrite takes stripe 2.
-        changes(CrashOp::StorePutLarge, 3, record("L", 15, 16 * 32 - 3));
+        // First-fit from element 10 to the end of stripe 1 (15 data
+        // elements a stripe): only stripe 1 is covered whole. The upsert's
+        // key fills stripe 0, and its new value takes stripe 1 whole.
+        changes(CrashOp::StorePutLarge, 3, record("L", 10, 20 * 32 - 3));
+        let mut inst = setup(&cfg, CrashOp::StorePutLarge);
+        run_op(&cfg, CrashOp::StorePutLarge, &mut inst);
+        assert_eq!(inst.array.stats().unshared_stripes, 1);
         let mut inst = setup(&cfg, CrashOp::StoreUpsertLarge);
-        assert_eq!(index_pages(&cfg, &mut inst)[3], record("L", 15, 15 * 32));
+        assert_eq!(index_pages(&cfg, &mut inst)[3], record("L", 10, 5 * 32));
         run_op(&cfg, CrashOp::StoreUpsertLarge, &mut inst);
         assert_eq!(
             index_pages(&cfg, &mut inst)[3],
-            record("L", 30, 15 * 32 - 7)
+            record("L", 15, 15 * 32 - 7)
         );
-        assert_eq!(inst.array.stats().unshared_stripes, 1 + 1);
+        assert_eq!(inst.array.stats().unshared_stripes, 1);
     }
 
     #[test]

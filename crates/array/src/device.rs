@@ -61,26 +61,17 @@ pub trait ElementIo {
     /// Write `bytes` (a multiple of the element size) starting at `start`.
     fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError>;
 
-    /// Data elements per stripe, at least 1: the unit
-    /// [`write_unshared`](ElementIo::write_unshared) writes whole, and the
-    /// alignment the object store gives a value that fills one. The
-    /// default, 1, makes every element its own stripe, so a store over an
-    /// implementation that keeps both defaults allocates first-fit and
-    /// writes every value through `write_elements`.
-    fn stripe_elements(&self) -> usize {
-        1
-    }
-
-    /// Write `bytes` starting at `start`, as `write_elements` does, into
-    /// stripes that hold nothing else. The caller promises that no element
-    /// of a stripe the range touches, outside the range, holds data anyone
-    /// will read back: the implementation may write those elements as
-    /// zeros, and so need not read the stripe or protect its other
-    /// elements against a torn write. The bytes in the range get the same
-    /// guarantee as from `write_elements`: on return they are durable, and
-    /// a crash before it leaves every stripe readable and consistent. The
-    /// default is `write_elements`, which keeps the stripes' other
-    /// elements as they were.
+    /// Write `bytes` starting at `start`, as `write_elements` does, over
+    /// elements that hold nothing live. The caller promises that no
+    /// element of the range holds data anyone will read back — a free
+    /// extent of an object store — so a crash mid-call may leave the range
+    /// with any mix of old and new elements, as from `write_elements`, and
+    /// the implementation need not be able to restore the old ones. It
+    /// may therefore protect a stripe the range covers whole with less
+    /// than `write_elements` would: elements outside the range are
+    /// guarded exactly as by `write_elements`. On return the bytes are
+    /// durable, and a crash before it leaves every stripe readable and
+    /// consistent. The default is `write_elements`.
     fn write_unshared(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         self.write_elements(start, bytes)
     }
@@ -100,9 +91,6 @@ impl<D: ElementIo + ?Sized> ElementIo for &mut D {
     }
     fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         (**self).write_elements(start, bytes)
-    }
-    fn stripe_elements(&self) -> usize {
-        (**self).stripe_elements()
     }
     fn write_unshared(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         (**self).write_unshared(start, bytes)

@@ -64,24 +64,27 @@
 //!   write is information-destroying — the failed slot's implied content
 //!   changes with the parity — so replay must be able to force the whole
 //!   intent, not reconcile halves.
-//! * [`RecordMode::Resync`] (whole stripes that held no live data, written
-//!   by [`write_unshared`](crate::ResilientArray::write_unshared) on a
-//!   healthy array): a header with no entries that names a run of
-//!   stripes — the first in the `stripe` field, the count in header bytes
-//!   23..27 — and no payload. One record covers a whole call, however
-//!   many stripes it writes; it costs the header block(s), the commit
-//!   flush, a tombstone and the retire flush. Nothing in those stripes
-//!   needs its old content kept, so replay need not know the new content
-//!   either: it reads every data cell of each named stripe from the
-//!   medium, re-encodes, and writes every parity cell. Whatever subset of
-//!   the stripe writes landed before the crash, each stripe's parity then
-//!   matches its data again, so a later delta write into one of them folds
-//!   into a consistent parity. A stale record — one replayed over stripes
-//!   that were consistent, or that have since become live — writes the
-//!   parity they already hold and changes no byte. A stripe with a data
-//!   cell on a failed slot, or one that does not read, cannot be
-//!   re-encoded: replay leaves it as it is and reports the mount
-//!   [`Degraded`](ReplayOutcome::Degraded).
+//! * [`RecordMode::Resync`] (the stripes a
+//!   [`write_unshared`](crate::ResilientArray::write_unshared) covers
+//!   whole, on a healthy array): a header with no entries that names a
+//!   run of stripes — the first in the `stripe` field, the count in
+//!   header bytes 23..27 — and no payload. One record covers a whole
+//!   call, however many stripes it writes whole; it costs the header
+//!   block(s), the commit flush, a tombstone and the retire flush.
+//!   Nothing in those stripes needs its old content kept, so replay need
+//!   not know the new content either: it reads every data cell of each
+//!   named stripe from the medium, re-encodes, and writes every parity
+//!   cell. Whatever subset of the stripe writes landed before the crash,
+//!   each stripe's parity then matches its data again, so a later delta
+//!   write into one of them folds into a consistent parity. A stale
+//!   record — one replayed over stripes that were consistent, or that
+//!   have since become live — writes the parity they already hold and
+//!   changes no byte. A data cell that does not read — its slot failed
+//!   with the crash, or a read error — is first rebuilt through parity
+//!   from the rest of the stripe, and every parity re-encoded from it:
+//!   the stripe is consistent again, and the mount reports
+//!   [`Degraded`](ReplayOutcome::Degraded). Only a stripe beyond the
+//!   code's tolerance is left as it is.
 
 use dcode_core::grid::Cell;
 use dcode_core::layout::CodeLayout;

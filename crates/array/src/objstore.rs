@@ -11,31 +11,21 @@
 //! the array's element I/O.
 //!
 //! Design: a fixed metadata region at the front holds the index, one
-//! independent **page** per element; objects are allocated on element
-//! ranges after it, and every byte path goes through RAID-6
+//! independent **page** per element; objects are allocated first-fit on
+//! element ranges after it, and every byte path goes through RAID-6
 //! encode/recover. There is no compaction.
 //!
-//! # Where a value goes
-//!
-//! Let `s` be the array's data elements per stripe
-//! ([`ElementIo::stripe_elements`]; 35 at D-Code p = 7) and `e` the
-//! value's elements. A value with `e ≥ s` goes to the first stripe
-//! boundary from which `⌈e/s⌉` whole stripes hold no live extent and no
-//! index page, and is written with [`ElementIo::write_unshared`]: the
-//! array writes those stripes whole, padding zeros after the value, and
-//! reads nothing. Every other value, and a large one when no such run of
-//! stripes is free, goes first-fit and is written with
-//! [`ElementIo::write_elements`]. No value that fits a free range is
-//! refused.
-//!
-//! The extent is still `e` elements: the padding after it is free, and a
-//! value smaller than a stripe can take it later. A 256 KiB value at
-//! D-Code p = 7 and 4 KiB elements writes 70 elements and keeps 64. What
-//! alignment costs is room: the up to `s − 1` elements in front of an
-//! aligned value, and its padding, only take values smaller than a
-//! stripe, so a store that holds mostly large values can refuse one
-//! sooner than first-fit alone would have. With the defaults of
-//! [`ElementIo`] (`s = 1`) the rule is first-fit exactly.
+//! A value goes to a free extent, which holds nothing anyone reads back,
+//! so the store writes it with [`ElementIo::write_unshared`]: over a
+//! journaled [`ResilientArray`](crate::ResilientArray), a stripe the
+//! extent covers whole is written under one header-only resync record for
+//! the whole value instead of an intent record holding its parity, and
+//! the stripes it shares with other extents or index pages at its two
+//! ends are journaled as by `write_elements`. Placement is first-fit and
+//! nothing else: the value is not moved to a stripe boundary, so the
+//! store holds exactly what a first-fit store holds, and a value smaller
+//! than a stripe's data, or one that straddles a boundary without
+//! covering a stripe, is journaled in full.
 //!
 //! # The index on the medium
 //!
@@ -65,9 +55,9 @@
 //! first:
 //!
 //! * [`put`](ObjectStore::put) and [`upsert`](ObjectStore::upsert) write
-//!   the value into a free extent — whole free stripes for a large value,
-//!   durable when [`write_unshared`](ElementIo::write_unshared) returns,
-//!   as after `write_elements` — then rewrite the key's page. A crash
+//!   the value into a free extent — durable when
+//!   [`write_unshared`](ElementIo::write_unshared) returns, as after
+//!   `write_elements` — then rewrite the key's page. A crash
 //!   before the page lands leaves the previous index: a new key is
 //!   absent, an overwritten key still reads its previous value, whose
 //!   extent was never touched. After it, the key reads the new value.
@@ -379,38 +369,26 @@ impl<D: ElementIo> ObjectStore<D> {
         Ok(())
     }
 
-    /// Where a value of `elements` goes (see the module docs), and
-    /// whether the stripes it touches hold nothing else.
-    fn allocate(&self, elements: usize) -> Result<(usize, bool), StoreError> {
-        let stripe = self.array.stripe_elements();
-        let aligned = (elements >= stripe).then(|| self.first_fit(elements, stripe));
-        match aligned.flatten() {
-            Some(start) => Ok((start, true)),
-            None => self
-                .first_fit(elements, 1)
-                .map(|start| (start, false))
-                .ok_or(StoreError::NoSpace { needed: elements }),
-        }
-    }
-
-    /// The first multiple of `align` after the metadata region from which
-    /// `elements`, rounded up to a multiple of `align`, are free.
-    fn first_fit(&self, elements: usize, align: usize) -> Option<usize> {
-        let span = elements.next_multiple_of(align);
+    /// First-fit allocation after the metadata region.
+    fn allocate(&self, elements: usize) -> Result<usize, StoreError> {
         let mut used: Vec<(usize, usize)> = self
             .index
             .values()
             .map(|e| (e.start, self.elements_for(e.len)))
             .collect();
         used.sort_unstable();
-        let mut cursor = self.meta_elements.next_multiple_of(align);
+        let mut cursor = self.meta_elements;
         for (start, len) in used {
-            if start >= cursor + span {
+            if start >= cursor + elements {
                 break;
             }
-            cursor = cursor.max((start + len).next_multiple_of(align));
+            cursor = cursor.max(start + len);
         }
-        (cursor + span <= self.array.capacity_elements()).then_some(cursor)
+        if cursor + elements <= self.array.capacity_elements() {
+            Ok(cursor)
+        } else {
+            Err(StoreError::NoSpace { needed: elements })
+        }
     }
 
     /// Store an object under a name the store does not hold yet;
@@ -425,7 +403,7 @@ impl<D: ElementIo> ObjectStore<D> {
 
     /// Store an object, replacing any existing object of the same name
     /// (the server's `put` semantics). Copy-on-write: the new extent is
-    /// allocated while the index still holds the old one — so allocation
+    /// allocated while the index still holds the old one — so first-fit
     /// cannot hand the old one out — and written before the one page
     /// rewrite that names it. The durable index therefore names the old
     /// extent, intact, or the new one, fully written, at every instant;
@@ -439,21 +417,14 @@ impl<D: ElementIo> ObjectStore<D> {
             None => self.page_for(name)?,
         };
         let elements = self.elements_for(bytes.len());
-        let (start, unshared) = self.allocate(elements)?;
+        let start = self.allocate(elements)?;
         let mut padded = bytes.to_vec();
         padded.resize(elements * self.block_size(), 0);
-        let write_value = |array: &mut D| {
-            if unshared {
-                array.write_unshared(start, &padded)
-            } else {
-                array.write_elements(start, &padded)
-            }
-        };
         // Planted bug for the harness self-test: the index names the new
         // extent before its bytes are on the medium.
         let index_first = self.mutation == Some(JournalMutation::IndexBeforeData);
         if !index_first {
-            write_value(&mut self.array)?;
+            self.array.write_unshared(start, &padded)?;
         }
         let len = bytes.len();
         let entry = Entry { page, start, len };
@@ -467,7 +438,7 @@ impl<D: ElementIo> ObjectStore<D> {
                 None => self.index.remove(name),
             };
         } else if index_first {
-            write_value(&mut self.array)?;
+            self.array.write_unshared(start, &padded)?;
         }
         persisted
     }
@@ -686,48 +657,17 @@ mod tests {
     }
 
     /// `count` objects `obj0..`, each `elements` elements of its own byte.
-    fn fill<D: ElementIo>(s: &mut ObjectStore<D>, count: usize, elements: usize) {
+    fn fill(s: &mut MemStore, count: usize, elements: usize) {
         for i in 0..count {
             s.put(&format!("obj{i}"), &vec![i as u8; elements * 64])
                 .unwrap();
         }
     }
 
-    /// The array behind the defaults of [`ElementIo`]: one element a
-    /// stripe, so the store places every value first-fit and writes it
-    /// with `write_elements` — the space rule with no alignment in it.
-    struct FirstFit(MemArray);
-
-    impl ElementIo for FirstFit {
-        fn capacity_elements(&self) -> usize {
-            self.0.capacity_elements()
-        }
-        fn element_size(&self) -> usize {
-            self.0.element_size()
-        }
-        fn read_elements(&mut self, start: usize, count: usize) -> Result<Vec<u8>, ArrayError> {
-            self.0.read_elements(start, count)
-        }
-        fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
-            self.0.write_elements(start, bytes)
-        }
-    }
-
-    type FirstFitStore = ObjectStore<FirstFit>;
-
-    fn first_fit_store() -> FirstFitStore {
-        ObjectStore::format(FirstFit(new_array()), 4).unwrap()
-    }
-
-    fn reopen_first_fit(mut s: FirstFitStore) -> FirstFitStore {
-        let array = std::mem::replace(&mut s.array_mut().0, new_array());
-        ObjectStore::open(FirstFit(array), 4).unwrap()
-    }
-
     #[test]
     fn overwrite_without_room_for_both_versions_is_no_space_and_keeps_the_old_value() {
         // 280 elements less 4 of index: six 46-element objects fill it.
-        let mut s = first_fit_store();
+        let mut s = new_store();
         fill(&mut s, 6, 46);
         let newer = vec![0xEE; 46 * 64];
         assert!(matches!(
@@ -742,7 +682,7 @@ mod tests {
             Err(StoreError::NoSpace { needed: 1 })
         ));
         let live = s.list();
-        let mut reopened = reopen_first_fit(s);
+        let mut reopened = reopen(s).unwrap();
         assert_eq!(reopened.list(), live);
         assert_eq!(reopened.get("obj0").unwrap(), vec![0u8; 46 * 64]);
         // Deleting any object makes the room.
@@ -753,89 +693,22 @@ mod tests {
 
     #[test]
     fn overwrite_takes_the_one_free_extent_and_the_next_reuses_the_hole() {
-        let mut s = first_fit_store();
+        let mut s = new_store();
         fill(&mut s, 5, 46); // elements [4, 234); one 46-element extent free
         let first = vec![0xA1; 46 * 64];
         s.upsert("obj0", &first).unwrap();
         assert_eq!(s.get("obj0").unwrap(), first);
         // The new version went to the free extent, the old one stayed put
         // until the index flipped — and is the only hole now.
-        assert_eq!(s.array_mut().0.read(234, 1).unwrap(), [0xA1; 64]);
-        assert_eq!(s.array_mut().0.read(4, 1).unwrap(), [0u8; 64]);
+        assert_eq!(s.array_mut().read(234, 1).unwrap(), [0xA1; 64]);
+        assert_eq!(s.array_mut().read(4, 1).unwrap(), [0u8; 64]);
         let second = vec![0xB2; 46 * 64];
         s.upsert("obj1", &second).unwrap();
-        assert_eq!(s.array_mut().0.read(4, 1).unwrap(), [0xB2; 64]);
-        let mut reopened = reopen_first_fit(s);
+        assert_eq!(s.array_mut().read(4, 1).unwrap(), [0xB2; 64]);
+        let mut reopened = reopen(s).unwrap();
         assert_eq!(reopened.get("obj0").unwrap(), first);
         assert_eq!(reopened.get("obj1").unwrap(), second);
         assert_eq!(reopened.get("obj2").unwrap(), vec![2u8; 46 * 64]);
-    }
-
-    /// Where each object of the store starts, by name.
-    fn starts<'a, D: ElementIo>(s: &'a ObjectStore<D>) -> Vec<(&'a str, usize)> {
-        let at = |(name, entry): (&'a String, &Entry)| (name.as_str(), entry.start);
-        s.index.iter().map(at).collect()
-    }
-
-    #[test]
-    fn a_value_that_fills_a_stripe_takes_free_whole_stripes_and_leaves_its_padding() {
-        // 35 data elements a stripe; the index holds elements 0..4.
-        let mut s = new_store();
-        s.put("small", &[1; 10]).unwrap();
-        // 46 elements: stripes 1 and 2 whole, nothing read, padding after
-        // element 81 written as zeros and left free.
-        let fetched = s.array().stats().write_fetch_blocks;
-        s.put("big", &[2; 46 * 64]).unwrap();
-        assert_eq!(s.array().stats().unshared_stripes, 2);
-        let fetched = s.array().stats().write_fetch_blocks - fetched;
-        assert_eq!(fetched, 3, "the page write's fetch, and nothing else");
-        // Smaller than a stripe: first-fit, into stripe 0 and then into the
-        // padding.
-        s.put("mid", &[3; 30 * 64]).unwrap();
-        s.put("mid2", &[4; 20 * 64]).unwrap();
-        // One stripe to the element: the first free whole stripe is 3, as
-        // stripe 2 holds the end of "big" and "mid2".
-        s.put("big2", &[5; 35 * 64]).unwrap();
-        assert_eq!(s.array().stats().unshared_stripes, 3);
-        let want = [
-            ("big", 35),
-            ("big2", 105),
-            ("mid", 5),
-            ("mid2", 81),
-            ("small", 4),
-        ];
-        assert_eq!(starts(&s), want);
-        let mut reopened = reopen(s).unwrap();
-        assert_eq!(starts(&reopened), want);
-        for (name, byte, len) in [("big", 2, 46), ("mid2", 4, 20), ("big2", 5, 35)] {
-            assert_eq!(reopened.get(name).unwrap(), vec![byte; len * 64]);
-        }
-        let scrub = reopened.array_mut().scrub_pass().unwrap();
-        assert_eq!(scrub.parity_mismatches, 0);
-    }
-
-    #[test]
-    fn a_large_value_with_no_two_free_whole_stripes_goes_first_fit() {
-        // Seven 34-element values from element 4, then two deleted: the
-        // 68 free elements 38..106 hold one whole stripe (2), and so does
-        // the tail 242..280 (stripe 7).
-        let mut s = new_store();
-        fill(&mut s, 7, 34);
-        s.delete("obj1").unwrap();
-        s.delete("obj2").unwrap();
-        // 40 elements need two stripes side by side: none are free, so the
-        // value goes first-fit and the array keeps the stripes' other cells.
-        s.put("big", &[7; 40 * 64]).unwrap();
-        assert_eq!(s.array().stats().unshared_stripes, 0);
-        assert!(starts(&s).contains(&("big", 38)));
-        // One stripe's worth fits the tail's whole stripe.
-        s.put("one", &[8; 35 * 64]).unwrap();
-        assert_eq!(s.array().stats().unshared_stripes, 1);
-        assert!(starts(&s).contains(&("one", 245)));
-        let mut reopened = reopen(s).unwrap();
-        assert_eq!(reopened.get("big").unwrap(), vec![7; 40 * 64]);
-        assert_eq!(reopened.get("obj0").unwrap(), vec![0; 34 * 64]);
-        assert_eq!(reopened.get("obj3").unwrap(), vec![3; 34 * 64]);
     }
 
     /// An array that refuses every write below element `refuse_below`.

@@ -152,10 +152,9 @@ pub struct ResilientStats {
     /// read, parity re-encoded); a full-stripe write is one of these with
     /// nothing to read.
     pub reconstruct_segments: u64,
-    /// Stripes written whole by
-    /// [`write_unshared`](ResilientArray::write_unshared): nothing read,
-    /// and one resync record for the call instead of one intent record a
-    /// stripe.
+    /// Stripes [`write_unshared`](ResilientArray::write_unshared) covered
+    /// whole and wrote under its one resync record instead of an intent
+    /// record a stripe.
     pub unshared_stripes: u64,
     /// Cells the write path asked the medium for before it could write:
     /// old data and parity on the delta branch, untouched data on the
@@ -190,12 +189,12 @@ pub enum JournalMutation {
     /// that were never written. The array itself ignores this one.
     IndexBeforeData,
     /// In [`write_unshared`](ResilientArray::write_unshared): write the
-    /// stripes without committing the resync intent. A crash mid-write
-    /// leaves a stripe whose parity disagrees with its data and no record
-    /// to re-encode it. Such a tear lasts only on a medium that keeps every
-    /// write as it lands: a cache that destages a disk only when it is
-    /// flushed drops all of it, because the call flushes nothing until
-    /// every stripe is written.
+    /// stripes it covers whole without committing the resync intent. A
+    /// crash mid-write leaves a stripe whose parity disagrees with its
+    /// data and no record to re-encode it. Such a tear lasts only on a
+    /// medium that keeps every write as it lands: a cache that destages a
+    /// disk only when it is flushed drops all of it, because nothing is
+    /// flushed between the first of those stripe writes and the last.
     UnsharedWithoutIntent,
 }
 
@@ -1019,6 +1018,17 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// (inline for a single stripe), which is what lets a server batch
     /// many queued puts into one pooled encode.
     pub fn write(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+        self.write_range(start, bytes, false)
+    }
+
+    /// [`write`](ResilientArray::write), or with `unshared`
+    /// [`write_unshared`](ResilientArray::write_unshared).
+    fn write_range(
+        &mut self,
+        start: usize,
+        bytes: &[u8],
+        unshared: bool,
+    ) -> Result<(), ArrayError> {
         let bs = self.block_size;
         assert!(
             bytes.len() % bs == 0,
@@ -1052,6 +1062,11 @@ impl<B: DiskBackend> ResilientArray<B> {
             minipool::global(),
             minipool::effective_parallelism(segments.len()),
         );
+        // The stripes covered whole go under one resync record, after the
+        // others have gone under theirs.
+        let resync = unshared && self.journal.is_some() && self.all_healthy();
+        let d = self.layout.data_len();
+        let mut whole = Vec::new();
         for (segment, scratch) in segments.iter().zip(&mut scratches) {
             if let Some(old) = &segment.old {
                 // Every stored cell of a delta stripe holds its change.
@@ -1059,112 +1074,33 @@ impl<B: DiskBackend> ResilientArray<B> {
                     xor_into(scratch.block_mut(cell), old.block(cell));
                 }
             }
-            self.persist_segment(segment, scratch);
+            if resync && segment.data.len() == d {
+                whole.push((segment, &*scratch));
+            } else {
+                self.persist_segment(segment, scratch);
+            }
+        }
+        if !whole.is_empty() {
+            self.persist_resync(&whole);
         }
         Ok(())
     }
 
-    /// [`write`](ResilientArray::write) into stripes that hold no live data
-    /// outside the range: the [`ElementIo::write_unshared`] contract. On a
-    /// healthy array every stripe the range touches is written whole —
-    /// the range's cells as given, every other data cell zero, every
-    /// parity from one batch encode — and nothing is read. Only the
-    /// range's cells are hashed: a zero cell's CRC is `crc(0ⁿ)`, and
-    /// replaying the encode program over those CRCs gives the parities'.
-    ///
-    /// On a journaled array one [`RecordMode::Resync`] record naming the
-    /// stripes is committed before the first stripe write, and retired
-    /// once every disk written is flushed. A crash in between leaves each
-    /// stripe with any mix of old and new cells; replay re-encodes their
-    /// parity from the data on disk, so every stripe is consistent again
-    /// whatever landed. A failed or rebuilding slot sends the call to
-    /// `write`, whose per-stripe records keep the stripes' other cells.
+    /// [`write`](ResilientArray::write) over elements that hold nothing
+    /// live: the [`ElementIo::write_unshared`] contract. A stripe the range
+    /// covers whole is written as `write` writes it — nothing read, every
+    /// parity from the batch encode — but on a healthy journaled array
+    /// without a by-value intent record: one [`RecordMode::Resync`] record
+    /// names every such stripe of the call, is committed before the first
+    /// of them is written, and is retired once every disk written is
+    /// flushed. A crash in between leaves each of them with any mix of old
+    /// and new cells; replay re-encodes their parity from the data on
+    /// disk, so every stripe is consistent again whatever landed. A stripe
+    /// the range covers in part holds other elements, and takes its own
+    /// intent record as in `write`; so does every stripe while a slot is
+    /// failed or rebuilding.
     pub fn write_unshared(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
-        if !self.all_healthy() {
-            return self.write(start, bytes);
-        }
-        let bs = self.block_size;
-        assert!(
-            bytes.len() % bs == 0,
-            "write length must be a multiple of the block size"
-        );
-        let count = bytes.len() / bs;
-        if count == 0 {
-            return Ok(());
-        }
-        self.locate_range(start, count)?;
-
-        let d = self.layout.data_len();
-        let stripes = start / d..(start + count - 1) / d + 1;
-        let program = self.schedules.encode_program(&self.layout);
-        let data_cells = self.layout.data_cells().iter().copied();
-        let cells: Vec<Cell> = data_cells.chain(self.layout.parity_cells()).collect();
-        let (grid, zero) = (self.layout.grid(), self.zero_crc);
-        let mut scratches = Vec::with_capacity(stripes.len());
-        let mut crcs = Vec::with_capacity(stripes.len());
-        for stripe in stripes.clone() {
-            let mut scratch = Stripe::zeroed(&self.layout, bs);
-            let mut table = vec![zero; grid.len()];
-            for (i, &cell) in cells[..d].iter().enumerate() {
-                let element = stripe * d + i;
-                if (start..start + count).contains(&element) {
-                    let block = &bytes[(element - start) * bs..][..bs];
-                    scratch.block_mut(cell).copy_from_slice(block);
-                    table[grid.index(cell)] = self.hash(block);
-                }
-            }
-            program.run_crcs(&mut table, zero);
-            scratches.push(scratch);
-            crcs.push(
-                cells
-                    .iter()
-                    .map(|&c| table[grid.index(c)])
-                    .collect::<Vec<u32>>(),
-            );
-        }
-        dcode_codec::run_batch(
-            &program,
-            &mut scratches,
-            minipool::global(),
-            minipool::effective_parallelism(stripes.len()),
-        );
-
-        // Planted bug for the harness self-test: no intent at all.
-        let planted = self.mutation == Some(JournalMutation::UnsharedWithoutIntent);
-        let committed = (self.journal.is_some() && !planted).then(|| {
-            let record = IntentRecord {
-                seq: self.jseq,
-                stripe: stripes.start,
-                mode: RecordMode::Resync {
-                    stripes: stripes.len(),
-                },
-                entries: Vec::new(),
-            };
-            self.jseq += 1;
-            (self.journal_append(&record), record.seq)
-        });
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
-        for ((stripe, scratch), crcs) in stripes.clone().zip(&scratches).zip(&crcs) {
-            debug_assert!(
-                cells
-                    .iter()
-                    .zip(crcs)
-                    .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
-                "a derived CRC of unshared stripe {stripe} differs from the hashed one"
-            );
-            self.store_cells(stripe, &cells, crcs, scratch, &mut touched);
-        }
-        if self.journal.is_some() {
-            for disk in touched {
-                let _ = self.backend.flush(disk);
-            }
-            if let Some((jdisk, seq)) = committed {
-                self.journal_retire(jdisk, seq);
-            }
-        }
-        self.stats.element_writes += count as u64;
-        self.stats.unshared_stripes += stripes.len() as u64;
-        Ok(())
+        self.write_range(start, bytes, true)
     }
 
     fn all_healthy(&self) -> bool {
@@ -1279,16 +1215,6 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// of the call is retired, so an acknowledged write is durable and a
     /// crashed one is replayable.
     fn persist_segment(&mut self, segment: &Segment, scratch: &Stripe) {
-        let (data_crcs, parity_crcs) = (&segment.data_crcs, &segment.parity_crcs);
-        debug_assert!(
-            segment
-                .parity
-                .iter()
-                .zip(parity_crcs)
-                .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
-            "a derived parity CRC of stripe {} differs from the hashed one",
-            segment.stripe
-        );
         let committed = self.journal.is_some().then(|| {
             let record = self.build_record(segment, scratch);
             (self.journal_append(&record), record.seq)
@@ -1296,14 +1222,9 @@ impl<B: DiskBackend> ResilientArray<B> {
         // Planted bug for the harness self-test: retiring between the
         // data and parity writes re-opens the write hole.
         let mutated = self.mutation == Some(JournalMutation::RetireBeforeParity);
-
-        let stripe = segment.stripe;
+        let retire_early = committed.filter(|_| mutated);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        self.store_cells(stripe, &segment.data, data_crcs, scratch, &mut touched);
-        if let (Some((jdisk, seq)), true) = (committed, mutated) {
-            self.journal_retire(jdisk, seq);
-        }
-        self.store_cells(stripe, &segment.parity, parity_crcs, scratch, &mut touched);
+        self.store_segment(segment, scratch, &mut touched, retire_early);
         if let Some((jdisk, seq)) = committed {
             for disk in touched {
                 let _ = self.backend.flush(disk);
@@ -1312,6 +1233,70 @@ impl<B: DiskBackend> ResilientArray<B> {
                 self.journal_retire(jdisk, seq);
             }
         }
+    }
+
+    /// Persist the stripes a [`write_unshared`](ResilientArray::write_unshared)
+    /// covers whole — consecutive, ascending — under one
+    /// [`RecordMode::Resync`] record: commit it (header → journal-disk
+    /// flush), apply every stripe's cells, flush every touched disk,
+    /// retire it.
+    fn persist_resync(&mut self, whole: &[(&Segment, &Stripe)]) {
+        let first = whole[0].0.stripe;
+        // Planted bug for the harness self-test: no intent at all.
+        let planted = self.mutation == Some(JournalMutation::UnsharedWithoutIntent);
+        let committed = (!planted).then(|| {
+            let record = IntentRecord {
+                seq: self.jseq,
+                stripe: first,
+                mode: RecordMode::Resync {
+                    stripes: whole.len(),
+                },
+                entries: Vec::new(),
+            };
+            self.jseq += 1;
+            (self.journal_append(&record), record.seq)
+        });
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        for (i, &(segment, scratch)) in whole.iter().enumerate() {
+            debug_assert_eq!(segment.stripe, first + i, "a resync run is consecutive");
+            self.store_segment(segment, scratch, &mut touched, None);
+        }
+        for disk in touched {
+            let _ = self.backend.flush(disk);
+        }
+        if let Some((jdisk, seq)) = committed {
+            self.journal_retire(jdisk, seq);
+        }
+        self.stats.unshared_stripes += whole.len() as u64;
+    }
+
+    /// Store one encoded segment's data cells, then its parity cells,
+    /// under the CRCs [`fetch_segment`](ResilientArray::fetch_segment)
+    /// gave them, noting in `touched` the disks written. `retire_early`
+    /// is the planted retire-before-parity bug's record, retired between
+    /// the two.
+    fn store_segment(
+        &mut self,
+        segment: &Segment,
+        scratch: &Stripe,
+        touched: &mut BTreeSet<usize>,
+        retire_early: Option<(Option<usize>, u64)>,
+    ) {
+        let (stripe, data_crcs, parity_crcs) =
+            (segment.stripe, &segment.data_crcs, &segment.parity_crcs);
+        debug_assert!(
+            segment
+                .parity
+                .iter()
+                .zip(parity_crcs)
+                .all(|(&c, &crc)| crc == crc32(scratch.block(c))),
+            "a derived parity CRC of stripe {stripe} differs from the hashed one"
+        );
+        self.store_cells(stripe, &segment.data, data_crcs, scratch, touched);
+        if let Some((jdisk, seq)) = retire_early {
+            self.journal_retire(jdisk, seq);
+        }
+        self.store_cells(stripe, &segment.parity, parity_crcs, scratch, touched);
         self.stats.element_writes += segment.data.len() as u64;
     }
 
@@ -1611,12 +1596,8 @@ impl<B: DiskBackend> ResilientArray<B> {
         let to_write: Vec<(Cell, Vec<u8>)> = match rec.mode {
             // Resync: re-encode each named stripe from the data on disk.
             RecordMode::Resync { stripes } => {
-                let parity: Vec<Cell> = self.layout.parity_cells().collect();
                 for stripe in rec.stripe..rec.stripe + stripes {
-                    match self.recompute_parity(stripe, &parity) {
-                        Some(fresh) => degraded |= self.write_replayed(stripe, fresh),
-                        None => degraded = true,
-                    }
+                    degraded |= self.resync_stripe(stripe);
                 }
                 return degraded;
             }
@@ -1703,26 +1684,77 @@ impl<B: DiskBackend> ResilientArray<B> {
         failed
     }
 
-    /// Recompute the cells `parity` of `stripe` from the data actually on
-    /// disk. `None` if any data cell cannot be read directly.
-    fn recompute_parity(&mut self, stripe: usize, parity: &[Cell]) -> Option<Vec<(Cell, Vec<u8>)>> {
+    /// Replay a resync record over `stripe`: re-encode every parity from
+    /// the data on disk and write it. A data cell that does not read — its
+    /// slot failed, or the read errors — is first rebuilt through parity
+    /// from the rest of the stripe. Nothing in the stripe was live when
+    /// the record was committed, so any value the rebuild gives a torn
+    /// stripe's lost cell will do; what matters is that every parity then
+    /// matches one set of data, so a later write into the stripe folds
+    /// into a consistent parity. Returns whether the replay had to
+    /// degrade: a cell rebuilt, a stripe beyond the code's tolerance (left
+    /// as it is), or a parity write that failed.
+    fn resync_stripe(&mut self, stripe: usize) -> bool {
+        let parity: Vec<Cell> = self.layout.parity_cells().collect();
+        let data: Vec<Cell> = self.layout.data_cells().to_vec();
         let mut scratch = Stripe::zeroed(&self.layout, self.block_size);
-        let data_cells: Vec<Cell> = self.layout.data_cells().to_vec();
-        for cell in data_cells {
-            let slot = self.slot_of(stripe, cell.col);
-            if self.state[slot] != SlotState::Healthy {
-                return None;
-            }
-            let block = self.block_of(stripe, cell.row);
-            match self.read_raw(slot, block) {
-                Ok(buf) => scratch.block_mut(cell).copy_from_slice(&buf),
-                Err(_) => return None,
+        let mut lost: BTreeSet<usize> = BTreeSet::new();
+        self.read_raw_into(stripe, &data, &mut scratch, &mut lost);
+        let rebuilt = !lost.is_empty();
+        if rebuilt {
+            self.read_raw_into(stripe, &parity, &mut scratch, &mut lost);
+            let lost: Vec<usize> = lost.into_iter().collect();
+            if dcode_codec::recover_columns(&self.layout, &mut scratch, &lost).is_err() {
+                return true;
             }
         }
         self.schedules
             .encode_program(&self.layout)
             .run(&mut scratch);
+        let fresh = parity.iter().map(|&c| (c, scratch.snapshot(c))).collect();
+        self.write_replayed(stripe, fresh) | rebuilt
+    }
+
+    /// Recompute the cells `parity` of `stripe` from the data actually on
+    /// disk. `None` if any data cell cannot be read directly.
+    fn recompute_parity(&mut self, stripe: usize, parity: &[Cell]) -> Option<Vec<(Cell, Vec<u8>)>> {
+        let mut scratch = Stripe::zeroed(&self.layout, self.block_size);
+        let mut lost: BTreeSet<usize> = BTreeSet::new();
+        let data: Vec<Cell> = self.layout.data_cells().to_vec();
+        self.read_raw_into(stripe, &data, &mut scratch, &mut lost);
+        if !lost.is_empty() {
+            return None;
+        }
+        self.schedules
+            .encode_program(&self.layout)
+            .run(&mut scratch);
         Some(parity.iter().map(|&c| (c, scratch.snapshot(c))).collect())
+    }
+
+    /// Read `cells` of `stripe` from the medium into `scratch`, unchecked
+    /// (replay runs before the CRC table is seeded), and add to `lost`
+    /// the column of each that does not read: its slot is not healthy, or
+    /// the read fails.
+    fn read_raw_into(
+        &mut self,
+        stripe: usize,
+        cells: &[Cell],
+        scratch: &mut Stripe,
+        lost: &mut BTreeSet<usize>,
+    ) {
+        for &cell in cells {
+            let slot = self.slot_of(stripe, cell.col);
+            let read = match self.state[slot] {
+                SlotState::Healthy => self.read_raw(slot, self.block_of(stripe, cell.row)).ok(),
+                _ => None,
+            };
+            match read {
+                Some(buf) => scratch.block_mut(cell).copy_from_slice(&buf),
+                None => {
+                    lost.insert(cell.col);
+                }
+            }
+        }
     }
 
     /// Persist the journal's mount state (mount counter + last replay
@@ -1981,10 +2013,6 @@ impl<B: DiskBackend> ElementIo for ResilientArray<B> {
 
     fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
         self.write(start, bytes)
-    }
-
-    fn stripe_elements(&self) -> usize {
-        self.layout.data_len()
     }
 
     fn write_unshared(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
@@ -2476,34 +2504,45 @@ mod tests {
         ResilientArray::attach_journaled(layout, 32, 3, rotation, medium, policy, 4).unwrap()
     }
 
+    /// `write_unshared` and `write` side by side over the same data:
+    /// the same bytes, fetches and hashes, and the same number of records
+    /// — but the stripe the range covers whole goes under a resync record
+    /// instead of an intent record holding its parity.
     #[test]
-    fn an_unshared_write_zeroes_the_rest_of_its_stripes_and_reads_nothing() {
-        let mut a = journaled_mem_array(5, 3);
-        let data = payload(a.capacity_bytes());
-        a.write(0, &data).unwrap();
-        let before = a.stats().clone();
-        // Elements 20..37: the back of stripe 1 and the front of stripe 2.
-        let new = vec![0xC3; 17 * 32];
-        a.write_unshared(20, &new).unwrap();
-        let stats = a.stats().clone();
-        assert_eq!(stats.write_fetch_blocks, before.write_fetch_blocks);
-        assert_eq!(stats.hashed_blocks - before.hashed_blocks, 17);
-        assert_eq!(stats.unshared_stripes, 2);
-        assert_eq!(stats.journal_records - before.journal_records, 1);
-        assert_eq!(stats.journal_retires, stats.journal_records);
+    fn an_unshared_write_covers_its_whole_stripes_with_one_resync_record() {
+        let twin = || {
+            let mut a = journaled_mem_array(5, 3);
+            let data = payload(a.capacity_bytes());
+            a.write(0, &data).unwrap();
+            (a.stats().clone(), a, data)
+        };
+        // Elements 10..35: the back of stripe 0, stripe 1 whole, the front
+        // of stripe 2 (15 data elements a stripe).
+        let new = vec![0xC3; 25 * 32];
+        let (before, mut plain, data) = twin();
+        plain.write(10, &new).unwrap();
+        let (_, mut unshared, _) = twin();
+        unshared.write_unshared(10, &new).unwrap();
+        let (p, u) = (plain.stats().clone(), unshared.stats().clone());
+        assert_eq!(p.write_fetch_blocks, u.write_fetch_blocks);
+        assert_eq!(p.hashed_blocks, u.hashed_blocks);
+        assert_eq!(p.journal_records - before.journal_records, 3);
+        assert_eq!(u.journal_records, p.journal_records);
+        assert_eq!(u.journal_retires, u.journal_records);
+        assert_eq!((p.unshared_stripes, u.unshared_stripes), (0, 1));
         let mut want = data;
-        want[15 * 32..45 * 32].fill(0);
-        want[20 * 32..37 * 32].copy_from_slice(&new);
-        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), want);
-        let scrub = a.scrub_dry_run().unwrap();
-        assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
-        // Degraded, the call is an ordinary write: the stripe's other
-        // cells keep their bytes.
-        a.fail_disk(1).unwrap();
-        a.write_unshared(16, &[0x5A; 32]).unwrap();
-        want[16 * 32..17 * 32].fill(0x5A);
-        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), want);
-        assert_eq!(a.stats().unshared_stripes, 2);
+        want[10 * 32..35 * 32].copy_from_slice(&new);
+        for a in [&mut plain, &mut unshared] {
+            assert_eq!(a.read(0, a.capacity_elements()).unwrap(), want);
+            let scrub = a.scrub_dry_run().unwrap();
+            assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
+        }
+        // Degraded, every stripe takes its own intent record.
+        unshared.fail_disk(1).unwrap();
+        unshared.write_unshared(15, &[0x5A; 15 * 32]).unwrap();
+        want[15 * 32..30 * 32].fill(0x5A);
+        assert_eq!(unshared.read(0, 45).unwrap(), want);
+        assert_eq!(unshared.stats().unshared_stripes, 1);
     }
 
     /// Plant a committed resync record for stripes 1 and 2 in disk 1's
@@ -2579,6 +2618,66 @@ mod tests {
         assert_eq!(b.read(0, b.capacity_elements()).unwrap(), want);
         let scrub = b.scrub_dry_run().unwrap();
         assert_eq!((scrub.checksum_catches, scrub.parity_mismatches), (0, 0));
+    }
+
+    /// A torn stripe under a resync record, remounted with one of its
+    /// data slots failed: replay rebuilds the failed slot's cells through
+    /// parity and re-encodes every parity from them, so the stripe is
+    /// consistent — whatever the lost cells now read as — where without
+    /// the rebuild it would stay torn.
+    #[test]
+    fn a_resync_replay_rebuilds_a_failed_slot_before_reencoding() {
+        let layout = dcode(5).unwrap();
+        let rotation = RotationScheme::PerStripe;
+        let torn = |planted: bool| {
+            let mut a = journaled_mem_array(5, 3);
+            a.write(0, &payload(a.capacity_bytes())).unwrap();
+            let spec = a.journal().unwrap().clone();
+            let mut medium = a.into_backend();
+            let cell = layout.data_cells()[3];
+            let slot = rotation.to_physical(2, cell.col, layout.disks());
+            let at = (2 * layout.rows() + cell.row) * 32;
+            medium.disk_bytes_mut(slot)[at..at + 32].fill(0xEE);
+            if planted {
+                plant_resync(&mut medium, &spec);
+            }
+            // A data column of stripe 2 other than the torn cell's is lost.
+            let other = layout.data_cells().iter().find(|c| c.col != cell.col);
+            let lost = rotation.to_physical(2, other.unwrap().col, layout.disks());
+            let topology = AttachTopology {
+                slot_to_disk: (0..layout.disks()).collect(),
+                failed_slots: vec![lost],
+                spares: Vec::new(),
+            };
+            let policy = RetryPolicy::default();
+            let mut medium = ResilientArray::attach_journaled_as(
+                layout.clone(),
+                32,
+                3,
+                rotation,
+                medium,
+                policy,
+                4,
+                topology,
+            )
+            .unwrap()
+            .into_backend();
+            // Stripe 2 as the medium holds it, the lost slot rebuilt
+            // through parity: do its parities match its data?
+            let mut stripe = Stripe::zeroed(&layout, 32);
+            let cells = layout.data_cells().iter().copied();
+            for c in cells.chain(layout.parity_cells()) {
+                let slot = rotation.to_physical(2, c.col, layout.disks());
+                let at = (2 * layout.rows() + c.row) * 32;
+                let bytes = &medium.disk_bytes_mut(slot)[at..at + 32];
+                stripe.block_mut(c).copy_from_slice(bytes);
+            }
+            let col = rotation.to_logical(2, lost, layout.disks());
+            dcode_codec::recover_columns(&layout, &mut stripe, &[col]).unwrap();
+            dcode_codec::verify_parities(&layout, &stripe)
+        };
+        assert!(!torn(false), "an unreplayed tear stays torn");
+        assert!(torn(true), "the resync replay leaves the stripe consistent");
     }
 
     /// Replay checks every payload block against its own entry's CRC: a

@@ -265,9 +265,9 @@ fn read_repair(layout: &CodeLayout, seed: &mut u64) {
 
 /// At the server's shard geometry (D-Code p = 7, 4 KiB blocks, eight
 /// index elements): a 1 KiB overwrite hashes the blocks it fetches and
-/// its two new data cells, eight in all; a 256 KiB overwrite, written as
-/// two whole stripes, hashes its 64 data cells and the index page
-/// write's four; a rebuild hashes one block per
+/// its two new data cells, eight in all; a 256 KiB put hashes its new
+/// data cells and what it fetches, and no parity, the stripe it covers
+/// whole included; a rebuild hashes one block per
 /// survivor it reads — 26 a stripe for one slot, 35 for two rebuilt
 /// jointly — and none of the blocks it writes. A 1 KiB overwrite on an
 /// array remounted with one slot failed hashes what it reads through the
@@ -300,12 +300,15 @@ fn hashed_blocks_at_the_shard_geometry() {
     store.upsert("key", &[2; 1024]).unwrap();
     assert_eq!(hashed(&store) - before, 8, "a 1 KiB overwrite");
 
-    // Two whole stripes: the 64 new data cells and the page write's 4. The
-    // six zero cells that pad the second stripe take crc(0ⁿ) unhashed.
+    // First-fit at element 10: the back of stripe 0, stripe 1 whole
+    // under a resync record, the front of stripe 2. The value's 64 cells,
+    // the page's one and every block fetched are hashed; no parity is.
+    let before = (hashed(&store), store.array().stats().write_fetch_blocks);
     store.put("large", &[3; 256 * 1024]).unwrap();
-    let before = hashed(&store);
-    store.upsert("large", &[4; 256 * 1024]).unwrap();
-    assert_eq!(hashed(&store) - before, 64 + 4, "a 256 KiB overwrite");
+    let stats = store.array().stats();
+    assert_eq!(stats.unshared_stripes, 1);
+    let fetched = stats.write_fetch_blocks - before.1;
+    assert_eq!(hashed(&store) - before.0, 64 + 1 + fetched, "a 256 KiB put");
 
     let before = hashed(&store);
     store.array_mut().fail_disk(2).unwrap();
@@ -328,7 +331,7 @@ fn hashed_blocks_at_the_shard_geometry() {
         "a joint two-slot rebuild"
     );
     assert_eq!(store.get("key").unwrap(), vec![2; 1024]);
-    assert_eq!(store.get("large").unwrap(), vec![4; 256 * 1024]);
+    assert_eq!(store.get("large").unwrap(), vec![3; 256 * 1024]);
 
     let degraded: Vec<u64> = (0..n)
         .map(|slot| {

@@ -1,17 +1,17 @@
-//! The block I/O of one overwrite at the server's shard geometry (D-Code
-//! p = 7, 4 KiB blocks, 64 stripes, eight index elements, journaled),
-//! counted per disk by a `CountingBackend` under the array.
+//! The block I/O of one put or overwrite at the server's shard geometry
+//! (D-Code p = 7, 4 KiB blocks, 64 stripes, eight index elements,
+//! journaled), counted per disk by a `CountingBackend` under the array.
 //!
-//! A value smaller than a stripe's 35 data elements — the 1 KiB values of
-//! `kv_small_mixed` and the 64 KiB objects of `array_degraded_rebuild` —
-//! goes first-fit and through the journaled write: the per-disk counts
-//! below are those of a store that allocates every value first-fit and
-//! journals every stripe it writes. A 256 KiB
-//! value takes two free stripes whole: 70 data and 28 parity blocks, one
-//! header-only resync record and its tombstone, and the index page's 7
-//! blocks — 107 writes and 14 flushes, with nothing read but the page's
-//! old data and parity.
+//! The store places every value first-fit and writes it with
+//! `ElementIo::write_unshared`. A value that covers no stripe whole — the
+//! 1 KiB values of `kv_small_mixed` and the 64 KiB objects of
+//! `array_degraded_rebuild` — is journaled stripe by stripe exactly as by
+//! `write_elements`: the per-disk counts below are those of that path. A
+//! stripe a value covers whole goes under one header-only resync record
+//! instead of an intent record holding its 14 parities: 14 block writes
+//! fewer, and nothing else changes.
 
+use dcode_array::device::{ArrayError, ElementIo};
 use dcode_array::journal::journal_blocks_per_disk;
 use dcode_array::objstore::ObjectStore;
 use dcode_array::resilient::{ResilientArray, RetryPolicy};
@@ -19,13 +19,13 @@ use dcode_array::rotation::RotationScheme;
 use dcode_core::dcode::dcode;
 use dcode_faults::{CountingBackend, IoCounts, MemBackend};
 
-type Store = ObjectStore<ResilientArray<CountingBackend<MemBackend>>>;
+type Array = ResilientArray<CountingBackend<MemBackend>>;
 
-fn store() -> Store {
+fn array() -> Array {
     let layout = dcode(7).unwrap();
     let blocks = 64 * layout.rows() + journal_blocks_per_disk(&layout, 4096);
     let backend = CountingBackend::new(MemBackend::new(layout.disks(), blocks, 4096));
-    let array = ResilientArray::format_journaled(
+    ResilientArray::format_journaled(
         layout,
         4096,
         64,
@@ -33,24 +33,71 @@ fn store() -> Store {
         backend,
         RetryPolicy::default(),
         8,
-    );
-    ObjectStore::format(array, 8).unwrap()
+    )
 }
 
-/// Put a `len`-byte value, overwrite it, and return the overwrite's
-/// counts with the blocks its writes fetched and hashed.
-fn overwrite(len: usize) -> (IoCounts, u64, u64) {
-    let mut s = store();
-    s.put("key", &vec![1; len]).unwrap();
-    s.array_mut().backend_mut().reset();
-    let before = s.array().stats().clone();
-    s.upsert("key", &vec![2; len]).unwrap();
-    let counts = s.array_mut().backend_mut().counts().clone();
-    let stats = s.array().stats();
-    let fetched = stats.write_fetch_blocks - before.write_fetch_blocks;
-    let hashed = stats.hashed_blocks - before.hashed_blocks;
-    assert_eq!(s.get("key").unwrap(), vec![2; len]);
-    (counts, fetched, hashed)
+/// The array behind `ElementIo`'s default `write_unshared`: every value
+/// written with `write_elements`.
+struct Journaled(Array);
+
+impl ElementIo for Journaled {
+    fn capacity_elements(&self) -> usize {
+        self.0.capacity_elements()
+    }
+    fn element_size(&self) -> usize {
+        self.0.element_size()
+    }
+    fn read_elements(&mut self, start: usize, count: usize) -> Result<Vec<u8>, ArrayError> {
+        self.0.read_elements(start, count)
+    }
+    fn write_elements(&mut self, start: usize, bytes: &[u8]) -> Result<(), ArrayError> {
+        self.0.write_elements(start, bytes)
+    }
+}
+
+/// What one store mutation did below the array: per-disk block I/O, and
+/// the array's count of blocks its writes fetched and hashed.
+struct Io {
+    counts: IoCounts,
+    fetched: u64,
+    hashed: u64,
+    unshared_stripes: u64,
+}
+
+/// Run `op` on a fresh store over `array(store)`, counting only what
+/// `op` does after `setup`.
+fn measure<D: ElementIo>(
+    io: D,
+    array: fn(&mut ObjectStore<D>) -> &mut Array,
+    setup: impl FnOnce(&mut ObjectStore<D>),
+    op: impl FnOnce(&mut ObjectStore<D>),
+) -> Io {
+    let mut s = ObjectStore::format(io, 8).unwrap();
+    setup(&mut s);
+    array(&mut s).backend_mut().reset();
+    let before = array(&mut s).stats().clone();
+    op(&mut s);
+    let a = array(&mut s);
+    let stats = a.stats().clone();
+    Io {
+        counts: a.backend_mut().counts().clone(),
+        fetched: stats.write_fetch_blocks - before.write_fetch_blocks,
+        hashed: stats.hashed_blocks - before.hashed_blocks,
+        unshared_stripes: stats.unshared_stripes - before.unshared_stripes,
+    }
+}
+
+/// Put a `len`-byte value under "key", then overwrite it: the
+/// overwrite's I/O.
+fn overwrite(len: usize) -> Io {
+    let io = measure(
+        array(),
+        ObjectStore::array_mut,
+        |s| s.put("key", &vec![1; len]).unwrap(),
+        |s| s.upsert("key", &vec![2; len]).unwrap(),
+    );
+    assert_eq!(io.unshared_stripes, 0);
+    io
 }
 
 fn total(per_disk: &[u64]) -> u64 {
@@ -58,37 +105,67 @@ fn total(per_disk: &[u64]) -> u64 {
 }
 
 #[test]
-fn a_1_kib_overwrite_issues_the_first_fit_io() {
-    let (counts, fetched, _) = overwrite(1024);
+fn a_1_kib_overwrite_issues_the_journaled_io() {
+    let io = overwrite(1024);
+    let counts = io.counts;
     // Value and page: one delta write each (3 fetched, 7 written, 5 flushes).
     assert_eq!((total(&counts.writes), total(&counts.flushes)), (14, 10));
     assert_eq!(counts.reads, [1, 1, 2, 1, 0, 1, 0]);
     assert_eq!(counts.writes, [1, 1, 2, 5, 4, 1, 0]);
     assert_eq!(counts.flushes, [1, 1, 2, 3, 2, 1, 0]);
-    assert_eq!(fetched, 6);
+    assert_eq!(io.fetched, 6);
 }
 
 #[test]
-fn a_64_kib_overwrite_issues_the_first_fit_io() {
-    let (counts, _, _) = overwrite(64 * 1024);
+fn a_64_kib_overwrite_issues_the_journaled_io() {
+    let counts = overwrite(64 * 1024).counts;
     assert_eq!(counts.reads, [5, 3, 6, 5, 6, 6, 4]);
     assert_eq!(counts.writes, [5, 3, 6, 17, 14, 10, 4]);
     assert_eq!(counts.flushes, [3, 2, 3, 4, 4, 5, 2]);
 }
 
 #[test]
-fn a_256_kib_overwrite_writes_two_whole_stripes_under_one_resync_record() {
-    let (counts, fetched, hashed) = overwrite(256 * 1024);
-    // 98 stripe blocks + resync header + tombstone + the page's 7.
-    assert_eq!(total(&counts.writes), 70 + 28 + 2 + 7);
-    // Commit, 7 disks, retire, and the page's 5.
-    assert_eq!(total(&counts.flushes), 1 + 7 + 1 + 5);
-    // The page's old data and two parities, and nothing of the value's
-    // stripes.
-    assert_eq!((total(&counts.reads), fetched), (3, 3));
-    // The 64 new data cells and the page write's 4: neither the 6 zero
-    // padding cells nor a parity is hashed.
-    assert_eq!(hashed, 64 + 4);
-    assert_eq!(counts.writes, [15, 14, 15, 16, 18, 15, 14]);
-    assert_eq!(counts.flushes, [2, 1, 2, 3, 3, 2, 1]);
+fn a_256_kib_put_writes_the_stripe_it_covers_under_a_resync_record() {
+    // First-fit from element 8: the back of stripe 0, stripe 1 whole
+    // (elements 35..70), the front of stripe 2.
+    let value = vec![3; 256 * 1024];
+    let unshared = measure(
+        array(),
+        ObjectStore::array_mut,
+        |_| {},
+        |s| {
+            s.put("key", &value).unwrap();
+        },
+    );
+    let journaled = measure(
+        Journaled(array()),
+        |s| &mut s.array_mut().0,
+        |_| {},
+        |s| {
+            s.put("key", &value).unwrap();
+        },
+    );
+    assert_eq!(
+        (unshared.unshared_stripes, journaled.unshared_stripes),
+        (1, 0)
+    );
+    // Stripe 1's intent record carried its 14 parities by value; the
+    // resync record carries none. Its header and tombstone, its flushes,
+    // and every read, fetch and hash are the same.
+    let (u, j) = (&unshared.counts, &journaled.counts);
+    assert_eq!(total(&j.writes) - total(&u.writes), 14);
+    assert_eq!(
+        (u.reads.clone(), u.flushes.clone()),
+        (j.reads.clone(), j.flushes.clone())
+    );
+    assert_eq!(
+        (unshared.fetched, unshared.hashed),
+        (journaled.fetched, journaled.hashed)
+    );
+    // 64 data and 30 parity blocks (14 + 14 + 2: the two front cells of
+    // stripe 2 share two parities), the edge records' headers, 16 parity
+    // payload blocks and tombstones, the resync header and tombstone,
+    // and the index page's 7.
+    assert_eq!(total(&u.writes), 64 + 30 + (2 + 16 + 2) + 2 + 7);
+    assert_eq!(total(&u.flushes), 30);
 }

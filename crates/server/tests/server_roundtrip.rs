@@ -260,13 +260,11 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
     let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
 
     // One healthy shard: 16 stripes of D-Code p = 7 are 560 elements, 16
-    // of them index. A 136-element value fills stripes, so it starts at a
-    // stripe boundary and its four stripes hold nothing else: three of
-    // them, at elements 35, 175 and 315, leave no 136-element hole.
+    // of them index, so four 136-element values fill it to the last one.
     let keys: Vec<String> = (0..1000)
         .map(|i| format!("full-{i}"))
         .filter(|k| shard_of(k, SHARDS) == 0)
-        .take(3)
+        .take(4)
         .collect();
     let value = |tag: u8| vec![tag; 136 * 64];
     for (i, key) in keys.iter().enumerate() {
@@ -289,7 +287,7 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
     );
 
     // Room made, the same overwrite goes through and the rest is intact.
-    assert_eq!(client.delete(&keys[2]).expect("delete io"), Response::Ok);
+    assert_eq!(client.delete(&keys[3]).expect("delete io"), Response::Ok);
     assert_eq!(
         client.put(&keys[0], &value(0xEE)).expect("put io"),
         Response::Ok
@@ -302,7 +300,7 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
         client.get(&keys[1]).expect("get io"),
         Response::Value(value(1))
     );
-    assert_eq!(client.get(&keys[2]).expect("get io"), Response::NotFound);
+    assert_eq!(client.get(&keys[3]).expect("get io"), Response::NotFound);
 }
 
 #[test]
