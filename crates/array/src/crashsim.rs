@@ -24,8 +24,10 @@
 //! that acknowledges a client: they drive an [`ObjectStore`] over the
 //! journaled array and crash before every backend write of a put, an
 //! overwrite, a delete, a put whose record fills its index page to the
-//! last byte, and a put and an overwrite of values that cover a stripe
-//! whole (written under one resync record). After the
+//! last byte, a put and an overwrite of values that cover a stripe
+//! whole (written under one resync record), and two overwrites that keep
+//! the value's length: of one element, written in place, and of two,
+//! copy-on-write. After the
 //! remount the index must open (every page parses, no two extents
 //! overlap), every object the op did not name reads its acknowledged
 //! bytes, the op's own key reads its last acknowledged state or the
@@ -97,11 +99,18 @@ pub enum CrashOp {
     /// a value of one stripe's data: copy-on-write into stripe 1, written
     /// whole under one resync record and nothing else.
     StoreUpsertLarge,
+    /// `ObjectStore::upsert` of a fourth seed key, held by this op's store
+    /// only, whose one-element value is replaced by one of the same
+    /// length: one journaled element write in place, and no page write.
+    StoreOverwriteSmall,
+    /// `ObjectStore::upsert` of `k`'s two elements with as many new bytes:
+    /// same length, but more than one element, so copy-on-write.
+    StoreOverwriteSameSize,
 }
 
 impl CrashOp {
     /// Every op the sweep covers.
-    pub const ALL: [CrashOp; 14] = [
+    pub const ALL: [CrashOp; 16] = [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
         CrashOp::SmallWrite,
@@ -116,6 +125,8 @@ impl CrashOp {
         CrashOp::StorePutNewPage,
         CrashOp::StorePutLarge,
         CrashOp::StoreUpsertLarge,
+        CrashOp::StoreOverwriteSmall,
+        CrashOp::StoreOverwriteSameSize,
     ];
 
     /// Stable name (reports, JSON).
@@ -135,6 +146,8 @@ impl CrashOp {
             CrashOp::StorePutNewPage => "store-put-new-page",
             CrashOp::StorePutLarge => "store-put-large",
             CrashOp::StoreUpsertLarge => "store-upsert-large",
+            CrashOp::StoreOverwriteSmall => "store-overwrite-small",
+            CrashOp::StoreOverwriteSameSize => "store-overwrite-same-size",
         }
     }
 
@@ -184,11 +197,16 @@ impl CrashSimConfig {
 
     /// [`new`](Self::new) with `mutation` planted, over the cache model
     /// that can show it: the volatile cache, except for
-    /// [`JournalMutation::UnsharedWithoutIntent`], whose torn stripes only
-    /// a write-through medium keeps (see there).
+    /// [`JournalMutation::UnsharedWithoutIntent`] and
+    /// [`JournalMutation::InPlaceAcrossElements`], whose tears only a
+    /// write-through medium keeps (see there).
     pub fn planted(layout: CodeLayout, seed: u64, mutation: JournalMutation) -> Self {
+        let torn = [
+            JournalMutation::UnsharedWithoutIntent,
+            JournalMutation::InPlaceAcrossElements,
+        ];
         CrashSimConfig {
-            volatile_cache: mutation != JournalMutation::UnsharedWithoutIntent,
+            volatile_cache: !torn.contains(&mutation),
             mutation: Some(mutation),
             ..Self::new(layout, seed)
         }
@@ -365,6 +383,13 @@ const STORE_META: usize = 4;
 /// `tests/store_crash.rs` sweeps pages of several records each.
 const STORE_SEED_KEYS: [&str; 3] = ["a", "k", "z"];
 
+/// The fourth seed key of the small-overwrite scenario, in page 3 and at
+/// element 10, and its value's length: one element, not filled.
+const SMALL_KEY: &str = "s";
+fn small_len(cfg: &CrashSimConfig) -> usize {
+    cfg.block_size - 5
+}
+
 /// For an op that goes through an [`ObjectStore`]: the key it names and
 /// the value it carries (`None`: a delete). `None` for the array ops.
 fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Option<Vec<u8>>)> {
@@ -383,6 +408,13 @@ fn store_target(cfg: &CrashSimConfig, op: CrashOp) -> Option<(&'static str, Opti
             let len = cfg.layout.data_len() * bs - 7;
             Some(("L", Some(prand_bytes(cfg.seed ^ 0x0B05, len))))
         }
+        CrashOp::StoreOverwriteSmall => Some((
+            SMALL_KEY,
+            Some(prand_bytes(cfg.seed ^ 0x0B07, small_len(cfg))),
+        )),
+        CrashOp::StoreOverwriteSameSize => {
+            Some(("k", Some(prand_bytes(cfg.seed ^ 0x0B09, bs + 8))))
+        }
         _ => None,
     }
 }
@@ -398,7 +430,8 @@ fn large_seed_value(cfg: &CrashSimConfig) -> Vec<u8> {
 }
 
 /// Format a store on the prepared array and acknowledge the scenario's
-/// objects: the seed keys, and for the upsert-large op its key too.
+/// objects: the seed keys, and for the upsert-large and overwrite-small
+/// ops their keys too.
 fn seed_store(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
     let mut store = ObjectStore::format(&mut inst.array, STORE_META).expect("format store");
     let seeds = STORE_SEED_KEYS.iter().enumerate().map(|(i, &name)| {
@@ -406,7 +439,9 @@ fn seed_store(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
         (name, value)
     });
     let large = (op == CrashOp::StoreUpsertLarge).then(|| ("L", large_seed_value(cfg)));
-    for (name, value) in seeds.chain(large) {
+    let small = (op == CrashOp::StoreOverwriteSmall)
+        .then(|| (SMALL_KEY, prand_bytes(cfg.seed ^ 0x0B08, small_len(cfg))));
+    for (name, value) in seeds.chain(large).chain(small) {
         store.put(name, &value).expect("seed object fits");
         inst.acked.insert(name.to_string(), value);
     }
@@ -447,7 +482,9 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         | CrashOp::StoreDelete
         | CrashOp::StorePutNewPage
         | CrashOp::StorePutLarge
-        | CrashOp::StoreUpsertLarge => None,
+        | CrashOp::StoreUpsertLarge
+        | CrashOp::StoreOverwriteSmall
+        | CrashOp::StoreOverwriteSameSize => None,
     }
 }
 
@@ -493,7 +530,9 @@ fn begin(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
         | CrashOp::StoreDelete
         | CrashOp::StorePutNewPage
         | CrashOp::StorePutLarge
-        | CrashOp::StoreUpsertLarge => seed_store(cfg, op, inst),
+        | CrashOp::StoreUpsertLarge
+        | CrashOp::StoreOverwriteSmall
+        | CrashOp::StoreOverwriteSameSize => seed_store(cfg, op, inst),
         CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
     }
 }
@@ -519,9 +558,13 @@ fn run_op(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
                     ObjectStore::open(&mut inst.array, STORE_META).expect("seeded store opens");
                 store.set_mutation(cfg.mutation);
                 let done = match (op, value) {
-                    (CrashOp::StoreUpsert | CrashOp::StoreUpsertLarge, Some(value)) => {
-                        store.upsert(key, &value)
-                    }
+                    (
+                        CrashOp::StoreUpsert
+                        | CrashOp::StoreUpsertLarge
+                        | CrashOp::StoreOverwriteSmall
+                        | CrashOp::StoreOverwriteSameSize,
+                        Some(value),
+                    ) => store.upsert(key, &value),
                     (_, Some(value)) => store.put(key, &value),
                     (_, None) => store.delete(key),
                 };
@@ -828,13 +871,15 @@ mod tests {
             let report = sweep(&cfg);
             assert!(report.passed(), "p={p}: the planted bug went unseen");
             for op in &report.per_op {
-                // The array never sees this bug; a delete writes no data.
+                // The array never sees this bug; a delete writes no data,
+                // an in-place overwrite no page.
                 let exposed = [
                     "store-put",
                     "store-upsert",
                     "store-put-new-page",
                     "store-put-large",
                     "store-upsert-large",
+                    "store-overwrite-same-size",
                 ]
                 .contains(&op.op);
                 assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
@@ -875,6 +920,37 @@ mod tests {
                 assert!(failures.is_empty(), "p={p} {}: {failures:?}", swept.op);
                 assert!(swept.replays > 0, "p={p} {}: no resync replayed", swept.op);
             }
+        }
+    }
+
+    #[test]
+    fn planted_in_place_across_elements_is_caught_by_the_same_size_overwrite_only() {
+        for p in [5, 7] {
+            let layout = dcode(p).unwrap();
+            let cfg = CrashSimConfig::planted(layout, 11, JournalMutation::InPlaceAcrossElements);
+            assert!(!cfg.volatile_cache);
+            let report = sweep(&cfg);
+            assert!(report.passed(), "p={p}: the planted bug went unseen");
+            for op in &report.per_op {
+                // A one-element value goes in place anyway; every other
+                // overwrite changes the length.
+                let exposed = op.op == "store-overwrite-same-size";
+                assert_eq!(op.failures > 0, exposed, "p={p} {}: {op:?}", op.op);
+            }
+            // The index still names the extent, which holds part of each
+            // version.
+            assert!(report
+                .failures
+                .iter()
+                .all(|f| f.detail.contains("neither its acknowledged state")));
+            // Over a volatile cache the tear never lasts: nothing is
+            // flushed between the two element writes.
+            let volatile = CrashSimConfig {
+                volatile_cache: true,
+                ..cfg
+            };
+            let (swept, failures) = sweep_op(&volatile, CrashOp::StoreOverwriteSameSize);
+            assert!(failures.is_empty(), "p={p} {}: {failures:?}", swept.op);
         }
     }
 
@@ -937,6 +1013,23 @@ mod tests {
             record("L", 15, 15 * 32 - 7)
         );
         assert_eq!(inst.array.stats().unshared_stripes, 1);
+        // A same-length overwrite of two elements moves its key; of one
+        // element it writes that element, and no page, in place.
+        changes(CrashOp::StoreOverwriteSameSize, 1, record("k", 10, 40));
+        let mut inst = setup(&cfg, CrashOp::StoreOverwriteSmall);
+        let small = index_pages(&cfg, &mut inst);
+        assert_eq!(small[3], record(SMALL_KEY, 10, 27));
+        let (writes, records) = {
+            let before = inst.array.stats().clone();
+            run_op(&cfg, CrashOp::StoreOverwriteSmall, &mut inst);
+            let after = inst.array.stats();
+            (
+                after.element_writes - before.element_writes,
+                after.journal_records - before.journal_records,
+            )
+        };
+        assert_eq!((writes, records), (1, 1));
+        assert_eq!(index_pages(&cfg, &mut inst), small);
     }
 
     #[test]

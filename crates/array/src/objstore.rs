@@ -44,7 +44,7 @@
 //!
 //! # What a mutation guarantees across a crash
 //!
-//! Every mutation rewrites **exactly one page** — one element of the
+//! Every mutation rewrites **at most one page** — one element of the
 //! array. Over an array whose one-element `write_elements` is old-or-new
 //! across a crash and returns only once it is durable (a journaled
 //! [`ResilientArray`](crate::ResilientArray); swept as `small-write` and
@@ -54,11 +54,22 @@
 //! And the index on the medium never names bytes that were not written
 //! first:
 //!
-//! * [`put`](ObjectStore::put) and [`upsert`](ObjectStore::upsert) write
-//!   the value into a free extent — durable when
-//!   [`write_unshared`](ElementIo::write_unshared) returns, as after
-//!   `write_elements` — then rewrite the key's page. A crash
-//!   before the page lands leaves the previous index: a new key is
+//! * An overwrite of a key whose value is one element, with a value of the
+//!   same byte length, changes no byte of the key's record, so it writes
+//!   no page: it is one `write_elements` of that element where it is. The
+//!   element is old-or-new across a crash for the same reason a page is,
+//!   and the index names it throughout, so the key reads its previous
+//!   value or the new one and nothing else (swept as
+//!   `store-overwrite-small`). A write the array refuses writes nothing,
+//!   and the store's memory is not touched. A value of two or more
+//!   elements gets no such write — a crash between its element writes
+//!   would leave it neither old nor new under an index that still names
+//!   it — and is copy-on-write like any other overwrite.
+//! * Every other [`put`](ObjectStore::put) and
+//!   [`upsert`](ObjectStore::upsert) writes the value into a free extent
+//!   — durable when [`write_unshared`](ElementIo::write_unshared)
+//!   returns, as after `write_elements` — then rewrites the key's page. A
+//!   crash before the page lands leaves the previous index: a new key is
 //!   absent, an overwritten key still reads its previous value, whose
 //!   extent was never touched. After it, the key reads the new value.
 //!   There is no instant at which an acknowledged key is unnamed.
@@ -73,9 +84,12 @@
 //! **The space rule.** An overwrite is copy-on-write, so it needs a free
 //! extent of the new value's size *while the old value is still
 //! allocated*; a store without one returns [`StoreError::NoSpace`] and the
-//! old value stays readable. There is no in-place fallback — it would put
-//! back the window in which a crash loses an acknowledged value. The old
-//! extent is free as soon as the overwrite returns.
+//! old value stays readable. The one exception is the same-length
+//! overwrite of a one-element value, written in place: it needs no free
+//! element. For a value of more than one element, and for any change of
+//! length, there is no in-place fallback — it would put back the window
+//! in which a crash loses an acknowledged value. The old extent is free
+//! as soon as the overwrite returns.
 
 use crate::device::{ArrayError, ElementIo};
 use crate::resilient::JournalMutation;
@@ -308,7 +322,9 @@ impl<D: ElementIo> ObjectStore<D> {
 
     /// Plant (or clear) a deliberate ordering bug. Harness self-test only:
     /// the crash sweep runs once with [`JournalMutation::IndexBeforeData`]
-    /// and asserts that it *catches* an index entry over unwritten bytes.
+    /// and asserts that it *catches* an index entry over unwritten bytes,
+    /// and once with [`JournalMutation::InPlaceAcrossElements`] and
+    /// asserts that it catches a torn value of two elements.
     pub fn set_mutation(&mut self, mutation: Option<JournalMutation>) {
         self.mutation = mutation;
     }
@@ -402,24 +418,35 @@ impl<D: ElementIo> ObjectStore<D> {
     }
 
     /// Store an object, replacing any existing object of the same name
-    /// (the server's `put` semantics). Copy-on-write: the new extent is
-    /// allocated while the index still holds the old one — so first-fit
-    /// cannot hand the old one out — and written before the one page
-    /// rewrite that names it. The durable index therefore names the old
+    /// (the server's `put` semantics). A value of one element that
+    /// replaces one of the same byte length is written in place, with no
+    /// page write: the record does not change. Anything else is
+    /// copy-on-write: the new extent is allocated while the index still
+    /// holds the old one — so first-fit cannot hand the old one out — and
+    /// written before the one page rewrite that names it. The durable index therefore names the old
     /// extent, intact, or the new one, fully written, at every instant;
     /// an overwrite that has no room for both, or a new key whose record
     /// no page has room for, returns [`StoreError::NoSpace`] before
     /// anything is written.
     pub fn upsert(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        let elements = self.elements_for(bytes.len());
+        let mut padded = bytes.to_vec();
+        padded.resize(elements * self.block_size(), 0);
+        // Planted bug for the harness self-test: a value of several
+        // elements goes in place too, where a crash can tear it.
+        let any_size = self.mutation == Some(JournalMutation::InPlaceAcrossElements);
         // An overwrite's record keeps its page and its size.
         let page = match self.index.get(name) {
+            // Same length, one element: the record does not change, and a
+            // one-element write is old-or-new across a crash.
+            Some(entry) if entry.len == bytes.len() && (elements == 1 || any_size) => {
+                self.array.write_elements(entry.start, &padded)?;
+                return Ok(());
+            }
             Some(entry) => entry.page,
             None => self.page_for(name)?,
         };
-        let elements = self.elements_for(bytes.len());
         let start = self.allocate(elements)?;
-        let mut padded = bytes.to_vec();
-        padded.resize(elements * self.block_size(), 0);
         // Planted bug for the harness self-test: the index names the new
         // extent before its bytes are on the medium.
         let index_first = self.mutation == Some(JournalMutation::IndexBeforeData);
@@ -763,6 +790,86 @@ mod tests {
         assert_eq!(reopened.get("kept").unwrap(), [7; 100]);
         reopened.upsert("kept", &[9; 1000]).unwrap();
         assert_eq!(reopened.get("kept").unwrap(), [9; 1000]);
+    }
+
+    #[test]
+    fn a_refused_in_place_overwrite_keeps_the_old_value() {
+        let array = RefusesIndexWrites {
+            inner: new_array(),
+            refuse_below: 0,
+        };
+        let mut s = ObjectStore::format(array, 4).unwrap();
+        s.put("kept", &[7; 50]).unwrap(); // element 4
+        s.array_mut().refuse_below = 5;
+        assert!(matches!(
+            s.upsert("kept", &[9; 50]),
+            Err(StoreError::Array(_))
+        ));
+        assert_eq!(s.get("kept").unwrap(), [7; 50]);
+        let array = std::mem::replace(&mut s.array_mut().inner, new_array());
+        let mut reopened = ObjectStore::open(array, 4).unwrap();
+        assert_eq!(reopened.get("kept").unwrap(), [7; 50]);
+    }
+
+    #[test]
+    fn a_same_length_one_element_overwrite_needs_no_free_element() {
+        let mut s = new_store();
+        s.put("small", &[1; 10]).unwrap(); // element 4
+        fill(&mut s, 5, 46); // elements [5, 235)
+        s.put("rest", &[2; 45 * 64]).unwrap(); // to the last element
+        assert!(matches!(
+            s.put("more", &[3]),
+            Err(StoreError::NoSpace { needed: 1 })
+        ));
+        s.upsert("small", &[4; 10]).unwrap();
+        assert_eq!(s.get("small").unwrap(), [4; 10]);
+        // A length change is copy-on-write and still needs the room.
+        assert!(matches!(
+            s.upsert("small", &[5; 11]),
+            Err(StoreError::NoSpace { needed: 1 })
+        ));
+        let mut reopened = reopen(s).unwrap();
+        assert_eq!(reopened.get("small").unwrap(), [4; 10]);
+        assert_eq!(reopened.get("rest").unwrap(), vec![2; 45 * 64]);
+    }
+
+    #[test]
+    fn only_a_same_length_one_element_overwrite_keeps_its_start_and_page() {
+        let mut s = new_store();
+        s.put("k", &[1; 40]).unwrap();
+        let start = |s: &MemStore| s.index["k"].start;
+        let first = s.array_mut().read(0, 1).unwrap();
+        assert_eq!(start(&s), 4);
+        s.upsert("k", &[2; 40]).unwrap();
+        assert_eq!(start(&s), 4);
+        assert_eq!(s.array_mut().read(0, 1).unwrap(), first);
+        let mut element = vec![2; 40];
+        element.resize(64, 0);
+        assert_eq!(s.array_mut().read(4, 1).unwrap(), element);
+        s.upsert("k", &[3; 41]).unwrap();
+        assert_eq!(start(&s), 5);
+        assert_eq!(s.array_mut().read(0, 1).unwrap(), page(&[("k", 5, 41)]));
+        // Two elements of the same length: copy-on-write, back to 4.
+        s.upsert("k", &[4; 100]).unwrap();
+        assert_eq!(start(&s), 6);
+        s.upsert("k", &[5; 100]).unwrap();
+        assert_eq!(start(&s), 4);
+        assert_eq!(reopen(s).unwrap().get("k").unwrap(), [5; 100]);
+    }
+
+    #[test]
+    fn an_in_place_overwrite_with_a_slot_failed_reads_back_after_reopen() {
+        let mut s = new_store();
+        s.put("a", &[1; 64]).unwrap();
+        s.put("b", &[2; 30]).unwrap();
+        s.array_mut().fail_disk(2).unwrap();
+        s.upsert("a", &[3; 64]).unwrap();
+        s.upsert("b", &[4; 30]).unwrap();
+        assert_eq!(s.get("a").unwrap(), [3; 64]);
+        let mut reopened = reopen(s).unwrap();
+        assert_eq!(reopened.get("a").unwrap(), [3; 64]);
+        assert_eq!(reopened.get("b").unwrap(), [4; 30]);
+        assert_eq!(reopened.index["b"].start, 5);
     }
 
     /// A 64-byte index page holding `records`.

@@ -196,14 +196,22 @@ pub enum JournalMutation {
     /// disk only when it is flushed drops all of it, because nothing is
     /// flushed between the first of those stripe writes and the last.
     UnsharedWithoutIntent,
+    /// In [`ObjectStore::upsert`](crate::ObjectStore::upsert): overwrite a
+    /// value of any size in place when its length is unchanged, not only a
+    /// value of one element. A crash between the element writes of a
+    /// multi-element value leaves it neither old nor new, under an index
+    /// that still names it. Like the whole-stripe tear, it lasts only on a
+    /// medium that keeps every write as it lands. The array ignores it.
+    InPlaceAcrossElements,
 }
 
 impl JournalMutation {
     /// Every planted bug, in the order `dcode crash-sim --mutate` runs them.
-    pub const ALL: [JournalMutation; 3] = [
+    pub const ALL: [JournalMutation; 4] = [
         JournalMutation::RetireBeforeParity,
         JournalMutation::IndexBeforeData,
         JournalMutation::UnsharedWithoutIntent,
+        JournalMutation::InPlaceAcrossElements,
     ];
 
     /// Stable name (reports).
@@ -212,6 +220,7 @@ impl JournalMutation {
             JournalMutation::RetireBeforeParity => "retire-before-parity",
             JournalMutation::IndexBeforeData => "index-before-data",
             JournalMutation::UnsharedWithoutIntent => "unshared-without-intent",
+            JournalMutation::InPlaceAcrossElements => "in-place-across-elements",
         }
     }
 }

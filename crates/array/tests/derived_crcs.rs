@@ -296,9 +296,20 @@ fn hashed_blocks_at_the_shard_geometry() {
     let hashed =
         |store: &ObjectStore<ResilientArray<MemBackend>>| store.array().stats().hashed_blocks;
 
+    // Copy-on-write to element 9: the value's cell and the page's, and the
+    // three blocks each delta write fetches.
     let before = hashed(&store);
-    store.upsert("key", &[2; 1024]).unwrap();
-    assert_eq!(hashed(&store) - before, 8, "a 1 KiB overwrite");
+    store.upsert("key", &[2; 1000]).unwrap();
+    assert_eq!(
+        hashed(&store) - before,
+        8,
+        "a 1 KiB overwrite that changes length"
+    );
+    // In place at element 9, and no page: the cell and the three blocks
+    // its delta write fetches.
+    let before = hashed(&store);
+    store.upsert("key", &[4; 1000]).unwrap();
+    assert_eq!(hashed(&store) - before, 4, "a same-length 1 KiB overwrite");
 
     // First-fit at element 10: the back of stripe 0, stripe 1 whole
     // under a resync record, the front of stripe 2. The value's 64 cells,
@@ -330,30 +341,41 @@ fn hashed_blocks_at_the_shard_geometry() {
         35 * SHARD_STRIPES as u64,
         "a joint two-slot rebuild"
     );
-    assert_eq!(store.get("key").unwrap(), vec![2; 1024]);
+    assert_eq!(store.get("key").unwrap(), vec![4; 1000]);
     assert_eq!(store.get("large").unwrap(), vec![3; 256 * 1024]);
 
-    let degraded: Vec<u64> = (0..n)
-        .map(|slot| {
-            let mut array = format();
-            ObjectStore::format(&mut array, 8)
-                .unwrap()
-                .put("key", &[1; 1024])
-                .unwrap();
-            let mut array = remount(&layout, array.into_backend(), &[slot], vec![]);
-            let mut store = ObjectStore::open(&mut array, 8).unwrap();
-            let before = store.array().stats().hashed_blocks;
-            store.upsert("key", &[2; 1024]).unwrap();
-            let hashed = store.array().stats().hashed_blocks - before;
-            assert_eq!(store.get("key").unwrap(), vec![2; 1024]);
-            hashed
-        })
-        .collect();
+    // Blocks hashed by an overwrite of a 1 KiB value with `newer` bytes,
+    // with each slot in turn failed before the remount.
+    let degraded = |newer: usize| -> Vec<u64> {
+        (0..n)
+            .map(|slot| {
+                let mut array = format();
+                ObjectStore::format(&mut array, 8)
+                    .unwrap()
+                    .put("key", &[1; 1024])
+                    .unwrap();
+                let mut array = remount(&layout, array.into_backend(), &[slot], vec![]);
+                let mut store = ObjectStore::open(&mut array, 8).unwrap();
+                let before = store.array().stats().hashed_blocks;
+                store.upsert("key", &vec![2; newer]).unwrap();
+                let hashed = store.array().stats().hashed_blocks - before;
+                assert_eq!(store.get("key").unwrap(), vec![2; newer]);
+                hashed
+            })
+            .collect()
+    };
     // The fetch reconstructs each lost cell through the equation that
     // reads fewest survivors beside what it already holds, whichever slot
     // failed (the peeling plan it replayed before read 71/72 on some).
+    // Value and page each pay it; a same-length overwrite writes no page.
     assert_eq!(
-        degraded, [70; 7],
-        "a 1 KiB overwrite with slot 0, 1, … failed"
+        degraded(1000),
+        [70; 7],
+        "a 1 KiB overwrite that changes length, with slot 0, 1, … failed"
+    );
+    assert_eq!(
+        degraded(1024),
+        [35; 7],
+        "a same-length 1 KiB overwrite with slot 0, 1, … failed"
     );
 }

@@ -9,7 +9,9 @@
 //! `write_elements`: the per-disk counts below are those of that path. A
 //! stripe a value covers whole goes under one header-only resync record
 //! instead of an intent record holding its 14 parities: 14 block writes
-//! fewer, and nothing else changes.
+//! fewer, and nothing else changes. A same-length overwrite of a value of
+//! one element is one `write_elements` where the value already is, and
+//! no index page.
 
 use dcode_array::device::{ArrayError, ElementIo};
 use dcode_array::journal::journal_blocks_per_disk;
@@ -87,17 +89,22 @@ fn measure<D: ElementIo>(
     }
 }
 
-/// Put a `len`-byte value under "key", then overwrite it: the
-/// overwrite's I/O.
-fn overwrite(len: usize) -> Io {
+/// Put a `len`-byte value under "key", then overwrite it with `newer`
+/// bytes: the overwrite's I/O.
+fn overwrite_to(len: usize, newer: usize) -> Io {
     let io = measure(
         array(),
         ObjectStore::array_mut,
         |s| s.put("key", &vec![1; len]).unwrap(),
-        |s| s.upsert("key", &vec![2; len]).unwrap(),
+        |s| s.upsert("key", &vec![2; newer]).unwrap(),
     );
     assert_eq!(io.unshared_stripes, 0);
     io
+}
+
+/// A same-length overwrite of a `len`-byte value.
+fn overwrite(len: usize) -> Io {
+    overwrite_to(len, len)
 }
 
 fn total(per_disk: &[u64]) -> u64 {
@@ -106,14 +113,31 @@ fn total(per_disk: &[u64]) -> u64 {
 
 #[test]
 fn a_1_kib_overwrite_issues_the_journaled_io() {
+    // Same length, one element: the value is written where it is and the
+    // index record does not change, so no page is written. One delta
+    // write: the cell and its two parities fetched and hashed with the new
+    // cell, the cell and two parities written, a record of two parity
+    // payload blocks, its header and its tombstone.
     let io = overwrite(1024);
     let counts = io.counts;
-    // Value and page: one delta write each (3 fetched, 7 written, 5 flushes).
+    assert_eq!((total(&counts.writes), total(&counts.flushes)), (7, 5));
+    assert_eq!(counts.reads, [0, 1, 0, 1, 0, 0, 1]);
+    assert_eq!(counts.writes, [0, 1, 0, 5, 0, 0, 1]);
+    assert_eq!(counts.flushes, [0, 1, 0, 3, 0, 0, 1]);
+    assert_eq!((io.fetched, io.hashed), (3, 4));
+}
+
+#[test]
+fn a_1_kib_overwrite_that_changes_length_issues_two_journaled_writes() {
+    // Copy-on-write: value and page, one delta write each (3 fetched, 7
+    // written, 5 flushes).
+    let io = overwrite_to(1024, 1000);
+    let counts = io.counts;
     assert_eq!((total(&counts.writes), total(&counts.flushes)), (14, 10));
     assert_eq!(counts.reads, [1, 1, 2, 1, 0, 1, 0]);
     assert_eq!(counts.writes, [1, 1, 2, 5, 4, 1, 0]);
     assert_eq!(counts.flushes, [1, 1, 2, 3, 2, 1, 0]);
-    assert_eq!(io.fetched, 6);
+    assert_eq!((io.fetched, io.hashed), (6, 8));
 }
 
 #[test]

@@ -11,6 +11,10 @@
 //! page. Here the geometry is the probe's — D-Code p = 5, 64-byte blocks,
 //! two `keyNN` records a page — and the number of keys decides whether
 //! the index is two pages or all seven.
+//!
+//! A same-length overwrite of a one-element value is written in place and
+//! writes no page (`store-overwrite-small` in the sweep); its arm here
+//! crashes that write at each of its 10 backend writes.
 
 use dcode_array::{ObjectStore, ResilientArray, RetryPolicy, RotationScheme, StoreError};
 use dcode_core::dcode::dcode;
@@ -84,19 +88,21 @@ fn pages_in_use(store: &mut Store) -> usize {
     counts.filter(|count| *count != [0; 4]).count()
 }
 
-/// Overwrite `key02` of a `keys`-object store with a longer value — its
-/// new extent lands past the last object — crashing before each backend
-/// write in turn. Returns the number of crash points, the index pages
-/// the keys span and what went wrong at which point.
-fn overwrite_crashed_everywhere(keys: usize, volatile_cache: bool) -> (u64, usize, Vec<String>) {
+/// Overwrite `key02` of a `keys`-object store with `newer`, crashing
+/// before each backend write in turn. Returns the number of crash points,
+/// the index pages the keys span and what went wrong at which point.
+fn overwrite_crashed_everywhere(
+    keys: usize,
+    newer: &[u8],
+    volatile_cache: bool,
+) -> (u64, usize, Vec<String>) {
     silence_crash_panics();
     let victim = "key02";
-    let newer = vec![0xEE; BLOCK + 6];
     let (writes, pages) = {
         let handle = medium(volatile_cache);
         let mut store = seeded(&handle, keys);
         let before = handle.lock().writes_done();
-        store.upsert(victim, &newer).unwrap();
+        store.upsert(victim, newer).unwrap();
         let total = handle.lock().writes_done();
         (total - before, pages_in_use(&mut store))
     };
@@ -105,7 +111,7 @@ fn overwrite_crashed_everywhere(keys: usize, volatile_cache: bool) -> (u64, usiz
         let handle = medium(volatile_cache);
         let mut store = seeded(&handle, keys);
         handle.lock().arm_crash(n);
-        let crashed = catch_crash(|| store.upsert(victim, &newer));
+        let crashed = catch_crash(|| store.upsert(victim, newer));
         assert!(crashed.is_none(), "armed crash {n} must fire");
         handle.lock().power_cycle();
         let mut store = match remount(&handle) {
@@ -139,17 +145,26 @@ fn overwrite_crashed_everywhere(keys: usize, volatile_cache: bool) -> (u64, usiz
     (writes, pages, wrong)
 }
 
-/// Backend writes of the overwrite: one journaled write of the value's
-/// two elements, one of the victim's page — whatever the number of keys.
-/// The whole-region text index took 36.
+/// A longer value for `key02`: its new extent lands past the last object.
+fn longer() -> Vec<u8> {
+    vec![0xEE; BLOCK + 6]
+}
+
+/// Backend writes of the overwrite with [`longer`]: one journaled write of
+/// the value's two elements, one of the victim's page — whatever the
+/// number of keys. The whole-region text index took 36.
 const OVERWRITE_WRITES: u64 = 25;
+
+/// Backend writes of a same-length overwrite of `key02`'s one element:
+/// one journaled write of that element where it is, and no page.
+const IN_PLACE_WRITES: u64 = 10;
 
 #[test]
 fn an_overwrite_crashed_at_any_write_keeps_an_acknowledged_value() {
     // Four keys: two pages, the victim's the second. Delete-then-put took
     // 57 writes here and lost the key at 36 of them.
     for volatile_cache in [true, false] {
-        let (writes, pages, wrong) = overwrite_crashed_everywhere(4, volatile_cache);
+        let (writes, pages, wrong) = overwrite_crashed_everywhere(4, &longer(), volatile_cache);
         assert_eq!((writes, pages), (OVERWRITE_WRITES, 2));
         assert!(
             wrong.is_empty(),
@@ -167,8 +182,24 @@ fn an_index_spanning_blocks_does_not_tear() {
     // extent changes 16 bytes of the victim's page and nothing else: the
     // same number of writes as with four keys, and no mix to parse.
     for volatile_cache in [true, false] {
-        let (writes, pages, wrong) = overwrite_crashed_everywhere(13, volatile_cache);
+        let (writes, pages, wrong) = overwrite_crashed_everywhere(13, &longer(), volatile_cache);
         assert_eq!((writes, pages), (OVERWRITE_WRITES, META));
+        assert!(
+            wrong.is_empty(),
+            "volatile_cache={volatile_cache}, {writes} crash points: {wrong:#?}"
+        );
+    }
+}
+
+#[test]
+fn a_same_length_overwrite_in_place_reads_old_or_new_at_any_write() {
+    // The value is rewritten where it is, so the index on the medium is the
+    // same bytes before and after; the one element holds the old value or
+    // the new one at every crash point, as a page does.
+    for volatile_cache in [true, false] {
+        let (writes, pages, wrong) =
+            overwrite_crashed_everywhere(4, &value_of(2, 1), volatile_cache);
+        assert_eq!((writes, pages), (IN_PLACE_WRITES, 2));
         assert!(
             wrong.is_empty(),
             "volatile_cache={volatile_cache}, {writes} crash points: {wrong:#?}"

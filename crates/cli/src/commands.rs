@@ -787,8 +787,9 @@ const CRASH_SIM_PRIMES: [usize; 2] = [5, 7];
 /// sweeps the registry codes at p ∈ {5, 7}; `--mutate` plants each
 /// [`JournalMutation`] in turn — retire-before-parity in the array,
 /// index-before-data in the store, unshared-without-intent in the
-/// whole-stripe write (swept write-through: a volatile cache drops its
-/// tear) — and *requires* the sweep to catch every one (the harness's
+/// whole-stripe write and in-place-across-elements in the store's
+/// overwrite (both swept write-through: a volatile cache drops their
+/// tears) — and *requires* the sweep to catch every one (the harness's
 /// self-test); `--json` emits the CI artifact
 /// format (printed even on failure so a piped artifact survives the
 /// failing exit).
@@ -1730,11 +1731,28 @@ mod tests {
             .expect("third section");
         assert!(!unwritten.contains("-write crashed at write"), "{out}");
         assert!(unwritten.contains("store-upsert crashed at write"), "{out}");
+        let (torn, in_place) = torn
+            .split_once("planted in-place-across-elements:")
+            .expect("fourth section");
         // The whole-stripe writes, torn with no intent to re-encode them:
         // only the scrub sees it.
         assert!(torn.contains("store-put-large crashed at write"), "{out}");
         assert!(!torn.contains("store-put crashed at write"), "{out}");
         assert!(torn.contains("write hole"), "{out}");
+        // A two-element value overwritten where it is, torn between its
+        // element writes: the key reads neither version.
+        let caught: Vec<&str> = in_place
+            .lines()
+            .filter(|line| line.contains("crashed at write"))
+            .collect();
+        assert!(!caught.is_empty(), "{out}");
+        assert!(
+            caught
+                .iter()
+                .all(|line| line.contains("store-overwrite-same-size crashed")
+                    && line.contains("neither its acknowledged state")),
+            "{out}"
+        );
     }
 
     #[test]

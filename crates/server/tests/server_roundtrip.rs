@@ -274,9 +274,10 @@ fn overwrite_without_room_for_both_versions_is_an_err_reply_and_keeps_the_value(
         );
     }
 
-    // An overwrite is copy-on-write: with no free extent for the new
-    // version the store refuses it (typed `NoSpace`, an `Err` reply on the
-    // wire) rather than write over the only copy.
+    // An overwrite of more than one element is copy-on-write: with no
+    // free extent for the new version the store refuses it (typed
+    // `NoSpace`, an `Err` reply on the wire) rather than write over the
+    // only copy. Only a same-length value of one element goes in place.
     let Response::Err(why) = client.put(&keys[0], &value(0xEE)).expect("put io") else {
         panic!("an overwrite with no room for both versions must be refused");
     };
