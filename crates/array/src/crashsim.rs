@@ -59,8 +59,14 @@ use std::collections::BTreeMap;
 pub enum CrashOp {
     /// A full-stripe write to a healthy array.
     FullWrite,
-    /// A partial write crossing a stripe boundary (two journal records).
+    /// A partial write crossing a stripe boundary: two journal records,
+    /// committed in one round before either stripe is stored.
     PartialWrite,
+    /// A write of one segment more than the array has record slots, from
+    /// the last element of stripe 0 to the first of the last stripe, on an
+    /// array of `disks + 1` stripes: a round of `disks` records, then a
+    /// round of one.
+    WideWrite,
     /// A one-element write: the shortest sequence the delta branch
     /// produces (one data cell, its parities, a two-block record).
     SmallWrite,
@@ -110,9 +116,10 @@ pub enum CrashOp {
 
 impl CrashOp {
     /// Every op the sweep covers.
-    pub const ALL: [CrashOp; 16] = [
+    pub const ALL: [CrashOp; 17] = [
         CrashOp::FullWrite,
         CrashOp::PartialWrite,
+        CrashOp::WideWrite,
         CrashOp::SmallWrite,
         CrashOp::MetaWrite,
         CrashOp::DegradedWrite,
@@ -134,6 +141,7 @@ impl CrashOp {
         match self {
             CrashOp::FullWrite => "full-write",
             CrashOp::PartialWrite => "partial-write",
+            CrashOp::WideWrite => "wide-write",
             CrashOp::SmallWrite => "small-write",
             CrashOp::MetaWrite => "meta-write",
             CrashOp::DegradedWrite => "degraded-write",
@@ -458,6 +466,10 @@ fn op_write(cfg: &CrashSimConfig, op: CrashOp) -> Option<(usize, Vec<u8>)> {
         CrashOp::PartialWrite | CrashOp::ReplayCrash => {
             Some((k - 1, prand_bytes(cfg.seed ^ 0x0F0F, 3 * bs)))
         }
+        CrashOp::WideWrite => {
+            let whole = cfg.layout.disks() - 1;
+            Some((k - 1, prand_bytes(cfg.seed ^ 0x71DE, (whole * k + 2) * bs)))
+        }
         CrashOp::SmallWrite => {
             // The element of stripe 1 that shares a disk with the write's
             // own intent record (`prepare` committed one record per
@@ -533,7 +545,11 @@ fn begin(cfg: &CrashSimConfig, op: CrashOp, inst: &mut Instance) {
         | CrashOp::StoreUpsertLarge
         | CrashOp::StoreOverwriteSmall
         | CrashOp::StoreOverwriteSameSize => seed_store(cfg, op, inst),
-        CrashOp::FullWrite | CrashOp::PartialWrite | CrashOp::SmallWrite | CrashOp::MetaWrite => {}
+        CrashOp::FullWrite
+        | CrashOp::PartialWrite
+        | CrashOp::WideWrite
+        | CrashOp::SmallWrite
+        | CrashOp::MetaWrite => {}
     }
 }
 
@@ -714,6 +730,11 @@ fn scrub_clean(array: &mut TestArray) -> Result<(), String> {
 
 /// Sweep one op: dry-run to count its writes, then crash at every index.
 fn sweep_op(cfg: &CrashSimConfig, op: CrashOp) -> (OpSweep, Vec<CrashFailure>) {
+    let wide = CrashSimConfig {
+        stripes: cfg.layout.disks() + 1,
+        ..cfg.clone()
+    };
+    let cfg = if op == CrashOp::WideWrite { &wide } else { cfg };
     // Dry run: how many backend writes does this op perform?
     let writes = {
         let mut inst = setup(cfg, op);

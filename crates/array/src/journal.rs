@@ -22,9 +22,9 @@
 //! end of the region (the last block of every disk is reserved so the
 //! geometry stays uniform). Record `seq` is written to slot
 //! `seq % disks`, probing forward past disks that refuse the write — the
-//! journal load rotates across the array just like the parity does, and
-//! at most one record is ever live per stripe mutation, so `disks` slots
-//! are plenty.
+//! journal load rotates across the array just like the parity does. At
+//! most one record is live per slot; a write call keeps up to `disks`
+//! live, one *commit round*.
 //!
 //! ## Record lifecycle
 //!
@@ -41,6 +41,13 @@
 //! 4. the stripe writes are applied and their disks flushed,
 //! 5. the header's first block is overwritten with a tombstone and the
 //!    journal disk flushed again: the record is *retired*.
+//!
+//! A write call runs these steps for up to `disks` records at once, each
+//! in its own slot and each covering its own stripes: (1)–(3) for every
+//! record of the round, then (4) for every stripe, each disk written
+//! flushed once for the round, then (5) for every record. Each record
+//! is still committed before any of its stripe's cells is written and
+//! retired only after all of them are flushed.
 //!
 //! A crash before (3) leaves a record whose header CRC or some payload
 //! block's entry CRC does not validate — replay discards it (the stripe

@@ -264,6 +264,16 @@ struct Segment {
     old: Option<Stripe>,
 }
 
+/// An open commit round of a write call (see
+/// [`persist`](ResilientArray::persist)). Each entry: a unit's segments,
+/// its record's slot and seq, and whether that record is a segment's
+/// intent record.
+type Round<'a> = Vec<(
+    &'a [(&'a Segment, &'a Stripe)],
+    Option<(Option<usize>, u64)>,
+    bool,
+)>;
+
 /// A RAID-6 array served from a [`DiskBackend`], with retries, checksums,
 /// sector-level degraded reads, auto-failure, and hot-spare rebuild.
 pub struct ResilientArray<B> {
@@ -1071,11 +1081,6 @@ impl<B: DiskBackend> ResilientArray<B> {
             minipool::global(),
             minipool::effective_parallelism(segments.len()),
         );
-        // The stripes covered whole go under one resync record, after the
-        // others have gone under theirs.
-        let resync = unshared && self.journal.is_some() && self.all_healthy();
-        let d = self.layout.data_len();
-        let mut whole = Vec::new();
         for (segment, scratch) in segments.iter().zip(&mut scratches) {
             if let Some(old) = &segment.old {
                 // Every stored cell of a delta stripe holds its change.
@@ -1083,15 +1088,21 @@ impl<B: DiskBackend> ResilientArray<B> {
                     xor_into(scratch.block_mut(cell), old.block(cell));
                 }
             }
-            if resync && segment.data.len() == d {
-                whole.push((segment, &*scratch));
-            } else {
-                self.persist_segment(segment, scratch);
-            }
         }
+        // The stripes covered whole go under one resync record, after the
+        // others' records.
+        let resync = unshared && self.journal.is_some() && self.all_healthy();
+        let d = self.layout.data_len();
+        let (whole, parts): (Vec<_>, Vec<_>) = segments
+            .iter()
+            .zip(&scratches)
+            .partition(|(segment, _)| resync && segment.data.len() == d);
+        let mut units: Vec<_> = parts.chunks(1).map(|part| (false, part)).collect();
+        self.stats.unshared_stripes += whole.len() as u64;
         if !whole.is_empty() {
-            self.persist_resync(&whole);
+            units.push((true, &whole));
         }
+        self.persist(&units);
         Ok(())
     }
 
@@ -1213,70 +1224,98 @@ impl<B: DiskBackend> ResilientArray<B> {
         Ok((segment, scratch))
     }
 
-    /// Persist one encoded segment: its written data cells and its
-    /// affected parities, under the CRCs
-    /// [`fetch_segment`](ResilientArray::fetch_segment) gave them. On a
-    /// journaled array: commit an intent record (payload → header →
-    /// journal-disk flush), apply the data cells, apply the parity cells,
-    /// flush every touched disk, then retire the record (tombstone →
-    /// flush). The write is only acknowledged —
-    /// [`write`](ResilientArray::write) only returns — after every record
-    /// of the call is retired, so an acknowledged write is durable and a
-    /// crashed one is replayable.
-    fn persist_segment(&mut self, segment: &Segment, scratch: &Stripe) {
-        let committed = self.journal.is_some().then(|| {
-            let record = self.build_record(segment, scratch);
-            (self.journal_append(&record), record.seq)
-        });
-        // Planted bug for the harness self-test: retiring between the
-        // data and parity writes re-opens the write hole.
+    /// Persist a write call's encoded segments — their written data cells
+    /// and affected parities, under the CRCs
+    /// [`fetch_segment`](ResilientArray::fetch_segment) gave them — in
+    /// *commit rounds*. A unit is one record's worth: a segment under its
+    /// intent record, or (`true`) the stripes a
+    /// [`write_unshared`](ResilientArray::write_unshared) covers whole —
+    /// consecutive, ascending — under one [`RecordMode::Resync`] record. On
+    /// a journaled array a round holds up to one record per journal disk,
+    /// each in its own disk's slot, and runs in four phases:
+    ///
+    /// 1. commit every record (payload → header → journal-disk flush),
+    /// 2. store every segment's data cells, then its parity cells,
+    /// 3. flush each disk written, once for the whole round,
+    /// 4. retire every record (tombstone → journal-disk flush).
+    ///
+    /// The records of a round cover disjoint stripes; each is committed
+    /// before any cell of its stripes is stored and retired only after
+    /// every disk written is flushed. A record that finds no free slot —
+    /// every other disk refused it or holds a record of this round —
+    /// closes the round and opens the next. Only a record alone in its
+    /// round goes unjournaled (counted in
+    /// [`ResilientStats::journal_skips`]), and it closes its round at once.
+    /// The write is only acknowledged — [`write`](ResilientArray::write)
+    /// only returns — after its last round is retired, so an acknowledged
+    /// write is durable and a crashed one is replayable.
+    fn persist(&mut self, units: &[(bool, &[(&Segment, &Stripe)])]) {
+        let journaled = self.journal.is_some();
+        let planted = self.mutation == Some(JournalMutation::UnsharedWithoutIntent);
+        let mut round: Round = Vec::new();
+        for (resync, unit) in units {
+            let record = match resync {
+                _ if !journaled => None,
+                // Planted bug for the harness self-test: no intent at all.
+                true if planted => None,
+                true => {
+                    let (first, stripes) = (unit[0].0.stripe, unit.len());
+                    debug_assert_eq!(unit[stripes - 1].0.stripe, first + stripes - 1);
+                    self.jseq += 1;
+                    Some(IntentRecord {
+                        seq: self.jseq - 1,
+                        stripe: first,
+                        mode: RecordMode::Resync { stripes },
+                        entries: Vec::new(),
+                    })
+                }
+                false => Some(self.build_record(unit[0].0, unit[0].1)),
+            };
+            let jdisk = loop {
+                let Some(record) = &record else { break None };
+                let held: Vec<usize> = round.iter().filter_map(|r| r.1?.0).collect();
+                if let Some(disk) = self.journal_append(record, &held) {
+                    break Some(disk);
+                }
+                if round.is_empty() {
+                    self.stats.journal_skips += 1;
+                    break None;
+                }
+                self.close_round(&mut round);
+            };
+            let committed = record.map(|record| (jdisk, record.seq));
+            round.push((unit, committed, !resync));
+            if committed.is_some_and(|(jdisk, _)| jdisk.is_none()) {
+                self.close_round(&mut round);
+            }
+        }
+        self.close_round(&mut round);
+    }
+
+    /// Phases 2–4 of a commit round (see
+    /// [`persist`](ResilientArray::persist)), which leaves it empty.
+    fn close_round(&mut self, round: &mut Round) {
+        // Planted bug for the harness self-test: retiring an intent record
+        // between its segment's data and parity writes re-opens the write
+        // hole.
         let mutated = self.mutation == Some(JournalMutation::RetireBeforeParity);
-        let retire_early = committed.filter(|_| mutated);
         let mut touched: BTreeSet<usize> = BTreeSet::new();
-        self.store_segment(segment, scratch, &mut touched, retire_early);
-        if let Some((jdisk, seq)) = committed {
+        for &(unit, committed, intent) in round.iter() {
+            let retire_early = committed.filter(|_| mutated && intent);
+            for &(segment, scratch) in unit {
+                self.store_segment(segment, scratch, &mut touched, retire_early);
+            }
+        }
+        if self.journal.is_some() {
             for disk in touched {
                 let _ = self.backend.flush(disk);
             }
-            if !mutated {
+        }
+        for (_, committed, intent) in round.drain(..) {
+            if let Some((jdisk, seq)) = committed.filter(|_| !(mutated && intent)) {
                 self.journal_retire(jdisk, seq);
             }
         }
-    }
-
-    /// Persist the stripes a [`write_unshared`](ResilientArray::write_unshared)
-    /// covers whole — consecutive, ascending — under one
-    /// [`RecordMode::Resync`] record: commit it (header → journal-disk
-    /// flush), apply every stripe's cells, flush every touched disk,
-    /// retire it.
-    fn persist_resync(&mut self, whole: &[(&Segment, &Stripe)]) {
-        let first = whole[0].0.stripe;
-        // Planted bug for the harness self-test: no intent at all.
-        let planted = self.mutation == Some(JournalMutation::UnsharedWithoutIntent);
-        let committed = (!planted).then(|| {
-            let record = IntentRecord {
-                seq: self.jseq,
-                stripe: first,
-                mode: RecordMode::Resync {
-                    stripes: whole.len(),
-                },
-                entries: Vec::new(),
-            };
-            self.jseq += 1;
-            (self.journal_append(&record), record.seq)
-        });
-        let mut touched: BTreeSet<usize> = BTreeSet::new();
-        for (i, &(segment, scratch)) in whole.iter().enumerate() {
-            debug_assert_eq!(segment.stripe, first + i, "a resync run is consecutive");
-            self.store_segment(segment, scratch, &mut touched, None);
-        }
-        for disk in touched {
-            let _ = self.backend.flush(disk);
-        }
-        if let Some((jdisk, seq)) = committed {
-            self.journal_retire(jdisk, seq);
-        }
-        self.stats.unshared_stripes += whole.len() as u64;
     }
 
     /// Store one encoded segment's data cells, then its parity cells,
@@ -1363,20 +1402,17 @@ impl<B: DiskBackend> ResilientArray<B> {
     /// header, then flush — the record is only committed once the flush
     /// completes, so a crash anywhere earlier leaves a torn (discarded)
     /// record and an untouched stripe. The slot rotates with the
-    /// sequence number and probes past disks that refuse the write;
-    /// if no disk accepts it the mutation proceeds unjournaled (counted
-    /// in [`ResilientStats::journal_skips`]).
-    fn journal_append(&mut self, record: &IntentRecord) -> Option<usize> {
+    /// sequence number and probes past disks that refuse the write and
+    /// the `held` ones, whose slots hold a live record of this round;
+    /// `None` if no other disk accepts it.
+    fn journal_append(&mut self, record: &IntentRecord, held: &[usize]) -> Option<usize> {
         let spec = self.journal.clone()?;
-        for probe in 0..spec.disks {
-            let disk = (record.seq as usize + probe) % spec.disks;
-            if self.try_journal_write(disk, &spec, record).is_ok() {
-                self.stats.journal_records += 1;
-                return Some(disk);
-            }
-        }
-        self.stats.journal_skips += 1;
-        None
+        let disk = (0..spec.disks)
+            .map(|probe| (record.seq as usize + probe) % spec.disks)
+            .filter(|disk| !held.contains(disk))
+            .find(|&disk| self.try_journal_write(disk, &spec, record).is_ok())?;
+        self.stats.journal_records += 1;
+        Some(disk)
     }
 
     fn try_journal_write(
@@ -1525,9 +1561,9 @@ impl<B: DiskBackend> ResilientArray<B> {
                 }
             }
         }
-        // Apply in commit order — with one live record per mutation this
-        // is usually a single entry, but a multi-segment write crashed
-        // mid-call can leave several.
+        // Apply in commit order. A write call commits a round of up to
+        // one record a slot before it stores any stripe, so a crash
+        // mid-call can leave several live, over disjoint stripes.
         live.sort_by_key(|(_, r)| r.seq);
         let mut degraded = false;
         for (disk, rec) in live {
@@ -2033,7 +2069,9 @@ impl<B: DiskBackend> ElementIo for ResilientArray<B> {
 mod tests {
     use super::*;
     use dcode_core::dcode::dcode;
-    use dcode_faults::{FaultInjector, FaultPlan, MemBackend};
+    use dcode_faults::{
+        catch_crash, CountingBackend, FaultInjector, FaultPlan, MemBackend, SharedInjector,
+    };
 
     fn mem_array(p: usize, stripes: usize, spares: usize) -> ResilientArray<MemBackend> {
         let layout = dcode(p).unwrap();
@@ -2552,6 +2590,119 @@ mod tests {
         want[15 * 32..30 * 32].fill(0x5A);
         assert_eq!(unshared.read(0, 45).unwrap(), want);
         assert_eq!(unshared.stats().unshared_stripes, 1);
+    }
+
+    /// D-Code p = 5 has five record slots, one a disk. From the last
+    /// element of stripe 0 to the first of stripe 5 a write is six
+    /// segments: the back of stripe 0, stripes 1–4 whole, the front of
+    /// stripe 5. Returns the start and the bytes.
+    fn wide_write() -> (usize, Vec<u8>) {
+        (14, (0..62 * 32).map(|i| (i * 13 % 241) as u8).collect())
+    }
+
+    /// A fresh seven-stripe journaled D-Code p = 5 array over `backend`,
+    /// holding `payload`.
+    fn seven_stripes<B: DiskBackend>(backend: B) -> ResilientArray<B> {
+        let layout = dcode(5).unwrap();
+        let mut a = ResilientArray::format_journaled(
+            layout,
+            32,
+            7,
+            RotationScheme::PerStripe,
+            backend,
+            RetryPolicy::default(),
+            1_000_000,
+        );
+        a.write(0, &payload(a.capacity_bytes())).unwrap();
+        a
+    }
+
+    fn seven_stripe_blocks() -> usize {
+        let layout = dcode(5).unwrap();
+        7 * layout.rows() + crate::journal::journal_blocks_per_disk(&layout, 32)
+    }
+
+    #[test]
+    fn a_write_of_more_segments_than_slots_takes_two_rounds() {
+        let backend = CountingBackend::new(MemBackend::new(5, seven_stripe_blocks(), 32));
+        let mut a = seven_stripes(backend);
+        a.backend_mut().reset();
+        let before = a.stats().clone();
+        let (start, new) = wide_write();
+        a.write(start, &new).unwrap();
+        let flushes: u64 = a.backend_mut().counts().flushes.iter().sum();
+        // A round of five records: five commits, the five disks written,
+        // five retires. Then a round of one: its commit, the disks of the
+        // one-element segment's cell and two parities, its retire.
+        assert_eq!(flushes, (5 + 5 + 5) + (1 + 3 + 1));
+        let stats = a.stats();
+        assert_eq!(stats.journal_records - before.journal_records, 6);
+        assert_eq!(stats.journal_retires - before.journal_retires, 6);
+        assert_eq!(stats.journal_skips, 0);
+        let mut want = payload(a.capacity_bytes());
+        want[start * 32..start * 32 + new.len()].copy_from_slice(&new);
+        assert_eq!(a.read(0, a.capacity_elements()).unwrap(), want);
+    }
+
+    /// The wide write with disk 2 dead, in the backend and to the array:
+    /// the record that would go to its slot probes on, so a round holds
+    /// four records. Crashed at every write over a write-through medium,
+    /// each live record sits in its own slot and every one replays.
+    #[test]
+    fn a_round_probes_past_a_refusing_journal_disk_and_replays_whole() {
+        let fresh = || {
+            let medium = MemBackend::new(5, seven_stripe_blocks(), 32);
+            let handle = SharedInjector::new(FaultInjector::new(medium, FaultPlan::quiet(1)));
+            let mut a = seven_stripes(handle.clone());
+            handle.lock().fail_disk(2);
+            a.fail_disk(2).unwrap();
+            (a, handle)
+        };
+        let (start, new) = wide_write();
+        let (mut a, handle) = fresh();
+        let (records, before) = (a.stats().journal_records, handle.lock().writes_done());
+        a.write(start, &new).unwrap();
+        let writes = handle.lock().writes_done() - before;
+        assert_eq!(a.stats().journal_records - records, 6);
+        assert_eq!(a.stats().journal_skips, 0);
+        let old = payload(a.capacity_bytes());
+        let spec = a.journal().unwrap().clone();
+        let mut most_live = 0;
+        for n in 0..writes {
+            let (mut a, handle) = fresh();
+            handle.lock().arm_crash(n);
+            assert!(catch_crash(|| a.write(start, &new)).is_none());
+            handle.lock().power_cycle();
+            let live = crate::journal::scan_journal(&mut handle.clone(), &spec).live;
+            most_live = most_live.max(live.len());
+            let topology = AttachTopology {
+                slot_to_disk: (0..5).collect(),
+                failed_slots: vec![2],
+                spares: Vec::new(),
+            };
+            let mut b = ResilientArray::attach_journaled_as(
+                dcode(5).unwrap(),
+                32,
+                7,
+                RotationScheme::PerStripe,
+                handle,
+                RetryPolicy::default(),
+                1_000_000,
+                topology,
+            )
+            .unwrap();
+            assert_eq!(b.last_replay().unwrap().replayed as usize, live.len());
+            let got = b.read(0, b.capacity_elements()).unwrap();
+            for (e, here) in got.chunks(32).enumerate() {
+                let was = &old[e * 32..(e + 1) * 32];
+                let is_new = (start..start + 62).contains(&e)
+                    && here == &new[(e - start) * 32..(e - start + 1) * 32];
+                assert!(here == was || is_new, "crash {n}: element {e}");
+            }
+            assert_eq!(b.scrub_pass().unwrap().parity_mismatches, 0, "crash {n}");
+        }
+        // A crash after the first round's commits finds all four live.
+        assert_eq!(most_live, 4);
     }
 
     /// Plant a committed resync record for stripes 1 and 2 in disk 1's

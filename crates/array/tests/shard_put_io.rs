@@ -5,8 +5,11 @@
 //! The store places every value first-fit and writes it with
 //! `ElementIo::write_unshared`. A value that covers no stripe whole — the
 //! 1 KiB values of `kv_small_mixed` and the 64 KiB objects of
-//! `array_degraded_rebuild` — is journaled stripe by stripe exactly as by
-//! `write_elements`: the per-disk counts below are those of that path. A
+//! `array_degraded_rebuild` — is journaled exactly as by
+//! `write_elements`: the per-disk counts below are those of that path.
+//! Either way a write call persists its stripes in one commit round (up
+//! to seven records, one a disk): every record committed, every stripe
+//! stored, each disk written flushed once, every record retired. A
 //! stripe a value covers whole goes under one header-only resync record
 //! instead of an intent record holding its 14 parities: 14 block writes
 //! fewer, and nothing else changes. A same-length overwrite of a value of
@@ -141,11 +144,33 @@ fn a_1_kib_overwrite_that_changes_length_issues_two_journaled_writes() {
 }
 
 #[test]
+fn a_1_kib_put_of_a_new_key_issues_two_journaled_writes() {
+    // The path the in-place overwrite does not take, and no benchmark
+    // workload times: a new key is a value and an index page, one delta
+    // write each, each a round of one record.
+    let io = measure(
+        array(),
+        ObjectStore::array_mut,
+        |s| s.put("old", &vec![1; 1024]).unwrap(),
+        |s| s.put("key", &vec![2; 1024]).unwrap(),
+    );
+    assert_eq!(io.unshared_stripes, 0);
+    let counts = io.counts;
+    assert_eq!((total(&counts.writes), total(&counts.flushes)), (14, 10));
+    assert_eq!(counts.reads, [1, 1, 2, 1, 0, 1, 0]);
+    assert_eq!(counts.writes, [1, 1, 2, 5, 4, 1, 0]);
+    assert_eq!(counts.flushes, [1, 1, 2, 3, 2, 1, 0]);
+    assert_eq!((io.fetched, io.hashed), (6, 8));
+}
+
+#[test]
 fn a_64_kib_overwrite_issues_the_journaled_io() {
     let counts = overwrite(64 * 1024).counts;
     assert_eq!(counts.reads, [5, 3, 6, 5, 6, 6, 4]);
     assert_eq!(counts.writes, [5, 3, 6, 17, 14, 10, 4]);
-    assert_eq!(counts.flushes, [3, 2, 3, 4, 4, 5, 2]);
+    // Two stripes, two records in one round: each disk written is
+    // flushed once for both.
+    assert_eq!(counts.flushes, [2, 1, 2, 3, 3, 4, 1]);
 }
 
 #[test]
@@ -191,5 +216,7 @@ fn a_256_kib_put_writes_the_stripe_it_covers_under_a_resync_record() {
     // payload blocks and tombstones, the resync header and tombstone,
     // and the index page's 7.
     assert_eq!(total(&u.writes), 64 + 30 + (2 + 16 + 2) + 2 + 7);
-    assert_eq!(total(&u.flushes), 30);
+    // One round: the three records' commits, each disk written flushed
+    // once, the three retires; then the page's five.
+    assert_eq!(total(&u.flushes), (3 + 7 + 3) + 5);
 }
