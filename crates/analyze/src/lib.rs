@@ -45,7 +45,6 @@ pub mod claims;
 pub mod cost;
 pub mod critpath;
 pub mod footprint;
-pub mod optdelta;
 pub mod peephole;
 pub mod report;
 
@@ -55,7 +54,6 @@ pub use critpath::{critical_path, CritPath};
 pub use footprint::{
     degraded_read_footprint, encode_footprint, program_footprint, StaticFootprint,
 };
-pub use optdelta::{opt_delta, OptDeltaReport, OptEntry};
 pub use peephole::{analyze_program, peephole, working_set_diagnostics, WORKING_SET_BUDGET_BYTES};
 pub use report::{
     analyze_layout, AnalysisReport, EncodeAnalysis, RecoveryAnalysis, UpdateAnalysis,

@@ -12,10 +12,9 @@ use crate::cost::{encode_xors_per_data_element, program_xor_cost, update_parity_
 use crate::critpath::{critical_path, CritPath};
 use crate::footprint::{degraded_read_footprint, encode_footprint, surviving_lf};
 use crate::peephole::analyze_program;
-use dcode_codec::{OptConfig, XorProgram};
+use dcode_codec::XorProgram;
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::layout::CodeLayout;
-use dcode_core::Fnv1a;
 use dcode_iosim::{lf_display, load_balancing_factor};
 use dcode_verify::Diagnostic;
 use std::collections::BTreeSet;
@@ -73,19 +72,6 @@ pub struct AnalysisReport {
     /// ([`XorProgram::fingerprint`]: FNV-1a over grid shape + flat
     /// arrays) — ties this report to the exact artifact it analyzed.
     pub program_fingerprint: u64,
-    /// Order-sensitive fingerprint of the optimizer pipeline in effect
-    /// (the default [`OptConfig`]) — the same value the schedule cache
-    /// keys its compiled artifacts by, so a pipeline change visibly
-    /// invalidates both the cache and this report.
-    pub pipeline_fingerprint: u64,
-    /// The pipeline's passes in run order: (name, per-pass fingerprint).
-    /// A pass's fingerprint covers its name *and* implementation
-    /// version, so a logic change shows up even when the name does not.
-    pub pipeline: Vec<(String, u64)>,
-    /// Fingerprint of the whole report's identity: FNV-1a over the
-    /// program fingerprint and the pipeline fingerprint. Changing either
-    /// the compiled artifact or the optimizer pipeline changes this.
-    pub report_fingerprint: u64,
     /// Encode-side analysis.
     pub encode: EncodeAnalysis,
     /// Recovery-side analysis.
@@ -130,23 +116,10 @@ impl AnalysisReport {
             .iter()
             .map(|d| format!("\"{}\"", esc(&d.to_string())))
             .collect();
-        let pipeline: Vec<String> = self
-            .pipeline
-            .iter()
-            .map(|(name, fp)| {
-                format!(
-                    "{{\"name\": \"{}\", \"fingerprint\": \"{fp:#018x}\"}}",
-                    esc(name)
-                )
-            })
-            .collect();
         format!(
             concat!(
                 "{{\"code\": \"{code}\", \"p\": {p}, \"disks\": {disks}, ",
                 "\"program_fingerprint\": \"{fp:#018x}\", ",
-                "\"pipeline_fingerprint\": \"{plfp:#018x}\", ",
-                "\"report_fingerprint\": \"{rfp:#018x}\", ",
-                "\"pipeline\": [{pipeline}], ",
                 "\"encode\": {{\"ops\": {ops}, \"levels\": {levels}, ",
                 "\"xors_per_data_element\": {exde}, \"write_lf\": {wlf}, ",
                 "\"combined_lf\": {clf}, \"total_work\": {tw}, ",
@@ -163,9 +136,6 @@ impl AnalysisReport {
             p = self.p,
             disks = self.disks,
             fp = self.program_fingerprint,
-            plfp = self.pipeline_fingerprint,
-            rfp = self.report_fingerprint,
-            pipeline = pipeline.join(", "),
             ops = self.encode.ops,
             levels = self.encode.levels,
             exde = jf(self.encode.xors_per_data_element),
@@ -204,22 +174,8 @@ impl fmt::Display for AnalysisReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{} p={} ({} disks), encode program {:#018x}, report {:#018x}",
-            self.code, self.p, self.disks, self.program_fingerprint, self.report_fingerprint
-        )?;
-        writeln!(
-            f,
-            "  pipeline: {} ({:#018x})",
-            if self.pipeline.is_empty() {
-                "(no passes)".to_string()
-            } else {
-                self.pipeline
-                    .iter()
-                    .map(|(name, _)| name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" -> ")
-            },
-            self.pipeline_fingerprint,
+            "{} p={} ({} disks), encode program {:#018x}",
+            self.code, self.p, self.disks, self.program_fingerprint
         )?;
         writeln!(
             f,
@@ -278,22 +234,6 @@ pub fn analyze_layout(layout: &CodeLayout) -> AnalysisReport {
     let grid = layout.grid();
     let disks = layout.disks();
     let encode_prog = XorProgram::compile_encode(layout);
-
-    // The optimizer pipeline this report is tied to: the default config,
-    // the same one the schedule cache runs over everything it compiles.
-    let pipeline_cfg = OptConfig::default();
-    let pipeline_fingerprint = pipeline_cfg.fingerprint();
-    let pipeline: Vec<(String, u64)> = pipeline_cfg
-        .passes()
-        .iter()
-        .map(|pass| (pass.name().to_string(), pass.fingerprint()))
-        .collect();
-    let report_fingerprint = {
-        let mut h = Fnv1a::new();
-        h.word(encode_prog.fingerprint());
-        h.word(pipeline_fingerprint);
-        h.finish()
-    };
 
     // Encode pass.
     let fp = encode_footprint(layout, &encode_prog);
@@ -414,9 +354,6 @@ pub fn analyze_layout(layout: &CodeLayout) -> AnalysisReport {
         p: layout.prime(),
         disks,
         program_fingerprint: encode_prog.fingerprint(),
-        pipeline_fingerprint,
-        pipeline,
-        report_fingerprint,
         encode,
         recovery,
         update,
@@ -461,30 +398,6 @@ mod tests {
         let d11 = analyze_layout(&dcode_core::dcode::dcode(11).unwrap());
         assert_eq!(d7.program_fingerprint, d7b.program_fingerprint);
         assert_ne!(d7.program_fingerprint, d11.program_fingerprint);
-        assert_eq!(d7.report_fingerprint, d7b.report_fingerprint);
-        assert_ne!(d7.report_fingerprint, d11.report_fingerprint);
-    }
-
-    #[test]
-    fn report_carries_the_default_pipeline_and_keys_on_it() {
-        use dcode_codec::{OptConfig, OptPass};
-        let report = analyze_layout(&dcode_core::dcode::dcode(7).unwrap());
-        assert_eq!(
-            report.pipeline_fingerprint,
-            OptConfig::default().fingerprint()
-        );
-        let names: Vec<&str> = report.pipeline.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            OptPass::ALL.map(OptPass::name).to_vec(),
-            "report pipeline must mirror the default pass order"
-        );
-        for (pass, (_, fp)) in OptPass::ALL.iter().zip(&report.pipeline) {
-            assert_eq!(pass.fingerprint(), *fp);
-        }
-        // The report fingerprint must move when either input moves.
-        assert_ne!(report.report_fingerprint, report.program_fingerprint);
-        assert_ne!(report.report_fingerprint, report.pipeline_fingerprint);
     }
 
     #[test]
@@ -500,8 +413,6 @@ mod tests {
         // RDP has dedicated parity: the write LF serializes as "inf".
         assert!(json.contains("\"write_lf\": \"inf\""));
         assert!(json.contains("\"clean\": true"));
-        assert!(json.contains("\"pipeline_fingerprint\": \"0x"));
-        assert!(json.contains("\"report_fingerprint\": \"0x"));
-        assert!(json.contains("\"name\": \"dead-op-elim\""));
+        assert!(json.contains("\"program_fingerprint\": \"0x"));
     }
 }

@@ -146,6 +146,40 @@ fn mutation_dead_scratch_write_is_flagged() {
 }
 
 #[test]
+fn mutation_shadowed_scratch_write_is_flagged() {
+    // Append two writes of different expressions to one non-parity block,
+    // each in its own level: the block is a wanted output, but the first
+    // write is overwritten before anything reads it (DeadOp).
+    let (_, program) = base();
+    let mut expected = outputs(&program);
+    let grid = program.grid();
+    let free: Vec<u32> = (0..grid.len() as u32)
+        .filter(|b| !expected.contains(&(*b as usize)))
+        .take(5)
+        .collect();
+    let scratch = free[0];
+    expected.insert(scratch as usize);
+    let (mut targets, mut src_off, mut sources, mut level_off) = program.raw_parts();
+    let first = targets.len();
+    for pair in [[free[1], free[2]], [free[3], free[4]]] {
+        targets.push(scratch);
+        sources.extend_from_slice(&pair);
+        src_off.push(sources.len() as u32);
+        level_off.push(targets.len() as u32);
+    }
+    let mutated = XorProgram::from_raw_parts(grid, targets, src_off, sources, level_off);
+
+    let diags = analyze_program(&mutated, &expected);
+    assert!(
+        kinds(&diags).iter().any(|k| matches!(
+            k,
+            DiagKind::DeadOp { op, shadowed_by } if *op == first && *shadowed_by == first + 1
+        )),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn mutation_whole_stripe_gather_is_flagged() {
     // Flatten the schedule into one op gathering 300 blocks: the
     // per-level working-set estimate must exceed the budget.

@@ -904,11 +904,11 @@ impl<B: DiskBackend> ResilientArray<B> {
         // column the plan is the minimum-read choice of equations given
         // what this fetch already holds; under two, the peeling plan.
         'replan: loop {
-            // Every wanted cell in an erased column is observable, not just
-            // the cells that actually failed: this read returns them from
-            // the scratch stripe after the program runs, and the optimizer
-            // is free to recycle any non-output erased cell as a scratch
-            // host. Declaring them keeps their reconstructed bytes intact.
+            // Every wanted cell in an erased column is asked for, not just
+            // the failed ones: this read returns them from the scratch
+            // stripe, and a subprogram is proved to restore only the cells
+            // it is asked for (`verify_subprogram`). Replay may write any
+            // other cell of an erased column; nothing proves what it leaves.
             let observable: BTreeSet<Cell> = wanted
                 .iter()
                 .copied()
@@ -2184,11 +2184,11 @@ mod tests {
     #[test]
     fn pair_rot_in_partially_corrupt_columns_returns_clean_data() {
         // Two rotten blocks on different disks force a two-column erasure
-        // whose columns still hold correctly-read, wanted survivors. Those
-        // survivors are observable outputs of the recovery subprogram, so
-        // the optimizer must not recycle their cells as scratch hosts —
-        // RDP's subprograms reuse scratch aggressively, which is exactly
-        // the shape that once leaked a foreign tenant's bytes into a read.
+        // whose columns still hold correctly-read, wanted survivors. The
+        // read returns those survivors from the scratch stripe the
+        // recovery subprogram ran over, so nothing the program writes may
+        // leave foreign bytes in them — the shape that once leaked a
+        // foreign tenant's bytes into an RDP read.
         let layout = dcode_baselines::registry::build(dcode_baselines::CodeId::Rdp, 13).unwrap();
         let backend = MemBackend::new(layout.disks(), layout.rows(), 16);
         let mut a = ResilientArray::format(
@@ -2204,9 +2204,9 @@ mod tests {
         a.write(0, &data).unwrap();
         // Rot the deepest data block of the first two columns that carry
         // at least two data cells each (so each erased column keeps wanted
-        // survivors, and the recovery chain is long enough for the scratch
-        // allocator to collapse slots). RotationScheme::None maps
-        // column -> disk, row -> block.
+        // survivors, and the recovery chain runs through the other erased
+        // column's cells). RotationScheme::None maps column -> disk,
+        // row -> block.
         let grid = a.layout().grid();
         let mut hit = Vec::new();
         for col in 0..grid.cols {

@@ -520,21 +520,12 @@ pub fn verify(code: Option<CodeId>, p: Option<usize>, all: bool) -> Result<Strin
 /// job uses it. With `--json` the reports render as a JSON array; on an
 /// asserted failure the JSON still goes to stdout so a piped CI artifact
 /// survives the failing exit.
-///
-/// With `--opt-delta` every target also gets the optimizer's per-scope
-/// cost-delta certificate table ([`dcode_analyze::opt_delta`]). A
-/// violated certificate — an equivalence miss, a regressed metric, or a
-/// nonzero delta on a registry code — is *always* a hard failure (exit
-/// code 3), with or without `--assert-claims`: the certificates are the
-/// optimizer's standing regression tripwire, not an opt-in claim. Under
-/// `--json` the output becomes `{"reports": [...], "opt_delta": [...]}`.
 pub fn analyze(
     code: Option<CodeId>,
     p: Option<usize>,
     all: bool,
     assert_claims: bool,
     json: bool,
-    opt_delta: bool,
 ) -> Result<String, CliError> {
     let targets: Vec<(CodeId, usize)> = if all {
         dcode_baselines::registry::ALL_CODES
@@ -549,23 +540,14 @@ pub fn analyze(
     };
 
     let mut reports = Vec::new();
-    let mut deltas = Vec::new();
     for (id, p) in targets {
         let layout = build_code(id, p)?;
         reports.push(dcode_analyze::analyze_layout(&layout));
-        if opt_delta {
-            deltas.push(dcode_analyze::opt_delta(&layout));
-        }
     }
     let dirty: Vec<String> = reports
         .iter()
         .filter(|r| !r.is_clean())
         .map(|r| format!("{} p={}", r.code, r.p))
-        .collect();
-    let delta_dirty: Vec<String> = deltas
-        .iter()
-        .filter(|d| !d.is_clean())
-        .map(|d| format!("{} p={}", d.code, d.p))
         .collect();
 
     let body = if json {
@@ -573,62 +555,21 @@ pub fn analyze(
             .iter()
             .map(dcode_analyze::AnalysisReport::to_json)
             .collect();
-        let reports_json = format!("[{}]", items.join(",\n "));
-        if opt_delta {
-            let items: Vec<String> = deltas
-                .iter()
-                .map(dcode_analyze::OptDeltaReport::to_json)
-                .collect();
-            format!(
-                "{{\"reports\": {reports_json}, \"opt_delta\": [{}]}}",
-                items.join(",\n ")
-            )
-        } else {
-            reports_json
-        }
+        format!("[{}]", items.join(",\n "))
     } else {
         let mut s = reports
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n");
-        for d in &deltas {
-            s.push('\n');
-            s.push_str(&d.to_string());
-        }
         s.push_str(&format!(
             "\n{} report(s): {} clean, {} not clean",
             reports.len(),
             reports.len() - dirty.len(),
             dirty.len()
         ));
-        if opt_delta {
-            s.push_str(&format!(
-                "; {} opt-delta table(s): {} certified, {} violated",
-                deltas.len(),
-                deltas.len() - delta_dirty.len(),
-                delta_dirty.len()
-            ));
-        }
         s
     };
-    // A violated optimizer certificate fails the run unconditionally —
-    // the delta-0 tripwire is not an opt-in claim.
-    if !delta_dirty.is_empty() {
-        if json {
-            println!("{body}");
-        }
-        return Err(CliError::State(format!(
-            "{}optimizer certificates VIOLATED for {} report(s): {}",
-            if json {
-                String::new()
-            } else {
-                format!("{body}\n")
-            },
-            delta_dirty.len(),
-            delta_dirty.join(", ")
-        )));
-    }
     if assert_claims && !dirty.is_empty() {
         if json {
             println!("{body}");
@@ -1307,36 +1248,25 @@ mod tests {
 
     #[test]
     fn analyze_command_checks_claims_and_rejects_bad_input() {
-        let out = analyze(Some(CodeId::DCode), Some(7), false, true, false, false).unwrap();
+        let out = analyze(Some(CodeId::DCode), Some(7), false, true, false).unwrap();
         assert!(out.contains("D-Code p=7"), "{out}");
         assert!(out.contains("verdict:  clean"), "{out}");
         assert!(out.contains("encode XORs per data element"), "{out}");
         assert!(out.contains("1 report(s): 1 clean, 0 not clean"), "{out}");
         // JSON mode: one object per report, machine-checkable fields.
-        let json = analyze(Some(CodeId::Rdp), Some(7), false, true, true, false).unwrap();
+        let json = analyze(Some(CodeId::Rdp), Some(7), false, true, true).unwrap();
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
         assert!(json.contains("\"clean\": true"), "{json}");
         assert!(json.contains("\"write_lf\": \"inf\""), "{json}");
         // No code and no --all is a usage error; non-prime p fails to build.
         assert!(matches!(
-            analyze(None, None, false, false, false, false),
+            analyze(None, None, false, false, false),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            analyze(Some(CodeId::DCode), Some(9), false, false, false, false),
+            analyze(Some(CodeId::DCode), Some(9), false, false, false),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn analyze_opt_delta_certifies_the_pipeline() {
-        let out = analyze(Some(CodeId::DCode), Some(5), false, false, false, true).unwrap();
-        assert!(out.contains("opt-delta (pipeline"), "{out}");
-        assert!(out.contains("verdict:  certified"), "{out}");
-        assert!(out.contains("1 certified, 0 violated"), "{out}");
-        let json = analyze(Some(CodeId::DCode), Some(5), false, false, true, true).unwrap();
-        assert!(json.contains("\"opt_delta\""), "{json}");
-        assert!(json.contains("\"clean\": true"), "{json}");
     }
 
     #[test]

@@ -47,14 +47,9 @@ USAGE:
   dcode layout <code-name> [--p N]     # print a code's layout and spec
   dcode verify [--code NAME] [--p N]   # statically verify compiled schedules
   dcode verify --all                   # …for every code at p in {5,7,11,13,17}
-  dcode analyze [--code NAME] [--p N] [--assert-claims] [--json] [--opt-delta]
+  dcode analyze [--code NAME] [--p N] [--assert-claims] [--json]
                                        # static cost/IO/parallelism analysis of
-                                       # compiled schedules vs the paper's claims;
-                                       # --opt-delta adds per-scope optimizer
-                                       # cost-delta certificates (registry codes
-                                       # must certify delta = 0; any violated
-                                       # certificate exits 3 even without
-                                       # --assert-claims)
+                                       # compiled schedules vs the paper's claims
   dcode analyze --all                  # …for every code at p in {5,7,11,13,17}
   dcode race [--all] [--json]          # model-check the pool/cache/shard
                                        # concurrency invariants (+ mutation
@@ -95,7 +90,6 @@ fn run() -> Result<String, CliError> {
     let mut assert_claims = false;
     let mut json = false;
     let mut mutate = false;
-    let mut opt_delta = false;
     while i < args.len() {
         // Boolean flags take no value; everything else under `--` does.
         if args[i] == "--all" {
@@ -109,9 +103,6 @@ fn run() -> Result<String, CliError> {
             i += 1;
         } else if args[i] == "--mutate" {
             mutate = true;
-            i += 1;
-        } else if args[i] == "--opt-delta" {
-            opt_delta = true;
             i += 1;
         } else if let Some(name) = args[i].strip_prefix("--") {
             let value = args
@@ -245,7 +236,7 @@ fn run() -> Result<String, CliError> {
         "analyze" => {
             if !positional.is_empty() {
                 return Err(usage(
-                    "analyze takes only --code/--p/--all/--assert-claims/--json/--opt-delta flags",
+                    "analyze takes only --code/--p/--all/--assert-claims/--json flags",
                 ));
             }
             let code = flag("code")
@@ -257,7 +248,7 @@ fn run() -> Result<String, CliError> {
                         .map_err(|_| usage("--p must be a prime number"))
                 })
                 .transpose()?;
-            commands::analyze(code, p, all, assert_claims, json, opt_delta)
+            commands::analyze(code, p, all, assert_claims, json)
         }
         "race" => {
             if !positional.is_empty() {

@@ -51,9 +51,9 @@ pub fn encode_stripes(layout: &CodeLayout, stripes: &mut [Stripe], threads: usiz
 }
 
 /// Recover the same erased columns across a batch of stripes, in
-/// parallel. The compiled (and certified-optimized) column-recovery
-/// program comes from the global schedule cache; `cols` may be unsorted
-/// or hold duplicates, and an out-of-range column panics, exactly as in
+/// parallel. The compiled column-recovery program comes from the global
+/// schedule cache; `cols` may be unsorted or hold duplicates, and an
+/// out-of-range column panics, exactly as in
 /// [`crate::decode::recover_columns`]. This is the entry point the
 /// rebuild scheduler's many-stripe decode batches use.
 ///

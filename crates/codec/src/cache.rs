@@ -29,24 +29,16 @@
 //! Compilation happens *outside* the cache lock, so a panic in the
 //! compiler (or a poisoned-free miss racing another thread) can never
 //! poison the cache; the loser of an insert race simply adopts the
-//! winner's entry. Compiled programs still run the compiler's
-//! `debug_assertions` hazard check at compile time — caching reuses the
-//! checked artifact, it does not bypass the check — and `dcode-verify`
-//! proves cached programs equivalent to their generator matrices in CI.
-//!
-//! Every program the cache emits flows through the verified optimizer
-//! pipeline ([`crate::opt`]) on its compile miss and carries the
-//! resulting [`OptCertificate`] — the machine-checkable proof that the
-//! shipped program is GF(2)-equivalent to the direct compile and no cost
-//! metric regressed (delta 0 for the registry codes, which are already
-//! at the paper's closed-form optimum). The pipeline is a constant,
-//! [`OptConfig::default`], so it is not part of the key; each certificate
-//! still records its fingerprint, which `dcode analyze` reports. The
-//! cache has one lock, `entries` (`codec.cache.entries`, the name
-//! `dcode-race`'s lock-order check sees), and never holds it across a
-//! compile.
+//! winner's entry. The cache stores exactly what
+//! [`XorProgram::compile_encode`] or [`XorProgram::compile_plan`]
+//! returns. Compiled programs still run the compiler's
+//! `debug_assertions` hazard and lint checks at compile time — caching
+//! reuses the checked artifact, it does not bypass the check — and
+//! `dcode-verify` proves cached programs equivalent to their generator
+//! matrices in CI. The cache has one lock, `entries`
+//! (`codec.cache.entries`, the name `dcode-race`'s lock-order check
+//! sees), and never holds it across a compile.
 
-use crate::opt::{optimize, OptCertificate, OptConfig};
 use crate::schedule::XorProgram;
 use dcode_core::decoder::{plan_recovery, RecoveryPlan, Unrecoverable};
 use dcode_core::grid::{Cell, Grid};
@@ -87,9 +79,6 @@ pub struct CompiledRecovery {
     /// Surviving cells the program reads, ascending. Equals
     /// `plan.surviving_reads()` without the per-call `BTreeSet`.
     pub reads: Arc<Vec<Cell>>,
-    /// Cost-delta certificate from the optimizer pipeline run on the
-    /// compile miss that produced `program`.
-    pub certificate: Arc<OptCertificate>,
 }
 
 /// One cached missing-cell subprogram under an erasure pattern.
@@ -118,7 +107,7 @@ struct ErasureEntry {
 struct LayoutEntry {
     fingerprint: u64,
     grid: Grid,
-    encode: Option<(Arc<XorProgram>, Arc<OptCertificate>)>,
+    encode: Option<Arc<XorProgram>>,
     erasures: Vec<ErasureEntry>,
 }
 
@@ -168,37 +157,23 @@ impl ScheduleCache {
         });
     }
 
-    /// The compiled (and certified-optimized) full-stripe encode program
-    /// for `layout`. First call per layout compiles; every later call
-    /// returns the same `Arc` (verify with [`Arc::ptr_eq`]).
+    /// The compiled full-stripe encode program for `layout`. First call
+    /// per layout compiles; every later call returns the same `Arc`
+    /// (verify with [`Arc::ptr_eq`]).
     pub fn encode_program(&self, layout: &CodeLayout) -> Arc<XorProgram> {
-        self.encode_program_certified(layout).0
-    }
-
-    /// [`ScheduleCache::encode_program`] together with its cost-delta
-    /// certificate.
-    pub fn encode_program_certified(
-        &self,
-        layout: &CodeLayout,
-    ) -> (Arc<XorProgram>, Arc<OptCertificate>) {
         let (fp, grid) = (layout.fingerprint(), layout.grid());
         {
             let entries = self.lock();
-            if let Some(pair) = find_layout(&entries, fp, grid).and_then(|e| e.encode.clone()) {
+            if let Some(program) = find_layout(&entries, fp, grid).and_then(|e| e.encode.clone()) {
                 Self::bump(&self.hits);
-                return pair;
+                return program;
             }
         }
         Self::bump(&self.misses);
-        let optimized = optimize(
-            &XorProgram::compile_encode(layout),
-            None,
-            &OptConfig::default(),
-        );
-        let pair = (Arc::new(optimized.program), Arc::new(optimized.certificate));
+        let program = Arc::new(XorProgram::compile_encode(layout));
         let mut entries = self.lock();
         let entry = find_or_insert_layout(&mut entries, fp, grid);
-        entry.encode.get_or_insert(pair).clone()
+        entry.encode.get_or_insert(program).clone()
     }
 
     /// The full column-recovery plan for erasing `cols` (ascending) of
@@ -212,9 +187,7 @@ impl ScheduleCache {
     }
 
     /// The compiled full column-recovery program for erasing `cols`
-    /// (ascending) of `layout`, with its plan, read footprint, and
-    /// cost-delta certificate. All erased cells are outputs, so the
-    /// optimizer must certify delta 0 here for registry codes.
+    /// (ascending) of `layout`, with its plan and read footprint.
     pub fn column_program(
         &self,
         layout: &CodeLayout,
@@ -233,7 +206,7 @@ impl ScheduleCache {
         }
         let plan = self.erasure_plan(layout, cols_iter.clone())?;
         Self::bump(&self.misses);
-        let compiled = compile_recovery(grid, &plan, None);
+        let compiled = compile_recovery(grid, &plan);
         let mut entries = self.lock();
         let entry = find_erasure_mut(&mut entries, fp, grid, cols_iter)
             .expect("erasure_plan inserted the entry");
@@ -284,11 +257,7 @@ impl ScheduleCache {
             Some(col) => optimal_recovery(layout, col, missing, loaded).recovery_plan(layout),
             None => plan.subplan_for(missing),
         };
-        // Only the wanted cells are observable outputs of a subprogram:
-        // the remaining recovered intermediates are scratch the optimizer
-        // may renumber or eliminate.
-        let outputs: BTreeSet<usize> = missing.iter().map(|&c| grid.index(c)).collect();
-        let compiled = compile_recovery(grid, &Arc::new(plan), Some(&outputs));
+        let compiled = compile_recovery(grid, &Arc::new(plan));
         let mut entries = self.lock();
         let entry = find_erasure_mut(&mut entries, fp, grid, erased_cols)
             .expect("erasure_plan inserted the entry");
@@ -422,25 +391,13 @@ where
         .find(|e| e.cols.iter().copied().eq(cols.clone()))
 }
 
-/// Lower a plan through the optimizer pipeline and precompute its sorted
-/// surviving-read list. `outputs` designates the observable blocks
-/// (`None` = every target, the right choice for full column recoveries).
-fn compile_recovery(
-    grid: Grid,
-    plan: &Arc<RecoveryPlan>,
-    outputs: Option<&BTreeSet<usize>>,
-) -> CompiledRecovery {
-    let optimized = optimize(
-        &XorProgram::compile_plan(grid, plan),
-        outputs,
-        &OptConfig::default(),
-    );
+/// Lower a plan and precompute its sorted surviving-read list.
+fn compile_recovery(grid: Grid, plan: &Arc<RecoveryPlan>) -> CompiledRecovery {
     let reads: Vec<Cell> = plan.surviving_reads().into_iter().collect();
     CompiledRecovery {
-        program: Arc::new(optimized.program),
+        program: Arc::new(XorProgram::compile_plan(grid, plan)),
         plan: plan.clone(),
         reads: Arc::new(reads),
-        certificate: Arc::new(optimized.certificate),
     }
 }
 
@@ -642,78 +599,5 @@ mod tests {
         let a = global().encode_program(&dcode(5).unwrap());
         let b = global().encode_program(&dcode(5).unwrap());
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn every_cache_artifact_carries_a_holding_certificate() {
-        let cache = ScheduleCache::new();
-        let default_fp = OptConfig::default().fingerprint();
-        for layout in all_codes(7) {
-            let (_, cert) = cache.encode_program_certified(&layout);
-            assert!(cert.holds(), "{} encode", layout.name());
-            assert_eq!(cert.pipeline_fingerprint, default_fp, "{}", layout.name());
-            assert!(
-                cert.zero_delta(),
-                "{} encode must be delta 0",
-                layout.name()
-            );
-            let full = cache.column_program(&layout, &[0, 1]).unwrap();
-            assert!(full.certificate.holds(), "{} recovery", layout.name());
-            assert!(
-                full.certificate.zero_delta(),
-                "{} recovery must be delta 0",
-                layout.name()
-            );
-            let missing: BTreeSet<Cell> = [layout.grid().column(0).next().unwrap()]
-                .into_iter()
-                .collect();
-            let sub = cache
-                .recovery_subprogram(
-                    &layout,
-                    [0usize, 1].iter().copied(),
-                    &missing,
-                    &BTreeSet::new(),
-                )
-                .unwrap();
-            assert!(sub.certificate.holds(), "{} subprogram", layout.name());
-        }
-    }
-
-    #[test]
-    fn subprogram_outputs_free_intermediates_for_the_optimizer() {
-        // A single wanted cell under a two-column erasure leaves every
-        // other recovered cell as scratch; the certificate must still
-        // hold (≤ on every metric) and the subprogram must reproduce the
-        // wanted bytes exactly.
-        let cache = ScheduleCache::new();
-        for layout in all_codes(11) {
-            let grid = layout.grid();
-            let missing: BTreeSet<Cell> = [grid.column(0).nth(2).unwrap()].into_iter().collect();
-            let sub = cache
-                .recovery_subprogram(
-                    &layout,
-                    [0usize, 1].iter().copied(),
-                    &missing,
-                    &BTreeSet::new(),
-                )
-                .unwrap();
-            assert!(sub.certificate.holds(), "{}", layout.name());
-            let data: Vec<u8> = (0..layout.data_len() * 8)
-                .map(|i| (i * 131) as u8)
-                .collect();
-            let mut stripe = Stripe::from_data(&layout, 8, &data);
-            encode_naive(&layout, &mut stripe);
-            let golden = stripe.clone();
-            stripe.erase_columns(&[0, 1]);
-            sub.program.run(&mut stripe);
-            for &cell in &missing {
-                assert_eq!(
-                    stripe.snapshot(cell),
-                    golden.snapshot(cell),
-                    "{}",
-                    layout.name()
-                );
-            }
-        }
     }
 }

@@ -52,7 +52,6 @@ pub mod bulk;
 pub mod cache;
 pub mod decode;
 pub mod encode;
-pub mod opt;
 pub mod schedule;
 pub mod stripe;
 pub mod tile;
@@ -64,7 +63,6 @@ pub use bulk::{encode_stripes, recover_stripes, run_batch};
 pub use cache::{schedule_stats, CacheStats, CompiledRecovery, ScheduleCache};
 pub use decode::{apply_plan, apply_plan_naive, recover_columns};
 pub use encode::{encode, encode_naive, verify_parities};
-pub use opt::{optimize, CostSummary, OptCertificate, OptConfig, OptPass, Optimized, PassRun};
 pub use schedule::XorProgram;
 pub use stripe::Stripe;
 pub use tile::fused_tile_bytes;

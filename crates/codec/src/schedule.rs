@@ -43,8 +43,7 @@ use dcode_core::Fnv1a;
 /// indices). Ops are grouped into dependency levels — `level_off`
 /// delimits op ranges, and every op within a level reads only blocks no
 /// op of the same level writes. Replay is sequential; the levels are what
-/// the verifier's race check, the optimizer's repacking pass and the
-/// analyzer's critical-path bound read.
+/// the verifier's race check and the analyzer's critical-path bound read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XorProgram {
     grid: Grid,
@@ -56,8 +55,7 @@ pub struct XorProgram {
     level_off: Vec<u32>,
     /// FNV-1a over the grid shape and flat arrays, computed once at
     /// construction. Deterministic in the content, so the derived equality
-    /// stays consistent; optimizer certificates and analysis reports name
-    /// programs by it.
+    /// stays consistent; analysis reports name programs by it.
     fingerprint: u64,
 }
 
@@ -103,7 +101,6 @@ impl XorProgram {
         {
             prog.debug_assert_hazard_free();
             prog.debug_assert_peephole_clean();
-            prog.debug_assert_optimizer_certificate();
         }
         prog
     }
@@ -148,7 +145,6 @@ impl XorProgram {
         {
             prog.debug_assert_hazard_free();
             prog.debug_assert_peephole_clean();
-            prog.debug_assert_optimizer_certificate();
         }
         prog
     }
@@ -159,9 +155,7 @@ impl XorProgram {
     }
 
     /// Content fingerprint (FNV-1a over the grid shape and flat arrays),
-    /// computed at construction. Equal programs have equal fingerprints;
-    /// [`OptCertificate`](crate::opt::OptCertificate)s tie a shipped
-    /// program to the one the pipeline started from with it.
+    /// computed at construction. Equal programs have equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -285,22 +279,6 @@ impl XorProgram {
                 "op {op} is a clone of an earlier op (redundant work)"
             );
         }
-    }
-
-    /// Debug-build recheck run by the compilers after the structural
-    /// guards: the default optimizer pipeline must emit a *holding*
-    /// cost-delta certificate for every freshly compiled program —
-    /// symbolic GF(2) equivalence on all written blocks and no cost
-    /// metric regressed. Compiled programs are lint-clean, so the
-    /// pipeline is also expected to be the identity on them; `holds()`
-    /// is the contract this assert enforces.
-    #[cfg(debug_assertions)]
-    fn debug_assert_optimizer_certificate(&self) {
-        let opt = crate::opt::optimize(self, None, &crate::opt::OptConfig::default());
-        assert!(
-            opt.certificate.holds(),
-            "freshly compiled program failed its optimizer certificate"
-        );
     }
 
     /// Number of XOR operations (target blocks written).

@@ -65,8 +65,8 @@ proptest! {
         }
     }
 
-    /// Full column-recovery programs and the cache's optimized
-    /// missing-cell subprograms: every tile order == the naive plan
+    /// Full column-recovery programs and the cache's missing-cell
+    /// subprograms: every tile order == the naive plan
     /// replay, and the full recovery restores the pre-erasure bytes.
     #[test]
     fn tiled_recovery_matches_naive(

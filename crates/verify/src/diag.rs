@@ -159,30 +159,6 @@ pub enum DiagKind {
         /// The planner's error message.
         reason: String,
     },
-    /// Optimizer: after symbolic replay over a fully generic initial
-    /// state, the optimized program leaves an output block with a
-    /// different GF(2) combination of initial block contents than the
-    /// original — the rewrite changed observable semantics.
-    OptimizedDiverges {
-        /// The diverging output block (linear index).
-        block: usize,
-        /// Initial-block indices the original program leaves there.
-        expected: Vec<usize>,
-        /// Initial-block indices the optimized program leaves there.
-        actual: Vec<usize>,
-    },
-    /// Optimizer: a cost metric of the optimized program exceeds the
-    /// original's — the pipeline made the program *worse*, violating its
-    /// monotonicity obligation.
-    CostRegression {
-        /// The regressed metric (`ops`, `xors`, `reads`, `levels`,
-        /// `scratch`).
-        metric: &'static str,
-        /// The metric before the pipeline.
-        before: usize,
-        /// The metric after.
-        after: usize,
-    },
     /// Lock discipline: the runtime lock-acquisition order graph contains
     /// a cycle — two threads taking these locks in opposite orders can
     /// deadlock. Reported by `dcode race` from the `minisim` lock-order
@@ -341,24 +317,6 @@ impl fmt::Display for Diagnostic {
             DiagKind::PlanFailed { failed, reason } => {
                 write!(f, "no recovery plan for disks {failed:?}: {reason}")
             }
-            DiagKind::OptimizedDiverges {
-                block,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "optimized program leaves block {block} as {} but the original computes {}",
-                symbol_list(actual),
-                symbol_list(expected)
-            ),
-            DiagKind::CostRegression {
-                metric,
-                before,
-                after,
-            } => write!(
-                f,
-                "optimizer regressed {metric}: {before} before, {after} after"
-            ),
             DiagKind::LockOrderCycle { chain } => write!(
                 f,
                 "lock-order cycle: {} -> {}",

@@ -151,11 +151,10 @@ pub fn verify_plan_program(
 /// Prove a degraded-read *subprogram* restores exactly the `wanted`
 /// cells under the erasure of `erased`, while leaving every survivor
 /// untouched. Unlike [`verify_plan_program`], blocks in `erased ∖
-/// wanted` are unconstrained at the end: the optimizer's scratch
-/// coloring is free to leave intermediates anywhere in the erased set
-/// (the array layer reads only the wanted cells after replay), so
-/// demanding the full column be restored would reject correct optimized
-/// subprograms. Empty result = proved.
+/// wanted` are unconstrained at the end: a subprogram cut to the wanted
+/// cells restores only those its recovery chains pass through, and the
+/// rest keep whatever the erased state held (the array layer reads only
+/// the wanted cells after replay). Empty result = proved.
 pub fn verify_subprogram(
     layout: &CodeLayout,
     program: &XorProgram,

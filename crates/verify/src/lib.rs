@@ -15,14 +15,11 @@
 //!
 //! * **Equivalence** ([`equiv`]) — replay a compiled encode or recovery
 //!   program symbolically and prove every block ends at the value the
-//!   layout's generator matrix demands. The [`optpair`] pass covers the
-//!   optimizer tier: an optimized program must agree with its
-//!   original on every output block over a fully generic initial state,
-//!   and must not regress any cost metric.
+//!   layout's generator matrix demands.
 //! * **Static race check** ([`race`]) — prove every dependency level is
 //!   hazard-free (no op reads or writes another same-level op's target),
-//!   so the ops of a level are independent, as the optimizer's repacking
-//!   pass and the analyzer's critical-path bound assume.
+//!   so the ops of a level are independent, as the analyzer's
+//!   critical-path bound assumes.
 //! * **Schedule lints** ([`lint`]) — dead ops, duplicate / even-multiplicity
 //!   sources, self-referencing targets (which the detach-based executor
 //!   would turn into runtime panics), and non-minimal level placement.
@@ -43,7 +40,6 @@
 pub mod diag;
 pub mod equiv;
 pub mod lint;
-pub mod optpair;
 pub mod race;
 pub mod report;
 pub mod sym;
@@ -53,7 +49,6 @@ pub use equiv::{
     intended_state, run_symbolic, verify_encode_program, verify_plan_program, verify_subprogram,
 };
 pub use lint::lint;
-pub use optpair::verify_optimized_pair;
 pub use race::check_levels;
 pub use report::{verify_layout, VerifyReport};
 pub use sym::SymVec;

@@ -3,8 +3,7 @@
 //! A dependency level claims that its ops are independent: run in any
 //! order, or concurrently against the rest of the stripe read-only, they
 //! leave the same bytes. The codec replays levels sequentially; the claim
-//! is what the optimizer's level-repacking pass rearranges under and what
-//! `dcode-analyze`'s critical-path bound counts. It holds under exactly
+//! is what `dcode-analyze`'s critical-path bound counts. It holds under exactly
 //! two conditions, both decidable from the program text alone:
 //!
 //! 1. no two ops of one level write the same block (write/write), and

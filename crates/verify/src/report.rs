@@ -4,9 +4,7 @@
 use crate::diag::{DiagKind, Diagnostic, Severity};
 use crate::equiv::{verify_encode_program, verify_plan_program};
 use crate::lint::lint;
-use crate::optpair::verify_optimized_pair;
 use crate::race::check_levels;
-use dcode_codec::opt::{optimize, OptConfig};
 use dcode_codec::XorProgram;
 use dcode_core::decoder::{plan_column_recovery, RecoveryPlan};
 use dcode_core::grid::Cell;
@@ -34,10 +32,6 @@ pub struct VerifyReport {
     /// Single-column minimum-read rebuild programs verified (one per
     /// disk) — what an array replays to rebuild one failed slot.
     pub rebuild_plans_verified: usize,
-    /// Optimizer input/output pairs proved equivalent on their outputs
-    /// over a generic initial state, with no cost metric regressed
-    /// (the encode program plus every recovery and rebuild program).
-    pub optimized_pairs_verified: usize,
     /// Every finding from every pass, in pass order.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -61,15 +55,14 @@ impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} p={} ({} disks): encode {} ops / {} levels, {} recovery plans, {} rebuild plans, {} optimized pairs — ",
+            "{} p={} ({} disks): encode {} ops / {} levels, {} recovery plans, {} rebuild plans — ",
             self.code,
             self.p,
             self.disks,
             self.encode_ops,
             self.encode_levels,
             self.plans_verified,
-            self.rebuild_plans_verified,
-            self.optimized_pairs_verified
+            self.rebuild_plans_verified
         )?;
         if self.is_clean() {
             f.write_str("verified")
@@ -106,12 +99,7 @@ fn verify_program(
 ///    plan is race-free, lint-clean, and symbolically restores the stripe;
 /// 4. **rebuild programs** — for every single column, the program
 ///    compiled from the minimum-read choice of equations
-///    ([`optimal_rebuild`]) passes the same three checks;
-/// 5. **optimized pairs** — the default optimizer pipeline's output for
-///    the encode program and every recovery and rebuild program agrees
-///    with its input on every output block over a fully generic initial
-///    state, and regresses no cost metric (the independent check of the
-///    optimizer's own certificates).
+///    ([`optimal_rebuild`]) passes the same three checks.
 ///
 /// A clean report is a proof (for every payload and block size) that the
 /// codec's compiled hot paths are correct and their levels hazard-free.
@@ -134,19 +122,7 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         &mut diagnostics,
     );
 
-    let config = OptConfig::default();
-    let prove_optimized =
-        |program: &XorProgram, outputs: &BTreeSet<usize>, diagnostics: &mut Vec<Diagnostic>| {
-            let opt = optimize(program, Some(outputs), &config);
-            diagnostics.extend(verify_optimized_pair(program, &opt.program, outputs));
-        };
-    let encode_outputs: BTreeSet<usize> = (0..encode.op_count())
-        .map(|op| encode.op_target(op))
-        .collect();
-    prove_optimized(&encode, &encode_outputs, &mut diagnostics);
-
-    // One recovery plan: its compiled program restores the erased cells,
-    // and so does the optimizer's version of it.
+    // One recovery plan: its compiled program restores the erased cells.
     let grid = layout.grid();
     let prove_plan = |plan: &RecoveryPlan, diagnostics: &mut Vec<Diagnostic>| {
         let program = XorProgram::compile_plan(grid, plan);
@@ -156,8 +132,6 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
             |p| verify_plan_program(layout, p, &erased),
             diagnostics,
         );
-        let outputs: BTreeSet<usize> = erased.iter().map(|&cell| grid.index(cell)).collect();
-        prove_optimized(&program, &outputs, diagnostics);
     };
 
     let mut plans_verified = 0usize;
@@ -180,7 +154,6 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         prove_plan(&plan, &mut diagnostics);
     }
     let rebuild_plans_verified = layout.disks();
-    let optimized_pairs_verified = 1 + plans_verified + rebuild_plans_verified;
 
     VerifyReport {
         code: layout.name().to_string(),
@@ -190,7 +163,6 @@ pub fn verify_layout(layout: &CodeLayout) -> VerifyReport {
         encode_levels: encode.level_count(),
         plans_verified,
         rebuild_plans_verified,
-        optimized_pairs_verified,
         diagnostics,
     }
 }
@@ -208,7 +180,6 @@ mod tests {
         assert_eq!(report.plans_verified, 21);
         assert_eq!(report.encode_ops, 14);
         assert_eq!(report.rebuild_plans_verified, 7);
-        assert_eq!(report.optimized_pairs_verified, 22 + 7);
         assert!(report.to_string().ends_with("verified"));
     }
 
