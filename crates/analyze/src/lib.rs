@@ -20,7 +20,7 @@
 //! * **Critical path** ([`critpath`]) — level-width analysis over the
 //!   program's dependency levels, giving a static upper bound on the
 //!   speedup any level-parallel replay of the program could reach.
-//! * **Peephole lints** ([`peephole`]) — self-cancelling XOR pairs,
+//! * **Peephole lints** ([`peephole`](mod@peephole)) — self-cancelling XOR pairs,
 //!   duplicate subexpressions (CSE opportunities), dead scratch writes,
 //!   never-read outputs, and per-level working-set estimates against
 //!   [`dcode_codec::xor::TILE_BYTES`], all reported through

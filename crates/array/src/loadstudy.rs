@@ -6,7 +6,7 @@
 //! whichever physical disks hold the hot stripes' parities. This module
 //! maps per-stripe logical access counts through a [`RotationScheme`] onto
 //! physical disks under a configurable stripe-popularity distribution, so
-//! the claim becomes a measurement (see the `rotation_study` binary).
+//! the claim becomes a measurement (see `dcode-bench -- rotation_study`).
 
 use crate::rotation::RotationScheme;
 use dcode_core::layout::CodeLayout;

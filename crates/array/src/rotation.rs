@@ -6,7 +6,7 @@
 //! because stripes have different access frequencies: rotation averages
 //! parity placement across stripes, but a hot stripe still hammers
 //! whichever physical disks hold its parities. [`RotationScheme`] implements
-//! both mappings so the `rotation_study` binary can reproduce that argument
+//! both mappings so `dcode-bench -- rotation_study` can reproduce that argument
 //! quantitatively.
 
 /// How a stripe's logical columns map onto physical disks.

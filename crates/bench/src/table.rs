@@ -1,83 +1,57 @@
-//! Minimal fixed-width table printer for the figure binaries.
+//! Minimal fixed-width table printer for the figure studies.
 
-/// A right-aligned text table with a header row.
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Start a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
-        Table {
-            header: header
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect(),
-            rows: Vec::new(),
+/// `lines` as a right-aligned text table: the first line is the header,
+/// ruled off from the rest.
+pub fn render(lines: &[Vec<String>]) -> String {
+    let cols = lines[0].len();
+    let mut widths = vec![0; cols];
+    for line in lines {
+        assert_eq!(line.len(), cols, "row arity mismatch");
+        for (w, cell) in widths.iter_mut().zip(line) {
+            *w = (*w).max(cell.len());
         }
     }
-
-    /// Append one row; must match the header arity.
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Render with aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(std::string::String::len).collect();
-        for row in &self.rows {
-            for c in 0..cols {
-                widths[c] = widths[c].max(row[c].len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
+    let fmt_line = |cells: &[String]| {
+        let cells: Vec<String> = (cells.iter().zip(&widths))
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        cells.join("  ") + "\n"
+    };
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1));
+    let body: String = lines[1..].iter().map(|l| fmt_line(l)).collect();
+    fmt_line(&lines[0]) + &rule + "\n" + &body
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn line(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|&c| c.to_owned()).collect()
+    }
+
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(&["code", "LF"]);
-        t.row(vec!["D-Code".into(), "1.01".into()]);
-        t.row(vec!["RDP".into(), "30".into()]);
-        let s = t.render();
+        let s = render(&[
+            line(&["code", "LF"]),
+            line(&["D-Code", "1.01"]),
+            line(&["RDP", "30"]),
+        ]);
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[2].contains("D-Code"));
+        assert_eq!(
+            lines,
+            [
+                "  code    LF",
+                "------------",
+                "D-Code  1.01",
+                "   RDP    30"
+            ]
+        );
     }
 
     #[test]
     #[should_panic]
     fn arity_mismatch_panics() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["x".into()]);
+        render(&[line(&["a", "b"]), line(&["x"])]);
     }
 }

@@ -1,10 +1,12 @@
-//! The docs a reader follows to run things name only binaries that exist.
+//! The docs a reader follows to run things name only studies that exist.
 //! README.md, DESIGN.md and the verify skill are the three places that
-//! tell a reader what to run; every `-p dcode-bench --bin NAME` in them
-//! must be a file in `src/bin`, and none of them may send the reader to
-//! `cargo bench` — this crate has no benches; throughput is
-//! `benchmark/`'s job.
+//! tell a reader what to run; every `-p dcode-bench -- NAME` in them must
+//! name a study in `dcode_bench::REGISTRY` (or `all`), no
+//! `-p dcode-bench --bin NAME` may survive the per-study binaries, and
+//! none of them may send the reader to `cargo bench` — this crate has no
+//! benches; throughput is `benchmark/`'s job.
 
+use dcode_bench::REGISTRY;
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
@@ -13,22 +15,23 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Every `NAME` in `-p dcode-bench [--flag …] --bin NAME`, across line
-/// breaks and with markdown punctuation stripped from `NAME`.
-fn bench_bins(text: &str) -> Vec<String> {
+/// Every `-p dcode-bench [--flag …] -- NAME` or `… --bin NAME`, across
+/// line breaks and with markdown punctuation stripped from `NAME`: the
+/// flag that introduced `NAME`, and `NAME`.
+fn bench_runs(text: &str) -> Vec<(&str, String)> {
     let words: Vec<&str> = text.split_whitespace().collect();
-    let mut bins = Vec::new();
+    let mut runs = Vec::new();
     for (i, pair) in words.windows(2).enumerate() {
         if pair != ["-p", "dcode-bench"] {
             continue;
         }
         let mut rest = words[i + 2..].iter();
         while let Some(&flag) = rest.next() {
-            if flag == "--bin" {
+            if flag == "--" || flag == "--bin" {
                 let name = rest.next().map_or("", |w| {
                     w.trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_')
                 });
-                bins.push(name.to_string());
+                runs.push((flag, name.to_string()));
                 break;
             }
             if !flag.starts_with("--") {
@@ -36,23 +39,24 @@ fn bench_bins(text: &str) -> Vec<String> {
             }
         }
     }
-    bins
+    runs
 }
 
 #[test]
-fn documented_bins_exist_and_no_doc_runs_cargo_bench() {
+fn documented_studies_exist_and_no_doc_runs_cargo_bench() {
     let root = repo_root();
-    let bin_dir = root.join("crates/bench/src/bin");
     let mut checked = 0;
     let mut wrong = Vec::new();
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect(doc);
-        for name in bench_bins(&text) {
+        for (flag, name) in bench_runs(&text) {
             checked += 1;
-            if !bin_dir.join(format!("{name}.rs")).is_file() {
+            if flag == "--bin" {
                 wrong.push(format!(
-                    "{doc}: `--bin {name}` is not in crates/bench/src/bin"
+                    "{doc}: `--bin {name}`: dcode-bench has one binary; run `-- {name}`"
                 ));
+            } else if name != "all" && !REGISTRY.iter().any(|s| s.name == name) {
+                wrong.push(format!("{doc}: `-- {name}` is not a registered study"));
             }
         }
         for (n, line) in text.lines().enumerate() {
@@ -61,8 +65,19 @@ fn documented_bins_exist_and_no_doc_runs_cargo_bench() {
             }
         }
     }
-    // README alone lists every figure and study bin: an empty scan means
-    // the parser, not the docs, is wrong.
-    assert!(checked >= 20, "found only {checked} `--bin` references");
+    // README alone lists every study: an empty scan means the parser, not
+    // the docs, is wrong.
+    assert!(checked >= 20, "found only {checked} `dcode-bench` runs");
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+#[test]
+fn the_scan_reads_both_forms() {
+    let text = "cargo run --release -p dcode-bench -- fig4 --seed 7\n\
+                `cargo run -p dcode-bench\n--bin fig5`";
+    let runs = bench_runs(text);
+    assert_eq!(
+        runs,
+        [("--", "fig4".to_string()), ("--bin", "fig5".to_string())]
+    );
 }

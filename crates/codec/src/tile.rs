@@ -1,11 +1,11 @@
 //! Runtime tile-size selection for the tile-major schedule executor
 //! ([`XorProgram::run`](crate::schedule::XorProgram::run)).
 //!
-//! [`TILE_BYTES`](crate::xor::TILE_BYTES) is a compile-time default tuned
+//! [`TILE_BYTES`] is a compile-time default tuned
 //! on one machine's L1d. Tile-major replay keeps a whole stripe's working
 //! set (every block's current tile) resident at once, so its sweet spot
 //! depends on the host cache hierarchy and the stripe shape — the tile
-//! sweeps EXPERIMENTS.md records (`fused_tile_study` re-runs the per-code
+//! sweeps EXPERIMENTS.md records (`dcode-bench -- fused_tile_study` re-runs the per-code
 //! one) show a flat-topped curve across 4–32 KiB with cliffs on either
 //! side. Rather than bake in
 //! one point, [`fused_tile_bytes`] runs a **one-shot calibration probe**

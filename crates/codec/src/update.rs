@@ -110,7 +110,8 @@ pub fn write_logical(
 /// reads; `ResilientArray`'s reconstruct branch is the engine): the data
 /// writes, the parity writes, and one read per *unmodified* member of each
 /// recomputed parity (modified members and already-recomputed parities are
-/// in memory). The `write_policy` study holds the array to this count.
+/// in memory). The `write_policy` gate of `dcode-bench` holds the array to
+/// this count.
 pub fn reconstruct_write_ios(layout: &CodeLayout, logical_start: usize, count: usize) -> usize {
     use std::collections::BTreeSet;
     let written: BTreeSet<Cell> = (logical_start..logical_start + count)

@@ -6,7 +6,7 @@
 //! target without a line of unsafe or any explicit SIMD — with a `u64`
 //! mid-loop and a scalar tail for odd lengths.
 //!
-//! One const-generic kernel, [`wide_xor`], covers every arity/form pair
+//! One const-generic kernel, `wide_xor`, covers every arity/form pair
 //! the schedule executor needs:
 //!
 //! * **accumulate** (`SET = false`, `dst ^= s₀ ^ s₁ ^ …`): folds up to

@@ -6,7 +6,7 @@
 //! quantifies exactly that: for a run of `L` logically continuous data
 //! elements, how many *distinct* parity elements cover the run, per parity
 //! family and in total. Fewer distinct parities ⇒ cheaper partial-stripe
-//! writes and degraded reads. The `sharing_analysis` binary tabulates it
+//! writes and degraded reads. `dcode-bench -- sharing_analysis` tabulates it
 //! for every code.
 
 use crate::grid::Cell;

@@ -4,7 +4,7 @@
 //! update complexity for RAID-6 MDS codes. These functions measure each
 //! quantity directly from a [`CodeLayout`], so the claims become assertions
 //! rather than prose, and the same measurements feed the `features_table`
-//! reproduction binary.
+//! study of `dcode-bench`.
 
 use crate::decoder::plan_column_recovery;
 use crate::layout::CodeLayout;

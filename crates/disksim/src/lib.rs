@@ -7,7 +7,8 @@
 //! [`mod@model`], a parallel [`mod@array`] request model, and the paper's
 //! [`experiment`] protocol (2000 normal-mode reads; 200 degraded-mode reads
 //! per failure case). See DESIGN.md §6 for why this substitution preserves
-//! the mechanisms Figures 6–7 measure.
+//! the mechanisms Figures 6–7 measure; `dcode-bench -- fig6` and `fig7`
+//! run the protocol at full size.
 //!
 //! ## Quick example
 //!

@@ -12,7 +12,7 @@
 //! its transfer. [`Coalescing::Settle`] is the ablation knob: physically
 //! adjacent elements (consecutive rows of one column) stream back-to-back
 //! for a small settle cost, which amortizes positioning and compresses the
-//! cross-code gaps — the `ablation_coalescing` bench quantifies this.
+//! cross-code gaps — `dcode-bench -- ablation_coalescing` quantifies this.
 
 /// How physically adjacent elements of one request are charged.
 #[derive(Copy, Clone, PartialEq, Debug)]

@@ -8,7 +8,7 @@
 //! curve as the offered load rises toward saturation. The knee of that
 //! curve is where parity-idle disks (RDP, H-Code) hurt: their data disks
 //! saturate earlier, so the curve lifts at lower offered load than
-//! D-Code's.
+//! D-Code's. `dcode-bench -- load_sweep` tabulates the curve per code.
 //!
 //! [`latency`]: crate::latency
 

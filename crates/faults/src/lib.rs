@@ -10,7 +10,7 @@
 //!
 //! * [`backend`] — the [`DiskBackend`] trait (block read/write/flush with
 //!   typed [`DiskError`]s) and the in-memory [`MemBackend`];
-//! * [`file`] — [`FileBackend`], a file-per-disk backend doing seek-based
+//! * [`file`](mod@file) — [`FileBackend`], a file-per-disk backend doing seek-based
 //!   per-block I/O (no whole-disk buffering), with a degraded-tolerant
 //!   open (an unusable disk file is a dead disk) and replace-by-rename
 //!   for rebuilt disks;

@@ -11,8 +11,8 @@
 //! publish, blocking admission, lost shutdown wakeup, stat taking a turn,
 //! barging turn, adopt-overwrite, exit-before-drain) rather than against
 //! a specific broken revision. The five shard mutants share one
-//! [`MutantGate`] — the production gate's protocol with one planted
-//! [`Bug`] — and each drives it the way its invariant's model drives the
+//! `MutantGate` — the production gate's protocol with one planted
+//! `Bug` — and each drives it the way its invariant's model drives the
 //! real `Shard`.
 
 use minisim::sync::{mpsc, Arc, Condvar, Mutex};

@@ -20,7 +20,7 @@
 //!   hazard-free (no op reads or writes another same-level op's target),
 //!   so the ops of a level are independent, as the analyzer's
 //!   critical-path bound assumes.
-//! * **Schedule lints** ([`lint`]) — dead ops, duplicate / even-multiplicity
+//! * **Schedule lints** ([`lint`](mod@lint)) — dead ops, duplicate / even-multiplicity
 //!   sources, self-referencing targets (which the detach-based executor
 //!   would turn into runtime panics), and non-minimal level placement.
 //!

@@ -1,5 +1,6 @@
 //! The paper's headline quantitative claims, asserted as integration tests
-//! over scaled-down versions of the Figure 4–7 pipelines. These are the
+//! over scaled-down versions of the Figure 4–7 pipelines (full size:
+//! `cargo run --release -p dcode-bench -- fig4`, and so on to `fig7`). These are the
 //! reproduction's acceptance tests: if a code change breaks the shape of a
 //! result, it fails here before anyone re-reads the figures.
 
