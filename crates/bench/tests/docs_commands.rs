@@ -1,7 +1,7 @@
 //! The docs a reader follows to run things name only studies that exist.
-//! README.md, DESIGN.md and the verify skill are the three places that
-//! tell a reader what to run; every `-p dcode-bench -- NAME` in them must
-//! name a study in `dcode_bench::REGISTRY` (or `all`), no
+//! README.md, DESIGN.md, EXPERIMENTS.md and the verify skill are the
+//! places that tell a reader what to run; every `-p dcode-bench -- NAME`
+//! in them must name a study in `dcode_bench::REGISTRY` (or `all`), no
 //! `-p dcode-bench --bin NAME` may survive the per-study binaries, and
 //! none of them may send the reader to `cargo bench` — this crate has no
 //! benches; throughput is `benchmark/`'s job.
@@ -9,7 +9,12 @@
 use dcode_bench::REGISTRY;
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -31,7 +31,7 @@
 //! schedule can drive any number of stripes or threads.
 
 use crate::stripe::Stripe;
-use crate::tile::fused_tile_bytes;
+use crate::tile::{fused_tile_bytes, TILE_CANDIDATES};
 use crate::xor::xor_tile;
 use dcode_core::decoder::RecoveryPlan;
 use dcode_core::grid::Grid;
@@ -297,9 +297,18 @@ impl XorProgram {
     }
 
     /// Replay the program over `stripe` sequentially, tile-major with the
-    /// process's calibrated tile size ([`fused_tile_bytes`]).
+    /// process's calibrated tile size ([`fused_tile_bytes`]). A block no
+    /// wider than the smallest candidate tile is one pass whatever the
+    /// tile, so it replays without waking the calibration probe (and its
+    /// 576 KiB of probe buffers).
     pub fn run(&self, stripe: &mut Stripe) {
-        self.run_with_tile(stripe, fused_tile_bytes());
+        let block = stripe.block_size();
+        let tile = if block <= TILE_CANDIDATES[0] {
+            block
+        } else {
+            fused_tile_bytes()
+        };
+        self.run_with_tile(stripe, tile);
     }
 
     /// [`XorProgram::run`] with an explicit tile size (clamped to at least

@@ -19,8 +19,8 @@
 //!   the store; a handler holding the turn runs its op to completion, and
 //!   a shard with `queue_cap` ops admitted refuses the next immediately;
 //! * [`server`] — the accept loop and connection handlers, run as
-//!   detached jobs on a [`minipool::WorkerPool`] whose size is the
-//!   connection cap; each request runs on its connection's thread;
+//!   detached jobs on a [`minipool::WorkerPool`] that grows on accept up
+//!   to the connection cap; each request runs on its connection's thread;
 //! * [`metrics`] — lock-free log₂ latency histograms and op counters,
 //!   rendered into the `STAT` JSON document alongside per-shard
 //!   snapshots (queue depth, schedule-cache hit rate, degraded reads…);

@@ -5,9 +5,12 @@
 //!
 //! * one **accept thread** takes connections off the listener and hands
 //!   each to the pool as a detached job ([`minipool::WorkerPool::submit`]);
-//!   the pool is pre-grown to `max_conns`, so the pool size *is* the
+//!   the pool grows on accept to the number of open connections, never
+//!   past `max_conns` and never shrinking, so `max_conns` *is* the
 //!   concurrent-connection cap — excess connections are accepted but wait
-//!   in the pool's queue until a handler worker frees up;
+//!   in the pool's queue until a handler worker frees up — and a server
+//!   that only ever sees two clients parks two handler threads, not
+//!   `max_conns`;
 //! * **connection handlers run each request to completion**: a handler
 //!   decodes a frame, routes it by [`shard_of`], and calls
 //!   [`Shard::run`](crate::shard::Shard::run) on its own thread — it waits
@@ -32,7 +35,9 @@
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{read_frame, write_frame, ProtoError, Request, Response};
-use crate::shard::{build_store, shard_of, Shard, ShardBackend, ShardConfig, ShardOp, StoreEngine};
+use crate::shard::{
+    build_store, shard_of, Shard, ShardBackend, ShardConfig, ShardOp, ShardStore, StoreEngine,
+};
 use minisim::sync::{Arc, Mutex};
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -49,7 +54,8 @@ pub struct ServerConfig {
     pub port: u16,
     /// Number of shards (= backends that must be supplied).
     pub shards: usize,
-    /// Concurrent-connection cap (pool workers serving handlers).
+    /// Concurrent-connection cap: the handler pool grows on accept to at
+    /// most this many workers, and further connections queue.
     pub max_conns: usize,
     /// Per-shard array geometry and admission bound.
     pub shard: ShardConfig,
@@ -114,9 +120,11 @@ impl Server {
 
         let metrics = Arc::new(ServerMetrics::new());
         let mut shards = Vec::with_capacity(config.shards);
-        for (id, backend) in backends.into_iter().enumerate() {
-            let store = build_store(&config.shard, backend, fresh)
-                .map_err(|e| format!("shard {id}: {e}"))?;
+        for (id, store) in build_stores(&config.shard, backends, fresh)
+            .into_iter()
+            .enumerate()
+        {
+            let store = store.map_err(|e| format!("shard {id}: {e}"))?;
             shards.push(Shard::new(
                 id,
                 StoreEngine::new(id, store),
@@ -132,13 +140,14 @@ impl Server {
             conns: Mutex::named("server.conns", HashMap::new()),
         });
 
-        let pool = Arc::new(minipool::WorkerPool::with_workers(config.max_conns));
+        let pool = Arc::new(minipool::WorkerPool::new());
         let accept = {
             let inner = Arc::clone(&inner);
             let pool = Arc::clone(&pool);
+            let max_conns = config.max_conns;
             minisim::thread::Builder::new()
                 .name("dcode-accept".into())
-                .spawn(move || accept_loop(&listener, &inner, &pool))
+                .spawn(move || accept_loop(&listener, &inner, &pool, max_conns))
                 .map_err(|e| format!("spawn accept thread: {e}"))?
         };
 
@@ -153,6 +162,12 @@ impl Server {
     /// The bound TCP port.
     pub fn port(&self) -> u16 {
         self.port
+    }
+
+    /// Connection-handler threads alive: one per connection open at once
+    /// so far, at most `max_conns`; 0 once shutdown has joined them.
+    pub fn handler_workers(&self) -> usize {
+        self.pool.as_ref().map_or(0, |pool| pool.workers())
     }
 
     /// The stat document, identical to what a `STAT` request returns.
@@ -199,7 +214,52 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>, pool: &minipool::WorkerPool) {
+/// [`build_store`] for every backend, in order, the shards split over at
+/// most one scoped thread per core. Formatting a shard writes its index
+/// and attaching one rehashes every block it holds, so a many-shard
+/// server starts in the time of its largest group; and the scratch
+/// stripes those writes and reads allocate are freed on the builder
+/// threads, not left in the caller's heap for the server's lifetime.
+fn build_stores(
+    cfg: &ShardConfig,
+    mut backends: Vec<ShardBackend>,
+    fresh: bool,
+) -> Vec<Result<ShardStore, String>> {
+    let per_thread = backends.len().div_ceil(minipool::host_parallelism());
+    let mut groups = Vec::new();
+    while !backends.is_empty() {
+        let rest = backends.split_off(per_thread.min(backends.len()));
+        groups.push(std::mem::replace(&mut backends, rest));
+    }
+    std::thread::scope(|scope| {
+        let builds: Vec<_> = groups
+            .into_iter()
+            .map(|group| {
+                scope.spawn(move || {
+                    group
+                        .into_iter()
+                        .map(|backend| build_store(cfg, backend, fresh))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        builds
+            .into_iter()
+            .flat_map(|build| {
+                build
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
+fn accept_loop(
+    listener: &TcpListener,
+    inner: &Arc<ServerInner>,
+    pool: &minipool::WorkerPool,
+    max_conns: usize,
+) {
     let mut next_conn = 0u64;
     loop {
         let Ok((stream, _)) = listener.accept() else {
@@ -213,9 +273,16 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<ServerInner>, pool: &minipool
         }
         let conn = next_conn;
         next_conn += 1;
-        if let Ok(clone) = stream.try_clone() {
-            inner.conns().insert(conn, clone);
-        }
+        let open = {
+            let mut conns = inner.conns();
+            if let Ok(clone) = stream.try_clone() {
+                conns.insert(conn, clone);
+            }
+            conns.len()
+        };
+        // Every open connection, queued or served, has a worker up to the
+        // cap; past it, the connection waits in the queue.
+        pool.ensure_workers(open.min(max_conns));
         let inner = Arc::clone(inner);
         // A rejected submission means the pool is shutting down; dropping
         // the job closes the stream, which is the right refusal.
@@ -314,7 +381,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::shard::shard_blocks;
-    use dcode_faults::MemBackend;
+    use dcode_faults::{FaultInjector, FaultPlan, MemBackend, SharedInjector};
     use std::io::Read;
     use std::time::Duration;
 
@@ -368,5 +435,58 @@ mod tests {
         // The client's end sees the close (EOF, or a reset if it raced).
         assert!(matches!(idle.read(&mut [0u8; 1]), Ok(0) | Err(_)));
         await_conns(&server, 0);
+    }
+
+    #[test]
+    fn stores_come_back_in_backend_order_across_builder_threads() {
+        // More shards than cores, so the groups span threads. Shards 1 and
+        // 4 are blank and the others hold a formatted store: reattaching
+        // reports each blank one at its own index.
+        let cfg = ShardConfig {
+            block_size: 64,
+            stripes: 8,
+            meta_elements: 4,
+            ..ShardConfig::default()
+        };
+        let media: Vec<_> = (0..5)
+            .map(|_| {
+                let mem = MemBackend::new(cfg.layout.disks(), shard_blocks(&cfg), cfg.block_size);
+                SharedInjector::new(FaultInjector::new(mem, FaultPlan::quiet(1)))
+            })
+            .collect();
+        for (i, medium) in media.iter().enumerate() {
+            if i != 1 && i != 4 {
+                build_store(&cfg, Box::new(medium.clone()), true).expect("format");
+            }
+        }
+        let backends = media
+            .iter()
+            .map(|m| Box::new(m.clone()) as ShardBackend)
+            .collect();
+        let failed: Vec<usize> = build_stores(&cfg, backends, false)
+            .iter()
+            .enumerate()
+            .filter_map(|(i, store)| store.is_err().then_some(i))
+            .collect();
+        assert_eq!(failed, [1, 4]);
+    }
+
+    #[test]
+    fn shutdown_joins_every_handler_including_queued_ones() {
+        let mut server = start();
+        // Six idle connections against a cap of four: four served, two
+        // queued behind them.
+        let idle: Vec<TcpStream> = (0..6)
+            .map(|_| TcpStream::connect(("127.0.0.1", server.port())).expect("connect"))
+            .collect();
+        await_conns(&server, 6);
+        assert_eq!(server.handler_workers(), 4, "the pool stops at max_conns");
+        server.shutdown();
+        // Every handler job, queued ones included, ran and let go of its
+        // clone of the server state before shutdown returned.
+        assert_eq!(Arc::strong_count(&server.inner), 1);
+        assert!(server.inner.conns().is_empty());
+        assert_eq!(server.handler_workers(), 0);
+        drop(idle);
     }
 }

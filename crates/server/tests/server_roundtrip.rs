@@ -11,6 +11,8 @@ use dcode_server::{
     shard_blocks, shard_of, Client, Response, Server, ServerConfig, ShardBackend, ShardConfig,
 };
 use std::collections::HashMap;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const SHARDS: usize = 4;
 const FAULTY_SHARD: usize = 2;
@@ -342,4 +344,81 @@ fn a_name_with_a_comma_and_a_newline_round_trips_and_survives_a_reopen() {
     );
     assert_eq!(client.delete(name).expect("delete io"), Response::Ok);
     assert_eq!(client.get(name).expect("get io"), Response::NotFound);
+}
+
+/// `max_conns` is the concurrent-connection cap, and the handler pool
+/// grows on accept only up to it: a third connection against a cap of two
+/// is accepted but answered only once one of the first two closes.
+#[test]
+fn max_conns_caps_open_connections_and_the_handler_pool() {
+    let cfg = ServerConfig {
+        max_conns: 2,
+        ..test_config()
+    };
+    let plain: Vec<ShardBackend> = (0..cfg.shards)
+        .map(|_| -> ShardBackend {
+            Box::new(MemBackend::new(
+                cfg.shard.layout.disks(),
+                shard_blocks(&cfg.shard),
+                cfg.shard.block_size,
+            ))
+        })
+        .collect();
+    let mut server = Server::start(&cfg, plain, true).expect("server starts");
+    let port = server.port();
+    assert_eq!(server.handler_workers(), 0, "no connection, no handler");
+
+    let mut first = Client::connect(("127.0.0.1", port)).expect("connect");
+    assert_eq!(first.put("cap", b"first").expect("put io"), Response::Ok);
+    assert_eq!(server.handler_workers(), 1, "grown on accept");
+    let mut second = Client::connect(("127.0.0.1", port)).expect("connect");
+    assert_eq!(
+        second.get("cap").expect("get io"),
+        Response::Value(b"first".to_vec())
+    );
+    assert_eq!(server.handler_workers(), 2);
+
+    // Past the cap: connected, request sent, no answer.
+    let ask = |tx: mpsc::Sender<std::io::Result<Response>>| {
+        move || {
+            let mut client = Client::connect(("127.0.0.1", port)).expect("connect");
+            let _ = tx.send(client.get("cap"));
+            client
+        }
+    };
+    let (tx, third_reply) = mpsc::channel();
+    let third = std::thread::spawn(ask(tx));
+    assert!(
+        third_reply
+            .recv_timeout(Duration::from_millis(300))
+            .is_err(),
+        "a third connection was served while two were open"
+    );
+    assert_eq!(server.handler_workers(), 2, "the pool stops at max_conns");
+
+    // One of the two closes: the queued connection takes its worker.
+    drop(first);
+    let reply = third_reply
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the queued connection is served once a handler frees up");
+    assert_eq!(reply.expect("get io"), Response::Value(b"first".to_vec()));
+    let mut third = third.join().expect("third client");
+    assert_eq!(server.handler_workers(), 2);
+
+    // A fourth queues behind the second and third; shutdown unblocks all
+    // three and joins every worker.
+    let (tx, fourth_reply) = mpsc::channel();
+    let fourth = std::thread::spawn(ask(tx));
+    assert!(fourth_reply
+        .recv_timeout(Duration::from_millis(300))
+        .is_err());
+    server.shutdown();
+    assert_eq!(server.handler_workers(), 0);
+    assert!(fourth_reply
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the queued request returns")
+        .is_err());
+    fourth.join().expect("fourth client");
+    assert!(second.get("cap").is_err(), "served connections are closed");
+    assert!(third.get("cap").is_err());
 }
