@@ -21,6 +21,7 @@ use dcode_baselines::registry::CodeId;
 use dcode_codec::{verify_parities, Stripe};
 use dcode_core::layout::CodeLayout;
 use dcode_faults::{disk_file_name, DiskBackend, DiskError, DiskProbe, FileBackend};
+use dcode_verify::VerifyReport;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -467,16 +468,25 @@ pub fn layout(code: CodeId, p: usize) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Primes the `verify` command sweeps under `--all` (the paper's set plus
-/// one beyond, matching the static-verification issue's bar).
+/// Primes the `verify` command sweeps under `--all`: the paper's set plus
+/// one beyond.
 const VERIFY_PRIMES: [usize; 5] = [5, 7, 11, 13, 17];
 
-/// `verify`: statically prove the compiled schedules of one code (or the
-/// whole registry) correct — MDS by GF(2) rank, symbolic encode
-/// equivalence, hazard-free dependency levels, and symbolically-correct
-/// recovery for every 2-column erasure. Any diagnostic is a hard
-/// failure, which is how the CI `verify` job uses it.
-pub fn verify(code: Option<CodeId>, p: Option<usize>, all: bool) -> Result<String, CliError> {
+/// `verify`: statically check the compiled schedules of one code (or the
+/// whole registry over [`VERIFY_PRIMES`]) — MDS by GF(2) rank, then
+/// symbolic equivalence, schedule and peephole lints for the encode,
+/// every two-column recovery and every single-column rebuild program, and
+/// the paper's closed-form claims measured on them. Any diagnostic or
+/// missed claim is a hard failure (exit code 3), which is how the CI
+/// `verify` job uses it. With `json` the reports render as a JSON array;
+/// on a failure the JSON still goes to stdout so a piped CI artifact
+/// survives the failing exit.
+pub fn verify(
+    code: Option<CodeId>,
+    p: Option<usize>,
+    all: bool,
+    json: bool,
+) -> Result<String, CliError> {
     let targets: Vec<(CodeId, usize)> = if all {
         dcode_baselines::registry::ALL_CODES
             .iter()
@@ -489,60 +499,10 @@ pub fn verify(code: Option<CodeId>, p: Option<usize>, all: bool) -> Result<Strin
         vec![(code, p.unwrap_or(7))]
     };
 
-    let mut out = String::new();
-    let mut failing = 0usize;
-    for (id, p) in targets {
-        let layout = build_code(id, p)?;
-        let report = dcode_verify::verify_layout(&layout);
-        out.push_str(&report.to_string());
-        out.push('\n');
-        for d in &report.diagnostics {
-            out.push_str(&format!("  {d}\n"));
-        }
-        if !report.is_clean() {
-            failing += 1;
-        }
-    }
-    if failing > 0 {
-        return Err(CliError::State(format!(
-            "{out}verification FAILED for {failing} code/prime combination(s)"
-        )));
-    }
-    out.push_str("all programs verified: symbolically equivalent, hazard-free, lint-clean");
-    Ok(out)
-}
-
-/// `analyze`: static cost, I/O-footprint, critical-path, and peephole
-/// analysis of the compiled schedules of one code (or the whole registry
-/// over [`VERIFY_PRIMES`]), with the measurements checked against the
-/// paper's closed-form claims. With `--assert-claims` any claim miss or
-/// lint finding is a hard failure (exit code 3) — how the CI `analyze`
-/// job uses it. With `--json` the reports render as a JSON array; on an
-/// asserted failure the JSON still goes to stdout so a piped CI artifact
-/// survives the failing exit.
-pub fn analyze(
-    code: Option<CodeId>,
-    p: Option<usize>,
-    all: bool,
-    assert_claims: bool,
-    json: bool,
-) -> Result<String, CliError> {
-    let targets: Vec<(CodeId, usize)> = if all {
-        dcode_baselines::registry::ALL_CODES
-            .iter()
-            .flat_map(|&id| VERIFY_PRIMES.iter().map(move |&p| (id, p)))
-            .collect()
-    } else {
-        let code = code.ok_or_else(|| {
-            CliError::Usage("analyze needs --code NAME (or --all for the whole registry)".into())
-        })?;
-        vec![(code, p.unwrap_or(7))]
-    };
-
     let mut reports = Vec::new();
     for (id, p) in targets {
         let layout = build_code(id, p)?;
-        reports.push(dcode_analyze::analyze_layout(&layout));
+        reports.push(dcode_verify::verify_layout(&layout));
     }
     let dirty: Vec<String> = reports
         .iter()
@@ -551,10 +511,7 @@ pub fn analyze(
         .collect();
 
     let body = if json {
-        let items: Vec<String> = reports
-            .iter()
-            .map(dcode_analyze::AnalysisReport::to_json)
-            .collect();
+        let items: Vec<String> = reports.iter().map(VerifyReport::to_json).collect();
         format!("[{}]", items.join(",\n "))
     } else {
         let mut s = reports
@@ -570,22 +527,22 @@ pub fn analyze(
         ));
         s
     };
-    if assert_claims && !dirty.is_empty() {
-        if json {
-            println!("{body}");
-        }
-        return Err(CliError::State(format!(
-            "{}analysis FAILED for {} report(s): {}",
-            if json {
-                String::new()
-            } else {
-                format!("{body}\n")
-            },
-            dirty.len(),
-            dirty.join(", ")
-        )));
+    if dirty.is_empty() {
+        return Ok(body);
     }
-    Ok(body)
+    if json {
+        println!("{body}");
+    }
+    Err(CliError::State(format!(
+        "{}verification FAILED for {} report(s): {}",
+        if json {
+            String::new()
+        } else {
+            format!("{body}\n")
+        },
+        dirty.len(),
+        dirty.join(", ")
+    )))
 }
 
 /// `race`: model-check the workspace's concurrency invariants (worker
@@ -1234,37 +1191,25 @@ mod tests {
     }
 
     #[test]
-    fn verify_command_proves_single_code_and_rejects_bad_input() {
-        let out = verify(Some(CodeId::DCode), Some(7), false).unwrap();
+    fn verify_command_checks_claims_and_rejects_bad_input() {
+        let out = verify(Some(CodeId::DCode), Some(7), false, false).unwrap();
         assert!(out.contains("D-Code p=7"), "{out}");
-        assert!(out.contains("verified"), "{out}");
-        // No code and no --all is a usage error; non-prime p fails to build.
-        assert!(matches!(verify(None, None, false), Err(CliError::Usage(_))));
-        assert!(matches!(
-            verify(Some(CodeId::DCode), Some(9), false),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn analyze_command_checks_claims_and_rejects_bad_input() {
-        let out = analyze(Some(CodeId::DCode), Some(7), false, true, false).unwrap();
-        assert!(out.contains("D-Code p=7"), "{out}");
-        assert!(out.contains("verdict:  clean"), "{out}");
+        assert!(out.contains("verdict:  verified"), "{out}");
         assert!(out.contains("encode XORs per data element"), "{out}");
+        assert!(out.contains("parity dependency depth"), "{out}");
         assert!(out.contains("1 report(s): 1 clean, 0 not clean"), "{out}");
         // JSON mode: one object per report, machine-checkable fields.
-        let json = analyze(Some(CodeId::Rdp), Some(7), false, true, true).unwrap();
+        let json = verify(Some(CodeId::Rdp), Some(7), false, true).unwrap();
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
         assert!(json.contains("\"clean\": true"), "{json}");
         assert!(json.contains("\"write_lf\": \"inf\""), "{json}");
         // No code and no --all is a usage error; non-prime p fails to build.
         assert!(matches!(
-            analyze(None, None, false, false, false),
+            verify(None, None, false, false),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            analyze(Some(CodeId::DCode), Some(9), false, false, false),
+            verify(Some(CodeId::DCode), Some(9), false, false),
             Err(CliError::Usage(_))
         ));
     }

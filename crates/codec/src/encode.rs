@@ -8,8 +8,7 @@
 //! [`encode_naive`] keeps the original interpreter (walk `encode_order`,
 //! accumulate each equation into a fresh buffer) as the differential-test
 //! oracle: the two are byte-identical. Many stripes at once go through
-//! [`crate::bulk`], which fans whole stripes — not levels — out over the
-//! worker pool.
+//! [`crate::bulk`], which fans whole stripes out over the worker pool.
 
 use crate::cache;
 use crate::stripe::Stripe;

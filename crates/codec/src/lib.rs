@@ -11,8 +11,8 @@
 //! * [`mod@encode`] — full-stripe encoding, plus the `verify_parities`
 //!   consistency check;
 //! * [`schedule`] — the plan compiler and the one sequential executor:
-//!   layouts and recovery plans lower to flat [`XorProgram`]s (contiguous
-//!   index arrays, dependency levels, no per-op allocation), and
+//!   layouts and recovery plans lower to flat [`XorProgram`]s (a sequence
+//!   of ops in contiguous index arrays, no per-op allocation), and
 //!   [`XorProgram::run`] replays them tile-major — every op over one
 //!   cache-sized byte range before the range advances, so each source
 //!   block streams through cache once however many equations read it;

@@ -5,8 +5,8 @@
 //! equation walk re-resolves `Cell`s through the layout's maps and
 //! allocates a fresh accumulator. This module lowers a layout's encode
 //! order — or any symbolic [`RecoveryPlan`] — once, into a flat
-//! [`XorProgram`]: contiguous `u32` arrays of block indices grouped into
-//! dependency levels. Replaying the program touches no `BTreeMap`, builds
+//! [`XorProgram`]: a sequence of ops stored as contiguous `u32` arrays of
+//! block indices. Replaying the program touches no `BTreeMap`, builds
 //! no per-equation `Vec`, and allocates nothing per operation: the target
 //! block itself is detached from the stripe (`std::mem::take` on a
 //! `Box<[u8]>` is allocation-free) and used as the accumulator, while
@@ -40,10 +40,8 @@ use dcode_core::Fnv1a;
 
 /// A compiled XOR program: `ops[k]` writes block `targets[k]` with the XOR
 /// of blocks `sources[src_off[k]..src_off[k+1]]` (all linear grid
-/// indices). Ops are grouped into dependency levels — `level_off`
-/// delimits op ranges, and every op within a level reads only blocks no
-/// op of the same level writes. Replay is sequential; the levels are what
-/// the verifier's race check and the analyzer's critical-path bound read.
+/// indices). Replay runs the ops in index order, so an op may read any
+/// block an earlier op wrote.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct XorProgram {
     grid: Grid,
@@ -51,8 +49,6 @@ pub struct XorProgram {
     /// `ops + 1` entries; op `k`'s sources live at `src_off[k]..src_off[k+1]`.
     src_off: Vec<u32>,
     sources: Vec<u32>,
-    /// `levels + 1` entries; level `l` covers ops `level_off[l]..level_off[l+1]`.
-    level_off: Vec<u32>,
     /// FNV-1a over the grid shape and flat arrays, computed once at
     /// construction. Deterministic in the content, so the derived equality
     /// stays consistent; analysis reports name programs by it.
@@ -61,17 +57,11 @@ pub struct XorProgram {
 
 /// Length-prefixed FNV-1a over the grid dimensions and flat arrays
 /// (prefixing keeps adjacent arrays from aliasing into the same stream).
-fn content_fingerprint(
-    grid: Grid,
-    targets: &[u32],
-    src_off: &[u32],
-    sources: &[u32],
-    level_off: &[u32],
-) -> u64 {
+fn content_fingerprint(grid: Grid, targets: &[u32], src_off: &[u32], sources: &[u32]) -> u64 {
     let mut fp = Fnv1a::new();
     fp.word(grid.rows as u64);
     fp.word(grid.cols as u64);
-    for arr in [targets, src_off, sources, level_off] {
+    for arr in [targets, src_off, sources] {
         fp.word(arr.len() as u64);
         for &w in arr {
             fp.word(u64::from(w));
@@ -82,71 +72,53 @@ fn content_fingerprint(
 
 impl XorProgram {
     /// Lower `layout`'s full-stripe encode into a program: one op per
-    /// parity equation, grouped by [`CodeLayout::dependency_levels`].
+    /// parity equation, in [`CodeLayout::dependency_levels`] order (every
+    /// parity an equation reads is written by an earlier op).
     pub fn compile_encode(layout: &CodeLayout) -> Self {
         let grid = layout.grid();
         let mut b = ProgramBuilder::new(grid);
-        for level in layout.dependency_levels() {
-            for eq_idx in level {
-                let eq = layout.equation(eq_idx);
-                b.op(
-                    grid.index(eq.parity),
-                    eq.members.iter().map(|&m| grid.index(m)),
-                );
-            }
-            b.end_level();
+        for eq_idx in layout.dependency_levels().concat() {
+            let eq = layout.equation(eq_idx);
+            b.op(
+                grid.index(eq.parity),
+                eq.members.iter().map(|&m| grid.index(m)),
+            );
         }
-        let prog = b.finish();
-        #[cfg(debug_assertions)]
-        {
-            prog.debug_assert_hazard_free();
-            prog.debug_assert_peephole_clean();
-        }
-        prog
+        b.finish()
     }
 
     /// Lower a symbolic recovery plan into a program: one op per
-    /// [`RecoveryStep`](dcode_core::decoder::RecoveryStep). Steps are
-    /// re-grouped into dependency levels (a step whose sources include an
-    /// earlier step's target lands one level past its deepest producer):
-    /// the level count is the plan's dependency depth, and replay stays
-    /// byte-identical to [`crate::decode::apply_plan`].
+    /// [`RecoveryStep`](dcode_core::decoder::RecoveryStep), stably sorted
+    /// by dependency depth (a step reading an earlier step's target sits
+    /// one deeper than its deepest producer; steps reading only survivors
+    /// are depth 0). Every producer still precedes its readers, so replay
+    /// stays byte-identical to [`crate::decode::apply_plan`].
     pub fn compile_plan(grid: Grid, plan: &RecoveryPlan) -> Self {
         // Depth of the producing step for each recovered cell; surviving
-        // sources have no producer and anchor at level 0.
+        // sources have no producer.
         let mut produced_at: Vec<Option<u32>> = vec![None; grid.len()];
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        for (i, step) in plan.steps.iter().enumerate() {
-            let lv = step
+        let mut depth = Vec::with_capacity(plan.steps.len());
+        for step in &plan.steps {
+            let d = step
                 .sources
                 .iter()
                 .filter_map(|&s| produced_at[grid.index(s)])
                 .max()
-                .map_or(0, |deepest| deepest as usize + 1);
-            if levels.len() <= lv {
-                levels.resize_with(lv + 1, Vec::new);
-            }
-            levels[lv].push(i);
-            produced_at[grid.index(step.target)] = Some(lv as u32);
+                .map_or(0, |deepest| deepest + 1);
+            depth.push(d);
+            produced_at[grid.index(step.target)] = Some(d);
         }
+        let mut order: Vec<usize> = (0..plan.steps.len()).collect();
+        order.sort_by_key(|&i| depth[i]);
         let mut b = ProgramBuilder::new(grid);
-        for level in levels {
-            for si in level {
-                let step = &plan.steps[si];
-                b.op(
-                    grid.index(step.target),
-                    step.sources.iter().map(|&s| grid.index(s)),
-                );
-            }
-            b.end_level();
+        for i in order {
+            let step = &plan.steps[i];
+            b.op(
+                grid.index(step.target),
+                step.sources.iter().map(|&s| grid.index(s)),
+            );
         }
-        let prog = b.finish();
-        #[cfg(debug_assertions)]
-        {
-            prog.debug_assert_hazard_free();
-            prog.debug_assert_peephole_clean();
-        }
-        prog
+        b.finish()
     }
 
     /// Grid shape this program was compiled for.
@@ -170,14 +142,9 @@ impl XorProgram {
         &self.sources[self.src_off[op] as usize..self.src_off[op + 1] as usize]
     }
 
-    /// The ops of dependency level `level`, as a range into op indices.
-    pub fn level_ops(&self, level: usize) -> std::ops::Range<usize> {
-        self.level_off[level] as usize..self.level_off[level + 1] as usize
-    }
-
     /// Rebuild a program from its flat arrays. Only *structural* shape is
     /// asserted (monotone offsets covering every op); the semantic
-    /// invariants — hazard-free levels, in-range indices — are deliberately
+    /// invariants — in-range indices, no self-reference — are deliberately
     /// *not* enforced, so verification tooling (`dcode-verify`) can
     /// construct known-bad programs and prove its own checks reject them.
     pub fn from_raw_parts(
@@ -185,7 +152,6 @@ impl XorProgram {
         targets: Vec<u32>,
         src_off: Vec<u32>,
         sources: Vec<u32>,
-        level_off: Vec<u32>,
     ) -> Self {
         assert_eq!(src_off.len(), targets.len() + 1, "src_off must cover ops");
         assert!(
@@ -194,80 +160,45 @@ impl XorProgram {
                 && *src_off.last().expect("non-empty") as usize == sources.len(),
             "src_off must be monotone over sources"
         );
-        assert!(
-            level_off.len() >= 2
-                && level_off.windows(2).all(|w| w[0] <= w[1])
-                && level_off.first() == Some(&0)
-                && *level_off.last().expect("non-empty") as usize == targets.len(),
-            "level_off must be monotone over ops"
-        );
-        let fingerprint = content_fingerprint(grid, &targets, &src_off, &sources, &level_off);
+        let fingerprint = content_fingerprint(grid, &targets, &src_off, &sources);
         XorProgram {
             grid,
             targets,
             src_off,
             sources,
-            level_off,
             fingerprint,
         }
     }
 
-    /// The program's flat arrays `(targets, src_off, sources, level_off)`,
-    /// cloned out. Inverse of [`XorProgram::from_raw_parts`]; used by
+    /// The program's flat arrays `(targets, src_off, sources)`, cloned
+    /// out. Inverse of [`XorProgram::from_raw_parts`]; used by
     /// verification tooling to derive mutated copies.
-    pub fn raw_parts(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>) {
+    pub fn raw_parts(&self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         (
             self.targets.clone(),
             self.src_off.clone(),
             self.sources.clone(),
-            self.level_off.clone(),
         )
     }
 
-    /// Debug-build guard run by the compilers: every level must be
-    /// hazard-free (no op reads or writes another same-level op's target)
-    /// and every index in range, i.e. exactly the property the level
-    /// structure claims. The full symbolic equivalence
-    /// proof lives in the `dcode-verify` crate; this cheap structural
-    /// check catches level-grouping bugs at the moment a program is built.
-    #[cfg(debug_assertions)]
-    pub(crate) fn debug_assert_hazard_free(&self) {
-        let n = self.grid.len() as u32;
-        for lv in 0..self.level_count() {
-            let ops = self.level_ops(lv);
-            let written: std::collections::BTreeSet<u32> =
-                ops.clone().map(|op| self.targets[op]).collect();
-            assert_eq!(
-                written.len(),
-                ops.len(),
-                "level {lv} writes a block twice (write/write hazard)"
-            );
-            for op in ops {
-                assert!(self.targets[op] < n, "op {op} target out of range");
-                for &s in self.op_sources(op) {
-                    assert!(s < n, "op {op} source out of range");
-                    assert!(
-                        !written.contains(&s),
-                        "level {lv} op {op} reads block {s} written by the same level"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Debug-build guard run by the compilers alongside the hazard check:
+    /// Debug-build guard run by the compilers: every index in range, and
     /// no compiled op may be empty, list a source twice, or clone an
-    /// earlier op (same target, same source set). These are exactly the
-    /// cheap structural facets of the peephole lints in `dcode-analyze`;
-    /// the full pass (dead writes, CSE across targets, working-set
-    /// estimates) runs there, where layout context is available.
+    /// earlier op (same target, same source set). These are the cheap
+    /// structural facets of `dcode-verify`'s lints; the full passes
+    /// (symbolic equivalence, dead writes, CSE across targets, working-set
+    /// estimates) run there, where layout context is available.
     #[cfg(debug_assertions)]
-    pub(crate) fn debug_assert_peephole_clean(&self) {
+    fn debug_assert_peephole_clean(&self) {
+        let n = self.grid.len() as u32;
         let mut seen: std::collections::BTreeSet<(u32, Vec<u32>)> =
             std::collections::BTreeSet::new();
         for op in 0..self.op_count() {
             let sources = self.op_sources(op);
             assert!(!sources.is_empty(), "op {op} has no sources");
+            assert!(
+                self.targets[op] < n && sources.iter().all(|&s| s < n),
+                "op {op} references a block outside the grid"
+            );
             let mut sorted = sources.to_vec();
             sorted.sort_unstable();
             assert!(
@@ -284,11 +215,6 @@ impl XorProgram {
     /// Number of XOR operations (target blocks written).
     pub fn op_count(&self) -> usize {
         self.targets.len()
-    }
-
-    /// Number of dependency levels.
-    pub fn level_count(&self) -> usize {
-        self.level_off.len() - 1
     }
 
     /// Total source-block reads across all ops.
@@ -312,8 +238,8 @@ impl XorProgram {
     }
 
     /// [`XorProgram::run`] with an explicit tile size (clamped to at least
-    /// 8 bytes): for each `tile_bytes` range of the blocks, every level's
-    /// ops in order over just that range. Byte-identical for every tile
+    /// 8 bytes): for each `tile_bytes` range of the blocks, every op in
+    /// order over just that range. Byte-identical for every tile
     /// size; `tile_bytes >= block_size` is one iteration, i.e. op-major
     /// order. Bench sweeps and the differential tests pin the tile;
     /// production goes through `run`.
@@ -324,7 +250,6 @@ impl XorProgram {
         let mut start = 0usize;
         loop {
             let end = start.saturating_add(tile).min(len);
-            // Ops are stored level by level, so index order is level order.
             for op in 0..self.targets.len() {
                 let target = self.targets[op] as usize;
                 let mut out = stripe.take_block_at(target);
@@ -369,13 +294,12 @@ impl XorProgram {
     }
 }
 
-/// Accumulates ops and level boundaries into the flat arrays.
+/// Accumulates ops into the flat arrays.
 struct ProgramBuilder {
     grid: Grid,
     targets: Vec<u32>,
     src_off: Vec<u32>,
     sources: Vec<u32>,
-    level_off: Vec<u32>,
 }
 
 impl ProgramBuilder {
@@ -385,7 +309,6 @@ impl ProgramBuilder {
             targets: Vec::new(),
             src_off: vec![0],
             sources: Vec::new(),
-            level_off: vec![0],
         }
     }
 
@@ -398,35 +321,11 @@ impl ProgramBuilder {
         self.src_off.push(self.sources.len() as u32);
     }
 
-    fn end_level(&mut self) {
-        // Empty levels carry no information; skip them so level_count
-        // reflects real dependency depth.
-        if *self.level_off.last().expect("seeded with 0") != self.targets.len() as u32 {
-            self.level_off.push(self.targets.len() as u32);
-        }
-    }
-
-    fn finish(mut self) -> XorProgram {
-        self.end_level();
-        if self.level_off.len() == 1 {
-            // Zero-op program still needs a valid (empty) level table.
-            self.level_off.push(0);
-        }
-        let fingerprint = content_fingerprint(
-            self.grid,
-            &self.targets,
-            &self.src_off,
-            &self.sources,
-            &self.level_off,
-        );
-        XorProgram {
-            grid: self.grid,
-            targets: self.targets,
-            src_off: self.src_off,
-            sources: self.sources,
-            level_off: self.level_off,
-            fingerprint,
-        }
+    fn finish(self) -> XorProgram {
+        let prog = XorProgram::from_raw_parts(self.grid, self.targets, self.src_off, self.sources);
+        #[cfg(debug_assertions)]
+        prog.debug_assert_peephole_clean();
+        prog
     }
 }
 
@@ -494,13 +393,12 @@ mod tests {
 
     #[test]
     fn tile_size_never_changes_bytes() {
-        // RDP's diagonal parity reads row parity (two levels): a tile-major
-        // pass must feed level 1 the level-0 bytes of the same range. Odd
+        // RDP's diagonal parity reads row parity: a tile-major pass must
+        // feed each diagonal op the row-parity bytes of the same range. Odd
         // block size against tiles below the clamp, smaller than, equal to
         // and larger than the block — the loop's boundary math.
         let layout = dcode_baselines::rdp::rdp(11).unwrap();
         let program = XorProgram::compile_encode(&layout);
-        assert!(program.level_count() >= 2);
         let bs = 1037;
         let base = Stripe::from_data(&layout, bs, &payload(layout.data_len() * bs, 41));
         let mut expect = base.clone();
@@ -513,23 +411,18 @@ mod tests {
     }
 
     #[test]
-    fn program_shape_reflects_dependency_depth() {
-        // D-Code's two parity families are independent: one level.
+    fn encode_has_one_op_per_equation() {
         let d = dcode_core::dcode::dcode(7).unwrap();
         let prog = XorProgram::compile_encode(&d);
-        assert_eq!(prog.level_count(), 1);
         assert_eq!(prog.op_count(), d.equations().len());
-        // RDP's diagonal parity reads row parity: at least two levels.
-        let rdp = dcode_baselines::rdp::rdp(7).unwrap();
-        assert!(XorProgram::compile_encode(&rdp).level_count() >= 2);
     }
 
     #[test]
     fn raw_parts_roundtrip() {
         let layout = dcode_core::dcode::dcode(7).unwrap();
         let prog = XorProgram::compile_encode(&layout);
-        let (targets, src_off, sources, level_off) = prog.raw_parts();
-        let rebuilt = XorProgram::from_raw_parts(prog.grid(), targets, src_off, sources, level_off);
+        let (targets, src_off, sources) = prog.raw_parts();
+        let rebuilt = XorProgram::from_raw_parts(prog.grid(), targets, src_off, sources);
         assert_eq!(rebuilt, prog);
         assert_eq!(rebuilt.fingerprint(), prog.fingerprint());
     }
@@ -542,9 +435,9 @@ mod tests {
         assert_eq!(d7.fingerprint(), d7b.fingerprint());
         assert_ne!(d7.fingerprint(), d5.fingerprint());
         // A one-index mutation must move the fingerprint.
-        let (mut targets, src_off, sources, level_off) = d7.raw_parts();
+        let (mut targets, src_off, sources) = d7.raw_parts();
         targets.swap(0, 1);
-        let mutated = XorProgram::from_raw_parts(d7.grid(), targets, src_off, sources, level_off);
+        let mutated = XorProgram::from_raw_parts(d7.grid(), targets, src_off, sources);
         assert_ne!(mutated.fingerprint(), d7.fingerprint());
     }
 

@@ -3,9 +3,9 @@
 //! Self-contained so fingerprints are stable across Rust releases (unlike
 //! `DefaultHasher`, whose algorithm is unspecified) and identical across
 //! crates: [`CodeLayout::fingerprint`](crate::layout::CodeLayout::fingerprint)
-//! keys the codec's schedule cache with it, and `dcode-analyze` stamps its
+//! keys the codec's schedule cache with it, and `dcode-verify` stamps its
 //! reports with a program fingerprint computed by the same primitive, so a
-//! report can be matched to the exact compiled artifact it analyzed.
+//! report can be matched to the exact compiled artifact it checked.
 
 /// Incremental 64-bit FNV-1a state.
 #[derive(Copy, Clone, Debug)]

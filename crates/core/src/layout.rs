@@ -183,9 +183,10 @@ impl CodeLayout {
     /// Group equation indices into dependency *levels*: an equation whose
     /// members include the parity of a level-`k` equation lands in level
     /// `k+1` or later, so all equations within one level are mutually
-    /// independent and may be evaluated concurrently. Level order is a
-    /// valid encode order; this is the grouping the codec's schedule
-    /// compiler and parallel encoder build their programs from.
+    /// independent. Level order is a valid encode order: the codec's
+    /// schedule compiler emits its encode ops in it, and the number of
+    /// levels is the code's parity dependency depth (1 where the parity
+    /// families are independent, 2 where one reads the other).
     pub fn dependency_levels(&self) -> Vec<Vec<usize>> {
         let n_eq = self.equations.len();
         let mut level = vec![0usize; n_eq];

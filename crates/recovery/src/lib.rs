@@ -23,7 +23,7 @@
 //! [`optimal_rebuild`] is the whole column with nothing in hand.
 //! `dcode-array` replays the choice (through the codec's schedule cache)
 //! for every degraded read, degraded-write fetch, scrub and rebuild under
-//! one erased column; `dcode-iosim` and `dcode-analyze` count it.
+//! one erased column; `dcode-iosim` and `dcode-verify` count it.
 //!
 //! The choice is executable, not only countable:
 //! [`RebuildPlan::recovery_plan`] turns it into the ordered XOR steps the

@@ -3,7 +3,7 @@
 //! Each registry code has exact closed-form complexities in `p` (fitted
 //! from the constructions and verified at every prime the CI sweep uses).
 //! A [`ClaimCheck`] pairs one closed form with the value measured on the
-//! compiled artifact; `--assert-claims` fails on any mismatch, which turns
+//! compiled artifact; `dcode verify` fails on any mismatch, which turns
 //! the paper's §III-D table and the balanced-I/O-load headline into CI
 //! gates over the *compiled schedules*.
 
@@ -45,9 +45,12 @@ pub struct ClosedForms {
     pub update_formula: &'static str,
     /// Worst-case parity elements touched by a one-element update.
     pub update_max: usize,
-    /// Dependency levels the compiled encode program must have (1 for
-    /// independent parity families, 2 where one parity reads another).
-    pub encode_levels: usize,
+    /// Parity dependency depth ([`CodeLayout::dependency_levels`]'s
+    /// level count): 1 for independent parity families, 2 where one
+    /// parity reads another.
+    ///
+    /// [`CodeLayout::dependency_levels`]: dcode_core::layout::CodeLayout::dependency_levels
+    pub dependency_depth: usize,
     /// The encode load-balance property.
     pub balance: LoadBalance,
 }
@@ -68,7 +71,7 @@ pub fn closed_forms(name: &str, p: usize) -> Option<ClosedForms> {
             update_avg: 2.0,
             update_formula: "2",
             update_max: 2,
-            encode_levels: 1,
+            dependency_depth: 1,
             balance: LoadBalance::BalancedCombined,
         },
         "RDP" => ClosedForms {
@@ -83,7 +86,7 @@ pub fn closed_forms(name: &str, p: usize) -> Option<ClosedForms> {
             update_avg: 3.0 - (2.0 * pf - 3.0) / ((pf - 1.0) * (pf - 1.0)),
             update_formula: "3 - (2p-3)/(p-1)^2",
             update_max: 3,
-            encode_levels: 2,
+            dependency_depth: 2,
             balance: LoadBalance::DedicatedParity,
         },
         "H-Code" => ClosedForms {
@@ -94,7 +97,7 @@ pub fn closed_forms(name: &str, p: usize) -> Option<ClosedForms> {
             update_avg: 2.0,
             update_formula: "2",
             update_max: 2,
-            encode_levels: 1,
+            dependency_depth: 1,
             balance: LoadBalance::DedicatedParity,
         },
         "HDP" => ClosedForms {
@@ -105,7 +108,7 @@ pub fn closed_forms(name: &str, p: usize) -> Option<ClosedForms> {
             update_avg: 3.0,
             update_formula: "3",
             update_max: 3,
-            encode_levels: 2,
+            dependency_depth: 2,
             balance: LoadBalance::BalancedWrites,
         },
         "EVENODD" => ClosedForms {
@@ -116,7 +119,7 @@ pub fn closed_forms(name: &str, p: usize) -> Option<ClosedForms> {
             update_avg: 3.0 - 2.0 / pf,
             update_formula: "3 - 2/p",
             update_max: p,
-            encode_levels: 1,
+            dependency_depth: 1,
             balance: LoadBalance::DedicatedParity,
         },
         "P-Code" => ClosedForms {
@@ -127,7 +130,7 @@ pub fn closed_forms(name: &str, p: usize) -> Option<ClosedForms> {
             update_avg: 2.0,
             update_formula: "2",
             update_max: 2,
-            encode_levels: 1,
+            dependency_depth: 1,
             balance: LoadBalance::BalancedWrites,
         },
         _ => return None,

@@ -27,15 +27,6 @@ pub fn encode_xors_per_data_element(layout: &CodeLayout, program: &XorProgram) -
     program_xor_cost(program) as f64 / layout.data_len() as f64
 }
 
-/// Parity elements touched when one data element is updated
-/// `(average, max)` over every data cell — the paper's update-complexity
-/// metric. Derived from the layout's update closure (partial-stripe
-/// writes are interpreted, not compiled, so the closure *is* the
-/// artifact).
-pub fn update_parity_touches(layout: &CodeLayout) -> (f64, usize) {
-    dcode_core::metrics::update_complexity(layout)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

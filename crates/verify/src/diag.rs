@@ -1,6 +1,6 @@
 //! Machine-readable verification diagnostics.
 //!
-//! Every pass — equivalence, race checking, linting, MDS rank — reports
+//! Every pass — equivalence, linting, peephole, MDS rank — reports
 //! through one [`Diagnostic`] type so callers (the CLI, CI, the mutation
 //! suite) can match on structured [`DiagKind`]s instead of scraping
 //! strings. `Display` renders the human form.
@@ -14,7 +14,7 @@ pub enum Severity {
     /// Stylistic or efficiency concern; the program still computes the
     /// right bytes.
     Warning,
-    /// The program is wrong, unsafe to parallelize, or would panic.
+    /// The program is wrong or would panic.
     Error,
 }
 
@@ -45,30 +45,6 @@ pub enum DiagKind {
         /// The offending op.
         op: usize,
         /// The out-of-range linear block index.
-        block: usize,
-    },
-    /// Race: two ops of one dependency level write the same block.
-    WriteWriteHazard {
-        /// The dependency level.
-        level: usize,
-        /// The earlier op.
-        first_op: usize,
-        /// The later op writing the same block.
-        second_op: usize,
-        /// The doubly-written linear block index.
-        block: usize,
-    },
-    /// Race: an op reads a block that another op of the *same* level
-    /// writes, so the level's outcome would depend on the order its ops
-    /// run in.
-    ReadWriteHazard {
-        /// The dependency level.
-        level: usize,
-        /// The op doing the read.
-        reader_op: usize,
-        /// The same-level op writing the block.
-        writer_op: usize,
-        /// The contested linear block index.
         block: usize,
     },
     /// Lint: an op lists its own target among its sources. The executor
@@ -103,17 +79,6 @@ pub enum DiagKind {
         /// The later op that overwrites it.
         shadowed_by: usize,
     },
-    /// Lint: the level structure is non-minimal — the op could legally run
-    /// at an earlier level, so the program serializes more than its data
-    /// dependencies require.
-    HoistableOp {
-        /// The late op.
-        op: usize,
-        /// The level it sits in.
-        level: usize,
-        /// The earliest level its dependencies allow.
-        earliest: usize,
-    },
     /// Peephole: an op recomputes the exact XOR expression an earlier op
     /// already produced (and none of the shared sources were rewritten in
     /// between) — a common-subexpression-elimination opportunity.
@@ -132,13 +97,12 @@ pub enum DiagKind {
         /// The linear block index it writes.
         block: usize,
     },
-    /// Peephole: replaying one dependency level's widest gather touches
-    /// more bytes than the working-set budget, so the tiled kernel's
-    /// blocks no longer fit cache together.
+    /// Peephole: one op's gather touches more bytes than the working-set
+    /// budget, so the tiled kernel's blocks no longer fit cache together.
     OversizedWorkingSet {
-        /// The dependency level.
-        level: usize,
-        /// Estimated working set in bytes (widest gather + its target,
+        /// The op with the oversized gather.
+        op: usize,
+        /// Estimated working set in bytes (the op's sources + its target,
         /// one tile each).
         bytes: usize,
         /// The budget the estimate exceeded.
@@ -247,24 +211,6 @@ impl fmt::Display for Diagnostic {
             DiagKind::OutOfRange { op, block } => {
                 write!(f, "op {op} references block {block} outside the grid")
             }
-            DiagKind::WriteWriteHazard {
-                level,
-                first_op,
-                second_op,
-                block,
-            } => write!(
-                f,
-                "level {level}: ops {first_op} and {second_op} both write block {block}"
-            ),
-            DiagKind::ReadWriteHazard {
-                level,
-                reader_op,
-                writer_op,
-                block,
-            } => write!(
-                f,
-                "level {level}: op {reader_op} reads block {block} while op {writer_op} writes it"
-            ),
             DiagKind::SelfReference { op } => {
                 write!(f, "op {op} lists its own target among its sources")
             }
@@ -286,14 +232,6 @@ impl fmt::Display for Diagnostic {
                 f,
                 "op {op} is dead: op {shadowed_by} overwrites its target before any read"
             ),
-            DiagKind::HoistableOp {
-                op,
-                level,
-                earliest,
-            } => write!(
-                f,
-                "op {op} sits in level {level} but could run at level {earliest}"
-            ),
             DiagKind::DuplicateExpression { op, earlier_op } => write!(
                 f,
                 "op {op} recomputes the expression op {earlier_op} already produced"
@@ -302,13 +240,9 @@ impl fmt::Display for Diagnostic {
                 f,
                 "op {op} writes block {block}, which nothing reads and no output requires"
             ),
-            DiagKind::OversizedWorkingSet {
-                level,
-                bytes,
-                budget,
-            } => write!(
+            DiagKind::OversizedWorkingSet { op, bytes, budget } => write!(
                 f,
-                "level {level} needs a ~{bytes}-byte working set (budget {budget})"
+                "op {op} needs a ~{bytes}-byte working set (budget {budget})"
             ),
             DiagKind::Unrecoverable { failed, deficiency } => write!(
                 f,

@@ -56,11 +56,6 @@ pub fn program_footprint(grid: Grid, program: &XorProgram) -> StaticFootprint {
     StaticFootprint { reads, writes }
 }
 
-/// Static footprint of `layout`'s compiled full-stripe encode.
-pub fn encode_footprint(layout: &CodeLayout, program: &XorProgram) -> StaticFootprint {
-    program_footprint(layout.grid(), program)
-}
-
 /// Static footprint of a full-stripe **degraded read** with one failed
 /// column: every surviving data element is read directly, and the lost
 /// data elements are reconstructed through
@@ -113,7 +108,7 @@ mod tests {
         // of a full-stripe normal read.
         for layout in all_codes(7) {
             let program = XorProgram::compile_encode(&layout);
-            let fp = encode_footprint(&layout, &program);
+            let fp = program_footprint(layout.grid(), &program);
             let dynamic = dcode_iosim::normal_read_accesses(&layout, 0, layout.data_len());
             assert_eq!(fp.reads, dynamic, "{}", layout.name());
         }
@@ -147,7 +142,7 @@ mod tests {
         // that must not count as a disk read of the row-parity column.
         let rdp = dcode_baselines::rdp::rdp(7).unwrap();
         let program = XorProgram::compile_encode(&rdp);
-        let fp = encode_footprint(&rdp, &program);
+        let fp = program_footprint(rdp.grid(), &program);
         let row_parity_col = rdp.disks() - 2;
         assert_eq!(fp.reads.per_disk[row_parity_col], 0);
         assert!(fp.writes.per_disk[row_parity_col] > 0);

@@ -1,5 +1,5 @@
 //! Schedule lints: findings that don't (necessarily) change the computed
-//! bytes but mark a program as malformed, wasteful, or over-serialized.
+//! bytes but mark a program as malformed or wasteful.
 //!
 //! The passes here are purely structural — no symbol vectors — so they run
 //! in `O(ops + sources)` and apply to hand-built programs as well as
@@ -15,15 +15,21 @@ pub fn lint(program: &XorProgram) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     lint_sources(program, &mut out);
     lint_dead_ops(program, &mut out);
-    lint_level_minimality(program, &mut out);
     out
 }
 
-/// Per-op source-list lints: self-references, duplicate sources, empty ops.
+/// Per-op lints: out-of-range indices, self-references, duplicate
+/// sources, empty ops.
 fn lint_sources(program: &XorProgram, out: &mut Vec<Diagnostic>) {
+    let n_blocks = program.grid().len();
     for op in 0..program.op_count() {
         let target = program.op_target(op);
         let sources = program.op_sources(op);
+        for block in std::iter::once(target).chain(sources.iter().map(|&s| s as usize)) {
+            if block >= n_blocks {
+                out.push(Diagnostic::error(DiagKind::OutOfRange { op, block }));
+            }
+        }
         if sources.is_empty() {
             out.push(Diagnostic::warning(DiagKind::EmptyOp { op }));
         }
@@ -69,43 +75,6 @@ fn lint_dead_ops(program: &XorProgram, out: &mut Vec<Diagnostic>) {
             }
         }
         last_write.insert(target, (op, false));
-    }
-}
-
-/// Flag ops placed later than their data dependencies require. An op's
-/// earliest legal level is one past the deepest same-or-earlier-level op
-/// that produces one of its sources or previously wrote its target; a gap
-/// means the level structure serializes needlessly.
-fn lint_level_minimality(program: &XorProgram, out: &mut Vec<Diagnostic>) {
-    let mut level_of_op = vec![0usize; program.op_count()];
-    for lv in 0..program.level_count() {
-        for op in program.level_ops(lv) {
-            level_of_op[op] = lv;
-        }
-    }
-    // Deepest level at which each block was last written, as the op list is
-    // walked in order.
-    let mut written_at: BTreeMap<usize, usize> = BTreeMap::new();
-    for (op, &level) in level_of_op.iter().enumerate() {
-        let mut earliest = 0usize;
-        for &s in program.op_sources(op) {
-            if let Some(&lv) = written_at.get(&(s as usize)) {
-                earliest = earliest.max(lv + 1);
-            }
-        }
-        let target = program.op_target(op);
-        if let Some(&lv) = written_at.get(&target) {
-            // Write-after-write: must stay past the previous writer.
-            earliest = earliest.max(lv + 1);
-        }
-        if earliest < level {
-            out.push(Diagnostic::warning(DiagKind::HoistableOp {
-                op,
-                level,
-                earliest,
-            }));
-        }
-        written_at.insert(target, level);
     }
 }
 

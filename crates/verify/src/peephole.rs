@@ -1,8 +1,8 @@
 //! Peephole lints over compiled programs.
 //!
-//! Builds on `dcode-verify`'s structural passes (hazards, self-references,
-//! duplicate/even-multiplicity sources, dead ops, level minimality) and
-//! adds the analyses that need output context or a cost model:
+//! Builds on the structural [`lint`](crate::lint()) pass (range, self-references,
+//! duplicate/even-multiplicity sources, dead ops) and adds the analyses
+//! that need output context or a cost model:
 //!
 //! * **duplicate expressions** — an op recomputing the exact XOR value an
 //!   earlier op produced (no shared source rewritten in between), i.e. a
@@ -10,35 +10,36 @@
 //! * **unread results** — ops whose value is never read, never
 //!   overwritten, and not an expected output block (dead scratch writes
 //!   and never-read outputs);
-//! * **working-set estimates** — per dependency level, the widest gather
-//!   plus its target at one [`TILE_BYTES`] tile each, checked against
+//! * **working-set estimates** — per op, its gather plus its target at
+//!   one [`TILE_BYTES`] tile each, checked against
 //!   [`WORKING_SET_BUDGET_BYTES`].
 //!
-//! Everything reports through `dcode-verify`'s [`Diagnostic`] vocabulary,
-//! so the CLI, CI, and the mutation suite match on structured kinds.
+//! Everything reports through the crate's [`Diagnostic`] vocabulary, so
+//! the CLI, CI, and the mutation suite match on structured kinds.
 
+use crate::diag::{DiagKind, Diagnostic};
 use dcode_codec::xor::TILE_BYTES;
 use dcode_codec::XorProgram;
-use dcode_verify::{DiagKind, Diagnostic};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Working-set budget for one dependency level: the widest gather's
-/// source tiles plus the target tile must fit comfortably in cache. Sized
+/// Working-set budget for one op: its source tiles plus the target tile
+/// must fit comfortably in cache. Sized
 /// at 256 tiles (4 MiB at the kernel's 16 KiB [`TILE_BYTES`]) — the widest
 /// registry gather (EVENODD's p = 17 Gaussian recovery step, 151 sources,
 /// ~2.4 MiB) stays inside, while a schedule flattened into whole-stripe
 /// gathers trips it.
 pub const WORKING_SET_BUDGET_BYTES: usize = 256 * TILE_BYTES;
 
-/// The peephole lints that need output context: duplicate expressions and
-/// unread results. `expected_outputs` lists the linear block indices the
-/// program exists to produce (parity blocks for an encode, erased blocks
-/// for a recovery); a final write to any other block that nothing reads
-/// is flagged.
+/// The peephole lints: duplicate expressions, unread results and
+/// oversized working sets. `expected_outputs` lists the linear block
+/// indices the program exists to produce (parity blocks for an encode,
+/// erased blocks for a recovery); a final write to any other block that
+/// nothing reads is flagged.
 pub fn peephole(program: &XorProgram, expected_outputs: &BTreeSet<usize>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     duplicate_expressions(program, &mut out);
     unread_results(program, expected_outputs, &mut out);
+    oversized_working_sets(program, &mut out);
     out
 }
 
@@ -98,39 +99,19 @@ fn unread_results(
     out.extend(findings);
 }
 
-/// Per-level working-set estimates vs [`WORKING_SET_BUDGET_BYTES`]: the
-/// widest gather of each level, plus its target, at one tile per block.
-pub fn working_set_diagnostics(program: &XorProgram) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for lv in 0..program.level_count() {
-        let widest = program
-            .level_ops(lv)
-            .map(|op| program.op_sources(op).len())
-            .max()
-            .unwrap_or(0);
-        let bytes = (widest + 1) * TILE_BYTES;
+/// Per-op working-set estimates vs [`WORKING_SET_BUDGET_BYTES`]: the
+/// op's gather plus its target, at one tile per block.
+fn oversized_working_sets(program: &XorProgram, out: &mut Vec<Diagnostic>) {
+    for op in 0..program.op_count() {
+        let bytes = (program.op_sources(op).len() + 1) * TILE_BYTES;
         if bytes > WORKING_SET_BUDGET_BYTES {
             out.push(Diagnostic::warning(DiagKind::OversizedWorkingSet {
-                level: lv,
+                op,
                 bytes,
                 budget: WORKING_SET_BUDGET_BYTES,
             }));
         }
     }
-    out
-}
-
-/// The full program-level lint tier the analyzer runs: `dcode-verify`'s
-/// race check and schedule lints, then the peephole passes above.
-pub fn analyze_program(
-    program: &XorProgram,
-    expected_outputs: &BTreeSet<usize>,
-) -> Vec<Diagnostic> {
-    let mut out = dcode_verify::check_levels(program);
-    out.extend(dcode_verify::lint(program));
-    out.extend(peephole(program, expected_outputs));
-    out.extend(working_set_diagnostics(program));
-    out
 }
 
 #[cfg(test)]
@@ -139,14 +120,14 @@ mod tests {
     use dcode_baselines::registry::all_codes;
     use dcode_core::grid::Grid;
 
-    fn toy_program(targets: Vec<u32>, srcs: Vec<Vec<u32>>, level_split: Vec<u32>) -> XorProgram {
+    fn toy_program(targets: Vec<u32>, srcs: Vec<Vec<u32>>) -> XorProgram {
         let mut src_off = vec![0u32];
         let mut sources = Vec::new();
         for s in srcs {
             sources.extend_from_slice(&s);
             src_off.push(sources.len() as u32);
         }
-        XorProgram::from_raw_parts(Grid::new(4, 4), targets, src_off, sources, level_split)
+        XorProgram::from_raw_parts(Grid::new(4, 4), targets, src_off, sources)
     }
 
     #[test]
@@ -158,12 +139,12 @@ mod tests {
                 let outputs: BTreeSet<usize> = (0..program.op_count())
                     .map(|op| program.op_target(op))
                     .collect();
-                let diags = analyze_program(&program, &outputs);
+                let diags = peephole(&program, &outputs);
                 assert!(diags.is_empty(), "{} p={p}: {diags:?}", layout.name());
                 let plan = dcode_core::decoder::plan_column_recovery(&layout, &[0, 1]).unwrap();
                 let prog = XorProgram::compile_plan(grid, &plan);
                 let outputs: BTreeSet<usize> = plan.erased.iter().map(|&c| grid.index(c)).collect();
-                let diags = analyze_program(&prog, &outputs);
+                let diags = peephole(&prog, &outputs);
                 assert!(diags.is_empty(), "{} p={p}: {diags:?}", layout.name());
             }
         }
@@ -172,7 +153,7 @@ mod tests {
     #[test]
     fn duplicate_expression_is_flagged_and_invalidation_respected() {
         // op0: b12 = b0^b1; op1: b13 = b0^b1  -> duplicate.
-        let prog = toy_program(vec![12, 13], vec![vec![0, 1], vec![1, 0]], vec![0, 2]);
+        let prog = toy_program(vec![12, 13], vec![vec![0, 1], vec![1, 0]]);
         let diags = peephole(&prog, &BTreeSet::from([12, 13]));
         assert_eq!(
             diags,
@@ -183,18 +164,14 @@ mod tests {
         );
         // op0: b12 = b0^b1; op1: b0 = b2^b3; op2: b13 = b0^b1 -> NOT a
         // duplicate (b0 was rewritten in between).
-        let prog = toy_program(
-            vec![12, 0, 13],
-            vec![vec![0, 1], vec![2, 3], vec![0, 1]],
-            vec![0, 1, 2, 3],
-        );
+        let prog = toy_program(vec![12, 0, 13], vec![vec![0, 1], vec![2, 3], vec![0, 1]]);
         assert!(peephole(&prog, &BTreeSet::from([12, 0, 13])).is_empty());
     }
 
     #[test]
     fn unread_scratch_write_is_flagged_but_outputs_are_not() {
         // op0 writes b5, nothing reads it, and only b12 is an output.
-        let prog = toy_program(vec![5, 12], vec![vec![0, 1], vec![2, 3]], vec![0, 2]);
+        let prog = toy_program(vec![5, 12], vec![vec![0, 1], vec![2, 3]]);
         let diags = peephole(&prog, &BTreeSet::from([12]));
         assert_eq!(
             diags,
@@ -206,7 +183,7 @@ mod tests {
         // Same program with b5 declared an output: clean.
         assert!(peephole(&prog, &BTreeSet::from([5, 12])).is_empty());
         // And a scratch write that IS read later: clean.
-        let prog = toy_program(vec![5, 12], vec![vec![0, 1], vec![5, 3]], vec![0, 1, 2]);
+        let prog = toy_program(vec![5, 12], vec![vec![0, 1], vec![5, 3]]);
         assert!(peephole(&prog, &BTreeSet::from([12])).is_empty());
     }
 
@@ -216,12 +193,12 @@ mod tests {
         // budget.
         let grid = Grid::new(17, 17);
         let sources: Vec<u32> = (0..256u32).collect();
-        let prog = XorProgram::from_raw_parts(grid, vec![288], vec![0, 256], sources, vec![0, 1]);
-        let diags = working_set_diagnostics(&prog);
+        let prog = XorProgram::from_raw_parts(grid, vec![288], vec![0, 256], sources);
+        let diags = peephole(&prog, &BTreeSet::from([288]));
         assert_eq!(diags.len(), 1);
         assert!(matches!(
             diags[0].kind,
-            DiagKind::OversizedWorkingSet { level: 0, .. }
+            DiagKind::OversizedWorkingSet { op: 0, .. }
         ));
     }
 }

@@ -9,13 +9,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dcode_analyze::peephole;
 use dcode_baselines::registry::{build, ALL_CODES};
 use dcode_codec::{ScheduleCache, XorProgram};
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::grid::{Cell, Grid};
 use dcode_recovery::optimal_rebuild;
-use dcode_verify::{lint, verify_encode_program, verify_plan_program, verify_subprogram};
+use dcode_verify::{lint, peephole, verify_encode_program, verify_plan_program, verify_subprogram};
 
 /// The primes every registry code is swept at.
 const PRIMES: [usize; 5] = [5, 7, 11, 13, 17];

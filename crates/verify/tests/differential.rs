@@ -1,4 +1,4 @@
-//! Differential tests: the analyzer's *static* numbers against the
+//! Differential tests: the verifier's *static* numbers against the
 //! *dynamic* truth.
 //!
 //! * An instrumented interpreter replays compiled programs byte-for-byte,
@@ -9,11 +9,11 @@
 //! * The static degraded-read footprint equals `dcode-iosim`'s dynamic
 //!   accounting, disk for disk.
 
-use dcode_analyze::{degraded_read_footprint, program_xor_cost};
 use dcode_baselines::registry::all_codes;
 use dcode_codec::{Stripe, XorProgram};
 use dcode_core::decoder::plan_column_recovery;
 use dcode_core::layout::CodeLayout;
+use dcode_verify::{degraded_read_footprint, program_xor_cost};
 use proptest::prelude::*;
 
 const PRIMES: [usize; 4] = [5, 7, 11, 13];
@@ -21,7 +21,7 @@ const BLOCK: usize = 16;
 
 /// Replay `program` over `stripe` exactly as the executor specifies (copy
 /// the first source over the target, XOR in the rest), counting XOR
-/// block-ops. This is the analyzer's cost model made executable.
+/// block-ops. This is the verifier's cost model made executable.
 fn interpret_counting(program: &XorProgram, stripe: &mut Stripe) -> usize {
     let grid = stripe.grid();
     let mut xors = 0usize;

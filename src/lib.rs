@@ -15,8 +15,7 @@
 //! | [`recovery`] | `dcode-recovery` | conventional vs hybrid single-disk rebuild optimization |
 //! | [`mod@array`] | `dcode-array` | multi-stripe array: rotation, degraded service, rebuild, scrubbing, resilient backend-driven array, chaos soak |
 //! | [`faults`] | `dcode-faults` | disk backends (memory, file), typed disk errors, CRC32, deterministic fault injection |
-//! | [`verify`] | `dcode-verify` | symbolic GF(2) verifier, static race checker, and schedule linter for compiled XOR programs |
-//! | [`analyze`] | `dcode-analyze` | static schedule analyzer: closed-form cost claims, per-disk I/O footprints, critical-path speedup bounds, peephole lints |
+//! | [`verify`] | `dcode-verify` | static checker for compiled XOR programs: symbolic GF(2) equivalence, schedule and peephole lints, closed-form cost claims, per-disk I/O footprints |
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and the
 //! per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured results.
@@ -35,7 +34,6 @@
 //! assert_eq!(stripe.data_bytes(&code), payload);
 //! ```
 
-pub use dcode_analyze as analyze;
 pub use dcode_array as array;
 pub use dcode_baselines as baselines;
 pub use dcode_codec as codec;
