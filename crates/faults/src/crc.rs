@@ -17,12 +17,21 @@
 //! the CRC of every block it writes. The journal checks each payload
 //! block it reads against that block's own entry CRC.
 //!
-//! The kernel is slice-by-8: eight 256-entry tables, built at compile
-//! time, fold eight bytes per step with eight independent lookups instead
-//! of eight dependent ones. A 4 KiB block hashes in ≈ 2.1 µs (≈ 2 GB/s)
-//! on a 2-vCPU x86-64 VM, against ≈ 8.3 µs for the one-table loop it
-//! replaces; polynomial, init value and final XOR are unchanged, so every
-//! CRC on a medium or in a journal record still checks.
+//! The kernel is slice-by-8 in four lanes. Slice-by-8 folds eight bytes
+//! a step through eight 256-entry tables built at compile time: eight
+//! independent lookups instead of eight dependent ones. One such stream
+//! is still a chain — each step waits for the previous state — so each
+//! 4 KiB chunk is hashed as four interleaved streams over its four 1 KiB
+//! lanes. Lane 0 carries the running state and lanes 1–3 start from zero.
+//! The raw state is affine too: `state(A ‖ B) = shift_|B|(state(A)) ⊕
+//! state₀(B)`, where `shift_n` advances a state over `n` zero bytes. That
+//! shift is linear in the state, so one compile-time `[[u32; 256]; 4]`
+//! table advances any state by a lane in four lookups, and three of them
+//! join a chunk's lanes. Bytes past the last whole chunk take the
+//! one-stream loop. A 4 KiB block hashes in ≈ 0.62 µs on a 2-vCPU x86-64
+//! VM, against ≈ 2.03 µs for one stream and ≈ 8.3 µs for the one-table
+//! byte loop. Polynomial, init value and final XOR are the byte loop's,
+//! so every CRC on a medium or in a journal record still checks.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -62,30 +71,92 @@ const fn build_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// Bytes in one lane; four lanes make a chunk.
+const LANE: usize = 1024;
+
+/// Bytes hashed as four interleaved lanes.
+const CHUNK: usize = 4 * LANE;
+
+/// `SHIFT[k][b]` is the state `b << 8k` becomes after `LANE` zero bytes.
+/// Advancing a state over zeros is linear, so four lookups advance any
+/// state by a lane.
+const SHIFT: [[u32; 256]; 4] = build_shift();
+
+/// Runs slice-by-8 over a lane of zeros from each one-bit state (128
+/// steps each), and XORs those for the rest: 32 runs, not 1024, keep
+/// rustc's const evaluation short.
+const fn build_shift() -> [[u32; 256]; 4] {
+    let mut shift = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 1usize;
+        while b < 256 {
+            let low = b & b.wrapping_neg();
+            shift[k][b] = if low == b {
+                let mut crc = (b as u32) << (8 * k);
+                let mut step = 0;
+                while step < LANE / 8 {
+                    crc = fold8(crc, &[0; 8]);
+                    step += 1;
+                }
+                crc
+            } else {
+                shift[k][low] ^ shift[k][b ^ low]
+            };
+            b += 1;
+        }
+        k += 1;
+    }
+    shift
+}
+
 /// Byte `k` (little-endian) of `word`, as a table index.
-fn byte(word: u32, k: u32) -> usize {
+const fn byte(word: u32, k: u32) -> usize {
     ((word >> (8 * k)) & 0xFF) as usize
+}
+
+/// One slice-by-8 step: `crc` after the eight bytes of `word`.
+const fn fold8(crc: u32, word: &[u8]) -> u32 {
+    let t = &TABLES;
+    let lo = u32::from_le_bytes([word[0], word[1], word[2], word[3]]) ^ crc;
+    let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+    t[7][byte(lo, 0)]
+        ^ t[6][byte(lo, 1)]
+        ^ t[5][byte(lo, 2)]
+        ^ t[4][byte(lo, 3)]
+        ^ t[3][byte(hi, 0)]
+        ^ t[2][byte(hi, 1)]
+        ^ t[1][byte(hi, 2)]
+        ^ t[0][byte(hi, 3)]
+}
+
+/// `crc` advanced over `LANE` zero bytes.
+fn shift_lane(crc: u32) -> u32 {
+    let s = &SHIFT;
+    s[0][byte(crc, 0)] ^ s[1][byte(crc, 1)] ^ s[2][byte(crc, 2)] ^ s[3][byte(crc, 3)]
 }
 
 /// CRC32 of `data` (IEEE, init `0xFFFF_FFFF`, final XOR `0xFFFF_FFFF`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
+    let mut chunks = data.chunks_exact(CHUNK);
+    for chunk in &mut chunks {
+        // Lane 0 carries the running state, lanes 1–3 start from zero;
+        // state(A ‖ B) = shift_|B|(state(A)) ⊕ state₀(B) joins them.
+        let mut lanes = [crc, 0, 0, 0];
+        for at in (0..LANE).step_by(8) {
+            for (lane, state) in lanes.iter_mut().enumerate() {
+                *state = fold8(*state, &chunk[lane * LANE + at..][..8]);
+            }
+        }
+        crc = shift_lane(shift_lane(shift_lane(lanes[0]) ^ lanes[1]) ^ lanes[2]) ^ lanes[3];
+    }
+    let mut words = chunks.remainder().chunks_exact(8);
     for word in &mut words {
-        let lo = u32::from_le_bytes([word[0], word[1], word[2], word[3]]) ^ crc;
-        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
-        crc = t[7][byte(lo, 0)]
-            ^ t[6][byte(lo, 1)]
-            ^ t[5][byte(lo, 2)]
-            ^ t[4][byte(lo, 3)]
-            ^ t[3][byte(hi, 0)]
-            ^ t[2][byte(hi, 1)]
-            ^ t[1][byte(hi, 2)]
-            ^ t[0][byte(hi, 3)];
+        crc = fold8(crc, word);
     }
     for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
+        crc = (crc >> 8) ^ TABLES[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -112,30 +183,84 @@ mod tests {
         a.iter().zip(b).map(|(x, y)| x ^ y).collect()
     }
 
-    /// The one-table, one-byte-a-step loop the kernel replaced: the oracle
-    /// for every differential test below.
+    /// One step of the one-table, one-byte-a-step loop the kernel
+    /// replaced.
+    fn step_bytewise(crc: u32, b: u8) -> u32 {
+        (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+    }
+
+    /// The byte loop: the oracle for every differential test below.
     fn crc32_bytewise(data: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in data {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        !data
+            .iter()
+            .fold(0xFFFF_FFFF, |crc, &b| step_bytewise(crc, b))
+    }
+
+    /// `crc32_bytewise(&buf[start..start + len])` for every `len` in
+    /// `0..=max_len`, from one pass of the byte loop.
+    fn bytewise_prefixes(buf: &[u8], start: usize, max_len: usize) -> Vec<u32> {
+        let mut crc = 0xFFFF_FFFF;
+        let mut out = vec![!crc];
+        for &b in &buf[start..start + max_len] {
+            crc = step_bytewise(crc, b);
+            out.push(!crc);
         }
-        !crc
+        out
+    }
+
+    /// Checks the kernel against the byte loop on every length in `lens`
+    /// (each at most `max_len`) from every start offset 0..8, so every
+    /// window starts off any word alignment the allocator happened to give.
+    fn check_lengths(max_len: usize, lens: impl Iterator<Item = usize> + Clone) {
+        let mut seed = max_len as u64;
+        let buf = prand(&mut seed, max_len + 8);
+        for start in 0..8 {
+            let oracle = bytewise_prefixes(&buf, start, max_len);
+            for len in lens.clone() {
+                let window = &buf[start..start + len];
+                assert_eq!(crc32(window), oracle[len], "start {start} len {len}");
+            }
+        }
     }
 
     #[test]
     fn every_short_length_at_every_offset_matches_bytewise() {
-        let mut seed = 11;
-        // 8 bytes of slack so every window starts off any word alignment
-        // the allocator happened to give.
-        let buf = prand(&mut seed, 64 + 8);
-        for start in 0..8 {
-            for len in 0..=64 {
-                let window = &buf[start..start + len];
-                assert_eq!(
-                    crc32(window),
-                    crc32_bytewise(window),
-                    "start {start} len {len}"
-                );
+        check_lengths(64, 0..=64);
+    }
+
+    #[test]
+    fn lengths_around_every_lane_and_chunk_boundary_match_bytewise() {
+        let bounds = [LANE, 2 * LANE, 3 * LANE, CHUNK, 2 * CHUNK];
+        let lens = bounds.into_iter().flat_map(|b| b - 9..=b + 9);
+        check_lengths(2 * CHUNK + 9, lens);
+    }
+
+    #[test]
+    fn every_multiple_of_32_up_to_8_kib_matches_bytewise() {
+        check_lengths(8192, (0..=8192).step_by(32));
+    }
+
+    #[test]
+    fn sixty_four_kib_matches_bytewise() {
+        check_lengths(65536, std::iter::once(65536));
+    }
+
+    /// Every length 0..=2 × 4096 + 64 from every start offset 0..8: all
+    /// tails after zero, one and two chunks. Too slow for a debug build;
+    /// CI runs it in release with `--include-ignored`.
+    #[test]
+    #[ignore = "deep sweep: run in release with --include-ignored"]
+    fn every_length_through_two_chunks_matches_bytewise() {
+        check_lengths(2 * CHUNK + 64, 0..=2 * CHUNK + 64);
+    }
+
+    #[test]
+    fn shift_table_is_the_byte_loop_over_a_lane_of_zeros() {
+        for (k, row) in SHIFT.iter().enumerate() {
+            for (b, &entry) in row.iter().enumerate() {
+                let state = (b as u32) << (8 * k);
+                let advanced = (0..LANE).fold(state, |crc, _| step_bytewise(crc, 0));
+                assert_eq!(entry, advanced, "byte {b} at position {k}");
             }
         }
     }
@@ -195,7 +320,7 @@ mod tests {
     #[test]
     fn crc_is_affine_over_gf2() {
         let mut seed = 7;
-        for n in [1usize, 32, 4096] {
+        for n in [1usize, 32, 4096, 4097, 8192, 65536] {
             let (a, b, c) = (
                 prand(&mut seed, n),
                 prand(&mut seed, n),

@@ -24,8 +24,12 @@ impl Client {
         })
     }
 
-    /// Send one request and wait for its response.
+    /// Send one request and wait for its response. A request the wire
+    /// cannot carry (a name over 65,535 bytes, a frame over
+    /// [`MAX_FRAME`](crate::protocol::MAX_FRAME)) is `InvalidInput`, and
+    /// nothing is sent: the connection stays usable.
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
+        request.check()?;
         write_frame(self.stream.get_mut(), &request.encode())?;
         let body = read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")

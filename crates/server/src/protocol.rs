@@ -127,11 +127,19 @@ impl std::error::Error for ProtoError {}
 const COALESCE_MAX: usize = 64 * 1024;
 
 /// Write one frame: length prefix + body, as one `write` for bodies up to
-/// 64 KiB and two beyond.
+/// 64 KiB and two beyond. A body over [`MAX_FRAME`], which the peer would
+/// refuse, is `InvalidInput` before any byte is written.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME);
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    if body.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                body.len()
+            ),
+        ));
+    }
+    let len = body.len() as u32;
     if body.len() <= COALESCE_MAX {
         let mut frame = Vec::with_capacity(4 + body.len());
         frame.extend_from_slice(&len.to_be_bytes());
@@ -232,7 +240,27 @@ fn push_blob(out: &mut Vec<u8>, blob: &[u8]) {
 }
 
 impl Request {
-    /// Serialize to a frame body.
+    /// `InvalidInput` if a name is longer than its `u16` length field can
+    /// say: the one request [`Request::encode`] cannot serialize.
+    pub fn check(&self) -> io::Result<()> {
+        match self {
+            Request::Put { name, .. } | Request::Get { name } | Request::Delete { name }
+                if name.len() > usize::from(u16::MAX) =>
+            {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "name of {} bytes exceeds the {}-byte cap",
+                        name.len(),
+                        u16::MAX
+                    ),
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Serialize to a frame body. Panics if [`Request::check`] fails.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -343,6 +371,7 @@ fn truncate_utf8(s: &str, max: usize) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip_req(req: Request) {
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
@@ -398,6 +427,140 @@ mod tests {
             Err(ProtoError::BadUtf8)
         );
         assert_eq!(Response::decode(&[0x77]), Err(ProtoError::BadStatus(0x77)));
+    }
+
+    #[test]
+    fn a_name_over_the_u16_field_is_invalid_input() {
+        let name = "n".repeat(usize::from(u16::MAX) + 1);
+        for req in [
+            Request::Put {
+                name: name.clone(),
+                value: vec![1],
+            },
+            Request::Get { name: name.clone() },
+            Request::Delete { name },
+        ] {
+            assert_eq!(req.check().unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        }
+        let longest = Request::Get {
+            name: "n".repeat(usize::from(u16::MAX)),
+        };
+        assert!(longest.check().is_ok());
+        roundtrip_req(longest);
+    }
+
+    #[test]
+    fn an_oversized_frame_is_invalid_input_and_writes_nothing() {
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let err = write_frame(&mut w, &vec![0u8; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0);
+        // The cap itself is a legal frame.
+        write_frame(&mut w, &vec![0u8; MAX_FRAME]).unwrap();
+        assert_eq!(w.bytes.len(), 4 + MAX_FRAME);
+    }
+
+    /// A request of kind `kind % 5` built from drawn bytes (names are
+    /// made valid UTF-8).
+    fn request_of(kind: u8, name: &[u8], value: &[u8]) -> Request {
+        let name = String::from_utf8_lossy(name).into_owned();
+        match kind % 5 {
+            0 => Request::Put {
+                name,
+                value: value.to_vec(),
+            },
+            1 => Request::Get { name },
+            2 => Request::Delete { name },
+            3 => Request::Scrub,
+            _ => Request::Stat,
+        }
+    }
+
+    /// A response of kind `kind % 6` built from drawn values.
+    fn response_of(kind: u8, text: &[u8], bytes: &[u8], shard: u16, depth: u32) -> Response {
+        let text = String::from_utf8_lossy(text).into_owned();
+        match kind % 6 {
+            0 => Response::Ok,
+            1 => Response::Value(bytes.to_vec()),
+            2 => Response::NotFound,
+            3 => Response::Busy { shard, depth },
+            4 => Response::Err(text),
+            _ => Response::Report(text),
+        }
+    }
+
+    /// Both decoders on `body`: each returns a message or a typed error,
+    /// and a message they accept re-encodes to exactly `body` (one
+    /// encoding per message, so nothing is silently dropped).
+    fn decode_is_total_and_canonical(body: &[u8]) {
+        if let Ok(req) = Request::decode(body) {
+            assert_eq!(req.encode(), body, "{req:?}");
+        }
+        if let Ok(resp) = Response::decode(body) {
+            assert_eq!(resp.encode(), body, "{resp:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bodies_decode_to_a_message_or_a_typed_error(
+            // A first byte near the opcodes, so most bodies reach a field.
+            first in 0u8..8,
+            rest in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let mut body = vec![first];
+            body.extend_from_slice(&rest);
+            decode_is_total_and_canonical(&body);
+        }
+
+        #[test]
+        fn truncated_and_flipped_encodings_are_typed_errors_or_messages(
+            kind in any::<u8>(),
+            text in prop::collection::vec(any::<u8>(), 0..24),
+            bytes in prop::collection::vec(any::<u8>(), 0..24),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let shard = u16::from(kind) * 257;
+            let depth = at as u32;
+            let req = request_of(kind, &text, &bytes).encode();
+            let resp = response_of(kind, &text, &bytes, shard, depth).encode();
+            // Every field is required and every length is declared, so each
+            // strict prefix is short to its own decoder. The other decoder
+            // may read it as a message of its own, which must re-encode.
+            for cut in 0..req.len() {
+                prop_assert_eq!(Request::decode(&req[..cut]), Err(ProtoError::Truncated));
+                decode_is_total_and_canonical(&req[..cut]);
+            }
+            for cut in 0..resp.len() {
+                prop_assert_eq!(Response::decode(&resp[..cut]), Err(ProtoError::Truncated));
+                decode_is_total_and_canonical(&resp[..cut]);
+            }
+            for body in [req, resp] {
+                let mut flipped = body.clone();
+                flipped[at % body.len()] ^= mask;
+                decode_is_total_and_canonical(&flipped);
+            }
+        }
+
+        #[test]
+        fn every_valid_message_round_trips(
+            kind in any::<u8>(),
+            text in prop::collection::vec(any::<u8>(), 0..64),
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+            shard in any::<u16>(),
+            depth in any::<u32>(),
+        ) {
+            let req = request_of(kind, &text, &bytes);
+            prop_assert_eq!(Request::decode(&req.encode()), Ok(req.clone()));
+            let resp = response_of(kind, &text, &bytes, shard, depth);
+            prop_assert_eq!(Response::decode(&resp.encode()), Ok(resp.clone()));
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use dcode_faults::{
 };
 use dcode_server::{
     shard_blocks, shard_of, Client, Response, Server, ServerConfig, ShardBackend, ShardConfig,
+    MAX_FRAME,
 };
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -344,6 +345,33 @@ fn a_name_with_a_comma_and_a_newline_round_trips_and_survives_a_reopen() {
     );
     assert_eq!(client.delete(name).expect("delete io"), Response::Ok);
     assert_eq!(client.get(name).expect("get io"), Response::NotFound);
+}
+
+#[test]
+fn a_request_the_wire_cannot_carry_is_refused_and_the_connection_still_serves() {
+    let cfg = test_config();
+    let server = Server::start(&cfg, backends(&cfg), true).expect("server starts");
+    let mut client = Client::connect(("127.0.0.1", server.port())).expect("connect");
+    assert_eq!(client.put("kept", b"value").expect("put io"), Response::Ok);
+
+    // A name too long for its u16 field, and a value too large for one
+    // frame: each is refused in the client, and nothing reaches the wire.
+    let long_name = "n".repeat(usize::from(u16::MAX) + 1);
+    for result in [
+        client.put(&long_name, b"v"),
+        client.get(&long_name),
+        client.delete(&long_name),
+        client.put("big", &vec![0u8; MAX_FRAME]),
+    ] {
+        let err = result.expect_err("an oversized request must be an error");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    // The same connection still serves.
+    assert_eq!(
+        client.get("kept").expect("get io"),
+        Response::Value(b"value".to_vec())
+    );
 }
 
 /// `max_conns` is the concurrent-connection cap, and the handler pool
