@@ -308,7 +308,9 @@ pub struct ResilientArray<B> {
     /// Write-ahead parity intent journal geometry, when this array was
     /// formatted with one. `None` keeps the legacy unjournaled write path.
     journal: Option<JournalSpec>,
-    /// Next intent-record sequence number.
+    /// Next intent-record sequence number. It is read from the medium at
+    /// mount, so it wraps instead of overflowing: replay orders only the
+    /// records of one commit round by it, and those cover disjoint stripes.
     jseq: u64,
     /// What mount-time replay did, when this array came up via
     /// [`attach_journaled`](ResilientArray::attach_journaled).
@@ -1261,9 +1263,9 @@ impl<B: DiskBackend> ResilientArray<B> {
                 true => {
                     let (first, stripes) = (unit[0].0.stripe, unit.len());
                     debug_assert_eq!(unit[stripes - 1].0.stripe, first + stripes - 1);
-                    self.jseq += 1;
+                    self.jseq = self.jseq.wrapping_add(1);
                     Some(IntentRecord {
-                        seq: self.jseq - 1,
+                        seq: self.jseq.wrapping_sub(1),
                         stripe: first,
                         mode: RecordMode::Resync { stripes },
                         entries: Vec::new(),
@@ -1385,7 +1387,7 @@ impl<B: DiskBackend> ResilientArray<B> {
             .chain(parity.map(|e| entry(e, true)))
             .collect();
         let seq = self.jseq;
-        self.jseq += 1;
+        self.jseq = seq.wrapping_add(1);
         IntentRecord {
             seq,
             stripe: segment.stripe,
@@ -1543,13 +1545,13 @@ impl<B: DiskBackend> ResilientArray<B> {
             }
             match IntentRecord::decode_header(&header, &spec) {
                 SlotHeader::Empty => {}
-                SlotHeader::Tombstone(seq) => self.jseq = self.jseq.max(seq + 1),
+                SlotHeader::Tombstone(seq) => self.jseq = self.jseq.max(seq.wrapping_add(1)),
                 SlotHeader::Torn => {
                     summary.discarded += 1;
                     self.discard_slot(disk, &spec);
                 }
                 SlotHeader::Record(mut rec) => {
-                    self.jseq = self.jseq.max(rec.seq + 1);
+                    self.jseq = self.jseq.max(rec.seq.wrapping_add(1));
                     if self.load_record_payload(disk, &spec, &mut rec)
                         && self.record_in_bounds(&rec)
                     {

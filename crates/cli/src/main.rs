@@ -147,6 +147,15 @@ fn run(args: &[String]) -> Result<String, CliError> {
     }
     let flag = |name: &str| flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
     let switch = |name: &str| set.contains(&name);
+    // A count the command sizes threads, slots or keys by: zero is refused
+    // here, before anything is created.
+    let count = |name: &str, default: &str| -> Result<usize, CliError> {
+        match flag(name).unwrap_or(default).parse() {
+            Ok(0) => Err(usage(&format!("--{name} must be at least 1"))),
+            Ok(n) => Ok(n),
+            Err(_) => Err(usage(&format!("--{name} must be a number"))),
+        }
+    };
 
     match cmd.as_str() {
         "store" => {
@@ -297,8 +306,8 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 port,
                 block: num("block", "4096")?,
                 stripes: num("stripes", "64")?,
-                queue_cap: num("queue-cap", "128")?,
-                conns: num("conns", "32")?,
+                queue_cap: count("queue-cap", "128")?,
+                conns: count("conns", "32")?,
             };
             commands::serve(&PathBuf::from(dir), &opts)
         }
@@ -326,9 +335,9 @@ fn run(args: &[String]) -> Result<String, CliError> {
                 host,
                 port,
                 ops: num("ops", "100000")?,
-                conns: num("conns", "8")? as usize,
+                conns: count("conns", "8")?,
                 value: num("value", "1024")? as usize,
-                keys: num("keys", "64")? as usize,
+                keys: count("keys", "64")?,
                 put_fraction: puts,
                 rate: num("rate", "0")?,
                 seed: num("seed", "1")?,
@@ -374,6 +383,41 @@ mod tests {
     fn misspelled_value_flag_is_a_usage_error() {
         let msg = usage_error("verify --code dcode --pp 5");
         assert!(msg.starts_with("verify does not take --pp"), "{msg}");
+    }
+
+    /// `serve` with a zero count is refused before it creates the
+    /// directory: a half-made one is a store no later `serve` opens.
+    fn zero_serve_count_is_a_usage_error(flag: &str) {
+        let dir =
+            std::env::temp_dir().join(format!("dcode-cli-zero-{flag}-{}", std::process::id()));
+        let msg = usage_error(&format!("serve {} --{flag} 0", dir.display()));
+        assert!(
+            msg.starts_with(&format!("--{flag} must be at least 1")),
+            "{msg}"
+        );
+        assert!(!dir.exists(), "{} was created", dir.display());
+    }
+
+    #[test]
+    fn serve_with_zero_conns_is_a_usage_error() {
+        zero_serve_count_is_a_usage_error("conns");
+    }
+
+    #[test]
+    fn serve_with_zero_queue_cap_is_a_usage_error() {
+        zero_serve_count_is_a_usage_error("queue-cap");
+    }
+
+    #[test]
+    fn loadgen_with_zero_conns_is_a_usage_error() {
+        let msg = usage_error("loadgen 127.0.0.1:1 --conns 0");
+        assert!(msg.starts_with("--conns must be at least 1"), "{msg}");
+    }
+
+    #[test]
+    fn loadgen_with_zero_keys_is_a_usage_error() {
+        let msg = usage_error("loadgen 127.0.0.1:1 --keys 0");
+        assert!(msg.starts_with("--keys must be at least 1"), "{msg}");
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //! * [`server`] — the accept loop and connection handlers, run as
 //!   detached jobs on a [`minipool::WorkerPool`] that grows on accept up
 //!   to the connection cap; each request runs on its connection's thread;
-//! * [`metrics`] — lock-free log₂ latency histograms and op counters,
-//!   rendered into the `STAT` JSON document alongside per-shard
-//!   snapshots (queue depth, schedule-cache hit rate, degraded reads…);
+//! * [`metrics`] — lock-free log-linear latency histograms (buckets at
+//!   most 0.78% wide) and op counters, rendered into the `STAT` JSON
+//!   document alongside per-shard snapshots (queue depth, schedule-cache
+//!   hit rate, degraded reads…);
 //! * [`client`] — a blocking protocol client;
-//! * [`loadgen`] — an open-loop load generator with exact client-side
-//!   percentiles and an acknowledged-write ledger whose read-back
-//!   verification must come up lossless even with a fault-injected
-//!   shard.
+//! * [`loadgen`] — an open-loop load generator that records client-side
+//!   latency into the same histogram type, with an acknowledged-write
+//!   ledger whose read-back verification must come up lossless even with
+//!   a fault-injected shard.
 //!
 //! ## Quick example
 //!
@@ -66,8 +67,8 @@ pub mod server;
 pub mod shard;
 
 pub use client::Client;
-pub use loadgen::{LoadgenConfig, LoadgenReport, Percentiles};
-pub use metrics::{Histogram, ServerMetrics};
+pub use loadgen::{LoadgenConfig, LoadgenReport};
+pub use metrics::{Histogram, Percentiles, ServerMetrics};
 pub use protocol::{read_frame, write_frame, ProtoError, Request, Response, MAX_FRAME};
 pub use server::{Server, ServerConfig};
 pub use shard::{

@@ -1,5 +1,5 @@
-//! An open-loop load generator for the dcode server, with exact
-//! client-side percentiles and an acknowledged-write ledger.
+//! An open-loop load generator for the dcode server, with client-side
+//! latency histograms and an acknowledged-write ledger.
 //!
 //! Open loop means each connection fires requests on a fixed schedule
 //! (`rate_ops_s` across all connections) and measures latency from the
@@ -17,9 +17,14 @@
 //! `Busy` responses are retried with linear backoff and counted
 //! separately; the retries stay inside the op's latency sample, so
 //! backpressure shows up in the tail where it belongs.
+//!
+//! Every connection records into the same two [`Histogram`]s, one for
+//! puts and one for gets — the server's STAT histogram type, summarized
+//! by the same [`Percentiles`] — so the generator's memory does not grow
+//! with `ops`.
 
 use crate::client::Client;
-use crate::metrics::json_escape;
+use crate::metrics::{json_escape, Histogram, Percentiles};
 use crate::protocol::Response;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,7 +91,7 @@ pub struct LoadgenReport {
     pub elapsed_s: f64,
     /// `ops / elapsed_s`.
     pub achieved_ops_s: f64,
-    /// PUT latency percentiles, microseconds (exact, client-side).
+    /// PUT latency percentiles, microseconds (client-side).
     pub put_us: Percentiles,
     /// GET latency percentiles, microseconds.
     pub get_us: Percentiles,
@@ -94,55 +99,6 @@ pub struct LoadgenReport {
     pub verify_checked: u64,
     /// Acked keys whose read-back failed or mismatched. Must be 0.
     pub verify_lost: u64,
-}
-
-/// Exact percentiles over one op class's samples.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct Percentiles {
-    /// Sample count.
-    pub count: u64,
-    /// Median.
-    pub p50: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile — `None` (JSON `null`) below 1000 samples,
-    /// where the tail rank collapses onto the max and reads as a real
-    /// measurement when it is not one.
-    pub p999: Option<u64>,
-    /// Maximum.
-    pub max: u64,
-}
-
-impl Percentiles {
-    /// Compute from unsorted samples.
-    pub fn of(mut samples: Vec<u64>) -> Percentiles {
-        if samples.is_empty() {
-            return Percentiles::default();
-        }
-        samples.sort_unstable();
-        let pick = |q: f64| {
-            #[allow(clippy::cast_sign_loss, clippy::cast_precision_loss)]
-            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-            samples[rank - 1]
-        };
-        Percentiles {
-            count: samples.len() as u64,
-            p50: pick(0.50),
-            p99: pick(0.99),
-            p999: (samples.len() >= 1000).then(|| pick(0.999)),
-            max: *samples.last().expect("non-empty"),
-        }
-    }
-
-    fn json(&self) -> String {
-        let p999 = self
-            .p999
-            .map_or_else(|| "null".to_string(), |v| v.to_string());
-        format!(
-            "{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{p999},\"max_us\":{}}}",
-            self.count, self.p50, self.p99, self.max
-        )
-    }
 }
 
 impl LoadgenReport {
@@ -189,8 +145,6 @@ struct ThreadOutcome {
     busy_retries: u64,
     errors: u64,
     mismatches: u64,
-    put_samples: Vec<u64>,
-    get_samples: Vec<u64>,
     verify_checked: u64,
     verify_lost: u64,
 }
@@ -234,7 +188,14 @@ fn send_with_retry(
     }
 }
 
-fn run_connection(cfg: &LoadgenConfig, thread: usize, ops: u64) -> io::Result<ThreadOutcome> {
+/// Run `ops` ops on one connection, recording each op's latency into
+/// `latency` (`[put, get]`).
+fn run_connection(
+    cfg: &LoadgenConfig,
+    thread: usize,
+    ops: u64,
+    latency: &[Histogram; 2],
+) -> io::Result<ThreadOutcome> {
     let mut client = Client::connect((cfg.host.as_str(), cfg.port))?;
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(thread as u64 + 1));
@@ -247,8 +208,6 @@ fn run_connection(cfg: &LoadgenConfig, thread: usize, ops: u64) -> io::Result<Th
         busy_retries: 0,
         errors: 0,
         mismatches: 0,
-        put_samples: Vec::with_capacity(ops as usize / 2 + 1),
-        get_samples: Vec::with_capacity(ops as usize / 2 + 1),
         verify_checked: 0,
         verify_lost: 0,
     };
@@ -287,7 +246,7 @@ fn run_connection(cfg: &LoadgenConfig, thread: usize, ops: u64) -> io::Result<Th
                 _ => out.errors += 1,
             }
             #[allow(clippy::cast_possible_truncation)]
-            out.put_samples.push(clock.elapsed().as_micros() as u64);
+            latency[0].record(clock.elapsed().as_micros() as u64);
         } else {
             let (resp, busy) = send_with_retry(&mut client, |c| c.get(&key))?;
             out.busy_retries += busy;
@@ -311,7 +270,7 @@ fn run_connection(cfg: &LoadgenConfig, thread: usize, ops: u64) -> io::Result<Th
                 _ => out.errors += 1,
             }
             #[allow(clippy::cast_possible_truncation)]
-            out.get_samples.push(clock.elapsed().as_micros() as u64);
+            latency[1].record(clock.elapsed().as_micros() as u64);
         }
     }
     // Verification: every acked key must read back as its acked value.
@@ -336,18 +295,7 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let started = Instant::now();
     let per_thread = cfg.ops / cfg.conns as u64;
     let remainder = cfg.ops % cfg.conns as u64;
-    let handles: Vec<_> = (0..cfg.conns)
-        .map(|t| {
-            let cfg = cfg.clone();
-            let ops = per_thread + u64::from((t as u64) < remainder);
-            std::thread::Builder::new()
-                .name(format!("loadgen-{t}"))
-                .spawn(move || run_connection(&cfg, t, ops))
-                .expect("spawn loadgen thread")
-        })
-        .collect();
-    let mut put_samples = Vec::new();
-    let mut get_samples = Vec::new();
+    let latency = [Histogram::new(), Histogram::new()];
     let mut report = LoadgenReport {
         ops: 0,
         puts: 0,
@@ -363,22 +311,34 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
         verify_lost: 0,
     };
     let mut first_error = None;
-    for handle in handles {
-        match handle.join().expect("loadgen thread panicked") {
-            Ok(outcome) => {
-                report.puts += outcome.puts;
-                report.gets += outcome.gets;
-                report.busy_retries += outcome.busy_retries;
-                report.errors += outcome.errors;
-                report.mismatches += outcome.mismatches;
-                report.verify_checked += outcome.verify_checked;
-                report.verify_lost += outcome.verify_lost;
-                put_samples.extend(outcome.put_samples);
-                get_samples.extend(outcome.get_samples);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.conns)
+            .map(|t| {
+                let ops = per_thread + u64::from((t as u64) < remainder);
+                let latency = &latency;
+                std::thread::Builder::new()
+                    .name(format!("loadgen-{t}"))
+                    .spawn_scoped(scope, move || run_connection(cfg, t, ops, latency))
+                    .expect("spawn loadgen thread")
+            })
+            .collect();
+        for handle in handles {
+            match handle.join().expect("loadgen thread panicked") {
+                Ok(outcome) => {
+                    report.puts += outcome.puts;
+                    report.gets += outcome.gets;
+                    report.busy_retries += outcome.busy_retries;
+                    report.errors += outcome.errors;
+                    report.mismatches += outcome.mismatches;
+                    report.verify_checked += outcome.verify_checked;
+                    report.verify_lost += outcome.verify_lost;
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
             }
-            Err(e) => first_error = first_error.or(Some(e)),
         }
-    }
+    });
     if let Some(e) = first_error {
         return Err(e);
     }
@@ -392,41 +352,14 @@ pub fn run(cfg: &LoadgenConfig) -> io::Result<LoadgenReport> {
             0.0
         };
     }
-    report.put_us = Percentiles::of(put_samples);
-    report.get_us = Percentiles::of(get_samples);
+    report.put_us = latency[0].percentiles();
+    report.get_us = latency[1].percentiles();
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentiles_are_exact_on_known_samples() {
-        let p = Percentiles::of((1..=1000u64).collect());
-        assert_eq!(p.count, 1000);
-        assert_eq!(p.p50, 500);
-        assert_eq!(p.p99, 990);
-        assert_eq!(p.p999, Some(999));
-        assert_eq!(p.max, 1000);
-        let empty = Percentiles::of(Vec::new());
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.max, 0);
-    }
-
-    #[test]
-    fn p999_is_null_below_a_thousand_samples() {
-        let p = Percentiles::of((1..=999u64).collect());
-        assert_eq!(p.count, 999);
-        assert_eq!(p.p999, None, "999 samples cannot resolve a p999");
-        assert!(p.json().contains("\"p999_us\":null"), "{}", p.json());
-        let enough = Percentiles::of((1..=1000u64).collect());
-        assert!(
-            enough.json().contains("\"p999_us\":999"),
-            "{}",
-            enough.json()
-        );
-    }
 
     #[test]
     fn values_are_deterministic_and_version_sensitive() {
@@ -450,6 +383,7 @@ mod tests {
             achieved_ops_s: 20.0,
             put_us: Percentiles {
                 count: 4,
+                mean: 120,
                 p50: 100,
                 p99: 200,
                 p999: None,
